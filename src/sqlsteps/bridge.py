@@ -215,6 +215,8 @@ def _check_core_shape(core: SelectCore, d: DatabaseInput) -> None:
             raise UnsupportedSqlError("DISTINCT * is unsupported")
     if any(isinstance(i.expr, Star) for i in core.items) and not names:
         raise UnsupportedSqlError("SELECT * without FROM")
+    if core.limit is not None and core.limit < 1:
+        raise UnsupportedSqlError("LIMIT 0 has no action equivalent (limit takes a count >= 1)")
 
 
 def _check_join_on(join: Join, known: set[str], d: DatabaseInput) -> None:

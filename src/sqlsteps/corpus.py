@@ -298,18 +298,16 @@ def _assemble_lom_records(positives: list[tuple[SeedExample, str, str, dict]],
     pair_trajectories = [(parse_trajectory(err), parse_trajectory(ver))
                          for _, err, ver, _ in positives]
     combined = inject_negatives(pair_trajectories, ratio=negative_ratio, seed=cfg.seed)
-    # inject_negatives works on bare pairs; re-attach seed context by pair text
-    rendered = {(err_text, ver_text): (seed, prov)
-                for (seed, err_text, ver_text, prov) in positives}
-    by_verified = {ver: (seed, prov) for (seed, err, ver, prov) in positives}
+    # inject_negatives keeps each pair's own trajectory objects, so a record's
+    # verified object names the positive it came from, even when two seeds
+    # share the same texts; an identity negative repeats that object
+    origin = {id(ver): index for index, (_, ver) in enumerate(pair_trajectories)}
     records = []
     for err, ver in combined:
+        seed, _, _, provenance = positives[origin[id(ver)]]
+        if err is ver:
+            provenance = {"seed_id": seed.id, "source": "identity-negative"}
         err_text, ver_text = render_trajectory(err), render_trajectory(ver)
-        if err_text == ver_text:
-            seed, _ = by_verified[ver_text]
-            provenance: dict = {"seed_id": seed.id, "source": "identity-negative"}
-        else:
-            seed, provenance = rendered[(err_text, ver_text)]
         records.append(CorpusRecord(
             target=TARGET_LOM,
             input={"db": seed.db, "question": seed.question, "trajectory": err_text},

@@ -115,16 +115,24 @@ def _normalize_row(row: tuple) -> tuple:
 def ex_match(pred: SqlQuery, gold: SqlQuery, db: FixtureDb) -> bool:
     """Execution accuracy for one pair: result multisets match (ordered when
     the gold query has ORDER BY); prediction errors count as mismatches."""
-    gold_result = execute_sql(gold, db)
-    if not gold_result.ok:
-        raise GoldExecutionFailedError(gold_result.error or "gold query failed")
-    pred_result = execute_sql(pred, db)
-    if not pred_result.ok:
+    gold_rows = _gold_rows(gold, db)
+    return _rows_match(execute_sql(pred, db), gold_rows, gold.has_order_by)
+
+
+def _gold_rows(gold: SqlQuery, db: FixtureDb) -> list[tuple]:
+    result = execute_sql(gold, db)
+    if not result.ok:
+        raise GoldExecutionFailedError(result.error or "gold query failed")
+    assert result.rows is not None
+    return [_normalize_row(r) for r in result.rows]
+
+
+def _rows_match(pred: ExecutionResult, gold_rows: list[tuple], ordered: bool) -> bool:
+    if not pred.ok:
         return False
-    assert gold_result.rows is not None and pred_result.rows is not None
-    gold_rows = [_normalize_row(r) for r in gold_result.rows]
-    pred_rows = [_normalize_row(r) for r in pred_result.rows]
-    if gold.has_order_by:
+    assert pred.rows is not None
+    pred_rows = [_normalize_row(r) for r in pred.rows]
+    if ordered:
         return gold_rows == pred_rows
     return Counter(gold_rows) == Counter(pred_rows)
 
@@ -249,11 +257,11 @@ def evaluate_correction(results: list[CorrectionResult], seeds: list[SeedExample
         db = dbs[seed.db]
         d = schemas.get(seed.db)
         gold = SqlQuery.raw(seed.gold_sql)
-        initial = SqlQuery.raw(seed.initial_sql)
-        baseline = ex_match(initial, gold, db)
-        corrected_text = _corrected_sql(result)
-        corrected = SqlQuery.raw(corrected_text)
-        correct = ex_match(corrected, gold, db)
+        initial = _initial_query(result, seed)
+        corrected = _corrected_query(result, initial)
+        gold_rows = _gold_rows(gold, db)  # run once, scored against both queries
+        baseline = _rows_match(execute_sql(initial, db), gold_rows, gold.has_order_by)
+        correct = _rows_match(execute_sql(corrected, db), gold_rows, gold.has_order_by)
         verdict = InstanceVerdict(
             seed_id=result.seed_id,
             baseline_correct=baseline,
@@ -284,6 +292,25 @@ def _corrected_sql(result: CorrectionResult) -> str:
     if result.feedback is not None and result.feedback.reverted_sql:
         return result.feedback.reverted_sql
     return result.initial_sql
+
+
+def _initial_query(result: CorrectionResult, seed: SeedExample) -> SqlQuery:
+    """The seed's initial SQL as the pipeline parsed it, else parsed here."""
+    query = result.trace.query if result.trace is not None else None
+    if query is not None and query.text == seed.initial_sql:
+        return query
+    return SqlQuery.raw(seed.initial_sql)
+
+
+def _corrected_query(result: CorrectionResult, initial: SqlQuery) -> SqlQuery:
+    """`_corrected_sql` as a query, reusing the reverted or initial query
+    when the corrected text is theirs."""
+    text = _corrected_sql(result)
+    feedback = result.feedback
+    if (feedback is not None and feedback.reverted_query is not None
+            and text == feedback.reverted_sql):
+        return feedback.reverted_query
+    return initial if text == initial.text else SqlQuery.raw(text)
 
 
 def _round_trip_pass(initial: SqlQuery, d: DatabaseInput | None) -> bool | None:

@@ -3,9 +3,13 @@
 Four stage slots run in order: `bam` converts the initial SQL to a
 trajectory, `sam_mask` masks its schema links, `sam_fill` reinserts
 (possibly corrected) links, and `lom` applies logic-level corrections. Each
-backend maps a structured payload of strings to output text; rule backends
-implement the deterministic baseline, scripted backends replay canned
-outputs, and remote backends POST the payload to an HTTP endpoint. A stage
+backend receives a `StagePayload`: the typed values of the run (the
+`DatabaseInput`, the parsed `SqlQuery`, the current `Trajectory` and the
+`MaskedTrajectory`) that read as text under today's keys, each rendered the
+first time it is read. A backend may return text or a typed value; the
+pipeline parses only text. Rule backends implement the deterministic
+baseline on the typed values, scripted backends replay canned outputs, and
+remote backends POST the text payload to an HTTP endpoint. A stage
 returning unparseable text degrades the run: the trace keeps the error and
 the last valid trajectory feeds the final feedback.
 """
@@ -17,8 +21,9 @@ import string
 import time
 import urllib.error
 import urllib.request
+from collections.abc import Iterator, Mapping
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Protocol
@@ -45,7 +50,13 @@ from .masking import (
     parse_masked_template,
     recover_slot_values,
 )
-from .schema import DatabaseInput, extract_schema, parse_database_text, render_database_input
+from .schema import (
+    DatabaseInput,
+    SchemaList,
+    extract_schema,
+    parse_database_text,
+    render_database_input,
+)
 from .sqlast import SqlQuery, canonicalize
 from .trajectory import Trajectory, parse_trajectory, render_trajectory
 
@@ -54,12 +65,99 @@ STAGES = ("bam", "sam_mask", "sam_fill", "lom")
 _BRIDGE_ERRORS = (UnsupportedSqlError, SchemaMismatchError, JoinPathNotFoundError,
                   InvalidChainError, SqlSyntaxError)
 
+StageOutput = str | Trajectory | MaskedTrajectory
+
+
+# --- stage payloads -----------------------------------------------------------------
+
+def _render(value: object) -> str:
+    if isinstance(value, Trajectory):
+        return render_trajectory(value)
+    if isinstance(value, MaskedTrajectory):
+        return value.template
+    if isinstance(value, DatabaseInput):
+        return render_database_input(value)
+    if isinstance(value, SqlQuery):
+        return value.text
+    if isinstance(value, SchemaList):
+        return value.render()
+    raise TypeError(f"no text form for {type(value).__name__}")
+
+
+class _Texts:
+    """The rendered text of each typed value of one pipeline run, rendered once.
+
+    Entries hold their value, so an id is never reused while its entry lives.
+    """
+
+    def __init__(self) -> None:
+        self._memo: dict[int, tuple[object, str]] = {}
+
+    def __call__(self, value: object) -> str:
+        if isinstance(value, str):
+            return value
+        hit = self._memo.get(id(value))
+        if hit is None or hit[0] is not value:
+            hit = self._memo[id(value)] = (value, _render(value))
+        return hit[1]
+
+
+def _parse_mask(template: str, source: str) -> MaskedTrajectory:
+    """A masked template with the slot values that aligning it against the
+    unmasked source text recovers; raises FormatError when they do not align."""
+    masked = parse_masked_template(template)
+    if not masked.slots:
+        return masked
+    values = recover_slot_values(template, source)
+    return MaskedTrajectory(template, tuple(
+        replace(slot, value=value) for slot, value in zip(masked.slots, values)))
+
+
+_PARSERS: dict[str, Callable[[str, "StagePayload"], object]] = {
+    "db": lambda text, payload: parse_database_text(text),
+    "sql": lambda text, payload: SqlQuery.raw(text, payload.get("dialect", "sqlite")),
+    "trajectory": lambda text, payload: parse_trajectory(text),
+    "masked": lambda text, payload: _parse_mask(text, payload["trajectory"]),
+}
+
+
+class StagePayload(Mapping[str, str]):
+    """A stage's input: typed values that read as text.
+
+    Reading a key gives its text, rendered from the typed value the first
+    time it is read, so text backends see plain strings. `value(key)` gives
+    the typed value; a field given as text is parsed the first time its
+    typed value is read.
+    """
+
+    def __init__(self, values: Mapping[str, object], texts: _Texts | None = None):
+        self._values = dict(values)
+        self._texts = texts if texts is not None else _Texts()
+        self._parsed: dict[str, object] = {}
+
+    def __getitem__(self, key: str) -> str:
+        return self._texts(self._values[key])
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._values)
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def value(self, key: str) -> object:
+        value = self._values[key]
+        if not isinstance(value, str) or key not in _PARSERS:
+            return value
+        if key not in self._parsed:
+            self._parsed[key] = _PARSERS[key](value, self)
+        return self._parsed[key]
+
 
 class StageBackend(Protocol):
     stage: str
     identity: bool
 
-    def invoke(self, payload: dict[str, str]) -> str: ...
+    def invoke(self, payload: Mapping[str, str]) -> StageOutput: ...
 
     def describe(self) -> str: ...
 
@@ -67,7 +165,8 @@ class StageBackend(Protocol):
 @dataclass
 class RuleBackend:
     """Deterministic baseline: decompose for bam, mask/fill loop for sam,
-    pass-through for lom (no learned logic corrections exist offline)."""
+    pass-through for lom (no learned logic corrections exist offline).
+    Works on the payload's typed values and returns typed values."""
 
     stage: str
     identity: bool = False
@@ -75,24 +174,20 @@ class RuleBackend:
     def describe(self) -> str:
         return f"rule:{self.stage}"
 
-    def invoke(self, payload: dict[str, str]) -> str:
+    def invoke(self, payload: Mapping[str, str]) -> StageOutput:
+        typed = payload if isinstance(payload, StagePayload) else StagePayload(payload)
         if self.stage == "bam":
-            d = parse_database_text(payload["db"])
-            query = SqlQuery.raw(payload["sql"], payload.get("dialect", "sqlite"))
-            return render_trajectory(decompose(query, d))
+            return decompose(typed.value("sql"), typed.value("db"))
         if self.stage == "sam_mask":
-            return mask_schema(parse_trajectory(payload["trajectory"])).template
+            return mask_schema(typed.value("trajectory"))
         if self.stage == "sam_fill":
-            d = parse_database_text(payload["db"])
-            template = payload["masked"]
-            source = payload["trajectory"]
-            masked = parse_masked_template(template)
-            if not masked.slots:
-                return template
-            values = recover_slot_values(template, source)
-            return render_trajectory(fill_mask(masked, values, d))
+            masked = typed.value("masked")
+            if not masked.slots:  # nothing to fill: the template is the output
+                same = masked.template == typed["trajectory"]
+                return typed.value("trajectory") if same else masked.template
+            return fill_mask(masked, masked.slot_values(), typed.value("db"))
         if self.stage == "lom":
-            return payload["trajectory"]
+            return typed.value("trajectory")
         raise ValueError(f"unknown stage {self.stage!r}")
 
 
@@ -107,7 +202,7 @@ class IdentityBackend:
     def describe(self) -> str:
         return f"identity:{self.stage}"
 
-    def invoke(self, payload: dict[str, str]) -> str:
+    def invoke(self, payload: Mapping[str, str]) -> StageOutput:
         if self.stage == "bam":
             return RuleBackend("bam").invoke(payload)
         if self.stage == "sam_mask":
@@ -130,7 +225,7 @@ class ScriptedBackend:
     def describe(self) -> str:
         return f"scripted:{self.stage}"
 
-    def invoke(self, payload: dict[str, str]) -> str:
+    def invoke(self, payload: Mapping[str, str]) -> str:
         key = payload.get("id", "*")
         if key in self.outputs:
             return self.outputs[key]
@@ -153,9 +248,10 @@ class RemoteBackend:
     def describe(self) -> str:
         return f"remote:{self.stage}@{self.endpoint}"
 
-    def invoke(self, payload: dict[str, str]) -> str:
+    def invoke(self, payload: Mapping[str, str]) -> str:
+        payload = dict(payload)
         if self.stage == "sam_fill":  # the unmasked trajectory is rule-backend-only context
-            payload = {k: v for k, v in payload.items() if k != "trajectory"}
+            payload.pop("trajectory", None)
         body = json.dumps({"stage": self.stage, **payload}).encode("utf-8")
         last_error: Exception | None = None
         for attempt in range(self.retries + 1):
@@ -225,6 +321,8 @@ class Feedback:
     trajectory_text: str
     prompt: str
     reverted_sql: str | None
+    # the query `reverted_sql` was rendered from, for callers that would parse it again
+    reverted_query: SqlQuery | None = field(default=None, compare=False, repr=False)
 
 
 def make_feedback(t: Trajectory, d: DatabaseInput, template_id: str = "regenerate_sql",
@@ -232,17 +330,18 @@ def make_feedback(t: Trajectory, d: DatabaseInput, template_id: str = "regenerat
     """Render the correction feedback handed to a generator model."""
     template = load_prompt(template_id, template_dir)
     trajectory_text = render_trajectory(t)
-    reverted: str | None
+    reverted: SqlQuery | None
     try:
-        reverted = revert(t, d).text
+        reverted = revert(t, d)
     except _BRIDGE_ERRORS:
         reverted = None
     prompt = template.safe_substitute(
         database=render_database_input(d),
         trajectory=trajectory_text,
-        sql=reverted or "",
+        sql=reverted.text if reverted else "",
     )
-    return Feedback(trajectory_text=trajectory_text, prompt=prompt, reverted_sql=reverted)
+    return Feedback(trajectory_text=trajectory_text, prompt=prompt,
+                    reverted_sql=reverted.text if reverted else None, reverted_query=reverted)
 
 
 # --- pipeline ---------------------------------------------------------------------
@@ -268,6 +367,7 @@ class PipelineTrace:
     feedback: Feedback | None = None
     stages: list[StageRecord] = field(default_factory=list)
     error: str | None = None
+    query: SqlQuery | None = None  # the initial SQL, parsed once per run
 
     def final_trajectory(self) -> Trajectory | None:
         return (self.trajectory_final or self.trajectory_schema
@@ -280,21 +380,28 @@ def run_pipeline(d: DatabaseInput, question: str, initial_sql: str,
                  template_dir: str | Path | None = None) -> PipelineTrace:
     """Run bam -> sam_mask -> sam_fill -> lom and build feedback.
 
-    A stage whose output does not parse stops the refinement; the last valid
-    trajectory feeds the feedback (degraded mode).
+    Stages receive typed values that read as text (`StagePayload`) and may
+    return text or a typed value; only text is parsed. A stage whose output
+    does not parse stops the refinement; the last valid trajectory feeds the
+    feedback (degraded mode).
     """
     missing = [s for s in STAGES if s not in backends]
     if missing:
         raise ValueError(f"backends missing for stages {missing}")
-    trace = PipelineTrace(initial_sql=initial_sql, question=question)
-    base = {"db": render_database_input(d), "question": question, "dialect": dialect}
+    query = SqlQuery.raw(initial_sql, dialect)
+    trace = PipelineTrace(initial_sql=initial_sql, question=question, query=query)
+    texts = _Texts()
+    base: dict[str, object] = {"db": d, "question": question, "dialect": dialect}
     if seed_id is not None:
         base["id"] = seed_id
 
-    out = _run_stage(trace, backends["bam"], {**base, "sql": initial_sql})
+    def stage(name: str, **fields: object) -> StageOutput | None:
+        return _run_stage(trace, backends[name], StagePayload({**base, **fields}, texts), texts)
+
+    out = stage("bam", sql=query)
     if out is not None:
         try:
-            trace.trajectory_initial = parse_trajectory(out)
+            trace.trajectory_initial = _as_trajectory(out)
         except SqlStepsError as exc:
             _mark_invalid(trace, "bam", exc)
     if trace.trajectory_initial is None:
@@ -302,36 +409,26 @@ def run_pipeline(d: DatabaseInput, question: str, initial_sql: str,
         return trace
 
     current = trace.trajectory_initial
-    current_text = render_trajectory(current)
-
-    out = _run_stage(trace, backends["sam_mask"], {**base, "trajectory": current_text})
-    template: str | None = None
+    out = stage("sam_mask", trajectory=current)
     if out is not None:
         try:
-            masked = parse_masked_template(out)
-            if masked.slots:
-                recover_slot_values(out, current_text)  # alignment check
-            trace.masked = masked
-            template = out
+            trace.masked = _as_mask(out, texts(current))
         except SqlStepsError as exc:
             _mark_invalid(trace, "sam_mask", exc)
-    if template is not None:
-        out = _run_stage(trace, backends["sam_fill"],
-                         {**base, "schema_list": _schema_list_text(initial_sql, dialect),
-                          "masked": template, "trajectory": current_text})
+    if trace.masked is not None:
+        out = stage("sam_fill", schema_list=_schema_list(query), masked=trace.masked,
+                    trajectory=current)
         if out is not None:
             try:
-                trace.trajectory_schema = parse_trajectory(out)
-                current = trace.trajectory_schema
-                current_text = render_trajectory(current)
+                trace.trajectory_schema = current = _as_trajectory(out)
             except SqlStepsError as exc:
                 _mark_invalid(trace, "sam_fill", exc)
 
     if trace.error is None:
-        out = _run_stage(trace, backends["lom"], {**base, "trajectory": current_text})
+        out = stage("lom", trajectory=current)
         if out is not None:
             try:
-                trace.trajectory_final = parse_trajectory(out)
+                trace.trajectory_final = _as_trajectory(out)
             except SqlStepsError as exc:
                 _mark_invalid(trace, "lom", exc)
 
@@ -341,22 +438,39 @@ def run_pipeline(d: DatabaseInput, question: str, initial_sql: str,
     return trace
 
 
-def _schema_list_text(initial_sql: str, dialect: str) -> str:
-    query = SqlQuery.raw(initial_sql, dialect)
-    if query.ast is None:
-        return "tables: -; columns: -"
-    return extract_schema(query).render()
+def _as_trajectory(out: StageOutput) -> Trajectory:
+    if isinstance(out, MaskedTrajectory):
+        raise FormatError("expected a trajectory, got a masked template")
+    return out if isinstance(out, Trajectory) else parse_trajectory(out)
 
 
-def _run_stage(trace: PipelineTrace, backend: StageBackend,
-               payload: dict[str, str]) -> str | None:
+def _as_mask(out: StageOutput, source: str) -> MaskedTrajectory:
+    """A text template is checked against the text of the trajectory it
+    masks, which recovers its slot values for the fill stage."""
+    if isinstance(out, MaskedTrajectory):
+        return out
+    if isinstance(out, Trajectory):
+        raise FormatError("expected a masked template, got a trajectory")
+    return _parse_mask(out, source)
+
+
+def _schema_list(query: SqlQuery) -> SchemaList:
+    return SchemaList((), ()) if query.ast is None else extract_schema(query)
+
+
+def _run_stage(trace: PipelineTrace, backend: StageBackend, payload: StagePayload,
+               texts: _Texts) -> StageOutput | None:
     if trace.error is not None:
         return None
     start = time.perf_counter()
     try:
         out = backend.invoke(payload)
-        trace.stages.append(StageRecord(backend.stage, backend.describe(), out,
-                                        time.perf_counter() - start, backend.identity))
+        elapsed = time.perf_counter() - start
+        if not isinstance(out, (str, Trajectory, MaskedTrajectory)):
+            raise StageOutputInvalidError(
+                backend.stage, f"expected text or a typed value, got {type(out).__name__}")
+        trace.stages.append(StageRecord(backend.stage, backend.describe(), texts(out),
+                                        elapsed, backend.identity))
         return out
     except BackendUnavailableError:
         raise
@@ -431,19 +545,18 @@ def correct_batch(seeds: list[SeedExample], backends: dict[str, StageBackend],
 def _overcorrection_flag(seed: SeedExample, d: DatabaseInput,
                          trace: PipelineTrace) -> bool:
     """True when an initially gold-equal SQL would be rewritten to differ."""
-    if trace.feedback is None or trace.feedback.reverted_sql is None:
+    feedback = trace.feedback
+    if feedback is None or feedback.reverted_sql is None:
         return False
-    initial = SqlQuery.raw(seed.initial_sql)
-    gold = SqlQuery.raw(seed.gold_sql)
-    if initial.ast is None or gold.ast is None:
+    initial = trace.query if trace.query is not None else SqlQuery.raw(seed.initial_sql)
+    if initial.ast is None:
         return False
     try:
         initial_canon = canonicalize(initial, d)
-        if initial_canon != canonicalize(gold, d):
-            return False
-        reverted = SqlQuery.raw(trace.feedback.reverted_sql)
-        if reverted.ast is None:
-            return True
-        return canonicalize(reverted, d) != initial_canon
+        reverted = feedback.reverted_query or SqlQuery.raw(feedback.reverted_sql)
+        if reverted.ast is not None and canonicalize(reverted, d) == initial_canon:
+            return False  # not rewritten, so the gold need not be read
+        gold = SqlQuery.raw(seed.gold_sql)
+        return gold.ast is not None and canonicalize(gold, d) == initial_canon
     except _BRIDGE_ERRORS:
         return False

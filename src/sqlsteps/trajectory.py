@@ -57,6 +57,7 @@ from .schema import DatabaseInput  # noqa: F401  (re-exported for validate calle
 _DF_REF_RE = re.compile(r"df\d+$|res$")
 _NUMBER_RE = re.compile(r"-?\d+(\.\d+)?([eE][+-]?\d+)?")
 _DATE_TOKEN_RE = re.compile(r"\d{4}-\d{2}-\d{2}$")
+_INT_RE = re.compile(r"-?\d+")
 
 
 # --- tokenizer ---------------------------------------------------------------
@@ -141,6 +142,10 @@ class _LineParser:
 
     def peek(self) -> _Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def column(self) -> int:
+        """Column of the last token read, where a rejected value was found."""
+        return self.tokens[self.pos - 1].col if self.pos else 1
 
     def next(self) -> _Token:
         tok = self.peek()
@@ -300,7 +305,7 @@ class _LineParser:
 
     def _int_arg(self) -> int:
         tok = self.expect("NUMBER")
-        if "." in tok.text:
+        if not _INT_RE.fullmatch(tok.text):
             raise TrajectorySyntaxError(f"expected integer, got {tok.text!r}", self.lineno, tok.col)
         return int(tok.text)
 
@@ -557,8 +562,11 @@ def parse_trajectory(text: str) -> Trajectory:
         line = raw.rstrip("\r")
         if not line.strip():
             continue
-        tokens = _tokenize_line(line, lineno)
-        step = _LineParser(tokens, lineno).parse_step()
+        parser = _LineParser(_tokenize_line(line, lineno), lineno)
+        try:
+            step = parser.parse_step()
+        except ValueError as exc:  # a value an action rejects, e.g. limit(0)
+            raise TrajectorySyntaxError(str(exc), lineno, parser.column()) from exc
         _check_star_placement(step, lineno)
         steps.append(step)
     return Trajectory(tuple(steps))

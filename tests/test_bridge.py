@@ -133,6 +133,13 @@ def test_unreferenced_joined_table_is_unsupported(store):
         decompose(q, store)
 
 
+def test_limit_zero_unsupported(store):
+    q = parse_sql("SELECT name FROM customers LIMIT 0")
+    with pytest.raises(UnsupportedSqlError):
+        decompose(q, store)
+    assert round_trip(q, store).verdict == UNSUPPORTED
+
+
 def test_self_join_unsupported(store):
     q = parse_sql("SELECT a.name FROM customers a JOIN customers b ON a.id = b.id")
     with pytest.raises(UnsupportedSqlError):

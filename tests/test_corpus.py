@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 
@@ -212,3 +213,24 @@ def test_stats_json_round(tmp_path):
     text = path.read_text()
     assert text.startswith("#corpus v1 lom\n")
     assert json.loads(text.splitlines()[1])["target"] == TARGET_LOM
+
+
+def test_lom_provenance_when_two_seeds_share_a_trajectory(schemas):
+    # both seeds are correct and share one verified trajectory, so their
+    # perturbations (each drawn from stream index 0) have identical texts
+    sql = "SELECT customers.name FROM customers WHERE customers.age > 30"
+    seeds = [SeedExample(sid, "store", "older customers", sql, sql) for sid in ("a", "b")]
+    bam = build_bam_corpus(seeds, schemas)
+    cfg = PerturbationConfig(k=4, seed=5)
+    lom = build_lom_corpus(bam.records, seeds, cfg, schemas)
+    assert not lom.failures
+    positives = Counter(r.provenance["seed_id"] for r in lom.records
+                        if r.provenance["source"] == "perturbation")
+    negatives = Counter(r.provenance["seed_id"] for r in lom.records
+                        if r.provenance["source"] == "identity-negative")
+    assert positives == {"a": 4, "b": 4}
+    # one negative per four positives, taken from each seed's fourth pair
+    assert negatives == {"a": 1, "b": 1}
+    texts = Counter((r.input["trajectory"], r.output) for r in lom.records
+                    if r.provenance["source"] == "perturbation")
+    assert all(count == 2 for count in texts.values())

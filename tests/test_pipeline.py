@@ -6,7 +6,9 @@ import pytest
 
 from sqlsteps.bridge import decompose
 from sqlsteps.errors import BackendUnavailableError, TemplateNotFoundError
+from sqlsteps.masking import mask_schema
 from sqlsteps.pipeline import (
+    STAGES,
     IdentityBackend,
     RemoteBackend,
     RuleBackend,
@@ -16,6 +18,7 @@ from sqlsteps.pipeline import (
     make_feedback,
     run_pipeline,
 )
+from sqlsteps.schema import extract_schema, render_database_input
 from sqlsteps.sqlast import SqlQuery, canonicalize, parse_sql
 from sqlsteps.trajectory import parse_trajectory, render_trajectory
 
@@ -190,6 +193,137 @@ def test_overcorrection_flag_set_when_correct_seed_is_rewritten(fixture_seeds, s
     assert flagged == ["s02"]
 
 
+def test_rejected_value_in_stage_output_stays_with_its_seed(fixture_seeds, schemas):
+    class LimitZero:
+        stage = "lom"
+        identity = False
+
+        def describe(self):
+            return "test:limit-zero"
+
+        def invoke(self, payload):
+            if payload.get("id") == "s02":
+                return "res = df.select(customers.name).limit(0)\n"
+            return payload["trajectory"]
+
+    backends = rule_backends()
+    backends["lom"] = LimitZero()
+    results = correct_batch(fixture_seeds, backends, schemas, jobs=1)
+    assert len(results) == 10
+    errors = {r.seed_id: r.error for r in results if r.error}
+    assert set(errors) - {"s10"} == {"s02"}  # s10's window function never decomposes
+    assert "stage lom" in errors["s02"] and "limit" in errors["s02"]
+    s02 = next(r for r in results if r.seed_id == "s02")
+    assert s02.feedback is not None  # degraded to the sam_fill trajectory
+
+
+def test_limit_zero_initial_sql_stays_with_its_seed(fixture_seeds, schemas, dbs):
+    from sqlsteps.corpus import SeedExample
+    from sqlsteps.evaluate import evaluate_correction
+
+    bad = SeedExample("s99", "store", "no names", "SELECT customers.name FROM customers",
+                      "SELECT name FROM customers LIMIT 0")
+    seeds = [*fixture_seeds, bad]
+    results = correct_batch(seeds, rule_backends(), schemas, jobs=1)
+    assert len(results) == 11
+    errors = {r.seed_id: r.error for r in results if r.error}
+    assert set(errors) - {"s10"} == {"s99"}
+    assert "LIMIT 0" in errors["s99"]
+    report = evaluate_correction(results, seeds, dbs, schemas)
+    verdict = next(v for v in report.per_instance if v.seed_id == "s99")
+    assert verdict.round_trip_pass is False and not verdict.ex_match
+
+
+def test_stage_payloads_read_as_text(store):
+    """Each stage sees today's keys, in order, with text values."""
+    sql = "SELECT customers.name FROM customers WHERE customers.age > 30"
+    seen = {}
+
+    class Recording:
+        identity = False
+
+        def __init__(self, stage):
+            self.stage = stage
+            self.rule = RuleBackend(stage)
+
+        def describe(self):
+            return f"test:record:{self.stage}"
+
+        def invoke(self, payload):
+            seen[self.stage] = list(payload.items())
+            return self.rule.invoke(payload)
+
+    trace = run_pipeline(store, "older", sql, {s: Recording(s) for s in STAGES},
+                         seed_id="x1")
+    t = decompose(parse_sql(sql), store)
+    base = [("db", render_database_input(store)), ("question", "older"),
+            ("dialect", "sqlite"), ("id", "x1")]
+    assert seen["bam"] == [*base, ("sql", sql)]
+    assert seen["sam_mask"] == [*base, ("trajectory", render_trajectory(t))]
+    assert seen["sam_fill"] == [*base,
+                                ("schema_list", extract_schema(parse_sql(sql)).render()),
+                                ("masked", mask_schema(t).template),
+                                ("trajectory", render_trajectory(t))]
+    assert seen["lom"] == [*base, ("trajectory", render_trajectory(t))]
+    assert [s.output for s in trace.stages] == [
+        render_trajectory(t), mask_schema(t).template, render_trajectory(t),
+        render_trajectory(t)]
+    assert trace.masked == mask_schema(t)
+
+
+def test_text_sam_mask_output_keeps_its_slot_values(store):
+    sql = "SELECT customers.name FROM customers WHERE customers.age > 30"
+    t = decompose(parse_sql(sql), store)
+    backends = rule_backends()
+    backends["sam_mask"] = ScriptedBackend("sam_mask", {"*": mask_schema(t).template})
+    trace = run_pipeline(store, "q", sql, backends)
+    assert trace.error is None
+    assert trace.masked.template == mask_schema(t).template
+    assert trace.masked.slot_values() == mask_schema(t).slot_values()
+    assert render_trajectory(trace.trajectory_schema) == render_trajectory(t)
+
+
+def test_output_of_the_wrong_type_is_an_invalid_stage_output(store):
+    class Returns:
+        identity = False
+
+        def __init__(self, stage, value):
+            self.stage, self.value = stage, value
+
+        def describe(self):
+            return f"test:returns:{self.stage}"
+
+        def invoke(self, payload):
+            return self.value
+
+    sql = "SELECT customers.name FROM customers WHERE customers.age > 30"
+    t = decompose(parse_sql(sql), store)
+    backends = rule_backends()
+    backends["sam_mask"] = Returns("sam_mask", t)  # a trajectory, not a mask
+    trace = run_pipeline(store, "q", sql, backends)
+    assert "sam_mask" in trace.error and trace.trajectory_schema is None
+    assert trace.feedback.trajectory_text == render_trajectory(t)
+
+    backends = rule_backends()
+    backends["bam"] = Returns("bam", None)
+    trace = run_pipeline(store, "q", sql, backends)
+    assert "bam" in trace.error and trace.feedback is None
+    assert trace.stages[0].output is None
+
+
+def test_rule_backend_accepts_text_payloads(store):
+    sql = "SELECT customers.name FROM customers WHERE customers.age > 30"
+    t = decompose(parse_sql(sql), store)
+    text = render_trajectory(t)
+    db = render_database_input(store)
+    assert RuleBackend("bam").invoke({"db": db, "sql": sql}) == t
+    masked = RuleBackend("sam_mask").invoke({"trajectory": text})
+    assert masked == mask_schema(t)
+    filled = RuleBackend("sam_fill").invoke(
+        {"db": db, "masked": masked.template, "trajectory": text})
+    assert filled == t
+
+
 # --- remote backend -----------------------------------------------------------------
 
 class _StubHandler(BaseHTTPRequestHandler):
@@ -223,6 +357,19 @@ def stub_server():
     _StubHandler.seen = []
     yield f"http://127.0.0.1:{server.server_port}/"
     server.shutdown()
+
+
+def test_remote_sam_fill_in_pipeline_sees_text_without_trajectory(stub_server, store):
+    sql = "SELECT customers.name FROM customers WHERE customers.age > 30"
+    backends = rule_backends()
+    backends["sam_fill"] = RemoteBackend("sam_fill", stub_server, timeout=5.0)
+    run_pipeline(store, "older", sql, backends, seed_id="x1")
+    t = decompose(parse_sql(sql), store)
+    assert _StubHandler.seen == [{
+        "stage": "sam_fill", "db": render_database_input(store), "question": "older",
+        "dialect": "sqlite", "id": "x1",
+        "schema_list": extract_schema(parse_sql(sql)).render(),
+        "masked": mask_schema(t).template}]
 
 
 def test_remote_backend_round_trip(stub_server):

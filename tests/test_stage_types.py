@@ -1,0 +1,155 @@
+"""The typed stage boundary pinned to a text reference.
+
+Rule backends pass typed values between stages; these tests recompute what
+the stages, the feedback, the overcorrection flags and the evaluation must
+give with the public text functions, over generated store queries plus the
+fixture seeds.
+"""
+
+import pytest
+
+from sqlsteps.bridge import PASS, decompose, round_trip
+from sqlsteps.corpus import SeedExample
+from sqlsteps.errors import (
+    InvalidChainError,
+    JoinPathNotFoundError,
+    SchemaMismatchError,
+    SqlSyntaxError,
+    UnsupportedSqlError,
+)
+from sqlsteps.evaluate import EvalReport, InstanceVerdict, evaluate_correction, ex_match, tag_error
+from sqlsteps.masking import mask_schema
+from sqlsteps.pipeline import build_backends, correct_batch, make_feedback
+from sqlsteps.querygen import random_queries
+from sqlsteps.schema import extract_schema
+from sqlsteps.sqlast import SqlQuery, canonicalize
+from sqlsteps.trajectory import parse_trajectory, render_trajectory
+
+BRIDGE_ERRORS = (UnsupportedSqlError, SchemaMismatchError, JoinPathNotFoundError,
+                 InvalidChainError, SqlSyntaxError)
+MANGLED = "res = df.select(customers.city)\n"
+
+
+def generated_seeds(n: int = 90, seed: int = 7) -> list[SeedExample]:
+    """Initial SQL equal to the gold, lower-cased, or another query, in turn."""
+    queries = random_queries(2 * n, seed)
+    seeds = []
+    for i, gold in enumerate(queries[:n]):
+        initial = (gold, gold.lower(), queries[n + i])[i % 3]
+        seeds.append(SeedExample(f"g{i:03d}", "store", f"question {i}", gold, initial))
+    return seeds
+
+
+def mangled(seed_id: str) -> bool:
+    return seed_id.startswith("g") and int(seed_id[1:]) % 4 == 0
+
+
+class MangleSome:
+    """A lom stage that rewrites every fourth generated seed to fixed text."""
+
+    stage = "lom"
+    identity = False
+
+    def describe(self):
+        return "test:mangle-some"
+
+    def invoke(self, payload):
+        if mangled(payload["id"]):
+            return MANGLED
+        return payload.value("trajectory")
+
+
+def reference_flag(seed: SeedExample, d, feedback) -> bool:
+    if feedback is None or feedback.reverted_sql is None:
+        return False
+    initial, gold = SqlQuery.raw(seed.initial_sql), SqlQuery.raw(seed.gold_sql)
+    if initial.ast is None or gold.ast is None:
+        return False
+    try:
+        initial_canon = canonicalize(initial, d)
+        if initial_canon != canonicalize(gold, d):
+            return False
+        reverted = SqlQuery.raw(feedback.reverted_sql)
+        return reverted.ast is None or canonicalize(reverted, d) != initial_canon
+    except BRIDGE_ERRORS:
+        return False
+
+
+def reference_report(results, seeds, dbs, schemas) -> EvalReport:
+    by_id = {s.id: s for s in seeds}
+    report = EvalReport()
+    precision, recall = [], []
+    for result in sorted(results, key=lambda r: r.seed_id):
+        seed = by_id[result.seed_id]
+        db, d = dbs[seed.db], schemas[seed.db]
+        gold, initial = SqlQuery.raw(seed.gold_sql), SqlQuery.raw(seed.initial_sql)
+        feedback = result.feedback
+        corrected = SqlQuery.raw(result.regenerated_sql
+                                 or (feedback.reverted_sql if feedback else None)
+                                 or result.initial_sql)
+        baseline, correct = ex_match(initial, gold, db), ex_match(corrected, gold, db)
+        round_trip_pass = None
+        if initial.ast is not None:
+            try:
+                round_trip_pass = round_trip(initial, d).verdict == PASS
+            except BRIDGE_ERRORS:
+                round_trip_pass = False
+        tag = None
+        final = result.trace.final_trajectory() if result.trace else None
+        if not correct and final is not None and gold.ast is not None:
+            try:
+                tag = tag_error(final, decompose(gold, d), d)
+            except BRIDGE_ERRORS:
+                pass
+        report.per_instance.append(InstanceVerdict(
+            seed.id, baseline, correct, baseline and not correct, round_trip_pass, tag,
+            seed.difficulty))
+        if corrected.ast is not None and gold.ast is not None:
+            pred_cols = set(extract_schema(corrected).columns)
+            gold_cols = set(extract_schema(gold).columns)
+            if pred_cols or gold_cols:
+                overlap = len(pred_cols & gold_cols)
+                precision.append(overlap / len(pred_cols) if pred_cols else 0.0)
+                recall.append(overlap / len(gold_cols) if gold_cols else 0.0)
+    report.aggregates = report.recompute()
+    report.aggregates["schema_precision_pct"] = round(100.0 * sum(precision) / len(precision), 4)
+    report.aggregates["schema_recall_pct"] = round(100.0 * sum(recall) / len(recall), 4)
+    return report
+
+
+@pytest.mark.parametrize("mangle", [False, True], ids=["rule", "mangled-lom"])
+def test_typed_stages_match_text_reference(mangle, fixture_seeds, schemas, dbs):
+    seeds = generated_seeds() + list(fixture_seeds)
+    backends = build_backends({})
+    if mangle:
+        backends["lom"] = MangleSome()
+    results = correct_batch(seeds, backends, schemas, jobs=1)
+    by_id = {s.id: s for s in seeds}
+    assert [r.seed_id for r in results] == sorted(by_id)
+    converted = flagged = 0
+    for result in results:
+        seed = by_id[result.seed_id]
+        d = schemas[seed.db]
+        try:
+            t = decompose(SqlQuery.raw(seed.initial_sql), d)
+        except BRIDGE_ERRORS:
+            assert result.error is not None and result.error.startswith("bam:")
+            assert result.feedback is None and not result.overcorrection_flag
+            continue
+        converted += 1
+        final_text = render_trajectory(t)
+        if mangle and mangled(seed.id):
+            final_text = MANGLED
+        assert result.error is None
+        assert [s.output for s in result.trace.stages] == [
+            render_trajectory(t), mask_schema(t).template, render_trajectory(t), final_text]
+        assert result.feedback == make_feedback(parse_trajectory(final_text), d)
+        assert result.overcorrection_flag == reference_flag(seed, d, result.feedback)
+        flagged += result.overcorrection_flag
+    assert converted >= 90
+    assert (flagged > 0) == mangle
+
+    report = evaluate_correction(results, seeds, dbs, schemas)
+    reference = reference_report(results, seeds, dbs, schemas)
+    assert report.per_instance == reference.per_instance
+    assert report.aggregates == reference.aggregates

@@ -120,6 +120,18 @@ def test_syntax_error_carries_position():
     assert err.value.line == 1
 
 
+@pytest.mark.parametrize("text, column", [
+    ("res = df.select(customers.name).limit(0)", 39),
+    ("res = df.select(customers.name).limit(1e5)", 39),
+    ("res = df.select(customers.name).limit(2, -1)", 42),
+    ("df1 = df.where(t.a, 'between 1 and 2.5')\nres = df1.select(t.a)", 21),
+])
+def test_rejected_action_values_are_syntax_errors(text, column):
+    with pytest.raises(TrajectorySyntaxError) as err:
+        parse_trajectory(text)
+    assert (err.value.line, err.value.column) == (1, column)
+
+
 def test_backtick_identifiers():
     t = parse_trajectory("res = df.select(`my table`.`a col`)")
     assert render_trajectory(t) == "res = df.select(`my table`.`a col`)\n"
