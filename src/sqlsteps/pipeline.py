@@ -54,7 +54,6 @@ from .schema import (
     DatabaseInput,
     SchemaList,
     extract_schema,
-    parse_database_text,
     render_database_input,
 )
 from .sqlast import SqlQuery, canonicalize
@@ -113,27 +112,17 @@ def _parse_mask(template: str, source: str) -> MaskedTrajectory:
         replace(slot, value=value) for slot, value in zip(masked.slots, values)))
 
 
-_PARSERS: dict[str, Callable[[str, "StagePayload"], object]] = {
-    "db": lambda text, payload: parse_database_text(text),
-    "sql": lambda text, payload: SqlQuery.raw(text, payload.get("dialect", "sqlite")),
-    "trajectory": lambda text, payload: parse_trajectory(text),
-    "masked": lambda text, payload: _parse_mask(text, payload["trajectory"]),
-}
-
-
 class StagePayload(Mapping[str, str]):
     """A stage's input: typed values that read as text.
 
     Reading a key gives its text, rendered from the typed value the first
     time it is read, so text backends see plain strings. `value(key)` gives
-    the typed value; a field given as text is parsed the first time its
-    typed value is read.
+    the typed value itself.
     """
 
     def __init__(self, values: Mapping[str, object], texts: _Texts | None = None):
         self._values = dict(values)
         self._texts = texts if texts is not None else _Texts()
-        self._parsed: dict[str, object] = {}
 
     def __getitem__(self, key: str) -> str:
         return self._texts(self._values[key])
@@ -145,19 +134,14 @@ class StagePayload(Mapping[str, str]):
         return len(self._values)
 
     def value(self, key: str) -> object:
-        value = self._values[key]
-        if not isinstance(value, str) or key not in _PARSERS:
-            return value
-        if key not in self._parsed:
-            self._parsed[key] = _PARSERS[key](value, self)
-        return self._parsed[key]
+        return self._values[key]
 
 
 class StageBackend(Protocol):
     stage: str
     identity: bool
 
-    def invoke(self, payload: Mapping[str, str]) -> StageOutput: ...
+    def invoke(self, payload: StagePayload) -> StageOutput: ...
 
     def describe(self) -> str: ...
 
@@ -174,20 +158,19 @@ class RuleBackend:
     def describe(self) -> str:
         return f"rule:{self.stage}"
 
-    def invoke(self, payload: Mapping[str, str]) -> StageOutput:
-        typed = payload if isinstance(payload, StagePayload) else StagePayload(payload)
+    def invoke(self, payload: StagePayload) -> StageOutput:
         if self.stage == "bam":
-            return decompose(typed.value("sql"), typed.value("db"))
+            return decompose(payload.value("sql"), payload.value("db"))
         if self.stage == "sam_mask":
-            return mask_schema(typed.value("trajectory"))
+            return mask_schema(payload.value("trajectory"))
         if self.stage == "sam_fill":
-            masked = typed.value("masked")
+            masked = payload.value("masked")
             if not masked.slots:  # nothing to fill: the template is the output
-                same = masked.template == typed["trajectory"]
-                return typed.value("trajectory") if same else masked.template
-            return fill_mask(masked, masked.slot_values(), typed.value("db"))
+                same = masked.template == payload["trajectory"]
+                return payload.value("trajectory") if same else masked.template
+            return fill_mask(masked, masked.slot_values(), payload.value("db"))
         if self.stage == "lom":
-            return typed.value("trajectory")
+            return payload.value("trajectory")
         raise ValueError(f"unknown stage {self.stage!r}")
 
 
@@ -202,7 +185,7 @@ class IdentityBackend:
     def describe(self) -> str:
         return f"identity:{self.stage}"
 
-    def invoke(self, payload: Mapping[str, str]) -> StageOutput:
+    def invoke(self, payload: StagePayload) -> StageOutput:
         if self.stage == "bam":
             return RuleBackend("bam").invoke(payload)
         if self.stage == "sam_mask":

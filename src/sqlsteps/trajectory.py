@@ -57,7 +57,6 @@ from .schema import DatabaseInput  # noqa: F401  (re-exported for validate calle
 _DF_REF_RE = re.compile(r"df\d+$|res$")
 _NUMBER_RE = re.compile(r"-?\d+(\.\d+)?([eE][+-]?\d+)?")
 _DATE_TOKEN_RE = re.compile(r"\d{4}-\d{2}-\d{2}$")
-_INT_RE = re.compile(r"-?\d+")
 
 
 # --- tokenizer ---------------------------------------------------------------
@@ -305,7 +304,7 @@ class _LineParser:
 
     def _int_arg(self) -> int:
         tok = self.expect("NUMBER")
-        if not _INT_RE.fullmatch(tok.text):
+        if "." in tok.text:
             raise TrajectorySyntaxError(f"expected integer, got {tok.text!r}", self.lineno, tok.col)
         return int(tok.text)
 

@@ -1,16 +1,21 @@
-"""A short run of the benchmark's `correct` workload, so the script cannot rot."""
+"""Short runs of the benchmark's `correct` and `corpus` workloads, so the
+script cannot rot. `failed == 0` on `corpus` also guards the lom provenance
+fix: with provenance keyed by rendered text, its probe seeds fail."""
 
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_bench_correct_workload_runs_clean():
+@pytest.mark.parametrize("workload", ["correct", "corpus"])
+def test_bench_workload_runs_clean(workload):
     done = subprocess.run(
-        [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", "correct",
+        [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", workload,
          "--seed", "3", "--seconds", "1"],
         capture_output=True, text=True, timeout=300, cwd=ROOT)
     assert done.returncode == 0, done.stderr

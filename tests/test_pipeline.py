@@ -311,19 +311,6 @@ def test_output_of_the_wrong_type_is_an_invalid_stage_output(store):
     assert trace.stages[0].output is None
 
 
-def test_rule_backend_accepts_text_payloads(store):
-    sql = "SELECT customers.name FROM customers WHERE customers.age > 30"
-    t = decompose(parse_sql(sql), store)
-    text = render_trajectory(t)
-    db = render_database_input(store)
-    assert RuleBackend("bam").invoke({"db": db, "sql": sql}) == t
-    masked = RuleBackend("sam_mask").invoke({"trajectory": text})
-    assert masked == mask_schema(t)
-    filled = RuleBackend("sam_fill").invoke(
-        {"db": db, "masked": masked.template, "trajectory": text})
-    assert filled == t
-
-
 # --- remote backend -----------------------------------------------------------------
 
 class _StubHandler(BaseHTTPRequestHandler):
