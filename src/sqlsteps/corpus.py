@@ -15,14 +15,17 @@ import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .actions import Trajectory
 from .bridge import PASS, decompose, round_trip
 from .errors import (
+    BindingError,
     FormatError,
     InvalidChainError,
     JoinPathNotFoundError,
     MissingSchemaError,
     SchemaMismatchError,
     SqlSyntaxError,
+    TrajectorySyntaxError,
     UnsupportedSqlError,
 )
 from .masking import mask_schema
@@ -101,6 +104,9 @@ class CorpusRecord:
     input: dict[str, str]
     output: str
     provenance: dict
+    # the verified trajectory a bam record's `output` was rendered from, so that
+    # sam and lom need not parse it again; not written, and None once read back
+    trajectory: Trajectory | None = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {"target": self.target, "input": self.input, "output": self.output,
@@ -195,6 +201,7 @@ def build_bam_corpus(seeds: list[SeedExample], schemas: dict[str, DatabaseInput]
             input={"sql": input_sql},
             output=render_trajectory(report.trajectory),
             provenance={"seed_id": seed.id, "round_trip": report.verdict},
+            trajectory=report.trajectory,
         ))
     return BuildResult(records, compute_stats(records), failures)
 
@@ -213,8 +220,7 @@ def build_sam_corpus(bam_records: list[CorpusRecord], seeds: list[SeedExample],
             failures.append((str(bam.provenance.get("seed_id")), "missing-seed", ""))
             continue
         d = _require_schema(seed, schemas)
-        trajectory = parse_trajectory(bam.output)
-        masked = mask_schema(trajectory)
+        masked = mask_schema(_bam_trajectory(bam))
         schema_list, parse_failed = _initial_schema_list(seed)
         records.append(CorpusRecord(
             target=TARGET_SAM1,
@@ -239,6 +245,12 @@ def build_sam_corpus(bam_records: list[CorpusRecord], seeds: list[SeedExample],
     return BuildResult(records, compute_stats(records), failures)
 
 
+def _bam_trajectory(bam: CorpusRecord) -> Trajectory:
+    """The verified trajectory of a bam record, parsed from its text only for
+    records read back from a file."""
+    return bam.trajectory if bam.trajectory is not None else parse_trajectory(bam.output)
+
+
 def _initial_schema_list(seed: SeedExample) -> tuple[SchemaList, bool]:
     query = SqlQuery.raw(seed.initial_sql)
     if query.ast is None:
@@ -259,74 +271,81 @@ def build_lom_corpus(bam_records: list[CorpusRecord], seeds: list[SeedExample],
     """
     by_id = {seed.id: seed for seed in seeds}
     failures: list[tuple[str, str, str]] = []
-    positives: list[tuple[SeedExample, str, str, dict]] = []  # (seed, err, verified, provenance)
+    # (seed, erroneous, verified, provenance); the k pairs of one seed share its
+    # verified trajectory object
+    positives: list[tuple[SeedExample, Trajectory, Trajectory, dict]] = []
     for bam in bam_records:
         seed = by_id.get(bam.provenance.get("seed_id"))
         if seed is None:
             failures.append((str(bam.provenance.get("seed_id")), "missing-seed", ""))
             continue
         d = _require_schema(seed, schemas)
-        verified_text = bam.output
-        verified = parse_trajectory(verified_text)
-        if _initial_is_correct(seed, d, dbs):
+        verified = _bam_trajectory(bam)
+        initial = SqlQuery.raw(seed.initial_sql)
+        if _initial_is_correct(seed, initial, d, dbs):
             report = augment([verified], cfg, d)
             for index, reason in report.skipped:
                 failures.append((seed.id, "no-viable-perturbation", reason))
             for pair in report.pairs:
-                positives.append((seed, render_trajectory(pair.erroneous), verified_text,
+                positives.append((seed, pair.erroneous, verified,
                                   {"seed_id": seed.id, "source": "perturbation",
                                    "perturbation": pair.record.to_dict()}))
         else:
-            initial = SqlQuery.raw(seed.initial_sql)
             if initial.ast is None:
                 failures.append((seed.id, "initial-unparseable", initial.parse_error or ""))
                 continue
             try:
-                erroneous = decompose(initial, d)
-            except _CONVERSION_ERRORS as exc:
+                # structural check: the rendered decomposition must parse back
+                erroneous = parse_trajectory(render_trajectory(decompose(initial, d)))
+            except (*_CONVERSION_ERRORS, TrajectorySyntaxError, BindingError) as exc:
                 failures.append((seed.id, "initial-unconvertible", str(exc)))
                 continue
-            positives.append((seed, render_trajectory(erroneous), verified_text,
+            positives.append((seed, erroneous, verified,
                               {"seed_id": seed.id, "source": "initial-error"}))
     records = _assemble_lom_records(positives, cfg, negative_ratio)
     return BuildResult(records, compute_stats(records), failures)
 
 
-def _assemble_lom_records(positives: list[tuple[SeedExample, str, str, dict]],
+def _assemble_lom_records(positives: list[tuple[SeedExample, Trajectory, Trajectory, dict]],
                           cfg: PerturbationConfig,
                           negative_ratio: float) -> list[CorpusRecord]:
-    pair_trajectories = [(parse_trajectory(err), parse_trajectory(ver))
-                         for _, err, ver, _ in positives]
-    combined = inject_negatives(pair_trajectories, ratio=negative_ratio, seed=cfg.seed)
-    # inject_negatives keeps each pair's own trajectory objects, so a record's
-    # verified object names the positive it came from, even when two seeds
-    # share the same texts; an identity negative repeats that object
-    origin = {id(ver): index for index, (_, ver) in enumerate(pair_trajectories)}
+    pairs = [(err, ver) for _, err, ver, _ in positives]
+    combined = inject_negatives(pairs, ratio=negative_ratio, seed=cfg.seed)
+    # inject_negatives keeps the trajectory objects it is given. Every positive
+    # has an erroneous object of its own, which keys its record; an identity
+    # negative repeats a verified object, which names its seed. The k pairs of
+    # one seed share that verified object, so it cannot key a positive. Each
+    # object is rendered once.
+    origin: dict[int, int] = {}
+    texts: dict[int, str] = {}
+    for index, (err, ver) in enumerate(pairs):
+        origin[id(err)] = index
+        texts[id(err)] = render_trajectory(err)
+        if id(ver) not in texts:
+            origin[id(ver)] = index
+            texts[id(ver)] = render_trajectory(ver)
     records = []
     for err, ver in combined:
-        seed, _, _, provenance = positives[origin[id(ver)]]
+        seed, _, _, provenance = positives[origin[id(err)]]
         if err is ver:
             provenance = {"seed_id": seed.id, "source": "identity-negative"}
-        err_text, ver_text = render_trajectory(err), render_trajectory(ver)
         records.append(CorpusRecord(
             target=TARGET_LOM,
-            input={"db": seed.db, "question": seed.question, "trajectory": err_text},
-            output=ver_text,
+            input={"db": seed.db, "question": seed.question, "trajectory": texts[id(err)]},
+            output=texts[id(ver)],
             provenance=provenance,
         ))
     return records
 
 
-def _initial_is_correct(seed: SeedExample, d: DatabaseInput, dbs: dict | None) -> bool:
+def _initial_is_correct(seed: SeedExample, initial: SqlQuery, d: DatabaseInput,
+                        dbs: dict | None) -> bool:
     """Execution match when a fixture database exists, else canonical equality."""
+    gold = SqlQuery.raw(seed.gold_sql)
     if dbs and seed.db in dbs:
         from .evaluate import ex_match  # local import: evaluate depends on bridge
 
-        gold = SqlQuery.raw(seed.gold_sql)
-        pred = SqlQuery.raw(seed.initial_sql)
-        return ex_match(pred, gold, dbs[seed.db])
-    initial = SqlQuery.raw(seed.initial_sql)
-    gold = SqlQuery.raw(seed.gold_sql)
+        return ex_match(initial, gold, dbs[seed.db])
     if initial.ast is None or gold.ast is None:
         return False
     try:

@@ -16,6 +16,7 @@ the last valid trajectory feeds the final feedback.
 
 from __future__ import annotations
 
+import functools
 import json
 import string
 import time
@@ -293,10 +294,17 @@ def load_prompt(template_id: str, template_dir: str | Path | None = None) -> str
         if not path.exists():
             raise TemplateNotFoundError(f"no template {template_id!r} in {template_dir}")
         return string.Template(path.read_text(encoding="utf-8"))
+    return string.Template(_packaged_prompt_text(template_id))
+
+
+@functools.cache
+def _packaged_prompt_text(template_id: str) -> str:
+    """A packaged template's text, read once per process: package assets do
+    not change under a running program, while a `template_dir` file may."""
     ref = resources.files("sqlsteps").joinpath("assets", "prompts", f"{template_id}.txt")
     if not ref.is_file():
         raise TemplateNotFoundError(f"no packaged template {template_id!r}")
-    return string.Template(ref.read_text(encoding="utf-8"))
+    return ref.read_text(encoding="utf-8")
 
 
 @dataclass

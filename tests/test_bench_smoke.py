@@ -1,6 +1,6 @@
-"""Short runs of the benchmark's `correct` and `corpus` workloads, so the
-script cannot rot. `failed == 0` on `corpus` also guards the lom provenance
-fix: with provenance keyed by rendered text, its probe seeds fail."""
+"""Short runs of each of the benchmark's workloads, so the script cannot rot.
+`failed == 0` on `corpus` also guards the lom provenance fix: with provenance
+keyed by rendered text, its probe seeds fail."""
 
 import json
 import subprocess
@@ -12,7 +12,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["correct", "corpus"])
+@pytest.mark.parametrize("workload", ["roundtrip", "correct", "corpus"])
 def test_bench_workload_runs_clean(workload):
     done = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", workload,

@@ -19,10 +19,10 @@ from sqlsteps.corpus import (
     write_corpus,
 )
 from sqlsteps.errors import FormatError, MissingSchemaError
-from sqlsteps.perturb import PerturbationConfig
-from sqlsteps.trajectory import parse_trajectory
+from sqlsteps.perturb import PerturbationConfig, augment
+from sqlsteps.trajectory import parse_trajectory, render_trajectory
 
-from conftest import golden
+from conftest import generated_seeds, golden
 
 
 @pytest.fixture(scope="module")
@@ -234,3 +234,63 @@ def test_lom_provenance_when_two_seeds_share_a_trajectory(schemas):
     texts = Counter((r.input["trajectory"], r.output) for r in lom.records
                     if r.provenance["source"] == "perturbation")
     assert all(count == 2 for count in texts.values())
+    # the k pairs of one seed share its verified trajectory, so each record
+    # must carry the perturbation record of the pair whose text it holds
+    expected = {}
+    for record in bam.records:
+        pairs = augment([parse_trajectory(record.output)], cfg, schemas["store"]).pairs
+        expected[record.provenance["seed_id"]] = {
+            render_trajectory(pair.erroneous): pair.record.to_dict() for pair in pairs}
+    assert [len(by_text) for by_text in expected.values()] == [cfg.k, cfg.k]
+    for record in lom.records:
+        if record.provenance["source"] == "perturbation":
+            by_text = expected[record.provenance["seed_id"]]
+            assert record.provenance["perturbation"] == by_text[record.input["trajectory"]]
+
+
+@pytest.mark.parametrize("k", [0, 2])
+@pytest.mark.parametrize("with_dbs", [False, True])
+@pytest.mark.parametrize("input_source", ["gold", "initial"])
+def test_sam_and_lom_from_read_back_bam_are_byte_identical(
+        tmp_path, schemas, dbs, fixture_seeds, k, with_dbs, input_source):
+    # sam and lom take the verified trajectory a bam record carries, and parse
+    # its text only for records read back from a file; that is sound because
+    # the text parses back to the very trajectory it was rendered from
+    seeds = generated_seeds() + list(fixture_seeds)
+    bam = build_bam_corpus(seeds, schemas, input_source=input_source)
+    assert len(bam.records) > 80
+    for record in bam.records:
+        assert parse_trajectory(record.output) == record.trajectory
+    write_corpus(bam.records, tmp_path / "bam.corpus", "bam", bam.stats)
+    read_back, _, _ = read_corpus(tmp_path / "bam.corpus")
+    assert all(record.trajectory is None for record in read_back)
+    cfg = PerturbationConfig(k=k, seed=11)
+    files = {}
+    for name, records in (("typed", bam.records), ("text", read_back)):
+        sam = build_sam_corpus(records, seeds, schemas)
+        lom = build_lom_corpus(records, seeds, cfg, schemas, dbs=dbs if with_dbs else None)
+        for target, result in (("sam", sam), ("lom", lom)):
+            path = tmp_path / f"{name}.{target}.corpus"
+            write_corpus(result.records, path, target, result.stats)
+            files[name, target] = (path.read_bytes(), result.failures)
+    assert files["typed", "sam"] == files["text", "sam"]
+    assert files["typed", "lom"] == files["text", "lom"]
+
+
+def test_lom_initial_error_that_does_not_parse_back_fails_its_seed(monkeypatch, bam,
+                                                                   fixture_seeds, schemas):
+    from sqlsteps import corpus
+    from sqlsteps.errors import TrajectorySyntaxError
+
+    def reject(text):
+        raise TrajectorySyntaxError("rejected", 1, 1)
+
+    # in-memory bam records carry their trajectories, so only the structural
+    # check of each initial-error pair reaches this parser
+    monkeypatch.setattr(corpus, "parse_trajectory", reject)
+    lom = build_lom_corpus(bam.records, fixture_seeds, PerturbationConfig(k=1, seed=3), schemas)
+    unconvertible = {seed_id for seed_id, verdict, _ in lom.failures
+                     if verdict == "initial-unconvertible"}
+    assert "s01" in unconvertible
+    assert all(r.provenance["source"] != "initial-error" for r in lom.records)
+    assert any(r.provenance["source"] == "perturbation" for r in lom.records)

@@ -140,6 +140,29 @@ def test_template_dir_override(tmp_path, store):
     t = decompose(parse_sql("SELECT customers.name FROM customers"), store)
     feedback = make_feedback(t, store, template_dir=tmp_path)
     assert feedback.prompt.startswith("OVERRIDE res = df.select")
+    # a template_dir file may change, so it is read on every call
+    (tmp_path / "regenerate_sql.txt").write_text("CHANGED $trajectory")
+    assert make_feedback(t, store, template_dir=tmp_path).prompt.startswith("CHANGED ")
+
+
+def test_make_feedback_reads_packaged_template_once(monkeypatch, store):
+    from types import SimpleNamespace
+
+    from sqlsteps import pipeline
+
+    real_files = pipeline.resources.files
+    lookups = []
+
+    def files(package):
+        lookups.append(package)
+        return real_files(package)
+
+    pipeline._packaged_prompt_text.cache_clear()
+    monkeypatch.setattr(pipeline, "resources", SimpleNamespace(files=files))
+    t = decompose(parse_sql("SELECT customers.name FROM customers"), store)
+    prompts = {make_feedback(t, store).prompt for _ in range(20)}
+    assert len(prompts) == 1
+    assert lookups == ["sqlsteps"]
 
 
 def test_correct_batch_feedback_only(fixture_seeds, schemas):

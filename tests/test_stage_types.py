@@ -20,24 +20,15 @@ from sqlsteps.errors import (
 from sqlsteps.evaluate import EvalReport, InstanceVerdict, evaluate_correction, ex_match, tag_error
 from sqlsteps.masking import mask_schema
 from sqlsteps.pipeline import build_backends, correct_batch, make_feedback
-from sqlsteps.querygen import random_queries
 from sqlsteps.schema import extract_schema
 from sqlsteps.sqlast import SqlQuery, canonicalize
 from sqlsteps.trajectory import parse_trajectory, render_trajectory
 
+from conftest import generated_seeds
+
 BRIDGE_ERRORS = (UnsupportedSqlError, SchemaMismatchError, JoinPathNotFoundError,
                  InvalidChainError, SqlSyntaxError)
 MANGLED = "res = df.select(customers.city)\n"
-
-
-def generated_seeds(n: int = 90, seed: int = 7) -> list[SeedExample]:
-    """Initial SQL equal to the gold, lower-cased, or another query, in turn."""
-    queries = random_queries(2 * n, seed)
-    seeds = []
-    for i, gold in enumerate(queries[:n]):
-        initial = (gold, gold.lower(), queries[n + i])[i % 3]
-        seeds.append(SeedExample(f"g{i:03d}", "store", f"question {i}", gold, initial))
-    return seeds
 
 
 def mangled(seed_id: str) -> bool:
