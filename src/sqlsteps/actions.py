@@ -6,7 +6,7 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Callable, Union
 
 from .errors import BindingError
 
@@ -109,14 +109,34 @@ class Substr:
 Expr = Union[QualifiedColumn, Scalar, Star, Aggregate, Cast, Arithmetic, Substr, BindingRef]
 
 
-def contains_aggregate(expr: Expr) -> bool:
-    if isinstance(expr, Aggregate):
-        return True
-    if isinstance(expr, (Cast, Substr)):
-        return contains_aggregate(expr.arg)
+def expr_children(expr: Expr) -> tuple[Expr, ...]:
+    """A node's operands, left to right."""
+    if isinstance(expr, (Aggregate, Cast, Substr)):
+        return (expr.arg,)
     if isinstance(expr, Arithmetic):
-        return contains_aggregate(expr.left) or contains_aggregate(expr.right)
-    return False
+        return (expr.left, expr.right)
+    return ()
+
+
+def map_expr(expr: Expr, fn: Callable[[Expr], Expr | None]) -> Expr:
+    """Top-down rebuild: `fn(node)` is the node's replacement, or None to keep
+    the node and map its operands."""
+    out = fn(expr)
+    if out is not None:
+        return out
+    if isinstance(expr, Aggregate):
+        return Aggregate(expr.kind, map_expr(expr.arg, fn))
+    if isinstance(expr, Cast):
+        return Cast(map_expr(expr.arg, fn), expr.target_type)
+    if isinstance(expr, Substr):
+        return Substr(map_expr(expr.arg, fn), expr.start, expr.length)
+    if isinstance(expr, Arithmetic):
+        return Arithmetic(expr.op, map_expr(expr.left, fn), map_expr(expr.right, fn))
+    return expr
+
+
+def contains_aggregate(expr: Expr) -> bool:
+    return isinstance(expr, Aggregate) or any(contains_aggregate(c) for c in expr_children(expr))
 
 
 def columns_in(expr: Expr) -> list[QualifiedColumn]:
@@ -129,13 +149,8 @@ def columns_in(expr: Expr) -> list[QualifiedColumn]:
 def _walk_columns(expr: Expr, out: list[QualifiedColumn]) -> None:
     if isinstance(expr, QualifiedColumn):
         out.append(expr)
-    elif isinstance(expr, Aggregate):
-        _walk_columns(expr.arg, out)
-    elif isinstance(expr, (Cast, Substr)):
-        _walk_columns(expr.arg, out)
-    elif isinstance(expr, Arithmetic):
-        _walk_columns(expr.left, out)
-        _walk_columns(expr.right, out)
+    for child in expr_children(expr):
+        _walk_columns(child, out)
 
 
 FilterOperand = Union[Scalar, BindingRef]
@@ -336,6 +351,26 @@ def action_exprs(action: Action) -> list[Expr]:
     if isinstance(action, SubstrStep):
         return [action.substr]
     return []
+
+
+def map_action_exprs(action: Action, fn: Callable[[Expr], Expr]) -> Action:
+    """The action rebuilt with `fn` applied to each expression it carries, in
+    rendered order; the rebuilding counterpart of `action_exprs`."""
+    if isinstance(action, (Select, GroupBy)):
+        return type(action)(tuple(fn(e) for e in action.elements))
+    if isinstance(action, (Where, Having)):
+        return type(action)(fn(action.element), action.condition)
+    if isinstance(action, OrderBy):
+        return OrderBy(fn(action.by), action.order)
+    if isinstance(action, Distinct):
+        return Distinct(fn(action.element))
+    if isinstance(action, AggStep):
+        return AggStep(fn(action.agg))  # type: ignore[arg-type]
+    if isinstance(action, CastStep):
+        return CastStep(fn(action.cast))  # type: ignore[arg-type]
+    if isinstance(action, SubstrStep):
+        return SubstrStep(fn(action.substr))  # type: ignore[arg-type]
+    return action
 
 
 def check_bindings(steps: tuple[TrajectoryStep, ...]) -> None:

@@ -61,7 +61,6 @@ from .sqlast import (
     Join,
     LikePred,
     Not,
-    Or,
     OrderItem,
     Predicate,
     SelectCore,
@@ -244,7 +243,7 @@ def _qualify_strict(core: SelectCore, d: DatabaseInput,
                     outer_tables: frozenset[str]) -> SelectCore:
     tables = [t.name for t in core.tables] + [j.table.name for j in core.joins]
 
-    def fix(expr: SqlExpr) -> SqlExpr:
+    def fix(expr: SqlExpr) -> SqlExpr | None:
         if isinstance(expr, Column):
             if expr.table is not None:
                 if expr.table not in tables:
@@ -262,15 +261,9 @@ def _qualify_strict(core: SelectCore, d: DatabaseInput,
                 raise SchemaMismatchError(
                     f"column {expr.column!r} is ambiguous across {owners}")
             return Column(owners[0], expr.column)
-        if isinstance(expr, Func):
-            return Func(expr.name, tuple(fix(a) for a in expr.args), expr.distinct)
-        if isinstance(expr, CastExpr):
-            return CastExpr(fix(expr.arg), expr.target_type)
-        if isinstance(expr, Binary):
-            return Binary(expr.op, fix(expr.left), fix(expr.right))
         if isinstance(expr, Subquery):
             return expr  # qualified when its sub-trajectory is built
-        return expr
+        return None
 
     return sqlast._map_core(core, fix)
 
@@ -368,7 +361,7 @@ def _simple_filter(pred: Predicate, d: DatabaseInput, conv) -> tuple[Expr, Filte
 
 
 def _first_column_expr(pred: Predicate, conv) -> Expr:
-    for expr in _pred_exprs(pred):
+    for expr in sqlast.pred_exprs(pred):
         cols = _sql_columns(expr)
         if cols:
             return conv(cols[0])
@@ -376,51 +369,21 @@ def _first_column_expr(pred: Predicate, conv) -> Expr:
 
 
 def _witness_predicate(pred: Predicate, conv) -> None:
-    for expr in _pred_exprs(pred):
+    for expr in sqlast.pred_exprs(pred):
         for col in _sql_columns(expr):
             conv(col)
 
 
 def _reject_subqueries(pred: Predicate) -> None:
-    for expr in _pred_exprs(pred):
+    for expr in sqlast.pred_exprs(pred):
         if isinstance(expr, Subquery):
             raise UnsupportedSqlError("subqueries inside compound predicates")
-
-
-def _pred_exprs(pred: Predicate) -> list[SqlExpr]:
-    if isinstance(pred, Comparison):
-        return [pred.left, pred.right]
-    if isinstance(pred, Between):
-        return [pred.expr, pred.lo, pred.hi]
-    if isinstance(pred, InList):
-        return [pred.expr, *pred.items]
-    if isinstance(pred, LikePred):
-        return [pred.expr, pred.pattern]
-    if isinstance(pred, IsNull):
-        return [pred.expr]
-    if isinstance(pred, (And, Or)):
-        out: list[SqlExpr] = []
-        for item in pred.items:
-            out.extend(_pred_exprs(item))
-        return out
-    if isinstance(pred, Not):
-        return _pred_exprs(pred.item)
-    raise TypeError(f"not a predicate: {pred!r}")
 
 
 def _sql_columns(expr: SqlExpr) -> list[Column]:
     if isinstance(expr, Column):
         return [expr]
-    if isinstance(expr, Func):
-        out: list[Column] = []
-        for arg in expr.args:
-            out.extend(_sql_columns(arg))
-        return out
-    if isinstance(expr, CastExpr):
-        return _sql_columns(expr.arg)
-    if isinstance(expr, Binary):
-        return _sql_columns(expr.left) + _sql_columns(expr.right)
-    return []
+    return [col for child in sqlast.expr_children(expr) for col in _sql_columns(child)]
 
 
 def _collect_aggregates(core: SelectCore) -> list[Func]:
@@ -432,20 +395,14 @@ def _collect_aggregates(core: SelectCore) -> list[Func]:
             if expr not in seen:
                 seen.append(expr)
             return
-        if isinstance(expr, Func):
-            for a in expr.args:
-                visit(a)
-        elif isinstance(expr, CastExpr):
-            visit(expr.arg)
-        elif isinstance(expr, Binary):
-            visit(expr.left)
-            visit(expr.right)
+        for child in sqlast.expr_children(expr):
+            visit(child)
 
     for item in core.items:
         visit(item.expr)
     if core.having is not None:
         for conjunct in flatten_and(core.having):
-            for expr in _pred_exprs(conjunct):
+            for expr in sqlast.pred_exprs(conjunct):
                 visit(expr)
     for order in core.order_by:
         visit(order.expr)
@@ -630,36 +587,11 @@ def _to_sql_expr(expr: Expr) -> SqlExpr:
 
 def _witnessed_tables(core: SelectCore) -> set[str]:
     """Tables referenced by the core's own expressions (subqueries excluded)."""
-    tables: set[str] = set()
-
-    def visit_expr(expr: SqlExpr) -> None:
-        if isinstance(expr, Column) and expr.table is not None:
-            tables.add(expr.table)
-        elif isinstance(expr, Func):
-            for a in expr.args:
-                visit_expr(a)
-        elif isinstance(expr, CastExpr):
-            visit_expr(expr.arg)
-        elif isinstance(expr, Binary):
-            visit_expr(expr.left)
-            visit_expr(expr.right)
-
-    def visit_pred(pred: Predicate) -> None:
-        for e in _pred_exprs(pred):
-            if not isinstance(e, Subquery):
-                visit_expr(e)
-
-    for item in core.items:
-        visit_expr(item.expr)
-    if core.where is not None:
-        visit_pred(core.where)
-    for e in core.group_by:
-        visit_expr(e)
-    if core.having is not None:
-        visit_pred(core.having)
-    for o in core.order_by:
-        visit_expr(o.expr)
-    return tables
+    exprs = [i.expr for i in core.items] + list(core.group_by) + [o.expr for o in core.order_by]
+    for pred in (core.where, core.having):
+        if pred is not None:
+            exprs.extend(sqlast.pred_exprs(pred))
+    return {col.table for expr in exprs for col in _sql_columns(expr) if col.table is not None}
 
 
 def _synthesize_from(tables: set[str], d: DatabaseInput) -> tuple[tuple[TableRef, ...],

@@ -17,12 +17,11 @@ from pathlib import Path
 from .actions import (
     Aggregate,
     Arithmetic,
-    Cast,
     Expr,
     Select,
-    Substr,
     Trajectory,
     action_exprs,
+    expr_children,
 )
 from .bridge import PASS, decompose, round_trip
 from .corpus import SeedExample
@@ -185,13 +184,10 @@ def _math_signature(t: Trajectory) -> Counter:
     def visit(expr: Expr) -> None:
         if isinstance(expr, Arithmetic):
             sig[render_expr(expr)] += 1
-            visit(expr.left)
-            visit(expr.right)
         elif isinstance(expr, Aggregate):
             sig[f"agg:{expr.kind}"] += 1
-            visit(expr.arg)
-        elif isinstance(expr, (Cast, Substr)):
-            visit(expr.arg)
+        for child in expr_children(expr):
+            visit(child)
 
     for step in t.steps:
         for action in step.chain:

@@ -10,29 +10,16 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import count
 from typing import Callable
 
 from .actions import (
-    Action,
-    AggStep,
-    Aggregate,
-    Arithmetic,
-    Cast,
-    CastStep,
-    Combine,
-    Distinct,
     Expr,
-    GroupBy,
-    Having,
-    Limit,
-    OrderBy,
     QualifiedColumn,
-    Select,
-    Substr,
-    SubstrStep,
     Trajectory,
     TrajectoryStep,
-    Where,
+    map_action_exprs,
+    map_expr,
 )
 from .errors import ArityMismatchError, FormatError, KindMismatchError, SchemaMismatchError
 from .schema import DatabaseInput
@@ -65,53 +52,16 @@ class MaskedTrajectory:
 
 def replace_columns(t: Trajectory, fn: Callable[[QualifiedColumn, int], QualifiedColumn]) -> Trajectory:
     """Rebuild a trajectory mapping each column occurrence in render order."""
-    counter = [0]
+    counter = count()
 
-    def map_expr(expr: Expr) -> Expr:
-        if isinstance(expr, QualifiedColumn):
-            out = fn(expr, counter[0])
-            counter[0] += 1
-            return out
-        if isinstance(expr, Aggregate):
-            return Aggregate(expr.kind, map_expr(expr.arg))
-        if isinstance(expr, Cast):
-            return Cast(map_expr(expr.arg), expr.target_type)
-        if isinstance(expr, Arithmetic):
-            return Arithmetic(expr.op, map_expr(expr.left), map_expr(expr.right))
-        if isinstance(expr, Substr):
-            return Substr(map_expr(expr.arg), expr.start, expr.length)
-        return expr
+    def column(expr: Expr) -> Expr | None:
+        return fn(expr, next(counter)) if isinstance(expr, QualifiedColumn) else None
 
-    def map_action(action: Action) -> Action:
-        if isinstance(action, Select):
-            return Select(tuple(map_expr(e) for e in action.elements))
-        if isinstance(action, Where):
-            return Where(map_expr(action.element), action.condition)
-        if isinstance(action, GroupBy):
-            return GroupBy(tuple(map_expr(e) for e in action.elements))
-        if isinstance(action, Having):
-            return Having(map_expr(action.element), action.condition)
-        if isinstance(action, OrderBy):
-            return OrderBy(map_expr(action.by), action.order)
-        if isinstance(action, Distinct):
-            return Distinct(map_expr(action.element))
-        if isinstance(action, AggStep):
-            agg = map_expr(action.agg)
-            assert isinstance(agg, Aggregate)
-            return AggStep(agg)
-        if isinstance(action, CastStep):
-            cast = map_expr(action.cast)
-            assert isinstance(cast, Cast)
-            return CastStep(cast)
-        if isinstance(action, SubstrStep):
-            sub = map_expr(action.substr)
-            assert isinstance(sub, Substr)
-            return SubstrStep(sub)
-        if isinstance(action, (Limit, Combine)):
-            return action
-        raise TypeError(f"not an action: {action!r}")
+    def rebuild(expr: Expr) -> Expr:
+        return map_expr(expr, column)
 
-    steps = tuple(TrajectoryStep(s.binding, s.receiver, tuple(map_action(a) for a in s.chain))
+    steps = tuple(TrajectoryStep(s.binding, s.receiver,
+                                 tuple(map_action_exprs(a, rebuild) for a in s.chain))
                   for s in t.steps)
     return Trajectory(steps)
 
@@ -136,18 +86,10 @@ def mask_schema(t: Trajectory) -> MaskedTrajectory:
 def _original_positions(template: str, values: list[str]) -> list[int]:
     """Character offsets in the source text that each mask token stands for."""
     positions: list[int] = []
-    si = ti = 0
-    vi = 0
-    while ti < len(template):
-        m = MASK_TOKEN_RE.match(template, ti)
-        if m is not None:
-            positions.append(si)
-            si += len(values[vi])
-            vi += 1
-            ti = m.end()
-        else:
-            si += 1
-            ti += 1
+    shift = 0  # how much longer the source is than the template before this token
+    for value, token in zip(values, MASK_TOKEN_RE.finditer(template)):
+        positions.append(token.start() + shift)
+        shift += len(value) - len(token.group())
     return positions
 
 

@@ -17,9 +17,7 @@ from .actions import (
     Action,
     AggStep,
     Aggregate,
-    Arithmetic,
     BindingRef,
-    Cast,
     Combine,
     Distinct,
     Expr,
@@ -31,11 +29,11 @@ from .actions import (
     QualifiedColumn,
     Scalar,
     Select,
-    Substr,
     Trajectory,
     TrajectoryStep,
     Where,
     AGGREGATE_KINDS,
+    map_expr,
 )
 from .errors import BindingError, NoViablePerturbationError, TrajectorySyntaxError
 from .schema import DatabaseInput
@@ -306,30 +304,23 @@ def _rewrites(action: Action, d: DatabaseInput, rng: random.Random) -> list[Acti
 
 def _swap_column(expr: Expr, d: DatabaseInput) -> Expr | None:
     """Replace the first column in the expression with a sibling column."""
-    if isinstance(expr, QualifiedColumn):
-        tbl = d.table(expr.table)
-        if tbl is None:
+    swapped = False
+
+    def swap(node: Expr) -> Expr | None:
+        nonlocal swapped
+        if swapped:
+            return node  # keep everything after the first swap
+        if not isinstance(node, QualifiedColumn):
             return None
-        siblings = sorted(c.name for c in tbl.columns if c.name != expr.column)
+        tbl = d.table(node.table)
+        siblings = sorted(c.name for c in tbl.columns if c.name != node.column) if tbl else []
         if not siblings:
-            return None
-        return QualifiedColumn(expr.table, siblings[0])
-    if isinstance(expr, Aggregate):
-        inner = _swap_column(expr.arg, d)
-        return Aggregate(expr.kind, inner) if inner is not None else None
-    if isinstance(expr, Cast):
-        inner = _swap_column(expr.arg, d)
-        return Cast(inner, expr.target_type) if inner is not None else None
-    if isinstance(expr, Substr):
-        inner = _swap_column(expr.arg, d)
-        return Substr(inner, expr.start, expr.length) if inner is not None else None
-    if isinstance(expr, Arithmetic):
-        inner = _swap_column(expr.left, d)
-        if inner is not None:
-            return Arithmetic(expr.op, inner, expr.right)
-        inner = _swap_column(expr.right, d)
-        return Arithmetic(expr.op, expr.left, inner) if inner is not None else None
-    return None
+            return node
+        swapped = True
+        return QualifiedColumn(node.table, siblings[0])
+
+    out = map_expr(expr, swap)
+    return out if swapped else None
 
 
 def _jitter_condition(cond: FilterCondition, rng: random.Random) -> FilterCondition | None:

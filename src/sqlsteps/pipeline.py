@@ -246,7 +246,7 @@ class RemoteBackend:
             try:
                 with urllib.request.urlopen(request, timeout=self.timeout) as response:
                     reply = json.loads(response.read().decode("utf-8"))
-                if "text" not in reply:
+                if not isinstance(reply, dict) or "text" not in reply:
                     raise StageOutputInvalidError(self.stage, "response lacks a `text` field")
                 return str(reply["text"])
             except (urllib.error.URLError, OSError, json.JSONDecodeError) as exc:
@@ -265,6 +265,8 @@ def build_backends(config: dict, base_dir: str | Path = ".") -> dict[str, StageB
     backends: dict[str, StageBackend] = {}
     for stage in STAGES:
         entry = config.get(stage, {"kind": "rule"})
+        if not isinstance(entry, dict):
+            raise FormatError(f"backend config for stage {stage} must be an object, got {entry!r}")
         kind = entry.get("kind", "rule")
         if kind == "rule":
             backends[stage] = RuleBackend(stage)
@@ -278,6 +280,8 @@ def build_backends(config: dict, base_dir: str | Path = ".") -> dict[str, StageB
                 outputs = entry.get("outputs", {})
             backends[stage] = ScriptedBackend(stage, dict(outputs))
         elif kind == "remote":
+            if "endpoint" not in entry:
+                raise FormatError(f"remote backend for stage {stage} has no `endpoint`")
             backends[stage] = RemoteBackend(stage, entry["endpoint"],
                                             timeout=float(entry.get("timeout", 30.0)),
                                             retries=int(entry.get("retries", 2)))

@@ -20,18 +20,7 @@ from pathlib import Path
 
 from .errors import FormatError
 from .sqlast import (
-    And,
-    Between,
-    Binary,
-    CastExpr,
     Column,
-    Comparison,
-    Func,
-    InList,
-    IsNull,
-    LikePred,
-    Not,
-    Or,
     Predicate,
     SelectCore,
     SelectNode,
@@ -39,6 +28,8 @@ from .sqlast import (
     SqlExpr,
     SqlQuery,
     Subquery,
+    expr_children,
+    pred_exprs,
     resolve_aliases,
 )
 
@@ -336,36 +327,13 @@ def _collect_expr(expr: SqlExpr, scope: list[str], acc: _SchemaAccumulator) -> N
             acc.add_column(scope[0], expr.column)
         else:
             acc.add_column(SENTINEL_TABLE, expr.column)
-    elif isinstance(expr, Func):
-        for arg in expr.args:
-            _collect_expr(arg, scope, acc)
-    elif isinstance(expr, CastExpr):
-        _collect_expr(expr.arg, scope, acc)
-    elif isinstance(expr, Binary):
-        _collect_expr(expr.left, scope, acc)
-        _collect_expr(expr.right, scope, acc)
     elif isinstance(expr, Subquery):
         _collect_core(expr.core, acc)
+    else:
+        for child in expr_children(expr):
+            _collect_expr(child, scope, acc)
 
 
 def _collect_pred(pred: Predicate, scope: list[str], acc: _SchemaAccumulator) -> None:
-    if isinstance(pred, Comparison):
-        _collect_expr(pred.left, scope, acc)
-        _collect_expr(pred.right, scope, acc)
-    elif isinstance(pred, Between):
-        for e in (pred.expr, pred.lo, pred.hi):
-            _collect_expr(e, scope, acc)
-    elif isinstance(pred, InList):
-        _collect_expr(pred.expr, scope, acc)
-        for item in pred.items:
-            _collect_expr(item, scope, acc)
-    elif isinstance(pred, LikePred):
-        _collect_expr(pred.expr, scope, acc)
-        _collect_expr(pred.pattern, scope, acc)
-    elif isinstance(pred, IsNull):
-        _collect_expr(pred.expr, scope, acc)
-    elif isinstance(pred, (And, Or)):
-        for item in pred.items:
-            _collect_pred(item, scope, acc)
-    elif isinstance(pred, Not):
-        _collect_pred(pred.item, scope, acc)
+    for expr in pred_exprs(pred):
+        _collect_expr(expr, scope, acc)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, Callable, Union
 
 from .actions import Scalar, Star
 from .errors import SqlSyntaxError
@@ -71,6 +71,33 @@ class Subquery:
 SqlExpr = Union[Column, Scalar, Star, Func, CastExpr, Binary, Subquery]
 
 
+def expr_children(expr: SqlExpr) -> tuple[SqlExpr, ...]:
+    """A node's operands, left to right; a subquery has none (its core is a scope
+    of its own)."""
+    if isinstance(expr, Func):
+        return expr.args
+    if isinstance(expr, CastExpr):
+        return (expr.arg,)
+    if isinstance(expr, Binary):
+        return (expr.left, expr.right)
+    return ()
+
+
+def map_expr(expr: SqlExpr, fn: Callable[[SqlExpr], SqlExpr | None]) -> SqlExpr:
+    """Top-down rebuild: `fn(node)` is the node's replacement, or None to keep
+    the node and map its operands. A subquery's core is never entered."""
+    out = fn(expr)
+    if out is not None:
+        return out
+    if isinstance(expr, Func):
+        return Func(expr.name, tuple(map_expr(a, fn) for a in expr.args), expr.distinct)
+    if isinstance(expr, CastExpr):
+        return CastExpr(map_expr(expr.arg, fn), expr.target_type)
+    if isinstance(expr, Binary):
+        return Binary(expr.op, map_expr(expr.left, fn), map_expr(expr.right, fn))
+    return expr
+
+
 # --- predicate nodes ----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -124,6 +151,27 @@ class Not:
 
 
 Predicate = Union[Comparison, Between, InList, LikePred, IsNull, And, Or, Not]
+
+
+def pred_exprs(pred: Predicate) -> list[SqlExpr]:
+    if isinstance(pred, Comparison):
+        return [pred.left, pred.right]
+    if isinstance(pred, Between):
+        return [pred.expr, pred.lo, pred.hi]
+    if isinstance(pred, InList):
+        return [pred.expr, *pred.items]
+    if isinstance(pred, LikePred):
+        return [pred.expr, pred.pattern]
+    if isinstance(pred, IsNull):
+        return [pred.expr]
+    if isinstance(pred, (And, Or)):
+        out: list[SqlExpr] = []
+        for item in pred.items:
+            out.extend(pred_exprs(item))
+        return out
+    if isinstance(pred, Not):
+        return pred_exprs(pred.item)
+    raise TypeError(f"not a predicate: {pred!r}")
 
 
 # --- statement nodes ----------------------------------------------------------
@@ -926,23 +974,18 @@ def resolve_aliases(core: SelectCore) -> SelectCore:
     item_alias = {i.alias: i.expr for i in core.items if i.alias}
 
     def fix_expr(expr: SqlExpr, use_item_aliases: bool) -> SqlExpr:
-        if isinstance(expr, Column):
-            if expr.table is not None and expr.table in table_alias:
-                return Column(table_alias[expr.table], expr.column)
-            if (use_item_aliases and expr.table is None and expr.column in item_alias):
-                return fix_expr(item_alias[expr.column], False)
-            return expr
-        if isinstance(expr, Func):
-            return Func(expr.name, tuple(fix_expr(a, use_item_aliases) for a in expr.args),
-                        expr.distinct)
-        if isinstance(expr, CastExpr):
-            return CastExpr(fix_expr(expr.arg, use_item_aliases), expr.target_type)
-        if isinstance(expr, Binary):
-            return Binary(expr.op, fix_expr(expr.left, use_item_aliases),
-                          fix_expr(expr.right, use_item_aliases))
-        if isinstance(expr, Subquery):
-            return Subquery(resolve_aliases(expr.core))
-        return expr
+        def fix(node: SqlExpr) -> SqlExpr | None:
+            if isinstance(node, Column):
+                if node.table is not None and node.table in table_alias:
+                    return Column(table_alias[node.table], node.column)
+                if (use_item_aliases and node.table is None and node.column in item_alias):
+                    return fix_expr(item_alias[node.column], False)
+                return node
+            if isinstance(node, Subquery):
+                return Subquery(resolve_aliases(node.core))
+            return None
+
+        return map_expr(expr, fix)
 
     def fix_pred(pred: Predicate, use_item_aliases: bool) -> Predicate:
         return _map_pred(pred, lambda e: fix_expr(e, use_item_aliases))
@@ -975,19 +1018,13 @@ def qualify_columns(core: SelectCore, d: "DatabaseInput | None") -> SelectCore:
                 return owners[0]
         return None
 
-    def fix(expr: SqlExpr) -> SqlExpr:
+    def fix(expr: SqlExpr) -> SqlExpr | None:
         if isinstance(expr, Column) and expr.table is None:
             table = owner(expr.column)
             return Column(table, expr.column) if table else expr
-        if isinstance(expr, Func):
-            return Func(expr.name, tuple(fix(a) for a in expr.args), expr.distinct)
-        if isinstance(expr, CastExpr):
-            return CastExpr(fix(expr.arg), expr.target_type)
-        if isinstance(expr, Binary):
-            return Binary(expr.op, fix(expr.left), fix(expr.right))
         if isinstance(expr, Subquery):
             return Subquery(qualify_columns(expr.core, d))
-        return expr
+        return None
 
     return _map_core(core, fix)
 
@@ -1003,19 +1040,13 @@ def normalize_count_star(core: SelectCore, d: "DatabaseInput | None") -> SelectC
     if target is None:
         return core
 
-    def fix(expr: SqlExpr) -> SqlExpr:
+    def fix(expr: SqlExpr) -> SqlExpr | None:
         if isinstance(expr, Func) and expr.name == "count" and len(expr.args) == 1 \
                 and isinstance(expr.args[0], Star) and not expr.distinct:
             return Func("count", (target,), False)
-        if isinstance(expr, Func):
-            return Func(expr.name, tuple(fix(a) for a in expr.args), expr.distinct)
-        if isinstance(expr, CastExpr):
-            return CastExpr(fix(expr.arg), expr.target_type)
-        if isinstance(expr, Binary):
-            return Binary(expr.op, fix(expr.left), fix(expr.right))
         if isinstance(expr, Subquery):
             return Subquery(normalize_count_star(expr.core, d))
-        return expr
+        return None
 
     return _map_core(core, fix)
 
@@ -1057,7 +1088,11 @@ def count_star_target(core: SelectCore, d: "DatabaseInput | None") -> Column | N
     return None
 
 
-def _map_core(core: SelectCore, fix) -> SelectCore:
+def _map_core(core: SelectCore, fn: Callable[[SqlExpr], SqlExpr | None]) -> SelectCore:
+    """Rebuild every expression of the core with `map_expr(expr, fn)`."""
+    def fix(expr: SqlExpr) -> SqlExpr:
+        return map_expr(expr, fn)
+
     def fix_pred(pred: Predicate) -> Predicate:
         return _map_pred(pred, fix)
 

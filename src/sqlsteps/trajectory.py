@@ -50,6 +50,7 @@ from .actions import (
     Where,
     action_exprs,
     contains_aggregate,
+    expr_children,
 )
 from .errors import TrajectorySyntaxError, UnknownActionError
 from .schema import DatabaseInput  # noqa: F401  (re-exported for validate callers)
@@ -579,19 +580,14 @@ def _check_star_placement(step: TrajectoryStep, lineno: int) -> None:
 
 
 def _walk_star(expr: Expr, top_level: bool, lineno: int) -> None:
-    if isinstance(expr, Star):
-        if not top_level:
+    if isinstance(expr, Star) and not top_level:
+        raise TrajectorySyntaxError("`*` only allowed in count() or select()", lineno, 1)
+    if isinstance(expr, Aggregate) and isinstance(expr.arg, Star):
+        if expr.kind != "count":
             raise TrajectorySyntaxError("`*` only allowed in count() or select()", lineno, 1)
-    elif isinstance(expr, Aggregate):
-        if isinstance(expr.arg, Star) and expr.kind != "count":
-            raise TrajectorySyntaxError("`*` only allowed in count() or select()", lineno, 1)
-        if not isinstance(expr.arg, Star):
-            _walk_star(expr.arg, top_level=False, lineno=lineno)
-    elif isinstance(expr, (Cast, Substr)):
-        _walk_star(expr.arg, top_level=False, lineno=lineno)
-    elif isinstance(expr, Arithmetic):
-        _walk_star(expr.left, top_level=False, lineno=lineno)
-        _walk_star(expr.right, top_level=False, lineno=lineno)
+        return  # the `*` of count(*)
+    for child in expr_children(expr):
+        _walk_star(child, top_level=False, lineno=lineno)
 
 
 def render_trajectory(t: Trajectory) -> str:
@@ -802,10 +798,5 @@ def _check_chains(t: Trajectory, report: ValidationReport) -> None:
 
 
 def _nested_aggregate(expr: Expr) -> bool:
-    if isinstance(expr, Aggregate):
-        return contains_aggregate(expr.arg)
-    if isinstance(expr, (Cast, Substr)):
-        return _nested_aggregate(expr.arg)
-    if isinstance(expr, Arithmetic):
-        return _nested_aggregate(expr.left) or _nested_aggregate(expr.right)
-    return False
+    check = contains_aggregate if isinstance(expr, Aggregate) else _nested_aggregate
+    return any(check(child) for child in expr_children(expr))

@@ -4,6 +4,7 @@ from sqlsteps.bridge import (
     CANONICAL_MISMATCH,
     PASS,
     UNSUPPORTED,
+    _collect_aggregates,
     decompose,
     revert,
     round_trip,
@@ -16,7 +17,7 @@ from sqlsteps.errors import (
 )
 from sqlsteps.querygen import enumerate_queries, store_database
 from sqlsteps.schema import parse_database_text
-from sqlsteps.sqlast import canonicalize, parse_sql
+from sqlsteps.sqlast import Column, Func, canonicalize, parse_sql
 from sqlsteps.trajectory import parse_trajectory, render_trajectory
 
 from conftest import golden
@@ -214,3 +215,25 @@ def test_canonical_mismatch_verdict_reports_diff(store):
     q = parse_sql("SELECT customers.name FROM customers WHERE customers.age > 30")
     report = round_trip(q, store)
     assert report.verdict == PASS and report.diff == ""
+
+
+def test_collect_aggregates_once_each_in_first_appearance_order(store):
+    core = parse_sql(
+        "SELECT customers.city, COUNT(customers.id) + 1 FROM customers GROUP BY customers.city "
+        "HAVING MAX(customers.age) > 30 AND COUNT(customers.id) > 1 "
+        "ORDER BY CAST(MAX(customers.age) AS REAL) DESC, SUM(customers.age), "
+        "COUNT(customers.id)").ast
+    count, top, total = (Func(name, (Column("customers", col),))
+                         for name, col in (("count", "id"), ("max", "age"), ("sum", "age")))
+    assert _collect_aggregates(core) == [count, top, total]
+    t = decompose(parse_sql(
+        "SELECT customers.city, COUNT(customers.id) FROM customers GROUP BY customers.city "
+        "HAVING MAX(customers.age) > 30 ORDER BY MAX(customers.age), COUNT(customers.id)"),
+        store)
+    assert render_trajectory(t).splitlines()[0] == (
+        "df1 = df.groupby(customers.city).count(customers.id).max(customers.age)")
+
+
+def test_collect_aggregates_does_not_enter_an_aggregate():
+    core = parse_sql("SELECT MAX(COUNT(t.a)) FROM t GROUP BY t.b").ast
+    assert _collect_aggregates(core) == [core.items[0].expr]

@@ -140,6 +140,16 @@ def test_tag_mathematical_delusion(store):
     assert tag_error(pred2, gold2, store).subtype == MATHEMATICAL_DELUSION
 
 
+def test_tag_mathematical_delusion_inside_cast_and_substr_in_an_aggregate(store):
+    for gold_text, pred_text in (
+            ("res = df.select(sum(cast((orders.total * 2), real)))",
+             "res = df.select(sum(cast((orders.total + 2), real)))"),
+            ("res = df.select(min(substr((customers.city - customers.name), 1, 2)))",
+             "res = df.select(min(substr((customers.city + customers.name), 1, 2)))")):
+        tag = tag_error(parse_trajectory(pred_text), parse_trajectory(gold_text), store)
+        assert (tag.coarse, tag.subtype) == ("logic", MATHEMATICAL_DELUSION)
+
+
 def test_tag_other_for_parameter_only_changes(store):
     gold = parse_trajectory(
         "df1 = df.where(element = customers.age, filter = '> 30')\nres = df1.select(customers.name)")

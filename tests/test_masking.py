@@ -14,7 +14,7 @@ from sqlsteps.querygen import random_queries, store_database
 from sqlsteps.sqlast import parse_sql
 from sqlsteps.trajectory import parse_trajectory, render_trajectory
 
-from conftest import golden
+from conftest import generated_seeds, golden
 
 
 def test_single_slot(schools):
@@ -39,12 +39,20 @@ def test_bare_template_strips_indices():
     assert masked.bare_template() == "res = df.select([MASK], [MASK])\n"
 
 
-def test_positions_point_at_original_occurrences():
-    t = parse_trajectory("df1 = df.where(element = t.a, filter = 1)\nres = df1.select(t.b)")
-    source = render_trajectory(t)
-    masked = mask_schema(t)
-    for slot in masked.slots:
-        assert source[slot.position:slot.position + len(slot.value)] == slot.value
+def test_positions_point_at_original_occurrences(store):
+    wide = ", ".join(["t.`first name`"] + [f"t.c{i}" for i in range(1, 12)])
+    trajectories = [
+        parse_trajectory("df1 = df.where(element = t.a, filter = 1)\nres = df1.select(t.b)"),
+        parse_trajectory(f"df1 = df.orderby(by = (t.a + t.bb), desc)\nres = df1.select({wide})"),
+    ]
+    trajectories += [decompose(parse_sql(seed.gold_sql), store) for seed in generated_seeds()]
+    assert len(trajectories[1].columns()) == 14  # slots 1 and 10..13 share a prefix
+    for t in trajectories:
+        source = render_trajectory(t)
+        masked = mask_schema(t)
+        assert len(masked.slots) == len(t.columns())
+        for slot in masked.slots:
+            assert source[slot.position:slot.position + len(slot.value)] == slot.value
 
 
 def test_fill_restores_case_study_correction(schools):

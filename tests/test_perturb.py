@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from sqlsteps.actions import Aggregate, Arithmetic, Cast, QualifiedColumn, Scalar
 from sqlsteps.errors import NoViablePerturbationError
 from sqlsteps.perturb import (
     ADD,
@@ -10,11 +11,13 @@ from sqlsteps.perturb import (
     SUBSTITUTE,
     PerturbationConfig,
     PerturbationRecord,
+    _swap_column,
     augment,
     inject_negatives,
     perturb_once,
     stream_rng,
 )
+from sqlsteps.schema import parse_database_text
 from sqlsteps.trajectory import parse_trajectory, render_trajectory
 
 from conftest import golden
@@ -150,3 +153,19 @@ def test_delete_of_whole_step_repoints_receivers(schools):
             found = True
             assert got.steps[0].receiver == "df"
     assert found
+
+
+def test_swap_column_swaps_only_the_first_swappable_column():
+    d = parse_database_text("table a\n  column x int\ntable b\n  column y int\n  column z int\n")
+    x, y, z = QualifiedColumn("a", "x"), QualifiedColumn("b", "y"), QualifiedColumn("b", "z")
+    unknown = QualifiedColumn("q", "x")
+    # a.x has no sibling column and q is not a table: the right operand is swapped
+    assert _swap_column(Arithmetic("+", x, y), d) == Arithmetic("+", x, z)
+    assert _swap_column(Arithmetic("+", unknown, y), d) == Arithmetic("+", unknown, z)
+    assert _swap_column(Arithmetic("+", y, y), d) == Arithmetic("+", z, y)
+    x_minus_1 = Arithmetic("-", x, Scalar(1, "int"))
+    nested = Aggregate("sum", Cast(Arithmetic("*", x_minus_1, y), "real"))
+    assert _swap_column(nested, d) == Aggregate(
+        "sum", Cast(Arithmetic("*", x_minus_1, z), "real"))
+    assert _swap_column(Arithmetic("+", x, unknown), d) is None
+    assert _swap_column(Scalar(1, "int"), d) is None

@@ -5,7 +5,12 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 
 from sqlsteps.bridge import decompose
-from sqlsteps.errors import BackendUnavailableError, TemplateNotFoundError
+from sqlsteps.errors import (
+    BackendUnavailableError,
+    FormatError,
+    StageOutputInvalidError,
+    TemplateNotFoundError,
+)
 from sqlsteps.masking import mask_schema
 from sqlsteps.pipeline import (
     STAGES,
@@ -339,6 +344,7 @@ def test_output_of_the_wrong_type_is_an_invalid_stage_output(store):
 class _StubHandler(BaseHTTPRequestHandler):
     fail_times = 0
     seen: list = []
+    raw_replies: dict = {}  # seed id -> response body sent as is
 
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
@@ -348,7 +354,8 @@ class _StubHandler(BaseHTTPRequestHandler):
             self.send_response(500)
             self.end_headers()
             return
-        reply = json.dumps({"text": body.get("trajectory", "res = df.select(t.a)")})
+        reply = type(self).raw_replies.get(body.get("id")) or json.dumps(
+            {"text": body.get("trajectory", "res = df.select(t.a)")})
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.end_headers()
@@ -365,6 +372,7 @@ def stub_server():
     thread.start()
     _StubHandler.fail_times = 0
     _StubHandler.seen = []
+    _StubHandler.raw_replies = {}
     yield f"http://127.0.0.1:{server.server_port}/"
     server.shutdown()
 
@@ -404,11 +412,38 @@ def test_remote_backend_unavailable():
         backend.invoke({"trajectory": "x"})
 
 
+@pytest.mark.parametrize("reply", ["null", "7", '["res = df.select(t.a)"]'])
+def test_remote_reply_that_is_not_an_object_is_invalid_output(stub_server, reply):
+    _StubHandler.raw_replies = {"x1": reply}
+    backend = RemoteBackend("lom", stub_server, timeout=5.0)
+    with pytest.raises(StageOutputInvalidError, match="`text`"):
+        backend.invoke({"trajectory": "res = df.select(t.a)\n", "id": "x1"})
+
+
+def test_remote_null_reply_stays_with_its_seed(stub_server, fixture_seeds, schemas):
+    _StubHandler.raw_replies = {"s02": "null"}
+    backends = rule_backends()
+    backends["lom"] = RemoteBackend("lom", stub_server, timeout=5.0)
+    results = correct_batch(fixture_seeds, backends, schemas, jobs=1)
+    assert len(results) == 10
+    errors = {r.seed_id: r.error for r in results if r.error}
+    assert set(errors) - {"s10"} == {"s02"}  # s10's window function never decomposes
+    assert "stage lom" in errors["s02"] and "`text`" in errors["s02"]
+    assert all(r.feedback is not None for r in results if r.seed_id not in errors)
+
+
 def test_remote_sam_fill_hides_source_trajectory(stub_server):
     backend = RemoteBackend("sam_fill", stub_server, timeout=5.0)
     backend.invoke({"masked": "res = df.select([MASK:0])\n",
                     "trajectory": "res = df.select(t.a)\n"})
     assert "trajectory" not in _StubHandler.seen[-1]
+
+
+@pytest.mark.parametrize("config,stage", [({"bam": "rule"}, "bam"),
+                                          ({"lom": {"kind": "remote"}}, "lom")])
+def test_malformed_backend_config_is_a_format_error(config, stage):
+    with pytest.raises(FormatError, match=f"stage {stage}"):
+        build_backends(config)
 
 
 def test_backend_config_kinds():
