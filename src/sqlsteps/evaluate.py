@@ -263,12 +263,12 @@ def evaluate_correction(results: list[CorrectionResult], seeds: list[SeedExample
             baseline_correct=baseline,
             ex_match=correct,
             overcorrection=baseline and not correct,
-            round_trip_pass=_round_trip_pass(initial, d),
+            round_trip_pass=_round_trip_pass(result, initial, d),
             tag=None,
             difficulty=seed.difficulty,
         )
         if not correct and d is not None:
-            verdict.tag = _tag_from_trajectories(result, gold, d)
+            verdict.tag = _tag_from_trajectories(result, corrected, gold, d)
         report.per_instance.append(verdict)
         _schema_scores(corrected, gold, schema_precision, schema_recall)
     report.aggregates = report.recompute()
@@ -309,7 +309,14 @@ def _corrected_query(result: CorrectionResult, initial: SqlQuery) -> SqlQuery:
     return initial if text == initial.text else SqlQuery.raw(text)
 
 
-def _round_trip_pass(initial: SqlQuery, d: DatabaseInput | None) -> bool | None:
+def _round_trip_pass(result: CorrectionResult, initial: SqlQuery,
+                     d: DatabaseInput | None) -> bool | None:
+    """The pipeline's own verdict when its trace holds one for this very query
+    and database input, else a fresh `round_trip`."""
+    trace = result.trace
+    if (trace is not None and trace.round_trip_pass is not None
+            and trace.query is initial and trace.db is d):
+        return trace.round_trip_pass
     if d is None or initial.ast is None:
         return None
     try:
@@ -318,12 +325,17 @@ def _round_trip_pass(initial: SqlQuery, d: DatabaseInput | None) -> bool | None:
         return False
 
 
-def _tag_from_trajectories(result: CorrectionResult, gold: SqlQuery,
+def _tag_from_trajectories(result: CorrectionResult, corrected: SqlQuery, gold: SqlQuery,
                            d: DatabaseInput) -> ErrorTag | None:
-    pred_trajectory = result.trace.final_trajectory() if result.trace else None
-    if pred_trajectory is None or gold.ast is None:
+    """Tag the pipeline's final trajectory against the gold's; a result without
+    a trace (the `eval` verb) has its corrected SQL decomposed here."""
+    if gold.ast is None:
         return None
     try:
+        pred_trajectory = (result.trace.final_trajectory() if result.trace is not None
+                           else decompose(corrected, d))
+        if pred_trajectory is None:
+            return None
         gold_trajectory = decompose(gold, d)
     except _BRIDGE_ERRORS:
         return None

@@ -45,6 +45,7 @@ from .errors import (
 )
 from .corpus import SeedExample
 from .masking import (
+    MASK_TOKEN_RE,
     MaskedTrajectory,
     fill_mask,
     mask_schema,
@@ -58,7 +59,7 @@ from .schema import (
     render_database_input,
 )
 from .sqlast import SqlQuery, canonicalize
-from .trajectory import Trajectory, parse_trajectory, render_trajectory
+from .trajectory import Trajectory, parse_trajectory, render_trajectory, validate_trajectory
 
 STAGES = ("bam", "sam_mask", "sam_fill", "lom")
 
@@ -165,14 +166,30 @@ class RuleBackend:
         if self.stage == "sam_mask":
             return mask_schema(payload.value("trajectory"))
         if self.stage == "sam_fill":
-            masked = payload.value("masked")
+            masked, t, d = payload.value("masked"), payload.value("trajectory"), payload.value("db")
             if not masked.slots:  # nothing to fill: the template is the output
                 same = masked.template == payload["trajectory"]
-                return payload.value("trajectory") if same else masked.template
-            return fill_mask(masked, masked.slot_values(), payload.value("db"))
+                return t if same else masked.template
+            if _fills_back(masked, payload["trajectory"]) and not validate_trajectory(t, d).errors():
+                return t  # what `fill_mask` would parse back from the same text
+            return fill_mask(masked, masked.slot_values(), d)
         if self.stage == "lom":
             return payload.value("trajectory")
         raise ValueError(f"unknown stage {self.stage!r}")
+
+
+def _fills_back(masked: MaskedTrajectory, source: str) -> bool:
+    """Whether filling the mask with its own slot values, as `fill_mask` fills
+    them, gives exactly `source`, each value a table.column for its column slot."""
+    values: dict[int, str] = {}
+    for slot in masked.slots:
+        if slot.kind != "column" or not isinstance(slot.value, str) or "." not in slot.value:
+            return False
+        values[slot.index] = slot.value.strip()
+    try:
+        return MASK_TOKEN_RE.sub(lambda m: values[int(m.group(1))], masked.template) == source
+    except KeyError:  # a token without a slot: `fill_mask` reports it
+        return False
 
 
 @dataclass
@@ -262,6 +279,8 @@ def build_backends(config: dict, base_dir: str | Path = ".") -> dict[str, StageB
     "endpoint" for remote and "script_file" (or inline "outputs") for
     scripted. Missing stages default to the rule backend.
     """
+    if not isinstance(config, dict):
+        raise FormatError(f"backend config must be an object keyed by stage, got {config!r}")
     backends: dict[str, StageBackend] = {}
     for stage in STAGES:
         entry = config.get(stage, {"kind": "rule"})
@@ -274,17 +293,28 @@ def build_backends(config: dict, base_dir: str | Path = ".") -> dict[str, StageB
             backends[stage] = IdentityBackend(stage)
         elif kind == "scripted":
             if "script_file" in entry:
-                data = json.loads(Path(base_dir, entry["script_file"]).read_text("utf-8"))
+                path = Path(base_dir, entry["script_file"])
+                try:
+                    data = json.loads(path.read_text("utf-8"))
+                except (OSError, ValueError) as exc:
+                    raise FormatError(f"script file {path} for stage {stage}: {exc}") from exc
                 outputs = data.get(stage, data) if isinstance(data, dict) else {}
             else:
                 outputs = entry.get("outputs", {})
-            backends[stage] = ScriptedBackend(stage, dict(outputs))
+            try:
+                backends[stage] = ScriptedBackend(stage, dict(outputs))
+            except (TypeError, ValueError) as exc:
+                raise FormatError(f"scripted outputs for stage {stage} must be an object, "
+                                  f"got {outputs!r}") from exc
         elif kind == "remote":
             if "endpoint" not in entry:
                 raise FormatError(f"remote backend for stage {stage} has no `endpoint`")
-            backends[stage] = RemoteBackend(stage, entry["endpoint"],
-                                            timeout=float(entry.get("timeout", 30.0)),
-                                            retries=int(entry.get("retries", 2)))
+            try:
+                backends[stage] = RemoteBackend(stage, entry["endpoint"],
+                                                timeout=float(entry.get("timeout", 30.0)),
+                                                retries=int(entry.get("retries", 2)))
+            except (TypeError, ValueError) as exc:
+                raise FormatError(f"remote backend for stage {stage}: {exc}") from exc
         else:
             raise FormatError(f"unknown backend kind {kind!r} for stage {stage}")
     return backends
@@ -349,6 +379,7 @@ class StageRecord:
     elapsed: float
     identity: bool
     error: str | None = None
+    error_type: type[SqlStepsError] | None = None  # the class of the error behind `error`
 
 
 @dataclass
@@ -363,6 +394,10 @@ class PipelineTrace:
     stages: list[StageRecord] = field(default_factory=list)
     error: str | None = None
     query: SqlQuery | None = None  # the initial SQL, parsed once per run
+    # `round_trip(query, db).verdict == PASS`, when the run computed every part
+    # of it (see `_round_trip_verdict`); None when it cannot vouch for it
+    round_trip_pass: bool | None = None
+    db: DatabaseInput | None = field(default=None, compare=False, repr=False)
 
     def final_trajectory(self) -> Trajectory | None:
         return (self.trajectory_final or self.trajectory_schema
@@ -384,7 +419,7 @@ def run_pipeline(d: DatabaseInput, question: str, initial_sql: str,
     if missing:
         raise ValueError(f"backends missing for stages {missing}")
     query = SqlQuery.raw(initial_sql, dialect)
-    trace = PipelineTrace(initial_sql=initial_sql, question=question, query=query)
+    trace = PipelineTrace(initial_sql=initial_sql, question=question, query=query, db=d)
     texts = _Texts()
     base: dict[str, object] = {"db": d, "question": question, "dialect": dialect}
     if seed_id is not None:
@@ -472,7 +507,7 @@ def _run_stage(trace: PipelineTrace, backend: StageBackend, payload: StagePayloa
     except SqlStepsError as exc:
         trace.stages.append(StageRecord(backend.stage, backend.describe(), None,
                                         time.perf_counter() - start, backend.identity,
-                                        error=str(exc)))
+                                        error=str(exc), error_type=type(exc)))
         trace.error = f"{backend.stage}: {exc}"
         return None
 
@@ -481,6 +516,7 @@ def _mark_invalid(trace: PipelineTrace, stage: str, exc: Exception) -> None:
     error = StageOutputInvalidError(stage, str(exc))
     if trace.stages and trace.stages[-1].stage == stage:
         trace.stages[-1].error = str(error)
+        trace.stages[-1].error_type = StageOutputInvalidError
     trace.error = str(error)
 
 
@@ -525,7 +561,9 @@ def correct_batch(seeds: list[SeedExample], backends: dict[str, StageBackend],
                     "reverted_sql": trace.feedback.reverted_sql or "",
                     "id": seed.id,
                 })
-            flag = _overcorrection_flag(seed, d, trace)
+            forms = _canonical_forms(trace, d)
+            trace.round_trip_pass = _round_trip_verdict(trace, backends["bam"], dialect, forms)
+            flag = _overcorrection_flag(seed, d, forms)
             return CorrectionResult(seed.id, seed.initial_sql, trace.feedback,
                                     regenerated, flag, trace, error=trace.error)
         except SqlStepsError as exc:
@@ -537,21 +575,50 @@ def correct_batch(seeds: list[SeedExample], backends: dict[str, StageBackend],
     return sorted(results, key=lambda r: r.seed_id)
 
 
-def _overcorrection_flag(seed: SeedExample, d: DatabaseInput,
-                         trace: PipelineTrace) -> bool:
-    """True when an initially gold-equal SQL would be rewritten to differ."""
-    feedback = trace.feedback
-    if feedback is None or feedback.reverted_sql is None:
-        return False
-    initial = trace.query if trace.query is not None else SqlQuery.raw(seed.initial_sql)
-    if initial.ast is None:
-        return False
+def _canonical_forms(trace: PipelineTrace, d: DatabaseInput) -> tuple[str, str] | None:
+    """The canonical forms of the initial and the reverted SQL, computed once
+    per seed for the overcorrection flag and the round-trip verdict; None when
+    there is no reverted SQL, the initial SQL does not parse, or a form raises
+    a bridge error."""
+    reverted = trace.feedback.reverted_query if trace.feedback is not None else None
+    if reverted is None or trace.query.ast is None:
+        return None
     try:
-        initial_canon = canonicalize(initial, d)
-        reverted = feedback.reverted_query or SqlQuery.raw(feedback.reverted_sql)
-        if reverted.ast is not None and canonicalize(reverted, d) == initial_canon:
-            return False  # not rewritten, so the gold need not be read
-        gold = SqlQuery.raw(seed.gold_sql)
-        return gold.ast is not None and canonicalize(gold, d) == initial_canon
+        return canonicalize(trace.query, d), canonicalize(reverted, d)
+    except _BRIDGE_ERRORS:
+        return None
+
+
+def _round_trip_verdict(trace: PipelineTrace, bam: StageBackend, dialect: str,
+                        forms: tuple[str, str] | None) -> bool | None:
+    """`round_trip(trace.query, d).verdict == PASS` from this run's own work,
+    or None when the run cannot vouch for it.
+
+    The run vouches when its bam is the rule decomposition, its final
+    trajectory is the bam trajectory object and `make_feedback` reverted in
+    the run's dialect: then the reverted query is `revert(decompose(query))`,
+    as in `round_trip`. A bridge error in bam, no reverted SQL, or a bridge
+    error in a canonical form give False, as `round_trip` fails there.
+    """
+    vouches = (type(bam) in (RuleBackend, IdentityBackend) and bam.stage == "bam"
+               and dialect == "sqlite" and trace.query.ast is not None)
+    if not vouches:
+        return None
+    if trace.trajectory_initial is None:  # decompose raised; the bam record holds its class
+        error_type = trace.stages[0].error_type
+        return False if error_type is not None and issubclass(error_type, _BRIDGE_ERRORS) else None
+    if trace.final_trajectory() is not trace.trajectory_initial:
+        return None
+    return forms is not None and forms[0] == forms[1]
+
+
+def _overcorrection_flag(seed: SeedExample, d: DatabaseInput,
+                         forms: tuple[str, str] | None) -> bool:
+    """True when an initially gold-equal SQL would be rewritten to differ."""
+    if forms is None or forms[0] == forms[1]:
+        return False  # not rewritten, so the gold need not be read
+    gold = SqlQuery.raw(seed.gold_sql)
+    try:
+        return gold.ast is not None and canonicalize(gold, d) == forms[0]
     except _BRIDGE_ERRORS:
         return False

@@ -137,6 +137,20 @@ def test_tag_errors_verb(capsys, tmp_path):
     assert "s02: schema/SchemaContradiction" in out
 
 
+def test_eval_tags_as_tag_errors_does(capsys, tmp_path):
+    pred = tmp_path / "pred.jsonl"
+    pred.write_text(json.dumps(
+        {"id": "s02", "sql": "SELECT customers.city FROM customers WHERE customers.age > 30"})
+        + "\n")
+    _, tagged, _ = run(capsys, ["--schemas", SCHEMAS, "tag-errors", "--pred", str(pred),
+                                "--seeds", SEEDS])
+    code, out, _ = run(capsys, ["--schemas", SCHEMAS, "eval", "--pred", str(pred),
+                                "--seeds", SEEDS, "--dbs", DBS])
+    assert code == EXIT_OK
+    assert tagged.strip() == "s02: schema/SchemaContradiction"
+    assert "s02: ex=N baseline=Y overcorrection=Y tag=schema/SchemaContradiction" in out
+
+
 def test_catalog_structured(capsys):
     code, out, _ = run(capsys, ["--format", "structured", "catalog"])
     assert code == EXIT_OK

@@ -446,6 +446,18 @@ def test_malformed_backend_config_is_a_format_error(config, stage):
         build_backends(config)
 
 
+@pytest.mark.parametrize("config,match", [
+    ({"lom": {"kind": "remote", "endpoint": "http://x/", "timeout": "soon"}}, "stage lom"),
+    ({"lom": {"kind": "remote", "endpoint": "http://x/", "retries": "many"}}, "stage lom"),
+    ({"sam_fill": {"kind": "scripted", "outputs": "x"}}, "stage sam_fill"),
+    ({"bam": {"kind": "scripted", "script_file": "missing.json"}}, "missing.json for stage bam"),
+    (["bam"], "must be an object"),
+], ids=["timeout", "retries", "outputs", "script-file", "list"])
+def test_bad_backend_config_values_are_format_errors(config, match, tmp_path):
+    with pytest.raises(FormatError, match=match):
+        build_backends(config, tmp_path)
+
+
 def test_backend_config_kinds():
     backends = build_backends({"bam": {"kind": "rule"},
                                "sam_mask": {"kind": "identity"},

@@ -19,12 +19,12 @@ from sqlsteps.errors import (
 )
 from sqlsteps.evaluate import EvalReport, InstanceVerdict, evaluate_correction, ex_match, tag_error
 from sqlsteps.masking import mask_schema
-from sqlsteps.pipeline import build_backends, correct_batch, make_feedback
-from sqlsteps.schema import extract_schema
+from sqlsteps.pipeline import ScriptedBackend, build_backends, correct_batch, make_feedback
+from sqlsteps.schema import extract_schema, load_schema_dir
 from sqlsteps.sqlast import SqlQuery, canonicalize
 from sqlsteps.trajectory import parse_trajectory, render_trajectory
 
-from conftest import generated_seeds
+from conftest import FIXTURES, generated_seeds
 
 BRIDGE_ERRORS = (UnsupportedSqlError, SchemaMismatchError, JoinPathNotFoundError,
                  InvalidChainError, SqlSyntaxError)
@@ -144,3 +144,59 @@ def test_typed_stages_match_text_reference(mangle, fixture_seeds, schemas, dbs):
     reference = reference_report(results, seeds, dbs, schemas)
     assert report.per_instance == reference.per_instance
     assert report.aggregates == reference.aggregates
+
+
+def verdict_seed(seed_id: str, initial_sql: str) -> SeedExample:
+    return SeedExample(seed_id, "store", "question", "SELECT customers.name FROM customers",
+                       initial_sql)
+
+
+# Initial SQL whose round-trip verdict is not PASS, with the verdict
+# `evaluate_correction` must give: None when it does not parse, else False.
+# No query found in the SQL subset converts both ways yet canonicalizes
+# differently, so no CANONICAL_MISMATCH case is listed.
+VERDICT_SEEDS = [
+    (verdict_seed("v0", "SELEC x"), None),
+    (verdict_seed("v1", "SELECT customers.name FROM customers WHERE 1=1"), False),
+    (verdict_seed("v2", "SELECT customers.name FROM customers WHERE NOT (city = 'x')"), False),
+    (verdict_seed("v3", "SELECT customers.name FROM customers "
+                        "WHERE id IN (SELECT customer_id FROM orders)"), False),
+    (verdict_seed("v4", "SELECT customers.name FROM customers LIMIT 0"), False),
+]
+
+
+def scripted_bam(seeds, schemas) -> ScriptedBackend:
+    """A bam that replays each seed's decomposition as text (fixed text when
+    the seed does not convert), so the run cannot vouch for a verdict."""
+    outputs = {"*": MANGLED}
+    for seed in seeds:
+        try:
+            outputs[seed.id] = render_trajectory(
+                decompose(SqlQuery.raw(seed.initial_sql), schemas[seed.db]))
+        except BRIDGE_ERRORS:
+            pass
+    return ScriptedBackend("bam", outputs)
+
+
+@pytest.mark.parametrize("variant", ["rule", "scripted-bam", "mangled-lom", "fresh-schemas"])
+def test_round_trip_verdicts_match_text_reference(variant, fixture_seeds, schemas, dbs):
+    seeds = generated_seeds() + list(fixture_seeds) + [seed for seed, _ in VERDICT_SEEDS]
+    backends = build_backends({})
+    if variant == "scripted-bam":
+        backends["bam"] = scripted_bam(seeds, schemas)
+    if variant == "mangled-lom":
+        backends["lom"] = MangleSome()
+    results = correct_batch(seeds, backends, schemas, jobs=1)
+    # other DatabaseInput objects for the same databases
+    eval_schemas = load_schema_dir(FIXTURES / "schemas") if variant == "fresh-schemas" else schemas
+
+    report = evaluate_correction(results, seeds, dbs, eval_schemas)
+    reference = reference_report(results, seeds, dbs, schemas)
+    assert report.per_instance == reference.per_instance
+    assert report.aggregates == reference.aggregates
+    wanted = [want for _, want in VERDICT_SEEDS]
+    verdicts = {v.seed_id: v.round_trip_pass for v in report.per_instance}
+    assert [verdicts[seed.id] for seed, _ in VERDICT_SEEDS] == wanted
+    if variant == "rule":  # each verdict but v0's comes from its own run
+        traced = {r.seed_id: r.trace.round_trip_pass for r in results}
+        assert [traced[seed.id] for seed, _ in VERDICT_SEEDS] == wanted
