@@ -66,17 +66,19 @@ class Scalar:
 
 @dataclass(frozen=True)
 class Star:
-    """`*`; legal only as a COUNT argument or a SELECT element."""
+    """`*`; legal only as a COUNT argument or a SELECT element (checked by
+    `TrajectoryStep`)."""
 
 
 @dataclass(frozen=True)
 class BindingRef:
-    """Reference to a step binding (`df`, `df1`, ..., `res`)."""
+    """Reference to a step binding (`df1`, ..., `res`); never the implicit
+    `df`, which no step binds."""
 
     name: str
 
     def __post_init__(self) -> None:
-        if not BINDING_RE.match(self.name):
+        if not BINDING_RE.match(self.name) or self.name == "df":
             raise ValueError(f"invalid binding name {self.name!r}")
 
 
@@ -133,10 +135,6 @@ def map_expr(expr: Expr, fn: Callable[[Expr], Expr | None]) -> Expr:
     if isinstance(expr, Arithmetic):
         return Arithmetic(expr.op, map_expr(expr.left, fn), map_expr(expr.right, fn))
     return expr
-
-
-def contains_aggregate(expr: Expr) -> bool:
-    return isinstance(expr, Aggregate) or any(contains_aggregate(c) for c in expr_children(expr))
 
 
 def columns_in(expr: Expr) -> list[QualifiedColumn]:
@@ -291,6 +289,10 @@ Action = Union[Select, Where, GroupBy, Having, OrderBy, Limit, Distinct,
 
 @dataclass(frozen=True)
 class TrajectoryStep:
+    """One `binding = receiver.action(...)...` line. Its expressions hold `*`
+    only as a top-level select element or as the argument of count, and no
+    aggregate inside an aggregate."""
+
     binding: str
     receiver: str
     chain: tuple[Action, ...]
@@ -302,6 +304,21 @@ class TrajectoryStep:
             raise ValueError(f"invalid receiver {self.receiver!r}")
         if not self.chain:
             raise ValueError("step requires at least one action")
+        for action in self.chain:
+            for expr in action_exprs(action):
+                _check_expr(expr, star_ok=isinstance(action, Select), in_aggregate=False)
+
+
+def _check_expr(expr: Expr, star_ok: bool, in_aggregate: bool) -> None:
+    if isinstance(expr, Star) and not star_ok:
+        raise ValueError("`*` only allowed in count() or select()")
+    if isinstance(expr, Aggregate):
+        if in_aggregate:
+            raise ValueError("aggregate argument contains an aggregate")
+        in_aggregate = True
+    star_ok = isinstance(expr, Aggregate) and expr.kind == "count"
+    for child in expr_children(expr):
+        _check_expr(child, star_ok, in_aggregate)
 
 
 @dataclass(frozen=True)

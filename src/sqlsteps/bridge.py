@@ -111,7 +111,10 @@ def decompose(s: SqlQuery, d: DatabaseInput) -> Trajectory:
         raise SqlSyntaxError(s.parse_error or "query has no AST")
     namer = _Namer()
     steps: list[TrajectoryStep] = []
-    _decompose_node(s.ast, d, namer, steps, bind="res")
+    try:
+        _decompose_node(s.ast, d, namer, steps, bind="res")
+    except ValueError as exc:  # a value the action types reject, e.g. a nested aggregate
+        raise UnsupportedSqlError(str(exc)) from exc
     return Trajectory(tuple(steps))
 
 

@@ -18,14 +18,12 @@ from pathlib import Path
 from .actions import Trajectory
 from .bridge import PASS, decompose, round_trip
 from .errors import (
-    BindingError,
     FormatError,
     InvalidChainError,
     JoinPathNotFoundError,
     MissingSchemaError,
     SchemaMismatchError,
     SqlSyntaxError,
-    TrajectorySyntaxError,
     UnsupportedSqlError,
 )
 from .masking import mask_schema
@@ -93,20 +91,17 @@ def read_seed_file(path: str | Path) -> list[SeedExample]:
     return seeds
 
 
-def write_seed_file(seeds: list[SeedExample], path: str | Path) -> None:
-    text = "".join(json.dumps(s.to_dict(), sort_keys=True) + "\n" for s in seeds)
-    Path(path).write_text(text, encoding="utf-8")
-
-
 @dataclass(frozen=True)
 class CorpusRecord:
     target: str
     input: dict[str, str]
     output: str
     provenance: dict
-    # the verified trajectory a bam record's `output` was rendered from, so that
-    # sam and lom need not parse it again; not written, and None once read back
+    # the verified trajectory a bam record's `output` was rendered from and its
+    # seed's parsed gold SQL, so that sam and lom need not parse them again; not
+    # written, and None once read back
     trajectory: Trajectory | None = field(default=None, compare=False, repr=False)
+    gold: SqlQuery | None = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {"target": self.target, "input": self.input, "output": self.output,
@@ -202,6 +197,7 @@ def build_bam_corpus(seeds: list[SeedExample], schemas: dict[str, DatabaseInput]
             output=render_trajectory(report.trajectory),
             provenance={"seed_id": seed.id, "round_trip": report.verdict},
             trajectory=report.trajectory,
+            gold=gold,
         ))
     return BuildResult(records, compute_stats(records), failures)
 
@@ -282,7 +278,8 @@ def build_lom_corpus(bam_records: list[CorpusRecord], seeds: list[SeedExample],
         d = _require_schema(seed, schemas)
         verified = _bam_trajectory(bam)
         initial = SqlQuery.raw(seed.initial_sql)
-        if _initial_is_correct(seed, initial, d, dbs):
+        gold = bam.gold if bam.gold is not None else SqlQuery.raw(seed.gold_sql)
+        if _initial_is_correct(seed, initial, gold, d, dbs):
             report = augment([verified], cfg, d)
             for index, reason in report.skipped:
                 failures.append((seed.id, "no-viable-perturbation", reason))
@@ -295,9 +292,8 @@ def build_lom_corpus(bam_records: list[CorpusRecord], seeds: list[SeedExample],
                 failures.append((seed.id, "initial-unparseable", initial.parse_error or ""))
                 continue
             try:
-                # structural check: the rendered decomposition must parse back
-                erroneous = parse_trajectory(render_trajectory(decompose(initial, d)))
-            except (*_CONVERSION_ERRORS, TrajectorySyntaxError, BindingError) as exc:
+                erroneous = decompose(initial, d)
+            except _CONVERSION_ERRORS as exc:
                 failures.append((seed.id, "initial-unconvertible", str(exc)))
                 continue
             positives.append((seed, erroneous, verified,
@@ -338,10 +334,9 @@ def _assemble_lom_records(positives: list[tuple[SeedExample, Trajectory, Traject
     return records
 
 
-def _initial_is_correct(seed: SeedExample, initial: SqlQuery, d: DatabaseInput,
-                        dbs: dict | None) -> bool:
+def _initial_is_correct(seed: SeedExample, initial: SqlQuery, gold: SqlQuery,
+                        d: DatabaseInput, dbs: dict | None) -> bool:
     """Execution match when a fixture database exists, else canonical equality."""
-    gold = SqlQuery.raw(seed.gold_sql)
     if dbs and seed.db in dbs:
         from .evaluate import ex_match  # local import: evaluate depends on bridge
 

@@ -49,10 +49,6 @@ class SchemaMismatchError(SqlStepsError):
     """A referenced table or column is absent from the database input."""
 
 
-class AmbiguousColumnError(SqlStepsError):
-    """An unqualified column resolves to more than one candidate table."""
-
-
 class JoinPathNotFoundError(SqlStepsError):
     """No unique foreign-key path connects the referenced tables."""
 
@@ -95,6 +91,10 @@ class StageOutputInvalidError(SqlStepsError):
 
 class BackendUnavailableError(SqlStepsError):
     """A remote backend could not be reached after retries."""
+
+
+class BackendFailedError(SqlStepsError):
+    """A stage backend or a generator raised an exception that is no SqlStepsError."""
 
 
 class TemplateNotFoundError(SqlStepsError):

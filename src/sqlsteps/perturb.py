@@ -1,9 +1,12 @@
 """Action-level error perturbation and corpus augmentation.
 
 Three edit families over a verified trajectory: ADD inserts an action, DELETE
-removes one, SUBSTITUTE rewrites one action's kind or parameters. Every
-output still parses and passes binding validation; the injected errors are
-semantic by construction. All randomness flows through per-call
+removes one, SUBSTITUTE rewrites one action's kind or parameters. Edits are
+made on the typed values, whose constructors hold every rule of the grammar
+(a misplaced `*`, a nested aggregate, a binding used before assignment); an
+edit they reject is drawn again. So every output is a valid trajectory whose
+text parses back to it, and the injected errors are semantic by
+construction. All randomness flows through per-call
 `random.Random` streams keyed by (seed, trajectory index, draw index), so
 parallel and serial runs produce identical corpora.
 """
@@ -35,9 +38,9 @@ from .actions import (
     AGGREGATE_KINDS,
     map_expr,
 )
-from .errors import BindingError, NoViablePerturbationError, TrajectorySyntaxError
+from .errors import BindingError, NoViablePerturbationError
 from .schema import DatabaseInput
-from .trajectory import parse_trajectory, render_action, render_trajectory
+from .trajectory import render_action
 
 ADD = "add"
 DELETE = "delete"
@@ -351,12 +354,12 @@ def _jitter_condition(cond: FilterCondition, rng: random.Random) -> FilterCondit
 
 def perturb_once(t: Trajectory, kind: str, rng: random.Random, d: DatabaseInput,
                  max_attempts: int = 30, seed: int = 0) -> tuple[Trajectory, PerturbationRecord]:
-    """Apply one perturbation of the given kind; the result parses and differs."""
+    """Apply one perturbation of the given kind; the result is a valid
+    trajectory that differs from `t`."""
     if kind not in KINDS:
         raise ValueError(f"unknown perturbation kind {kind!r}")
     if kind == DELETE and t.action_count() < 2:
         raise NoViablePerturbationError("cannot delete from a single-action trajectory")
-    source_text = render_trajectory(t)
     for _ in range(max_attempts):
         if kind == ADD:
             candidates = _add_candidates(t, d)
@@ -367,13 +370,11 @@ def perturb_once(t: Trajectory, kind: str, rng: random.Random, d: DatabaseInput,
         if not candidates:
             break
         edit = rng.choice(candidates)
-        try:
+        try:  # the step and trajectory types reject a structurally invalid edit
             mutated = _apply_edit(list(t.steps), edit)
-            text = render_trajectory(mutated)
-            if text == source_text:
-                continue
-            reparsed = parse_trajectory(text)  # structural validity gate
-        except (BindingError, ValueError, TrajectorySyntaxError):
+        except (BindingError, ValueError):
+            continue
+        if mutated == t:
             continue
         record = PerturbationRecord(
             kind=kind,
@@ -382,7 +383,7 @@ def perturb_once(t: Trajectory, kind: str, rng: random.Random, d: DatabaseInput,
             after=render_action(edit.after) if edit.after is not None else None,
             seed=seed,
         )
-        return reparsed, record
+        return mutated, record
     raise NoViablePerturbationError(f"no viable {kind} perturbation after {max_attempts} attempts")
 
 

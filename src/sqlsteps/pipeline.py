@@ -31,6 +31,7 @@ from typing import Callable, Protocol
 
 from .bridge import decompose, revert
 from .errors import (
+    BackendFailedError,
     BackendUnavailableError,
     FormatError,
     InvalidChainError,
@@ -119,7 +120,8 @@ class StagePayload(Mapping[str, str]):
 
     Reading a key gives its text, rendered from the typed value the first
     time it is read, so text backends see plain strings. `value(key)` gives
-    the typed value itself.
+    the typed value itself. A value given as a callable is computed the first
+    time its key is read.
     """
 
     def __init__(self, values: Mapping[str, object], texts: _Texts | None = None):
@@ -127,7 +129,7 @@ class StagePayload(Mapping[str, str]):
         self._texts = texts if texts is not None else _Texts()
 
     def __getitem__(self, key: str) -> str:
-        return self._texts(self._values[key])
+        return self._texts(self.value(key))
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._values)
@@ -136,7 +138,10 @@ class StagePayload(Mapping[str, str]):
         return len(self._values)
 
     def value(self, key: str) -> object:
-        return self._values[key]
+        value = self._values[key]
+        if callable(value):
+            value = self._values[key] = value()
+        return value
 
 
 class StageBackend(Protocol):
@@ -446,8 +451,8 @@ def run_pipeline(d: DatabaseInput, question: str, initial_sql: str,
         except SqlStepsError as exc:
             _mark_invalid(trace, "sam_mask", exc)
     if trace.masked is not None:
-        out = stage("sam_fill", schema_list=_schema_list(query), masked=trace.masked,
-                    trajectory=current)
+        out = stage("sam_fill", schema_list=functools.partial(_schema_list, query),
+                    masked=trace.masked, trajectory=current)
         if out is not None:
             try:
                 trace.trajectory_schema = current = _as_trajectory(out)
@@ -494,7 +499,7 @@ def _run_stage(trace: PipelineTrace, backend: StageBackend, payload: StagePayloa
         return None
     start = time.perf_counter()
     try:
-        out = backend.invoke(payload)
+        out = _contained("backend", backend.invoke, payload)
         elapsed = time.perf_counter() - start
         if not isinstance(out, (str, Trajectory, MaskedTrajectory)):
             raise StageOutputInvalidError(
@@ -510,6 +515,18 @@ def _run_stage(trace: PipelineTrace, backend: StageBackend, payload: StagePayloa
                                         error=str(exc), error_type=type(exc)))
         trace.error = f"{backend.stage}: {exc}"
         return None
+
+
+def _contained(name: str, call: Callable, arg: object):
+    """`call(arg)` for a backend or generator, which may be the caller's own
+    code: an exception that is no SqlStepsError becomes a BackendFailedError
+    naming its class, so that it stays with its seed."""
+    try:
+        return call(arg)
+    except SqlStepsError:
+        raise
+    except Exception as exc:
+        raise BackendFailedError(f"{name} raised {type(exc).__name__}: {exc}") from exc
 
 
 def _mark_invalid(trace: PipelineTrace, stage: str, exc: Exception) -> None:
@@ -552,7 +569,7 @@ def correct_batch(seeds: list[SeedExample], backends: dict[str, StageBackend],
                                  template_dir=template_dir)
             regenerated = None
             if generator is not None and trace.feedback is not None:
-                regenerated = generator({
+                regenerated = _contained("generator", generator, {
                     "db": render_database_input(d),
                     "question": seed.question,
                     "sql": seed.initial_sql,

@@ -262,6 +262,7 @@ class _Tok:
 
 
 _SQL_OPS = ("<>", "<=", ">=", "!=", "=", "<", ">", "||")
+_NUMBER_RE = re.compile(r"\d*\.?\d+([eE][+-]?\d+)?")
 
 
 def _sql_tokens(text: str) -> list[_Tok]:
@@ -303,11 +304,11 @@ def _sql_tokens(text: str) -> list[_Tok]:
             toks.append(_Tok("QIDENT", text[i + 1:j], i))
             i = j + 1
             continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            m = re.match(r"\d*\.?\d+([eE][+-]?\d+)?", text[i:])
-            assert m is not None
+        # a digit that `str.isdigit` accepts and the number pattern does not
+        # (e.g. `²`) falls through to the unexpected-character error
+        if (ch.isdigit() or ch == ".") and (m := _NUMBER_RE.match(text, i)):
             toks.append(_Tok("NUMBER", m.group(), i))
-            i += m.end()
+            i = m.end()
             continue
         if ch.isalpha() or ch == "_":
             j = i
@@ -460,7 +461,7 @@ class _SqlParser:
         return None
 
     def select_item(self) -> SelectItem:
-        expr = self.expr(allow_star=True)
+        expr = Star() if self.eat_punct("*") else self.expr()
         alias = None
         if self.eat_kw("as"):
             alias = self.ident()
@@ -572,11 +573,11 @@ class _SqlParser:
 
     # -- expressions -----------------------------------------------------------
 
-    def expr(self, allow_star: bool = False) -> SqlExpr:
-        return self.additive(allow_star)
+    def expr(self) -> SqlExpr:
+        return self.additive()
 
-    def additive(self, allow_star: bool = False) -> SqlExpr:
-        left = self.multiplicative(allow_star)
+    def additive(self) -> SqlExpr:
+        left = self.multiplicative()
         while True:
             tok = self.peek()
             if tok.kind == "PUNCT" and tok.text in "+-":
@@ -585,8 +586,8 @@ class _SqlParser:
             else:
                 return left
 
-    def multiplicative(self, allow_star: bool = False) -> SqlExpr:
-        left = self.atom(allow_star)
+    def multiplicative(self) -> SqlExpr:
+        left = self.atom()
         while True:
             tok = self.peek()
             if tok.kind == "PUNCT" and tok.text in "*/":
@@ -595,7 +596,7 @@ class _SqlParser:
             else:
                 return left
 
-    def atom(self, allow_star: bool = False) -> SqlExpr:
+    def atom(self) -> SqlExpr:
         tok = self.peek()
         if tok.kind == "NUMBER":
             self.next()
@@ -603,11 +604,6 @@ class _SqlParser:
         if tok.kind == "STRING":
             self.next()
             return Scalar.of(tok.text)
-        if tok.kind == "PUNCT" and tok.text == "*":
-            if not allow_star:
-                raise SqlSyntaxError("unexpected *", tok.pos)
-            self.next()
-            return Star()
         if tok.kind == "PUNCT" and tok.text == "-":
             self.next()
             inner = self.atom()
@@ -658,7 +654,7 @@ class _SqlParser:
         distinct = bool(self.eat_kw("distinct"))
         if self.at_punct(")"):
             raise SqlSyntaxError(f"function {name} requires arguments", pos)
-        args = [self.expr(allow_star=(lowered == "count"))]
+        args = [Star() if lowered == "count" and self.eat_punct("*") else self.expr()]
         while self.eat_punct(","):
             args.append(self.expr())
         self.expect_punct(")")

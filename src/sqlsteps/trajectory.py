@@ -48,9 +48,6 @@ from .actions import (
     Trajectory,
     TrajectoryStep,
     Where,
-    action_exprs,
-    contains_aggregate,
-    expr_children,
 )
 from .errors import TrajectorySyntaxError, UnknownActionError
 from .schema import DatabaseInput  # noqa: F401  (re-exported for validate callers)
@@ -87,10 +84,10 @@ def _tokenize_line(line: str, lineno: int) -> list[_Token]:
                 raise TrajectorySyntaxError("unterminated backtick identifier", lineno, col)
             tokens.append(_Token("IDENT", line[i + 1:end], col))
             i = end + 1
-        elif ch.isdigit() or (ch == "-" and i + 1 < n and line[i + 1].isdigit()
-                              and _numeric_context(tokens)):
-            m = _NUMBER_RE.match(line, i)
-            assert m is not None
+        # a digit that `str.isdigit` accepts and the number pattern does not
+        # (e.g. `²`) falls through to the unexpected-character error
+        elif (ch.isdigit() or ch == "-" and _numeric_context(tokens)) \
+                and (m := _NUMBER_RE.match(line, i)):
             tokens.append(_Token("NUMBER", m.group(), col))
             i = m.end()
         elif ch.isalpha() or ch == "_":
@@ -206,15 +203,15 @@ class _LineParser:
         if name is None:
             raise UnknownActionError(name_tok.text, self.lineno)
         self.expect("SYM", "(")
-        action = self._dispatch(name, name_tok)
+        action = self._dispatch(name)
         self.expect("SYM", ")")
         return action
 
-    def _dispatch(self, name: str, name_tok: _Token) -> Action:
+    def _dispatch(self, name: str) -> Action:
         if name == "select":
-            return Select(tuple(self._element_list(allow_star=True)))
+            return Select(tuple(self._element_list()))
         if name == "groupby":
-            return GroupBy(tuple(self._element_list(allow_star=False)))
+            return GroupBy(tuple(self._element_list()))
         if name == "where":
             element, cond = self._element_and_filter()
             return Where(element, cond)
@@ -236,11 +233,7 @@ class _LineParser:
             return Combine(name, BindingRef(tok.text))
         if name in AGGREGATE_KINDS:
             self._skip_key({"element"})
-            arg = self.parse_expr(allow_star=(name == "count"))
-            if contains_aggregate(arg):
-                raise TrajectorySyntaxError("aggregates cannot be nested", self.lineno,
-                                            name_tok.col)
-            return AggStep(Aggregate(name, arg))
+            return AggStep(Aggregate(name, self.parse_expr()))
         if name == "cast":
             self._skip_key({"element"})
             arg = self.parse_expr()
@@ -267,12 +260,12 @@ class _LineParser:
                 and nxt is not None and nxt.kind == "SYM" and nxt.text == "="):
             self.pos += 2
 
-    def _element_list(self, allow_star: bool) -> list[Expr]:
+    def _element_list(self) -> list[Expr]:
         self._skip_key({"element", "elements"})
-        items = [self.parse_expr(allow_star=allow_star)]
+        items = [self.parse_expr()]
         while self.eat_sym(","):
             self._skip_key({"element", "elements"})
-            items.append(self.parse_expr(allow_star=allow_star))
+            items.append(self.parse_expr())
         return items
 
     def _element_and_filter(self) -> tuple[Expr, FilterCondition]:
@@ -324,42 +317,33 @@ class _LineParser:
 
     # -- expressions -------------------------------------------------------------
 
-    def parse_expr(self, allow_star: bool = False) -> Expr:
-        expr = self._additive(allow_star)
-        return expr
-
-    def _additive(self, allow_star: bool) -> Expr:
-        left = self._multiplicative(allow_star)
+    def parse_expr(self) -> Expr:
+        left = self._multiplicative()
         while True:
             tok = self.peek()
             if tok is not None and tok.kind == "SYM" and tok.text in "+-":
                 self.pos += 1
-                right = self._multiplicative(False)
-                left = Arithmetic(tok.text, left, right)
+                left = Arithmetic(tok.text, left, self._multiplicative())
             else:
                 return left
 
-    def _multiplicative(self, allow_star: bool) -> Expr:
-        left = self._atom(allow_star)
+    def _multiplicative(self) -> Expr:
+        left = self._atom()
         while True:
             tok = self.peek()
             if tok is not None and tok.kind == "SYM" and tok.text in "*/":
                 self.pos += 1
-                right = self._atom(False)
-                left = Arithmetic(tok.text, left, right)
+                left = Arithmetic(tok.text, left, self._atom())
             else:
                 return left
 
-    def _atom(self, allow_star: bool) -> Expr:
+    def _atom(self) -> Expr:
         tok = self.next()
         if tok.kind == "NUMBER":
             return _scalar_from_number(tok.text)
         if tok.kind == "STRING":
             return Scalar.of(tok.text)
         if tok.kind == "SYM" and tok.text == "*":
-            if not allow_star:
-                raise TrajectorySyntaxError("`*` only allowed in count() or select()",
-                                            self.lineno, tok.col)
             return Star()
         if tok.kind == "SYM" and tok.text == "(":
             inner = self.parse_expr()
@@ -379,11 +363,8 @@ class _LineParser:
         if self.at_sym("("):
             if lowered in AGGREGATE_KINDS:
                 self.expect("SYM", "(")
-                arg = self.parse_expr(allow_star=(lowered == "count"))
+                arg = self.parse_expr()
                 self.expect("SYM", ")")
-                if contains_aggregate(arg):
-                    raise TrajectorySyntaxError("aggregates cannot be nested",
-                                                self.lineno, tok.col)
                 return Aggregate(lowered, arg)
             if lowered == "cast":
                 self.expect("SYM", "(")
@@ -564,30 +545,10 @@ def parse_trajectory(text: str) -> Trajectory:
             continue
         parser = _LineParser(_tokenize_line(line, lineno), lineno)
         try:
-            step = parser.parse_step()
-        except ValueError as exc:  # a value an action rejects, e.g. limit(0)
+            steps.append(parser.parse_step())
+        except ValueError as exc:  # a value an action or a step rejects, e.g. limit(0)
             raise TrajectorySyntaxError(str(exc), lineno, parser.column()) from exc
-        _check_star_placement(step, lineno)
-        steps.append(step)
     return Trajectory(tuple(steps))
-
-
-def _check_star_placement(step: TrajectoryStep, lineno: int) -> None:
-    for action in step.chain:
-        for expr in action_exprs(action):
-            top_level_select = isinstance(action, Select)
-            _walk_star(expr, top_level=top_level_select, lineno=lineno)
-
-
-def _walk_star(expr: Expr, top_level: bool, lineno: int) -> None:
-    if isinstance(expr, Star) and not top_level:
-        raise TrajectorySyntaxError("`*` only allowed in count() or select()", lineno, 1)
-    if isinstance(expr, Aggregate) and isinstance(expr.arg, Star):
-        if expr.kind != "count":
-            raise TrajectorySyntaxError("`*` only allowed in count() or select()", lineno, 1)
-        return  # the `*` of count(*)
-    for child in expr_children(expr):
-        _walk_star(child, top_level=False, lineno=lineno)
 
 
 def render_trajectory(t: Trajectory) -> str:
@@ -778,10 +739,6 @@ def _check_chains(t: Trajectory, report: ValidationReport) -> None:
     for idx, step in enumerate(t.steps):
         chain_has_groupby = False
         for pos, action in enumerate(step.chain):
-            for expr in action_exprs(action):
-                if _nested_aggregate(expr):
-                    report.findings.append(Finding("error", idx, "nested-aggregate",
-                                                   "aggregate argument contains an aggregate"))
             if isinstance(action, GroupBy):
                 chain_has_groupby = True
                 groupby_seen = True
@@ -795,8 +752,3 @@ def _check_chains(t: Trajectory, report: ValidationReport) -> None:
             elif isinstance(action, Having) and not groupby_seen:
                 report.findings.append(Finding("warning", idx, "chain-order",
                                                "having without a preceding groupby"))
-
-
-def _nested_aggregate(expr: Expr) -> bool:
-    check = contains_aggregate if isinstance(expr, Aggregate) else _nested_aggregate
-    return any(check(child) for child in expr_children(expr))

@@ -141,6 +141,22 @@ def test_limit_zero_unsupported(store):
     assert round_trip(q, store).verdict == UNSUPPORTED
 
 
+@pytest.mark.parametrize("sql", [
+    "SELECT SUM(COUNT(orders.id)) FROM orders",
+    "SELECT orders.status FROM orders GROUP BY orders.status "
+    "ORDER BY MAX(CAST(COUNT(orders.id) AS REAL))",
+])
+def test_nested_aggregate_is_unsupported(store, sql):
+    # the step type rejects the aggregate inside an aggregate, so decompose
+    # emits no trajectory that its own parser would reject
+    q = parse_sql(sql)
+    with pytest.raises(UnsupportedSqlError, match="^aggregate argument contains an aggregate$"):
+        decompose(q, store)
+    report = round_trip(q, store)
+    assert (report.verdict, report.reason) == (UNSUPPORTED,
+                                               "aggregate argument contains an aggregate")
+
+
 def test_self_join_unsupported(store):
     q = parse_sql("SELECT a.name FROM customers a JOIN customers b ON a.id = b.id")
     with pytest.raises(UnsupportedSqlError):

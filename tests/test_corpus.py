@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -277,20 +278,13 @@ def test_sam_and_lom_from_read_back_bam_are_byte_identical(
     assert files["typed", "lom"] == files["text", "lom"]
 
 
-def test_lom_initial_error_that_does_not_parse_back_fails_its_seed(monkeypatch, bam,
-                                                                   fixture_seeds, schemas):
-    from sqlsteps import corpus
-    from sqlsteps.errors import TrajectorySyntaxError
-
-    def reject(text):
-        raise TrajectorySyntaxError("rejected", 1, 1)
-
-    # in-memory bam records carry their trajectories, so only the structural
-    # check of each initial-error pair reaches this parser
-    monkeypatch.setattr(corpus, "parse_trajectory", reject)
-    lom = build_lom_corpus(bam.records, fixture_seeds, PerturbationConfig(k=1, seed=3), schemas)
-    unconvertible = {seed_id for seed_id, verdict, _ in lom.failures
-                     if verdict == "initial-unconvertible"}
-    assert "s01" in unconvertible
-    assert all(r.provenance["source"] != "initial-error" for r in lom.records)
-    assert any(r.provenance["source"] == "perturbation" for r in lom.records)
+def test_lom_initial_error_the_step_types_reject_fails_its_seed(bam, fixture_seeds, schemas):
+    # an initial SQL whose decomposition nests an aggregate is no trajectory:
+    # decompose rejects it, and its seed fails instead of giving a pair
+    seeds = [replace(seed, initial_sql="SELECT SUM(COUNT(schools.id)) FROM schools")
+             if seed.id == "s01" else seed for seed in fixture_seeds]
+    lom = build_lom_corpus(bam.records, seeds, PerturbationConfig(k=1, seed=3), schemas)
+    assert ("s01", "initial-unconvertible", "aggregate argument contains an aggregate") \
+        in lom.failures
+    sources = {r.provenance["source"] for r in lom.records if r.provenance["seed_id"] == "s01"}
+    assert "initial-error" not in sources

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from sqlsteps.actions import Aggregate, Arithmetic, Cast, QualifiedColumn, Scalar
+from sqlsteps.actions import AggStep, Aggregate, Arithmetic, Cast, QualifiedColumn, Scalar, Star
+from sqlsteps.bridge import decompose
 from sqlsteps.errors import NoViablePerturbationError
 from sqlsteps.perturb import (
     ADD,
@@ -18,9 +19,10 @@ from sqlsteps.perturb import (
     stream_rng,
 )
 from sqlsteps.schema import parse_database_text
+from sqlsteps.sqlast import parse_sql
 from sqlsteps.trajectory import parse_trajectory, render_trajectory
 
-from conftest import golden
+from conftest import generated_seeds, golden
 
 # pinned seeds reproducing the three published before/after pairs
 GOLDEN_SEEDS = {ADD: 32, DELETE: 1, SUBSTITUTE: 1}
@@ -169,3 +171,31 @@ def test_swap_column_swaps_only_the_first_swappable_column():
         "sum", Cast(Arithmetic("*", x_minus_1, z), "real"))
     assert _swap_column(Arithmetic("+", x, unknown), d) is None
     assert _swap_column(Scalar(1, "int"), d) is None
+
+
+@pytest.mark.parametrize("weights", [(1 / 3, 1 / 3, 1 / 3), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                                     (0.0, 0.0, 1.0)])
+def test_every_augment_output_parses_back_to_itself(store, weights):
+    # perturb_once returns the edited value itself: its text must parse back to it
+    verified = [decompose(parse_sql(seed.gold_sql), store) for seed in generated_seeds()]
+    report = augment(verified, PerturbationConfig(k=3, weights=weights, seed=7), store)
+    assert len(report.pairs) > 200
+    for pair in report.pairs:
+        assert parse_trajectory(render_trajectory(pair.erroneous)) == pair.erroneous
+        assert pair.erroneous != pair.verified
+
+
+def test_count_star_is_substituted_only_by_valid_steps():
+    # sum(*), average(*), min(*) and max(*) are rewrites of count(*) that the
+    # step type rejects; they are drawn again, and never returned
+    t = parse_trajectory("df1 = df.groupby(t.a).count(*)\nres = df1.select(t.a)")
+    count_star = AggStep(Aggregate("count", Star()))
+    d = parse_database_text("table t\n  column a int\n  column b int\n")
+    for i in range(30):
+        got, record = perturb_once(t, SUBSTITUTE, random.Random(f"star:{i}"), d, seed=i)
+        assert got.steps[0].chain[1] == count_star
+        assert record.before != "count(*)"
+        assert parse_trajectory(render_trajectory(got)) == got
+    alone = parse_database_text("table t\n  column a int\n")  # no sibling column to swap in
+    with pytest.raises(NoViablePerturbationError):
+        perturb_once(t, SUBSTITUTE, random.Random("star"), alone)

@@ -6,6 +6,7 @@ import pytest
 
 from sqlsteps.bridge import decompose
 from sqlsteps.errors import (
+    BackendFailedError,
     BackendUnavailableError,
     FormatError,
     StageOutputInvalidError,
@@ -243,6 +244,44 @@ def test_rejected_value_in_stage_output_stays_with_its_seed(fixture_seeds, schem
     assert "stage lom" in errors["s02"] and "limit" in errors["s02"]
     s02 = next(r for r in results if r.seed_id == "s02")
     assert s02.feedback is not None  # degraded to the sam_fill trajectory
+
+
+def test_backend_exception_of_its_own_stays_with_its_seed(fixture_seeds, schemas):
+    class MissingKey:
+        stage = "lom"
+        identity = False
+
+        def describe(self):
+            return "test:missing-key"
+
+        def invoke(self, payload):
+            if payload.get("id") == "s02":
+                return {}["trajectory"]
+            return payload["trajectory"]
+
+    backends = rule_backends()
+    backends["lom"] = MissingKey()
+    results = correct_batch(fixture_seeds, backends, schemas, jobs=2)
+    assert len(results) == 10
+    errors = {r.seed_id: r.error for r in results if r.error}
+    assert set(errors) - {"s10"} == {"s02"}
+    assert errors["s02"] == "lom: backend raised KeyError: 'trajectory'"
+    s02 = next(r for r in results if r.seed_id == "s02")
+    assert s02.trace.stages[-1].error_type is BackendFailedError
+    assert s02.feedback is not None  # degraded to the sam_fill trajectory
+
+
+def test_generator_exception_of_its_own_stays_with_its_seed(fixture_seeds, schemas):
+    def generator(payload):
+        if payload["id"] == "s03":
+            raise RuntimeError("model offline")
+        return payload["reverted_sql"]
+
+    results = correct_batch(fixture_seeds, rule_backends(), schemas, generator=generator)
+    assert len(results) == 10
+    s03 = next(r for r in results if r.seed_id == "s03")
+    assert s03.error == "generator raised RuntimeError: model offline"
+    assert all(r.error is None for r in results if r.seed_id not in ("s03", "s10"))
 
 
 def test_limit_zero_initial_sql_stays_with_its_seed(fixture_seeds, schemas, dbs):

@@ -69,10 +69,26 @@ def test_quoted_identifiers_across_dialects():
     "SELECT a FROM t WHERE",
     "SELECT RANK() OVER (ORDER BY a) FROM t",
     "SELECT a FROM t WHERE a = NULL",
+    # `*` stands only as a select item or as the argument of COUNT
+    "SELECT * + 1 FROM t",
+    "SELECT SUM(*) FROM t",
+    "SELECT COUNT(* + 1) FROM t",
+    "SELECT a FROM t WHERE a = *",
 ])
 def test_rejects_non_subset(bad):
     with pytest.raises(SqlSyntaxError):
         parse_sql(bad)
+
+
+@pytest.mark.parametrize("sql, position", [
+    ("select \u00b2 from t", 7),
+    ("select .\u00b2 from t", 8),
+])
+def test_digit_outside_the_number_grammar_is_a_syntax_error(sql, position):
+    # `str.isdigit` accepts a superscript two, the number pattern does not
+    with pytest.raises(SqlSyntaxError) as err:
+        parse_sql(sql)
+    assert err.value.position == position
 
 
 def test_raw_wraps_parse_failures():

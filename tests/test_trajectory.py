@@ -3,9 +3,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqlsteps.actions import (
+    AggStep,
     Aggregate,
+    Arithmetic,
+    BindingRef,
+    Cast,
     DATE_RE,
     FilterCondition,
+    GroupBy,
+    OrderBy,
     QualifiedColumn,
     Scalar,
     Select,
@@ -114,6 +120,38 @@ def test_star_only_in_count_or_select():
         parse_trajectory("df1 = df.where(element = *, filter = 1)\nres = df1.select(t.a)")
 
 
+@pytest.mark.parametrize("chain, message", [
+    ((Select((Aggregate("sum", Aggregate("count", QualifiedColumn("t", "a"))),)),),
+     "aggregate argument contains an aggregate"),
+    ((AggStep(Aggregate("max", Cast(Aggregate("min", QualifiedColumn("t", "a")), "real"))),),
+     "aggregate argument contains an aggregate"),
+    ((Select((Aggregate("sum", Star()),)),), "`*` only allowed"),
+    ((AggStep(Aggregate("average", Star())),), "`*` only allowed"),
+    ((Select((Arithmetic("+", Star(), Scalar(1, "int")),)),), "`*` only allowed"),
+    ((Select((Aggregate("count", Arithmetic("*", Star(), Scalar(2, "int"))),)),),
+     "`*` only allowed"),
+    ((GroupBy((Star(),)),), "`*` only allowed"),
+    ((OrderBy(Star(), "asc"),), "`*` only allowed"),
+])
+def test_step_rejects_misplaced_star_and_nested_aggregate(chain, message):
+    with pytest.raises(ValueError, match=message):
+        TrajectoryStep("res", "df", chain)
+
+
+def test_binding_ref_is_never_df():
+    # no step binds `df`, and the text grammar reads a bare `df` operand as a string
+    with pytest.raises(ValueError, match="invalid binding name 'df'"):
+        BindingRef("df")
+    assert parse_filter_text("> df") == FilterCondition(">", (Scalar("df", "string"),))
+
+
+def test_step_accepts_star_in_select_and_count():
+    count_star = Aggregate("count", Star())
+    TrajectoryStep("res", "df", (Select((Star(), count_star)),))
+    TrajectoryStep("res", "df", (OrderBy(Arithmetic("+", count_star, Scalar(1, "int")), "desc"),
+                                 AggStep(count_star), Select((QualifiedColumn("t", "a"),))))
+
+
 def test_syntax_error_carries_position():
     with pytest.raises(TrajectorySyntaxError) as err:
         parse_trajectory("res = df.select(t.a")
@@ -125,6 +163,9 @@ def test_syntax_error_carries_position():
     ("res = df.select(customers.name).limit(1e5)", 39),
     ("res = df.select(customers.name).limit(2, -1)", 42),
     ("df1 = df.where(t.a, 'between 1 and 2.5')\nres = df1.select(t.a)", 21),
+    # `str.isdigit` accepts a superscript two, the number pattern does not
+    ("res = df.select(\u00b2)", 17),
+    ("res = df.select(-\u00b2)", 18),
 ])
 def test_rejected_action_values_are_syntax_errors(text, column):
     with pytest.raises(TrajectorySyntaxError) as err:

@@ -1,10 +1,12 @@
-"""The correction path computes each fact of a seed once.
+"""The correction path and the corpus builders compute each fact of a seed once.
 
 Call counts over `correct_batch` and `evaluate_correction`, taken by wrapping
 the names as `evaluate`, `pipeline`, `masking` and `bridge` see them: a rule
-run hands its round-trip verdict and its canonical forms to evaluation, and
-the rule `sam_fill` keeps the trajectory it was given. The fallbacks that
-recompute, when a run cannot vouch for its own work, stay live.
+run hands its round-trip verdict and its canonical forms to evaluation, the
+rule `sam_fill` keeps the trajectory it was given and no stage reads the
+schema list. The fallbacks that recompute, when a run cannot vouch for its
+own work, stay live. A corpus build from in-memory bam records parses no
+trajectory text and each seed's gold SQL once.
 """
 
 from collections import Counter
@@ -12,9 +14,10 @@ from dataclasses import replace
 
 import pytest
 
-from sqlsteps import bridge, evaluate, masking, pipeline
+from sqlsteps import bridge, corpus, evaluate, masking, pipeline, sqlast
 from sqlsteps.errors import SqlStepsError
 from sqlsteps.masking import MaskedTrajectory, mask_schema
+from sqlsteps.perturb import PerturbationConfig
 from sqlsteps.sqlast import SqlQuery
 from sqlsteps.trajectory import render_trajectory
 
@@ -22,7 +25,8 @@ from conftest import generated_seeds
 
 WRAPPED = [(evaluate, "round_trip"), (pipeline, "canonicalize"), (bridge, "canonicalize"),
            (pipeline, "fill_mask"), (pipeline, "parse_trajectory"),
-           (masking, "parse_trajectory")]
+           (masking, "parse_trajectory"), (pipeline, "extract_schema"),
+           (corpus, "parse_trajectory"), (sqlast, "parse_sql")]
 
 
 @pytest.fixture
@@ -49,10 +53,27 @@ def test_rule_run_does_each_fact_once(calls, fixture_seeds, schemas, dbs):
     assert converted >= 90
     assert calls["pipeline.fill_mask"] == 0
     assert calls["pipeline.parse_trajectory"] == calls["masking.parse_trajectory"] == 0
+    assert calls["pipeline.extract_schema"] == 0
 
     evaluate.evaluate_correction(results, seeds, dbs, schemas)
     assert calls["evaluate.round_trip"] == 0
     assert calls["pipeline.canonicalize"] + calls["bridge.canonicalize"] <= 2 * converted
+
+
+@pytest.mark.parametrize("with_dbs", [False, True])
+def test_corpus_build_parses_no_trajectory_and_each_gold_once(calls, fixture_seeds, schemas,
+                                                              dbs, with_dbs):
+    seeds = generated_seeds() + list(fixture_seeds)
+    bam = corpus.build_bam_corpus(seeds, schemas)
+    assert calls["sqlast.parse_sql"] == len(seeds)  # the golds
+    corpus.build_sam_corpus(bam.records, seeds, schemas)
+    lom = corpus.build_lom_corpus(bam.records, seeds, PerturbationConfig(k=2, seed=5),
+                                  schemas, dbs=dbs if with_dbs else None)
+    sources = {record.provenance["source"] for record in lom.records}
+    assert sources >= {"perturbation", "initial-error"}
+    assert calls["corpus.parse_trajectory"] == calls["masking.parse_trajectory"] == 0
+    # sam and lom each parse the initial SQL of every seed with a bam record
+    assert calls["sqlast.parse_sql"] == len(seeds) + 2 * len(bam.records)
 
 
 def test_scripted_bam_verdicts_come_from_round_trip(calls, fixture_seeds, schemas, dbs):
