@@ -63,6 +63,13 @@ class Scalar:
             return Scalar(value, "date")
         return Scalar(value, "string")
 
+    @staticmethod
+    def number(text: str) -> "Scalar":
+        """The literal a number token spells: real with a point or an exponent."""
+        if "." in text or "e" in text.lower():
+            return Scalar(float(text), "real")
+        return Scalar(int(text), "int")
+
 
 @dataclass(frozen=True)
 class Star:
@@ -108,7 +115,7 @@ class Substr:
     length: int | None = None
 
 
-Expr = Union[QualifiedColumn, Scalar, Star, Aggregate, Cast, Arithmetic, Substr, BindingRef]
+Expr = Union[QualifiedColumn, Scalar, Star, Aggregate, Cast, Arithmetic, Substr]
 
 
 def expr_children(expr: Expr) -> tuple[Expr, ...]:
@@ -290,8 +297,8 @@ Action = Union[Select, Where, GroupBy, Having, OrderBy, Limit, Distinct,
 @dataclass(frozen=True)
 class TrajectoryStep:
     """One `binding = receiver.action(...)...` line. Its expressions hold `*`
-    only as a top-level select element or as the argument of count, and no
-    aggregate inside an aggregate."""
+    only as a top-level select element or as the argument of count, no
+    aggregate inside an aggregate, and no binding reference."""
 
     binding: str
     receiver: str
@@ -310,6 +317,8 @@ class TrajectoryStep:
 
 
 def _check_expr(expr: Expr, star_ok: bool, in_aggregate: bool) -> None:
+    if isinstance(expr, BindingRef):
+        raise ValueError("a binding reference cannot appear inside an expression")
     if isinstance(expr, Star) and not star_ok:
         raise ValueError("`*` only allowed in count() or select()")
     if isinstance(expr, Aggregate):
@@ -391,7 +400,8 @@ def map_action_exprs(action: Action, fn: Callable[[Expr], Expr]) -> Action:
 
 
 def check_bindings(steps: tuple[TrajectoryStep, ...]) -> None:
-    """Enforce single assignment, no forward references, and a final `res`."""
+    """Enforce single assignment, no forward references (receivers, set and
+    filter operands), and a final `res`."""
     if not steps:
         raise BindingError("trajectory has no steps")
     bound: set[str] = set()
@@ -403,6 +413,9 @@ def check_bindings(steps: tuple[TrajectoryStep, ...]) -> None:
         for action in step.chain:
             if isinstance(action, Combine) and action.other.name not in bound:
                 raise BindingError(f"set operand {action.other.name!r} used before assignment")
+            for op in action.condition.operands if isinstance(action, (Where, Having)) else ():
+                if isinstance(op, BindingRef) and op.name not in bound:
+                    raise BindingError(f"filter operand {op.name!r} used before assignment")
         bound.add(step.binding)
     if "res" not in bound:
         raise BindingError("no step binds `res`")

@@ -40,6 +40,7 @@ from .actions import (
     columns_in,
 )
 from .errors import (
+    BRIDGE_ERRORS,
     InvalidChainError,
     JoinPathNotFoundError,
     SchemaMismatchError,
@@ -583,8 +584,6 @@ def _to_sql_expr(expr: Expr) -> SqlExpr:
         if expr.length is not None:
             args += (Scalar(expr.length, "int"),)
         return Func("substr", args)
-    if isinstance(expr, BindingRef):
-        raise InvalidChainError("a binding reference cannot appear inside an expression")
     raise TypeError(f"not an expression: {expr!r}")
 
 
@@ -647,8 +646,7 @@ def round_trip(s: SqlQuery, d: DatabaseInput) -> RoundTripReport:
     try:
         t = decompose(s, d)
         reverted = revert(t, d, s.dialect)
-    except (UnsupportedSqlError, SchemaMismatchError, JoinPathNotFoundError,
-            InvalidChainError) as exc:
+    except BRIDGE_ERRORS as exc:
         return RoundTripReport(s, None, None, UNSUPPORTED, reason=str(exc))
     original_canon = canonicalize(s, d)
     reverted_canon = canonicalize(reverted, d)

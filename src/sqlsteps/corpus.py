@@ -17,15 +17,7 @@ from pathlib import Path
 
 from .actions import Trajectory
 from .bridge import PASS, decompose, round_trip
-from .errors import (
-    FormatError,
-    InvalidChainError,
-    JoinPathNotFoundError,
-    MissingSchemaError,
-    SchemaMismatchError,
-    SqlSyntaxError,
-    UnsupportedSqlError,
-)
+from .errors import BRIDGE_ERRORS, FormatError, MissingSchemaError
 from .masking import mask_schema
 from .perturb import PerturbationConfig, augment, inject_negatives
 from .schema import DatabaseInput, SchemaList, extract_schema, render_database_input
@@ -39,9 +31,6 @@ TARGET_SAM1 = "sam-phase1"
 TARGET_SAM2 = "sam-phase2"
 TARGET_LOM = "lom"
 TARGETS = (TARGET_BAM, TARGET_SAM1, TARGET_SAM2, TARGET_LOM)
-
-_CONVERSION_ERRORS = (UnsupportedSqlError, SchemaMismatchError, JoinPathNotFoundError,
-                      InvalidChainError, SqlSyntaxError)
 
 
 @dataclass(frozen=True)
@@ -293,7 +282,7 @@ def build_lom_corpus(bam_records: list[CorpusRecord], seeds: list[SeedExample],
                 continue
             try:
                 erroneous = decompose(initial, d)
-            except _CONVERSION_ERRORS as exc:
+            except BRIDGE_ERRORS as exc:
                 failures.append((seed.id, "initial-unconvertible", str(exc)))
                 continue
             positives.append((seed, erroneous, verified,
@@ -345,7 +334,7 @@ def _initial_is_correct(seed: SeedExample, initial: SqlQuery, gold: SqlQuery,
         return False
     try:
         return canonicalize(initial, d) == canonicalize(gold, d)
-    except _CONVERSION_ERRORS:
+    except BRIDGE_ERRORS:
         return False
 
 

@@ -41,6 +41,10 @@ class SqlSyntaxError(SqlStepsError):
         self.position = position
 
 
+class SqlTooDeepError(SqlSyntaxError):
+    """SQL text nests deeper than `sqlast.MAX_DEPTH` levels."""
+
+
 class UnsupportedSqlError(SqlStepsError):
     """SQL construct falls outside the convertible subset."""
 
@@ -115,3 +119,9 @@ class AlignmentError(SqlStepsError):
 
 class UsageError(SqlStepsError):
     """Command-line invocation error."""
+
+
+# What converting one seed between SQL and a trajectory can raise: a verdict on
+# that seed, never a fault of the run.
+BRIDGE_ERRORS = (UnsupportedSqlError, SchemaMismatchError, JoinPathNotFoundError,
+                 InvalidChainError, SqlSyntaxError)

@@ -26,15 +26,11 @@ from .actions import (
 from .bridge import PASS, decompose, round_trip
 from .corpus import SeedExample
 from .errors import (
+    BRIDGE_ERRORS,
     AlignmentError,
     EngineUnavailableError,
     GoldExecutionFailedError,
-    InvalidChainError,
-    JoinPathNotFoundError,
     MissingSchemaError,
-    SchemaMismatchError,
-    SqlSyntaxError,
-    UnsupportedSqlError,
 )
 from .pipeline import CorrectionResult
 from .schema import DatabaseInput, extract_schema
@@ -42,9 +38,6 @@ from .sqlast import SqlQuery
 from .trajectory import render_expr
 
 log = logging.getLogger(__name__)
-
-_BRIDGE_ERRORS = (UnsupportedSqlError, SchemaMismatchError, JoinPathNotFoundError,
-                  InvalidChainError, SqlSyntaxError)
 
 SCHEMA_ERROR = "schema"
 LOGIC_ERROR = "logic"
@@ -321,7 +314,7 @@ def _round_trip_pass(result: CorrectionResult, initial: SqlQuery,
         return None
     try:
         return round_trip(initial, d).verdict == PASS
-    except _BRIDGE_ERRORS:
+    except BRIDGE_ERRORS:
         return False
 
 
@@ -337,7 +330,7 @@ def _tag_from_trajectories(result: CorrectionResult, corrected: SqlQuery, gold: 
         if pred_trajectory is None:
             return None
         gold_trajectory = decompose(gold, d)
-    except _BRIDGE_ERRORS:
+    except BRIDGE_ERRORS:
         return None
     return tag_error(pred_trajectory, gold_trajectory, d)
 

@@ -31,18 +31,14 @@ from typing import Callable, Protocol
 
 from .bridge import decompose, revert
 from .errors import (
+    BRIDGE_ERRORS,
     BackendFailedError,
     BackendUnavailableError,
     FormatError,
-    InvalidChainError,
-    JoinPathNotFoundError,
     MissingSchemaError,
-    SchemaMismatchError,
     SqlStepsError,
-    SqlSyntaxError,
     StageOutputInvalidError,
     TemplateNotFoundError,
-    UnsupportedSqlError,
 )
 from .corpus import SeedExample
 from .masking import (
@@ -63,9 +59,6 @@ from .sqlast import SqlQuery, canonicalize
 from .trajectory import Trajectory, parse_trajectory, render_trajectory, validate_trajectory
 
 STAGES = ("bam", "sam_mask", "sam_fill", "lom")
-
-_BRIDGE_ERRORS = (UnsupportedSqlError, SchemaMismatchError, JoinPathNotFoundError,
-                  InvalidChainError, SqlSyntaxError)
 
 StageOutput = str | Trajectory | MaskedTrajectory
 
@@ -363,7 +356,7 @@ def make_feedback(t: Trajectory, d: DatabaseInput, template_id: str = "regenerat
     reverted: SqlQuery | None
     try:
         reverted = revert(t, d)
-    except _BRIDGE_ERRORS:
+    except BRIDGE_ERRORS:
         reverted = None
     prompt = template.safe_substitute(
         database=render_database_input(d),
@@ -602,7 +595,7 @@ def _canonical_forms(trace: PipelineTrace, d: DatabaseInput) -> tuple[str, str] 
         return None
     try:
         return canonicalize(trace.query, d), canonicalize(reverted, d)
-    except _BRIDGE_ERRORS:
+    except BRIDGE_ERRORS:
         return None
 
 
@@ -623,7 +616,7 @@ def _round_trip_verdict(trace: PipelineTrace, bam: StageBackend, dialect: str,
         return None
     if trace.trajectory_initial is None:  # decompose raised; the bam record holds its class
         error_type = trace.stages[0].error_type
-        return False if error_type is not None and issubclass(error_type, _BRIDGE_ERRORS) else None
+        return False if error_type is not None and issubclass(error_type, BRIDGE_ERRORS) else None
     if trace.final_trajectory() is not trace.trajectory_initial:
         return None
     return forms is not None and forms[0] == forms[1]
@@ -637,5 +630,5 @@ def _overcorrection_flag(seed: SeedExample, d: DatabaseInput,
     gold = SqlQuery.raw(seed.gold_sql)
     try:
         return gold.ast is not None and canonicalize(gold, d) == forms[0]
-    except _BRIDGE_ERRORS:
+    except BRIDGE_ERRORS:
         return False

@@ -15,6 +15,7 @@ Identifiers containing spaces are backtick-quoted.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -188,24 +189,18 @@ def parse_database_text(text: str, default_name: str = "db") -> DatabaseInput:
     return d
 
 
+# A word is a backtick-quoted run (spaces allowed) or a run of non-space
+# characters; a word that opens a backtick it never closes is an error.
+_WORD_RE = re.compile(r"`([^`]*)`|\S+")
+
+
 def _split_words(line: str, lineno: int) -> list[str]:
     words: list[str] = []
-    i, n = 0, len(line)
-    while i < n:
-        if line[i].isspace():
-            i += 1
-        elif line[i] == "`":
-            end = line.find("`", i + 1)
-            if end < 0:
-                raise FormatError("unterminated backtick identifier", lineno)
-            words.append(line[i + 1:end])
-            i = end + 1
-        else:
-            j = i
-            while j < n and not line[j].isspace():
-                j += 1
-            words.append(line[i:j])
-            i = j
+    for m in _WORD_RE.finditer(line):
+        quoted, word = m.group(1, 0)
+        if quoted is None and word.startswith("`"):
+            raise FormatError("unterminated backtick identifier", lineno)
+        words.append(word if quoted is None else quoted)
     return words
 
 

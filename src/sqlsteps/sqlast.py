@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Union
+from typing import TYPE_CHECKING, Callable, TypeVar, Union
 
 from .actions import Scalar, Star
-from .errors import SqlSyntaxError
+from .errors import SqlSyntaxError, SqlTooDeepError
 
 if TYPE_CHECKING:
     from .schema import DatabaseInput
@@ -28,6 +28,13 @@ KEYWORDS = {
 }
 
 AGG_FUNCS = {"count", "sum", "avg", "min", "max"}
+
+# Deepest nesting a query or a trajectory may reach (see `BoundedParser`);
+# deeper text is a syntax error rather than a recursion fault in a later walk
+# of its tree.
+MAX_DEPTH = 32
+
+_Node = TypeVar("_Node")
 
 
 # --- expression nodes --------------------------------------------------------
@@ -261,88 +268,143 @@ class _Tok:
     pos: int
 
 
-_SQL_OPS = ("<>", "<=", ">=", "!=", "=", "<", ">", "||")
-_NUMBER_RE = re.compile(r"\d*\.?\d+([eE][+-]?\d+)?")
+# Whitespace, then one alternative per token class, tried in order. A word
+# starts with no decimal digit, so that no number is read as one. A string
+# closes at a quote that is not doubled, so an unterminated one falls through
+# to BAD at its opening quote. BAD and END always match, so whitespace is
+# never scanned twice.
+_SQL_TOKEN_RE = re.compile(r"""
+    \s*
+    (?: (?P<WORD>[^\W\d]\w*)
+      | (?P<NUMBER>\d*\.?\d+(?:[eE][+-]?\d+)?)
+      | (?P<COMMENT>--[^\n]*)
+      | (?P<PUNCT>[(),.*+\-/;])
+      | (?P<OP><>|<=|>=|!=|=|<|>|\|\|)
+      | (?P<STRING>'[^']*(?:''[^']*)*'(?!'))
+      | (?P<QIDENT>"[^"]*"|`[^`]*`|\[[^\]]*\])
+      | (?P<BAD>.)
+      | (?P<END>\Z))
+""", re.VERBOSE | re.DOTALL)
 
 
 def _sql_tokens(text: str) -> list[_Tok]:
     toks: list[_Tok] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
+    for m in _SQL_TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        tok, pos = m[kind], m.start(kind)
+        # a word may still start with a digit that is no decimal digit (e.g.
+        # `²`), an unexpected character
+        if kind == "WORD" and (tok[0].isalpha() or tok[0] == "_"):
+            kind = "KW" if tok.lower() in KEYWORDS else "IDENT"
+        elif kind == "COMMENT":
             continue
-        if ch == "-" and text.startswith("--", i):
-            j = text.find("\n", i)
-            i = n if j < 0 else j + 1
-            continue
-        if ch == "'":
-            j = i + 1
-            buf: list[str] = []
-            while j < n:
-                if text[j] == "'":
-                    if j + 1 < n and text[j + 1] == "'":
-                        buf.append("'")
-                        j += 2
-                        continue
-                    break
-                buf.append(text[j])
-                j += 1
-            else:
-                raise SqlSyntaxError("unterminated string literal", i)
-            if j >= n:
-                raise SqlSyntaxError("unterminated string literal", i)
-            toks.append(_Tok("STRING", "".join(buf), i))
-            i = j + 1
-            continue
-        if ch in "\"`[":
-            closer = {"\"": "\"", "`": "`", "[": "]"}[ch]
-            j = text.find(closer, i + 1)
-            if j < 0:
-                raise SqlSyntaxError("unterminated quoted identifier", i)
-            toks.append(_Tok("QIDENT", text[i + 1:j], i))
-            i = j + 1
-            continue
-        # a digit that `str.isdigit` accepts and the number pattern does not
-        # (e.g. `²`) falls through to the unexpected-character error
-        if (ch.isdigit() or ch == ".") and (m := _NUMBER_RE.match(text, i)):
-            toks.append(_Tok("NUMBER", m.group(), i))
-            i = m.end()
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "KW" if word.lower() in KEYWORDS else "IDENT"
-            toks.append(_Tok(kind, word, i))
-            i = j
-            continue
-        matched = False
-        for op in _SQL_OPS:
-            if text.startswith(op, i):
-                toks.append(_Tok("OP", "!=" if op == "<>" else op, i))
-                i += len(op)
-                matched = True
-                break
-        if matched:
-            continue
-        if ch in "(),.*+-/;":
-            toks.append(_Tok("PUNCT", ch, i))
-            i += 1
-            continue
-        raise SqlSyntaxError(f"unexpected character {ch!r}", i)
-    toks.append(_Tok("END", "", n))
+        elif kind == "END":
+            break
+        elif kind == "OP" and tok == "<>":
+            tok = "!="
+        elif kind == "STRING":
+            tok = tok[1:-1].replace("''", "'")
+        elif kind == "QIDENT":
+            tok = tok[1:-1]
+        elif kind in ("WORD", "BAD"):
+            if tok == "'":
+                raise SqlSyntaxError("unterminated string literal", pos)
+            if tok in "\"`[":
+                raise SqlSyntaxError("unterminated quoted identifier", pos)
+            raise SqlSyntaxError(f"unexpected character {tok[0]!r}", pos)
+        toks.append(_Tok(kind, tok, pos))
+    toks.append(_Tok("END", "", len(text)))
     return toks
 
 
 # --- parser ---------------------------------------------------------------------
 
-class _SqlParser:
+class BoundedParser:
+    """Holds a recursive-descent parse to MAX_DEPTH levels, counted twice.
+
+    `nesting` bounds the parser's own recursion: every parenthesis or call it
+    is inside. `peak` bounds the height of the tree it builds, and so the
+    recursion of every later walk of that tree: a call, NOT, unary minus or
+    subquery opens one tree level below its context, each operator of a chain
+    one level below the deepest its left side reached, and an AND/OR list one
+    level above its deepest item. A bare parenthesis builds no node, so text
+    rendered from a tree takes as many levels as the text it was parsed from.
+
+    A subclass supplies `take_op(ops)`, which consumes and returns the next
+    token's operator if it is one of `ops`, and `too_deep()`, its syntax error
+    at the last token read.
+    """
+
+    depth = 0  # tree level of the node being parsed
+    peak = 0  # deepest tree level the current construct reached
+    nesting = 0
+
+    def check_depth(self) -> None:
+        if self.peak > MAX_DEPTH or self.nesting > MAX_DEPTH:
+            raise self.too_deep()
+
+    def nested(self, parse: Callable[[], _Node], levels: int = 1,
+               nesting: int = 1) -> _Node:
+        """`parse()` a construct inside `nesting` more parentheses or calls,
+        whose nodes start `levels` below the current one (a bare parenthesis
+        builds none). `peak` is measured from that level, and afterwards it is
+        the deepest level reached in or before the construct; `depth` and
+        `nesting` are restored even when `parse` raises."""
+        depth, outer_peak, outer_nesting = self.depth, self.peak, self.nesting
+        self.depth = self.peak = depth + levels
+        self.nesting += nesting
+        self.check_depth()
+        try:
+            return parse()
+        finally:
+            self.depth, self.nesting = depth, outer_nesting
+            if outer_peak > self.peak:
+                self.peak = outer_peak
+
+    def chain(self, operand: Callable[[], _Node], ops: tuple[str, ...],
+              build: Callable[[str, _Node, _Node], _Node]) -> _Node:
+        """`operand (op operand)*` for an op in `ops`, built left-deep."""
+        def operands() -> _Node:
+            node = operand()
+            while (op := self.take_op(ops)) is not None:
+                self.depth = self.peak = self.peak + 1
+                self.check_depth()
+                node = build(op, node, operand())
+            return node
+        return self.nested(operands, levels=0, nesting=0)
+
+    def flat(self, item: Callable[[], _Node], ops: tuple[str, ...],
+             build: Callable[[tuple[_Node, ...]], _Node]) -> _Node:
+        """`item (op item)*` for an op in `ops`, as one node over all the
+        items."""
+        def items() -> _Node:
+            found = [item()]
+            while self.take_op(ops) is not None:
+                found.append(item())
+            if len(found) == 1:
+                return found[0]
+            self.peak += 1
+            self.check_depth()
+            return build(tuple(found))
+        return self.nested(items, levels=0, nesting=0)
+
+
+class _SqlParser(BoundedParser):
     def __init__(self, toks: list[_Tok]):
         self.toks = toks
         self.pos = 0
+
+    def too_deep(self) -> SqlTooDeepError:
+        return SqlTooDeepError(f"nesting deeper than {MAX_DEPTH} levels",
+                               self.toks[self.pos - 1].pos)
+
+    def take_op(self, ops: tuple[str, ...]) -> str | None:
+        tok = self.toks[self.pos]
+        op = tok.text.lower()
+        if tok.kind not in ("PUNCT", "KW") or op not in ops:
+            return None
+        self.pos += 1
+        return "union all" if op == "union" and self.eat_kw("all") else op
 
     def peek(self) -> _Tok:
         return self.toks[self.pos]
@@ -392,18 +454,8 @@ class _SqlParser:
     # -- statements ---------------------------------------------------------
 
     def parse_query(self) -> SelectNode:
-        node: SelectNode = self.parse_core()
-        while True:
-            if self.eat_kw("union"):
-                op = "union all" if self.eat_kw("all") else "union"
-            elif self.eat_kw("intersect"):
-                op = "intersect"
-            elif self.eat_kw("except"):
-                op = "except"
-            else:
-                break
-            node = SetOp(op, node, self.parse_core())
-        return node
+        return self.chain(self.parse_core, ("union", "intersect", "except"),
+                          SetOp)  # type: ignore[arg-type]
 
     def parse_core(self) -> SelectCore:
         self.expect_kw("select")
@@ -509,35 +561,31 @@ class _SqlParser:
         return self.or_pred()
 
     def or_pred(self) -> Predicate:
-        items = [self.and_pred()]
-        while self.eat_kw("or"):
-            items.append(self.and_pred())
-        return items[0] if len(items) == 1 else Or(tuple(items))
+        return self.flat(self.and_pred, ("or",), Or)
 
     def and_pred(self) -> Predicate:
-        items = [self.not_pred()]
-        while self.eat_kw("and"):
-            items.append(self.not_pred())
-        return items[0] if len(items) == 1 else And(tuple(items))
+        return self.flat(self.not_pred, ("and",), And)
 
     def not_pred(self) -> Predicate:
         if self.eat_kw("not"):
-            return Not(self.not_pred())
+            return Not(self.nested(self.not_pred))
         return self.pred_atom()
 
     def pred_atom(self) -> Predicate:
         if self.at_punct("("):
-            mark = self.pos
+            mark = self.pos, self.peak
             self.eat_punct("(")
             if self.at_kw("select"):
-                self.pos = mark  # scalar subquery comparison: re-parse as expression
+                self.pos = mark[0]  # scalar subquery comparison: re-parse as expression
             else:
                 try:
-                    inner = self.predicate()
+                    inner = self.nested(self.predicate, levels=0)
                     self.expect_punct(")")
                     return inner
-                except SqlSyntaxError:
-                    self.pos = mark  # parenthesized expression, not a predicate
+                except SqlTooDeepError:
+                    raise
+                except SqlSyntaxError:  # a parenthesized expression, not a predicate
+                    self.pos, self.peak = mark
         left = self.expr()
         tok = self.peek()
         if tok.kind == "OP" and tok.text in ("=", "!=", "<", "<=", ">", ">="):
@@ -551,15 +599,9 @@ class _SqlParser:
             return Between(left, lo, hi, negated)
         if self.eat_kw("in"):
             self.expect_punct("(")
-            if self.at_kw("select"):
-                core = self.parse_core()
-                self.expect_punct(")")
-                return InList(left, (Subquery(core),), negated)
-            items = [self.expr()]
-            while self.eat_punct(","):
-                items.append(self.expr())
+            items = self.nested(self.in_items)
             self.expect_punct(")")
-            return InList(left, tuple(items), negated)
+            return InList(left, items, negated)
         if self.eat_kw("like"):
             return LikePred(left, self.expr(), negated)
         if negated:
@@ -571,58 +613,48 @@ class _SqlParser:
         raise SqlSyntaxError(f"expected a comparison, got {self.peek().text!r}",
                              self.peek().pos)
 
+    def in_items(self) -> tuple[SqlExpr, ...]:
+        if self.at_kw("select"):
+            return (self.nested(lambda: Subquery(self.parse_core())),)
+        items = [self.expr()]
+        while self.eat_punct(","):
+            items.append(self.expr())
+        return tuple(items)
+
     # -- expressions -----------------------------------------------------------
 
     def expr(self) -> SqlExpr:
-        return self.additive()
-
-    def additive(self) -> SqlExpr:
-        left = self.multiplicative()
-        while True:
-            tok = self.peek()
-            if tok.kind == "PUNCT" and tok.text in "+-":
-                self.next()
-                left = Binary(tok.text, left, self.multiplicative())
-            else:
-                return left
+        return self.chain(self.multiplicative, ("+", "-"), Binary)
 
     def multiplicative(self) -> SqlExpr:
-        left = self.atom()
-        while True:
-            tok = self.peek()
-            if tok.kind == "PUNCT" and tok.text in "*/":
-                self.next()
-                left = Binary(tok.text, left, self.atom())
-            else:
-                return left
+        return self.chain(self.atom, ("*", "/"), Binary)
 
     def atom(self) -> SqlExpr:
         tok = self.peek()
         if tok.kind == "NUMBER":
             self.next()
-            return _number(tok.text)
+            return Scalar.number(tok.text)
         if tok.kind == "STRING":
             self.next()
             return Scalar.of(tok.text)
         if tok.kind == "PUNCT" and tok.text == "-":
             self.next()
-            inner = self.atom()
+            inner = self.nested(self.atom)
             if isinstance(inner, Scalar) and inner.kind in ("int", "real"):
                 return Scalar(-inner.value, inner.kind)  # type: ignore[operator]
             return Binary("-", Scalar(0, "int"), inner)
         if tok.kind == "PUNCT" and tok.text == "(":
             self.next()
             if self.at_kw("select"):
-                core = self.parse_core()
-                self.expect_punct(")")
-                return Subquery(core)
-            inner = self.expr()
+                inner: SqlExpr = self.nested(lambda: Subquery(self.parse_core()))
+            else:
+                inner = self.nested(self.expr, levels=0)
             self.expect_punct(")")
             return inner
         if tok.kind == "KW" and tok.text.lower() == "cast":
             self.next()
             self.expect_punct("(")
-            arg = self.expr()
+            arg = self.nested(self.expr)
             self.expect_kw("as")
             target = self.type_name()
             self.expect_punct(")")
@@ -632,7 +664,7 @@ class _SqlParser:
         if tok.kind in ("IDENT", "QIDENT"):
             name = self.ident()
             if self.at_punct("("):
-                return self.func_call(name, tok.pos)
+                return self.nested(lambda: self.func_call(name, tok.pos))
             if self.eat_punct("."):
                 return Column(name, self.ident())
             return Column(None, name)
@@ -695,12 +727,6 @@ def canonical_predicate(pred: Predicate, d: "DatabaseInput | None" = None) -> st
     """Canonical text of one predicate (parenthesized if not already atomic)."""
     text = _canon_pred(pred, d)
     return text if text.startswith("(") else f"({text})"
-
-
-def _number(text: str) -> Scalar:
-    if "." in text or "e" in text.lower():
-        return Scalar(float(text), "real")
-    return Scalar(int(text), "int")
 
 
 def _ident(name: str) -> str:

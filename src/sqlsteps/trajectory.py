@@ -51,10 +51,12 @@ from .actions import (
 )
 from .errors import TrajectorySyntaxError, UnknownActionError
 from .schema import DatabaseInput  # noqa: F401  (re-exported for validate callers)
+from .sqlast import MAX_DEPTH, BoundedParser
 
 _DF_REF_RE = re.compile(r"df\d+$|res$")
 _NUMBER_RE = re.compile(r"-?\d+(\.\d+)?([eE][+-]?\d+)?")
 _DATE_TOKEN_RE = re.compile(r"\d{4}-\d{2}-\d{2}$")
+_CALLS = (*AGGREGATE_KINDS, "cast", "substr")  # actions that are also expressions
 
 
 # --- tokenizer ---------------------------------------------------------------
@@ -66,41 +68,54 @@ class _Token:
     col: int
 
 
+# Whitespace, then one alternative per token class, tried in order. A word
+# starts with no decimal digit, so that no number is read as one. A string
+# closes at a quote that is not doubled, so an unterminated one falls through
+# to BAD at its opening quote. BAD and END always match, so whitespace is
+# never scanned twice. A number's sign is a `-` SYM that `_tokenize_line`
+# merges into the NUMBER after it.
+_TOKEN_RE = re.compile(r"""
+    \s*
+    (?: (?P<SYM>[=.,()*+\-/])
+      | (?P<WORD>[^\W\d]\w*)
+      | (?P<NUMBER>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
+      | (?P<STRING>'[^']*(?:''[^']*)*'(?!'))
+      | (?P<BACKTICK>`[^`]*`)
+      | (?P<BAD>.)
+      | (?P<END>\Z))
+""", re.VERBOSE | re.DOTALL)
+
+
 def _tokenize_line(line: str, lineno: int) -> list[_Token]:
     tokens: list[_Token] = []
-    i, n = 0, len(line)
-    while i < n:
-        ch = line[i]
-        if ch.isspace():
-            i += 1
-            continue
-        col = i + 1
-        if ch == "'":
-            text, i = _scan_string(line, i, lineno)
-            tokens.append(_Token("STRING", text, col))
-        elif ch == "`":
-            end = line.find("`", i + 1)
-            if end < 0:
-                raise TrajectorySyntaxError("unterminated backtick identifier", lineno, col)
-            tokens.append(_Token("IDENT", line[i + 1:end], col))
-            i = end + 1
-        # a digit that `str.isdigit` accepts and the number pattern does not
-        # (e.g. `²`) falls through to the unexpected-character error
-        elif (ch.isdigit() or ch == "-" and _numeric_context(tokens)) \
-                and (m := _NUMBER_RE.match(line, i)):
-            tokens.append(_Token("NUMBER", m.group(), col))
-            i = m.end()
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (line[j].isalnum() or line[j] == "_"):
-                j += 1
-            tokens.append(_Token("IDENT", line[i:j], col))
-            i = j
-        elif ch in "=.,()*+-/":
-            tokens.append(_Token("SYM", ch, col))
-            i += 1
+    sign_end = -1  # end of a `-` that may start a number
+    for m in _TOKEN_RE.finditer(line):
+        kind = m.lastgroup
+        text, start = m[kind], m.start(kind)
+        if kind == "SYM":
+            if text == "-" and _numeric_context(tokens):
+                sign_end = start + 1
+        # a word may still start with a digit that is no decimal digit (e.g.
+        # `²`), an unexpected character
+        elif kind == "WORD" and (text[0].isalpha() or text[0] == "_"):
+            kind = "IDENT"
+        elif kind == "NUMBER":
+            if start == sign_end:
+                text, start = "-" + text, start - 1
+                tokens.pop()
+        elif kind == "STRING":
+            text = text[1:-1].replace("''", "'")
+        elif kind == "BACKTICK":
+            kind, text = "IDENT", text[1:-1]
+        elif kind == "END":
+            break
+        elif text == "'":
+            raise TrajectorySyntaxError("unterminated string literal", lineno, start + 1)
+        elif text == "`":
+            raise TrajectorySyntaxError("unterminated backtick identifier", lineno, start + 1)
         else:
-            raise TrajectorySyntaxError(f"unexpected character {ch!r}", lineno, col)
+            raise TrajectorySyntaxError(f"unexpected character {text[0]!r}", lineno, start + 1)
+        tokens.append(_Token(kind, text, start + 1))
     return tokens
 
 
@@ -112,30 +127,26 @@ def _numeric_context(tokens: list[_Token]) -> bool:
     return last.kind == "SYM" and last.text in "=,(+-*/"
 
 
-def _scan_string(line: str, start: int, lineno: int) -> tuple[str, int]:
-    """Scan a single-quoted string with '' doubling; returns (content, next index)."""
-    out: list[str] = []
-    i = start + 1
-    n = len(line)
-    while i < n:
-        if line[i] != "'":
-            out.append(line[i])
-            i += 1
-        elif i + 1 < n and line[i + 1] == "'":
-            out.append("'")
-            i += 2
-        else:
-            return "".join(out), i + 1
-    raise TrajectorySyntaxError("unterminated string literal", lineno, start + 1)
-
-
 # --- parser ------------------------------------------------------------------
 
-class _LineParser:
+class _LineParser(BoundedParser):
     def __init__(self, tokens: list[_Token], lineno: int):
         self.tokens = tokens
         self.lineno = lineno
         self.pos = 0
+
+    def too_deep(self) -> TrajectorySyntaxError:
+        return TrajectorySyntaxError(f"nesting deeper than {MAX_DEPTH} levels", self.lineno,
+                                     self.column())
+
+    def take_op(self, ops: tuple[str, ...]) -> str | None:
+        if self.pos == len(self.tokens):
+            return None
+        tok = self.tokens[self.pos]
+        if tok.kind != "SYM" or tok.text not in ops:
+            return None
+        self.pos += 1
+        return tok.text
 
     def peek(self) -> _Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -189,9 +200,7 @@ class _LineParser:
             tok = self.peek()
             raise TrajectorySyntaxError("step has no actions", self.lineno,
                                         tok.col if tok else receiver.col, expected=".action(...)")
-        if self.peek() is not None:
-            tok = self.peek()
-            assert tok is not None
+        if (tok := self.peek()) is not None:
             raise TrajectorySyntaxError(f"trailing input {tok.text!r}", self.lineno, tok.col)
         return TrajectoryStep(binding.text, receiver.text, tuple(chain))
 
@@ -231,25 +240,10 @@ class _LineParser:
                 raise TrajectorySyntaxError(f"set operand must be a binding, got {tok.text!r}",
                                             self.lineno, tok.col)
             return Combine(name, BindingRef(tok.text))
-        if name in AGGREGATE_KINDS:
+        if name in _CALLS:
             self._skip_key({"element"})
-            return AggStep(Aggregate(name, self.parse_expr()))
-        if name == "cast":
-            self._skip_key({"element"})
-            arg = self.parse_expr()
-            self.expect("SYM", ",")
-            self._skip_key({"type"})
-            target = self.expect("IDENT")
-            return CastStep(Cast(arg, target.text))
-        if name == "substr":
-            self._skip_key({"element"})
-            arg = self.parse_expr()
-            self.expect("SYM", ",")
-            piv = self._int_arg()
-            length = None
-            if self.eat_sym(","):
-                length = self._int_arg()
-            return SubstrStep(Substr(arg, piv, length))
+            call = self.nested(lambda: self._call_body(name))
+            return {"cast": CastStep, "substr": SubstrStep}.get(name, AggStep)(call)
         raise UnknownActionError(name, self.lineno)  # unreachable
 
     def _skip_key(self, allowed: set[str]) -> None:
@@ -307,7 +301,7 @@ class _LineParser:
     def _filter_value(self) -> FilterCondition:
         tok = self.next()
         if tok.kind == "NUMBER":
-            return FilterCondition("=", (_scalar_from_number(tok.text),))
+            return FilterCondition("=", (Scalar.number(tok.text),))
         if tok.kind == "IDENT" and _DF_REF_RE.match(tok.text):
             return FilterCondition("=", (BindingRef(tok.text),))
         if tok.kind == "STRING":
@@ -318,40 +312,26 @@ class _LineParser:
     # -- expressions -------------------------------------------------------------
 
     def parse_expr(self) -> Expr:
-        left = self._multiplicative()
-        while True:
-            tok = self.peek()
-            if tok is not None and tok.kind == "SYM" and tok.text in "+-":
-                self.pos += 1
-                left = Arithmetic(tok.text, left, self._multiplicative())
-            else:
-                return left
+        return self.chain(self._multiplicative, ("+", "-"), Arithmetic)
 
     def _multiplicative(self) -> Expr:
-        left = self._atom()
-        while True:
-            tok = self.peek()
-            if tok is not None and tok.kind == "SYM" and tok.text in "*/":
-                self.pos += 1
-                left = Arithmetic(tok.text, left, self._atom())
-            else:
-                return left
+        return self.chain(self._atom, ("*", "/"), Arithmetic)
 
     def _atom(self) -> Expr:
         tok = self.next()
         if tok.kind == "NUMBER":
-            return _scalar_from_number(tok.text)
+            return Scalar.number(tok.text)
         if tok.kind == "STRING":
             return Scalar.of(tok.text)
         if tok.kind == "SYM" and tok.text == "*":
             return Star()
         if tok.kind == "SYM" and tok.text == "(":
-            inner = self.parse_expr()
+            inner = self.nested(self.parse_expr, levels=0)
             self.expect("SYM", ")")
             return inner
         if tok.kind == "SYM" and tok.text == "-":
             num = self.expect("NUMBER")
-            return _scalar_from_number("-" + num.text)
+            return Scalar.number("-" + num.text)
         if tok.kind == "IDENT":
             return self._ident_expr(tok)
         raise TrajectorySyntaxError(f"unexpected token {tok.text!r}", self.lineno, tok.col,
@@ -361,61 +341,41 @@ class _LineParser:
         lowered = tok.text.lower()
         lowered = ACTION_SPACE.aliases.get(lowered, lowered)
         if self.at_sym("("):
-            if lowered in AGGREGATE_KINDS:
-                self.expect("SYM", "(")
-                arg = self.parse_expr()
-                self.expect("SYM", ")")
-                return Aggregate(lowered, arg)
-            if lowered == "cast":
-                self.expect("SYM", "(")
-                arg = self.parse_expr()
-                self.expect("SYM", ",")
-                self._skip_key({"type"})
-                target = self.expect("IDENT")
-                self.expect("SYM", ")")
-                return Cast(arg, target.text)
-            if lowered == "substr":
-                self.expect("SYM", "(")
-                arg = self.parse_expr()
-                self.expect("SYM", ",")
-                piv = self._int_arg()
-                length = None
-                if self.eat_sym(","):
-                    length = self._int_arg()
-                self.expect("SYM", ")")
-                return Substr(arg, piv, length)
-            raise UnknownActionError(tok.text, self.lineno)
+            if lowered not in _CALLS:
+                raise UnknownActionError(tok.text, self.lineno)
+            self.expect("SYM", "(")
+            call = self.nested(lambda: self._call_body(lowered))
+            self.expect("SYM", ")")
+            return call
         if self.eat_sym("."):
             col = self.expect("IDENT")
             return QualifiedColumn(tok.text, col.text)
-        if _DF_REF_RE.match(tok.text):
-            return BindingRef(tok.text)
         raise TrajectorySyntaxError(f"unqualified reference {tok.text!r}", self.lineno,
                                     tok.col, expected="table.column")
 
-
-def _scalar_from_number(text: str) -> Scalar:
-    if "." in text or "e" in text.lower():
-        return Scalar(float(text), "real")
-    return Scalar(int(text), "int")
+    def _call_body(self, name: str) -> Aggregate | Cast | Substr:
+        """The arguments of an aggregate, `cast` or `substr` call, without its
+        parentheses."""
+        arg = self.parse_expr()
+        if name in AGGREGATE_KINDS:
+            return Aggregate(name, arg)
+        self.expect("SYM", ",")
+        if name == "cast":
+            self._skip_key({"type"})
+            return Cast(arg, self.expect("IDENT").text)
+        start = self._int_arg()
+        return Substr(arg, start, self._int_arg() if self.eat_sym(",") else None)
 
 
 # --- filter text (the quoted condition mini-grammar) -------------------------
 
-_FILTER_PREFIXES = (
-    ("is not null", "is not null"),
-    ("is null", "is null"),
-    ("not in", "not in"),
-    ("between", "between"),
-    ("like", "like"),
-    ("in", "in"),
-    (">=", ">="),
-    ("<=", "<="),
-    ("!=", "!="),
-    (">", ">"),
-    ("<", "<"),
-    ("=", "="),
-)
+# The comparator a filter text starts with, as a whole word; matched against the
+# lowercased text, earlier alternatives first.
+_FILTER_PREFIX_RE = re.compile(
+    r"(is not null|is null|not in|between|like|in|>=|<=|!=|>|<|=)(?!\w)")
+# What `_split_commas` looks at: a quoted run (an unterminated one runs to the
+# end of the text) or a parenthesis or comma outside one.
+_LIST_SCAN_RE = re.compile(r"'[^']*(?:''[^']*)*(?:'(?!')|\Z)|[(),]")
 
 
 def parse_filter_text(text: str, lineno: int = 0, col: int = 0) -> FilterCondition:
@@ -427,20 +387,13 @@ def parse_filter_text(text: str, lineno: int = 0, col: int = 0) -> FilterConditi
     stripped = text.strip()
     if stripped.startswith("("):
         return FilterCondition(COMPOUND, (), compound_text=stripped)
-    lowered = stripped.lower()
-    for prefix, comparator in _FILTER_PREFIXES:
-        if lowered == prefix or (lowered.startswith(prefix)
-                                 and _boundary(stripped, len(prefix))):
-            rest = stripped[len(prefix):].strip()
-            return _structured_filter(comparator, rest, lineno, col)
-    return FilterCondition("=", (Scalar.of(text),))
-
-
-def _boundary(text: str, end: int) -> bool:
-    if end >= len(text):
-        return True
-    nxt = text[end]
-    return not (nxt.isalnum() or nxt == "_")
+    m = _FILTER_PREFIX_RE.match(stripped.lower())
+    if m is None:
+        return FilterCondition("=", (Scalar.of(text),))
+    try:
+        return _structured_filter(m.group(), stripped[m.end():].strip(), lineno, col)
+    except ValueError as exc:  # a condition the type rejects, e.g. mixed between bounds
+        raise TrajectorySyntaxError(str(exc), lineno, col) from exc
 
 
 def _structured_filter(comparator: str, rest: str, lineno: int, col: int) -> FilterCondition:
@@ -483,7 +436,7 @@ def _filter_operand(token: str, lineno: int, col: int) -> Scalar | BindingRef:
     if _DATE_TOKEN_RE.match(token):
         return Scalar(token, "date")
     if _NUMBER_RE.fullmatch(token):
-        return _scalar_from_number(token)
+        return Scalar.number(token)
     if " " in token:
         raise TrajectorySyntaxError(f"bad filter operand {token!r}", lineno, col,
                                     expected="a single scalar (quote strings with spaces)")
@@ -497,38 +450,19 @@ def _unquote(token: str) -> str:
 
 
 def _split_commas(text: str) -> list[str]:
+    """Split at commas outside parentheses and quotes; items are stripped and
+    empty ones dropped."""
     items: list[str] = []
-    depth = 0
-    quoted = False
-    cur: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if quoted:
-            cur.append(ch)
-            if ch == "'":
-                if i + 1 < len(text) and text[i + 1] == "'":
-                    cur.append("'")
-                    i += 1
-                else:
-                    quoted = False
-        elif ch == "'":
-            quoted = True
-            cur.append(ch)
-        elif ch == "(":
+    depth = start = 0
+    for m in _LIST_SCAN_RE.finditer(text):
+        if m.group() == "(":
             depth += 1
-            cur.append(ch)
-        elif ch == ")":
+        elif m.group() == ")":
             depth -= 1
-            cur.append(ch)
-        elif ch == "," and depth == 0:
-            items.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-        i += 1
-    if cur:
-        items.append("".join(cur))
+        elif m.group() == "," and depth == 0:
+            items.append(text[start:m.start()])
+            start = m.end()
+    items.append(text[start:])
     return [item for item in (s.strip() for s in items) if item]
 
 
@@ -612,8 +546,6 @@ def render_expr(expr: Expr) -> str:
         if expr.length is None:
             return f"substr({render_expr(expr.arg)}, {expr.start})"
         return f"substr({render_expr(expr.arg)}, {expr.start}, {expr.length})"
-    if isinstance(expr, BindingRef):
-        return expr.name
     raise TypeError(f"not an expression: {expr!r}")
 
 
@@ -629,7 +561,7 @@ def render_filter(cond: FilterCondition) -> str:
             return repr(op.value)
         text = str(op.value)
         if op.kind == "string" and _equality_text_ambiguous(text):
-            return _quote(f"= {_mini_quote(text)}")  # would reparse as a condition
+            return _quote(f"= {_quote(text)}")  # would reparse as a condition
         return _quote(text)
     return _quote(_filter_text(cond))
 
@@ -639,13 +571,8 @@ def _equality_text_ambiguous(text: str) -> bool:
     stripped = text.strip()
     if stripped != text or not text or text.startswith("("):
         return True
-    lowered = stripped.lower()
-    for prefix, _ in _FILTER_PREFIXES:
-        if lowered == prefix or (lowered.startswith(prefix)
-                                 and _boundary(stripped, len(prefix))):
-            return True
-    return bool(_DATE_TOKEN_RE.match(text) or _NUMBER_RE.fullmatch(text)
-                or _DF_REF_RE.match(text))
+    return bool(_FILTER_PREFIX_RE.match(stripped.lower()) or _DATE_TOKEN_RE.match(text)
+                or _NUMBER_RE.fullmatch(text) or _DF_REF_RE.match(text))
 
 
 def _filter_text(cond: FilterCondition) -> str:
@@ -658,7 +585,7 @@ def _filter_text(cond: FilterCondition) -> str:
     if c == "like":
         pattern = str(cond.operands[0].value)  # type: ignore[union-attr]
         needs_quoting = pattern.startswith("'") or pattern != pattern.strip() or not pattern
-        return f"like {_mini_quote(pattern) if needs_quoting else pattern}"
+        return f"like {_quote(pattern) if needs_quoting else pattern}"
     if c in ("in", "not in"):
         return f"{c} ({', '.join(_operand_text(op) for op in cond.operands)})"
     return f"{c} {_operand_text(cond.operands[0])}"
@@ -671,11 +598,7 @@ def _operand_text(op: Scalar | BindingRef) -> str:
         return repr(op.value)
     if op.kind == "date":
         return str(op.value)
-    return _mini_quote(str(op.value))
-
-
-def _mini_quote(text: str) -> str:
-    return "'" + text.replace("'", "''") + "'"
+    return _quote(str(op.value))
 
 
 def _quote(text: str) -> str:

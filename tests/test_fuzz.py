@@ -1,0 +1,56 @@
+"""Whatever text reaches a parser, it ends as a SqlStepsError or a value."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sqlsteps.bridge import decompose
+from sqlsteps.errors import SqlStepsError
+from sqlsteps.masking import mask_schema, parse_masked_template
+from sqlsteps.querygen import random_queries, store_database
+from sqlsteps.schema import parse_database_text, render_database_input
+from sqlsteps.sqlast import parse_sql
+from sqlsteps.trajectory import parse_filter_text, parse_trajectory, render_trajectory
+
+PARSERS = (parse_sql, parse_trajectory, parse_filter_text, parse_database_text,
+           parse_masked_template)
+
+# quotes, brackets, operators, `-`, a digit outside the number grammar (`²`),
+# non-ASCII letters, and pieces of each grammar
+PIECES = (list("'\"`[]()=<>!|+-*/.,;# \t\n0123456789eE_xé²") +
+          ["ß", "İ", "ı", "Ж", "--", "''", "<>", "||", "df1", "res", " = ", "[MASK:0]",
+           "select ", "where(", "between 1 and 2", "is not null", "column ", "table "])
+
+
+def _sources() -> list[str]:
+    d = store_database()
+    queries = random_queries(20, 11)
+    trajectories = [decompose(parse_sql(q), d) for q in queries[:8]]
+    return [*queries, *(render_trajectory(t) for t in trajectories),
+            *(mask_schema(t).template for t in trajectories), render_database_input(d),
+            "in (1, 'a,b', (2, 3))", "between '2020-01-01' and 5", "like 'x''y'"]
+
+
+SOURCES = _sources()
+
+_random_text = st.lists(st.sampled_from(PIECES), max_size=30).map("".join)
+_edit = st.tuples(st.floats(0, 1), st.integers(0, 2), st.sampled_from(PIECES))
+
+
+@st.composite
+def _mutated(draw) -> str:
+    """A source text with a few pieces inserted, replaced or deleted."""
+    text = draw(st.sampled_from(SOURCES))
+    for where, kind, piece in draw(st.lists(_edit, min_size=1, max_size=4)):
+        i = int(where * len(text))
+        text = text[:i] + ("" if kind == 2 else piece) + text[i + (kind > 0):]
+    return text
+
+
+@settings(max_examples=1000, deadline=None)
+@given(text=st.one_of(_random_text, _mutated()))
+def test_parsers_raise_only_sqlsteps_errors(text):
+    for parse in PARSERS:
+        try:
+            parse(text)
+        except SqlStepsError:
+            pass

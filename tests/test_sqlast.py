@@ -1,7 +1,9 @@
 import pytest
 
+from sqlsteps.bridge import UNSUPPORTED, round_trip
 from sqlsteps.errors import SqlSyntaxError
 from sqlsteps.sqlast import (
+    MAX_DEPTH,
     Column,
     Comparison,
     Func,
@@ -89,6 +91,55 @@ def test_digit_outside_the_number_grammar_is_a_syntax_error(sql, position):
     with pytest.raises(SqlSyntaxError) as err:
         parse_sql(sql)
     assert err.value.position == position
+
+
+def test_nesting_past_the_limit_is_a_syntax_error():
+    deep = "SELECT " + "(" * 3000 + "1" + ")" * 3000
+    with pytest.raises(SqlSyntaxError, match=f"nesting deeper than {MAX_DEPTH}") as err:
+        parse_sql(deep)
+    assert err.value.position == len("SELECT ") + MAX_DEPTH
+    assert SqlQuery.raw(deep).ast is None
+
+
+def test_long_sum_is_held_to_the_limit(store):
+    # each operator of a chain nests its tree one level deeper
+    def total(terms):
+        return "SELECT " + " + ".join(["orders.total"] * terms) + " FROM orders"
+
+    query = SqlQuery.raw(total(3000))
+    assert query.ast is None and "nesting deeper" in query.parse_error
+    with pytest.raises(SqlSyntaxError):
+        canonicalize(query, store)
+    assert round_trip(query, store).verdict == UNSUPPORTED
+    at_limit = reparse_equal(total(MAX_DEPTH + 1))
+    assert canonicalize(at_limit, store)
+    with pytest.raises(SqlSyntaxError):
+        parse_sql(total(MAX_DEPTH + 2))
+
+
+def test_sibling_and_or_lists_do_not_add_up_to_the_limit():
+    # a list is one level above its deepest item, however many lists precede it
+    terms = 4 * MAX_DEPTH
+    dnf = " OR ".join(f"(t.a = {i} AND t.b = {i})" for i in range(terms))
+    assert parse_sql(f"SELECT t.a FROM t WHERE {dnf}").ast.where is not None
+    joins = "".join(f" JOIN t{i} ON t{i}.a = t{i - 1}.a AND t{i}.b = t{i - 1}.b"
+                    for i in range(1, terms))
+    assert len(parse_sql(f"SELECT t0.a FROM t0{joins}").ast.joins) == terms - 1
+    subqueries = " AND ".join(f"t.a IN (SELECT u.a FROM u WHERE u.b = {i} AND u.c = 1)"
+                              for i in range(terms))
+    reparse_equal(f"SELECT t.a FROM t WHERE {subqueries}")
+
+
+def test_nested_and_or_lists_are_held_to_the_limit():
+    def nested(lists):
+        pred = "t.a = 0"
+        for i in range(1, lists + 1):
+            pred = f"t.a = {i} {'AND' if i % 2 else 'OR'} ({pred})"
+        return f"SELECT t.a FROM t WHERE {pred}"
+
+    reparse_equal(nested(MAX_DEPTH))
+    with pytest.raises(SqlSyntaxError, match="nesting deeper"):
+        parse_sql(nested(MAX_DEPTH + 1))
 
 
 def test_raw_wraps_parse_failures():

@@ -22,6 +22,7 @@ from sqlsteps.actions import (
 )
 from sqlsteps.errors import BindingError, TrajectorySyntaxError, UnknownActionError
 from sqlsteps.schema import DatabaseInput
+from sqlsteps.sqlast import MAX_DEPTH
 from sqlsteps.trajectory import (
     parse_filter_text,
     parse_trajectory,
@@ -78,6 +79,29 @@ def test_forward_reference_rejected():
     text = "df1 = df2.select(t.a)\ndf2 = df.where(element = t.a, filter = 1)\nres = df2.select(t.a)"
     with pytest.raises(BindingError):
         parse_trajectory(text)
+
+
+@pytest.mark.parametrize("operand", ["df9", "df1"])
+def test_filter_operand_must_be_bound_earlier(operand):
+    text = f"df1 = df.where(element = t.a, filter = {operand})\nres = df1.select(t.a)"
+    with pytest.raises(BindingError, match=f"filter operand '{operand}'"):
+        parse_trajectory(text)
+
+
+def test_binding_is_no_expression():
+    with pytest.raises(TrajectorySyntaxError, match="unqualified reference 'df1'"):
+        parse_trajectory("df1 = df.select(t.a)\nres = df1.select(df1)")
+    with pytest.raises(ValueError, match="binding reference"):
+        TrajectoryStep("res", "df", (Select((BindingRef("df1"),)),))
+
+
+def test_nesting_past_the_limit_is_a_syntax_error():
+    deep = "res = df.select(" + "(" * 3000 + "orders.total" + ")" * 3000 + ")"
+    with pytest.raises(TrajectorySyntaxError, match=f"nesting deeper than {MAX_DEPTH}") as err:
+        parse_trajectory(deep)
+    assert (err.value.line, err.value.column) == (1, len("res = df.select(") + MAX_DEPTH + 1)
+    at_limit = "res = df.select(" + " + ".join(["t.a"] * (MAX_DEPTH + 1)) + ")"
+    roundtrip(at_limit)
 
 
 def test_duplicate_binding_rejected():
@@ -204,9 +228,11 @@ def test_set_operands_and_limit_range():
     ("df1", "="),
 ])
 def test_filter_grammar_shapes(filter_text, comparator):
-    text = f"df1 = df.where(element = t.a, filter = {filter_text})\nres = df1.select(t.a)"
+    # a binding operand must name an earlier step: df1
+    text = (f"df1 = df.select(u.b)\ndf2 = df.where(element = t.a, filter = {filter_text})\n"
+            "res = df2.select(t.a)")
     t = roundtrip(text)
-    where = t.steps[0].chain[0]
+    where = t.steps[1].chain[0]
     assert isinstance(where, Where)
     assert where.condition.comparator == comparator
 
@@ -214,6 +240,12 @@ def test_filter_grammar_shapes(filter_text, comparator):
 def test_between_requires_matching_kinds():
     with pytest.raises(ValueError):
         FilterCondition("between", (Scalar(1, "int"), Scalar("a", "string")))
+
+
+def test_filter_text_the_condition_rejects_is_a_syntax_error():
+    with pytest.raises(TrajectorySyntaxError, match="between bounds must share") as err:
+        parse_filter_text("between 1 and x", 3, 9)
+    assert (err.value.line, err.value.column) == (3, 9)
 
 
 def test_filter_equality_text_that_looks_structured_roundtrips():
