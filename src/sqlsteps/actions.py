@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Union
@@ -19,6 +20,11 @@ ARITHMETIC_OPS = ("+", "-", "*", "/")
 COMPARATORS = ("=", "!=", "<", "<=", ">", ">=", "like", "in", "not in",
                "between", "is null", "is not null")
 COMPOUND = "compound"
+
+# Deepest nesting a query or a trajectory may reach (see `sqlast.BoundedParser`
+# and `check_bindings`); deeper text is a syntax error rather than a recursion
+# fault in a later walk of its tree.
+MAX_DEPTH = 32
 
 
 def valid_identifier(name: str) -> bool:
@@ -65,10 +71,19 @@ class Scalar:
 
     @staticmethod
     def number(text: str) -> "Scalar":
-        """The literal a number token spells: real with a point or an exponent."""
-        if "." in text or "e" in text.lower():
-            return Scalar(float(text), "real")
-        return Scalar(int(text), "int")
+        """The literal a number token spells: real with a point or an exponent.
+        Raises ValueError for a real no float holds (`1e999`) and for an integer
+        longer than Python converts."""
+        try:
+            if "." in text or "e" in text.lower():
+                value = float(text)
+                if math.isfinite(value):
+                    return Scalar(value, "real")
+            else:
+                return Scalar(int(text), "int")
+        except ValueError:
+            pass
+        raise ValueError("number out of range")
 
 
 @dataclass(frozen=True)
@@ -401,22 +416,32 @@ def map_action_exprs(action: Action, fn: Callable[[Expr], Expr]) -> Action:
 
 def check_bindings(steps: tuple[TrajectoryStep, ...]) -> None:
     """Enforce single assignment, no forward references (receivers, set and
-    filter operands), and a final `res`."""
+    filter operands), a final `res`, and at most MAX_DEPTH levels of query a
+    binding nests: a set operation one level above its deeper side, a filter
+    operand one level below the frame it filters, as `revert` builds them."""
     if not steps:
         raise BindingError("trajectory has no steps")
-    bound: set[str] = set()
+    bound: dict[str, int] = {"df": 0}  # binding -> levels of query it nests
     for step in steps:
         if step.binding in bound:
             raise BindingError(f"binding {step.binding!r} assigned twice")
-        if step.receiver != "df" and step.receiver not in bound:
+        if step.receiver not in bound:
             raise BindingError(f"receiver {step.receiver!r} used before assignment")
+        depth = bound[step.receiver]
         for action in step.chain:
-            if isinstance(action, Combine) and action.other.name not in bound:
-                raise BindingError(f"set operand {action.other.name!r} used before assignment")
+            if isinstance(action, Combine):
+                if action.other.name not in bound:
+                    raise BindingError(f"set operand {action.other.name!r} used before assignment")
+                depth = max(depth, bound[action.other.name]) + 1
             for op in action.condition.operands if isinstance(action, (Where, Having)) else ():
-                if isinstance(op, BindingRef) and op.name not in bound:
-                    raise BindingError(f"filter operand {op.name!r} used before assignment")
-        bound.add(step.binding)
+                if isinstance(op, BindingRef):
+                    if op.name not in bound:
+                        raise BindingError(f"filter operand {op.name!r} used before assignment")
+                    depth = max(depth, bound[op.name] + 1)
+        if depth > MAX_DEPTH:
+            raise BindingError(f"binding {step.binding!r} nests {depth} levels of query, "
+                               f"more than {MAX_DEPTH}")
+        bound[step.binding] = depth
     if "res" not in bound:
         raise BindingError("no step binds `res`")
     if steps[-1].binding != "res":

@@ -62,7 +62,9 @@ def build_parser() -> _Parser:
     parser.add_argument("--format", dest="output_format", choices=("text", "structured"),
                         default=_env("FORMAT", "text"))
     parser.add_argument("--jobs", type=int,
-                        default=int(_env("JOBS", str(os.cpu_count() or 1))))
+                        default=int(_env("JOBS", str(os.cpu_count() or 1))),
+                        help="seeds corrected at once when a stage backend is remote or "
+                             "a generator is given; rule stages run one seed at a time")
     sub = parser.add_subparsers(dest="verb", metavar="verb")
 
     def add(name: str, **kwargs) -> argparse.ArgumentParser:
@@ -393,17 +395,13 @@ def _cmd_tag_errors(args, cfg: GlobalConfig) -> int:
         pred = SqlQuery.raw(preds[seed.id], cfg.dialect)
         gold = SqlQuery.raw(seed.gold_sql, cfg.dialect)
         try:
-            pred_t = bridge.decompose(pred, d)
-            gold_t = bridge.decompose(gold, d)
+            tag, same = evaluate.tag_prediction(pred, gold, d)
         except SqlStepsError as exc:
             lines.append((seed.id, {"error": str(exc)}, f"{seed.id}: error: {exc}"))
-            continue
-        if render_trajectory(pred_t) == render_trajectory(gold_t):
-            lines.append((seed.id, {"match": True}, f"{seed.id}: match"))
-            continue
-        tag = evaluate.tag_error(pred_t, gold_t, d)
-        lines.append((seed.id, {"coarse": tag.coarse, "subtype": tag.subtype},
-                      f"{seed.id}: {tag.coarse}/{tag.subtype}"))
+        else:
+            lines.append((seed.id, {"match": True}, f"{seed.id}: match") if same else
+                         (seed.id, {"coarse": tag.coarse, "subtype": tag.subtype},
+                          f"{seed.id}: {tag.coarse}/{tag.subtype}"))
     for seed_id, payload, text in lines:
         _emit(cfg, {"id": seed_id, **payload}, text)
     return EXIT_OK

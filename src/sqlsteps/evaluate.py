@@ -35,7 +35,7 @@ from .errors import (
 from .pipeline import CorrectionResult
 from .schema import DatabaseInput, extract_schema
 from .sqlast import SqlQuery
-from .trajectory import render_expr
+from .trajectory import render_expr, render_trajectory
 
 log = logging.getLogger(__name__)
 
@@ -59,8 +59,20 @@ class ExecutionResult:
         return self.error is None
 
 
+# What a query may do once the fixture is loaded: read, call functions and
+# recurse. Writes, schema changes, pragmas and attaching are denied when the
+# statement is prepared, so no query changes the fixture for a later one.
+_READ_ONLY = frozenset({sqlite3.SQLITE_SELECT, sqlite3.SQLITE_READ,
+                        sqlite3.SQLITE_FUNCTION, sqlite3.SQLITE_RECURSIVE})
+
+
+def _read_only(action: int, *_args) -> int:
+    return sqlite3.SQLITE_OK if action in _READ_ONLY else sqlite3.SQLITE_DENY
+
+
 class FixtureDb:
-    """An in-memory SQLite database loaded from a DDL+INSERT script."""
+    """An in-memory SQLite database loaded from a DDL+INSERT script, read-only
+    once loaded."""
 
     def __init__(self, name: str, script: str, dialect: str = "sqlite"):
         if dialect != "sqlite":
@@ -70,6 +82,7 @@ class FixtureDb:
         self.dialect = dialect
         self._conn = sqlite3.connect(":memory:", check_same_thread=False)
         self._conn.executescript(script)
+        self._conn.set_authorizer(_read_only)
 
     def execute(self, sql: str) -> ExecutionResult:
         start = time.perf_counter()
@@ -152,6 +165,19 @@ def tag_error(pred: Trajectory, gold: Trajectory, d: DatabaseInput) -> ErrorTag:
     if _math_signature(pred) != _math_signature(gold):
         return ErrorTag(LOGIC_ERROR, MATHEMATICAL_DELUSION)
     return ErrorTag(LOGIC_ERROR, OTHER)
+
+
+def tag_prediction(pred: SqlQuery | Trajectory, gold: SqlQuery,
+                   d: DatabaseInput) -> tuple[ErrorTag, bool]:
+    """`tag_error` of a prediction against the gold, and whether the two
+    trajectories render the same (the tag is then Other). A query is
+    decomposed under `d`, the prediction first; its error propagates."""
+    pred_trajectory = pred if isinstance(pred, Trajectory) else decompose(pred, d)
+    gold_trajectory = decompose(gold, d)
+    tag = tag_error(pred_trajectory, gold_trajectory, d)
+    same = tag.subtype == OTHER and (render_trajectory(pred_trajectory)
+                                     == render_trajectory(gold_trajectory))
+    return tag, same
 
 
 def _select_elements(t: Trajectory) -> tuple[Expr, ...]:
@@ -322,17 +348,13 @@ def _tag_from_trajectories(result: CorrectionResult, corrected: SqlQuery, gold: 
                            d: DatabaseInput) -> ErrorTag | None:
     """Tag the pipeline's final trajectory against the gold's; a result without
     a trace (the `eval` verb) has its corrected SQL decomposed here."""
-    if gold.ast is None:
+    pred = result.trace.final_trajectory() if result.trace is not None else corrected
+    if gold.ast is None or pred is None:
         return None
     try:
-        pred_trajectory = (result.trace.final_trajectory() if result.trace is not None
-                           else decompose(corrected, d))
-        if pred_trajectory is None:
-            return None
-        gold_trajectory = decompose(gold, d)
+        return tag_prediction(pred, gold, d)[0]
     except BRIDGE_ERRORS:
         return None
-    return tag_error(pred_trajectory, gold_trajectory, d)
 
 
 def _schema_scores(pred: SqlQuery, gold: SqlQuery, precision: list[float],

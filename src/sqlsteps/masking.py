@@ -25,7 +25,9 @@ from .errors import ArityMismatchError, FormatError, KindMismatchError, SchemaMi
 from .schema import DatabaseInput
 from .trajectory import parse_trajectory, render_trajectory, validate_trajectory
 
-MASK_TOKEN_RE = re.compile(r"\[MASK:(\d+)\]")
+# A slot index has at most nine digits; a longer one is no token, so every
+# index converts to an int.
+MASK_TOKEN_RE = re.compile(r"\[MASK:(\d{1,9})\]")
 
 _PLACEHOLDER_TABLE = "xmaskx"
 

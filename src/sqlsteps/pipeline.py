@@ -8,8 +8,9 @@ backend receives a `StagePayload`: the typed values of the run (the
 `MaskedTrajectory`) that read as text under today's keys, each rendered the
 first time it is read. A backend may return text or a typed value; the
 pipeline parses only text. Rule backends implement the deterministic
-baseline on the typed values, scripted backends replay canned outputs, and
-remote backends POST the text payload to an HTTP endpoint. A stage
+baseline (or, flagged `identity`, the ablation pass-through) on the typed
+values, scripted backends replay canned outputs, and remote backends POST
+the text payload to an HTTP endpoint. A stage
 returning unparseable text degrades the run: the trace keeps the error and
 the last valid trajectory feeds the final feedback.
 """
@@ -27,7 +28,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Protocol
+from typing import Callable, ClassVar, Protocol, TypeVar
 
 from .bridge import decompose, revert
 from .errors import (
@@ -61,6 +62,7 @@ from .trajectory import Trajectory, parse_trajectory, render_trajectory, validat
 STAGES = ("bam", "sam_mask", "sam_fill", "lom")
 
 StageOutput = str | Trajectory | MaskedTrajectory
+_T = TypeVar("_T")
 
 
 # --- stage payloads -----------------------------------------------------------------
@@ -150,18 +152,25 @@ class StageBackend(Protocol):
 class RuleBackend:
     """Deterministic baseline: decompose for bam, mask/fill loop for sam,
     pass-through for lom (no learned logic corrections exist offline).
-    Works on the payload's typed values and returns typed values."""
+    Works on the payload's typed values and returns typed values.
+
+    With `identity` set the stage is an ablation pass-through: `sam_mask`
+    masks nothing, so `sam_fill` hands its trajectory on, and `bam` (which
+    must still produce a trajectory) and `lom` act as the rule stage does.
+    """
 
     stage: str
     identity: bool = False
 
     def describe(self) -> str:
-        return f"rule:{self.stage}"
+        return f"{'identity' if self.identity else 'rule'}:{self.stage}"
 
     def invoke(self, payload: StagePayload) -> StageOutput:
         if self.stage == "bam":
             return decompose(payload.value("sql"), payload.value("db"))
         if self.stage == "sam_mask":
+            if self.identity:
+                return MaskedTrajectory(payload["trajectory"], ())
             return mask_schema(payload.value("trajectory"))
         if self.stage == "sam_fill":
             masked, t, d = payload.value("masked"), payload.value("trajectory"), payload.value("db")
@@ -191,35 +200,12 @@ def _fills_back(masked: MaskedTrajectory, source: str) -> bool:
 
 
 @dataclass
-class IdentityBackend:
-    """Ablation pass-through; for bam (which must still produce a trajectory)
-    it behaves like the rule backend."""
-
-    stage: str
-    identity: bool = True
-
-    def describe(self) -> str:
-        return f"identity:{self.stage}"
-
-    def invoke(self, payload: StagePayload) -> StageOutput:
-        if self.stage == "bam":
-            return RuleBackend("bam").invoke(payload)
-        if self.stage == "sam_mask":
-            return payload["trajectory"]
-        if self.stage == "sam_fill":
-            return payload["masked"]
-        if self.stage == "lom":
-            return payload["trajectory"]
-        raise ValueError(f"unknown stage {self.stage!r}")
-
-
-@dataclass
 class ScriptedBackend:
     """Replays canned outputs keyed by instance id (`*` is the wildcard)."""
 
     stage: str
     outputs: dict[str, str]
-    identity: bool = False
+    identity: ClassVar[bool] = False
 
     def describe(self) -> str:
         return f"scripted:{self.stage}"
@@ -242,7 +228,7 @@ class RemoteBackend:
     timeout: float = 30.0
     retries: int = 2
     backoff: float = 0.5
-    identity: bool = False
+    identity: ClassVar[bool] = False
 
     def describe(self) -> str:
         return f"remote:{self.stage}@{self.endpoint}"
@@ -288,7 +274,7 @@ def build_backends(config: dict, base_dir: str | Path = ".") -> dict[str, StageB
         if kind == "rule":
             backends[stage] = RuleBackend(stage)
         elif kind == "identity":
-            backends[stage] = IdentityBackend(stage)
+            backends[stage] = RuleBackend(stage, identity=True)
         elif kind == "scripted":
             if "script_file" in entry:
                 path = Path(base_dir, entry["script_file"])
@@ -423,42 +409,28 @@ def run_pipeline(d: DatabaseInput, question: str, initial_sql: str,
     if seed_id is not None:
         base["id"] = seed_id
 
-    def stage(name: str, **fields: object) -> StageOutput | None:
-        return _run_stage(trace, backends[name], StagePayload({**base, **fields}, texts), texts)
-
-    out = stage("bam", sql=query)
-    if out is not None:
+    def stage(name: str, convert: Callable[[StageOutput], _T], **fields: object) -> _T | None:
+        """The stage's output as `convert` reads it; None once the run has an error."""
+        out = _run_stage(trace, backends[name], StagePayload({**base, **fields}, texts), texts)
+        if out is None:
+            return None
         try:
-            trace.trajectory_initial = _as_trajectory(out)
+            return convert(out)
         except SqlStepsError as exc:
-            _mark_invalid(trace, "bam", exc)
-    if trace.trajectory_initial is None:
+            _mark_invalid(trace, name, exc)
+            return None
+
+    trace.trajectory_initial = current = stage("bam", _as_trajectory, sql=query)
+    if current is None:
         trace.error = trace.error or "bam produced no trajectory"
         return trace
-
-    current = trace.trajectory_initial
-    out = stage("sam_mask", trajectory=current)
-    if out is not None:
-        try:
-            trace.masked = _as_mask(out, texts(current))
-        except SqlStepsError as exc:
-            _mark_invalid(trace, "sam_mask", exc)
-    if trace.masked is not None:
-        out = stage("sam_fill", schema_list=functools.partial(_schema_list, query),
-                    masked=trace.masked, trajectory=current)
-        if out is not None:
-            try:
-                trace.trajectory_schema = current = _as_trajectory(out)
-            except SqlStepsError as exc:
-                _mark_invalid(trace, "sam_fill", exc)
-
-    if trace.error is None:
-        out = stage("lom", trajectory=current)
-        if out is not None:
-            try:
-                trace.trajectory_final = _as_trajectory(out)
-            except SqlStepsError as exc:
-                _mark_invalid(trace, "lom", exc)
+    trace.masked = stage("sam_mask", lambda out: _as_mask(out, texts(current)),
+                         trajectory=current)
+    trace.trajectory_schema = stage("sam_fill", _as_trajectory,
+                                    schema_list=functools.partial(_schema_list, query),
+                                    masked=trace.masked, trajectory=current)
+    trace.trajectory_final = stage("lom", _as_trajectory,
+                                   trajectory=trace.trajectory_schema or current)
 
     final = trace.final_trajectory()
     if final is not None:
@@ -550,7 +522,12 @@ def correct_batch(seeds: list[SeedExample], backends: dict[str, StageBackend],
                   schemas: dict[str, DatabaseInput], generator: Generator | None = None,
                   jobs: int = 4, dialect: str = "sqlite",
                   template_dir: str | Path | None = None) -> list[CorrectionResult]:
-    """One single-round correction per seed; per-seed failures never abort the batch."""
+    """One single-round correction per seed; per-seed failures never abort the batch.
+
+    Seeds run one after another in the calling thread. Only when a stage
+    backend is a `RemoteBackend` or a generator is given, which wait on I/O,
+    do up to `jobs` seeds run at once on a thread pool.
+    """
 
     def one(seed: SeedExample) -> CorrectionResult:
         try:
@@ -580,8 +557,11 @@ def correct_batch(seeds: list[SeedExample], backends: dict[str, StageBackend],
             return CorrectionResult(seed.id, seed.initial_sql, None, None, False,
                                     None, error=str(exc))
 
-    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-        results = list(pool.map(one, seeds))
+    if generator is None and not any(isinstance(b, RemoteBackend) for b in backends.values()):
+        results = [one(seed) for seed in seeds]
+    else:
+        with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
+            results = list(pool.map(one, seeds))
     return sorted(results, key=lambda r: r.seed_id)
 
 
@@ -610,7 +590,7 @@ def _round_trip_verdict(trace: PipelineTrace, bam: StageBackend, dialect: str,
     as in `round_trip`. A bridge error in bam, no reverted SQL, or a bridge
     error in a canonical form give False, as `round_trip` fails there.
     """
-    vouches = (type(bam) in (RuleBackend, IdentityBackend) and bam.stage == "bam"
+    vouches = (type(bam) is RuleBackend and bam.stage == "bam"
                and dialect == "sqlite" and trace.query.ast is not None)
     if not vouches:
         return None

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, TypeVar, Union
 
-from .actions import Scalar, Star
+from .actions import MAX_DEPTH, Scalar, Star
 from .errors import SqlSyntaxError, SqlTooDeepError
 
 if TYPE_CHECKING:
@@ -28,11 +28,6 @@ KEYWORDS = {
 }
 
 AGG_FUNCS = {"count", "sum", "avg", "min", "max"}
-
-# Deepest nesting a query or a trajectory may reach (see `BoundedParser`);
-# deeper text is a syntax error rather than a recursion fault in a later walk
-# of its tree.
-MAX_DEPTH = 32
 
 _Node = TypeVar("_Node")
 
@@ -551,9 +546,16 @@ class _SqlParser(BoundedParser):
 
     def int_literal(self) -> int:
         tok = self.next()
-        if tok.kind != "NUMBER" or "." in tok.text:
+        value = self.number(tok) if tok.kind == "NUMBER" else None
+        if value is None or value.kind != "int":
             raise SqlSyntaxError(f"expected integer, got {tok.text!r}", tok.pos)
-        return int(tok.text)
+        return value.value  # type: ignore[return-value]
+
+    def number(self, tok: _Tok) -> Scalar:
+        try:
+            return Scalar.number(tok.text)
+        except ValueError as exc:  # a number no value holds, e.g. 1e999
+            raise SqlSyntaxError(str(exc), tok.pos) from None
 
     # -- predicates -----------------------------------------------------------
 
@@ -633,7 +635,7 @@ class _SqlParser(BoundedParser):
         tok = self.peek()
         if tok.kind == "NUMBER":
             self.next()
-            return Scalar.number(tok.text)
+            return self.number(tok)
         if tok.kind == "STRING":
             self.next()
             return Scalar.of(tok.text)

@@ -292,9 +292,10 @@ class _LineParser(BoundedParser):
 
     def _int_arg(self) -> int:
         tok = self.expect("NUMBER")
-        if "." in tok.text:
+        value = Scalar.number(tok.text)
+        if value.kind != "int":
             raise TrajectorySyntaxError(f"expected integer, got {tok.text!r}", self.lineno, tok.col)
-        return int(tok.text)
+        return value.value  # type: ignore[return-value]
 
     # -- filter mini-grammar ---------------------------------------------------
 

@@ -10,6 +10,7 @@ from sqlsteps.bridge import (
     round_trip,
 )
 from sqlsteps.errors import (
+    BindingError,
     InvalidChainError,
     JoinPathNotFoundError,
     SchemaMismatchError,
@@ -17,7 +18,7 @@ from sqlsteps.errors import (
 )
 from sqlsteps.querygen import enumerate_queries, store_database
 from sqlsteps.schema import parse_database_text
-from sqlsteps.sqlast import Column, Func, canonicalize, parse_sql
+from sqlsteps.sqlast import MAX_DEPTH, Column, Func, canonicalize, parse_sql
 from sqlsteps.trajectory import parse_trajectory, render_trajectory
 
 from conftest import golden
@@ -253,3 +254,50 @@ def test_collect_aggregates_once_each_in_first_appearance_order(store):
 def test_collect_aggregates_does_not_enter_an_aggregate():
     core = parse_sql("SELECT MAX(COUNT(t.a)) FROM t GROUP BY t.b").ast
     assert _collect_aggregates(core) == [core.items[0].expr]
+
+
+def _subquery_chain(levels: int) -> str:
+    """A trajectory whose `res` filters through `levels` nested subquery operands."""
+    lines = ["df1 = df.where(element = orders.total, filter = '> 1')",
+             "df2 = df1.select(max(orders.total))"]
+    for k in range(2, 2 * levels, 2):
+        lines += [f"df{k + 1} = df.where(element = orders.total, filter = '> df{k}')",
+                  f"df{k + 2} = df{k + 1}.select(max(orders.total))"]
+    lines.append(f"res = df.where(element = orders.total, filter = '> df{2 * levels}')"
+                 ".select(orders.total)")
+    return "\n".join(lines)
+
+
+def _union_chain(parts: int) -> str:
+    """A trajectory of `parts` selects combined by a left-deep chain of unions."""
+    lines, left = ["df1 = df.select(orders.total)"], "df1"
+    for k in range(2, 2 * parts - 2, 2):
+        lines += [f"df{k} = df.select(orders.total)", f"df{k + 1} = {left}.union(df{k})"]
+        left = f"df{k + 1}"
+    lines += [f"df{2 * parts - 2} = df.select(orders.total)",
+              f"res = {left}.union(df{2 * parts - 2})"]
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("text", [_subquery_chain(201), _union_chain(1501)],
+                         ids=["201-level-subquery-chain", "1500-union-chain"])
+def test_binding_chain_past_the_limit_is_a_binding_error(text):
+    # `revert` builds one query level per link of such a chain
+    with pytest.raises(BindingError, match=f"more than {MAX_DEPTH}"):
+        parse_trajectory(text)
+
+
+def test_binding_chain_at_the_limit_reverts(store):
+    assert revert(parse_trajectory(_subquery_chain(MAX_DEPTH)), store).text.count(
+        "SELECT") == MAX_DEPTH + 1
+    with pytest.raises(BindingError):
+        parse_trajectory(_subquery_chain(MAX_DEPTH + 1))
+    assert revert(parse_trajectory(_union_chain(MAX_DEPTH + 1)), store).text.count(
+        "UNION") == MAX_DEPTH
+    with pytest.raises(BindingError):
+        parse_trajectory(_union_chain(MAX_DEPTH + 2))
+
+
+def test_longest_union_the_parser_accepts_decomposes_and_round_trips(store):
+    sql = " UNION ".join(["SELECT orders.total FROM orders"] * (MAX_DEPTH + 1))
+    assert round_trip(parse_sql(sql), store).verdict == PASS

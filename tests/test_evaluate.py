@@ -35,6 +35,22 @@ def test_execute_malformed_sql_captured(dbs):
     assert result.error is not None and result.rows is None
 
 
+@pytest.mark.parametrize("sql", [
+    "DELETE FROM customers",
+    "PRAGMA query_only = OFF",
+    "ATTACH DATABASE ':memory:' AS other",
+], ids=["delete", "pragma", "attach"])
+def test_fixture_db_is_read_only(dbs, sql):
+    assert execute_sql(q(sql), dbs["store"]).ok is False
+    assert execute_sql(q("SELECT COUNT(*) FROM customers"), dbs["store"]).rows == [(6,)]
+
+
+def test_fixture_db_runs_a_recursive_select(dbs):
+    result = execute_sql(q("WITH RECURSIVE n(k) AS (SELECT 1 UNION ALL SELECT k + 1 FROM n "
+                           "WHERE k < 4) SELECT SUM(k) FROM n"), dbs["store"])
+    assert result.ok and result.rows == [(10,)]
+
+
 def test_case_study_gold_has_unique_answer(dbs):
     result = execute_sql(q(golden("table9_gold.sql")), dbs["schools"])
     assert result.rows == [("Alameda",)]

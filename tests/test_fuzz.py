@@ -1,11 +1,12 @@
-"""Whatever text reaches a parser, it ends as a SqlStepsError or a value."""
+"""Whatever text reaches a parser, or a mask template the filler, it ends as
+a SqlStepsError or a value."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqlsteps.bridge import decompose
 from sqlsteps.errors import SqlStepsError
-from sqlsteps.masking import mask_schema, parse_masked_template
+from sqlsteps.masking import fill_mask, mask_schema, parse_masked_template
 from sqlsteps.querygen import random_queries, store_database
 from sqlsteps.schema import parse_database_text, render_database_input
 from sqlsteps.sqlast import parse_sql
@@ -21,12 +22,17 @@ PIECES = (list("'\"`[]()=<>!|+-*/.,;# \t\n0123456789eE_xé²") +
            "select ", "where(", "between 1 and 2", "is not null", "column ", "table "])
 
 
+STORE = store_database()
+# every store column, and a column and a table the store lacks
+COLUMNS = ([f"{table.name}.{column.name}" for table in STORE.tables for column in table.columns]
+           + ["customers.nope", "nope.id"])
+
+
 def _sources() -> list[str]:
-    d = store_database()
     queries = random_queries(20, 11)
-    trajectories = [decompose(parse_sql(q), d) for q in queries[:8]]
+    trajectories = [decompose(parse_sql(q), STORE) for q in queries[:8]]
     return [*queries, *(render_trajectory(t) for t in trajectories),
-            *(mask_schema(t).template for t in trajectories), render_database_input(d),
+            *(mask_schema(t).template for t in trajectories), render_database_input(STORE),
             "in (1, 'a,b', (2, 3))", "between '2020-01-01' and 5", "like 'x''y'"]
 
 
@@ -54,3 +60,18 @@ def test_parsers_raise_only_sqlsteps_errors(text):
             parse(text)
         except SqlStepsError:
             pass
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=st.one_of(_random_text, _mutated()), data=st.data())
+def test_fill_mask_raises_only_sqlsteps_errors(text, data):
+    try:
+        masked = parse_masked_template(text)
+    except SqlStepsError:
+        return
+    values = data.draw(st.lists(st.sampled_from(COLUMNS), min_size=len(masked.slots),
+                                max_size=len(masked.slots)))
+    try:
+        fill_mask(masked, values, STORE)
+    except SqlStepsError:
+        pass

@@ -3,7 +3,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqlsteps.bridge import decompose
-from sqlsteps.errors import ArityMismatchError, KindMismatchError, SchemaMismatchError
+from sqlsteps.errors import (
+    ArityMismatchError,
+    FormatError,
+    KindMismatchError,
+    SchemaMismatchError,
+    TrajectorySyntaxError,
+)
 from sqlsteps.masking import (
     fill_mask,
     mask_schema,
@@ -96,9 +102,18 @@ def test_literal_resembling_column_not_masked(schools):
 
 
 def test_parse_masked_template_rejects_gaps():
-    from sqlsteps.errors import FormatError
     with pytest.raises(FormatError):
         parse_masked_template("res = df.select([MASK:1])\n")
+
+
+def test_overlong_slot_index_is_no_token(store):
+    text = "res = df.select([MASK:" + "1" * 5000 + "])\n"
+    masked = parse_masked_template(text)
+    assert masked.slots == ()
+    with pytest.raises(FormatError):
+        recover_slot_values(text, "res = df.select(customers.id)\n")
+    with pytest.raises(TrajectorySyntaxError):
+        fill_mask(masked, [], store)
 
 
 def test_recover_slot_values_roundtrip():

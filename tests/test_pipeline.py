@@ -15,7 +15,6 @@ from sqlsteps.errors import (
 from sqlsteps.masking import mask_schema
 from sqlsteps.pipeline import (
     STAGES,
-    IdentityBackend,
     RemoteBackend,
     RuleBackend,
     ScriptedBackend,
@@ -177,6 +176,50 @@ def test_correct_batch_feedback_only(fixture_seeds, schemas):
     assert [r.seed_id for r in results] == sorted(r.seed_id for r in results)
     with_feedback = [r for r in results if r.feedback is not None]
     assert len(with_feedback) == 10  # every fixture initial SQL decomposes
+
+
+def test_cpu_batch_runs_every_stage_on_the_calling_thread(fixture_seeds, schemas):
+    calls: list[tuple[str, int]] = []
+
+    class Recorded:
+        """A stage in Python that is no RemoteBackend: the rule stage, noting its thread."""
+
+        identity = False
+
+        def __init__(self, stage):
+            self.stage, self.rule = stage, RuleBackend(stage)
+
+        def describe(self):
+            return f"test:{self.stage}"
+
+        def invoke(self, payload):
+            calls.append((self.stage, threading.get_ident()))
+            return self.rule.invoke(payload)
+
+    backends = rule_backends()
+    for stage, backend in backends.items():  # wrapped on the instance, as a tracer does
+        def recorded(payload, stage=stage, invoke=backend.invoke):
+            calls.append((stage, threading.get_ident()))
+            return invoke(payload)
+        backend.invoke = recorded
+    backends["lom"] = Recorded("lom")
+    results = correct_batch(fixture_seeds, backends, schemas, jobs=4)
+    assert len(results) == 10
+    assert {stage for stage, _ in calls} == set(STAGES)
+    assert {thread for _, thread in calls} == {threading.get_ident()}
+
+
+def test_generator_batch_runs_on_the_pool(fixture_seeds, schemas):
+    threads: list[int] = []
+
+    def generator(payload):
+        threads.append(threading.get_ident())
+        return payload["reverted_sql"]
+
+    results = correct_batch(fixture_seeds, rule_backends(), schemas, generator=generator,
+                            jobs=2)
+    assert len(threads) == sum(r.feedback is not None for r in results) > 0
+    assert threading.get_ident() not in threads
 
 
 def test_correct_batch_echo_generator(fixture_seeds, schemas):
@@ -503,6 +546,7 @@ def test_backend_config_kinds():
                                "sam_fill": {"kind": "scripted", "outputs": {"*": "x"}},
                                "lom": {"kind": "remote", "endpoint": "http://x/"}})
     assert isinstance(backends["bam"], RuleBackend)
-    assert isinstance(backends["sam_mask"], IdentityBackend)
+    assert isinstance(backends["sam_mask"], RuleBackend) and backends["sam_mask"].identity
+    assert backends["sam_mask"].describe() == "identity:sam_mask"
     assert isinstance(backends["sam_fill"], ScriptedBackend)
     assert isinstance(backends["lom"], RemoteBackend)

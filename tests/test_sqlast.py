@@ -76,6 +76,12 @@ def test_quoted_identifiers_across_dialects():
     "SELECT SUM(*) FROM t",
     "SELECT COUNT(* + 1) FROM t",
     "SELECT a FROM t WHERE a = *",
+    # numbers no value holds, and a limit that is no integer
+    "SELECT 1e999 FROM t",
+    "SELECT -1e999 FROM t",
+    pytest.param("SELECT " + "1" * 5000, id="5000-digit-integer"),
+    pytest.param("SELECT a FROM t LIMIT " + "1" * 5000, id="5000-digit-limit"),
+    "SELECT a FROM t LIMIT 1e5",
 ])
 def test_rejects_non_subset(bad):
     with pytest.raises(SqlSyntaxError):

@@ -190,6 +190,13 @@ def test_syntax_error_carries_position():
     # `str.isdigit` accepts a superscript two, the number pattern does not
     ("res = df.select(\u00b2)", 17),
     ("res = df.select(-\u00b2)", 18),
+    # numbers no value holds
+    ("res = df.select(1e999)", 17),
+    ("res = df.select(-1e999)", 17),
+    pytest.param("res = df.select(" + "1" * 5000 + ")", 17, id="5000-digit-integer"),
+    pytest.param("res = df.select(t.a).limit(" + "1" * 5000 + ")", 28, id="5000-digit-limit"),
+    ("df1 = df.where(element = t.a, filter = 1e999)\nres = df1.select(t.a)", 40),
+    ("df1 = df.where(element = t.a, filter = '> 1e999')\nres = df1.select(t.a)", 40),
 ])
 def test_rejected_action_values_are_syntax_errors(text, column):
     with pytest.raises(TrajectorySyntaxError) as err:

@@ -2,9 +2,9 @@
 
 Call counts over `correct_batch` and `evaluate_correction`, taken by wrapping
 the names as `evaluate`, `pipeline`, `masking` and `bridge` see them: a rule
-run hands its round-trip verdict and its canonical forms to evaluation, the
-rule `sam_fill` keeps the trajectory it was given and no stage reads the
-schema list. The fallbacks that recompute, when a run cannot vouch for its
+or identity run hands its round-trip verdict and its canonical forms to
+evaluation, the rule `sam_fill` keeps the trajectory it was given, an identity
+run parses no stage text and no stage reads the schema list. The fallbacks that recompute, when a run cannot vouch for its
 own work, stay live. A corpus build from in-memory bam records parses no
 trajectory text and each seed's gold SQL once.
 """
@@ -25,6 +25,7 @@ from conftest import generated_seeds
 
 WRAPPED = [(evaluate, "round_trip"), (pipeline, "canonicalize"), (bridge, "canonicalize"),
            (pipeline, "fill_mask"), (pipeline, "parse_trajectory"),
+           (pipeline, "parse_masked_template"),
            (masking, "parse_trajectory"), (pipeline, "extract_schema"),
            (corpus, "parse_trajectory"), (sqlast, "parse_sql")]
 
@@ -58,6 +59,18 @@ def test_rule_run_does_each_fact_once(calls, fixture_seeds, schemas, dbs):
     evaluate.evaluate_correction(results, seeds, dbs, schemas)
     assert calls["evaluate.round_trip"] == 0
     assert calls["pipeline.canonicalize"] + calls["bridge.canonicalize"] <= 2 * converted
+
+
+def test_identity_run_parses_no_stage_text(calls, fixture_seeds, schemas, dbs):
+    seeds = generated_seeds() + list(fixture_seeds)
+    identity = pipeline.build_backends({stage: {"kind": "identity"} for stage in pipeline.STAGES})
+    results = pipeline.correct_batch(seeds, identity, schemas, jobs=1)
+    assert sum(r.trace is not None and r.trace.trajectory_initial is not None
+               for r in results) >= 90
+    assert calls["pipeline.parse_trajectory"] == calls["masking.parse_trajectory"] == 0
+    assert calls["pipeline.parse_masked_template"] == 0
+    evaluate.evaluate_correction(results, seeds, dbs, schemas)
+    assert calls["evaluate.round_trip"] == 0  # the identity run vouches for its verdict
 
 
 @pytest.mark.parametrize("with_dbs", [False, True])
