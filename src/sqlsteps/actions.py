@@ -7,7 +7,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable, Union, get_args
 
 from .errors import BindingError
 
@@ -130,33 +130,51 @@ class Substr:
     length: int | None = None
 
 
+@dataclass(frozen=True)
+class Func:
+    """A SQL function call; SQL trees only (a trajectory spells the calls it
+    supports as `Aggregate` and `Substr`)."""
+
+    name: str  # lowercase
+    args: tuple["Expr", ...]
+    distinct: bool = False
+
+
+# A trajectory expression. A SQL expression (`sqlast.SqlExpr`) shares Scalar,
+# Star, Cast and Arithmetic with it, and has Column, Func and Subquery of its own.
 Expr = Union[QualifiedColumn, Scalar, Star, Aggregate, Cast, Arithmetic, Substr]
+_TRAJECTORY_NODES = get_args(Expr)
+
+# node type -> (its operands left to right, the node rebuilt over new operands);
+# a type not listed is a leaf, a `sqlast.Subquery` included (its core is a scope
+# of its own)
+_OPERANDS: dict[type, tuple[Callable, Callable]] = {
+    Aggregate: (lambda e: (e.arg,), lambda e, ops: Aggregate(e.kind, *ops)),
+    Cast: (lambda e: (e.arg,), lambda e, ops: Cast(*ops, e.target_type)),
+    Substr: (lambda e: (e.arg,), lambda e, ops: Substr(*ops, e.start, e.length)),
+    Arithmetic: (lambda e: (e.left, e.right), lambda e, ops: Arithmetic(e.op, *ops)),
+    Func: (lambda e: e.args, lambda e, ops: Func(e.name, ops, e.distinct)),
+}
 
 
 def expr_children(expr: Expr) -> tuple[Expr, ...]:
-    """A node's operands, left to right."""
-    if isinstance(expr, (Aggregate, Cast, Substr)):
-        return (expr.arg,)
-    if isinstance(expr, Arithmetic):
-        return (expr.left, expr.right)
-    return ()
+    """A node's operands, left to right, in a trajectory or a SQL tree."""
+    spec = _OPERANDS.get(type(expr))
+    return spec[0](expr) if spec is not None else ()
 
 
 def map_expr(expr: Expr, fn: Callable[[Expr], Expr | None]) -> Expr:
-    """Top-down rebuild: `fn(node)` is the node's replacement, or None to keep
-    the node and map its operands."""
+    """Top-down rebuild of a trajectory or a SQL tree: `fn(node)` is the node's
+    replacement, or None to keep the node and map its operands. A subquery's
+    core is never entered."""
     out = fn(expr)
     if out is not None:
         return out
-    if isinstance(expr, Aggregate):
-        return Aggregate(expr.kind, map_expr(expr.arg, fn))
-    if isinstance(expr, Cast):
-        return Cast(map_expr(expr.arg, fn), expr.target_type)
-    if isinstance(expr, Substr):
-        return Substr(map_expr(expr.arg, fn), expr.start, expr.length)
-    if isinstance(expr, Arithmetic):
-        return Arithmetic(expr.op, map_expr(expr.left, fn), map_expr(expr.right, fn))
-    return expr
+    spec = _OPERANDS.get(type(expr))
+    if spec is None:
+        return expr
+    operands, rebuild = spec
+    return rebuild(expr, tuple([map_expr(child, fn) for child in operands(expr)]))
 
 
 def columns_in(expr: Expr) -> list[QualifiedColumn]:
@@ -311,9 +329,10 @@ Action = Union[Select, Where, GroupBy, Having, OrderBy, Limit, Distinct,
 
 @dataclass(frozen=True)
 class TrajectoryStep:
-    """One `binding = receiver.action(...)...` line. Its expressions hold `*`
-    only as a top-level select element or as the argument of count, no
-    aggregate inside an aggregate, and no binding reference."""
+    """One `binding = receiver.action(...)...` line. Its expressions hold only
+    trajectory nodes (no binding reference, and none of a SQL tree's own),
+    `*` only as a top-level select element or as the argument of count, and
+    no aggregate inside an aggregate."""
 
     binding: str
     receiver: str
@@ -332,8 +351,10 @@ class TrajectoryStep:
 
 
 def _check_expr(expr: Expr, star_ok: bool, in_aggregate: bool) -> None:
-    if isinstance(expr, BindingRef):
-        raise ValueError("a binding reference cannot appear inside an expression")
+    if not isinstance(expr, _TRAJECTORY_NODES):
+        if isinstance(expr, BindingRef):
+            raise ValueError("a binding reference cannot appear inside an expression")
+        raise ValueError(f"{type(expr).__name__} is no trajectory expression")
     if isinstance(expr, Star) and not star_ok:
         raise ValueError("`*` only allowed in count() or select()")
     if isinstance(expr, Aggregate):

@@ -18,13 +18,12 @@ from .actions import (
     Action,
     AggStep,
     Aggregate,
-    Arithmetic,
     BindingRef,
-    Cast,
     Combine,
     Distinct,
     Expr,
     FilterCondition,
+    Func,
     GroupBy,
     Having,
     Limit,
@@ -38,13 +37,14 @@ from .actions import (
     TrajectoryStep,
     Where,
     columns_in,
+    expr_children,
+    map_expr,
 )
 from .errors import (
     BRIDGE_ERRORS,
     InvalidChainError,
     JoinPathNotFoundError,
     SchemaMismatchError,
-    SqlSyntaxError,
     UnsupportedSqlError,
 )
 from .schema import DatabaseInput
@@ -52,11 +52,8 @@ from .trajectory import validate_trajectory
 from .sqlast import (
     And,
     Between,
-    Binary,
-    CastExpr,
     Column,
     Comparison,
-    Func,
     InList,
     IsNull,
     Join,
@@ -108,12 +105,11 @@ class _Namer:
 
 def decompose(s: SqlQuery, d: DatabaseInput) -> Trajectory:
     """Convert a parsed SQL query into its stepwise action trajectory."""
-    if s.ast is None:
-        raise SqlSyntaxError(s.parse_error or "query has no AST")
+    ast = sqlast._require_ast(s)
     namer = _Namer()
     steps: list[TrajectoryStep] = []
     try:
-        _decompose_node(s.ast, d, namer, steps, bind="res")
+        _decompose_node(ast, d, namer, steps, bind="res")
     except ValueError as exc:  # a value the action types reject, e.g. a nested aggregate
         raise UnsupportedSqlError(str(exc)) from exc
     return Trajectory(tuple(steps))
@@ -279,14 +275,18 @@ def _check_literal(scalar: Scalar) -> Scalar:
 
 
 def _to_traj_expr(expr: SqlExpr) -> Expr:
+    return map_expr(expr, _traj_node)
+
+
+def _traj_node(expr: SqlExpr) -> Expr | None:
+    """The trajectory form of a SQL node with none of its own; None for a
+    shared node (Star, Cast, Arithmetic), whose operands are converted."""
     if isinstance(expr, Column):
         if expr.table is None:
             raise SchemaMismatchError(f"column {expr.column!r} could not be qualified")
         return QualifiedColumn(expr.table, expr.column)
     if isinstance(expr, Scalar):
         return _check_literal(expr)
-    if isinstance(expr, Star):
-        return Star()
     if isinstance(expr, Func):
         if expr.name in _AGG_NAME_TO_KIND:
             if expr.distinct:
@@ -309,13 +309,9 @@ def _to_traj_expr(expr: SqlExpr) -> Expr:
                 length = int(third.value)
             return Substr(_to_traj_expr(expr.args[0]), int(start.value), length)
         raise UnsupportedSqlError(f"function {expr.name!r} is outside the action space")
-    if isinstance(expr, CastExpr):
-        return Cast(_to_traj_expr(expr.arg), expr.target_type)
-    if isinstance(expr, Binary):
-        return Arithmetic(expr.op, _to_traj_expr(expr.left), _to_traj_expr(expr.right))
     if isinstance(expr, Subquery):
         raise UnsupportedSqlError("subqueries are only supported in WHERE comparisons")
-    raise UnsupportedSqlError(f"unconvertible expression {expr!r}")
+    return None
 
 
 def _conjunct_to_filter(pred: Predicate, d: DatabaseInput, namer: _Namer,
@@ -387,7 +383,7 @@ def _reject_subqueries(pred: Predicate) -> None:
 def _sql_columns(expr: SqlExpr) -> list[Column]:
     if isinstance(expr, Column):
         return [expr]
-    return [col for child in sqlast.expr_children(expr) for col in _sql_columns(child)]
+    return [col for child in expr_children(expr) for col in _sql_columns(child)]
 
 
 def _collect_aggregates(core: SelectCore) -> list[Func]:
@@ -399,7 +395,7 @@ def _collect_aggregates(core: SelectCore) -> list[Func]:
             if expr not in seen:
                 seen.append(expr)
             return
-        for child in sqlast.expr_children(expr):
+        for child in expr_children(expr):
             visit(child)
 
     for item in core.items:
@@ -567,24 +563,22 @@ def _operand_to_sql(states: dict, operand, d: DatabaseInput) -> SqlExpr:
 
 
 def _to_sql_expr(expr: Expr) -> SqlExpr:
+    return map_expr(expr, _sql_node)
+
+
+def _sql_node(expr: Expr) -> SqlExpr | None:
+    """The SQL form of a trajectory node with none of its own; None for a
+    shared node, whose operands are converted."""
     if isinstance(expr, QualifiedColumn):
         return Column(expr.table, expr.column)
-    if isinstance(expr, Scalar):
-        return expr
-    if isinstance(expr, Star):
-        return Star()
     if isinstance(expr, Aggregate):
         return Func(_KIND_TO_AGG_NAME[expr.kind], (_to_sql_expr(expr.arg),))
-    if isinstance(expr, Cast):
-        return CastExpr(_to_sql_expr(expr.arg), expr.target_type)
-    if isinstance(expr, Arithmetic):
-        return Binary(expr.op, _to_sql_expr(expr.left), _to_sql_expr(expr.right))
     if isinstance(expr, Substr):
         args: tuple[SqlExpr, ...] = (_to_sql_expr(expr.arg), Scalar(expr.start, "int"))
         if expr.length is not None:
             args += (Scalar(expr.length, "int"),)
         return Func("substr", args)
-    raise TypeError(f"not an expression: {expr!r}")
+    return None
 
 
 def _witnessed_tables(core: SelectCore) -> set[str]:

@@ -205,7 +205,13 @@ def build_sam_corpus(bam_records: list[CorpusRecord], seeds: list[SeedExample],
             failures.append((str(bam.provenance.get("seed_id")), "missing-seed", ""))
             continue
         d = _require_schema(seed, schemas)
-        masked = mask_schema(_bam_trajectory(bam))
+        trajectory = _bam_trajectory(bam)
+        try:
+            masked = mask_schema(trajectory)
+        except FormatError as exc:
+            failures.append((seed.id, "unmaskable", str(exc)))
+            log.warning("seed %s: %s", seed.id, exc)
+            continue
         schema_list, parse_failed = _initial_schema_list(seed)
         records.append(CorpusRecord(
             target=TARGET_SAM1,

@@ -69,8 +69,13 @@ def replace_columns(t: Trajectory, fn: Callable[[QualifiedColumn, int], Qualifie
 
 
 def mask_schema(t: Trajectory) -> MaskedTrajectory:
-    """Mask every qualified-column occurrence of the canonical rendering."""
+    """Mask every qualified-column occurrence of the canonical rendering.
+    Raises FormatError for a trajectory whose text already reads as holding a
+    mask token (a string literal `'[MASK:0]'`), which no template can tell
+    from a slot."""
     source = render_trajectory(t)
+    if MASK_TOKEN_RE.search(source):
+        raise FormatError("trajectory text already holds a mask token")
     masked = replace_columns(t, lambda _col, k: QualifiedColumn(_PLACEHOLDER_TABLE, f"s{k}"))
     template = render_trajectory(masked)
     occurrences = t.columns()
@@ -81,7 +86,8 @@ def mask_schema(t: Trajectory) -> MaskedTrajectory:
     slots = tuple(
         MaskSlot(index=k, kind="column", value=value, position=pos)
         for k, (value, pos) in enumerate(zip(values, positions)))
-    assert MASK_TOKEN_RE.sub(lambda m: values[int(m.group(1))], template) == source
+    if MASK_TOKEN_RE.sub(lambda m: values[int(m.group(1))], template) != source:
+        raise FormatError("masked template does not fill back to the trajectory text")
     return MaskedTrajectory(template=template, slots=slots)
 
 

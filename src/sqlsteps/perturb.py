@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .actions import (
     Action,
@@ -115,26 +116,27 @@ def _renumber(steps: list[TrajectoryStep]) -> Trajectory:
         else:
             counter += 1
             mapping[step.binding] = f"df{counter}"
+    return Trajectory(tuple(_rename_bindings(steps, lambda name: mapping.get(name, name))))
 
-    def map_ref(name: str) -> str:
-        return mapping.get(name, name)
 
-    def map_action(action: Action) -> Action:
-        if isinstance(action, Combine):
-            return Combine(action.op, BindingRef(map_ref(action.other.name)))
-        if isinstance(action, (Where, Having)):
-            cond = action.condition
-            operands = tuple(BindingRef(map_ref(op.name)) if isinstance(op, BindingRef) else op
+def _rename_bindings(steps: list[TrajectoryStep],
+                     rename: Callable[[str], str]) -> list[TrajectoryStep]:
+    """The steps with every binding name they bind or read renamed: step
+    bindings, receivers, set operands and filter operands."""
+    def action(a: Action) -> Action:
+        if isinstance(a, Combine):
+            return Combine(a.op, BindingRef(rename(a.other.name)))
+        if isinstance(a, (Where, Having)):
+            cond = a.condition
+            operands = tuple(BindingRef(rename(op.name)) if isinstance(op, BindingRef) else op
                              for op in cond.operands)
             if operands != cond.operands:
-                cond = FilterCondition(cond.comparator, operands, cond.compound_text)
-            return (Where(action.element, cond) if isinstance(action, Where)
-                    else Having(action.element, cond))
-        return action
+                return type(a)(a.element, FilterCondition(cond.comparator, operands,
+                                                          cond.compound_text))
+        return a
 
-    renamed = [TrajectoryStep(map_ref(s.binding), map_ref(s.receiver),
-                              tuple(map_action(a) for a in s.chain)) for s in steps]
-    return Trajectory(tuple(renamed))
+    return [TrajectoryStep(rename(s.binding), rename(s.receiver), tuple(action(a) for a in s.chain))
+            for s in steps]
 
 
 def _fresh(steps: list[TrajectoryStep]) -> str:
@@ -161,26 +163,8 @@ def _drop_action(steps: list[TrajectoryStep], step_idx: int, action_idx: int) ->
         return steps[:step_idx] + [TrajectoryStep(step.binding, step.receiver, chain)] \
             + steps[step_idx + 1:]
     # empty chain: drop the whole step and repoint its users at its receiver
-    def repoint(action: Action) -> Action:
-        if isinstance(action, Combine) and action.other.name == step.binding:
-            return Combine(action.op, BindingRef(step.receiver))
-        if isinstance(action, (Where, Having)):
-            operands = tuple(BindingRef(step.receiver)
-                             if isinstance(op, BindingRef) and op.name == step.binding else op
-                             for op in action.condition.operands)
-            if operands != action.condition.operands:
-                cond = FilterCondition(action.condition.comparator, operands,
-                                       action.condition.compound_text)
-                return type(action)(action.element, cond)
-        return action
-
-    out: list[TrajectoryStep] = []
-    for i, s in enumerate(steps):
-        if i == step_idx:
-            continue
-        receiver = step.receiver if s.receiver == step.binding else s.receiver
-        out.append(TrajectoryStep(s.binding, receiver, tuple(repoint(a) for a in s.chain)))
-    return out
+    return _rename_bindings(steps[:step_idx] + steps[step_idx + 1:],
+                            lambda name: step.receiver if name == step.binding else name)
 
 
 def _swap_action(steps: list[TrajectoryStep], step_idx: int, action_idx: int,

@@ -19,6 +19,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
+from .actions import expr_children
 from .errors import FormatError
 from .sqlast import (
     Column,
@@ -29,7 +30,6 @@ from .sqlast import (
     SqlExpr,
     SqlQuery,
     Subquery,
-    expr_children,
     pred_exprs,
     resolve_aliases,
 )

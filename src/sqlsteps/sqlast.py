@@ -9,10 +9,10 @@ errors or are rejected later by the converter, never silently mangled.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, TypeVar, Union
 
-from .actions import MAX_DEPTH, Scalar, Star
+from .actions import MAX_DEPTH, Arithmetic, Cast, Func, Scalar, Star, map_expr
 from .errors import SqlSyntaxError, SqlTooDeepError
 
 if TYPE_CHECKING:
@@ -46,58 +46,14 @@ class Column:
 
 
 @dataclass(frozen=True)
-class Func:
-    name: str  # lowercase
-    args: tuple["SqlExpr", ...]
-    distinct: bool = False
-
-
-@dataclass(frozen=True)
-class CastExpr:
-    arg: "SqlExpr"
-    target_type: str
-
-
-@dataclass(frozen=True)
-class Binary:
-    op: str  # + - * /
-    left: "SqlExpr"
-    right: "SqlExpr"
-
-
-@dataclass(frozen=True)
 class Subquery:
     core: "SelectCore"
 
 
-SqlExpr = Union[Column, Scalar, Star, Func, CastExpr, Binary, Subquery]
-
-
-def expr_children(expr: SqlExpr) -> tuple[SqlExpr, ...]:
-    """A node's operands, left to right; a subquery has none (its core is a scope
-    of its own)."""
-    if isinstance(expr, Func):
-        return expr.args
-    if isinstance(expr, CastExpr):
-        return (expr.arg,)
-    if isinstance(expr, Binary):
-        return (expr.left, expr.right)
-    return ()
-
-
-def map_expr(expr: SqlExpr, fn: Callable[[SqlExpr], SqlExpr | None]) -> SqlExpr:
-    """Top-down rebuild: `fn(node)` is the node's replacement, or None to keep
-    the node and map its operands. A subquery's core is never entered."""
-    out = fn(expr)
-    if out is not None:
-        return out
-    if isinstance(expr, Func):
-        return Func(expr.name, tuple(map_expr(a, fn) for a in expr.args), expr.distinct)
-    if isinstance(expr, CastExpr):
-        return CastExpr(map_expr(expr.arg, fn), expr.target_type)
-    if isinstance(expr, Binary):
-        return Binary(expr.op, map_expr(expr.left, fn), map_expr(expr.right, fn))
-    return expr
+# Scalar, Star, Cast and Arithmetic are the trajectory's own nodes; Func is
+# defined next to them, so that `actions.expr_children` / `map_expr` walk both
+# trees.
+SqlExpr = Union[Column, Scalar, Star, Func, Cast, Arithmetic, Subquery]
 
 
 # --- predicate nodes ----------------------------------------------------------
@@ -235,6 +191,7 @@ class SqlQuery:
     ast: SelectNode | None
     dialect: str = "sqlite"
     parse_error: str | None = None
+    _syntax_error: SqlSyntaxError | None = field(default=None, repr=False, compare=False)
 
     @staticmethod
     def raw(text: str, dialect: str = "sqlite") -> "SqlQuery":
@@ -242,7 +199,8 @@ class SqlQuery:
         try:
             return parse_sql(text, dialect)
         except SqlSyntaxError as exc:
-            return SqlQuery(text=text, ast=None, dialect=dialect, parse_error=str(exc))
+            return SqlQuery(text=text, ast=None, dialect=dialect, parse_error=str(exc),
+                            _syntax_error=exc)
 
     @property
     def has_order_by(self) -> bool:
@@ -626,10 +584,10 @@ class _SqlParser(BoundedParser):
     # -- expressions -----------------------------------------------------------
 
     def expr(self) -> SqlExpr:
-        return self.chain(self.multiplicative, ("+", "-"), Binary)
+        return self.chain(self.multiplicative, ("+", "-"), Arithmetic)
 
     def multiplicative(self) -> SqlExpr:
-        return self.chain(self.atom, ("*", "/"), Binary)
+        return self.chain(self.atom, ("*", "/"), Arithmetic)
 
     def atom(self) -> SqlExpr:
         tok = self.peek()
@@ -644,7 +602,7 @@ class _SqlParser(BoundedParser):
             inner = self.nested(self.atom)
             if isinstance(inner, Scalar) and inner.kind in ("int", "real"):
                 return Scalar(-inner.value, inner.kind)  # type: ignore[operator]
-            return Binary("-", Scalar(0, "int"), inner)
+            return Arithmetic("-", Scalar(0, "int"), inner)
         if tok.kind == "PUNCT" and tok.text == "(":
             self.next()
             if self.at_kw("select"):
@@ -660,7 +618,7 @@ class _SqlParser(BoundedParser):
             self.expect_kw("as")
             target = self.type_name()
             self.expect_punct(")")
-            return CastExpr(arg, target)
+            return Cast(arg, target)
         if tok.kind == "KW" and tok.text.lower() == "null":
             raise SqlSyntaxError("bare NULL literal outside IS NULL is unsupported", tok.pos)
         if tok.kind in ("IDENT", "QIDENT"):
@@ -817,9 +775,9 @@ def render_expr(expr: SqlExpr, quote: str = '"') -> str:
         if expr.distinct:
             inner = "DISTINCT " + inner
         return f"{expr.name.upper()}({inner})"
-    if isinstance(expr, CastExpr):
+    if isinstance(expr, Cast):
         return f"CAST({render_expr(expr.arg, quote)} AS {expr.target_type.upper()})"
-    if isinstance(expr, Binary):
+    if isinstance(expr, Arithmetic):
         return f"({render_expr(expr.left, quote)} {expr.op} {render_expr(expr.right, quote)})"
     if isinstance(expr, Subquery):
         return f"({_render_core(expr.core, quote)})"
@@ -869,9 +827,15 @@ def canonicalize(query: SqlQuery, d: "DatabaseInput | None" = None) -> str:
     the WHERE conjunct set, COUNT(*) rewritten to its deterministic column
     form when schema information permits.
     """
+    return _canon_node(_require_ast(query), d)
+
+
+def _require_ast(query: SqlQuery) -> SelectNode:
+    """The query's AST; for text that did not parse, its own parse error."""
     if query.ast is None:
-        raise SqlSyntaxError(query.parse_error or "query has no AST")
-    return _canon_node(query.ast, d)
+        error = query._syntax_error or SqlSyntaxError(query.parse_error or "query has no AST")
+        raise error.with_traceback(None)
+    return query.ast
 
 
 def _canon_node(node: SelectNode, d: "DatabaseInput | None") -> str:
@@ -929,9 +893,9 @@ def _canon_expr(expr: SqlExpr, d: "DatabaseInput | None") -> str:
         if expr.distinct:
             inner = "DISTINCT " + inner
         return f"{expr.name.upper()}({inner})"
-    if isinstance(expr, CastExpr):
+    if isinstance(expr, Cast):
         return f"CAST({_canon_expr(expr.arg, d)} AS {expr.target_type.upper()})"
-    if isinstance(expr, Binary):
+    if isinstance(expr, Arithmetic):
         return f"({_canon_expr(expr.left, d)} {expr.op} {_canon_expr(expr.right, d)})"
     return render_expr(expr, '"')
 

@@ -137,6 +137,15 @@ def test_tag_errors_verb(capsys, tmp_path):
     assert "s02: schema/SchemaContradiction" in out
 
 
+def test_tag_errors_reports_a_parse_error_at_its_own_position(capsys, tmp_path):
+    pred = tmp_path / "pred.jsonl"
+    pred.write_text(json.dumps({"id": "s02", "sql": "SELECT nope FROM"}) + "\n")
+    code, out, _ = run(capsys, ["--schemas", SCHEMAS, "tag-errors", "--pred", str(pred),
+                                "--seeds", SEEDS])
+    assert code == EXIT_OK
+    assert out.strip() == "s02: error: position 16: expected identifier, got ''"
+
+
 def test_eval_tags_as_tag_errors_does(capsys, tmp_path):
     pred = tmp_path / "pred.jsonl"
     pred.write_text(json.dumps(

@@ -288,3 +288,17 @@ def test_lom_initial_error_the_step_types_reject_fails_its_seed(bam, fixture_see
         in lom.failures
     sources = {r.provenance["source"] for r in lom.records if r.provenance["seed_id"] == "s01"}
     assert "initial-error" not in sources
+
+def test_sam_fails_the_seed_whose_literal_reads_as_a_mask_token(schemas):
+    masked_looking = SeedExample("m", "store", "q",
+                                 "SELECT city FROM customers WHERE name = '[MASK:0]'",
+                                 "SELECT city FROM customers")
+    plain = SeedExample("p", "store", "q", "SELECT city FROM customers WHERE age > 3",
+                        "SELECT city FROM customers")
+    seeds = [masked_looking, plain]
+    bam = build_bam_corpus(seeds, schemas)
+    assert len(bam.records) == 2
+    sam = build_sam_corpus(bam.records, seeds, schemas)
+    assert sam.failures == [("m", "unmaskable", "trajectory text already holds a mask token")]
+    assert {r.provenance["seed_id"] for r in sam.records} == {"p"}
+    assert len(sam.records) == 2

@@ -10,6 +10,15 @@ from sqlsteps.errors import (
     SchemaMismatchError,
     TrajectorySyntaxError,
 )
+from sqlsteps.actions import (
+    FilterCondition,
+    QualifiedColumn,
+    Scalar,
+    Select,
+    Trajectory,
+    TrajectoryStep,
+    Where,
+)
 from sqlsteps.masking import (
     fill_mask,
     mask_schema,
@@ -27,6 +36,24 @@ def test_single_slot(schools):
     masked = mask_schema(parse_trajectory("res = df.select(t.a)"))
     assert masked.template == "res = df.select([MASK:0])\n"
     assert [(s.index, s.kind, s.value) for s in masked.slots] == [(0, "column", "t.a")]
+
+
+def test_a_literal_that_reads_as_a_mask_token_cannot_be_masked():
+    t = parse_trajectory("df1 = df.where(element = t.a, filter = '[MASK:0]')\n"
+                         "res = df1.select(t.b)")
+    with pytest.raises(FormatError, match="already holds a mask token"):
+        mask_schema(t)
+
+
+def test_a_template_that_does_not_fill_back_is_a_format_error():
+    # the literal spells the placeholder of the second column, which the first
+    # column's slot precedes in render order: the template misplaces slot 1
+    where = Where(QualifiedColumn("t", "a"),
+                  FilterCondition("=", (Scalar("xmaskx.s1", "string"),)))
+    t = Trajectory((TrajectoryStep("df1", "df", (where,)),
+                    TrajectoryStep("res", "df1", (Select((QualifiedColumn("t", "b"),)),))))
+    with pytest.raises(FormatError, match="does not fill back"):
+        mask_schema(t)
 
 
 def test_case_study_masking_has_seven_slots():

@@ -314,6 +314,15 @@ def test_backend_exception_of_its_own_stays_with_its_seed(fixture_seeds, schemas
     assert s02.feedback is not None  # degraded to the sam_fill trajectory
 
 
+def test_rule_sam_mask_fails_a_masked_looking_literal_as_a_format_error(schemas):
+    sql = "SELECT city FROM customers WHERE name = '[MASK:0]'"
+    trace = run_pipeline(schemas["store"], "q", sql, rule_backends())
+    record = trace.stages[-1]
+    assert record.stage == "sam_mask"
+    assert record.error_type is FormatError
+    assert trace.error == "sam_mask: trajectory text already holds a mask token"
+
+
 def test_generator_exception_of_its_own_stays_with_its_seed(fixture_seeds, schemas):
     def generator(payload):
         if payload["id"] == "s03":

@@ -1,5 +1,6 @@
 import pytest
 
+from sqlsteps.actions import Arithmetic, Cast, Scalar, expr_children, map_expr
 from sqlsteps.bridge import UNSUPPORTED, round_trip
 from sqlsteps.errors import SqlSyntaxError
 from sqlsteps.sqlast import (
@@ -12,10 +13,12 @@ from sqlsteps.sqlast import (
     SetOp,
     SqlQuery,
     Star,
+    Subquery,
     canonical_predicate,
     canonicalize,
     parse_predicate,
     parse_sql,
+    render_expr,
     render_sql,
 )
 
@@ -243,3 +246,36 @@ def test_count_star_parses_as_star_argument():
     q = parse_sql("SELECT COUNT(*) FROM t")
     expr = q.ast.items[0].expr
     assert isinstance(expr, Func) and isinstance(expr.args[0], Star)
+
+
+def test_shared_walker_over_a_mixed_sql_tree():
+    # a Func inside a Cast inside an Arithmetic, beside a Subquery whose core
+    # the walker never enters
+    query = parse_sql("SELECT CAST(SUM(t.a) AS REAL) * 2 - (SELECT MAX(u.b) FROM u) FROM t")
+    tree = query.ast.items[0].expr
+    col_a = Column("t", "a")
+    total = Func("sum", (col_a,))
+    cast = Cast(total, "REAL")
+    product = Arithmetic("*", cast, Scalar(2, "int"))
+    assert isinstance(tree, Arithmetic) and tree.op == "-" and tree.left == product
+    subquery = tree.right
+    assert isinstance(subquery, Subquery)
+    assert expr_children(tree) == (product, subquery)
+    assert expr_children(product) == (cast, Scalar(2, "int"))
+    assert expr_children(cast) == (total,)
+    assert expr_children(total) == (col_a,)
+    assert expr_children(subquery) == expr_children(col_a) == ()
+
+    visited = []
+
+    def rename(node):
+        visited.append(node)
+        return Column("x", node.column) if isinstance(node, Column) else None
+
+    rebuilt = map_expr(tree, rename)
+    assert visited == [tree, product, cast, total, col_a, Scalar(2, "int"), subquery]
+    renamed = Arithmetic("-", Arithmetic("*", Cast(Func("sum", (Column("x", "a"),)), "REAL"),
+                                         Scalar(2, "int")), subquery)
+    assert rebuilt == renamed
+    assert render_expr(rebuilt) == "((CAST(SUM(x.a) AS REAL) * 2) - (SELECT MAX(u.b) FROM u))"
+    assert map_expr(tree, lambda node: None) == tree

@@ -22,7 +22,7 @@ from sqlsteps.actions import (
 )
 from sqlsteps.errors import BindingError, TrajectorySyntaxError, UnknownActionError
 from sqlsteps.schema import DatabaseInput
-from sqlsteps.sqlast import MAX_DEPTH
+from sqlsteps.sqlast import MAX_DEPTH, Column, Func, SelectCore, SelectItem, Subquery
 from sqlsteps.trajectory import (
     parse_filter_text,
     parse_trajectory,
@@ -160,6 +160,25 @@ def test_star_only_in_count_or_select():
 def test_step_rejects_misplaced_star_and_nested_aggregate(chain, message):
     with pytest.raises(ValueError, match=message):
         TrajectoryStep("res", "df", chain)
+
+
+@pytest.mark.parametrize("sql_node", [
+    Column("t", "a"),
+    Func("sum", (Column("t", "a"),)),
+    Subquery(SelectCore((SelectItem(Column("t", "a")),))),
+], ids=["column", "func", "subquery"])
+@pytest.mark.parametrize("wrap", [
+    lambda node: Cast(node, "real"),
+    lambda node: Arithmetic("+", Scalar(1, "int"), node),
+    lambda node: Aggregate("sum", Arithmetic("*", node, Scalar(2, "int"))),
+], ids=["cast", "arithmetic", "nested"])
+def test_step_rejects_a_sql_node_under_a_shared_one(sql_node, wrap):
+    # Cast and Arithmetic are shared with SQL trees; what they hold in a step
+    # must still be a trajectory node
+    with pytest.raises(ValueError, match="is no trajectory expression"):
+        TrajectoryStep("res", "df", (Select((wrap(sql_node),)),))
+    with pytest.raises(ValueError, match="is no trajectory expression"):
+        TrajectoryStep("res", "df", (Select((sql_node,)),))
 
 
 def test_binding_ref_is_never_df():
