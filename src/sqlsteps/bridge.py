@@ -130,13 +130,17 @@ def _decompose_node(node: SelectNode, d: DatabaseInput, namer: _Namer,
 
 def _decompose_core(core: SelectCore, d: DatabaseInput, namer: _Namer,
                     steps: list[TrajectoryStep], bind: str | None,
-                    outer_tables: frozenset[str] = frozenset()) -> str:
-    core = sqlast.resolve_aliases(core)
+                    outer_tables: frozenset[str] = frozenset(),
+                    raise_at_count: bool = False) -> str:
     _check_core_shape(core, d)
-    core = _qualify_strict(core, d, outer_tables)
-    core = sqlast.normalize_count_star(core, d)
+    core = sqlast.normalize_core(core, d, _strict_column(d, outer_tables), raise_at_count)
     core = sqlast.expand_select_star(core, d)
     declared = {t.name for t in core.tables} | {j.table.name for j in core.joins}
+    # A subquery's COUNT(*) whose target does not qualify raises where it
+    # stands if this core has a COUNT(*) target of its own, else in its GROUP
+    # BY: the order in which such errors have always been reported.
+    counted = any(isinstance(e, Column) for e in core.group_by) or (
+        len(declared) == 1 and d.primary_key(next(iter(declared))) is not None)
     witnessed: set[str] = set()
 
     def conv(expr: SqlExpr) -> Expr:
@@ -148,7 +152,8 @@ def _decompose_core(core: SelectCore, d: DatabaseInput, namer: _Namer,
     if core.where is not None:
         scope = outer_tables | declared
         for conjunct in flatten_and(core.where):
-            element, cond = _conjunct_to_filter(conjunct, d, namer, steps, conv, scope)
+            element, cond = _conjunct_to_filter(conjunct, d, namer, steps, conv, scope,
+                                                counted)
             binding = namer.next()
             steps.append(TrajectoryStep(binding, receiver, (Where(element, cond),)))
             receiver = binding
@@ -191,6 +196,7 @@ def _decompose_core(core: SelectCore, d: DatabaseInput, namer: _Namer,
 
 
 def _check_core_shape(core: SelectCore, d: DatabaseInput) -> None:
+    """Checks a core before its aliases are resolved."""
     if len(core.tables) > 1:
         raise UnsupportedSqlError("comma-separated FROM lists are unsupported")
     names = [t.name for t in core.tables] + [j.table.name for j in core.joins]
@@ -199,13 +205,15 @@ def _check_core_shape(core: SelectCore, d: DatabaseInput) -> None:
     for name in names:
         if not d.has_table(name):
             raise SchemaMismatchError(f"table {name!r} not in database {d.name!r}")
+    aliases = {t.alias: t.name for t in (*core.tables, *(j.table for j in core.joins))
+               if t.alias}
     known = set()
     if core.tables:
         known.add(core.tables[0].name)
     for join in core.joins:
         if join.kind != "inner":
             raise UnsupportedSqlError(f"{join.kind} joins are unsupported")
-        _check_join_on(join, known, d)
+        _check_join_on(join, known, d, aliases)
         known.add(join.table.name)
     if core.distinct:
         if len(core.items) != 1:
@@ -218,14 +226,15 @@ def _check_core_shape(core: SelectCore, d: DatabaseInput) -> None:
         raise UnsupportedSqlError("LIMIT 0 has no action equivalent (limit takes a count >= 1)")
 
 
-def _check_join_on(join: Join, known: set[str], d: DatabaseInput) -> None:
+def _check_join_on(join: Join, known: set[str], d: DatabaseInput,
+                   aliases: dict[str, str]) -> None:
     conjuncts = flatten_and(join.on)
     if len(conjuncts) != 1 or not isinstance(conjuncts[0], Comparison):
         raise UnsupportedSqlError("join conditions must be a single equality")
     cmp = conjuncts[0]
     if cmp.op != "=" or not isinstance(cmp.left, Column) or not isinstance(cmp.right, Column):
         raise UnsupportedSqlError("join conditions must equate two columns")
-    left, right = cmp.left, cmp.right
+    left, right = (Column(aliases.get(c.table, c.table), c.column) for c in (cmp.left, cmp.right))
     if left.table is None or right.table is None:
         raise UnsupportedSqlError("join condition columns must be qualified")
     pair = {left.table, right.table}
@@ -239,33 +248,24 @@ def _check_join_on(join: Join, known: set[str], d: DatabaseInput) -> None:
             f"join condition {left.render()} = {right.render()} is not a declared foreign key")
 
 
-def _qualify_strict(core: SelectCore, d: DatabaseInput,
-                    outer_tables: frozenset[str]) -> SelectCore:
-    tables = [t.name for t in core.tables] + [j.table.name for j in core.joins]
-
-    def fix(expr: SqlExpr) -> SqlExpr | None:
-        if isinstance(expr, Column):
-            if expr.table is not None:
-                if expr.table not in tables:
-                    if expr.table in outer_tables:
-                        raise UnsupportedSqlError(
-                            f"correlated reference {expr.render()} is unsupported")
-                    raise SchemaMismatchError(f"table {expr.table!r} not in FROM clause")
-                if not d.has_column(expr.table, expr.column):
-                    raise SchemaMismatchError(f"column {expr.render()} not in database")
-                return expr
-            owners = [t for t in tables if d.has_column(t, expr.column)]
-            if not owners:
-                raise SchemaMismatchError(f"column {expr.column!r} not in any FROM table")
-            if len(owners) > 1:
-                raise SchemaMismatchError(
-                    f"column {expr.column!r} is ambiguous across {owners}")
-            return Column(owners[0], expr.column)
-        if isinstance(expr, Subquery):
-            return expr  # qualified when its sub-trajectory is built
-        return None
-
-    return sqlast._map_core(core, fix)
+def _strict_column(d: DatabaseInput, outer_tables: frozenset[str]) -> sqlast.ColumnResolver:
+    def column(col: Column, tables: list[str]) -> Column:
+        if col.table is not None:
+            if col.table not in tables:
+                if col.table in outer_tables:
+                    raise UnsupportedSqlError(
+                        f"correlated reference {col.render()} is unsupported")
+                raise SchemaMismatchError(f"table {col.table!r} not in FROM clause")
+            if not d.has_column(col.table, col.column):
+                raise SchemaMismatchError(f"column {col.render()} not in database")
+            return col
+        owners = [t for t in tables if d.has_column(t, col.column)]
+        if not owners:
+            raise SchemaMismatchError(f"column {col.column!r} not in any FROM table")
+        if len(owners) > 1:
+            raise SchemaMismatchError(f"column {col.column!r} is ambiguous across {owners}")
+        return Column(owners[0], col.column)
+    return column
 
 
 def _check_literal(scalar: Scalar) -> Scalar:
@@ -316,13 +316,14 @@ def _traj_node(expr: SqlExpr) -> Expr | None:
 
 def _conjunct_to_filter(pred: Predicate, d: DatabaseInput, namer: _Namer,
                         steps: list[TrajectoryStep], conv,
-                        scope: frozenset[str] | set[str]) -> tuple[Expr, FilterCondition]:
+                        scope: frozenset[str] | set[str],
+                        counted: bool) -> tuple[Expr, FilterCondition]:
     pred = sqlast._normalize_comparison(pred)
     if isinstance(pred, Comparison) and isinstance(pred.right, Subquery):
         if isinstance(pred.left, Subquery):
             raise UnsupportedSqlError("subquery-to-subquery comparisons are unsupported")
-        sub_binding = _decompose_core(pred.right.core, d, namer, steps, bind=None,
-                                      outer_tables=frozenset(scope))
+        sub_binding = _decompose_core(pred.right.core, d, namer, steps, None,
+                                      frozenset(scope), counted)
         return conv(pred.left), FilterCondition(pred.op, (BindingRef(sub_binding),))
     return _simple_filter(pred, d, conv)
 

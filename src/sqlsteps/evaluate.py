@@ -12,6 +12,7 @@ import sqlite3
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 from .actions import (
@@ -87,8 +88,7 @@ class FixtureDb:
     def execute(self, sql: str) -> ExecutionResult:
         start = time.perf_counter()
         try:
-            cursor = self._conn.execute(sql)
-            rows = [tuple(row) for row in cursor.fetchall()]
+            rows = self._conn.execute(sql).fetchall()  # tuples: no row factory is set
             return ExecutionResult(rows=rows, error=None,
                                    elapsed=time.perf_counter() - start)
         except sqlite3.Error as exc:
@@ -113,8 +113,12 @@ def execute_sql(s: SqlQuery, db: FixtureDb) -> ExecutionResult:
     return db.execute(s.text)
 
 
-def _normalize_row(row: tuple) -> tuple:
-    return tuple(round(v, 6) if isinstance(v, float) else v for v in row)
+def _normalize_rows(rows: list[tuple]) -> list[tuple]:
+    """Rows with every float rounded to 1e-6; rows that hold no float as
+    they are."""
+    if float not in set(map(type, chain.from_iterable(rows))):
+        return rows
+    return [tuple(round(v, 6) if isinstance(v, float) else v for v in row) for row in rows]
 
 
 def ex_match(pred: SqlQuery, gold: SqlQuery, db: FixtureDb) -> bool:
@@ -129,14 +133,14 @@ def _gold_rows(gold: SqlQuery, db: FixtureDb) -> list[tuple]:
     if not result.ok:
         raise GoldExecutionFailedError(result.error or "gold query failed")
     assert result.rows is not None
-    return [_normalize_row(r) for r in result.rows]
+    return _normalize_rows(result.rows)
 
 
 def _rows_match(pred: ExecutionResult, gold_rows: list[tuple], ordered: bool) -> bool:
     if not pred.ok:
         return False
     assert pred.rows is not None
-    pred_rows = [_normalize_row(r) for r in pred.rows]
+    pred_rows = _normalize_rows(pred.rows)
     if ordered:
         return gold_rows == pred_rows
     return Counter(gold_rows) == Counter(pred_rows)

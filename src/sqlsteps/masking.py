@@ -76,11 +76,16 @@ def mask_schema(t: Trajectory) -> MaskedTrajectory:
     source = render_trajectory(t)
     if MASK_TOKEN_RE.search(source):
         raise FormatError("trajectory text already holds a mask token")
-    masked = replace_columns(t, lambda _col, k: QualifiedColumn(_PLACEHOLDER_TABLE, f"s{k}"))
+    # a placeholder table the source text does not hold, so that no literal
+    # spells a slot's placeholder
+    placeholder = _PLACEHOLDER_TABLE
+    while placeholder in source:
+        placeholder += "x"
+    masked = replace_columns(t, lambda _col, k: QualifiedColumn(placeholder, f"s{k}"))
     template = render_trajectory(masked)
     occurrences = t.columns()
     for k in range(len(occurrences)):
-        template = template.replace(f"{_PLACEHOLDER_TABLE}.s{k}", f"[MASK:{k}]", 1)
+        template = template.replace(f"{placeholder}.s{k}", f"[MASK:{k}]", 1)
     values = [col.render() for col in occurrences]
     positions = _original_positions(template, values)
     slots = tuple(

@@ -30,8 +30,8 @@ from .sqlast import (
     SqlExpr,
     SqlQuery,
     Subquery,
+    normalize_core,
     pred_exprs,
-    resolve_aliases,
 )
 
 SENTINEL_TABLE = "?"
@@ -294,7 +294,7 @@ def _collect_node(node: SelectNode, acc: _SchemaAccumulator) -> None:
 
 
 def _collect_core(core: SelectCore, acc: _SchemaAccumulator) -> None:
-    core = resolve_aliases(core)
+    core = normalize_core(core)  # aliases only: no column is qualified
     scope = [t.name for t in core.tables] + [j.table.name for j in core.joins]
     for ref in core.tables:
         acc.add_table(ref.name)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, TypeVar, Union
 
 from .actions import MAX_DEPTH, Arithmetic, Cast, Func, Scalar, Star, map_expr
-from .errors import SqlSyntaxError, SqlTooDeepError
+from .errors import SqlStepsError, SqlSyntaxError, SqlTooDeepError
 
 if TYPE_CHECKING:
     from .schema import DatabaseInput
@@ -752,8 +752,11 @@ def _render_table(ref: TableRef, quote: str) -> str:
     return text
 
 
+_BARE_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
+
+
 def _q(name: str, quote: str) -> str:
-    if name and " " not in name and re.match(r"[A-Za-z_][A-Za-z0-9_]*$", name) \
+    if name and " " not in name and _BARE_IDENT_RE.match(name) \
             and name.lower() not in KEYWORDS:
         return name
     return f"{quote}{name}{quote}"
@@ -845,10 +848,7 @@ def _canon_node(node: SelectNode, d: "DatabaseInput | None") -> str:
 
 
 def _canon_core(core: SelectCore, d: "DatabaseInput | None") -> str:
-    core = resolve_aliases(core)
-    core = qualify_columns(core, d)
-    core = normalize_count_star(core, d)
-    core = expand_select_star(core, d)
+    core = expand_select_star(normalize_core(core, d, _lenient_column(d)), d)
     conjuncts = list(flatten_and(core.where)) if core.where is not None else []
     outer_joins = []
     for join in core.joins:
@@ -955,88 +955,102 @@ def flatten_and(pred: Predicate) -> list[Predicate]:
 
 # --- structural rewrites (shared with the converter) -----------------------------
 
-def resolve_aliases(core: SelectCore) -> SelectCore:
-    """Substitute table aliases and select-item aliases, then drop them."""
+# Qualifies one column, its table alias already resolved, against the names
+# of its core's FROM and JOIN tables; rejects one with a SqlStepsError.
+ColumnResolver = Callable[[Column, list[str]], Column]
+
+
+def normalize_core(core: SelectCore, d: "DatabaseInput | None" = None,
+                   column: ColumnResolver | None = None,
+                   raise_at_count: bool = False) -> SelectCore:
+    """The core rebuilt once, clause by clause, with its aliases resolved.
+
+    Table aliases become table names, and in GROUP BY, HAVING and ORDER BY a
+    bare column that names a select item's alias becomes that item's
+    expression. Given a `column` resolver, every column then goes through it,
+    and COUNT(*) becomes COUNT(target): the first column of the resolved GROUP
+    BY, else the primary key of the only table; it stays COUNT(*) when
+    neither exists. Clauses are rebuilt in order (items, joins, where, group
+    by, having, order by), so a resolver's error is raised at the first
+    column it rejects. A rejected target leaves COUNT(*) as it is and GROUP BY
+    raises the error in its turn, or with `raise_at_count` the first COUNT(*)
+    raises it. A subquery's core is never entered.
+    """
+    tables = [t.name for t in core.tables] + [j.table.name for j in core.joins]
     table_alias = {t.alias: t.name for t in core.tables if t.alias}
     table_alias.update({j.table.alias: j.table.name for j in core.joins if j.table.alias})
     item_alias = {i.alias: i.expr for i in core.items if i.alias}
+    target: list[Column | None] = []  # found at the first COUNT(*)
 
-    def fix_expr(expr: SqlExpr, use_item_aliases: bool) -> SqlExpr:
-        def fix(node: SqlExpr) -> SqlExpr | None:
-            if isinstance(node, Column):
-                if node.table is not None and node.table in table_alias:
-                    return Column(table_alias[node.table], node.column)
-                if (use_item_aliases and node.table is None and node.column in item_alias):
-                    return fix_expr(item_alias[node.column], False)
-                return node
-            if isinstance(node, Subquery):
-                return Subquery(resolve_aliases(node.core))
-            return None
+    def qualify(col: Column) -> Column:
+        if col.table is not None and col.table in table_alias:
+            col = Column(table_alias[col.table], col.column)
+        return col if column is None else column(col, tables)
 
-        return map_expr(expr, fix)
+    def count_target() -> Column | None:
+        for expr in core.group_by:
+            if isinstance(expr, Column) and expr.table is None and expr.column in item_alias:
+                expr = item_alias[expr.column]
+            if isinstance(expr, Column):
+                try:
+                    return qualify(expr)
+                except SqlStepsError:
+                    if raise_at_count:
+                        raise
+                    return None
+        if d is not None and len(set(tables)) == 1:
+            pk = d.primary_key(tables[0])
+            if pk is not None:
+                return Column(tables[0], pk)
+        return None
 
-    def fix_pred(pred: Predicate, use_item_aliases: bool) -> Predicate:
-        return _map_pred(pred, lambda e: fix_expr(e, use_item_aliases))
+    def plain(node: SqlExpr) -> SqlExpr | None:
+        if isinstance(node, Column):
+            return qualify(node)
+        if isinstance(node, Func) and column is not None and node.name == "count" \
+                and not node.distinct and len(node.args) == 1 and isinstance(node.args[0], Star):
+            if not target:
+                target.append(count_target())
+            return node if target[0] is None else Func("count", (target[0],), False)
+        return None
+
+    def aliased(node: SqlExpr) -> SqlExpr | None:
+        if isinstance(node, Column) and node.table is None and node.column in item_alias:
+            return map_expr(item_alias[node.column], plain)
+        return plain(node)
+
+    def fix_pred(pred: Predicate, fn: Callable[[SqlExpr], SqlExpr | None]) -> Predicate:
+        return _map_pred(pred, lambda e: map_expr(e, fn))
 
     return SelectCore(
-        items=tuple(SelectItem(fix_expr(i.expr, False), None) for i in core.items),
+        items=tuple(SelectItem(map_expr(i.expr, plain)) for i in core.items),
         distinct=core.distinct,
-        tables=tuple(TableRef(t.name, None) for t in core.tables),
-        joins=tuple(Join(TableRef(j.table.name, None), fix_pred(j.on, False), j.kind)
+        tables=tuple(TableRef(t.name) for t in core.tables),
+        joins=tuple(Join(TableRef(j.table.name), fix_pred(j.on, plain), j.kind)
                     for j in core.joins),
-        where=fix_pred(core.where, False) if core.where is not None else None,
-        group_by=tuple(fix_expr(e, True) for e in core.group_by),
-        having=fix_pred(core.having, True) if core.having is not None else None,
-        order_by=tuple(OrderItem(fix_expr(o.expr, True), o.direction) for o in core.order_by),
+        where=fix_pred(core.where, plain) if core.where is not None else None,
+        group_by=tuple(map_expr(e, aliased) for e in core.group_by),
+        having=fix_pred(core.having, aliased) if core.having is not None else None,
+        order_by=tuple(OrderItem(map_expr(o.expr, aliased), o.direction) for o in core.order_by),
         limit=core.limit,
         offset=core.offset,
     )
 
 
-def qualify_columns(core: SelectCore, d: "DatabaseInput | None") -> SelectCore:
-    """Attach table qualifiers to bare columns where uniquely resolvable."""
-    tables = [t.name for t in core.tables] + [j.table.name for j in core.joins]
-
-    def owner(column: str) -> str | None:
+def _lenient_column(d: "DatabaseInput | None") -> ColumnResolver:
+    """The resolver of the canonical form: a bare column gets the only table,
+    else the one table of `d` that has it; otherwise it stays bare."""
+    def column(col: Column, tables: list[str]) -> Column:
+        if col.table is not None:
+            return col
         if len(tables) == 1:
-            return tables[0]
+            return Column(tables[0], col.column)
         if d is not None:
-            owners = [t for t in tables if d.has_column(t, column)]
+            owners = [t for t in tables if d.has_column(t, col.column)]
             if len(owners) == 1:
-                return owners[0]
-        return None
-
-    def fix(expr: SqlExpr) -> SqlExpr | None:
-        if isinstance(expr, Column) and expr.table is None:
-            table = owner(expr.column)
-            return Column(table, expr.column) if table else expr
-        if isinstance(expr, Subquery):
-            return Subquery(qualify_columns(expr.core, d))
-        return None
-
-    return _map_core(core, fix)
-
-
-def normalize_count_star(core: SelectCore, d: "DatabaseInput | None") -> SelectCore:
-    """Rewrite COUNT(*) to COUNT(column) using the deterministic column rule.
-
-    The target is the first group-by column when grouping, else the primary
-    key of the sole source table; COUNT(*) is kept verbatim when neither
-    applies (it is still a legal trajectory expression).
-    """
-    target = count_star_target(core, d)
-    if target is None:
-        return core
-
-    def fix(expr: SqlExpr) -> SqlExpr | None:
-        if isinstance(expr, Func) and expr.name == "count" and len(expr.args) == 1 \
-                and isinstance(expr.args[0], Star) and not expr.distinct:
-            return Func("count", (target,), False)
-        if isinstance(expr, Subquery):
-            return Subquery(normalize_count_star(expr.core, d))
-        return None
-
-    return _map_core(core, fix)
+                return Column(owners[0], col.column)
+        return col
+    return column
 
 
 def expand_select_star(core: SelectCore, d: "DatabaseInput | None") -> SelectCore:
@@ -1060,39 +1074,6 @@ def expand_select_star(core: SelectCore, d: "DatabaseInput | None") -> SelectCor
         else:
             items.append(item)
     return replace(core, items=tuple(items))
-
-
-def count_star_target(core: SelectCore, d: "DatabaseInput | None") -> Column | None:
-    for expr in core.group_by:
-        if isinstance(expr, Column):
-            return expr
-    if d is not None:
-        tables = sorted({t.name for t in core.tables}
-                        | {j.table.name for j in core.joins})
-        if len(tables) == 1:
-            pk = d.primary_key(tables[0])
-            if pk is not None:
-                return Column(tables[0], pk)
-    return None
-
-
-def _map_core(core: SelectCore, fn: Callable[[SqlExpr], SqlExpr | None]) -> SelectCore:
-    """Rebuild every expression of the core with `map_expr(expr, fn)`."""
-    def fix(expr: SqlExpr) -> SqlExpr:
-        return map_expr(expr, fn)
-
-    def fix_pred(pred: Predicate) -> Predicate:
-        return _map_pred(pred, fix)
-
-    return replace(
-        core,
-        items=tuple(SelectItem(fix(i.expr), i.alias) for i in core.items),
-        joins=tuple(Join(j.table, fix_pred(j.on), j.kind) for j in core.joins),
-        where=fix_pred(core.where) if core.where is not None else None,
-        group_by=tuple(fix(e) for e in core.group_by),
-        having=fix_pred(core.having) if core.having is not None else None,
-        order_by=tuple(OrderItem(fix(o.expr), o.direction) for o in core.order_by),
-    )
 
 
 def _map_pred(pred: Predicate, fix) -> Predicate:

@@ -45,15 +45,20 @@ def test_a_literal_that_reads_as_a_mask_token_cannot_be_masked():
         mask_schema(t)
 
 
-def test_a_template_that_does_not_fill_back_is_a_format_error():
+def test_a_literal_that_spells_a_placeholder_still_masks(store):
     # the literal spells the placeholder of the second column, which the first
-    # column's slot precedes in render order: the template misplaces slot 1
-    where = Where(QualifiedColumn("t", "a"),
+    # column's slot precedes in render order; the placeholder table is made
+    # longer until the text holds it nowhere, so slot 1 stays in its place
+    where = Where(QualifiedColumn("customers", "name"),
                   FilterCondition("=", (Scalar("xmaskx.s1", "string"),)))
+    select = Select((QualifiedColumn("customers", "city"),))
     t = Trajectory((TrajectoryStep("df1", "df", (where,)),
-                    TrajectoryStep("res", "df1", (Select((QualifiedColumn("t", "b"),)),))))
-    with pytest.raises(FormatError, match="does not fill back"):
-        mask_schema(t)
+                    TrajectoryStep("res", "df1", (select,))))
+    masked = mask_schema(t)
+    assert masked.template == ("df1 = df.where(element = [MASK:0], filter = 'xmaskx.s1')\n"
+                               "res = df1.select([MASK:1])\n")
+    assert masked.slot_values() == ["customers.name", "customers.city"]
+    assert fill_mask(masked, masked.slot_values(), store) == t
 
 
 def test_case_study_masking_has_seven_slots():
