@@ -415,26 +415,6 @@ def action_exprs(action: Action) -> list[Expr]:
     return []
 
 
-def map_action_exprs(action: Action, fn: Callable[[Expr], Expr]) -> Action:
-    """The action rebuilt with `fn` applied to each expression it carries, in
-    rendered order; the rebuilding counterpart of `action_exprs`."""
-    if isinstance(action, (Select, GroupBy)):
-        return type(action)(tuple(fn(e) for e in action.elements))
-    if isinstance(action, (Where, Having)):
-        return type(action)(fn(action.element), action.condition)
-    if isinstance(action, OrderBy):
-        return OrderBy(fn(action.by), action.order)
-    if isinstance(action, Distinct):
-        return Distinct(fn(action.element))
-    if isinstance(action, AggStep):
-        return AggStep(fn(action.agg))  # type: ignore[arg-type]
-    if isinstance(action, CastStep):
-        return CastStep(fn(action.cast))  # type: ignore[arg-type]
-    if isinstance(action, SubstrStep):
-        return SubstrStep(fn(action.substr))  # type: ignore[arg-type]
-    return action
-
-
 def check_bindings(steps: tuple[TrajectoryStep, ...]) -> None:
     """Enforce single assignment, no forward references (receivers, set and
     filter operands), a final `res`, and at most MAX_DEPTH levels of query a

@@ -81,7 +81,7 @@ class FixtureDb:
                 f"no embedded engine for dialect {dialect!r}; only sqlite fixtures run locally")
         self.name = name
         self.dialect = dialect
-        self._conn = sqlite3.connect(":memory:", check_same_thread=False)
+        self._conn = sqlite3.connect(":memory:")
         self._conn.executescript(script)
         self._conn.set_authorizer(_read_only)
 

@@ -1,7 +1,10 @@
 """Schema masking of trajectories and mask-slot reinsertion.
 
 Masking replaces every qualified-column occurrence in the canonical trajectory
-text with an indexed token `[MASK:k]`; filling the slots with their original
+text with an indexed token `[MASK:k]`. Template and slots come from one
+fragment render of `render_trajectory(t)` (`trajectory_fragments`): the k-th
+column becomes `[MASK:k]` as the text is built, and its slot records the
+rendered column and its offset in that text, so filling the slots with their
 values reproduces the source text exactly. Indexed masks keep reinsertion
 well defined; `bare_template` strips the indices for prompt assets.
 """
@@ -10,26 +13,15 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import count
-from typing import Callable
 
-from .actions import (
-    Expr,
-    QualifiedColumn,
-    Trajectory,
-    TrajectoryStep,
-    map_action_exprs,
-    map_expr,
-)
+from .actions import QualifiedColumn, Trajectory
 from .errors import ArityMismatchError, FormatError, KindMismatchError, SchemaMismatchError
 from .schema import DatabaseInput
-from .trajectory import parse_trajectory, render_trajectory, validate_trajectory
+from .trajectory import parse_trajectory, trajectory_fragments, validate_trajectory
 
 # A slot index has at most nine digits; a longer one is no token, so every
 # index converts to an int.
 MASK_TOKEN_RE = re.compile(r"\[MASK:(\d{1,9})\]")
-
-_PLACEHOLDER_TABLE = "xmaskx"
 
 
 @dataclass(frozen=True)
@@ -52,58 +44,28 @@ class MaskedTrajectory:
         return MASK_TOKEN_RE.sub("[MASK]", self.template)
 
 
-def replace_columns(t: Trajectory, fn: Callable[[QualifiedColumn, int], QualifiedColumn]) -> Trajectory:
-    """Rebuild a trajectory mapping each column occurrence in render order."""
-    counter = count()
-
-    def column(expr: Expr) -> Expr | None:
-        return fn(expr, next(counter)) if isinstance(expr, QualifiedColumn) else None
-
-    def rebuild(expr: Expr) -> Expr:
-        return map_expr(expr, column)
-
-    steps = tuple(TrajectoryStep(s.binding, s.receiver,
-                                 tuple(map_action_exprs(a, rebuild) for a in s.chain))
-                  for s in t.steps)
-    return Trajectory(steps)
-
-
 def mask_schema(t: Trajectory) -> MaskedTrajectory:
     """Mask every qualified-column occurrence of the canonical rendering.
     Raises FormatError for a trajectory whose text already reads as holding a
     mask token (a string literal `'[MASK:0]'`), which no template can tell
     from a slot."""
-    source = render_trajectory(t)
-    if MASK_TOKEN_RE.search(source):
+    source: list[str] = []
+    template: list[str] = []
+    slots: list[MaskSlot] = []
+    position = 0
+    for fragment in trajectory_fragments(t):
+        if isinstance(fragment, str):
+            text = fragment
+            template.append(text)
+        else:
+            text = fragment.render()
+            template.append(f"[MASK:{len(slots)}]")
+            slots.append(MaskSlot(index=len(slots), kind="column", value=text, position=position))
+        source.append(text)
+        position += len(text)
+    if MASK_TOKEN_RE.search("".join(source)):
         raise FormatError("trajectory text already holds a mask token")
-    # a placeholder table the source text does not hold, so that no literal
-    # spells a slot's placeholder
-    placeholder = _PLACEHOLDER_TABLE
-    while placeholder in source:
-        placeholder += "x"
-    masked = replace_columns(t, lambda _col, k: QualifiedColumn(placeholder, f"s{k}"))
-    template = render_trajectory(masked)
-    occurrences = t.columns()
-    for k in range(len(occurrences)):
-        template = template.replace(f"{placeholder}.s{k}", f"[MASK:{k}]", 1)
-    values = [col.render() for col in occurrences]
-    positions = _original_positions(template, values)
-    slots = tuple(
-        MaskSlot(index=k, kind="column", value=value, position=pos)
-        for k, (value, pos) in enumerate(zip(values, positions)))
-    if MASK_TOKEN_RE.sub(lambda m: values[int(m.group(1))], template) != source:
-        raise FormatError("masked template does not fill back to the trajectory text")
-    return MaskedTrajectory(template=template, slots=slots)
-
-
-def _original_positions(template: str, values: list[str]) -> list[int]:
-    """Character offsets in the source text that each mask token stands for."""
-    positions: list[int] = []
-    shift = 0  # how much longer the source is than the template before this token
-    for value, token in zip(values, MASK_TOKEN_RE.finditer(template)):
-        positions.append(token.start() + shift)
-        shift += len(value) - len(token.group())
-    return positions
+    return MaskedTrajectory(template="".join(template), slots=tuple(slots))
 
 
 def parse_masked_template(text: str) -> MaskedTrajectory:
@@ -150,6 +112,23 @@ def recover_slot_values(template: str, source: str) -> list[str]:
 def fill_mask(m: MaskedTrajectory, values: list[str] | list[QualifiedColumn],
               d: DatabaseInput) -> Trajectory:
     """Reinsert schema elements into a masked template and validate the result."""
+    text, rendered = _fill_text(m, values)
+    trajectory = parse_trajectory(text)
+    report = validate_trajectory(trajectory, d)
+    errors = report.errors()
+    if errors:
+        first = errors[0]
+        slot_hint = _blame_slot(first.message, rendered)
+        raise SchemaMismatchError(f"{first.message}{slot_hint}")
+    return trajectory
+
+
+def _fill_text(m: MaskedTrajectory,
+               values: list[str] | list[QualifiedColumn]) -> tuple[str, dict[int, str]]:
+    """The template with each token replaced by its slot's value, and the
+    values by slot index: a column slot takes a `table.column`, a table slot
+    a bare name, and a string value is stripped. Raises ArityMismatchError
+    and KindMismatchError."""
     if len(values) != len(m.slots):
         raise ArityMismatchError(
             f"template has {len(m.slots)} slots, got {len(values)} values")
@@ -169,15 +148,7 @@ def fill_mask(m: MaskedTrajectory, values: list[str] | list[QualifiedColumn],
             raise ArityMismatchError(f"template references unknown slot {index}")
         return rendered[index]
 
-    text = MASK_TOKEN_RE.sub(substitute, m.template)
-    trajectory = parse_trajectory(text)
-    report = validate_trajectory(trajectory, d)
-    errors = report.errors()
-    if errors:
-        first = errors[0]
-        slot_hint = _blame_slot(first.message, rendered)
-        raise SchemaMismatchError(f"{first.message}{slot_hint}")
-    return trajectory
+    return MASK_TOKEN_RE.sub(substitute, m.template), rendered
 
 
 def _blame_slot(message: str, rendered: dict[int, str]) -> str:

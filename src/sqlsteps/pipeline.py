@@ -33,9 +33,11 @@ from typing import Callable, ClassVar, Protocol, TypeVar
 from .bridge import decompose, revert
 from .errors import (
     BRIDGE_ERRORS,
+    ArityMismatchError,
     BackendFailedError,
     BackendUnavailableError,
     FormatError,
+    KindMismatchError,
     MissingSchemaError,
     SqlStepsError,
     StageOutputInvalidError,
@@ -43,8 +45,8 @@ from .errors import (
 )
 from .corpus import SeedExample
 from .masking import (
-    MASK_TOKEN_RE,
     MaskedTrajectory,
+    _fill_text,
     fill_mask,
     mask_schema,
     parse_masked_template,
@@ -187,15 +189,10 @@ class RuleBackend:
 
 def _fills_back(masked: MaskedTrajectory, source: str) -> bool:
     """Whether filling the mask with its own slot values, as `fill_mask` fills
-    them, gives exactly `source`, each value a table.column for its column slot."""
-    values: dict[int, str] = {}
-    for slot in masked.slots:
-        if slot.kind != "column" or not isinstance(slot.value, str) or "." not in slot.value:
-            return False
-        values[slot.index] = slot.value.strip()
+    them, gives exactly `source`."""
     try:
-        return MASK_TOKEN_RE.sub(lambda m: values[int(m.group(1))], masked.template) == source
-    except KeyError:  # a token without a slot: `fill_mask` reports it
+        return _fill_text(masked, masked.slot_values())[0] == source
+    except (ArityMismatchError, KindMismatchError):  # `fill_mask` reports these
         return False
 
 

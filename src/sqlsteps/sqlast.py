@@ -752,11 +752,11 @@ def _render_table(ref: TableRef, quote: str) -> str:
     return text
 
 
-_BARE_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
+_BARE_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def _q(name: str, quote: str) -> str:
-    if name and " " not in name and _BARE_IDENT_RE.match(name) \
+    if name and " " not in name and _BARE_IDENT_RE.fullmatch(name) \
             and name.lower() not in KEYWORDS:
         return name
     return f"{quote}{name}{quote}"

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import Callable, Union
 
 from .actions import (
     ACTION_SPACE,
@@ -48,6 +49,7 @@ from .actions import (
     Trajectory,
     TrajectoryStep,
     Where,
+    action_exprs,
 )
 from .errors import TrajectorySyntaxError, UnknownActionError
 from .schema import DatabaseInput  # noqa: F401  (re-exported for validate callers)
@@ -486,68 +488,103 @@ def parse_trajectory(text: str) -> Trajectory:
     return Trajectory(tuple(steps))
 
 
+Emit = Callable[[Union[str, QualifiedColumn]], None]  # appends one fragment
+
+
 def render_trajectory(t: Trajectory) -> str:
     """Canonical text: deterministic, one step per line, trailing newline."""
-    return "".join(render_step(step) + "\n" for step in t.steps)
+    return _join(trajectory_fragments(t))
 
 
-def render_step(step: TrajectoryStep) -> str:
-    calls = "".join("." + render_action(a) for a in step.chain)
-    return f"{step.binding} = {step.receiver}{calls}"
+def trajectory_fragments(t: Trajectory) -> list[str | QualifiedColumn]:
+    """The canonical text of `t` in render order: text fragments, with each
+    qualified-column occurrence kept as its own `QualifiedColumn`. Joined with
+    every column rendered, the fragments are `render_trajectory(t)`."""
+    out: list[str | QualifiedColumn] = []
+    emit = out.append
+    for step in t.steps:
+        emit(f"{step.binding} = {step.receiver}")
+        for action in step.chain:
+            emit(".")
+            _emit_action(action, emit)
+        emit("\n")
+    return out
 
 
 def render_action(action: Action) -> str:
-    if isinstance(action, Select):
-        return f"select({_exprs(action.elements)})"
-    if isinstance(action, Where):
-        return f"where(element = {render_expr(action.element)}, filter = {render_filter(action.condition)})"
-    if isinstance(action, GroupBy):
-        return f"groupby({_exprs(action.elements)})"
-    if isinstance(action, Having):
-        return f"having(element = {render_expr(action.element)}, filter = {render_filter(action.condition)})"
-    if isinstance(action, OrderBy):
-        return f"orderby(by = {render_expr(action.by)}, {action.order})"
-    if isinstance(action, Limit):
-        if action.offset:
-            return f"limit({action.offset}, {action.count})"
-        return f"limit({action.count})"
-    if isinstance(action, Distinct):
-        return f"distinct({render_expr(action.element)})"
-    if isinstance(action, Combine):
-        return f"{action.op}({action.other.name})"
-    if isinstance(action, AggStep):
-        return render_expr(action.agg)
-    if isinstance(action, CastStep):
-        return render_expr(action.cast)
-    if isinstance(action, SubstrStep):
-        return render_expr(action.substr)
-    raise TypeError(f"not an action: {action!r}")
-
-
-def _exprs(elements: tuple[Expr, ...]) -> str:
-    return ", ".join(render_expr(e) for e in elements)
+    out: list[str | QualifiedColumn] = []
+    _emit_action(action, out.append)
+    return _join(out)
 
 
 def render_expr(expr: Expr) -> str:
+    out: list[str | QualifiedColumn] = []
+    _emit_expr(expr, out.append)
+    return _join(out)
+
+
+def _join(fragments: list[str | QualifiedColumn]) -> str:
+    return "".join([f if isinstance(f, str) else f.render() for f in fragments])
+
+
+def _emit_action(action: Action, emit: Emit) -> None:
+    if isinstance(action, (Select, GroupBy)):
+        emit(f"{action.name}(")
+        for i, expr in enumerate(action.elements):
+            if i:
+                emit(", ")
+            _emit_expr(expr, emit)
+        emit(")")
+    elif isinstance(action, Distinct):
+        emit("distinct(")
+        _emit_expr(action.element, emit)
+        emit(")")
+    elif isinstance(action, (Where, Having)):
+        emit(f"{action.name}(element = ")
+        _emit_expr(action.element, emit)
+        emit(f", filter = {render_filter(action.condition)})")
+    elif isinstance(action, OrderBy):
+        emit("orderby(by = ")
+        _emit_expr(action.by, emit)
+        emit(f", {action.order})")
+    elif isinstance(action, Limit):
+        emit(f"limit({action.offset}, {action.count})" if action.offset
+             else f"limit({action.count})")
+    elif isinstance(action, Combine):
+        emit(f"{action.op}({action.other.name})")
+    elif isinstance(action, (AggStep, CastStep, SubstrStep)):  # the step is its expression
+        _emit_expr(action_exprs(action)[0], emit)
+    else:
+        raise TypeError(f"not an action: {action!r}")
+
+
+def _emit_expr(expr: Expr, emit: Emit) -> None:
     if isinstance(expr, QualifiedColumn):
-        return expr.render()
-    if isinstance(expr, Scalar):
-        if expr.kind in ("int", "real"):
-            return repr(expr.value)
-        return _quote(str(expr.value))
-    if isinstance(expr, Star):
-        return "*"
-    if isinstance(expr, Aggregate):
-        return f"{expr.kind}({render_expr(expr.arg)})"
-    if isinstance(expr, Cast):
-        return f"cast({render_expr(expr.arg)}, {expr.target_type})"
-    if isinstance(expr, Arithmetic):
-        return f"({render_expr(expr.left)} {expr.op} {render_expr(expr.right)})"
-    if isinstance(expr, Substr):
-        if expr.length is None:
-            return f"substr({render_expr(expr.arg)}, {expr.start})"
-        return f"substr({render_expr(expr.arg)}, {expr.start}, {expr.length})"
-    raise TypeError(f"not an expression: {expr!r}")
+        emit(expr)
+    elif isinstance(expr, Scalar):
+        emit(repr(expr.value) if expr.kind in ("int", "real") else _quote(str(expr.value)))
+    elif isinstance(expr, Star):
+        emit("*")
+    elif isinstance(expr, Aggregate):
+        emit(f"{expr.kind}(")
+        _emit_expr(expr.arg, emit)
+        emit(")")
+    elif isinstance(expr, Cast):
+        emit("cast(")
+        _emit_expr(expr.arg, emit)
+        emit(f", {expr.target_type})")
+    elif isinstance(expr, Arithmetic):
+        emit("(")
+        _emit_expr(expr.left, emit)
+        emit(f" {expr.op} ")
+        _emit_expr(expr.right, emit)
+        emit(")")
+    elif isinstance(expr, Substr):
+        emit("substr(")
+        _emit_expr(expr.arg, emit)
+        emit(f", {expr.start})" if expr.length is None else f", {expr.start}, {expr.length})")
+    else:
+        raise TypeError(f"not an expression: {expr!r}")
 
 
 def render_filter(cond: FilterCondition) -> str:

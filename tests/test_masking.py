@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from sqlsteps.bridge import decompose
@@ -11,7 +11,13 @@ from sqlsteps.errors import (
     TrajectorySyntaxError,
 )
 from sqlsteps.actions import (
+    AGGREGATE_KINDS,
+    ARITHMETIC_OPS,
+    Aggregate,
+    Arithmetic,
+    Cast,
     FilterCondition,
+    OrderBy,
     QualifiedColumn,
     Scalar,
     Select,
@@ -20,6 +26,7 @@ from sqlsteps.actions import (
     Where,
 )
 from sqlsteps.masking import (
+    MASK_TOKEN_RE,
     fill_mask,
     mask_schema,
     parse_masked_template,
@@ -46,9 +53,8 @@ def test_a_literal_that_reads_as_a_mask_token_cannot_be_masked():
 
 
 def test_a_literal_that_spells_a_placeholder_still_masks(store):
-    # the literal spells the placeholder of the second column, which the first
-    # column's slot precedes in render order; the placeholder table is made
-    # longer until the text holds it nowhere, so slot 1 stays in its place
+    # a literal that spells a `table.column` stays text: only the column
+    # occurrences of the trajectory become slots, in render order
     where = Where(QualifiedColumn("customers", "name"),
                   FilterCondition("=", (Scalar("xmaskx.s1", "string"),)))
     select = Select((QualifiedColumn("customers", "city"),))
@@ -172,3 +178,54 @@ def test_masking_leaves_non_schema_tokens(schools):
     for token in ("where", "groupby", "orderby", "limit(1)", "desc",
                   "'between 1980-01-01 and 1989-12-31'", "11"):
         assert token in masked.template
+
+
+STORE = store_database()
+COLUMNS = [QualifiedColumn(table.name, column.name)
+           for table in STORE.tables for column in table.columns]
+# pieces of a mask token, a column spelled as text, and quotes, so that a
+# literal can read as a token, as a column or as the end of a literal
+LITERAL_PIECES = ["[MASK:", "]", "0", "1", "xmaskx.s1", "customers.name",
+                  "'", "''", '"', "`", " ", "a"]
+
+_literals = st.lists(st.sampled_from(LITERAL_PIECES), max_size=5).map(
+    lambda pieces: Scalar("".join(pieces), "string"))
+_leaves = st.one_of(st.sampled_from(COLUMNS), _literals,
+                    st.integers(0, 99).map(lambda n: Scalar(n, "int")))
+_exprs = st.recursive(_leaves, lambda inner: st.one_of(
+    st.builds(Arithmetic, st.sampled_from(ARITHMETIC_OPS), inner, inner),
+    st.builds(Cast, inner, st.sampled_from(["int", "real", "text"])),
+    st.builds(Aggregate, st.sampled_from(AGGREGATE_KINDS), inner)), max_leaves=6)
+_actions = st.one_of(
+    st.builds(Select, st.lists(_exprs, min_size=1, max_size=3).map(tuple)),
+    st.builds(Where, _exprs, _literals.map(lambda lit: FilterCondition("=", (lit,)))),
+    st.builds(OrderBy, _exprs, st.sampled_from(["asc", "desc"])))
+
+
+@st.composite
+def _trajectories(draw) -> Trajectory:
+    chains = draw(st.lists(st.lists(_actions, min_size=1, max_size=3).map(tuple),
+                           min_size=1, max_size=3))
+    bindings = [f"df{i}" for i in range(1, len(chains))] + ["res"]
+    try:  # the step types reject an aggregate inside an aggregate
+        steps = tuple(TrajectoryStep(binding, receiver, chain) for binding, receiver, chain
+                      in zip(bindings, ["df", *bindings], chains))
+    except ValueError:
+        reject()
+    return Trajectory(steps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(t=_trajectories())
+def test_template_fills_back_to_the_trajectory(t):
+    source = render_trajectory(t)
+    if MASK_TOKEN_RE.search(source):
+        with pytest.raises(FormatError):
+            mask_schema(t)
+        return
+    masked = mask_schema(t)
+    values = masked.slot_values()
+    assert MASK_TOKEN_RE.sub(lambda m: values[int(m.group(1))], masked.template) == source
+    for slot in masked.slots:
+        assert source[slot.position:slot.position + len(slot.value)] == slot.value
+    assert fill_mask(masked, values, STORE) == t

@@ -46,6 +46,7 @@ def reparse_equal(sql: str, dialect: str = "sqlite"):
     "SELECT CAST(a AS INT), SUBSTR(b, 1, 3) FROM t",
     "SELECT a FROM t JOIN u ON t.id = u.id",
     "SELECT a - 1, -2 FROM t",
+    'SELECT "ab\n" FROM t',  # a newline ends no bare identifier
 ])
 def test_parse_render_reparse(sql):
     reparse_equal(sql)
