@@ -269,7 +269,9 @@ def _strict_column(d: DatabaseInput, outer_tables: frozenset[str]) -> sqlast.Col
 
 
 def _check_literal(scalar: Scalar) -> Scalar:
-    if isinstance(scalar.value, str) and ("\n" in scalar.value or "\r" in scalar.value):
+    # trajectory text is one step per line, and a line ends at every break
+    # `str.splitlines` knows, `\x0b`, `\x85` and `\u2028` among them
+    if isinstance(scalar.value, str) and len(f".{scalar.value}.".splitlines()) > 1:
         raise UnsupportedSqlError("string literals with line breaks cannot be rendered")
     return scalar
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .actions import Trajectory
 from .bridge import PASS, decompose, round_trip
-from .errors import BRIDGE_ERRORS, FormatError, MissingSchemaError
+from .errors import BRIDGE_ERRORS, FormatError, MissingSchemaError, SqlStepsError
 from .masking import mask_schema
 from .perturb import PerturbationConfig, augment, inject_negatives
 from .schema import DatabaseInput, SchemaList, extract_schema, render_database_input
@@ -205,7 +205,9 @@ def build_sam_corpus(bam_records: list[CorpusRecord], seeds: list[SeedExample],
             failures.append((str(bam.provenance.get("seed_id")), "missing-seed", ""))
             continue
         d = _require_schema(seed, schemas)
-        trajectory = _bam_trajectory(bam)
+        trajectory = _bam_trajectory(bam, seed.id, failures)
+        if trajectory is None:
+            continue
         try:
             masked = mask_schema(trajectory)
         except FormatError as exc:
@@ -236,10 +238,19 @@ def build_sam_corpus(bam_records: list[CorpusRecord], seeds: list[SeedExample],
     return BuildResult(records, compute_stats(records), failures)
 
 
-def _bam_trajectory(bam: CorpusRecord) -> Trajectory:
+def _bam_trajectory(bam: CorpusRecord, seed_id: str,
+                    failures: list[tuple[str, str, str]]) -> Trajectory | None:
     """The verified trajectory of a bam record, parsed from its text only for
-    records read back from a file."""
-    return bam.trajectory if bam.trajectory is not None else parse_trajectory(bam.output)
+    records read back from a file. A text that does not parse fails its seed:
+    None, with the failure recorded."""
+    if bam.trajectory is not None:
+        return bam.trajectory
+    try:
+        return parse_trajectory(bam.output)
+    except SqlStepsError as exc:
+        failures.append((seed_id, "unparseable-trajectory", str(exc)))
+        log.warning("seed %s: bam output does not parse: %s", seed_id, exc)
+        return None
 
 
 def _initial_schema_list(seed: SeedExample) -> tuple[SchemaList, bool]:
@@ -271,7 +282,9 @@ def build_lom_corpus(bam_records: list[CorpusRecord], seeds: list[SeedExample],
             failures.append((str(bam.provenance.get("seed_id")), "missing-seed", ""))
             continue
         d = _require_schema(seed, schemas)
-        verified = _bam_trajectory(bam)
+        verified = _bam_trajectory(bam, seed.id, failures)
+        if verified is None:
+            continue
         initial = SqlQuery.raw(seed.initial_sql)
         gold = bam.gold if bam.gold is not None else SqlQuery.raw(seed.gold_sql)
         if _initial_is_correct(seed, initial, gold, d, dbs):

@@ -214,18 +214,25 @@ class SqlQuery:
 
 # --- tokenizer -----------------------------------------------------------------
 
-@dataclass
-class _Tok:
-    kind: str  # IDENT QIDENT KW NUMBER STRING OP PUNCT END
-    text: str
-    pos: int
+class Token:
+    """One token of the SQL or the trajectory grammar. `key` is what the
+    parser's cursor tests: a keyword lower-cased, a symbol as written, and
+    None for any other token."""
+
+    __slots__ = ("kind", "text", "pos", "key")
+
+    def __init__(self, kind: str, text: str, pos: int, key: str | None = None):
+        self.kind = kind  # SQL: IDENT QIDENT KW NUMBER STRING OP PUNCT END
+        self.text = text
+        self.pos = pos
+        self.key = key
 
 
 # Whitespace, then one alternative per token class, tried in order. A word
-# starts with no decimal digit, so that no number is read as one. A string
-# closes at a quote that is not doubled, so an unterminated one falls through
-# to BAD at its opening quote. BAD and END always match, so whitespace is
-# never scanned twice.
+# starts with no decimal digit, so that no number is read as one. A string or
+# a quoted identifier closes at a quote that is not doubled, so an
+# unterminated one falls through to BAD at its opening quote. BAD and END
+# always match, so whitespace is never scanned twice.
 _SQL_TOKEN_RE = re.compile(r"""
     \s*
     (?: (?P<WORD>[^\W\d]\w*)
@@ -234,46 +241,55 @@ _SQL_TOKEN_RE = re.compile(r"""
       | (?P<PUNCT>[(),.*+\-/;])
       | (?P<OP><>|<=|>=|!=|=|<|>|\|\|)
       | (?P<STRING>'[^']*(?:''[^']*)*'(?!'))
-      | (?P<QIDENT>"[^"]*"|`[^`]*`|\[[^\]]*\])
+      | (?P<QIDENT>"[^"]*(?:""[^"]*)*"(?!")|`[^`]*(?:``[^`]*)*`(?!`)|\[[^\]]*\])
       | (?P<BAD>.)
       | (?P<END>\Z))
 """, re.VERBOSE | re.DOTALL)
 
 
-def _sql_tokens(text: str) -> list[_Tok]:
-    toks: list[_Tok] = []
+def _sql_tokens(text: str) -> list[Token]:
+    toks: list[Token] = []
     for m in _SQL_TOKEN_RE.finditer(text):
         kind = m.lastgroup
         tok, pos = m[kind], m.start(kind)
+        key = None
         # a word may still start with a digit that is no decimal digit (e.g.
         # `²`), an unexpected character
         if kind == "WORD" and (tok[0].isalpha() or tok[0] == "_"):
-            kind = "KW" if tok.lower() in KEYWORDS else "IDENT"
+            lowered = tok.lower()
+            kind, key = ("KW", lowered) if lowered in KEYWORDS else ("IDENT", None)
+        elif kind == "PUNCT" or kind == "OP":
+            key = tok = "!=" if tok == "<>" else tok
         elif kind == "COMMENT":
             continue
         elif kind == "END":
             break
-        elif kind == "OP" and tok == "<>":
-            tok = "!="
         elif kind == "STRING":
             tok = tok[1:-1].replace("''", "'")
         elif kind == "QIDENT":
-            tok = tok[1:-1]
-        elif kind in ("WORD", "BAD"):
+            quote = tok[0]
+            tok = tok[1:-1] if quote == "[" else tok[1:-1].replace(quote + quote, quote)
+        elif kind == "WORD" or kind == "BAD":
             if tok == "'":
                 raise SqlSyntaxError("unterminated string literal", pos)
             if tok in "\"`[":
                 raise SqlSyntaxError("unterminated quoted identifier", pos)
             raise SqlSyntaxError(f"unexpected character {tok[0]!r}", pos)
-        toks.append(_Tok(kind, tok, pos))
-    toks.append(_Tok("END", "", len(text)))
+        toks.append(Token(kind, tok, pos, key))
+    toks.append(Token("END", "", len(text)))
     return toks
 
 
 # --- parser ---------------------------------------------------------------------
 
 class BoundedParser:
-    """Holds a recursive-descent parse to MAX_DEPTH levels, counted twice.
+    """A token cursor, and a recursive-descent parse held to MAX_DEPTH levels,
+    counted twice; the SQL and the trajectory parser share both.
+
+    The cursor reads `toks`, which ends in an END token, from `pos`: `peek`
+    looks at the next token, `at(key)` / `eat(key)` test and consume it by its
+    `key`, and `take_op(ops)` consumes it and returns its key if that is one
+    of `ops`. None of them moves past END.
 
     `nesting` bounds the parser's own recursion: every parenthesis or call it
     is inside. `peak` bounds the height of the tree it builds, and so the
@@ -283,120 +299,115 @@ class BoundedParser:
     level above its deepest item. A bare parenthesis builds no node, so text
     rendered from a tree takes as many levels as the text it was parsed from.
 
-    A subclass supplies `take_op(ops)`, which consumes and returns the next
-    token's operator if it is one of `ops`, and `too_deep()`, its syntax error
-    at the last token read.
+    The counters are plain integers. `nested`, `chain` and `flat` keep the
+    outer values in locals and restore them when the construct returns, not
+    when it raises: a parser that recovers from a syntax error restores `pos`,
+    `depth`, `peak` and `nesting` itself. A subclass supplies `too_deep()`,
+    its syntax error at the last token read.
     """
 
     depth = 0  # tree level of the node being parsed
     peak = 0  # deepest tree level the current construct reached
     nesting = 0
 
+    def __init__(self, toks: list[Token]):
+        self.toks = toks
+        self.pos = 0
+
+    def peek(self) -> Token:
+        return self.toks[self.pos]
+
+    def at(self, key: str) -> bool:
+        return self.toks[self.pos].key == key
+
+    def eat(self, key: str) -> bool:
+        if self.toks[self.pos].key == key:
+            self.pos += 1
+            return True
+        return False
+
+    def take_op(self, ops: tuple[str, ...]) -> str | None:
+        key = self.toks[self.pos].key
+        if key in ops:
+            self.pos += 1
+            return key
+        return None
+
     def check_depth(self) -> None:
         if self.peak > MAX_DEPTH or self.nesting > MAX_DEPTH:
             raise self.too_deep()
 
-    def nested(self, parse: Callable[[], _Node], levels: int = 1,
+    def nested(self, parse: Callable[..., _Node], *args: object, levels: int = 1,
                nesting: int = 1) -> _Node:
-        """`parse()` a construct inside `nesting` more parentheses or calls,
-        whose nodes start `levels` below the current one (a bare parenthesis
-        builds none). `peak` is measured from that level, and afterwards it is
-        the deepest level reached in or before the construct; `depth` and
-        `nesting` are restored even when `parse` raises."""
-        depth, outer_peak, outer_nesting = self.depth, self.peak, self.nesting
+        """`parse(*args)` a construct inside `nesting` more parentheses or
+        calls, whose nodes start `levels` below the current one (a bare
+        parenthesis builds none). `peak` is measured from that level, and
+        afterwards it is the deepest level reached in or before the
+        construct."""
+        depth, peak, outer_nesting = self.depth, self.peak, self.nesting
         self.depth = self.peak = depth + levels
-        self.nesting += nesting
+        self.nesting = outer_nesting + nesting
         self.check_depth()
-        try:
-            return parse()
-        finally:
-            self.depth, self.nesting = depth, outer_nesting
-            if outer_peak > self.peak:
-                self.peak = outer_peak
+        node = parse(*args)
+        self.depth, self.nesting = depth, outer_nesting
+        if peak > self.peak:
+            self.peak = peak
+        return node
 
     def chain(self, operand: Callable[[], _Node], ops: tuple[str, ...],
               build: Callable[[str, _Node, _Node], _Node]) -> _Node:
         """`operand (op operand)*` for an op in `ops`, built left-deep."""
-        def operands() -> _Node:
-            node = operand()
-            while (op := self.take_op(ops)) is not None:
-                self.depth = self.peak = self.peak + 1
-                self.check_depth()
-                node = build(op, node, operand())
-            return node
-        return self.nested(operands, levels=0, nesting=0)
+        depth, peak = self.depth, self.peak
+        self.peak = depth
+        node = operand()
+        while (op := self.take_op(ops)) is not None:
+            self.depth = self.peak = self.peak + 1
+            self.check_depth()
+            node = build(op, node, operand())
+        self.depth = depth
+        if peak > self.peak:
+            self.peak = peak
+        return node
 
     def flat(self, item: Callable[[], _Node], ops: tuple[str, ...],
              build: Callable[[tuple[_Node, ...]], _Node]) -> _Node:
         """`item (op item)*` for an op in `ops`, as one node over all the
         items."""
-        def items() -> _Node:
-            found = [item()]
-            while self.take_op(ops) is not None:
-                found.append(item())
-            if len(found) == 1:
-                return found[0]
+        peak = self.peak
+        self.peak = self.depth
+        found = [item()]
+        while self.take_op(ops) is not None:
+            found.append(item())
+        node = found[0]
+        if len(found) > 1:
             self.peak += 1
             self.check_depth()
-            return build(tuple(found))
-        return self.nested(items, levels=0, nesting=0)
+            node = build(tuple(found))
+        if peak > self.peak:
+            self.peak = peak
+        return node
 
 
 class _SqlParser(BoundedParser):
-    def __init__(self, toks: list[_Tok]):
-        self.toks = toks
-        self.pos = 0
-
     def too_deep(self) -> SqlTooDeepError:
         return SqlTooDeepError(f"nesting deeper than {MAX_DEPTH} levels",
                                self.toks[self.pos - 1].pos)
 
     def take_op(self, ops: tuple[str, ...]) -> str | None:
-        tok = self.toks[self.pos]
-        op = tok.text.lower()
-        if tok.kind not in ("PUNCT", "KW") or op not in ops:
-            return None
-        self.pos += 1
-        return "union all" if op == "union" and self.eat_kw("all") else op
+        op = super().take_op(ops)
+        return "union all" if op == "union" and self.eat("all") else op
 
-    def peek(self) -> _Tok:
-        return self.toks[self.pos]
-
-    def next(self) -> _Tok:
+    def next(self) -> Token:
         tok = self.toks[self.pos]
         if tok.kind != "END":
             self.pos += 1
         return tok
 
-    def at_kw(self, *words: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "KW" and tok.text.lower() in words
-
-    def eat_kw(self, *words: str) -> bool:
-        if self.at_kw(*words):
-            self.pos += 1
-            return True
-        return False
-
-    def expect_kw(self, word: str) -> None:
-        if not self.eat_kw(word):
+    def expect(self, key: str) -> None:
+        if not self.eat(key):
             tok = self.peek()
-            raise SqlSyntaxError(f"expected {word.upper()}, got {tok.text!r}", tok.pos)
-
-    def at_punct(self, ch: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "PUNCT" and tok.text == ch
-
-    def eat_punct(self, ch: str) -> bool:
-        if self.at_punct(ch):
-            self.pos += 1
-            return True
-        return False
-
-    def expect_punct(self, ch: str) -> None:
-        if not self.eat_punct(ch):
-            tok = self.peek()
-            raise SqlSyntaxError(f"expected {ch!r}, got {tok.text!r}", tok.pos)
+            want = key.upper() if key.isalpha() else repr(key)
+            raise SqlSyntaxError(f"expected {want}, got {tok.text!r}", tok.pos)
 
     def ident(self) -> str:
         tok = self.next()
@@ -411,64 +422,64 @@ class _SqlParser(BoundedParser):
                           SetOp)  # type: ignore[arg-type]
 
     def parse_core(self) -> SelectCore:
-        self.expect_kw("select")
-        distinct = bool(self.eat_kw("distinct"))
-        self.eat_kw("all")
+        self.expect("select")
+        distinct = self.eat("distinct")
+        self.eat("all")
         items = [self.select_item()]
-        while self.eat_punct(","):
+        while self.eat(","):
             items.append(self.select_item())
         tables: list[TableRef] = []
         joins: list[Join] = []
-        if self.eat_kw("from"):
+        if self.eat("from"):
             tables.append(self.table_ref())
             while True:
-                if self.eat_punct(","):
+                if self.eat(","):
                     tables.append(self.table_ref())
                     continue
                 kind = self.join_kind()
                 if kind is None:
                     break
                 table = self.table_ref()
-                self.expect_kw("on")
+                self.expect("on")
                 joins.append(Join(table, self.predicate(), kind))
-        where = self.predicate() if self.eat_kw("where") else None
+        where = self.predicate() if self.eat("where") else None
         group_by: list[SqlExpr] = []
-        if self.eat_kw("group"):
-            self.expect_kw("by")
+        if self.eat("group"):
+            self.expect("by")
             group_by.append(self.expr())
-            while self.eat_punct(","):
+            while self.eat(","):
                 group_by.append(self.expr())
-        having = self.predicate() if self.eat_kw("having") else None
+        having = self.predicate() if self.eat("having") else None
         order_by: list[OrderItem] = []
-        if self.eat_kw("order"):
-            self.expect_kw("by")
+        if self.eat("order"):
+            self.expect("by")
             order_by.append(self.order_item())
-            while self.eat_punct(","):
+            while self.eat(","):
                 order_by.append(self.order_item())
         limit, offset = self.limit_clause()
         return SelectCore(tuple(items), distinct, tuple(tables), tuple(joins), where,
                           tuple(group_by), having, tuple(order_by), limit, offset)
 
     def join_kind(self) -> str | None:
-        if self.eat_kw("join"):
+        if self.eat("join"):
             return "inner"
-        if self.eat_kw("inner"):
-            self.expect_kw("join")
+        if self.eat("inner"):
+            self.expect("join")
             return "inner"
         for kind in ("left", "right", "full"):
-            if self.eat_kw(kind):
-                self.eat_kw("outer")
-                self.expect_kw("join")
+            if self.eat(kind):
+                self.eat("outer")
+                self.expect("join")
                 return kind
-        if self.eat_kw("cross"):
-            self.expect_kw("join")
+        if self.eat("cross"):
+            self.expect("join")
             return "cross"
         return None
 
     def select_item(self) -> SelectItem:
-        expr = Star() if self.eat_punct("*") else self.expr()
+        expr = Star() if self.eat("*") else self.expr()
         alias = None
-        if self.eat_kw("as"):
+        if self.eat("as"):
             alias = self.ident()
         elif self.peek().kind in ("IDENT", "QIDENT"):
             alias = self.ident()
@@ -477,7 +488,7 @@ class _SqlParser(BoundedParser):
     def table_ref(self) -> TableRef:
         name = self.ident()
         alias = None
-        if self.eat_kw("as"):
+        if self.eat("as"):
             alias = self.ident()
         elif self.peek().kind in ("IDENT", "QIDENT"):
             alias = self.ident()
@@ -486,19 +497,19 @@ class _SqlParser(BoundedParser):
     def order_item(self) -> OrderItem:
         expr = self.expr()
         direction = "asc"
-        if self.eat_kw("desc"):
+        if self.eat("desc"):
             direction = "desc"
         else:
-            self.eat_kw("asc")
+            self.eat("asc")
         return OrderItem(expr, direction)
 
     def limit_clause(self) -> tuple[int | None, int]:
-        if not self.eat_kw("limit"):
+        if not self.eat("limit"):
             return None, 0
         first = self.int_literal()
-        if self.eat_punct(","):  # MySQL LIMIT offset, count
+        if self.eat(","):  # MySQL LIMIT offset, count
             return self.int_literal(), first
-        if self.eat_kw("offset"):
+        if self.eat("offset"):
             return first, self.int_literal()
         return first, 0
 
@@ -509,7 +520,7 @@ class _SqlParser(BoundedParser):
             raise SqlSyntaxError(f"expected integer, got {tok.text!r}", tok.pos)
         return value.value  # type: ignore[return-value]
 
-    def number(self, tok: _Tok) -> Scalar:
+    def number(self, tok: Token) -> Scalar:
         try:
             return Scalar.number(tok.text)
         except ValueError as exc:  # a number no value holds, e.g. 1e999
@@ -527,57 +538,56 @@ class _SqlParser(BoundedParser):
         return self.flat(self.not_pred, ("and",), And)
 
     def not_pred(self) -> Predicate:
-        if self.eat_kw("not"):
+        if self.eat("not"):
             return Not(self.nested(self.not_pred))
         return self.pred_atom()
 
     def pred_atom(self) -> Predicate:
-        if self.at_punct("("):
-            mark = self.pos, self.peak
-            self.eat_punct("(")
-            if self.at_kw("select"):
-                self.pos = mark[0]  # scalar subquery comparison: re-parse as expression
-            else:
+        if self.at("("):
+            mark = self.pos, self.depth, self.peak, self.nesting
+            self.pos += 1
+            # `(SELECT` starts a scalar subquery comparison: re-parse as expression
+            if not self.at("select"):
                 try:
                     inner = self.nested(self.predicate, levels=0)
-                    self.expect_punct(")")
+                    self.expect(")")
                     return inner
                 except SqlTooDeepError:
                     raise
                 except SqlSyntaxError:  # a parenthesized expression, not a predicate
-                    self.pos, self.peak = mark
+                    pass
+            self.pos, self.depth, self.peak, self.nesting = mark
         left = self.expr()
         tok = self.peek()
-        if tok.kind == "OP" and tok.text in ("=", "!=", "<", "<=", ">", ">="):
-            self.next()
-            return Comparison(tok.text, left, self.expr())
-        negated = self.eat_kw("not")
-        if self.eat_kw("between"):
+        if (op := self.take_op(("=", "!=", "<", "<=", ">", ">="))) is not None:
+            return Comparison(op, left, self.expr())
+        negated = self.eat("not")
+        if self.eat("between"):
             lo = self.expr()
-            self.expect_kw("and")
+            self.expect("and")
             hi = self.expr()
             return Between(left, lo, hi, negated)
-        if self.eat_kw("in"):
-            self.expect_punct("(")
+        if self.eat("in"):
+            self.expect("(")
             items = self.nested(self.in_items)
-            self.expect_punct(")")
+            self.expect(")")
             return InList(left, items, negated)
-        if self.eat_kw("like"):
+        if self.eat("like"):
             return LikePred(left, self.expr(), negated)
         if negated:
             raise SqlSyntaxError("dangling NOT", tok.pos)
-        if self.eat_kw("is"):
-            neg = self.eat_kw("not")
-            self.expect_kw("null")
+        if self.eat("is"):
+            neg = self.eat("not")
+            self.expect("null")
             return IsNull(left, neg)
         raise SqlSyntaxError(f"expected a comparison, got {self.peek().text!r}",
                              self.peek().pos)
 
     def in_items(self) -> tuple[SqlExpr, ...]:
-        if self.at_kw("select"):
-            return (self.nested(lambda: Subquery(self.parse_core())),)
+        if self.at("select"):
+            return (Subquery(self.nested(self.parse_core)),)
         items = [self.expr()]
-        while self.eat_punct(","):
+        while self.eat(","):
             items.append(self.expr())
         return tuple(items)
 
@@ -597,59 +607,59 @@ class _SqlParser(BoundedParser):
         if tok.kind == "STRING":
             self.next()
             return Scalar.of(tok.text)
-        if tok.kind == "PUNCT" and tok.text == "-":
+        if tok.key == "-":
             self.next()
             inner = self.nested(self.atom)
             if isinstance(inner, Scalar) and inner.kind in ("int", "real"):
                 return Scalar(-inner.value, inner.kind)  # type: ignore[operator]
             return Arithmetic("-", Scalar(0, "int"), inner)
-        if tok.kind == "PUNCT" and tok.text == "(":
+        if tok.key == "(":
             self.next()
-            if self.at_kw("select"):
-                inner: SqlExpr = self.nested(lambda: Subquery(self.parse_core()))
+            if self.at("select"):
+                inner: SqlExpr = Subquery(self.nested(self.parse_core))
             else:
                 inner = self.nested(self.expr, levels=0)
-            self.expect_punct(")")
+            self.expect(")")
             return inner
-        if tok.kind == "KW" and tok.text.lower() == "cast":
+        if tok.key == "cast":
             self.next()
-            self.expect_punct("(")
+            self.expect("(")
             arg = self.nested(self.expr)
-            self.expect_kw("as")
+            self.expect("as")
             target = self.type_name()
-            self.expect_punct(")")
+            self.expect(")")
             return Cast(arg, target)
-        if tok.kind == "KW" and tok.text.lower() == "null":
+        if tok.key == "null":
             raise SqlSyntaxError("bare NULL literal outside IS NULL is unsupported", tok.pos)
         if tok.kind in ("IDENT", "QIDENT"):
             name = self.ident()
-            if self.at_punct("("):
-                return self.nested(lambda: self.func_call(name, tok.pos))
-            if self.eat_punct("."):
+            if self.at("("):
+                return self.nested(self.func_call, name, tok.pos)
+            if self.eat("."):
                 return Column(name, self.ident())
             return Column(None, name)
         raise SqlSyntaxError(f"unexpected token {tok.text!r}", tok.pos)
 
     def type_name(self) -> str:
         name = self.ident()
-        if self.eat_punct("("):  # e.g. VARCHAR(20)
+        if self.eat("("):  # e.g. VARCHAR(20)
             size = [str(self.int_literal())]
-            while self.eat_punct(","):
+            while self.eat(","):
                 size.append(str(self.int_literal()))
-            self.expect_punct(")")
+            self.expect(")")
             name += f"({','.join(size)})"
         return name
 
     def func_call(self, name: str, pos: int) -> SqlExpr:
-        self.expect_punct("(")
+        self.expect("(")
         lowered = name.lower()
-        distinct = bool(self.eat_kw("distinct"))
-        if self.at_punct(")"):
+        distinct = self.eat("distinct")
+        if self.at(")"):
             raise SqlSyntaxError(f"function {name} requires arguments", pos)
-        args = [Star() if lowered == "count" and self.eat_punct("*") else self.expr()]
-        while self.eat_punct(","):
+        args = [Star() if lowered == "count" and self.eat("*") else self.expr()]
+        while self.eat(","):
             args.append(self.expr())
-        self.expect_punct(")")
+        self.expect(")")
         after = self.peek()
         if after.kind == "IDENT" and after.text.lower() == "over":
             raise SqlSyntaxError("window functions are unsupported", pos)
@@ -663,10 +673,10 @@ def parse_sql(text: str, dialect: str = "sqlite") -> SqlQuery:
     if not text.strip():
         raise SqlSyntaxError("empty SQL text")
     parser = _SqlParser(_sql_tokens(text))
-    if not parser.at_kw("select"):
+    if not parser.at("select"):
         raise SqlSyntaxError("only SELECT statements are supported", parser.peek().pos)
     ast = parser.parse_query()
-    parser.eat_punct(";")
+    parser.eat(";")
     tok = parser.peek()
     if tok.kind != "END":
         raise SqlSyntaxError(f"trailing input {tok.text!r}", tok.pos)
@@ -759,7 +769,7 @@ def _q(name: str, quote: str) -> str:
     if name and " " not in name and _BARE_IDENT_RE.fullmatch(name) \
             and name.lower() not in KEYWORDS:
         return name
-    return f"{quote}{name}{quote}"
+    return quote + name.replace(quote, quote + quote) + quote
 
 
 def render_expr(expr: SqlExpr, quote: str = '"') -> str:

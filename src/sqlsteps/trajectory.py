@@ -53,7 +53,7 @@ from .actions import (
 )
 from .errors import TrajectorySyntaxError, UnknownActionError
 from .schema import DatabaseInput  # noqa: F401  (re-exported for validate callers)
-from .sqlast import MAX_DEPTH, BoundedParser
+from .sqlast import MAX_DEPTH, BoundedParser, Token
 
 _DF_REF_RE = re.compile(r"df\d+$|res$")
 _NUMBER_RE = re.compile(r"-?\d+(\.\d+)?([eE][+-]?\d+)?")
@@ -62,13 +62,6 @@ _CALLS = (*AGGREGATE_KINDS, "cast", "substr")  # actions that are also expressio
 
 
 # --- tokenizer ---------------------------------------------------------------
-
-@dataclass
-class _Token:
-    kind: str  # IDENT NUMBER STRING SYM
-    text: str
-    col: int
-
 
 # Whitespace, then one alternative per token class, tried in order. A word
 # starts with no decimal digit, so that no number is read as one. A string
@@ -87,15 +80,23 @@ _TOKEN_RE = re.compile(r"""
       | (?P<END>\Z))
 """, re.VERBOSE | re.DOTALL)
 
+# A `-` first on its line or after one of these symbols starts a number: an
+# operand is expected there.
+_SIGN_AFTER = ("=", ",", "(", "+", "-", "*", "/")
 
-def _tokenize_line(line: str, lineno: int) -> list[_Token]:
-    tokens: list[_Token] = []
+
+def _tokenize_line(line: str, lineno: int) -> list[Token]:
+    """The tokens of one line (IDENT NUMBER STRING SYM, each `pos` a 1-based
+    column), closed by an END token at the column of the last one."""
+    tokens: list[Token] = []
     sign_end = -1  # end of a `-` that may start a number
     for m in _TOKEN_RE.finditer(line):
         kind = m.lastgroup
         text, start = m[kind], m.start(kind)
+        key = None
         if kind == "SYM":
-            if text == "-" and _numeric_context(tokens):
+            key = text
+            if text == "-" and (not tokens or tokens[-1].key in _SIGN_AFTER):
                 sign_end = start + 1
         # a word may still start with a digit that is no decimal digit (e.g.
         # `²`), an unexpected character
@@ -117,71 +118,40 @@ def _tokenize_line(line: str, lineno: int) -> list[_Token]:
             raise TrajectorySyntaxError("unterminated backtick identifier", lineno, start + 1)
         else:
             raise TrajectorySyntaxError(f"unexpected character {text[0]!r}", lineno, start + 1)
-        tokens.append(_Token(kind, text, start + 1))
+        tokens.append(Token(kind, text, start + 1, key))
+    tokens.append(Token("END", "", tokens[-1].pos if tokens else 1))
     return tokens
-
-
-def _numeric_context(tokens: list[_Token]) -> bool:
-    """A leading '-' starts a number only where an operand is expected."""
-    if not tokens:
-        return True
-    last = tokens[-1]
-    return last.kind == "SYM" and last.text in "=,(+-*/"
 
 
 # --- parser ------------------------------------------------------------------
 
 class _LineParser(BoundedParser):
-    def __init__(self, tokens: list[_Token], lineno: int):
-        self.tokens = tokens
+    def __init__(self, toks: list[Token], lineno: int):
+        super().__init__(toks)
         self.lineno = lineno
-        self.pos = 0
 
     def too_deep(self) -> TrajectorySyntaxError:
         return TrajectorySyntaxError(f"nesting deeper than {MAX_DEPTH} levels", self.lineno,
                                      self.column())
 
-    def take_op(self, ops: tuple[str, ...]) -> str | None:
-        if self.pos == len(self.tokens):
-            return None
-        tok = self.tokens[self.pos]
-        if tok.kind != "SYM" or tok.text not in ops:
-            return None
-        self.pos += 1
-        return tok.text
-
-    def peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
     def column(self) -> int:
         """Column of the last token read, where a rejected value was found."""
-        return self.tokens[self.pos - 1].col if self.pos else 1
+        return self.toks[self.pos - 1].pos if self.pos else 1
 
-    def next(self) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            raise TrajectorySyntaxError("unexpected end of line", self.lineno,
-                                        self.tokens[-1].col if self.tokens else 1)
+    def next(self) -> Token:
+        tok = self.toks[self.pos]
+        if tok.kind == "END":
+            raise TrajectorySyntaxError("unexpected end of line", self.lineno, tok.pos)
         self.pos += 1
         return tok
 
-    def expect(self, kind: str, text: str | None = None) -> _Token:
+    def expect(self, kind: str, text: str | None = None) -> Token:
         tok = self.next()
         if tok.kind != kind or (text is not None and tok.text != text):
             want = text if text is not None else kind
             raise TrajectorySyntaxError(f"unexpected token {tok.text!r}", self.lineno,
-                                        tok.col, expected=str(want))
+                                        tok.pos, expected=str(want))
         return tok
-
-    def at_sym(self, text: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.kind == "SYM" and tok.text == text
-
-    def eat_sym(self, text: str) -> bool:
-        if self.at_sym(text):
-            self.pos += 1
-            return True
-        return False
 
     # -- step ---------------------------------------------------------------
 
@@ -189,21 +159,21 @@ class _LineParser(BoundedParser):
         binding = self.expect("IDENT")
         if not BINDING_RE.match(binding.text) or binding.text == "df":
             raise TrajectorySyntaxError(f"invalid binding {binding.text!r}", self.lineno,
-                                        binding.col, expected="df<N> or res")
+                                        binding.pos, expected="df<N> or res")
         self.expect("SYM", "=")
         receiver = self.expect("IDENT")
         if not BINDING_RE.match(receiver.text) or receiver.text == "res":
             raise TrajectorySyntaxError(f"invalid receiver {receiver.text!r}", self.lineno,
-                                        receiver.col, expected="df or df<N>")
+                                        receiver.pos, expected="df or df<N>")
         chain: list[Action] = []
-        while self.eat_sym("."):
+        while self.eat("."):
             chain.append(self.parse_call())
+        tok = self.peek()
         if not chain:
-            tok = self.peek()
-            raise TrajectorySyntaxError("step has no actions", self.lineno,
-                                        tok.col if tok else receiver.col, expected=".action(...)")
-        if (tok := self.peek()) is not None:
-            raise TrajectorySyntaxError(f"trailing input {tok.text!r}", self.lineno, tok.col)
+            raise TrajectorySyntaxError("step has no actions", self.lineno, tok.pos,
+                                        expected=".action(...)")
+        if tok.kind != "END":
+            raise TrajectorySyntaxError(f"trailing input {tok.text!r}", self.lineno, tok.pos)
         return TrajectoryStep(binding.text, receiver.text, tuple(chain))
 
     # -- calls ---------------------------------------------------------------
@@ -240,26 +210,25 @@ class _LineParser(BoundedParser):
             tok = self.expect("IDENT")
             if not _DF_REF_RE.match(tok.text):
                 raise TrajectorySyntaxError(f"set operand must be a binding, got {tok.text!r}",
-                                            self.lineno, tok.col)
+                                            self.lineno, tok.pos)
             return Combine(name, BindingRef(tok.text))
         if name in _CALLS:
             self._skip_key({"element"})
-            call = self.nested(lambda: self._call_body(name))
+            call = self.nested(self._call_body, name)
             return {"cast": CastStep, "substr": SubstrStep}.get(name, AggStep)(call)
         raise UnknownActionError(name, self.lineno)  # unreachable
 
     def _skip_key(self, allowed: set[str]) -> None:
         """Consume an optional `key =` prefix (named-argument form)."""
         tok = self.peek()
-        nxt = self.tokens[self.pos + 1] if self.pos + 1 < len(self.tokens) else None
-        if (tok is not None and tok.kind == "IDENT" and tok.text.lower() in allowed
-                and nxt is not None and nxt.kind == "SYM" and nxt.text == "="):
+        if (tok.kind == "IDENT" and tok.text.lower() in allowed
+                and self.toks[self.pos + 1].key == "="):
             self.pos += 2
 
     def _element_list(self) -> list[Expr]:
         self._skip_key({"element", "elements"})
         items = [self.parse_expr()]
-        while self.eat_sym(","):
+        while self.eat(","):
             self._skip_key({"element", "elements"})
             items.append(self.parse_expr())
         return items
@@ -276,18 +245,18 @@ class _LineParser(BoundedParser):
         self._skip_key({"by", "element"})
         by = self.parse_expr()
         order = "asc"
-        if self.eat_sym(","):
+        if self.eat(","):
             self._skip_key({"order"})
             tok = self.expect("IDENT")
             if tok.text.lower() not in ("asc", "desc"):
                 raise TrajectorySyntaxError(f"bad sort order {tok.text!r}", self.lineno,
-                                            tok.col, expected="asc or desc")
+                                            tok.pos, expected="asc or desc")
             order = tok.text.lower()
         return OrderBy(by, order)
 
     def _limit(self) -> Limit:
         first = self._int_arg()
-        if self.eat_sym(","):
+        if self.eat(","):
             second = self._int_arg()
             return Limit(count=second, offset=first)
         return Limit(count=first)
@@ -296,7 +265,7 @@ class _LineParser(BoundedParser):
         tok = self.expect("NUMBER")
         value = Scalar.number(tok.text)
         if value.kind != "int":
-            raise TrajectorySyntaxError(f"expected integer, got {tok.text!r}", self.lineno, tok.col)
+            raise TrajectorySyntaxError(f"expected integer, got {tok.text!r}", self.lineno, tok.pos)
         return value.value  # type: ignore[return-value]
 
     # -- filter mini-grammar ---------------------------------------------------
@@ -308,8 +277,8 @@ class _LineParser(BoundedParser):
         if tok.kind == "IDENT" and _DF_REF_RE.match(tok.text):
             return FilterCondition("=", (BindingRef(tok.text),))
         if tok.kind == "STRING":
-            return parse_filter_text(tok.text, self.lineno, tok.col)
-        raise TrajectorySyntaxError(f"bad filter value {tok.text!r}", self.lineno, tok.col,
+            return parse_filter_text(tok.text, self.lineno, tok.pos)
+        raise TrajectorySyntaxError(f"bad filter value {tok.text!r}", self.lineno, tok.pos,
                                     expected="number, binding, or quoted condition")
 
     # -- expressions -------------------------------------------------------------
@@ -326,35 +295,35 @@ class _LineParser(BoundedParser):
             return Scalar.number(tok.text)
         if tok.kind == "STRING":
             return Scalar.of(tok.text)
-        if tok.kind == "SYM" and tok.text == "*":
+        if tok.key == "*":
             return Star()
-        if tok.kind == "SYM" and tok.text == "(":
+        if tok.key == "(":
             inner = self.nested(self.parse_expr, levels=0)
             self.expect("SYM", ")")
             return inner
-        if tok.kind == "SYM" and tok.text == "-":
+        if tok.key == "-":
             num = self.expect("NUMBER")
             return Scalar.number("-" + num.text)
         if tok.kind == "IDENT":
             return self._ident_expr(tok)
-        raise TrajectorySyntaxError(f"unexpected token {tok.text!r}", self.lineno, tok.col,
+        raise TrajectorySyntaxError(f"unexpected token {tok.text!r}", self.lineno, tok.pos,
                                     expected="expression")
 
-    def _ident_expr(self, tok: _Token) -> Expr:
+    def _ident_expr(self, tok: Token) -> Expr:
         lowered = tok.text.lower()
         lowered = ACTION_SPACE.aliases.get(lowered, lowered)
-        if self.at_sym("("):
+        if self.at("("):
             if lowered not in _CALLS:
                 raise UnknownActionError(tok.text, self.lineno)
             self.expect("SYM", "(")
-            call = self.nested(lambda: self._call_body(lowered))
+            call = self.nested(self._call_body, lowered)
             self.expect("SYM", ")")
             return call
-        if self.eat_sym("."):
+        if self.eat("."):
             col = self.expect("IDENT")
             return QualifiedColumn(tok.text, col.text)
         raise TrajectorySyntaxError(f"unqualified reference {tok.text!r}", self.lineno,
-                                    tok.col, expected="table.column")
+                                    tok.pos, expected="table.column")
 
     def _call_body(self, name: str) -> Aggregate | Cast | Substr:
         """The arguments of an aggregate, `cast` or `substr` call, without its
@@ -367,7 +336,7 @@ class _LineParser(BoundedParser):
             self._skip_key({"type"})
             return Cast(arg, self.expect("IDENT").text)
         start = self._int_arg()
-        return Substr(arg, start, self._int_arg() if self.eat_sym(",") else None)
+        return Substr(arg, start, self._int_arg() if self.eat(",") else None)
 
 
 # --- filter text (the quoted condition mini-grammar) -------------------------
@@ -376,6 +345,10 @@ class _LineParser(BoundedParser):
 # lowercased text, earlier alternatives first.
 _FILTER_PREFIX_RE = re.compile(
     r"(is not null|is null|not in|between|like|in|>=|<=|!=|>|<|=)(?!\w)")
+# `between X and Y`: X is a whole quoted literal, which may hold ` and `, or
+# else runs to the first ` and `.
+_BETWEEN_RE = re.compile(r"('[^']*(?:''[^']*)*'(?!')|.+?)\s+and\s+(.+)",
+                         re.IGNORECASE | re.DOTALL)
 # What `_split_commas` looks at: a quoted run (an unterminated one runs to the
 # end of the text) or a parenthesis or comma outside one.
 _LIST_SCAN_RE = re.compile(r"'[^']*(?:''[^']*)*(?:'(?!')|\Z)|[(),]")
@@ -405,7 +378,7 @@ def _structured_filter(comparator: str, rest: str, lineno: int, col: int) -> Fil
             raise TrajectorySyntaxError(f"trailing text after {comparator!r}", lineno, col)
         return FilterCondition(comparator)
     if comparator == "between":
-        m = re.match(r"(?s)(.+?)\s+and\s+(.+)$", rest, re.IGNORECASE)
+        m = _BETWEEN_RE.fullmatch(rest)
         if m is None:
             raise TrajectorySyntaxError("between requires `between X and Y`", lineno, col)
         lo = _filter_operand(m.group(1).strip(), lineno, col)
@@ -414,7 +387,7 @@ def _structured_filter(comparator: str, rest: str, lineno: int, col: int) -> Fil
     if comparator == "like":
         if not rest:
             raise TrajectorySyntaxError("like requires a pattern", lineno, col)
-        pattern = _unquote(rest) if rest.startswith("'") else rest
+        pattern = _unquote(rest, lineno, col) if rest.startswith("'") else rest
         return FilterCondition("like", (Scalar(pattern, "string"),))
     if comparator in ("in", "not in"):
         if not (rest.startswith("(") and rest.endswith(")")):
@@ -433,7 +406,7 @@ def _structured_filter(comparator: str, rest: str, lineno: int, col: int) -> Fil
 
 def _filter_operand(token: str, lineno: int, col: int) -> Scalar | BindingRef:
     if token.startswith("'"):
-        return Scalar(_unquote(token), "string")
+        return Scalar(_unquote(token, lineno, col), "string")
     if _DF_REF_RE.match(token):
         return BindingRef(token)
     if _DATE_TOKEN_RE.match(token):
@@ -446,9 +419,9 @@ def _filter_operand(token: str, lineno: int, col: int) -> Scalar | BindingRef:
     return Scalar(token, "string")
 
 
-def _unquote(token: str) -> str:
+def _unquote(token: str, lineno: int, col: int) -> str:
     if not (len(token) >= 2 and token.startswith("'") and token.endswith("'")):
-        raise TrajectorySyntaxError(f"unterminated quoted operand {token!r}")
+        raise TrajectorySyntaxError(f"unterminated quoted operand {token!r}", lineno, col)
     return token[1:-1].replace("''", "'")
 
 

@@ -70,6 +70,14 @@ def test_unknown_function_is_unsupported(schools):
     assert "strftime" in report.reason
 
 
+@pytest.mark.parametrize("literal", ["a\nb", "a\rb", "a\x0bb", "a\x85b", "a\u2028b"])
+def test_string_literal_with_a_line_break_is_unsupported(store, literal):
+    q = parse_sql(f"SELECT customers.name FROM customers WHERE customers.city = '{literal}'")
+    report = round_trip(q, store)
+    assert report.verdict == UNSUPPORTED
+    assert report.reason == "string literals with line breaks cannot be rendered"
+
+
 def test_unknown_table_is_schema_mismatch(store):
     with pytest.raises(SchemaMismatchError):
         decompose(parse_sql("SELECT a FROM missing"), store)

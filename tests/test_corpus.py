@@ -302,3 +302,33 @@ def test_sam_fails_the_seed_whose_literal_reads_as_a_mask_token(schemas):
     assert sam.failures == [("m", "unmaskable", "trajectory text already holds a mask token")]
     assert {r.provenance["seed_id"] for r in sam.records} == {"p"}
     assert len(sam.records) == 2
+
+
+def test_bam_text_of_a_between_bound_holding_and_parses_back(schemas, tmp_path):
+    seed = SeedExample("b", "store", "q",
+                       "SELECT customers.name FROM customers "
+                       "WHERE customers.city BETWEEN 'a and b' AND 'c'",
+                       "SELECT customers.name FROM customers")
+    bam = build_bam_corpus([seed], schemas)
+    path = tmp_path / "bam.corpus"
+    write_corpus(bam.records, path, TARGET_BAM, bam.stats)
+    (record,), _, _ = read_corpus(path)
+    assert parse_trajectory(record.output) == bam.records[0].trajectory
+
+
+def test_a_read_back_record_that_does_not_parse_fails_only_its_seed(schemas, tmp_path):
+    seeds = [SeedExample(name, "store", "q", f"SELECT customers.name FROM customers "
+                                             f"WHERE customers.age > {age}",
+                         "SELECT customers.name FROM customers")
+             for name, age in (("a", 3), ("b", 4))]
+    bam = build_bam_corpus(seeds, schemas)
+    corrupt = replace(bam.records[0], output="df1 = df.where(customers.age\n")
+    path = tmp_path / "bam.corpus"
+    write_corpus([corrupt, bam.records[1]], path, TARGET_BAM, bam.stats)
+    records, _, _ = read_corpus(path)
+    sam = build_sam_corpus(records, seeds, schemas)
+    lom = build_lom_corpus(records, seeds, PerturbationConfig(k=1, seed=3), schemas)
+    for result in (sam, lom):
+        assert [f[:2] for f in result.failures if f[0] == "a"] == [
+            ("a", "unparseable-trajectory")]
+        assert {r.provenance["seed_id"] for r in result.records} == {"b"}

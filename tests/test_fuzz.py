@@ -1,11 +1,11 @@
 """Whatever text reaches a parser, or a mask template the filler, it ends as
 a SqlStepsError or a value."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sqlsteps.bridge import decompose
-from sqlsteps.errors import SqlStepsError
+from sqlsteps.errors import SqlStepsError, TrajectorySyntaxError, UnknownActionError
 from sqlsteps.masking import fill_mask, mask_schema, parse_masked_template
 from sqlsteps.querygen import random_queries, store_database
 from sqlsteps.schema import parse_database_text, render_database_input
@@ -60,6 +60,21 @@ def test_parsers_raise_only_sqlsteps_errors(text):
             parse(text)
         except SqlStepsError:
             pass
+
+
+@settings(max_examples=1000, deadline=None)
+@given(text=st.one_of(_random_text, _mutated()))
+@example("df1 = df.where(element = t.a, filter = 'in (''a''b)')\nres = df1.select(t.a)")
+def test_trajectory_errors_name_a_place_in_the_text(text):
+    try:
+        parse_trajectory(text)
+    except (TrajectorySyntaxError, UnknownActionError) as exc:
+        lines = text.splitlines() or [""]
+        assert 1 <= exc.line <= len(lines)
+        if isinstance(exc, TrajectorySyntaxError):
+            assert 1 <= exc.column <= max(1, len(lines[exc.line - 1]))
+    except SqlStepsError:
+        pass
 
 
 @settings(max_examples=500, deadline=None)

@@ -47,9 +47,17 @@ def reparse_equal(sql: str, dialect: str = "sqlite"):
     "SELECT a FROM t JOIN u ON t.id = u.id",
     "SELECT a - 1, -2 FROM t",
     'SELECT "ab\n" FROM t',  # a newline ends no bare identifier
+    'SELECT `a"b` FROM t',  # the render quote inside a quoted identifier
 ])
 def test_parse_render_reparse(sql):
     reparse_equal(sql)
+
+
+def test_doubled_quote_inside_a_quoted_identifier_is_one_character():
+    for sql in ('SELECT "a""b" FROM t', "SELECT `a\"b` FROM t"):
+        assert parse_sql(sql).ast.items[0].expr == Column(None, 'a"b')
+    assert parse_sql("SELECT `a``b` FROM t").ast.items[0].expr == Column(None, "a`b")
+    assert render_sql(parse_sql("SELECT `a``b` FROM t").ast, "mysql") == "SELECT `a``b` FROM t"
 
 
 def test_mysql_limit_comma_form():
