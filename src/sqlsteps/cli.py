@@ -12,7 +12,7 @@ from pathlib import Path
 
 from . import bridge, corpus, evaluate, pipeline
 from .actions import ACTION_SPACE
-from .errors import SqlStepsError, UnsupportedSqlError, UsageError
+from .errors import FormatError, MissingSchemaError, SqlStepsError, UnsupportedSqlError, UsageError
 from .masking import fill_mask, mask_schema, parse_masked_template
 from .perturb import PerturbationConfig, augment
 from .schema import DatabaseInput, extract_schema, load_schema_dir, parse_database_input
@@ -168,11 +168,17 @@ def _require_seed(cfg: GlobalConfig, verb: str) -> int:
     return cfg.seed
 
 
-def _weights(text: str) -> tuple[float, float, float]:
-    parts = [float(x) for x in text.split(",")]
-    if len(parts) != 3:
+def _perturbation_config(args, seed: int) -> PerturbationConfig:
+    try:
+        weights = tuple(float(x) for x in args.weights.split(","))
+    except ValueError:
+        weights = ()
+    if len(weights) != 3:
         raise UsageError("--weights takes three comma-separated numbers")
-    return (parts[0], parts[1], parts[2])
+    try:
+        return PerturbationConfig(k=args.k, weights=weights, seed=seed)  # type: ignore[arg-type]
+    except ValueError as exc:  # a negative --k, or weights that are no distribution
+        raise UsageError(str(exc)) from None
 
 
 def _emit(cfg: GlobalConfig, payload: dict, text: str) -> None:
@@ -251,14 +257,14 @@ def _cmd_fill(args, cfg: GlobalConfig) -> int:
 def _cmd_perturb(args, cfg: GlobalConfig) -> int:
     seed = _require_seed(cfg, "perturb")
     d = _database(args, cfg)
-    raw = _read_input(args)
     trajectories = []
-    for lineno, line in enumerate(raw.splitlines(), 1):
-        if not line.strip():
-            continue
-        record = json.loads(line)
-        trajectories.append(parse_trajectory(record["trajectory"]))
-    config = PerturbationConfig(k=args.k, weights=_weights(args.weights), seed=seed)
+    for lineno, record in corpus.json_records(_read_input(args)):
+        text = corpus.text_field(record, "trajectory", lineno)
+        try:
+            trajectories.append(parse_trajectory(text))
+        except SqlStepsError as exc:
+            raise FormatError(f"trajectory does not parse: {exc}", lineno) from None
+    config = _perturbation_config(args, seed)
     report = augment(trajectories, config, d)
     for pair in report.pairs:
         print(json.dumps({
@@ -291,7 +297,7 @@ def _cmd_build_corpus(args, cfg: GlobalConfig) -> int:
                           "stats": sam.stats.to_dict()}
     if "lom" in targets:
         seed = _require_seed(cfg, "build-corpus --target lom")
-        config = PerturbationConfig(k=args.k, weights=_weights(args.weights), seed=seed)
+        config = _perturbation_config(args, seed)
         lom = corpus.build_lom_corpus(bam.records, seeds, config, schemas, dbs=dbs)
         corpus.write_corpus(lom.records, out_dir / "lom.corpus", "lom", lom.stats)
         summary["lom"] = {"records": len(lom.records), "failures": len(lom.failures),
@@ -317,7 +323,12 @@ def _cmd_corpus_stats(args, cfg: GlobalConfig) -> int:
 def _cmd_orchestrate(args, cfg: GlobalConfig) -> int:
     schemas = _schemas(cfg)
     seeds = corpus.read_seed_file(args.seeds)
-    config = json.loads(Path(args.backends).read_text("utf-8")) if args.backends else {}
+    config = {}
+    if args.backends:
+        try:
+            config = json.loads(Path(args.backends).read_text("utf-8"))
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"bad backend config JSON: {exc.msg}", exc.lineno) from None
     base_dir = Path(args.backends).parent if args.backends else Path(".")
     backends = pipeline.build_backends(config, base_dir)
     generator = None
@@ -347,11 +358,10 @@ def _cmd_orchestrate(args, cfg: GlobalConfig) -> int:
 
 def _read_predictions(path: str) -> dict[str, str]:
     preds: dict[str, str] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        record = json.loads(line)
-        preds[str(record["id"])] = record["sql"]
+    for lineno, record in corpus.json_records(Path(path).read_text(encoding="utf-8")):
+        if "id" not in record:
+            raise FormatError("prediction has no 'id'", lineno)
+        preds[str(record["id"])] = corpus.text_field(record, "sql", lineno)
     return preds
 
 
@@ -391,11 +401,12 @@ def _cmd_tag_errors(args, cfg: GlobalConfig) -> int:
     for seed in seeds:
         if seed.id not in preds:
             continue
-        d = schemas[seed.db]
         pred = SqlQuery.raw(preds[seed.id], cfg.dialect)
         gold = SqlQuery.raw(seed.gold_sql, cfg.dialect)
         try:
-            tag, same = evaluate.tag_prediction(pred, gold, d)
+            if seed.db not in schemas:
+                raise MissingSchemaError(f"no schema for database {seed.db!r}")
+            tag, same = evaluate.tag_prediction(pred, gold, schemas[seed.db])
         except SqlStepsError as exc:
             lines.append((seed.id, {"error": str(exc)}, f"{seed.id}: error: {exc}"))
         else:
@@ -462,7 +473,8 @@ def dispatch(argv: list[str]) -> int:
     except UnsupportedSqlError as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except SqlStepsError as exc:
+    # OSError and UnicodeDecodeError: an input file that cannot be read as text
+    except (SqlStepsError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -14,6 +14,7 @@ import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 from .actions import Trajectory
 from .bridge import PASS, decompose, round_trip
@@ -45,6 +46,8 @@ class SeedExample:
 
     @staticmethod
     def from_dict(data: dict) -> "SeedExample":
+        if not isinstance(data, dict):
+            raise FormatError("seed record is not a JSON object")
         try:
             return SeedExample(
                 id=str(data["id"]),
@@ -68,15 +71,37 @@ class SeedExample:
         return out
 
 
-def read_seed_file(path: str | Path) -> list[SeedExample]:
-    seeds = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+def json_records(text: str) -> Iterator[tuple[int, dict]]:
+    """(line number, object) for each line of JSON-lines text that is neither
+    blank nor a `#` comment; a line that is no JSON object is a FormatError
+    naming it."""
+    for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip() or line.startswith("#"):
             continue
         try:
-            seeds.append(SeedExample.from_dict(json.loads(line)))
+            record = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise FormatError(f"bad seed JSON: {exc.msg}", lineno)
+            raise FormatError(f"bad JSON: {exc.msg}", lineno) from None
+        if not isinstance(record, dict):
+            raise FormatError("record is not a JSON object", lineno)
+        yield lineno, record
+
+
+def text_field(record: dict, key: str, lineno: int) -> str:
+    """`record[key]`, which must be a string; else a FormatError naming the line."""
+    value = record.get(key)
+    if not isinstance(value, str):
+        raise FormatError(f"record has no string field {key!r}", lineno)
+    return value
+
+
+def read_seed_file(path: str | Path) -> list[SeedExample]:
+    seeds = []
+    for lineno, record in json_records(Path(path).read_text(encoding="utf-8")):
+        try:
+            seeds.append(SeedExample.from_dict(record))
+        except FormatError as exc:
+            raise FormatError(str(exc), lineno) from None
     return seeds
 
 
@@ -87,10 +112,11 @@ class CorpusRecord:
     output: str
     provenance: dict
     # the verified trajectory a bam record's `output` was rendered from and its
-    # seed's parsed gold SQL, so that sam and lom need not parse them again; not
-    # written, and None once read back
+    # seed's parsed gold and initial SQL, so that sam and lom need not parse
+    # them again; not written, and None once read back
     trajectory: Trajectory | None = field(default=None, compare=False, repr=False)
     gold: SqlQuery | None = field(default=None, compare=False, repr=False)
+    initial: SqlQuery | None = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {"target": self.target, "input": self.input, "output": self.output,
@@ -187,6 +213,7 @@ def build_bam_corpus(seeds: list[SeedExample], schemas: dict[str, DatabaseInput]
             provenance={"seed_id": seed.id, "round_trip": report.verdict},
             trajectory=report.trajectory,
             gold=gold,
+            initial=SqlQuery.raw(seed.initial_sql),
         ))
     return BuildResult(records, compute_stats(records), failures)
 
@@ -214,7 +241,7 @@ def build_sam_corpus(bam_records: list[CorpusRecord], seeds: list[SeedExample],
             failures.append((seed.id, "unmaskable", str(exc)))
             log.warning("seed %s: %s", seed.id, exc)
             continue
-        schema_list, parse_failed = _initial_schema_list(seed)
+        schema_list, parse_failed = _initial_schema_list(_parsed(bam.initial, seed.initial_sql))
         records.append(CorpusRecord(
             target=TARGET_SAM1,
             input={"trajectory": bam.output},
@@ -253,8 +280,13 @@ def _bam_trajectory(bam: CorpusRecord, seed_id: str,
         return None
 
 
-def _initial_schema_list(seed: SeedExample) -> tuple[SchemaList, bool]:
-    query = SqlQuery.raw(seed.initial_sql)
+def _parsed(query: SqlQuery | None, text: str) -> SqlQuery:
+    """A bam record's parse of `text` if it holds one (None once read back),
+    else `text` parsed."""
+    return query if query is not None and query.text == text else SqlQuery.raw(text)
+
+
+def _initial_schema_list(query: SqlQuery) -> tuple[SchemaList, bool]:
     if query.ast is None:
         return SchemaList((), ()), True
     return extract_schema(query), False
@@ -285,8 +317,8 @@ def build_lom_corpus(bam_records: list[CorpusRecord], seeds: list[SeedExample],
         verified = _bam_trajectory(bam, seed.id, failures)
         if verified is None:
             continue
-        initial = SqlQuery.raw(seed.initial_sql)
-        gold = bam.gold if bam.gold is not None else SqlQuery.raw(seed.gold_sql)
+        initial = _parsed(bam.initial, seed.initial_sql)
+        gold = _parsed(bam.gold, seed.gold_sql)
         if _initial_is_correct(seed, initial, gold, d, dbs):
             report = augment([verified], cfg, d)
             for index, reason in report.skipped:
@@ -388,11 +420,14 @@ def read_corpus(path: str | Path) -> tuple[list[CorpusRecord], CorpusStats, str]
         if not line.strip():
             continue
         if line.startswith(_STATS_PREFIX):
-            data = json.loads(line[len(_STATS_PREFIX):])
-            stats = CorpusStats(counts=data["counts"],
-                                mean_input_tokens=data["mean_input_tokens"],
-                                mean_output_tokens=data["mean_output_tokens"],
-                                round_trip_pass_rate=data["round_trip_pass_rate"])
+            try:
+                data = json.loads(line[len(_STATS_PREFIX):])
+                stats = CorpusStats(counts=dict(data["counts"]),
+                                    mean_input_tokens=data["mean_input_tokens"],
+                                    mean_output_tokens=data["mean_output_tokens"],
+                                    round_trip_pass_rate=data["round_trip_pass_rate"])
+            except (KeyError, TypeError, ValueError):  # ValueError: bad JSON included
+                raise FormatError("bad stats footer", lineno) from None
             last_complete = lineno
             continue
         try:

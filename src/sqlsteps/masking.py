@@ -73,24 +73,30 @@ def parse_masked_template(text: str) -> MaskedTrajectory:
 
     Indices must be contiguous 0..n-1, each appearing exactly once.
     """
-    indices = [int(m.group(1)) for m in MASK_TOKEN_RE.finditer(text)]
-    if sorted(indices) != list(range(len(indices))):
-        raise FormatError(f"mask indices are not contiguous: {indices}")
+    indices = _contiguous([int(m.group(1)) for m in MASK_TOKEN_RE.finditer(text)])
     slots = tuple(MaskSlot(index=k, kind="column", value="", position=-1)
                   for k in range(len(indices)))
     return MaskedTrajectory(template=text, slots=slots)
+
+
+def _contiguous(indices: list[int]) -> list[int]:
+    """The slot indices of a template, which must be 0..n-1, each once."""
+    if sorted(indices) != list(range(len(indices))):
+        raise FormatError(f"mask indices are not contiguous: {indices}")
+    return indices
 
 
 def recover_slot_values(template: str, source: str) -> list[str]:
     """Align a masked template against the unmasked source text.
 
     Returns the slot values in index order; raises FormatError when the
-    template's literal segments do not match the source.
+    slot indices are not 0..n-1, each once, or the template's literal
+    segments do not match the source.
     """
     segments = MASK_TOKEN_RE.split(template)
     # re.split with one capture group yields [lit0, idx0, lit1, idx1, ..., litN]
     literals = segments[0::2]
-    indices = [int(i) for i in segments[1::2]]
+    indices = _contiguous([int(i) for i in segments[1::2]])
     if not source.startswith(literals[0]):
         raise FormatError("template does not match the source text")
     values: dict[int, str] = {}

@@ -87,7 +87,7 @@ class PerturbationConfig:
             raise ValueError("k must be >= 0")
         if any(w < 0 for w in self.weights):
             raise ValueError("kind weights must be nonnegative")
-        if abs(sum(self.weights) - 1.0) > 1e-9:
+        if not abs(sum(self.weights) - 1.0) <= 1e-9:  # a NaN weight fails too
             raise ValueError("kind weights must sum to 1")
 
 

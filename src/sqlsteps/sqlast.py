@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, TypeVar, Union
+from typing import TYPE_CHECKING, Any, Callable, TypeVar, Union
 
 from .actions import MAX_DEPTH, Arithmetic, Cast, Func, Scalar, Star, map_expr
 from .errors import SqlStepsError, SqlSyntaxError, SqlTooDeepError
@@ -282,6 +282,17 @@ def _sql_tokens(text: str) -> list[Token]:
 
 # --- parser ---------------------------------------------------------------------
 
+# A binary level: its operators, the node it builds, and whether it is a list
+# (one node over all items, as AND / OR) or a left-deep chain (`build(op, left,
+# right)` at each operator). A grammar's table lists its levels loosest first.
+Level = tuple[tuple[str, ...], Callable[..., Any], bool]
+
+ARITHMETIC_LEVELS: tuple[Level, ...] = ((("+", "-"), Arithmetic, False),
+                                        (("*", "/"), Arithmetic, False))
+_SET_OP_LEVELS: tuple[Level, ...] = ((("union", "intersect", "except"), SetOp, False),)
+_PREDICATE_LEVELS: tuple[Level, ...] = ((("or",), Or, True), (("and",), And, True))
+
+
 class BoundedParser:
     """A token cursor, and a recursive-descent parse held to MAX_DEPTH levels,
     counted twice; the SQL and the trajectory parser share both.
@@ -293,15 +304,15 @@ class BoundedParser:
 
     `nesting` bounds the parser's own recursion: every parenthesis or call it
     is inside. `peak` bounds the height of the tree it builds, and so the
-    recursion of every later walk of that tree: a call, NOT, unary minus or
-    subquery opens one tree level below its context, each operator of a chain
-    one level below the deepest its left side reached, and an AND/OR list one
-    level above its deepest item. A bare parenthesis builds no node, so text
+    recursion of every later walk of that tree. A call, NOT, unary minus or
+    subquery opens one tree level below its context; an operator node sits
+    one level above the higher of its two sides, and an AND/OR list one level
+    above its highest item. A bare parenthesis builds no node, so text
     rendered from a tree takes as many levels as the text it was parsed from.
 
-    The counters are plain integers. `nested`, `chain` and `flat` keep the
-    outer values in locals and restore them when the construct returns, not
-    when it raises: a parser that recovers from a syntax error restores `pos`,
+    The counters are plain integers. `nested` and `binary` keep the outer
+    values in locals and restore them when the construct returns, not when
+    it raises: a parser that recovers from a syntax error restores `pos`,
     `depth`, `peak` and `nesting` itself. A subclass supplies `too_deep()`,
     its syntax error at the last token read.
     """
@@ -333,6 +344,13 @@ class BoundedParser:
             return key
         return None
 
+    def listed(self, parse: Callable[[], _Node]) -> list[_Node]:
+        """`parse()` items separated by commas."""
+        items = [parse()]
+        while self.eat(","):
+            items.append(parse())
+        return items
+
     def check_depth(self) -> None:
         if self.peak > MAX_DEPTH or self.nesting > MAX_DEPTH:
             raise self.too_deep()
@@ -354,35 +372,34 @@ class BoundedParser:
             self.peak = peak
         return node
 
-    def chain(self, operand: Callable[[], _Node], ops: tuple[str, ...],
-              build: Callable[[str, _Node, _Node], _Node]) -> _Node:
-        """`operand (op operand)*` for an op in `ops`, built left-deep."""
+    def binary(self, levels: tuple[Level, ...], operand: Callable[[], _Node]) -> _Node:
+        """One binary level, `levels[0]`, whose operands are parsed by
+        `binary(levels[1:], operand)`, or by `operand()` at the last level.
+        An operator node sits at the current level, one above the higher of
+        its sides: at each operator the left side moves one level down, where
+        the bound is checked, and the right side is parsed from the level
+        below the node. A list level builds one node over all its items."""
+        ops, build, is_list = levels[0]
+        tighter = levels[1:]
         depth, peak = self.depth, self.peak
         self.peak = depth
-        node = operand()
+        node = self.binary(tighter, operand) if tighter else operand()
+        items = None  # a list's items, once it has an operator
         while (op := self.take_op(ops)) is not None:
-            self.depth = self.peak = self.peak + 1
-            self.check_depth()
-            node = build(op, node, operand())
+            if items is None:  # a new node over the left side
+                self.peak += 1
+                self.check_depth()
+                self.depth = depth + 1
+            right = self.binary(tighter, operand) if tighter else operand()
+            if not is_list:
+                node = build(op, node, right)
+            elif items is None:
+                items = [node, right]
+            else:
+                items.append(right)
+        if items is not None:
+            node = build(tuple(items))
         self.depth = depth
-        if peak > self.peak:
-            self.peak = peak
-        return node
-
-    def flat(self, item: Callable[[], _Node], ops: tuple[str, ...],
-             build: Callable[[tuple[_Node, ...]], _Node]) -> _Node:
-        """`item (op item)*` for an op in `ops`, as one node over all the
-        items."""
-        peak = self.peak
-        self.peak = self.depth
-        found = [item()]
-        while self.take_op(ops) is not None:
-            found.append(item())
-        node = found[0]
-        if len(found) > 1:
-            self.peak += 1
-            self.check_depth()
-            node = build(tuple(found))
         if peak > self.peak:
             self.peak = peak
         return node
@@ -418,16 +435,13 @@ class _SqlParser(BoundedParser):
     # -- statements ---------------------------------------------------------
 
     def parse_query(self) -> SelectNode:
-        return self.chain(self.parse_core, ("union", "intersect", "except"),
-                          SetOp)  # type: ignore[arg-type]
+        return self.binary(_SET_OP_LEVELS, self.parse_core)
 
     def parse_core(self) -> SelectCore:
         self.expect("select")
         distinct = self.eat("distinct")
         self.eat("all")
-        items = [self.select_item()]
-        while self.eat(","):
-            items.append(self.select_item())
+        items = self.listed(self.select_item)
         tables: list[TableRef] = []
         joins: list[Join] = []
         if self.eat("from"):
@@ -446,16 +460,12 @@ class _SqlParser(BoundedParser):
         group_by: list[SqlExpr] = []
         if self.eat("group"):
             self.expect("by")
-            group_by.append(self.expr())
-            while self.eat(","):
-                group_by.append(self.expr())
+            group_by = self.listed(self.expr)
         having = self.predicate() if self.eat("having") else None
         order_by: list[OrderItem] = []
         if self.eat("order"):
             self.expect("by")
-            order_by.append(self.order_item())
-            while self.eat(","):
-                order_by.append(self.order_item())
+            order_by = self.listed(self.order_item)
         limit, offset = self.limit_clause()
         return SelectCore(tuple(items), distinct, tuple(tables), tuple(joins), where,
                           tuple(group_by), having, tuple(order_by), limit, offset)
@@ -478,30 +488,22 @@ class _SqlParser(BoundedParser):
 
     def select_item(self) -> SelectItem:
         expr = Star() if self.eat("*") else self.expr()
-        alias = None
-        if self.eat("as"):
-            alias = self.ident()
-        elif self.peek().kind in ("IDENT", "QIDENT"):
-            alias = self.ident()
-        return SelectItem(expr, alias)
+        return SelectItem(expr, self.alias())
 
     def table_ref(self) -> TableRef:
-        name = self.ident()
-        alias = None
-        if self.eat("as"):
-            alias = self.ident()
-        elif self.peek().kind in ("IDENT", "QIDENT"):
-            alias = self.ident()
-        return TableRef(name, alias)
+        return TableRef(self.ident(), self.alias())
+
+    def alias(self) -> str | None:
+        if self.eat("as") or self.peek().kind in ("IDENT", "QIDENT"):
+            return self.ident()
+        return None
 
     def order_item(self) -> OrderItem:
         expr = self.expr()
-        direction = "asc"
         if self.eat("desc"):
-            direction = "desc"
-        else:
-            self.eat("asc")
-        return OrderItem(expr, direction)
+            return OrderItem(expr, "desc")
+        self.eat("asc")
+        return OrderItem(expr)
 
     def limit_clause(self) -> tuple[int | None, int]:
         if not self.eat("limit"):
@@ -529,13 +531,7 @@ class _SqlParser(BoundedParser):
     # -- predicates -----------------------------------------------------------
 
     def predicate(self) -> Predicate:
-        return self.or_pred()
-
-    def or_pred(self) -> Predicate:
-        return self.flat(self.and_pred, ("or",), Or)
-
-    def and_pred(self) -> Predicate:
-        return self.flat(self.not_pred, ("and",), And)
+        return self.binary(_PREDICATE_LEVELS, self.not_pred)
 
     def not_pred(self) -> Predicate:
         if self.eat("not"):
@@ -586,18 +582,12 @@ class _SqlParser(BoundedParser):
     def in_items(self) -> tuple[SqlExpr, ...]:
         if self.at("select"):
             return (Subquery(self.nested(self.parse_core)),)
-        items = [self.expr()]
-        while self.eat(","):
-            items.append(self.expr())
-        return tuple(items)
+        return tuple(self.listed(self.expr))
 
     # -- expressions -----------------------------------------------------------
 
     def expr(self) -> SqlExpr:
-        return self.chain(self.multiplicative, ("+", "-"), Arithmetic)
-
-    def multiplicative(self) -> SqlExpr:
-        return self.chain(self.atom, ("*", "/"), Arithmetic)
+        return self.binary(ARITHMETIC_LEVELS, self.atom)
 
     def atom(self) -> SqlExpr:
         tok = self.peek()
@@ -641,14 +631,15 @@ class _SqlParser(BoundedParser):
         raise SqlSyntaxError(f"unexpected token {tok.text!r}", tok.pos)
 
     def type_name(self) -> str:
-        name = self.ident()
-        if self.eat("("):  # e.g. VARCHAR(20)
-            size = [str(self.int_literal())]
-            while self.eat(","):
-                size.append(str(self.int_literal()))
-            self.expect(")")
-            name += f"({','.join(size)})"
-        return name
+        """A bare word, with integer sizes if any, e.g. VARCHAR(20)."""
+        tok = self.next()
+        if tok.kind != "IDENT":
+            raise SqlSyntaxError(f"expected a type name, got {tok.text!r}", tok.pos)
+        if not self.eat("("):
+            return tok.text
+        sizes = self.listed(self.int_literal)
+        self.expect(")")
+        return f"{tok.text}({','.join(map(str, sizes))})"
 
     def func_call(self, name: str, pos: int) -> SqlExpr:
         self.expect("(")
@@ -656,9 +647,10 @@ class _SqlParser(BoundedParser):
         distinct = self.eat("distinct")
         if self.at(")"):
             raise SqlSyntaxError(f"function {name} requires arguments", pos)
-        args = [Star() if lowered == "count" and self.eat("*") else self.expr()]
-        while self.eat(","):
-            args.append(self.expr())
+        if lowered == "count" and self.eat("*"):
+            args = [Star(), *(self.listed(self.expr) if self.eat(",") else ())]
+        else:
+            args = self.listed(self.expr)
         self.expect(")")
         after = self.peek()
         if after.kind == "IDENT" and after.text.lower() == "over":
@@ -807,7 +799,9 @@ def render_predicate(pred: Predicate, quote: str = '"') -> str:
     if isinstance(pred, InList):
         kw = "NOT IN" if pred.negated else "IN"
         items = ", ".join(render_expr(i, quote) for i in pred.items)
-        return f"{render_expr(pred.expr, quote)} {kw} ({items})"
+        if len(pred.items) != 1 or not isinstance(pred.items[0], Subquery):
+            items = f"({items})"  # a lone subquery renders its own parentheses
+        return f"{render_expr(pred.expr, quote)} {kw} {items}"
     if isinstance(pred, LikePred):
         kw = "NOT LIKE" if pred.negated else "LIKE"
         return f"{render_expr(pred.expr, quote)} {kw} {render_expr(pred.pattern, quote)}"

@@ -53,11 +53,12 @@ from .actions import (
 )
 from .errors import TrajectorySyntaxError, UnknownActionError
 from .schema import DatabaseInput  # noqa: F401  (re-exported for validate callers)
-from .sqlast import MAX_DEPTH, BoundedParser, Token
+from .sqlast import ARITHMETIC_LEVELS, KEYWORDS, MAX_DEPTH, BoundedParser, Token
 
 _DF_REF_RE = re.compile(r"df\d+$|res$")
 _NUMBER_RE = re.compile(r"-?\d+(\.\d+)?([eE][+-]?\d+)?")
 _DATE_TOKEN_RE = re.compile(r"\d{4}-\d{2}-\d{2}$")
+_WORD_RE = re.compile(r"\w+")
 _CALLS = (*AGGREGATE_KINDS, "cast", "substr")  # actions that are also expressions
 
 
@@ -189,16 +190,10 @@ class _LineParser(BoundedParser):
         return action
 
     def _dispatch(self, name: str) -> Action:
-        if name == "select":
-            return Select(tuple(self._element_list()))
-        if name == "groupby":
-            return GroupBy(tuple(self._element_list()))
-        if name == "where":
-            element, cond = self._element_and_filter()
-            return Where(element, cond)
-        if name == "having":
-            element, cond = self._element_and_filter()
-            return Having(element, cond)
+        if name in ("select", "groupby"):
+            return (Select if name == "select" else GroupBy)(tuple(self.listed(self._element)))
+        if name in ("where", "having"):
+            return (Where if name == "where" else Having)(*self._element_and_filter())
         if name == "orderby":
             return self._orderby()
         if name == "limit":
@@ -225,13 +220,9 @@ class _LineParser(BoundedParser):
                 and self.toks[self.pos + 1].key == "="):
             self.pos += 2
 
-    def _element_list(self) -> list[Expr]:
+    def _element(self) -> Expr:
         self._skip_key({"element", "elements"})
-        items = [self.parse_expr()]
-        while self.eat(","):
-            self._skip_key({"element", "elements"})
-            items.append(self.parse_expr())
-        return items
+        return self.parse_expr()
 
     def _element_and_filter(self) -> tuple[Expr, FilterCondition]:
         self._skip_key({"element"})
@@ -284,10 +275,7 @@ class _LineParser(BoundedParser):
     # -- expressions -------------------------------------------------------------
 
     def parse_expr(self) -> Expr:
-        return self.chain(self._multiplicative, ("+", "-"), Arithmetic)
-
-    def _multiplicative(self) -> Expr:
-        return self.chain(self._atom, ("*", "/"), Arithmetic)
+        return self.binary(ARITHMETIC_LEVELS, self._atom)
 
     def _atom(self) -> Expr:
         tok = self.next()
@@ -334,9 +322,26 @@ class _LineParser(BoundedParser):
         self.expect("SYM", ",")
         if name == "cast":
             self._skip_key({"type"})
-            return Cast(arg, self.expect("IDENT").text)
+            return Cast(arg, self._type_name())
         start = self._int_arg()
         return Substr(arg, start, self._int_arg() if self.eat(",") else None)
+
+    def _type_name(self) -> str:
+        """A type name as the SQL grammar reads one: a bare word that is no
+        SQL keyword, with integer sizes if any, e.g. VARCHAR(20)."""
+        word = self.expect("IDENT")
+        # a word as both scanners read one; a backtick name may hold anything
+        if not (_WORD_RE.fullmatch(word.text) and (word.text[0].isalpha() or word.text[0] == "_")) \
+                or word.text.lower() in KEYWORDS:
+            raise TrajectorySyntaxError(f"bad type name {word.text!r}", self.lineno, word.pos,
+                                        expected="a bare word such as INTEGER or VARCHAR(20)")
+        if not self.eat("("):
+            return word.text
+        sizes = self.listed(self._int_arg)
+        if min(sizes) < 0:
+            raise TrajectorySyntaxError("negative type size", self.lineno, word.pos)
+        self.expect("SYM", ")")
+        return f"{word.text}({','.join(map(str, sizes))})"
 
 
 # --- filter text (the quoted condition mini-grammar) -------------------------

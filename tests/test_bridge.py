@@ -306,6 +306,21 @@ def test_binding_chain_at_the_limit_reverts(store):
         parse_trajectory(_union_chain(MAX_DEPTH + 2))
 
 
+def test_union_of_filtered_frames_at_the_limit_reverts_to_sql_that_parses(store):
+    # each frame reverts to a core with an AND list, one level above its items
+    lines = [f"df{k} = df.where(element = orders.total, filter = '> {k}')"
+             f".where(element = orders.id, filter = '< 9').select(orders.total)"
+             for k in range(1, 18)]
+    left = "df1"
+    for k in range(2, 18):
+        binding = "res" if k == 17 else f"df{16 + k}"
+        lines.append(f"{binding} = {left}.union(df{k})")
+        left = binding
+    sql = revert(parse_trajectory("\n".join(lines)), store).text
+    assert sql.count("UNION") == 16
+    assert parse_sql(sql).ast is not None
+
+
 def test_longest_union_the_parser_accepts_decomposes_and_round_trips(store):
     sql = " UNION ".join(["SELECT orders.total FROM orders"] * (MAX_DEPTH + 1))
     assert round_trip(parse_sql(sql), store).verdict == PASS

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from sqlsteps.cli import EXIT_ERROR, EXIT_OK, EXIT_UNSUPPORTED, dispatch
 
 from conftest import FIXTURES, golden
@@ -170,3 +172,88 @@ def test_catalog_structured(capsys):
             "cast", "calculation", "substr"} == names
     categories = {a["category"] for a in payload["actions"]}
     assert categories == {"clause", "dataframe", "aggregation", "operator"}
+
+
+RECORD = json.dumps({"trajectory": "res = df.select(schools.SOC)"})
+
+
+def _jsonl(path, *lines: str) -> str:
+    path.write_text("".join(line + "\n" for line in lines))
+    return str(path)
+
+
+@pytest.mark.parametrize("verb", [["eval", "--dbs", DBS], ["tag-errors"]])
+@pytest.mark.parametrize("line", ['{"id": "s01"}', '{"sql": "SELECT 1"}', '{"id": "s01", "sql": 5}',
+                                  '["s01"]', "{"])
+def test_bad_prediction_line_is_an_error_naming_it(capsys, tmp_path, verb, line):
+    pred = _jsonl(tmp_path / "pred.jsonl", json.dumps({"id": "s02", "sql": "SELECT 1"}), line)
+    code, _, err = run(capsys, ["--schemas", SCHEMAS, verb[0], "--pred", pred, "--seeds", SEEDS,
+                                *verb[1:]])
+    assert code == EXIT_ERROR
+    assert err.startswith("error: line 2: ")
+
+
+@pytest.mark.parametrize("line, message", [
+    ('{"text": "res = df.select(schools.SOC)"}', "no string field 'trajectory'"),
+    ('{"trajectory": "res = df.pivot(schools.SOC)"}', "trajectory does not parse"),
+    ("[1]", "not a JSON object"),
+])
+def test_bad_perturb_record_is_an_error_naming_its_line(capsys, tmp_path, line, message):
+    infile = _jsonl(tmp_path / "t.jsonl", RECORD, line)
+    code, _, err = run(capsys, ["--schemas", SCHEMAS, "--seed", "1", "perturb", "--db", "schools",
+                                "--in", infile])
+    assert code == EXIT_ERROR
+    assert err.startswith("error: line 2: ") and message in err
+
+
+def test_malformed_backend_config_is_an_error_naming_its_line(capsys, tmp_path):
+    config = tmp_path / "backends.json"
+    config.write_text('{\n"bam": \n')
+    code, _, err = run(capsys, ["--schemas", SCHEMAS, "orchestrate", "--backends", str(config),
+                                "--seeds", SEEDS])
+    assert code == EXIT_ERROR
+    assert err.startswith("error: line 3: bad backend config JSON")
+
+
+@pytest.mark.parametrize("flags", [["--weights", "a,b,c"], ["--weights", "1,1,1"],
+                                   ["--weights", "nan,0,1"], ["--weights", "0.5,0.5"],
+                                   ["--k", "-1"]])
+@pytest.mark.parametrize("verb", ["perturb", "build-corpus"])
+def test_bad_perturbation_flag_is_a_usage_error(capsys, tmp_path, flags, verb):
+    if verb == "perturb":
+        infile = _jsonl(tmp_path / "t.jsonl", RECORD)
+        argv = ["perturb", "--db", "schools", "--in", infile]
+    else:
+        argv = ["build-corpus", "--target", "lom", "--seeds", SEEDS, "--out", str(tmp_path / "out")]
+    code, out, err = run(capsys, ["--schemas", SCHEMAS, "--seed", "1", *argv, *flags])
+    assert code == EXIT_ERROR
+    assert err.startswith("usage error: ") and out == ""
+
+
+@pytest.mark.parametrize("argv", [["mask", "--in", "{missing}"],
+                                  ["--schemas", SCHEMAS, "orchestrate", "--seeds", "{missing}"],
+                                  ["corpus-stats", "--in", "{missing}"]])
+def test_missing_input_file_is_an_error(capsys, tmp_path, argv):
+    missing = str(tmp_path / "missing.jsonl")
+    code, _, err = run(capsys, [arg.format(missing=missing) for arg in argv])
+    assert code == EXIT_ERROR
+    assert err.startswith("error: ") and "missing.jsonl" in err
+
+
+def test_tag_errors_reports_a_seed_without_a_schema(capsys, tmp_path):
+    seeds = _jsonl(tmp_path / "seeds.jsonl", json.dumps(
+        {"id": "x1", "db": "nope", "question": "q", "gold_sql": "SELECT 1",
+         "initial_sql": "SELECT 1"}))
+    pred = _jsonl(tmp_path / "pred.jsonl", json.dumps({"id": "x1", "sql": "SELECT 1"}))
+    code, out, _ = run(capsys, ["--schemas", SCHEMAS, "tag-errors", "--pred", pred,
+                                "--seeds", seeds])
+    assert code == EXIT_OK
+    assert out.strip() == "x1: error: no schema for database 'nope'"
+
+
+def test_input_file_that_is_no_utf8_text_is_an_error(capsys, tmp_path):
+    seeds = tmp_path / "seeds.jsonl"
+    seeds.write_bytes(b"\xff\xfe{}\n")
+    code, _, err = run(capsys, ["--schemas", SCHEMAS, "orchestrate", "--seeds", str(seeds)])
+    assert code == EXIT_ERROR
+    assert err.startswith("error: ") and "utf-8" in err

@@ -332,3 +332,39 @@ def test_a_read_back_record_that_does_not_parse_fails_only_its_seed(schemas, tmp
         assert [f[:2] for f in result.failures if f[0] == "a"] == [
             ("a", "unparseable-trajectory")]
         assert {r.provenance["seed_id"] for r in result.records} == {"b"}
+
+
+def test_sized_cast_seed_builds_sam_and_lom_from_its_bam_file(tmp_path, schemas):
+    seed = SeedExample("c1", "store", "q",
+                       "SELECT CAST(customers.age AS VARCHAR(20)) FROM customers",
+                       "SELECT customers.age FROM customers")
+    bam = build_bam_corpus([seed], schemas)
+    path = tmp_path / "bam.corpus"
+    write_corpus(bam.records, path, "bam", bam.stats)
+    records, _, _ = read_corpus(path)
+    assert "cast(customers.age, VARCHAR(20))" in records[0].output
+    sam = build_sam_corpus(records, [seed], schemas)
+    lom = build_lom_corpus(records, [seed], PerturbationConfig(k=1, seed=3), schemas)
+    assert sam.failures == lom.failures == []
+    assert len(sam.records) == 2
+    assert [r.provenance["source"] for r in lom.records] == ["initial-error"]
+
+
+@pytest.mark.parametrize("line", ['["a"]', '"a"', "5", "null"])
+def test_seed_line_that_is_no_object_names_its_line(tmp_path, fixture_seeds, line):
+    path = tmp_path / "seeds.jsonl"
+    path.write_text(json.dumps(fixture_seeds[0].to_dict()) + "\n" + line + "\n")
+    with pytest.raises(FormatError, match="line 2: "):
+        read_seed_file(path)
+
+
+@pytest.mark.parametrize("footer", ["#stats {", "#stats []", '#stats {"counts": {}}',
+                                    '#stats {"counts": 5, "mean_input_tokens": 0, '
+                                    '"mean_output_tokens": 0, "round_trip_pass_rate": null}'])
+def test_bad_stats_footer_names_its_line(tmp_path, bam, footer):
+    path = tmp_path / "bam.corpus"
+    write_corpus(bam.records, path, "bam", bam.stats)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:-1] + [footer]) + "\n")
+    with pytest.raises(FormatError, match=f"line {len(lines)}: bad stats footer"):
+        read_corpus(path)

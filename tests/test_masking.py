@@ -229,3 +229,10 @@ def test_template_fills_back_to_the_trajectory(t):
     for slot in masked.slots:
         assert source[slot.position:slot.position + len(slot.value)] == slot.value
     assert fill_mask(masked, values, STORE) == t
+
+
+@pytest.mark.parametrize("template", ["res = df.select([MASK:1])\n",
+                                      "res = df.select([MASK:0], [MASK:0])\n"])
+def test_recover_slot_values_rejects_indices_that_are_not_contiguous(template):
+    with pytest.raises(FormatError, match="not contiguous"):
+        recover_slot_values(template, "res = df.select(customers.id, customers.id)\n")

@@ -67,10 +67,9 @@ _SCALARS = st.one_of(
     st.sampled_from(["2024-02-29", "it's", "''", "--", "a, b", "(x)", "df1", "= 1", "a and b",
                      "between 1 and 2", "is null", " x "]),
 ).map(Scalar.of)
-# upper case, as the renderers write them; one word, since the trajectory
-# grammar reads a cast type as one word and a sized type such as VARCHAR(20)
-# does not parse back there yet (CHANGES.md), while SQL adds sized types below
-_TYPES = st.sampled_from(["INT", "INTEGER", "TEXT", "REAL", "FLOAT", "DATE"])
+# upper case, as the renderers write them
+_TYPES = st.sampled_from(["INT", "INTEGER", "TEXT", "REAL", "FLOAT", "DATE", "VARCHAR(20)",
+                          "DECIMAL(10,2)"])
 
 # --- SQL -------------------------------------------------------------------------
 
@@ -83,7 +82,6 @@ _SQL_NAMES = st.one_of(
 # lower case, as the parser stores them; the renderer writes them upper case
 _FUNCS = st.sampled_from(["count", "sum", "avg", "min", "max", "abs", "lower", "round",
                           "substr", "coalesce"])
-_SQL_CASTS = st.one_of(_TYPES, st.sampled_from(["VARCHAR(20)", "DECIMAL(10,2)"]))
 
 
 _SQL_EXPRS = st.recursive(
@@ -93,7 +91,7 @@ _SQL_EXPRS = st.recursive(
         st.builds(Arithmetic, st.sampled_from(["+", "-", "*", "/"]), inner, inner),
         st.builds(Func, _FUNCS, st.lists(inner, min_size=1, max_size=2).map(tuple),
                   st.booleans()),
-        st.builds(Cast, inner, _SQL_CASTS),
+        st.builds(Cast, inner, _TYPES),
     ), max_leaves=3)
 _COMPARATORS = st.sampled_from(["=", "!=", "<", "<=", ">", ">="])
 

@@ -1,3 +1,5 @@
+import sqlite3
+
 import pytest
 
 from sqlsteps.actions import Arithmetic, Cast, Scalar, expr_children, map_expr
@@ -133,6 +135,46 @@ def test_long_sum_is_held_to_the_limit(store):
     assert canonicalize(at_limit, store)
     with pytest.raises(SqlSyntaxError):
         parse_sql(total(MAX_DEPTH + 2))
+
+
+@pytest.mark.parametrize("operand", ["t.a * t.b", "ABS(t.a)", "(SELECT u.a FROM u)"])
+def test_sum_of_tall_operands_is_held_to_the_limit(operand):
+    # an operator sits one level above the higher of its sides, so 32 terms
+    # of height 1 make a tree of 32 levels below its root
+    def total(terms):
+        return "SELECT " + " + ".join([operand] * terms) + " FROM t"
+
+    reparse_equal(total(MAX_DEPTH))
+    with pytest.raises(SqlSyntaxError, match="nesting deeper"):
+        parse_sql(total(MAX_DEPTH + 1))
+
+
+def test_union_of_filtered_cores_is_held_to_the_limit():
+    def union(cores):
+        return " UNION ".join(["SELECT t.a FROM t WHERE t.a = 1 AND t.b = 2"] * cores)
+
+    reparse_equal(union(MAX_DEPTH))
+    with pytest.raises(SqlSyntaxError, match="nesting deeper"):
+        parse_sql(union(MAX_DEPTH + 1))
+
+
+@pytest.mark.parametrize("negated", [False, True])
+def test_in_subquery_renders_as_a_set_not_a_scalar(negated):
+    kw = "NOT IN" if negated else "IN"
+    sql = f"SELECT a FROM t WHERE a {kw} (SELECT b FROM u) ORDER BY a"
+    rendered = render_sql(parse_sql(sql).ast)
+    assert f"{kw} (SELECT b FROM u)" in rendered
+    db = sqlite3.connect(":memory:")
+    db.executescript("CREATE TABLE t (a INT); CREATE TABLE u (b INT);"
+                     "INSERT INTO t VALUES (1), (2), (3); INSERT INTO u VALUES (2), (3);")
+    assert db.execute(rendered).fetchall() == db.execute(sql).fetchall()
+    db.close()
+
+
+@pytest.mark.parametrize("type_name", ['"my type"', "[int]", "`int`", "5", "NULL"])
+def test_cast_type_is_a_bare_word(type_name):
+    with pytest.raises(SqlSyntaxError, match="expected a type name"):
+        parse_sql(f"SELECT CAST(customers.age AS {type_name}) FROM customers")
 
 
 def test_sibling_and_or_lists_do_not_add_up_to_the_limit():

@@ -104,6 +104,27 @@ def test_nesting_past_the_limit_is_a_syntax_error():
     roundtrip(at_limit)
 
 
+def test_sum_of_products_is_held_to_the_limit():
+    def total(terms):
+        return "res = df.select(" + " + ".join(["t.a * t.b"] * terms) + ")"
+
+    roundtrip(total(MAX_DEPTH))
+    with pytest.raises(TrajectorySyntaxError, match="nesting deeper"):
+        parse_trajectory(total(MAX_DEPTH + 1))
+
+
+@pytest.mark.parametrize("target", ["INT", "VARCHAR(20)", "DECIMAL(10,2)"])
+def test_cast_type_reads_as_in_sql(target):
+    t = roundtrip(f"res = df.select(cast(t.a, {target}))")
+    assert t.steps[0].chain[0].elements[0].target_type == target
+
+
+@pytest.mark.parametrize("target", ["`my type`", "select", "VARCHAR(-1)", "VARCHAR(1.5)"])
+def test_cast_type_sql_cannot_read_is_rejected(target):
+    with pytest.raises(TrajectorySyntaxError):
+        parse_trajectory(f"res = df.select(cast(t.a, {target}))")
+
+
 def test_duplicate_binding_rejected():
     text = "df1 = df.where(element = t.a, filter = 1)\ndf1 = df.where(element = t.b, filter = 2)\nres = df1.select(t.a)"
     with pytest.raises(BindingError):

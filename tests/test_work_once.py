@@ -78,15 +78,16 @@ def test_corpus_build_parses_no_trajectory_and_each_gold_once(calls, fixture_see
                                                               dbs, with_dbs):
     seeds = generated_seeds() + list(fixture_seeds)
     bam = corpus.build_bam_corpus(seeds, schemas)
-    assert calls["sqlast.parse_sql"] == len(seeds)  # the golds
+    # the golds, and the initial SQL of every seed with a bam record
+    assert calls["sqlast.parse_sql"] == len(seeds) + len(bam.records)
     corpus.build_sam_corpus(bam.records, seeds, schemas)
     lom = corpus.build_lom_corpus(bam.records, seeds, PerturbationConfig(k=2, seed=5),
                                   schemas, dbs=dbs if with_dbs else None)
     sources = {record.provenance["source"] for record in lom.records}
     assert sources >= {"perturbation", "initial-error"}
     assert calls["corpus.parse_trajectory"] == calls["masking.parse_trajectory"] == 0
-    # sam and lom each parse the initial SQL of every seed with a bam record
-    assert calls["sqlast.parse_sql"] == len(seeds) + 2 * len(bam.records)
+    # sam and lom parse no SQL: each bam record hands on its parsed gold and initial SQL
+    assert calls["sqlast.parse_sql"] == len(seeds) + len(bam.records)
 
 
 def test_scripted_bam_verdicts_come_from_round_trip(calls, fixture_seeds, schemas, dbs):
