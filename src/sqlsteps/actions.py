@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import re
@@ -31,7 +30,7 @@ def valid_identifier(name: str) -> bool:
     return bool(IDENT_RE.match(name.strip())) and name == name.strip()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QualifiedColumn:
     """A `table.column` reference; both parts are nonempty identifiers."""
 
@@ -50,7 +49,7 @@ def _part(name: str) -> str:
     return f"`{name}`" if " " in name else name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Scalar:
     """A typed literal: int, real, string, or date-string."""
 
@@ -86,13 +85,13 @@ class Scalar:
         raise ValueError("number out of range")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Star:
     """`*`; legal only as a COUNT argument or a SELECT element (checked by
     `TrajectoryStep`)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BindingRef:
     """Reference to a step binding (`df1`, ..., `res`); never the implicit
     `df`, which no step binds."""
@@ -104,33 +103,33 @@ class BindingRef:
             raise ValueError(f"invalid binding name {self.name!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Aggregate:
     kind: str  # one of AGGREGATE_KINDS
     arg: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cast:
     arg: "Expr"
     target_type: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Arithmetic:
     op: str  # one of ARITHMETIC_OPS
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Substr:
     arg: "Expr"
     start: int  # 1-based
     length: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Func:
     """A SQL function call; SQL trees only (a trajectory spells the calls it
     supports as `Aggregate` and `Substr`)."""
@@ -194,7 +193,7 @@ def _walk_columns(expr: Expr, out: list[QualifiedColumn]) -> None:
 FilterOperand = Union[Scalar, BindingRef]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FilterCondition:
     """A single comparison against the filtered element.
 
@@ -225,14 +224,14 @@ class FilterCondition:
 
 # --- actions ---------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Select:
     elements: tuple[Expr, ...]
 
     name = "select"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Where:
     element: Expr
     condition: FilterCondition
@@ -240,14 +239,14 @@ class Where:
     name = "where"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupBy:
     elements: tuple[Expr, ...]
 
     name = "groupby"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Having:
     element: Expr
     condition: FilterCondition
@@ -255,7 +254,7 @@ class Having:
     name = "having"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrderBy:
     by: Expr
     order: str  # "asc" | "desc"
@@ -267,7 +266,7 @@ class OrderBy:
             raise ValueError(f"order must be asc or desc, got {self.order!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Limit:
     count: int
     offset: int = 0
@@ -279,14 +278,14 @@ class Limit:
             raise ValueError("limit requires count >= 1 and offset >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Distinct:
     element: Expr
 
     name = "distinct"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Combine:
     """A dataframe set operation against another binding."""
 
@@ -298,7 +297,7 @@ class Combine:
         return self.op
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AggStep:
     """An aggregation chained after groupby, e.g. `.count(t.c)`."""
 
@@ -309,14 +308,14 @@ class AggStep:
         return self.agg.kind
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CastStep:
     cast: Cast
 
     name = "cast"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubstrStep:
     substr: Substr
 
@@ -327,7 +326,7 @@ Action = Union[Select, Where, GroupBy, Having, OrderBy, Limit, Distinct,
                Combine, AggStep, CastStep, SubstrStep]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrajectoryStep:
     """One `binding = receiver.action(...)...` line. Its expressions hold only
     trajectory nodes (no binding reference, and none of a SQL tree's own),
@@ -366,7 +365,7 @@ def _check_expr(expr: Expr, star_ok: bool, in_aggregate: bool) -> None:
         _check_expr(child, star_ok, in_aggregate)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Trajectory:
     steps: tuple[TrajectoryStep, ...]
 
@@ -451,7 +450,7 @@ def check_bindings(steps: tuple[TrajectoryStep, ...]) -> None:
 
 # --- action space ----------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ActionSpec:
     name: str
     category: str  # "clause" | "dataframe" | "aggregation" | "operator"
@@ -459,7 +458,7 @@ class ActionSpec:
     doc: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ActionSpace:
     """The closed vocabulary of actions; parse rejects anything outside it."""
 
@@ -488,6 +487,8 @@ class ActionSpace:
                 for e in self.entries]
 
     def catalog_hash(self) -> str:
+        import hashlib  # local import: only the CLI hashes the catalog
+
         blob = json.dumps(self.catalog(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
 

@@ -82,7 +82,7 @@ _AGG_NAME_TO_KIND = {"count": "count", "sum": "sum", "avg": "average",
 _KIND_TO_AGG_NAME = {v: k for k, v in _AGG_NAME_TO_KIND.items()}
 
 
-@dataclass
+@dataclass(slots=True)
 class RoundTripReport:
     original: SqlQuery
     trajectory: Trajectory | None
@@ -414,7 +414,7 @@ def _collect_aggregates(core: SelectCore) -> list[Func]:
 
 # --- reversion ----------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class _CoreState:
     wheres: list[tuple[Expr, FilterCondition]] = field(default_factory=list)
     group_by: tuple[Expr, ...] | None = None
@@ -430,7 +430,7 @@ class _CoreState:
                           self.select)
 
 
-@dataclass
+@dataclass(slots=True)
 class _CombineState:
     op: str
     left: str

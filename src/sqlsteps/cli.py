@@ -7,7 +7,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import bridge, corpus, evaluate, pipeline
@@ -28,7 +28,7 @@ EXIT_UNSUPPORTED = 2
 _ENV_PREFIX = "SQLSTEPS_"
 
 
-@dataclass
+@dataclass(slots=True)
 class GlobalConfig:
     schemas_dir: str | None
     dialect: str
@@ -383,8 +383,7 @@ def _cmd_eval(args, cfg: GlobalConfig) -> int:
             + (f" tag={v.tag.coarse}/{v.tag.subtype}" if v.tag else "")
             for v in report.per_instance]
     payload = {"aggregates": report.aggregates,
-               "per_instance": [v.__dict__ | {"tag": v.tag.__dict__ if v.tag else None}
-                                for v in report.per_instance]}
+               "per_instance": [asdict(v) for v in report.per_instance]}
     if args.out:
         Path(args.out).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
                                   encoding="utf-8")

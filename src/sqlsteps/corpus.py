@@ -34,7 +34,7 @@ TARGET_LOM = "lom"
 TARGETS = (TARGET_BAM, TARGET_SAM1, TARGET_SAM2, TARGET_LOM)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SeedExample:
     id: str
     db: str
@@ -105,7 +105,7 @@ def read_seed_file(path: str | Path) -> list[SeedExample]:
     return seeds
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CorpusRecord:
     target: str
     input: dict[str, str]
@@ -134,7 +134,7 @@ class CorpusRecord:
         return " ".join(str(self.input[k]) for k in sorted(self.input))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CorpusStats:
     counts: dict[str, int]
     mean_input_tokens: float
@@ -148,7 +148,7 @@ class CorpusStats:
                 "round_trip_pass_rate": self.round_trip_pass_rate}
 
 
-@dataclass
+@dataclass(slots=True)
 class BuildResult:
     records: list[CorpusRecord]
     stats: CorpusStats

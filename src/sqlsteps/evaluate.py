@@ -49,7 +49,7 @@ MATHEMATICAL_DELUSION = "MathematicalDelusion"
 OTHER = "Other"
 
 
-@dataclass
+@dataclass(slots=True)
 class ExecutionResult:
     rows: list[tuple] | None
     error: str | None
@@ -124,12 +124,12 @@ def _normalize_rows(rows: list[tuple]) -> list[tuple]:
 def ex_match(pred: SqlQuery, gold: SqlQuery, db: FixtureDb) -> bool:
     """Execution accuracy for one pair: result multisets match (ordered when
     the gold query has ORDER BY); prediction errors count as mismatches."""
-    gold_rows = _gold_rows(gold, db)
+    gold_rows = _gold_rows(execute_sql(gold, db))
     return _rows_match(execute_sql(pred, db), gold_rows, gold.has_order_by)
 
 
-def _gold_rows(gold: SqlQuery, db: FixtureDb) -> list[tuple]:
-    result = execute_sql(gold, db)
+def _gold_rows(result: ExecutionResult) -> list[tuple]:
+    """The gold query's normalized rows; raises when it failed."""
     if not result.ok:
         raise GoldExecutionFailedError(result.error or "gold query failed")
     assert result.rows is not None
@@ -148,7 +148,7 @@ def _rows_match(pred: ExecutionResult, gold_rows: list[tuple], ordered: bool) ->
 
 # --- error tagging ---------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ErrorTag:
     coarse: str  # SCHEMA_ERROR | LOGIC_ERROR
     subtype: str
@@ -221,7 +221,7 @@ def _math_signature(t: Trajectory) -> Counter:
 
 # --- correction evaluation ----------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class InstanceVerdict:
     seed_id: str
     baseline_correct: bool
@@ -232,7 +232,7 @@ class InstanceVerdict:
     difficulty: str | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class EvalReport:
     per_instance: list[InstanceVerdict] = field(default_factory=list)
     aggregates: dict = field(default_factory=dict)
@@ -278,9 +278,14 @@ def evaluate_correction(results: list[CorrectionResult], seeds: list[SeedExample
         gold = SqlQuery.raw(seed.gold_sql)
         initial = _initial_query(result, seed)
         corrected = _corrected_query(result, initial)
-        gold_rows = _gold_rows(gold, db)  # run once, scored against both queries
-        baseline = _rows_match(execute_sql(initial, db), gold_rows, gold.has_order_by)
-        correct = _rows_match(execute_sql(corrected, db), gold_rows, gold.has_order_by)
+        # each distinct text runs once; the results live for this seed only
+        runs = {gold.text: execute_sql(gold, db)}
+        gold_rows = _gold_rows(runs[gold.text])
+        for query in (initial, corrected):
+            if query.text not in runs:
+                runs[query.text] = execute_sql(query, db)
+        baseline = _rows_match(runs[initial.text], gold_rows, gold.has_order_by)
+        correct = _rows_match(runs[corrected.text], gold_rows, gold.has_order_by)
         verdict = InstanceVerdict(
             seed_id=result.seed_id,
             baseline_correct=baseline,

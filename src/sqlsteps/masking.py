@@ -24,7 +24,7 @@ from .trajectory import parse_trajectory, trajectory_fragments, validate_traject
 MASK_TOKEN_RE = re.compile(r"\[MASK:(\d{1,9})\]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MaskSlot:
     index: int
     kind: str  # "column" | "table"
@@ -32,7 +32,7 @@ class MaskSlot:
     position: int  # character offset of the occurrence in the source text
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MaskedTrajectory:
     template: str
     slots: tuple[MaskSlot, ...]

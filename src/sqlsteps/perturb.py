@@ -53,7 +53,7 @@ _FLIP_COMPARATOR = {"=": "!=", "!=": "=", "<": ">", ">": "<", "<=": ">=", ">=": 
                     "is null": "is not null", "is not null": "is null"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PerturbationRecord:
     kind: str  # one of KINDS
     site: tuple[int, int]  # (step index, action index) in the source trajectory
@@ -75,7 +75,7 @@ class PerturbationRecord:
                 "after": self.after, "seed": self.seed}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PerturbationConfig:
     k: int = 1
     weights: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)  # add, delete, substitute
@@ -91,14 +91,14 @@ class PerturbationConfig:
             raise ValueError("kind weights must sum to 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PerturbationPair:
     erroneous: Trajectory
     verified: Trajectory
     record: PerturbationRecord
 
 
-@dataclass
+@dataclass(slots=True)
 class AugmentReport:
     pairs: list[PerturbationPair] = field(default_factory=list)
     skipped: list[tuple[int, str]] = field(default_factory=list)  # (trajectory index, reason)
@@ -177,7 +177,7 @@ def _swap_action(steps: list[TrajectoryStep], step_idx: int, action_idx: int,
 
 # --- candidate edits ----------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Edit:
     site: tuple[int, int]
     before: Action | None

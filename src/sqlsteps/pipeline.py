@@ -21,10 +21,7 @@ import functools
 import json
 import string
 import time
-import urllib.error
-import urllib.request
 from collections.abc import Iterator, Mapping
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
@@ -231,6 +228,9 @@ class RemoteBackend:
         return f"remote:{self.stage}@{self.endpoint}"
 
     def invoke(self, payload: Mapping[str, str]) -> str:
+        import urllib.error  # local import: only remote runs need the network stack
+        import urllib.request
+
         payload = dict(payload)
         if self.stage == "sam_fill":  # the unmasked trajectory is rule-backend-only context
             payload.pop("trajectory", None)
@@ -322,7 +322,7 @@ def _packaged_prompt_text(template_id: str) -> str:
     return ref.read_text(encoding="utf-8")
 
 
-@dataclass
+@dataclass(slots=True)
 class Feedback:
     trajectory_text: str
     prompt: str
@@ -352,7 +352,7 @@ def make_feedback(t: Trajectory, d: DatabaseInput, template_id: str = "regenerat
 
 # --- pipeline ---------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class StageRecord:
     stage: str
     backend: str
@@ -363,7 +363,7 @@ class StageRecord:
     error_type: type[SqlStepsError] | None = None  # the class of the error behind `error`
 
 
-@dataclass
+@dataclass(slots=True)
 class PipelineTrace:
     initial_sql: str
     question: str
@@ -504,7 +504,7 @@ def _mark_invalid(trace: PipelineTrace, stage: str, exc: Exception) -> None:
 Generator = Callable[[dict[str, str]], str]
 
 
-@dataclass
+@dataclass(slots=True)
 class CorrectionResult:
     seed_id: str
     initial_sql: str
@@ -557,6 +557,9 @@ def correct_batch(seeds: list[SeedExample], backends: dict[str, StageBackend],
     if generator is None and not any(isinstance(b, RemoteBackend) for b in backends.values()):
         results = [one(seed) for seed in seeds]
     else:
+        # local import: only runs that wait on I/O use threads
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
             results = list(pool.map(one, seeds))
     return sorted(results, key=lambda r: r.seed_id)

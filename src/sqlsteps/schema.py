@@ -37,21 +37,21 @@ from .sqlast import (
 SENTINEL_TABLE = "?"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ColumnDef:
     name: str
     type: str
     is_primary_key: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ForeignKey:
     column: str
     ref_table: str
     ref_column: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TableDef:
     name: str
     columns: tuple[ColumnDef, ...]
@@ -65,7 +65,7 @@ class TableDef:
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DatabaseInput:
     name: str
     tables: tuple[TableDef, ...]
@@ -240,7 +240,7 @@ def load_schema_dir(path: str | Path) -> dict[str, DatabaseInput]:
 
 # --- schema lists ------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SchemaList:
     """Tables and columns referenced by a query, in first-appearance order.
 

@@ -34,7 +34,7 @@ _Node = TypeVar("_Node")
 
 # --- expression nodes --------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Column:
     table: str | None
     column: str
@@ -45,7 +45,7 @@ class Column:
         return f"{_ident(self.table)}.{_ident(self.column)}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Subquery:
     core: "SelectCore"
 
@@ -58,14 +58,14 @@ SqlExpr = Union[Column, Scalar, Star, Func, Cast, Arithmetic, Subquery]
 
 # --- predicate nodes ----------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Comparison:
     op: str  # = != < <= > >=
     left: SqlExpr
     right: SqlExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Between:
     expr: SqlExpr
     lo: SqlExpr
@@ -73,37 +73,37 @@ class Between:
     negated: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InList:
     expr: SqlExpr
     items: tuple[SqlExpr, ...]
     negated: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LikePred:
     expr: SqlExpr
     pattern: SqlExpr
     negated: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IsNull:
     expr: SqlExpr
     negated: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class And:
     items: tuple["Predicate", ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Or:
     items: tuple["Predicate", ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Not:
     item: "Predicate"
 
@@ -134,32 +134,32 @@ def pred_exprs(pred: Predicate) -> list[SqlExpr]:
 
 # --- statement nodes ----------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SelectItem:
     expr: SqlExpr
     alias: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TableRef:
     name: str
     alias: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Join:
     table: TableRef
     on: Predicate
     kind: str = "inner"  # inner | left | right | full | cross
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrderItem:
     expr: SqlExpr
     direction: str = "asc"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SelectCore:
     items: tuple[SelectItem, ...]
     distinct: bool = False
@@ -173,7 +173,7 @@ class SelectCore:
     offset: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetOp:
     op: str  # union | union all | intersect | except
     left: "SelectNode"
@@ -183,7 +183,7 @@ class SetOp:
 SelectNode = Union[SelectCore, SetOp]
 
 
-@dataclass
+@dataclass(slots=True)
 class SqlQuery:
     """Raw SQL text plus, when the text parses in the subset, its AST."""
 

@@ -623,7 +623,7 @@ def _quote(text: str) -> str:
 
 # --- validation ---------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Finding:
     level: str  # "error" | "warning"
     step_index: int  # 0-based; -1 for trajectory-wide findings
@@ -631,7 +631,7 @@ class Finding:
     message: str
 
 
-@dataclass
+@dataclass(slots=True)
 class ValidationReport:
     findings: list[Finding] = field(default_factory=list)
 

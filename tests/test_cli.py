@@ -128,6 +128,21 @@ def test_eval_verb(capsys, tmp_path):
     assert s01["ex_match"] is True
 
 
+def test_eval_out_file_matches_golden(capsys, tmp_path):
+    # a match, a schema error with a tag and a prediction that fails to run;
+    # the other seeds keep their initial SQL
+    pred = _jsonl(tmp_path / "pred.jsonl",
+                  json.dumps({"id": "s01", "sql": golden("table9_gold.sql")}),
+                  json.dumps({"id": "s02", "sql": "SELECT customers.city FROM customers "
+                                                  "WHERE customers.age > 30"}),
+                  json.dumps({"id": "s03", "sql": "SELECT nope FROM orders"}))
+    out_file = tmp_path / "eval.json"
+    code, _, _ = run(capsys, ["--schemas", SCHEMAS, "eval", "--pred", pred, "--seeds", SEEDS,
+                              "--dbs", DBS, "--out", str(out_file)])
+    assert code == EXIT_OK
+    assert out_file.read_bytes() == (FIXTURES / "golden" / "eval_fixture_seeds.json").read_bytes()
+
+
 def test_tag_errors_verb(capsys, tmp_path):
     pred = tmp_path / "pred.jsonl"
     pred.write_text(json.dumps(

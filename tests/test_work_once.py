@@ -1,12 +1,13 @@
 """The correction path and the corpus builders compute each fact of a seed once.
 
 Call counts over `correct_batch` and `evaluate_correction`, taken by wrapping
-the names as `evaluate`, `pipeline`, `masking` and `bridge` see them: a rule
-or identity run hands its round-trip verdict and its canonical forms to
-evaluation, the rule `sam_fill` keeps the trajectory it was given, an identity
-run parses no stage text and no stage reads the schema list. The fallbacks that recompute, when a run cannot vouch for its
-own work, stay live. A corpus build from in-memory bam records parses no
-trajectory text and each seed's gold SQL once.
+the names as `evaluate`, `pipeline`, `masking` and `bridge` see them:
+evaluation runs each distinct query text of a seed once, a rule or identity
+run hands its round-trip verdict and its canonical forms to evaluation, the
+rule `sam_fill` keeps the trajectory it was given, an identity run parses no
+stage text and no stage reads the schema list. The fallbacks that recompute,
+when a run cannot vouch for its own work, stay live. A corpus build from
+in-memory bam records parses no trajectory text and each seed's gold SQL once.
 """
 
 from collections import Counter
@@ -27,7 +28,7 @@ WRAPPED = [(evaluate, "round_trip"), (pipeline, "canonicalize"), (bridge, "canon
            (pipeline, "fill_mask"), (pipeline, "parse_trajectory"),
            (pipeline, "parse_masked_template"),
            (masking, "parse_trajectory"), (pipeline, "extract_schema"),
-           (corpus, "parse_trajectory"), (sqlast, "parse_sql")]
+           (corpus, "parse_trajectory"), (sqlast, "parse_sql"), (evaluate, "execute_sql")]
 
 
 @pytest.fixture
@@ -71,6 +72,19 @@ def test_identity_run_parses_no_stage_text(calls, fixture_seeds, schemas, dbs):
     assert calls["pipeline.parse_masked_template"] == 0
     evaluate.evaluate_correction(results, seeds, dbs, schemas)
     assert calls["evaluate.round_trip"] == 0  # the identity run vouches for its verdict
+
+
+def test_evaluation_runs_each_distinct_text_once_per_seed(calls, schemas, dbs):
+    seeds = generated_seeds()  # initial SQL: the gold, lower-cased, or another query
+    # corrected SQL: the initial, the gold, or a third query, crossed with the above
+    corrected = [(s.initial_sql, s.gold_sql, seeds[i - 1].gold_sql)[i // 3 % 3]
+                 for i, s in enumerate(seeds)]
+    results = [pipeline.CorrectionResult(s.id, s.initial_sql, None, sql, False, None)
+               for s, sql in zip(seeds, corrected)]
+    evaluate.evaluate_correction(results, seeds, dbs, schemas)
+    assert calls["evaluate.execute_sql"] == sum(
+        len({s.gold_sql, s.initial_sql, sql}) for s, sql in zip(seeds, corrected))
+    assert calls["evaluate.execute_sql"] < 3 * len(seeds)
 
 
 @pytest.mark.parametrize("with_dbs", [False, True])
