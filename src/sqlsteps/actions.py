@@ -6,11 +6,11 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
+from operator import is_
 from typing import Callable, Union, get_args
 
 from .errors import BindingError
 
-IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_ ]*$")
 DATE_RE = re.compile(r"\d{4}-\d{2}-\d{2}$")
 BINDING_RE = re.compile(r"(df\d+|res|df)$")
 
@@ -26,8 +26,8 @@ COMPOUND = "compound"
 MAX_DEPTH = 32
 
 
-def valid_identifier(name: str) -> bool:
-    return bool(IDENT_RE.match(name.strip())) and name == name.strip()
+def valid_identifier(name: str) -> bool:  # [A-Za-z_][A-Za-z0-9_ ]*, no space at either end
+    return name.isascii() and name.replace(" ", "_").isidentifier() and name == name.strip()
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,8 +163,9 @@ def expr_children(expr: Expr) -> tuple[Expr, ...]:
 
 
 def map_expr(expr: Expr, fn: Callable[[Expr], Expr | None]) -> Expr:
-    """Top-down rebuild of a trajectory or a SQL tree: `fn(node)` is the node's
-    replacement, or None to keep the node and map its operands. A subquery's
+    """Top-down copy-on-write rebuild of a trajectory or a SQL tree: `fn(node)`
+    is the node's replacement, or None to keep the node and map its operands.
+    A node none of whose operands changed is returned itself. A subquery's
     core is never entered."""
     out = fn(expr)
     if out is not None:
@@ -173,7 +174,15 @@ def map_expr(expr: Expr, fn: Callable[[Expr], Expr | None]) -> Expr:
     if spec is None:
         return expr
     operands, rebuild = spec
-    return rebuild(expr, tuple([map_expr(child, fn) for child in operands(expr)]))
+    old = operands(expr)
+    new = [map_expr(child, fn) for child in old]
+    return expr if all(map(is_, new, old)) else rebuild(expr, tuple(new))
+
+
+def map_tuple(items: tuple, fn: Callable, *args: object) -> tuple:
+    """`fn(item, *args)` of each item; `items` itself if every call returned its item."""
+    new = [fn(item, *args) for item in items]
+    return items if all(map(is_, new, items)) else tuple(new)
 
 
 def columns_in(expr: Expr) -> list[QualifiedColumn]:
@@ -350,6 +359,8 @@ class TrajectoryStep:
 
 
 def _check_expr(expr: Expr, star_ok: bool, in_aggregate: bool) -> None:
+    if isinstance(expr, (QualifiedColumn, Scalar)):  # a leaf that may stand anywhere
+        return
     if not isinstance(expr, _TRAJECTORY_NODES):
         if isinstance(expr, BindingRef):
             raise ValueError("a binding reference cannot appear inside an expression")
@@ -387,12 +398,6 @@ class Trajectory:
 
     def action_count(self) -> int:
         return sum(len(step.chain) for step in self.steps)
-
-    def step(self, binding: str) -> TrajectoryStep:
-        for s in self.steps:
-            if s.binding == binding:
-                return s
-        raise KeyError(binding)
 
 
 def action_exprs(action: Action) -> list[Expr]:
@@ -475,12 +480,6 @@ class ActionSpace:
 
     def _names(self) -> frozenset[str]:
         return frozenset(e.name for e in self.entries)
-
-    def category(self, name: str) -> str:
-        for e in self.entries:
-            if e.name == name:
-                return e.category
-        raise KeyError(name)
 
     def catalog(self) -> list[dict[str, str]]:
         return [{"name": e.name, "category": e.category, "params": e.params, "doc": e.doc}

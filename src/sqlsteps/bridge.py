@@ -11,7 +11,7 @@ converting approximately.
 from __future__ import annotations
 
 import difflib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import sqlast
 from .actions import (
@@ -139,13 +139,13 @@ def _decompose_core(core: SelectCore, d: DatabaseInput, namer: _Namer,
     # A subquery's COUNT(*) whose target does not qualify raises where it
     # stands if this core has a COUNT(*) target of its own, else in its GROUP
     # BY: the order in which such errors have always been reported.
-    counted = any(isinstance(e, Column) for e in core.group_by) or (
+    counted = any([isinstance(e, Column) for e in core.group_by]) or (
         len(declared) == 1 and d.primary_key(next(iter(declared))) is not None)
     witnessed: set[str] = set()
 
     def conv(expr: SqlExpr) -> Expr:
         out = _to_traj_expr(expr)
-        witnessed.update(c.table for c in columns_in(out))
+        witnessed.update([c.table for c in columns_in(out)])
         return out
 
     receiver = "df"
@@ -158,7 +158,7 @@ def _decompose_core(core: SelectCore, d: DatabaseInput, namer: _Namer,
             steps.append(TrajectoryStep(binding, receiver, (Where(element, cond),)))
             receiver = binding
     if core.group_by:
-        chain: list[Action] = [GroupBy(tuple(conv(e) for e in core.group_by))]
+        chain: list[Action] = [GroupBy(tuple([conv(e) for e in core.group_by]))]
         for agg in _collect_aggregates(core):
             converted = conv(agg)
             assert isinstance(converted, Aggregate)
@@ -187,7 +187,7 @@ def _decompose_core(core: SelectCore, d: DatabaseInput, namer: _Namer,
         receiver = binding
     binding = bind or namer.next()
     steps.append(TrajectoryStep(binding, receiver,
-                                (Select(tuple(conv(i.expr) for i in core.items)),)))
+                                (Select(tuple([conv(i.expr) for i in core.items])),)))
     missing = declared - witnessed
     if missing:
         raise UnsupportedSqlError(
@@ -220,7 +220,7 @@ def _check_core_shape(core: SelectCore, d: DatabaseInput) -> None:
             raise UnsupportedSqlError("DISTINCT over multiple select elements")
         if isinstance(core.items[0].expr, Star):
             raise UnsupportedSqlError("DISTINCT * is unsupported")
-    if any(isinstance(i.expr, Star) for i in core.items) and not names:
+    if any([isinstance(i.expr, Star) for i in core.items]) and not names:
         raise UnsupportedSqlError("SELECT * without FROM")
     if core.limit is not None and core.limit < 1:
         raise UnsupportedSqlError("LIMIT 0 has no action equivalent (limit takes a count >= 1)")
@@ -240,7 +240,7 @@ def _check_join_on(join: Join, known: set[str], d: DatabaseInput,
     pair = {left.table, right.table}
     if join.table.name not in pair or not pair & known:
         raise UnsupportedSqlError("join condition must link the joined table to a prior one")
-    edges = {(c, cc, p, pc) for (c, cc, p, pc) in d.fk_edges()}
+    edges = set(d.fk_edges())
     a = (left.table, left.column, right.table, right.column)
     b = (right.table, right.column, left.table, left.column)
     if a not in edges and b not in edges:
@@ -344,9 +344,9 @@ def _simple_filter(pred: Predicate, d: DatabaseInput, conv) -> tuple[Expr, Filte
     if isinstance(pred, LikePred) and not pred.negated and isinstance(pred.pattern, Scalar):
         pattern = _check_literal(Scalar(str(pred.pattern.value), "string"))
         return conv(pred.expr), FilterCondition("like", (pattern,))
-    if isinstance(pred, InList) and all(isinstance(i, Scalar) for i in pred.items):
+    if isinstance(pred, InList) and all([isinstance(i, Scalar) for i in pred.items]):
         comparator = "not in" if pred.negated else "in"
-        operands = tuple(_check_literal(i) for i in pred.items)  # type: ignore[arg-type]
+        operands = tuple([_check_literal(i) for i in pred.items])  # type: ignore[arg-type]
         return conv(pred.expr), FilterCondition(comparator, operands)
     if isinstance(pred, IsNull):
         comparator = "is not null" if pred.negated else "is null"
@@ -442,9 +442,15 @@ def revert(t: Trajectory, d: DatabaseInput, dialect: str = "sqlite") -> SqlQuery
     errors = validate_trajectory(t, d).errors()
     if errors:
         raise SchemaMismatchError("; ".join(f.message for f in errors))
+    return _revert(t, d, dialect)
+
+
+def _revert(t: Trajectory, d: DatabaseInput, dialect: str) -> SqlQuery:
+    """`revert` of a trajectory whose tables and columns are known to be in `d`."""
     states: dict[str, _CoreState | _CombineState] = {}
     for step in t.steps:
-        if any(isinstance(a, Combine) for a in step.chain):
+        if isinstance(step.chain[0], Combine) or len(step.chain) > 1 and any(
+                [isinstance(a, Combine) for a in step.chain]):
             if len(step.chain) != 1:
                 raise InvalidChainError("a set operation must be the only action in its step")
             combine = step.chain[0]
@@ -512,18 +518,21 @@ def _materialize_core(states: dict[str, _CoreState | _CombineState],
                       state: _CoreState, d: DatabaseInput) -> SelectCore:
     if state.select is None:
         raise InvalidChainError("frame is never select()ed")
-    items = tuple(SelectItem(_to_sql_expr(e)) for e in state.select)
+    select = [_to_sql_expr(e) for e in state.select]
     where = _conditions_to_pred(states, state.wheres, d)
     having = _conditions_to_pred(states, state.havings, d)
-    group_by = tuple(_to_sql_expr(e) for e in (state.group_by or ()))
-    order_by = tuple(OrderItem(_to_sql_expr(e), direction) for e, direction in state.order_by)
-    distinct = state.distinct_element is not None
+    group_by = tuple([_to_sql_expr(e) for e in (state.group_by or ())])
+    order_by = tuple([OrderItem(_to_sql_expr(e), direction) for e, direction in state.order_by])
     limit, offset = (state.limit if state.limit is not None else (None, 0))
-    core = SelectCore(items=items, distinct=distinct, where=where, group_by=group_by,
-                      having=having, order_by=order_by, limit=limit, offset=offset)
-    tables = _witnessed_tables(core)
+    # the tables the core's own expressions reference (subqueries excluded)
+    exprs = [*select, *group_by, *[o.expr for o in order_by]]
+    for pred in (where, having):
+        if pred is not None:
+            exprs.extend(sqlast.pred_exprs(pred))
+    tables = {col.table for expr in exprs for col in _sql_columns(expr) if col.table is not None}
     from_tables, joins = _synthesize_from(tables, d)
-    return replace(core, tables=from_tables, joins=joins)
+    return SelectCore(tuple([SelectItem(e) for e in select]), state.distinct_element is not None,
+                      from_tables, joins, where, group_by, having, order_by, limit, offset)
 
 
 def _conditions_to_pred(states: dict, pairs: list[tuple[Expr, FilterCondition]],
@@ -548,7 +557,7 @@ def _condition_to_pred(states: dict, element: Expr, cond: FilterCondition,
     if cond.comparator == "like":
         return LikePred(left, _operand_to_sql(states, cond.operands[0], d))
     if cond.comparator in ("in", "not in"):
-        items = tuple(_operand_to_sql(states, op, d) for op in cond.operands)
+        items = tuple([_operand_to_sql(states, op, d) for op in cond.operands])
         return InList(left, items, negated=(cond.comparator == "not in"))
     return Comparison(cond.comparator, left, _operand_to_sql(states, cond.operands[0], d))
 
@@ -582,15 +591,6 @@ def _sql_node(expr: Expr) -> SqlExpr | None:
             args += (Scalar(expr.length, "int"),)
         return Func("substr", args)
     return None
-
-
-def _witnessed_tables(core: SelectCore) -> set[str]:
-    """Tables referenced by the core's own expressions (subqueries excluded)."""
-    exprs = [i.expr for i in core.items] + list(core.group_by) + [o.expr for o in core.order_by]
-    for pred in (core.where, core.having):
-        if pred is not None:
-            exprs.extend(sqlast.pred_exprs(pred))
-    return {col.table for expr in exprs for col in _sql_columns(expr) if col.table is not None}
 
 
 def _synthesize_from(tables: set[str], d: DatabaseInput) -> tuple[tuple[TableRef, ...],
@@ -642,7 +642,8 @@ def round_trip(s: SqlQuery, d: DatabaseInput) -> RoundTripReport:
                                reason=s.parse_error or "query does not parse")
     try:
         t = decompose(s, d)
-        reverted = revert(t, d, s.dialect)
+        # decompose's strict resolver checked `t` against `d`: revert's check finds nothing
+        reverted = _revert(t, d, s.dialect)
     except BRIDGE_ERRORS as exc:
         return RoundTripReport(s, None, None, UNSUPPORTED, reason=str(exc))
     original_canon = canonicalize(s, d)

@@ -43,28 +43,49 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def _env(name: str, default: str | None = None) -> str | None:
-    return os.environ.get(_ENV_PREFIX + name, default)
+class _Version(argparse.Action):
+    """`--version`, which hashes the action catalog only when it is given."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        print(f"sqlsteps 0.1.0 (actions {ACTION_SPACE.catalog_hash()})")
+        parser.exit()
+
+
+def _env_default(action: argparse.Action) -> None:
+    """Take a flag's default from its nonempty override (`--log-level` reads SQLSTEPS_LOG_LEVEL)
+    through the flag's own type and choices; a bad value is a UsageError naming it."""
+    name = _ENV_PREFIX + action.option_strings[0].lstrip("-").replace("-", "_").upper()
+    raw = os.environ.get(name)
+    if not raw:
+        return
+    try:
+        action.default = action.type(raw) if action.type is not None else raw
+    except ValueError:
+        raise UsageError(f"{name}: invalid {action.type.__name__} value {raw!r}") from None
+    if action.choices is not None and action.default not in action.choices:
+        raise UsageError(f"{name}: invalid choice {raw!r} "
+                         f"(choose from {', '.join(action.choices)})")
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="sqlsteps", description=__doc__)
-    space_hash = ACTION_SPACE.catalog_hash()
-    parser.add_argument("--version", action="version",
-                        version=f"sqlsteps 0.1.0 (actions {space_hash})")
-    parser.add_argument("--schemas", default=_env("SCHEMAS"),
-                        help="directory of *.schema files")
-    parser.add_argument("--dialect", default=_env("DIALECT", "sqlite"), choices=DIALECTS)
-    parser.add_argument("--seed", type=int,
-                        default=int(_env("SEED")) if _env("SEED") else None,
-                        help="seed for stochastic verbs (required by them)")
-    parser.add_argument("--log-level", default=_env("LOG_LEVEL", "warning"))
-    parser.add_argument("--format", dest="output_format", choices=("text", "structured"),
-                        default=_env("FORMAT", "text"))
-    parser.add_argument("--jobs", type=int,
-                        default=int(_env("JOBS", str(os.cpu_count() or 1))),
-                        help="seeds corrected at once when a stage backend is remote or "
-                             "a generator is given; rule stages run one seed at a time")
+    parser.add_argument("--version", action=_Version, nargs=0, default=argparse.SUPPRESS,
+                        help="show program's version number and exit")
+    for action in (
+        parser.add_argument("--schemas", help="directory of *.schema files"),
+        parser.add_argument("--dialect", default="sqlite", choices=DIALECTS),
+        parser.add_argument("--seed", type=int,
+                            help="seed for stochastic verbs (required by them)"),
+        parser.add_argument("--log-level", default="warning", type=str.lower,
+                            metavar="LEVEL", choices=("debug", "info", "warning", "warn",
+                                                      "error", "critical", "fatal", "notset")),
+        parser.add_argument("--format", dest="output_format", default="text",
+                            choices=("text", "structured")),
+        parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+                            help="seeds corrected at once when a stage backend is remote or "
+                                 "a generator is given; rule stages run one seed at a time"),
+    ):
+        _env_default(action)
     sub = parser.add_subparsers(dest="verb", metavar="verb")
 
     def add(name: str, **kwargs) -> argparse.ArgumentParser:
@@ -448,9 +469,8 @@ _COMMANDS = {
 
 
 def dispatch(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         cfg = GlobalConfig(
             schemas_dir=args.schemas,
             dialect=args.dialect,

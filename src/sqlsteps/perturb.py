@@ -185,37 +185,42 @@ class _Edit:
     build: tuple  # ("insert_step", idx, chain) | ("append", ...) | ("drop", ...) | ("swap", ...)
 
 
-def _schema_columns(d: DatabaseInput) -> list[QualifiedColumn]:
-    out = []
-    for tbl in d.tables:
-        for col in tbl.columns:
-            out.append(QualifiedColumn(tbl.name, col.name))
-    return sorted(out, key=lambda c: (c.table, c.column))
+class _AddCandidates:
+    """A trajectory's add edits, each built when `rng.choice` draws it: per step, a step
+    before it that groups by a schema column, takes distinct of or sorts by a referenced
+    column; then a copy of each where, and a limit(1) after each unlimited orderby."""
 
+    def __init__(self, t: Trajectory, d: DatabaseInput):
+        self.columns = sorted((QualifiedColumn(tbl.name, col.name) for tbl in d.tables
+                               for col in tbl.columns), key=lambda c: (c.table, c.column))
+        self.referenced = sorted(set(t.columns()), key=lambda c: (c.table, c.column))
+        self.per_step = len(self.columns) + 2 * len(self.referenced)
+        self.inserts = len(t.steps) * self.per_step
+        self.tail: list[_Edit] = []
+        for idx, step in enumerate(t.steps):
+            for pos, action in enumerate(step.chain):
+                if isinstance(action, Where):  # duplicate an existing predicate
+                    self.tail.append(_Edit((idx, pos), None, action,
+                                           ("insert_step", idx, (action,))))
+                if isinstance(action, OrderBy) and not any(
+                        isinstance(a, Limit) for a in step.chain):
+                    limit = Limit(1)
+                    self.tail.append(_Edit((idx, len(step.chain)), None, limit,
+                                           ("append", idx, limit)))
 
-def _add_candidates(t: Trajectory, d: DatabaseInput) -> list[_Edit]:
-    edits: list[_Edit] = []
-    columns = _schema_columns(d)
-    referenced = sorted(set(t.columns()), key=lambda c: (c.table, c.column))
-    for idx in range(len(t.steps)):
-        for col in columns:
-            action: Action = GroupBy((col,))
-            edits.append(_Edit((idx, 0), None, action, ("insert_step", idx, (action,))))
-        for col in referenced:
-            action = Distinct(col)
-            edits.append(_Edit((idx, 0), None, action, ("insert_step", idx, (action,))))
-            action = OrderBy(col, "asc")
-            edits.append(_Edit((idx, 0), None, action, ("insert_step", idx, (action,))))
-    for idx, step in enumerate(t.steps):
-        for pos, action in enumerate(step.chain):
-            if isinstance(action, Where):  # duplicate an existing predicate
-                edits.append(_Edit((idx, pos), None, action, ("insert_step", idx, (action,))))
-            if isinstance(action, OrderBy) and not any(
-                    isinstance(a, Limit) for a in step.chain):
-                limit = Limit(1)
-                edits.append(_Edit((idx, len(step.chain)), None, limit,
-                                   ("append", idx, limit)))
-    return edits
+    def __len__(self) -> int:
+        return self.inserts + len(self.tail)
+
+    def __getitem__(self, index: int) -> _Edit:
+        if index >= self.inserts:
+            return self.tail[index - self.inserts]
+        idx, k = divmod(index, self.per_step)
+        if k < len(self.columns):
+            action: Action = GroupBy((self.columns[k],))
+        else:
+            col = self.referenced[(k - len(self.columns)) // 2]
+            action = OrderBy(col, "asc") if (k - len(self.columns)) % 2 else Distinct(col)
+        return _Edit((idx, 0), None, action, ("insert_step", idx, (action,)))
 
 
 def _delete_candidates(t: Trajectory) -> list[_Edit]:
@@ -344,13 +349,12 @@ def perturb_once(t: Trajectory, kind: str, rng: random.Random, d: DatabaseInput,
         raise ValueError(f"unknown perturbation kind {kind!r}")
     if kind == DELETE and t.action_count() < 2:
         raise NoViablePerturbationError("cannot delete from a single-action trajectory")
+    # the add and delete candidates are the same on every attempt; a
+    # substitution's are drawn anew, as its rewrites consume `rng`
+    fixed = (_AddCandidates(t, d) if kind == ADD
+             else _delete_candidates(t) if kind == DELETE else None)
     for _ in range(max_attempts):
-        if kind == ADD:
-            candidates = _add_candidates(t, d)
-        elif kind == DELETE:
-            candidates = _delete_candidates(t)
-        else:
-            candidates = _substitute_candidates(t, d, rng)
+        candidates = fixed if fixed is not None else _substitute_candidates(t, d, rng)
         if not candidates:
             break
         edit = rng.choice(candidates)

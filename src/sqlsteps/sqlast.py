@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
+from operator import is_
 from typing import TYPE_CHECKING, Any, Callable, TypeVar, Union
 
-from .actions import MAX_DEPTH, Arithmetic, Cast, Func, Scalar, Star, map_expr
+from .actions import MAX_DEPTH, Arithmetic, Cast, Func, Scalar, Star, map_expr, map_tuple
 from .errors import SqlStepsError, SqlSyntaxError, SqlTooDeepError
 
 if TYPE_CHECKING:
@@ -26,8 +27,6 @@ KEYWORDS = {
     "outer", "cross", "union", "all", "intersect", "except", "and", "or",
     "not", "between", "in", "like", "is", "null", "asc", "desc", "cast",
 }
-
-AGG_FUNCS = {"count", "sum", "avg", "min", "max"}
 
 _Node = TypeVar("_Node")
 
@@ -123,10 +122,7 @@ def pred_exprs(pred: Predicate) -> list[SqlExpr]:
     if isinstance(pred, IsNull):
         return [pred.expr]
     if isinstance(pred, (And, Or)):
-        out: list[SqlExpr] = []
-        for item in pred.items:
-            out.extend(pred_exprs(item))
-        return out
+        return [expr for item in pred.items for expr in pred_exprs(item)]
     if isinstance(pred, Not):
         return pred_exprs(pred.item)
     raise TypeError(f"not a predicate: {pred!r}")
@@ -214,18 +210,11 @@ class SqlQuery:
 
 # --- tokenizer -----------------------------------------------------------------
 
-class Token:
-    """One token of the SQL or the trajectory grammar. `key` is what the
-    parser's cursor tests: a keyword lower-cased, a symbol as written, and
-    None for any other token."""
-
-    __slots__ = ("kind", "text", "pos", "key")
-
-    def __init__(self, kind: str, text: str, pos: int, key: str | None = None):
-        self.kind = kind  # SQL: IDENT QIDENT KW NUMBER STRING OP PUNCT END
-        self.text = text
-        self.pos = pos
-        self.key = key
+# One token of the SQL or the trajectory grammar, a plain tuple (the cheapest
+# value to build) read by these indexes. `key` is what the parser's cursor tests:
+# a keyword lower-cased, a symbol as written, and None for any other token.
+Token = tuple[str, str, int, Union[str, None]]
+KIND, TEXT, POS, KEY = range(4)
 
 
 # Whitespace, then one alternative per token class, tried in order. A word
@@ -275,22 +264,29 @@ def _sql_tokens(text: str) -> list[Token]:
             if tok in "\"`[":
                 raise SqlSyntaxError("unterminated quoted identifier", pos)
             raise SqlSyntaxError(f"unexpected character {tok[0]!r}", pos)
-        toks.append(Token(kind, tok, pos, key))
-    toks.append(Token("END", "", len(text)))
+        toks.append((kind, tok, pos, key))
+    toks.append(("END", "", len(text), None))
     return toks
 
 
 # --- parser ---------------------------------------------------------------------
 
-# A binary level: its operators, the node it builds, and whether it is a list
-# (one node over all items, as AND / OR) or a left-deep chain (`build(op, left,
-# right)` at each operator). A grammar's table lists its levels loosest first.
-Level = tuple[tuple[str, ...], Callable[..., Any], bool]
+# A binary level: its operators, the node it builds, whether it is a list (one node
+# over all items, as AND / OR) or a left-deep chain (`build(op, left, right)` at each
+# operator), and its and every tighter level's operators. Loosest level first.
+Level = tuple[tuple[str, ...], Callable[..., Any], bool, frozenset[str]]
 
-ARITHMETIC_LEVELS: tuple[Level, ...] = ((("+", "-"), Arithmetic, False),
-                                        (("*", "/"), Arithmetic, False))
-_SET_OP_LEVELS: tuple[Level, ...] = ((("union", "intersect", "except"), SetOp, False),)
-_PREDICATE_LEVELS: tuple[Level, ...] = ((("or",), Or, True), (("and",), And, True))
+
+def binary_levels(*levels: tuple[tuple[str, ...], Callable[..., Any], bool]) -> tuple[Level, ...]:
+    """A grammar's levels, loosest first, each given its and the tighter levels' operators."""
+    return tuple((ops, build, is_list, frozenset(op for tighter in levels[i:] for op in tighter[0]))
+                 for i, (ops, build, is_list) in enumerate(levels))
+
+
+ARITHMETIC_LEVELS = binary_levels((("+", "-"), Arithmetic, False), (("*", "/"), Arithmetic, False))
+_NAMES = ("IDENT", "QIDENT")
+_SET_OP_LEVELS = binary_levels((("union", "intersect", "except"), SetOp, False))
+_PREDICATE_LEVELS = binary_levels((("or",), Or, True), (("and",), And, True))
 
 
 class BoundedParser:
@@ -329,16 +325,16 @@ class BoundedParser:
         return self.toks[self.pos]
 
     def at(self, key: str) -> bool:
-        return self.toks[self.pos].key == key
+        return self.toks[self.pos][KEY] == key
 
     def eat(self, key: str) -> bool:
-        if self.toks[self.pos].key == key:
+        if self.toks[self.pos][KEY] == key:
             self.pos += 1
             return True
         return False
 
     def take_op(self, ops: tuple[str, ...]) -> str | None:
-        key = self.toks[self.pos].key
+        key = self.toks[self.pos][KEY]
         if key in ops:
             self.pos += 1
             return key
@@ -372,25 +368,36 @@ class BoundedParser:
             self.peak = peak
         return node
 
-    def binary(self, levels: tuple[Level, ...], operand: Callable[[], _Node]) -> _Node:
-        """One binary level, `levels[0]`, whose operands are parsed by
-        `binary(levels[1:], operand)`, or by `operand()` at the last level.
-        An operator node sits at the current level, one above the higher of
-        its sides: at each operator the left side moves one level down, where
-        the bound is checked, and the right side is parsed from the level
-        below the node. A list level builds one node over all its items."""
-        ops, build, is_list = levels[0]
-        tighter = levels[1:]
+    def binary(self, levels: tuple[Level, ...], operand: Callable[[], _Node],
+               first: int = 0) -> _Node:
+        """The binary levels `levels[first:]`: an operand and any operators after it."""
         depth, peak = self.depth, self.peak
         self.peak = depth
-        node = self.binary(tighter, operand) if tighter else operand()
+        node = operand()
+        if self.toks[self.pos][KEY] in levels[first][3]:
+            node = self._operators(levels, operand, first, node)
+        if peak > self.peak:
+            self.peak = peak
+        return node
+
+    def _operators(self, levels: tuple[Level, ...], operand: Callable[[], _Node], level: int,
+                   node: _Node) -> _Node:
+        """The operators of `levels[level]` after its first operand `node`, once the
+        tighter levels took theirs. An operator node sits one level above the higher of
+        its sides: at each operator the left side moves one level down, where the bound
+        is checked. A list level builds one node over all its items."""
+        ops, build, is_list, _ = levels[level]
+        tighter = level + 1 < len(levels)
+        if tighter and self.toks[self.pos][KEY] in levels[level + 1][3]:
+            node = self._operators(levels, operand, level + 1, node)
+        depth = self.depth
         items = None  # a list's items, once it has an operator
         while (op := self.take_op(ops)) is not None:
             if items is None:  # a new node over the left side
                 self.peak += 1
                 self.check_depth()
                 self.depth = depth + 1
-            right = self.binary(tighter, operand) if tighter else operand()
+            right = self.binary(levels, operand, level + 1) if tighter else operand()
             if not is_list:
                 node = build(op, node, right)
             elif items is None:
@@ -400,15 +407,13 @@ class BoundedParser:
         if items is not None:
             node = build(tuple(items))
         self.depth = depth
-        if peak > self.peak:
-            self.peak = peak
         return node
 
 
 class _SqlParser(BoundedParser):
     def too_deep(self) -> SqlTooDeepError:
         return SqlTooDeepError(f"nesting deeper than {MAX_DEPTH} levels",
-                               self.toks[self.pos - 1].pos)
+                               self.toks[self.pos - 1][POS])
 
     def take_op(self, ops: tuple[str, ...]) -> str | None:
         op = super().take_op(ops)
@@ -416,7 +421,7 @@ class _SqlParser(BoundedParser):
 
     def next(self) -> Token:
         tok = self.toks[self.pos]
-        if tok.kind != "END":
+        if tok[KIND] != "END":
             self.pos += 1
         return tok
 
@@ -424,13 +429,14 @@ class _SqlParser(BoundedParser):
         if not self.eat(key):
             tok = self.peek()
             want = key.upper() if key.isalpha() else repr(key)
-            raise SqlSyntaxError(f"expected {want}, got {tok.text!r}", tok.pos)
+            raise SqlSyntaxError(f"expected {want}, got {tok[TEXT]!r}", tok[POS])
 
     def ident(self) -> str:
-        tok = self.next()
-        if tok.kind in ("IDENT", "QIDENT"):
-            return tok.text
-        raise SqlSyntaxError(f"expected identifier, got {tok.text!r}", tok.pos)
+        tok = self.toks[self.pos]
+        if tok[KIND] in _NAMES:
+            self.pos += 1
+            return tok[TEXT]
+        raise SqlSyntaxError(f"expected identifier, got {tok[TEXT]!r}", tok[POS])
 
     # -- statements ---------------------------------------------------------
 
@@ -471,20 +477,16 @@ class _SqlParser(BoundedParser):
                           tuple(group_by), having, tuple(order_by), limit, offset)
 
     def join_kind(self) -> str | None:
-        if self.eat("join"):
+        kind = self.toks[self.pos][KEY]
+        if kind not in ("join", "inner", "left", "right", "full", "cross"):
+            return None
+        self.pos += 1
+        if kind == "join":
             return "inner"
-        if self.eat("inner"):
-            self.expect("join")
-            return "inner"
-        for kind in ("left", "right", "full"):
-            if self.eat(kind):
-                self.eat("outer")
-                self.expect("join")
-                return kind
-        if self.eat("cross"):
-            self.expect("join")
-            return "cross"
-        return None
+        if kind in ("left", "right", "full"):
+            self.eat("outer")
+        self.expect("join")
+        return kind
 
     def select_item(self) -> SelectItem:
         expr = Star() if self.eat("*") else self.expr()
@@ -494,7 +496,7 @@ class _SqlParser(BoundedParser):
         return TableRef(self.ident(), self.alias())
 
     def alias(self) -> str | None:
-        if self.eat("as") or self.peek().kind in ("IDENT", "QIDENT"):
+        if self.eat("as") or self.toks[self.pos][KIND] in _NAMES:
             return self.ident()
         return None
 
@@ -517,16 +519,16 @@ class _SqlParser(BoundedParser):
 
     def int_literal(self) -> int:
         tok = self.next()
-        value = self.number(tok) if tok.kind == "NUMBER" else None
+        value = self.number(tok) if tok[KIND] == "NUMBER" else None
         if value is None or value.kind != "int":
-            raise SqlSyntaxError(f"expected integer, got {tok.text!r}", tok.pos)
+            raise SqlSyntaxError(f"expected integer, got {tok[TEXT]!r}", tok[POS])
         return value.value  # type: ignore[return-value]
 
     def number(self, tok: Token) -> Scalar:
         try:
-            return Scalar.number(tok.text)
+            return Scalar.number(tok[TEXT])
         except ValueError as exc:  # a number no value holds, e.g. 1e999
-            raise SqlSyntaxError(str(exc), tok.pos) from None
+            raise SqlSyntaxError(str(exc), tok[POS]) from None
 
     # -- predicates -----------------------------------------------------------
 
@@ -555,8 +557,9 @@ class _SqlParser(BoundedParser):
             self.pos, self.depth, self.peak, self.nesting = mark
         left = self.expr()
         tok = self.peek()
-        if (op := self.take_op(("=", "!=", "<", "<=", ">", ">="))) is not None:
-            return Comparison(op, left, self.expr())
+        if tok[KEY] in ("=", "!=", "<", "<=", ">", ">="):
+            self.pos += 1
+            return Comparison(tok[KEY], left, self.expr())
         negated = self.eat("not")
         if self.eat("between"):
             lo = self.expr()
@@ -571,13 +574,13 @@ class _SqlParser(BoundedParser):
         if self.eat("like"):
             return LikePred(left, self.expr(), negated)
         if negated:
-            raise SqlSyntaxError("dangling NOT", tok.pos)
+            raise SqlSyntaxError("dangling NOT", tok[POS])
         if self.eat("is"):
             neg = self.eat("not")
             self.expect("null")
             return IsNull(left, neg)
-        raise SqlSyntaxError(f"expected a comparison, got {self.peek().text!r}",
-                             self.peek().pos)
+        raise SqlSyntaxError(f"expected a comparison, got {self.peek()[TEXT]!r}",
+                             self.peek()[POS])
 
     def in_items(self) -> tuple[SqlExpr, ...]:
         if self.at("select"):
@@ -590,20 +593,29 @@ class _SqlParser(BoundedParser):
         return self.binary(ARITHMETIC_LEVELS, self.atom)
 
     def atom(self) -> SqlExpr:
-        tok = self.peek()
-        if tok.kind == "NUMBER":
+        tok = self.toks[self.pos]
+        if tok[KIND] in _NAMES:
+            self.pos += 1
+            key = self.toks[self.pos][KEY]
+            if key == "(":
+                return self.nested(self.func_call, tok[TEXT], tok[POS])
+            if key == ".":
+                self.pos += 1
+                return Column(tok[TEXT], self.ident())
+            return Column(None, tok[TEXT])
+        if tok[KIND] == "NUMBER":
             self.next()
             return self.number(tok)
-        if tok.kind == "STRING":
+        if tok[KIND] == "STRING":
             self.next()
-            return Scalar.of(tok.text)
-        if tok.key == "-":
+            return Scalar.of(tok[TEXT])
+        if tok[KEY] == "-":
             self.next()
             inner = self.nested(self.atom)
             if isinstance(inner, Scalar) and inner.kind in ("int", "real"):
                 return Scalar(-inner.value, inner.kind)  # type: ignore[operator]
             return Arithmetic("-", Scalar(0, "int"), inner)
-        if tok.key == "(":
+        if tok[KEY] == "(":
             self.next()
             if self.at("select"):
                 inner: SqlExpr = Subquery(self.nested(self.parse_core))
@@ -611,7 +623,7 @@ class _SqlParser(BoundedParser):
                 inner = self.nested(self.expr, levels=0)
             self.expect(")")
             return inner
-        if tok.key == "cast":
+        if tok[KEY] == "cast":
             self.next()
             self.expect("(")
             arg = self.nested(self.expr)
@@ -619,27 +631,20 @@ class _SqlParser(BoundedParser):
             target = self.type_name()
             self.expect(")")
             return Cast(arg, target)
-        if tok.key == "null":
-            raise SqlSyntaxError("bare NULL literal outside IS NULL is unsupported", tok.pos)
-        if tok.kind in ("IDENT", "QIDENT"):
-            name = self.ident()
-            if self.at("("):
-                return self.nested(self.func_call, name, tok.pos)
-            if self.eat("."):
-                return Column(name, self.ident())
-            return Column(None, name)
-        raise SqlSyntaxError(f"unexpected token {tok.text!r}", tok.pos)
+        if tok[KEY] == "null":
+            raise SqlSyntaxError("bare NULL literal outside IS NULL is unsupported", tok[POS])
+        raise SqlSyntaxError(f"unexpected token {tok[TEXT]!r}", tok[POS])
 
     def type_name(self) -> str:
         """A bare word, with integer sizes if any, e.g. VARCHAR(20)."""
         tok = self.next()
-        if tok.kind != "IDENT":
-            raise SqlSyntaxError(f"expected a type name, got {tok.text!r}", tok.pos)
+        if tok[KIND] != "IDENT":
+            raise SqlSyntaxError(f"expected a type name, got {tok[TEXT]!r}", tok[POS])
         if not self.eat("("):
-            return tok.text
+            return tok[TEXT]
         sizes = self.listed(self.int_literal)
         self.expect(")")
-        return f"{tok.text}({','.join(map(str, sizes))})"
+        return f"{tok[TEXT]}({','.join(map(str, sizes))})"
 
     def func_call(self, name: str, pos: int) -> SqlExpr:
         self.expect("(")
@@ -653,7 +658,7 @@ class _SqlParser(BoundedParser):
             args = self.listed(self.expr)
         self.expect(")")
         after = self.peek()
-        if after.kind == "IDENT" and after.text.lower() == "over":
+        if after[KIND] == "IDENT" and after[TEXT].lower() == "over":
             raise SqlSyntaxError("window functions are unsupported", pos)
         return Func(lowered, tuple(args), distinct)
 
@@ -661,17 +666,17 @@ class _SqlParser(BoundedParser):
 def parse_sql(text: str, dialect: str = "sqlite") -> SqlQuery:
     """Parse one SELECT statement; raises SqlSyntaxError otherwise."""
     if dialect not in DIALECTS:
-        raise ValueError(f"unknown dialect {dialect!r}")
+        raise SqlStepsError(f"unknown dialect {dialect!r}")
     if not text.strip():
         raise SqlSyntaxError("empty SQL text")
     parser = _SqlParser(_sql_tokens(text))
     if not parser.at("select"):
-        raise SqlSyntaxError("only SELECT statements are supported", parser.peek().pos)
+        raise SqlSyntaxError("only SELECT statements are supported", parser.peek()[POS])
     ast = parser.parse_query()
     parser.eat(";")
     tok = parser.peek()
-    if tok.kind != "END":
-        raise SqlSyntaxError(f"trailing input {tok.text!r}", tok.pos)
+    if tok[KIND] != "END":
+        raise SqlSyntaxError(f"trailing input {tok[TEXT]!r}", tok[POS])
     return SqlQuery(text=text, ast=ast, dialect=dialect)
 
 
@@ -680,8 +685,8 @@ def parse_predicate(text: str) -> Predicate:
     parser = _SqlParser(_sql_tokens(text))
     pred = parser.predicate()
     tok = parser.peek()
-    if tok.kind != "END":
-        raise SqlSyntaxError(f"trailing input {tok.text!r}", tok.pos)
+    if tok[KIND] != "END":
+        raise SqlSyntaxError(f"trailing input {tok[TEXT]!r}", tok[POS])
     return pred
 
 
@@ -714,19 +719,17 @@ def _render_core(core: SelectCore, quote: str) -> str:
     parts = ["SELECT"]
     if core.distinct:
         parts.append("DISTINCT")
-    parts.append(", ".join(_render_item(i, quote) for i in core.items))
+    parts.append(", ".join([_render_item(i, quote) for i in core.items]))
     if core.tables:
         refs = [_render_table(t, quote) for t in core.tables]
         parts.append("FROM " + ", ".join(refs))
         for join in core.joins:
-            kw = {"inner": "INNER JOIN", "left": "LEFT JOIN", "right": "RIGHT JOIN",
-                  "full": "FULL JOIN", "cross": "CROSS JOIN"}[join.kind]
-            parts.append(f"{kw} {_render_table(join.table, quote)} ON "
+            parts.append(f"{join.kind.upper()} JOIN {_render_table(join.table, quote)} ON "
                          f"{render_predicate(join.on, quote)}")
     if core.where is not None:
         parts.append("WHERE " + render_predicate(core.where, quote))
     if core.group_by:
-        parts.append("GROUP BY " + ", ".join(render_expr(e, quote) for e in core.group_by))
+        parts.append("GROUP BY " + ", ".join([render_expr(e, quote) for e in core.group_by]))
     if core.having is not None:
         parts.append("HAVING " + render_predicate(core.having, quote))
     if core.order_by:
@@ -754,17 +757,16 @@ def _render_table(ref: TableRef, quote: str) -> str:
     return text
 
 
-_BARE_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-
-
 def _q(name: str, quote: str) -> str:
-    if name and " " not in name and _BARE_IDENT_RE.fullmatch(name) \
-            and name.lower() not in KEYWORDS:
+    # for ASCII text, `isidentifier` accepts exactly `[A-Za-z_][A-Za-z0-9_]*`
+    if name.isascii() and name.isidentifier() and name.lower() not in KEYWORDS:
         return name
     return quote + name.replace(quote, quote + quote) + quote
 
 
-def render_expr(expr: SqlExpr, quote: str = '"') -> str:
+def render_expr(expr: SqlExpr, quote: str = '"',
+                core: Callable[[SelectCore], str] | None = None) -> str:
+    """SQL text of an expression; `core` renders a subquery's core, by default as SQL."""
     if isinstance(expr, Column):
         if expr.table is None:
             return _q(expr.column, quote)
@@ -776,16 +778,17 @@ def render_expr(expr: SqlExpr, quote: str = '"') -> str:
     if isinstance(expr, Star):
         return "*"
     if isinstance(expr, Func):
-        inner = ", ".join(render_expr(a, quote) for a in expr.args)
+        inner = ", ".join([render_expr(a, quote, core) for a in expr.args])
         if expr.distinct:
             inner = "DISTINCT " + inner
         return f"{expr.name.upper()}({inner})"
     if isinstance(expr, Cast):
-        return f"CAST({render_expr(expr.arg, quote)} AS {expr.target_type.upper()})"
+        return f"CAST({render_expr(expr.arg, quote, core)} AS {expr.target_type.upper()})"
     if isinstance(expr, Arithmetic):
-        return f"({render_expr(expr.left, quote)} {expr.op} {render_expr(expr.right, quote)})"
+        return (f"({render_expr(expr.left, quote, core)} {expr.op} "
+                f"{render_expr(expr.right, quote, core)})")
     if isinstance(expr, Subquery):
-        return f"({_render_core(expr.core, quote)})"
+        return f"({_render_core(expr.core, quote) if core is None else core(expr.core)})"
     raise TypeError(f"not a SQL expression: {expr!r}")
 
 
@@ -798,7 +801,7 @@ def render_predicate(pred: Predicate, quote: str = '"') -> str:
                 f"AND {render_expr(pred.hi, quote)}")
     if isinstance(pred, InList):
         kw = "NOT IN" if pred.negated else "IN"
-        items = ", ".join(render_expr(i, quote) for i in pred.items)
+        items = ", ".join([render_expr(i, quote) for i in pred.items])
         if len(pred.items) != 1 or not isinstance(pred.items[0], Subquery):
             items = f"({items})"  # a lone subquery renders its own parentheses
         return f"{render_expr(pred.expr, quote)} {kw} {items}"
@@ -809,9 +812,9 @@ def render_predicate(pred: Predicate, quote: str = '"') -> str:
         kw = "IS NOT NULL" if pred.negated else "IS NULL"
         return f"{render_expr(pred.expr, quote)} {kw}"
     if isinstance(pred, And):
-        return " AND ".join(_wrap(p, quote) for p in pred.items)
+        return " AND ".join([_wrap(p, quote) for p in pred.items])
     if isinstance(pred, Or):
-        return "(" + " OR ".join(_wrap(p, quote) for p in pred.items) + ")"
+        return "(" + " OR ".join([_wrap(p, quote) for p in pred.items]) + ")"
     if isinstance(pred, Not):
         return f"NOT {_wrap(pred.item, quote)}"
     raise TypeError(f"not a predicate: {pred!r}")
@@ -853,31 +856,31 @@ def _canon_node(node: SelectNode, d: "DatabaseInput | None") -> str:
 
 def _canon_core(core: SelectCore, d: "DatabaseInput | None") -> str:
     core = expand_select_star(normalize_core(core, d, _lenient_column(d)), d)
-    conjuncts = list(flatten_and(core.where)) if core.where is not None else []
+    conjuncts = flatten_and(core.where) if core.where is not None else []
+    tables = [t.name for t in core.tables]
     outer_joins = []
     for join in core.joins:
         if join.kind == "inner":
             conjuncts.extend(flatten_and(join.on))
+            tables.append(join.table.name)
         else:
             outer_joins.append(join)
-    tables = sorted(t.name for t in core.tables) + sorted(
-        j.table.name for j in core.joins if j.kind == "inner")
     parts = ["SELECT"]
     if core.distinct:
         parts.append("DISTINCT")
-    parts.append(", ".join(_canon_expr(i.expr, d) for i in core.items))
+    parts.append(", ".join([_canon_expr(i.expr, d) for i in core.items]))
     if tables or outer_joins:
         parts.append("FROM " + ", ".join(sorted(set(tables))))
         for join in outer_joins:
             parts.append(f"{join.kind.upper()} JOIN {join.table.name} ON "
                          f"{_canon_pred(join.on, d)}")
     if conjuncts:
-        rendered = sorted(_canon_pred(p, d) for p in conjuncts)
+        rendered = sorted([_canon_pred(p, d) for p in conjuncts])
         parts.append("WHERE " + " AND ".join(rendered))
     if core.group_by:
-        parts.append("GROUP BY " + ", ".join(_canon_expr(e, d) for e in core.group_by))
+        parts.append("GROUP BY " + ", ".join([_canon_expr(e, d) for e in core.group_by]))
     if core.having is not None:
-        havings = sorted(_canon_pred(p, d) for p in flatten_and(core.having))
+        havings = sorted([_canon_pred(p, d) for p in flatten_and(core.having)])
         parts.append("HAVING " + " AND ".join(havings))
     if core.order_by:
         rendered = [f"{_canon_expr(o.expr, d)} {o.direction.upper()}" for o in core.order_by]
@@ -890,18 +893,7 @@ def _canon_core(core: SelectCore, d: "DatabaseInput | None") -> str:
 
 
 def _canon_expr(expr: SqlExpr, d: "DatabaseInput | None") -> str:
-    if isinstance(expr, Subquery):
-        return f"({_canon_core(expr.core, d)})"
-    if isinstance(expr, Func):
-        inner = ", ".join(_canon_expr(a, d) for a in expr.args)
-        if expr.distinct:
-            inner = "DISTINCT " + inner
-        return f"{expr.name.upper()}({inner})"
-    if isinstance(expr, Cast):
-        return f"CAST({_canon_expr(expr.arg, d)} AS {expr.target_type.upper()})"
-    if isinstance(expr, Arithmetic):
-        return f"({_canon_expr(expr.left, d)} {expr.op} {_canon_expr(expr.right, d)})"
-    return render_expr(expr, '"')
+    return render_expr(expr, '"', lambda core: _canon_core(core, d))
 
 
 def _canon_pred(pred: Predicate, d: "DatabaseInput | None") -> str:
@@ -920,7 +912,7 @@ def _canon_pred(pred: Predicate, d: "DatabaseInput | None") -> str:
         kw = "NOT IN" if pred.negated else "IN"
         subquery = len(pred.items) == 1 and isinstance(pred.items[0], Subquery)
         items = (_canon_expr(pred.items[0], d) if subquery
-                 else ", ".join(sorted(_canon_expr(i, d) for i in pred.items)))
+                 else ", ".join(sorted([_canon_expr(i, d) for i in pred.items])))
         wrapped = items if subquery else f"({items})"
         return f"{_canon_expr(pred.expr, d)} {kw} {wrapped}"
     if isinstance(pred, LikePred):
@@ -930,9 +922,9 @@ def _canon_pred(pred: Predicate, d: "DatabaseInput | None") -> str:
         kw = "IS NOT NULL" if pred.negated else "IS NULL"
         return f"{_canon_expr(pred.expr, d)} {kw}"
     if isinstance(pred, And):
-        return "(" + " AND ".join(sorted(_canon_pred(p, d) for p in pred.items)) + ")"
+        return "(" + " AND ".join(sorted([_canon_pred(p, d) for p in pred.items])) + ")"
     if isinstance(pred, Or):
-        return "(" + " OR ".join(sorted(_canon_pred(p, d) for p in pred.items)) + ")"
+        return "(" + " OR ".join(sorted([_canon_pred(p, d) for p in pred.items])) + ")"
     if isinstance(pred, Not):
         return f"NOT ({_canon_pred(pred.item, d)})"
     raise TypeError(f"not a predicate: {pred!r}")
@@ -950,10 +942,7 @@ def _normalize_comparison(pred: Predicate) -> Predicate:
 
 def flatten_and(pred: Predicate) -> list[Predicate]:
     if isinstance(pred, And):
-        out: list[Predicate] = []
-        for item in pred.items:
-            out.extend(flatten_and(item))
-        return out
+        return [conjunct for item in pred.items for conjunct in flatten_and(item)]
     return [pred]
 
 
@@ -967,7 +956,8 @@ ColumnResolver = Callable[[Column, list[str]], Column]
 def normalize_core(core: SelectCore, d: "DatabaseInput | None" = None,
                    column: ColumnResolver | None = None,
                    raise_at_count: bool = False) -> SelectCore:
-    """The core rebuilt once, clause by clause, with its aliases resolved.
+    """The core rebuilt once, clause by clause and copy-on-write (what nothing
+    changes is returned itself), with its aliases resolved.
 
     Table aliases become table names, and in GROUP BY, HAVING and ORDER BY a
     bare column that names a select item's alias becomes that item's
@@ -980,9 +970,9 @@ def normalize_core(core: SelectCore, d: "DatabaseInput | None" = None,
     raises the error in its turn, or with `raise_at_count` the first COUNT(*)
     raises it. A subquery's core is never entered.
     """
-    tables = [t.name for t in core.tables] + [j.table.name for j in core.joins]
-    table_alias = {t.alias: t.name for t in core.tables if t.alias}
-    table_alias.update({j.table.alias: j.table.name for j in core.joins if j.table.alias})
+    refs = [*core.tables, *[j.table for j in core.joins]]
+    tables = [t.name for t in refs]
+    table_alias = {t.alias: t.name for t in refs if t.alias}
     item_alias = {i.alias: i.expr for i in core.items if i.alias}
     target: list[Column | None] = []  # found at the first COUNT(*)
 
@@ -1023,22 +1013,37 @@ def normalize_core(core: SelectCore, d: "DatabaseInput | None" = None,
             return map_expr(item_alias[node.column], plain)
         return plain(node)
 
-    def fix_pred(pred: Predicate, fn: Callable[[SqlExpr], SqlExpr | None]) -> Predicate:
-        return _map_pred(pred, lambda e: map_expr(e, fn))
+    def item(i: SelectItem) -> SelectItem:
+        expr = map_expr(i.expr, plain)
+        return i if expr is i.expr and i.alias is None else SelectItem(expr)
 
-    return SelectCore(
-        items=tuple(SelectItem(map_expr(i.expr, plain)) for i in core.items),
-        distinct=core.distinct,
-        tables=tuple(TableRef(t.name) for t in core.tables),
-        joins=tuple(Join(TableRef(j.table.name), fix_pred(j.on, plain), j.kind)
-                    for j in core.joins),
-        where=fix_pred(core.where, plain) if core.where is not None else None,
-        group_by=tuple(map_expr(e, aliased) for e in core.group_by),
-        having=fix_pred(core.having, aliased) if core.having is not None else None,
-        order_by=tuple(OrderItem(map_expr(o.expr, aliased), o.direction) for o in core.order_by),
-        limit=core.limit,
-        offset=core.offset,
-    )
+    def join(j: Join) -> Join:
+        on = _map_pred(j.on, plain)
+        if on is j.on and j.table.alias is None:
+            return j
+        return Join(TableRef(j.table.name), on, j.kind)
+
+    def order(o: OrderItem) -> OrderItem:
+        expr = map_expr(o.expr, aliased)
+        return o if expr is o.expr else OrderItem(expr, o.direction)
+
+    old = (core.items, core.tables, core.joins, core.where, core.group_by, core.having,
+           core.order_by)
+    # in clause order, so that a resolver's error is raised at its first column;
+    # an empty clause is kept as it is
+    new = (map_tuple(core.items, item),
+           core.tables and map_tuple(
+               core.tables, lambda t: t if t.alias is None else TableRef(t.name)),
+           core.joins and map_tuple(core.joins, join),
+           core.where and _map_pred(core.where, plain),
+           core.group_by and map_tuple(core.group_by, map_expr, aliased),
+           core.having and _map_pred(core.having, aliased),
+           core.order_by and map_tuple(core.order_by, order))
+    if all(map(is_, new, old)):
+        return core
+    items, table_refs, joins, where, group_by, having, order_by = new
+    return SelectCore(items, core.distinct, table_refs, joins, where, group_by, having, order_by,
+                      core.limit, core.offset)
 
 
 def _lenient_column(d: "DatabaseInput | None") -> ColumnResolver:
@@ -1063,7 +1068,7 @@ def expand_select_star(core: SelectCore, d: "DatabaseInput | None") -> SelectCor
     Requires schema information; without it (or for unknown tables) the star
     is kept verbatim.
     """
-    if d is None or not any(isinstance(i.expr, Star) for i in core.items):
+    if d is None or not any([isinstance(i.expr, Star) for i in core.items]):
         return core
     tables = [t.name for t in core.tables] + [j.table.name for j in core.joins]
     if not tables or any(not d.has_table(t) for t in tables):
@@ -1080,21 +1085,24 @@ def expand_select_star(core: SelectCore, d: "DatabaseInput | None") -> SelectCor
     return replace(core, items=tuple(items))
 
 
-def _map_pred(pred: Predicate, fix) -> Predicate:
-    if isinstance(pred, Comparison):
-        return Comparison(pred.op, fix(pred.left), fix(pred.right))
-    if isinstance(pred, Between):
-        return Between(fix(pred.expr), fix(pred.lo), fix(pred.hi), pred.negated)
-    if isinstance(pred, InList):
-        return InList(fix(pred.expr), tuple(fix(i) for i in pred.items), pred.negated)
-    if isinstance(pred, LikePred):
-        return LikePred(fix(pred.expr), fix(pred.pattern), pred.negated)
-    if isinstance(pred, IsNull):
-        return IsNull(fix(pred.expr), pred.negated)
-    if isinstance(pred, And):
-        return And(tuple(_map_pred(p, fix) for p in pred.items))
-    if isinstance(pred, Or):
-        return Or(tuple(_map_pred(p, fix) for p in pred.items))
+def _map_pred(pred: Predicate, fn: Callable[[SqlExpr], SqlExpr | None]) -> Predicate:
+    """`pred` with each operand rebuilt by `map_expr(operand, fn)`,
+    copy-on-write: a predicate none of whose operands changed is returned
+    itself."""
+    if isinstance(pred, (And, Or)):
+        items = map_tuple(pred.items, _map_pred, fn)
+        return pred if items is pred.items else type(pred)(items)
     if isinstance(pred, Not):
-        return Not(_map_pred(pred.item, fix))
-    raise TypeError(f"not a predicate: {pred!r}")
+        item = _map_pred(pred.item, fn)
+        return pred if item is pred.item else Not(item)
+    if isinstance(pred, Comparison):  # the most common predicate, mapped without a list
+        left, right = map_expr(pred.left, fn), map_expr(pred.right, fn)
+        same = left is pred.left and right is pred.right
+        return pred if same else Comparison(pred.op, left, right)
+    old = pred_exprs(pred)
+    new = [map_expr(e, fn) for e in old]
+    if all(map(is_, new, old)):
+        return pred
+    if isinstance(pred, InList):
+        return InList(new[0], tuple(new[1:]), pred.negated)
+    return type(pred)(*new, pred.negated)  # Between, LikePred, IsNull

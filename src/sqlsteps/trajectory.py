@@ -53,7 +53,8 @@ from .actions import (
 )
 from .errors import TrajectorySyntaxError, UnknownActionError
 from .schema import DatabaseInput  # noqa: F401  (re-exported for validate callers)
-from .sqlast import ARITHMETIC_LEVELS, KEYWORDS, MAX_DEPTH, BoundedParser, Token
+from .sqlast import (ARITHMETIC_LEVELS, KEY, KEYWORDS, KIND, MAX_DEPTH, POS, TEXT,
+                     BoundedParser, Token)
 
 _DF_REF_RE = re.compile(r"df\d+$|res$")
 _NUMBER_RE = re.compile(r"-?\d+(\.\d+)?([eE][+-]?\d+)?")
@@ -97,7 +98,7 @@ def _tokenize_line(line: str, lineno: int) -> list[Token]:
         key = None
         if kind == "SYM":
             key = text
-            if text == "-" and (not tokens or tokens[-1].key in _SIGN_AFTER):
+            if text == "-" and (not tokens or tokens[-1][KEY] in _SIGN_AFTER):
                 sign_end = start + 1
         # a word may still start with a digit that is no decimal digit (e.g.
         # `²`), an unexpected character
@@ -119,8 +120,8 @@ def _tokenize_line(line: str, lineno: int) -> list[Token]:
             raise TrajectorySyntaxError("unterminated backtick identifier", lineno, start + 1)
         else:
             raise TrajectorySyntaxError(f"unexpected character {text[0]!r}", lineno, start + 1)
-        tokens.append(Token(kind, text, start + 1, key))
-    tokens.append(Token("END", "", tokens[-1].pos if tokens else 1))
+        tokens.append((kind, text, start + 1, key))
+    tokens.append(("END", "", tokens[-1][POS] if tokens else 1, None))
     return tokens
 
 
@@ -137,53 +138,53 @@ class _LineParser(BoundedParser):
 
     def column(self) -> int:
         """Column of the last token read, where a rejected value was found."""
-        return self.toks[self.pos - 1].pos if self.pos else 1
+        return self.toks[self.pos - 1][POS] if self.pos else 1
 
     def next(self) -> Token:
         tok = self.toks[self.pos]
-        if tok.kind == "END":
-            raise TrajectorySyntaxError("unexpected end of line", self.lineno, tok.pos)
+        if tok[KIND] == "END":
+            raise TrajectorySyntaxError("unexpected end of line", self.lineno, tok[POS])
         self.pos += 1
         return tok
 
     def expect(self, kind: str, text: str | None = None) -> Token:
         tok = self.next()
-        if tok.kind != kind or (text is not None and tok.text != text):
+        if tok[KIND] != kind or (text is not None and tok[TEXT] != text):
             want = text if text is not None else kind
-            raise TrajectorySyntaxError(f"unexpected token {tok.text!r}", self.lineno,
-                                        tok.pos, expected=str(want))
+            raise TrajectorySyntaxError(f"unexpected token {tok[TEXT]!r}", self.lineno,
+                                        tok[POS], expected=str(want))
         return tok
 
     # -- step ---------------------------------------------------------------
 
     def parse_step(self) -> TrajectoryStep:
         binding = self.expect("IDENT")
-        if not BINDING_RE.match(binding.text) or binding.text == "df":
-            raise TrajectorySyntaxError(f"invalid binding {binding.text!r}", self.lineno,
-                                        binding.pos, expected="df<N> or res")
+        if not BINDING_RE.match(binding[TEXT]) or binding[TEXT] == "df":
+            raise TrajectorySyntaxError(f"invalid binding {binding[TEXT]!r}", self.lineno,
+                                        binding[POS], expected="df<N> or res")
         self.expect("SYM", "=")
         receiver = self.expect("IDENT")
-        if not BINDING_RE.match(receiver.text) or receiver.text == "res":
-            raise TrajectorySyntaxError(f"invalid receiver {receiver.text!r}", self.lineno,
-                                        receiver.pos, expected="df or df<N>")
+        if not BINDING_RE.match(receiver[TEXT]) or receiver[TEXT] == "res":
+            raise TrajectorySyntaxError(f"invalid receiver {receiver[TEXT]!r}", self.lineno,
+                                        receiver[POS], expected="df or df<N>")
         chain: list[Action] = []
         while self.eat("."):
             chain.append(self.parse_call())
         tok = self.peek()
         if not chain:
-            raise TrajectorySyntaxError("step has no actions", self.lineno, tok.pos,
+            raise TrajectorySyntaxError("step has no actions", self.lineno, tok[POS],
                                         expected=".action(...)")
-        if tok.kind != "END":
-            raise TrajectorySyntaxError(f"trailing input {tok.text!r}", self.lineno, tok.pos)
-        return TrajectoryStep(binding.text, receiver.text, tuple(chain))
+        if tok[KIND] != "END":
+            raise TrajectorySyntaxError(f"trailing input {tok[TEXT]!r}", self.lineno, tok[POS])
+        return TrajectoryStep(binding[TEXT], receiver[TEXT], tuple(chain))
 
     # -- calls ---------------------------------------------------------------
 
     def parse_call(self) -> Action:
         name_tok = self.expect("IDENT")
-        name = ACTION_SPACE.resolve(name_tok.text)
+        name = ACTION_SPACE.resolve(name_tok[TEXT])
         if name is None:
-            raise UnknownActionError(name_tok.text, self.lineno)
+            raise UnknownActionError(name_tok[TEXT], self.lineno)
         self.expect("SYM", "(")
         action = self._dispatch(name)
         self.expect("SYM", ")")
@@ -203,10 +204,10 @@ class _LineParser(BoundedParser):
             return Distinct(self.parse_expr())
         if name in ("union", "intersect", "except"):
             tok = self.expect("IDENT")
-            if not _DF_REF_RE.match(tok.text):
-                raise TrajectorySyntaxError(f"set operand must be a binding, got {tok.text!r}",
-                                            self.lineno, tok.pos)
-            return Combine(name, BindingRef(tok.text))
+            if not _DF_REF_RE.match(tok[TEXT]):
+                raise TrajectorySyntaxError(f"set operand must be a binding, got {tok[TEXT]!r}",
+                                            self.lineno, tok[POS])
+            return Combine(name, BindingRef(tok[TEXT]))
         if name in _CALLS:
             self._skip_key({"element"})
             call = self.nested(self._call_body, name)
@@ -216,8 +217,8 @@ class _LineParser(BoundedParser):
     def _skip_key(self, allowed: set[str]) -> None:
         """Consume an optional `key =` prefix (named-argument form)."""
         tok = self.peek()
-        if (tok.kind == "IDENT" and tok.text.lower() in allowed
-                and self.toks[self.pos + 1].key == "="):
+        if (tok[KIND] == "IDENT" and tok[TEXT].lower() in allowed
+                and self.toks[self.pos + 1][KEY] == "="):
             self.pos += 2
 
     def _element(self) -> Expr:
@@ -239,10 +240,10 @@ class _LineParser(BoundedParser):
         if self.eat(","):
             self._skip_key({"order"})
             tok = self.expect("IDENT")
-            if tok.text.lower() not in ("asc", "desc"):
-                raise TrajectorySyntaxError(f"bad sort order {tok.text!r}", self.lineno,
-                                            tok.pos, expected="asc or desc")
-            order = tok.text.lower()
+            if tok[TEXT].lower() not in ("asc", "desc"):
+                raise TrajectorySyntaxError(f"bad sort order {tok[TEXT]!r}", self.lineno,
+                                            tok[POS], expected="asc or desc")
+            order = tok[TEXT].lower()
         return OrderBy(by, order)
 
     def _limit(self) -> Limit:
@@ -253,23 +254,23 @@ class _LineParser(BoundedParser):
         return Limit(count=first)
 
     def _int_arg(self) -> int:
-        tok = self.expect("NUMBER")
-        value = Scalar.number(tok.text)
+        _, text, pos, _ = self.expect("NUMBER")
+        value = Scalar.number(text)
         if value.kind != "int":
-            raise TrajectorySyntaxError(f"expected integer, got {tok.text!r}", self.lineno, tok.pos)
+            raise TrajectorySyntaxError(f"expected integer, got {text!r}", self.lineno, pos)
         return value.value  # type: ignore[return-value]
 
     # -- filter mini-grammar ---------------------------------------------------
 
     def _filter_value(self) -> FilterCondition:
         tok = self.next()
-        if tok.kind == "NUMBER":
-            return FilterCondition("=", (Scalar.number(tok.text),))
-        if tok.kind == "IDENT" and _DF_REF_RE.match(tok.text):
-            return FilterCondition("=", (BindingRef(tok.text),))
-        if tok.kind == "STRING":
-            return parse_filter_text(tok.text, self.lineno, tok.pos)
-        raise TrajectorySyntaxError(f"bad filter value {tok.text!r}", self.lineno, tok.pos,
+        if tok[KIND] == "NUMBER":
+            return FilterCondition("=", (Scalar.number(tok[TEXT]),))
+        if tok[KIND] == "IDENT" and _DF_REF_RE.match(tok[TEXT]):
+            return FilterCondition("=", (BindingRef(tok[TEXT]),))
+        if tok[KIND] == "STRING":
+            return parse_filter_text(tok[TEXT], self.lineno, tok[POS])
+        raise TrajectorySyntaxError(f"bad filter value {tok[TEXT]!r}", self.lineno, tok[POS],
                                     expected="number, binding, or quoted condition")
 
     # -- expressions -------------------------------------------------------------
@@ -279,39 +280,39 @@ class _LineParser(BoundedParser):
 
     def _atom(self) -> Expr:
         tok = self.next()
-        if tok.kind == "NUMBER":
-            return Scalar.number(tok.text)
-        if tok.kind == "STRING":
-            return Scalar.of(tok.text)
-        if tok.key == "*":
+        if tok[KIND] == "NUMBER":
+            return Scalar.number(tok[TEXT])
+        if tok[KIND] == "STRING":
+            return Scalar.of(tok[TEXT])
+        if tok[KEY] == "*":
             return Star()
-        if tok.key == "(":
+        if tok[KEY] == "(":
             inner = self.nested(self.parse_expr, levels=0)
             self.expect("SYM", ")")
             return inner
-        if tok.key == "-":
+        if tok[KEY] == "-":
             num = self.expect("NUMBER")
-            return Scalar.number("-" + num.text)
-        if tok.kind == "IDENT":
+            return Scalar.number("-" + num[TEXT])
+        if tok[KIND] == "IDENT":
             return self._ident_expr(tok)
-        raise TrajectorySyntaxError(f"unexpected token {tok.text!r}", self.lineno, tok.pos,
+        raise TrajectorySyntaxError(f"unexpected token {tok[TEXT]!r}", self.lineno, tok[POS],
                                     expected="expression")
 
     def _ident_expr(self, tok: Token) -> Expr:
-        lowered = tok.text.lower()
+        lowered = tok[TEXT].lower()
         lowered = ACTION_SPACE.aliases.get(lowered, lowered)
         if self.at("("):
             if lowered not in _CALLS:
-                raise UnknownActionError(tok.text, self.lineno)
+                raise UnknownActionError(tok[TEXT], self.lineno)
             self.expect("SYM", "(")
             call = self.nested(self._call_body, lowered)
             self.expect("SYM", ")")
             return call
         if self.eat("."):
             col = self.expect("IDENT")
-            return QualifiedColumn(tok.text, col.text)
-        raise TrajectorySyntaxError(f"unqualified reference {tok.text!r}", self.lineno,
-                                    tok.pos, expected="table.column")
+            return QualifiedColumn(tok[TEXT], col[TEXT])
+        raise TrajectorySyntaxError(f"unqualified reference {tok[TEXT]!r}", self.lineno,
+                                    tok[POS], expected="table.column")
 
     def _call_body(self, name: str) -> Aggregate | Cast | Substr:
         """The arguments of an aggregate, `cast` or `substr` call, without its
@@ -329,19 +330,19 @@ class _LineParser(BoundedParser):
     def _type_name(self) -> str:
         """A type name as the SQL grammar reads one: a bare word that is no
         SQL keyword, with integer sizes if any, e.g. VARCHAR(20)."""
-        word = self.expect("IDENT")
+        _, word, pos, _ = self.expect("IDENT")
         # a word as both scanners read one; a backtick name may hold anything
-        if not (_WORD_RE.fullmatch(word.text) and (word.text[0].isalpha() or word.text[0] == "_")) \
-                or word.text.lower() in KEYWORDS:
-            raise TrajectorySyntaxError(f"bad type name {word.text!r}", self.lineno, word.pos,
+        if not (_WORD_RE.fullmatch(word) and (word[0].isalpha() or word[0] == "_")) \
+                or word.lower() in KEYWORDS:
+            raise TrajectorySyntaxError(f"bad type name {word!r}", self.lineno, pos,
                                         expected="a bare word such as INTEGER or VARCHAR(20)")
         if not self.eat("("):
-            return word.text
+            return word
         sizes = self.listed(self._int_arg)
         if min(sizes) < 0:
-            raise TrajectorySyntaxError("negative type size", self.lineno, word.pos)
+            raise TrajectorySyntaxError("negative type size", self.lineno, pos)
         self.expect("SYM", ")")
-        return f"{word.text}({','.join(map(str, sizes))})"
+        return f"{word}({','.join(map(str, sizes))})"
 
 
 # --- filter text (the quoted condition mini-grammar) -------------------------

@@ -1,10 +1,19 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from sqlsteps.cli import EXIT_ERROR, EXIT_OK, EXIT_UNSUPPORTED, dispatch
+from sqlsteps.actions import ACTION_SPACE
+from sqlsteps.cli import EXIT_ERROR, EXIT_OK, EXIT_UNSUPPORTED, build_parser, dispatch
+from sqlsteps.errors import SqlStepsError
+from sqlsteps.sqlast import parse_sql
 
 from conftest import FIXTURES, golden
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 SCHEMAS = str(FIXTURES / "schemas")
 SEEDS = str(FIXTURES / "seeds" / "fixture_seeds.jsonl")
@@ -272,3 +281,58 @@ def test_input_file_that_is_no_utf8_text_is_an_error(capsys, tmp_path):
     code, _, err = run(capsys, ["--schemas", SCHEMAS, "orchestrate", "--seeds", str(seeds)])
     assert code == EXIT_ERROR
     assert err.startswith("error: ") and "utf-8" in err
+
+
+# Each environment override goes through its flag's type and choices.
+@pytest.mark.parametrize("variable, value, message", [
+    ("SQLSTEPS_SEED", "abc", "SQLSTEPS_SEED: invalid int value 'abc'"),
+    ("SQLSTEPS_JOBS", "x", "SQLSTEPS_JOBS: invalid int value 'x'"),
+    ("SQLSTEPS_DIALECT", "oracle", "SQLSTEPS_DIALECT: invalid choice 'oracle'"),
+    ("SQLSTEPS_FORMAT", "yaml", "SQLSTEPS_FORMAT: invalid choice 'yaml'"),
+    ("SQLSTEPS_LOG_LEVEL", "loud", "SQLSTEPS_LOG_LEVEL: invalid choice 'loud'"),
+])
+def test_bad_environment_override_is_a_usage_error(capsys, monkeypatch, variable, value,
+                                                   message):
+    monkeypatch.setenv(variable, value)
+    code, out, err = run(capsys, ["catalog"])
+    assert code == EXIT_ERROR and out == ""
+    assert err.startswith(f"usage error: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("variable, value, attribute, expected", [
+    ("SQLSTEPS_SCHEMAS", SCHEMAS, "schemas", SCHEMAS),
+    ("SQLSTEPS_SEED", "7", "seed", 7),
+    ("SQLSTEPS_JOBS", "3", "jobs", 3),
+    ("SQLSTEPS_DIALECT", "mysql", "dialect", "mysql"),
+    ("SQLSTEPS_FORMAT", "structured", "output_format", "structured"),
+    ("SQLSTEPS_LOG_LEVEL", "INFO", "log_level", "info"),
+])
+def test_environment_override_sets_the_flag_default(monkeypatch, variable, value, attribute,
+                                                    expected):
+    monkeypatch.setenv(variable, value)
+    assert getattr(build_parser().parse_args([]), attribute) == expected
+
+
+def test_flag_beats_its_environment_override(monkeypatch):
+    monkeypatch.setenv("SQLSTEPS_SEED", "7")
+    assert build_parser().parse_args(["--seed", "8"]).seed == 8
+
+
+def test_unknown_dialect_is_a_sqlsteps_error():
+    with pytest.raises(SqlStepsError, match="unknown dialect 'oracle'"):
+        parse_sql("SELECT 1", "oracle")
+
+
+def test_version_hashes_the_catalog_only_when_asked(capsys):
+    code = ("import sys\n"
+            "from sqlsteps.cli import build_parser\n"
+            "build_parser()\n"
+            "print('hashlib' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "False\n"
+    with pytest.raises(SystemExit) as exit_:
+        dispatch(["--version"])
+    assert exit_.value.code in (0, None)
+    assert capsys.readouterr().out == f"sqlsteps 0.1.0 (actions {ACTION_SPACE.catalog_hash()})\n"

@@ -1,0 +1,175 @@
+"""The invariants the round-trip filter's shortcuts rest on.
+
+`round_trip` reverts the trajectory its own `decompose` built without
+checking it against the schema again: every trajectory `decompose` accepts
+has no schema error. Rewrites are copy-on-write, so normalizing a normal
+core returns that very core. The identifier tests use `str.isidentifier`
+where a regex was used before, and must answer as the regex did.
+"""
+
+import re
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from sqlsteps.actions import valid_identifier
+from sqlsteps.bridge import decompose, revert
+from sqlsteps.errors import SchemaMismatchError, SqlStepsError
+from sqlsteps.querygen import random_queries
+from sqlsteps.sqlast import KEYWORDS, SetOp, _lenient_column, _q, normalize_core, parse_sql
+from sqlsteps.trajectory import parse_trajectory, validate_trajectory
+
+# --- every trajectory decompose accepts passes the schema check ---------------
+
+COLUMNS = {"customers": ("id", "name", "age", "city"),
+           "orders": ("id", "customer_id", "total", "placed", "status"),
+           "items": ("id", "order_id", "price", "qty", "product")}
+# (joined-to table, joined table, ON condition over {0} and {1}, their names in the query)
+JOINS = (("customers", "orders", "{1}.customer_id = {0}.id"),
+         ("orders", "items", "{1}.order_id = {0}.id"))
+
+
+@st.composite
+def _core(draw, depth: int = 0) -> str:
+    """A SELECT over one store table or a foreign-key join of two, whose
+    columns are bare, qualified by table or alias, or unknown, with aggregates,
+    `*`, COUNT(*), item aliases, compound filters and scalar subqueries."""
+    join = draw(st.sampled_from((None, *JOINS)))
+    tables = list(join[:2]) if join else [draw(st.sampled_from(sorted(COLUMNS)))]
+    alias = {t: draw(st.sampled_from((None, t[0], "x"))) if len(tables) == 1
+             else draw(st.sampled_from((None, t[0]))) for t in tables}
+    name = {t: alias[t] or t for t in tables}
+
+    def column() -> str:
+        table = draw(st.sampled_from(tables))
+        col = draw(st.sampled_from(COLUMNS[table] + ("nope",)))
+        return draw(st.sampled_from((col, f"{name[table]}.{col}", f"{table}.{col}")))
+
+    def item() -> str:
+        kind = draw(st.integers(0, 4))
+        if kind == 0:
+            return "*"
+        if kind == 1:
+            return "COUNT(*)"
+        if kind == 2:
+            return f"{draw(st.sampled_from(('MAX', 'SUM', 'COUNT')))}({column()})"
+        return column() + draw(st.sampled_from(("", " AS a")))
+
+    def condition() -> str:
+        kind = draw(st.integers(0, 4 if depth == 0 else 3))
+        if kind == 0:
+            return f"{column()} > 3"
+        if kind == 1:
+            return f"{column()} IN ('a', 'b')"
+        if kind == 2:
+            return f"({column()} = 1 OR {column()} IS NULL)"
+        if kind == 3:
+            return f"{column()} = {column()}"
+        return f"{column()} < ({draw(_core(depth + 1))})"
+
+    refs = [t + (f" AS {alias[t]}" if alias[t] else "") for t in tables]
+    sql = f"SELECT {', '.join(item() for _ in range(draw(st.integers(1, 3))))} FROM {refs[0]}"
+    if join:
+        sql += f" JOIN {refs[1]} ON " + join[2].format(name[join[0]], name[join[1]])
+    if draw(st.booleans()):
+        sql += " WHERE " + " AND ".join(condition() for _ in range(draw(st.integers(1, 2))))
+    if draw(st.booleans()):
+        sql += f" GROUP BY {column()}"
+        if draw(st.booleans()):
+            sql += " HAVING COUNT(*) > 1"
+    if draw(st.booleans()):
+        sql += f" ORDER BY {draw(st.sampled_from(('a', column())))} DESC"
+    return sql + draw(st.sampled_from(("", " LIMIT 3")))
+
+
+_queries = st.one_of(
+    _core(),
+    st.tuples(_core(), _core()).map(" UNION ".join),
+    st.integers(0, 10_000).map(lambda seed: random_queries(1, seed)[0]))
+
+
+@settings(max_examples=600, deadline=None)
+@given(sql=_queries)
+@example(sql="SELECT c.city, COUNT(*) FROM customers AS c GROUP BY c.city")
+@example(sql="SELECT * FROM orders JOIN items ON items.order_id = orders.id")
+def test_every_trajectory_decompose_accepts_has_no_schema_error(sql, store):
+    try:
+        t = decompose(parse_sql(sql), store)
+    except SqlStepsError:
+        return
+    assert validate_trajectory(t, store).errors() == []
+
+
+def test_revert_still_checks_the_schema(store):
+    t = parse_trajectory("res = df.select(customers.nope)\n")
+    with pytest.raises(SchemaMismatchError, match="customers.nope"):
+        revert(t, store)
+
+
+# --- normalizing a normal core returns it ---------------------------------------
+
+def _cores(node):
+    while isinstance(node, SetOp):
+        yield node.right
+        node = node.left
+    yield node
+
+
+@settings(max_examples=300, deadline=None)
+@given(sql=_queries)
+def test_normalize_core_is_idempotent_and_returns_a_normal_core_itself(sql, store):
+    for core in _cores(parse_sql(sql).ast):
+        for d in (None, store):
+            once = normalize_core(core, d, _lenient_column(d))
+            assert normalize_core(once, d, _lenient_column(d)) is once
+            assert normalize_core(core, d, _lenient_column(d)) == once
+            aliases_only = normalize_core(core)
+            assert normalize_core(aliases_only) is aliases_only
+
+
+def test_normalize_core_keeps_a_qualified_core(store):
+    core = parse_sql("SELECT orders.status FROM orders WHERE orders.total > 2 "
+                     "ORDER BY orders.id").ast
+    assert normalize_core(core, store, _lenient_column(store)) is core
+    assert normalize_core(core) is core
+
+
+# --- identifier tests agree with the regexes they replaced ----------------------
+
+IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_ ]*$")  # actions.valid_identifier
+BARE_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")  # sqlast._q
+
+
+def _regex_valid_identifier(name: str) -> bool:
+    return bool(IDENT_RE.match(name.strip())) and name == name.strip()
+
+
+def _regex_q(name: str, quote: str) -> str:
+    if name and " " not in name and BARE_IDENT_RE.fullmatch(name) \
+            and name.lower() not in KEYWORDS:
+        return name
+    return quote + name.replace(quote, quote + quote) + quote
+
+
+_names = st.one_of(
+    st.text(),
+    st.text(st.sampled_from("aZ_0 9\t\n\r\x0b\x0c\x1c\x85\xa0 éßİK٣²ǅ\"`-.$")),
+    st.sampled_from(sorted(KEYWORDS)).map(lambda k: k.upper()),
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_ ]*", fullmatch=True))
+
+
+@settings(max_examples=2000, deadline=None)
+@given(name=_names)
+@example(" a")
+@example("a ")
+@example("a\n")
+@example("a b")
+@example("ab\n")
+@example("")
+@example("Select")
+@example("\u212a")  # the Kelvin sign, which lower-cases to an ASCII k
+def test_identifier_checks_agree_with_the_regexes(name):
+    assert valid_identifier(name) == _regex_valid_identifier(name)
+    for quote in ('"', "`"):
+        assert _q(name, quote) == _regex_q(name, quote)

@@ -2,9 +2,22 @@ import random
 
 import pytest
 
-from sqlsteps.actions import AggStep, Aggregate, Arithmetic, Cast, QualifiedColumn, Scalar, Star
+from sqlsteps.actions import (
+    AggStep,
+    Aggregate,
+    Arithmetic,
+    Cast,
+    Distinct,
+    GroupBy,
+    Limit,
+    OrderBy,
+    QualifiedColumn,
+    Scalar,
+    Star,
+    Where,
+)
 from sqlsteps.bridge import decompose
-from sqlsteps.errors import NoViablePerturbationError
+from sqlsteps.errors import NoViablePerturbationError, SqlStepsError
 from sqlsteps.perturb import (
     ADD,
     DELETE,
@@ -12,6 +25,8 @@ from sqlsteps.perturb import (
     SUBSTITUTE,
     PerturbationConfig,
     PerturbationRecord,
+    _AddCandidates,
+    _Edit,
     _swap_column,
     augment,
     inject_negatives,
@@ -199,3 +214,36 @@ def test_count_star_is_substituted_only_by_valid_steps():
     alone = parse_database_text("table t\n  column a int\n")  # no sibling column to swap in
     with pytest.raises(NoViablePerturbationError):
         perturb_once(t, SUBSTITUTE, random.Random("star"), alone)
+
+
+def _eager_add_candidates(t, d) -> list[_Edit]:
+    """Every add edit built at once, in the order `rng.choice` draws from."""
+    edits = []
+    columns = sorted((QualifiedColumn(tbl.name, col.name) for tbl in d.tables
+                      for col in tbl.columns), key=lambda c: (c.table, c.column))
+    referenced = sorted(set(t.columns()), key=lambda c: (c.table, c.column))
+    for idx in range(len(t.steps)):
+        actions = [GroupBy((col,)) for col in columns]
+        for col in referenced:
+            actions += [Distinct(col), OrderBy(col, "asc")]
+        edits += [_Edit((idx, 0), None, a, ("insert_step", idx, (a,))) for a in actions]
+    for idx, step in enumerate(t.steps):
+        for pos, action in enumerate(step.chain):
+            if isinstance(action, Where):
+                edits.append(_Edit((idx, pos), None, action, ("insert_step", idx, (action,))))
+            if isinstance(action, OrderBy) and not any(isinstance(a, Limit) for a in step.chain):
+                edits.append(_Edit((idx, len(step.chain)), None, Limit(1),
+                                   ("append", idx, Limit(1))))
+    return edits
+
+
+def test_add_candidates_are_built_as_drawn(schemas, store):
+    queries = [seed.gold_sql for seed in generated_seeds()]
+    for d in (store, schemas["schools"]):
+        for sql in queries[:30] + [golden("table9_gold.sql")]:
+            try:
+                t = decompose(parse_sql(sql), d)
+            except SqlStepsError:
+                continue
+            lazy = _AddCandidates(t, d)
+            assert [lazy[i] for i in range(len(lazy))] == _eager_add_candidates(t, d)

@@ -8,6 +8,8 @@ rule `sam_fill` keeps the trajectory it was given, an identity run parses no
 stage text and no stage reads the schema list. The fallbacks that recompute,
 when a run cannot vouch for its own work, stay live. A corpus build from
 in-memory bam records parses no trajectory text and each seed's gold SQL once.
+`round_trip` checks the schema once, in `decompose`; `revert` checks every
+trajectory it is given.
 """
 
 from collections import Counter
@@ -28,7 +30,8 @@ WRAPPED = [(evaluate, "round_trip"), (pipeline, "canonicalize"), (bridge, "canon
            (pipeline, "fill_mask"), (pipeline, "parse_trajectory"),
            (pipeline, "parse_masked_template"),
            (masking, "parse_trajectory"), (pipeline, "extract_schema"),
-           (corpus, "parse_trajectory"), (sqlast, "parse_sql"), (evaluate, "execute_sql")]
+           (corpus, "parse_trajectory"), (sqlast, "parse_sql"), (evaluate, "execute_sql"),
+           (bridge, "validate_trajectory")]
 
 
 @pytest.fixture
@@ -164,3 +167,12 @@ def test_unknown_column_in_a_slot_keeps_its_error_text(calls, schemas):
     assert calls["pipeline.fill_mask"] == 1
     assert trace.error == ("sam_fill: column customers.nope not in database 'store'"
                            " (filled at slot 0)")
+
+
+def test_round_trip_checks_the_schema_in_decompose_only(calls, store):
+    query = SqlQuery.raw("SELECT city, COUNT(*) FROM customers WHERE age > 30 GROUP BY city")
+    report = bridge.round_trip(query, store)
+    assert report.verdict == bridge.PASS
+    assert calls["bridge.validate_trajectory"] == 0
+    assert bridge.revert(report.trajectory, store).text == report.reverted.text
+    assert calls["bridge.validate_trajectory"] == 1
