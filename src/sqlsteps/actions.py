@@ -11,8 +11,8 @@ from typing import Callable, Union, get_args
 
 from .errors import BindingError
 
-DATE_RE = re.compile(r"\d{4}-\d{2}-\d{2}$")
-BINDING_RE = re.compile(r"(df\d+|res|df)$")
+DATE_RE = re.compile(r"\d{4}-\d{2}-\d{2}")
+BINDING_RE = re.compile(r"df\d+|res|df")
 
 AGGREGATE_KINDS = ("count", "sum", "average", "min", "max")
 ARITHMETIC_OPS = ("+", "-", "*", "/")
@@ -64,7 +64,7 @@ class Scalar:
             return Scalar(value, "int")
         if isinstance(value, float):
             return Scalar(value, "real")
-        if DATE_RE.match(value):
+        if DATE_RE.fullmatch(value):
             return Scalar(value, "date")
         return Scalar(value, "string")
 
@@ -99,7 +99,7 @@ class BindingRef:
     name: str
 
     def __post_init__(self) -> None:
-        if not BINDING_RE.match(self.name) or self.name == "df":
+        if not BINDING_RE.fullmatch(self.name) or self.name == "df":
             raise ValueError(f"invalid binding name {self.name!r}")
 
 
@@ -183,13 +183,6 @@ def map_tuple(items: tuple, fn: Callable, *args: object) -> tuple:
     """`fn(item, *args)` of each item; `items` itself if every call returned its item."""
     new = [fn(item, *args) for item in items]
     return items if all(map(is_, new, items)) else tuple(new)
-
-
-def columns_in(expr: Expr) -> list[QualifiedColumn]:
-    """Qualified columns referenced by an expression, left to right."""
-    out: list[QualifiedColumn] = []
-    _walk_columns(expr, out)
-    return out
 
 
 def _walk_columns(expr: Expr, out: list[QualifiedColumn]) -> None:
@@ -347,9 +340,9 @@ class TrajectoryStep:
     chain: tuple[Action, ...]
 
     def __post_init__(self) -> None:
-        if not BINDING_RE.match(self.binding) or self.binding == "df":
+        if not BINDING_RE.fullmatch(self.binding) or self.binding == "df":
             raise ValueError(f"invalid step binding {self.binding!r}")
-        if not BINDING_RE.match(self.receiver) or self.receiver == "res":
+        if not BINDING_RE.fullmatch(self.receiver) or self.receiver == "res":
             raise ValueError(f"invalid receiver {self.receiver!r}")
         if not self.chain:
             raise ValueError("step requires at least one action")

@@ -36,7 +36,6 @@ from .actions import (
     Trajectory,
     TrajectoryStep,
     Where,
-    columns_in,
     expr_children,
     map_expr,
 )
@@ -47,7 +46,7 @@ from .errors import (
     SchemaMismatchError,
     UnsupportedSqlError,
 )
-from .schema import DatabaseInput
+from .schema import DatabaseInput, FkEdge
 from .trajectory import validate_trajectory
 from .sqlast import (
     And,
@@ -141,13 +140,7 @@ def _decompose_core(core: SelectCore, d: DatabaseInput, namer: _Namer,
     # BY: the order in which such errors have always been reported.
     counted = any([isinstance(e, Column) for e in core.group_by]) or (
         len(declared) == 1 and d.primary_key(next(iter(declared))) is not None)
-    witnessed: set[str] = set()
-
-    def conv(expr: SqlExpr) -> Expr:
-        out = _to_traj_expr(expr)
-        witnessed.update([c.table for c in columns_in(out)])
-        return out
-
+    conv = _ToTrajectory()
     receiver = "df"
     if core.where is not None:
         scope = outer_tables | declared
@@ -188,7 +181,7 @@ def _decompose_core(core: SelectCore, d: DatabaseInput, namer: _Namer,
     binding = bind or namer.next()
     steps.append(TrajectoryStep(binding, receiver,
                                 (Select(tuple([conv(i.expr) for i in core.items])),)))
-    missing = declared - witnessed
+    missing = declared - conv.tables
     if missing:
         raise UnsupportedSqlError(
             f"table(s) {sorted(missing)} are joined but never referenced by a step")
@@ -220,7 +213,7 @@ def _check_core_shape(core: SelectCore, d: DatabaseInput) -> None:
             raise UnsupportedSqlError("DISTINCT over multiple select elements")
         if isinstance(core.items[0].expr, Star):
             raise UnsupportedSqlError("DISTINCT * is unsupported")
-    if any([isinstance(i.expr, Star) for i in core.items]) and not names:
+    if sqlast.has_star(core.items) and not names:
         raise UnsupportedSqlError("SELECT * without FROM")
     if core.limit is not None and core.limit < 1:
         raise UnsupportedSqlError("LIMIT 0 has no action equivalent (limit takes a count >= 1)")
@@ -240,10 +233,9 @@ def _check_join_on(join: Join, known: set[str], d: DatabaseInput,
     pair = {left.table, right.table}
     if join.table.name not in pair or not pair & known:
         raise UnsupportedSqlError("join condition must link the joined table to a prior one")
-    edges = set(d.fk_edges())
     a = (left.table, left.column, right.table, right.column)
     b = (right.table, right.column, left.table, left.column)
-    if a not in edges and b not in edges:
+    if a not in d.edge_set and b not in d.edge_set:
         raise UnsupportedSqlError(
             f"join condition {left.render()} = {right.render()} is not a declared foreign key")
 
@@ -276,44 +268,56 @@ def _check_literal(scalar: Scalar) -> Scalar:
     return scalar
 
 
-def _to_traj_expr(expr: SqlExpr) -> Expr:
-    return map_expr(expr, _traj_node)
+class _Converter:
+    """Converts one core's expressions between SQL and trajectory form, each
+    in one walk, and keeps the table of every column it converts."""
+
+    __slots__ = ("tables",)
+
+    def __init__(self) -> None:
+        self.tables: set[str] = set()
+
+    def __call__(self, expr: SqlExpr | Expr) -> SqlExpr | Expr:
+        return map_expr(expr, self.node)
 
 
-def _traj_node(expr: SqlExpr) -> Expr | None:
-    """The trajectory form of a SQL node with none of its own; None for a
-    shared node (Star, Cast, Arithmetic), whose operands are converted."""
-    if isinstance(expr, Column):
-        if expr.table is None:
-            raise SchemaMismatchError(f"column {expr.column!r} could not be qualified")
-        return QualifiedColumn(expr.table, expr.column)
-    if isinstance(expr, Scalar):
-        return _check_literal(expr)
-    if isinstance(expr, Func):
-        if expr.name in _AGG_NAME_TO_KIND:
-            if expr.distinct:
-                raise UnsupportedSqlError("DISTINCT aggregates are unsupported")
-            if len(expr.args) != 1:
-                raise UnsupportedSqlError(f"{expr.name} takes one argument")
-            arg = _to_traj_expr(expr.args[0])
-            return Aggregate(_AGG_NAME_TO_KIND[expr.name], arg)
-        if expr.name in ("substr", "substring"):
-            if len(expr.args) not in (2, 3):
-                raise UnsupportedSqlError("substr takes 2 or 3 arguments")
-            start = expr.args[1]
-            if not isinstance(start, Scalar) or start.kind != "int":
-                raise UnsupportedSqlError("substr start must be an integer literal")
-            length: int | None = None
-            if len(expr.args) == 3:
-                third = expr.args[2]
-                if not isinstance(third, Scalar) or third.kind != "int":
-                    raise UnsupportedSqlError("substr length must be an integer literal")
-                length = int(third.value)
-            return Substr(_to_traj_expr(expr.args[0]), int(start.value), length)
-        raise UnsupportedSqlError(f"function {expr.name!r} is outside the action space")
-    if isinstance(expr, Subquery):
-        raise UnsupportedSqlError("subqueries are only supported in WHERE comparisons")
-    return None
+class _ToTrajectory(_Converter):
+    __slots__ = ()
+
+    def node(self, expr: SqlExpr) -> Expr | None:
+        """The trajectory form of a SQL node with none of its own; None for a
+        shared node (Star, Cast, Arithmetic), whose operands are converted."""
+        if isinstance(expr, Column):
+            if expr.table is None:
+                raise SchemaMismatchError(f"column {expr.column!r} could not be qualified")
+            self.tables.add(expr.table)
+            return QualifiedColumn(expr.table, expr.column)
+        if isinstance(expr, Scalar):
+            return _check_literal(expr)
+        if isinstance(expr, Func):
+            if expr.name in _AGG_NAME_TO_KIND:
+                if expr.distinct:
+                    raise UnsupportedSqlError("DISTINCT aggregates are unsupported")
+                if len(expr.args) != 1:
+                    raise UnsupportedSqlError(f"{expr.name} takes one argument")
+                return Aggregate(_AGG_NAME_TO_KIND[expr.name], self(expr.args[0]))
+            if expr.name in ("substr", "substring"):
+                if len(expr.args) not in (2, 3):
+                    raise UnsupportedSqlError("substr takes 2 or 3 arguments")
+                start = expr.args[1]
+                if not isinstance(start, Scalar) or start.kind != "int":
+                    raise UnsupportedSqlError("substr start must be an integer literal")
+                length: int | None = None
+                if len(expr.args) == 3:
+                    third = expr.args[2]
+                    if not isinstance(third, Scalar) or third.kind != "int":
+                        raise UnsupportedSqlError("substr length must be an integer literal")
+                    length = int(third.value)
+                return Substr(self(expr.args[0]), int(start.value), length)
+            raise UnsupportedSqlError(f"function {expr.name!r} is outside the action space")
+        if isinstance(expr, Subquery):
+            raise UnsupportedSqlError("subqueries are only supported in WHERE comparisons")
+        return None
 
 
 def _conjunct_to_filter(pred: Predicate, d: DatabaseInput, namer: _Namer,
@@ -518,37 +522,36 @@ def _materialize_core(states: dict[str, _CoreState | _CombineState],
                       state: _CoreState, d: DatabaseInput) -> SelectCore:
     if state.select is None:
         raise InvalidChainError("frame is never select()ed")
-    select = [_to_sql_expr(e) for e in state.select]
-    where = _conditions_to_pred(states, state.wheres, d)
-    having = _conditions_to_pred(states, state.havings, d)
-    group_by = tuple([_to_sql_expr(e) for e in (state.group_by or ())])
-    order_by = tuple([OrderItem(_to_sql_expr(e), direction) for e, direction in state.order_by])
+    # collects the tables the core's own expressions reference (subqueries excluded)
+    conv = _ToSql()
+    select = [conv(e) for e in state.select]
+    where = _conditions_to_pred(states, state.wheres, d, conv)
+    having = _conditions_to_pred(states, state.havings, d, conv)
+    group_by = tuple([conv(e) for e in (state.group_by or ())])
+    order_by = tuple([OrderItem(conv(e), direction) for e, direction in state.order_by])
     limit, offset = (state.limit if state.limit is not None else (None, 0))
-    # the tables the core's own expressions reference (subqueries excluded)
-    exprs = [*select, *group_by, *[o.expr for o in order_by]]
-    for pred in (where, having):
-        if pred is not None:
-            exprs.extend(sqlast.pred_exprs(pred))
-    tables = {col.table for expr in exprs for col in _sql_columns(expr) if col.table is not None}
-    from_tables, joins = _synthesize_from(tables, d)
+    from_tables, joins = _synthesize_from(conv.tables, d)
     return SelectCore(tuple([SelectItem(e) for e in select]), state.distinct_element is not None,
                       from_tables, joins, where, group_by, having, order_by, limit, offset)
 
 
 def _conditions_to_pred(states: dict, pairs: list[tuple[Expr, FilterCondition]],
-                        d: DatabaseInput) -> Predicate | None:
-    preds = [_condition_to_pred(states, element, cond, d) for element, cond in pairs]
+                        d: DatabaseInput, conv: _ToSql) -> Predicate | None:
+    preds = [_condition_to_pred(states, element, cond, d, conv) for element, cond in pairs]
     if not preds:
         return None
     return preds[0] if len(preds) == 1 else And(tuple(preds))
 
 
 def _condition_to_pred(states: dict, element: Expr, cond: FilterCondition,
-                       d: DatabaseInput) -> Predicate:
+                       d: DatabaseInput, conv: _ToSql) -> Predicate:
     if cond.comparator == "compound":
         assert cond.compound_text is not None
-        return sqlast.parse_predicate(cond.compound_text)
-    left = _to_sql_expr(element)
+        pred = sqlast.parse_predicate(cond.compound_text)
+        conv.tables.update([col.table for expr in sqlast.pred_exprs(pred)
+                            for col in _sql_columns(expr) if col.table is not None])
+        return pred
+    left = conv(element)
     if cond.comparator in ("is null", "is not null"):
         return IsNull(left, negated=(cond.comparator == "is not null"))
     if cond.comparator == "between":
@@ -574,23 +577,23 @@ def _operand_to_sql(states: dict, operand, d: DatabaseInput) -> SqlExpr:
     return operand
 
 
-def _to_sql_expr(expr: Expr) -> SqlExpr:
-    return map_expr(expr, _sql_node)
+class _ToSql(_Converter):
+    __slots__ = ()
 
-
-def _sql_node(expr: Expr) -> SqlExpr | None:
-    """The SQL form of a trajectory node with none of its own; None for a
-    shared node, whose operands are converted."""
-    if isinstance(expr, QualifiedColumn):
-        return Column(expr.table, expr.column)
-    if isinstance(expr, Aggregate):
-        return Func(_KIND_TO_AGG_NAME[expr.kind], (_to_sql_expr(expr.arg),))
-    if isinstance(expr, Substr):
-        args: tuple[SqlExpr, ...] = (_to_sql_expr(expr.arg), Scalar(expr.start, "int"))
-        if expr.length is not None:
-            args += (Scalar(expr.length, "int"),)
-        return Func("substr", args)
-    return None
+    def node(self, expr: Expr) -> SqlExpr | None:
+        """The SQL form of a trajectory node with none of its own; None for a
+        shared node, whose operands are converted."""
+        if isinstance(expr, QualifiedColumn):
+            self.tables.add(expr.table)
+            return Column(expr.table, expr.column)
+        if isinstance(expr, Aggregate):
+            return Func(_KIND_TO_AGG_NAME[expr.kind], (self(expr.arg),))
+        if isinstance(expr, Substr):
+            args: tuple[SqlExpr, ...] = (self(expr.arg), Scalar(expr.start, "int"))
+            if expr.length is not None:
+                args += (Scalar(expr.length, "int"),)
+            return Func("substr", args)
+        return None
 
 
 def _synthesize_from(tables: set[str], d: DatabaseInput) -> tuple[tuple[TableRef, ...],
@@ -601,11 +604,10 @@ def _synthesize_from(tables: set[str], d: DatabaseInput) -> tuple[tuple[TableRef
     base, remaining = ordered[0], ordered[1:]
     joined = {base}
     joins: list[Join] = []
-    edges = d.fk_edges()
     while remaining:
         attached = None
         for cand in remaining:
-            linking = _edges_between(cand, joined, edges)
+            linking = _edges_between(cand, joined, d.edges)
             if len(linking) > 1:
                 raise JoinPathNotFoundError(
                     f"multiple foreign-key edges connect {cand!r}; join is ambiguous")
@@ -625,7 +627,7 @@ def _synthesize_from(tables: set[str], d: DatabaseInput) -> tuple[tuple[TableRef
 
 
 def _edges_between(cand: str, joined: set[str],
-                   edges: list[tuple[str, str, str, str]]) -> list[tuple[str, str, str, str]]:
+                   edges: tuple[FkEdge, ...]) -> list[FkEdge]:
     out = []
     for child, ccol, parent, pcol in edges:
         if (child == cand and parent in joined) or (parent == cand and child in joined):

@@ -16,7 +16,7 @@ Identifiers containing spaces are backtick-quoted.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .actions import expr_children
@@ -65,40 +65,61 @@ class TableDef:
         return None
 
 
+# (child table, child column, parent table, parent column)
+FkEdge = tuple[str, str, str, str]
+
+
 @dataclass(frozen=True, slots=True)
 class DatabaseInput:
+    """A database's tables. Its lookups, foreign-key edges and schema text
+    are built once, when it is constructed; they take no part in `==`, `hash`
+    or `repr`. Where a table name repeats, the first table of that name is
+    the one looked up."""
+
     name: str
     tables: tuple[TableDef, ...]
+    edges: tuple[FkEdge, ...] = field(init=False, repr=False, compare=False)
+    edge_set: frozenset[FkEdge] = field(init=False, repr=False, compare=False)
+    _by_name: dict[str, TableDef] = field(init=False, repr=False, compare=False)
+    _columns: frozenset[tuple[str, str]] = field(init=False, repr=False, compare=False)
+    _primary_keys: dict[str, str | None] = field(init=False, repr=False, compare=False)
+    _text: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        by_name: dict[str, TableDef] = {}
+        for tbl in self.tables:
+            by_name.setdefault(tbl.name, tbl)
+        edges = tuple([(tbl.name, fk.column, fk.ref_table, fk.ref_column)
+                       for tbl in self.tables for fk in tbl.foreign_keys])
+        built = {
+            "edges": edges,
+            "edge_set": frozenset(edges),
+            "_by_name": by_name,
+            "_columns": frozenset([(name, col.name) for name, tbl in by_name.items()
+                                   for col in tbl.columns]),
+            "_primary_keys": {name: next((c.name for c in tbl.columns if c.is_primary_key), None)
+                              for name, tbl in by_name.items()},
+            "_text": _render(self),
+        }
+        for key, value in built.items():
+            object.__setattr__(self, key, value)
 
     def table(self, name: str) -> TableDef | None:
-        for tbl in self.tables:
-            if tbl.name == name:
-                return tbl
-        return None
+        return self._by_name.get(name)
 
     def has_table(self, name: str) -> bool:
-        return self.table(name) is not None
+        return name in self._by_name
 
     def has_column(self, table: str, column: str) -> bool:
-        tbl = self.table(table)
-        return tbl is not None and tbl.column(column) is not None
+        return (table, column) in self._columns
 
     def primary_key(self, table: str) -> str | None:
-        tbl = self.table(table)
-        if tbl is None:
-            return None
-        for col in tbl.columns:
-            if col.is_primary_key:
-                return col.name
-        return None
+        return self._primary_keys.get(table)
 
-    def fk_edges(self) -> list[tuple[str, str, str, str]]:
-        """(child table, child column, parent table, parent column) tuples."""
-        out = []
-        for tbl in self.tables:
-            for fk in tbl.foreign_keys:
-                out.append((tbl.name, fk.column, fk.ref_table, fk.ref_column))
-        return out
+    def fk_edges(self) -> list[FkEdge]:
+        """(child table, child column, parent table, parent column) tuples, in
+        declaration order; a new list on each call."""
+        return list(self.edges)
 
 
 def validate_database(d: DatabaseInput) -> None:
@@ -212,6 +233,10 @@ def parse_database_input(path: str | Path) -> DatabaseInput:
 
 def render_database_input(d: DatabaseInput) -> str:
     """Schema file text for a database input (also used as the prompt summary)."""
+    return d._text
+
+
+def _render(d: DatabaseInput) -> str:
     lines = [f"database {_word(d.name)}"]
     for tbl in d.tables:
         lines.append(f"table {_word(tbl.name)}")

@@ -11,9 +11,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 from operator import is_
-from typing import TYPE_CHECKING, Any, Callable, TypeVar, Union
+from typing import TYPE_CHECKING, Any, Callable, Iterator, TypeVar, Union
 
-from .actions import MAX_DEPTH, Arithmetic, Cast, Func, Scalar, Star, map_expr, map_tuple
+from .actions import (MAX_DEPTH, Arithmetic, Cast, Func, Scalar, Star, expr_children,
+                      map_expr, map_tuple)
 from .errors import SqlStepsError, SqlSyntaxError, SqlTooDeepError
 
 if TYPE_CHECKING:
@@ -956,20 +957,90 @@ ColumnResolver = Callable[[Column, list[str]], Column]
 def normalize_core(core: SelectCore, d: "DatabaseInput | None" = None,
                    column: ColumnResolver | None = None,
                    raise_at_count: bool = False) -> SelectCore:
-    """The core rebuilt once, clause by clause and copy-on-write (what nothing
-    changes is returned itself), with its aliases resolved.
+    """The core with its aliases resolved, copy-on-write: what nothing
+    changes is returned itself.
 
     Table aliases become table names, and in GROUP BY, HAVING and ORDER BY a
     bare column that names a select item's alias becomes that item's
     expression. Given a `column` resolver, every column then goes through it,
     and COUNT(*) becomes COUNT(target): the first column of the resolved GROUP
     BY, else the primary key of the only table; it stays COUNT(*) when
-    neither exists. Clauses are rebuilt in order (items, joins, where, group
+    neither exists. Clauses are visited in order (items, joins, where, group
     by, having, order by), so a resolver's error is raised at the first
     column it rejects. A rejected target leaves COUNT(*) as it is and GROUP BY
     raises the error in its turn, or with `raise_at_count` the first COUNT(*)
     raises it. A subquery's core is never entered.
+
+    A core with no alias is first checked without a rebuild: with no
+    resolver, or when the resolver returns each of its columns itself and it
+    has no COUNT(*), it is returned as it is.
     """
+    if not _has_alias(core) and (column is None or _resolves_to_itself(core, column)):
+        return core
+    return _rebuild_core(core, d, column, raise_at_count)
+
+
+def _has_alias(core: SelectCore) -> bool:
+    for item in core.items:
+        if item.alias is not None:
+            return True
+    for ref in core.tables:
+        if ref.alias is not None:
+            return True
+    for join in core.joins:
+        if join.table.alias is not None:
+            return True
+    return False
+
+
+def _is_count_star(func: Func) -> bool:
+    """COUNT(*), which `normalize_core` rewrites to its target column."""
+    return func.name == "count" and not func.distinct and len(func.args) == 1 \
+        and isinstance(func.args[0], Star)
+
+
+def _resolves_to_itself(core: SelectCore, column: ColumnResolver) -> bool:
+    """Whether an alias-free core has no COUNT(*) and `column` returns each of
+    its columns itself: a read-only walk that asks the resolver for the same
+    columns in the same order as `_rebuild_core` (clauses in order, pre-order
+    within an expression, no subquery core), so a resolver's error is raised
+    at the same column. It stops at the first column that changes or the
+    first COUNT(*)."""
+    tables = [t.name for t in core.tables] + [j.table.name for j in core.joins]
+    for expr in _clause_exprs(core):
+        if not _kept(expr, column, tables):
+            return False
+    return True
+
+
+def _clause_exprs(core: SelectCore) -> Iterator[SqlExpr]:
+    for item in core.items:
+        yield item.expr
+    for join in core.joins:
+        yield from pred_exprs(join.on)
+    if core.where is not None:
+        yield from pred_exprs(core.where)
+    yield from core.group_by
+    if core.having is not None:
+        yield from pred_exprs(core.having)
+    for order in core.order_by:
+        yield order.expr
+
+
+def _kept(expr: SqlExpr, column: ColumnResolver, tables: list[str]) -> bool:
+    if isinstance(expr, Column):
+        return column(expr, tables) is expr
+    if isinstance(expr, Func) and _is_count_star(expr):
+        return False
+    for child in expr_children(expr):
+        if not _kept(child, column, tables):
+            return False
+    return True
+
+
+def _rebuild_core(core: SelectCore, d: "DatabaseInput | None", column: ColumnResolver | None,
+                  raise_at_count: bool) -> SelectCore:
+    """`normalize_core` by one rebuild of each clause, copy-on-write."""
     refs = [*core.tables, *[j.table for j in core.joins]]
     tables = [t.name for t in refs]
     table_alias = {t.alias: t.name for t in refs if t.alias}
@@ -1001,8 +1072,7 @@ def normalize_core(core: SelectCore, d: "DatabaseInput | None" = None,
     def plain(node: SqlExpr) -> SqlExpr | None:
         if isinstance(node, Column):
             return qualify(node)
-        if isinstance(node, Func) and column is not None and node.name == "count" \
-                and not node.distinct and len(node.args) == 1 and isinstance(node.args[0], Star):
+        if isinstance(node, Func) and column is not None and _is_count_star(node):
             if not target:
                 target.append(count_target())
             return node if target[0] is None else Func("count", (target[0],), False)
@@ -1013,37 +1083,43 @@ def normalize_core(core: SelectCore, d: "DatabaseInput | None" = None,
             return map_expr(item_alias[node.column], plain)
         return plain(node)
 
-    def item(i: SelectItem) -> SelectItem:
-        expr = map_expr(i.expr, plain)
-        return i if expr is i.expr and i.alias is None else SelectItem(expr)
-
-    def join(j: Join) -> Join:
-        on = _map_pred(j.on, plain)
-        if on is j.on and j.table.alias is None:
-            return j
-        return Join(TableRef(j.table.name), on, j.kind)
-
-    def order(o: OrderItem) -> OrderItem:
-        expr = map_expr(o.expr, aliased)
-        return o if expr is o.expr else OrderItem(expr, o.direction)
-
     old = (core.items, core.tables, core.joins, core.where, core.group_by, core.having,
            core.order_by)
     # in clause order, so that a resolver's error is raised at its first column;
     # an empty clause is kept as it is
-    new = (map_tuple(core.items, item),
-           core.tables and map_tuple(
-               core.tables, lambda t: t if t.alias is None else TableRef(t.name)),
-           core.joins and map_tuple(core.joins, join),
+    new = (map_tuple(core.items, _map_item, plain),
+           core.tables and map_tuple(core.tables, _unaliased),
+           core.joins and map_tuple(core.joins, _map_join, plain),
            core.where and _map_pred(core.where, plain),
            core.group_by and map_tuple(core.group_by, map_expr, aliased),
            core.having and _map_pred(core.having, aliased),
-           core.order_by and map_tuple(core.order_by, order))
+           core.order_by and map_tuple(core.order_by, _map_order, aliased))
     if all(map(is_, new, old)):
         return core
     items, table_refs, joins, where, group_by, having, order_by = new
     return SelectCore(items, core.distinct, table_refs, joins, where, group_by, having, order_by,
                       core.limit, core.offset)
+
+
+def _map_item(item: SelectItem, fn: Callable[[SqlExpr], SqlExpr | None]) -> SelectItem:
+    expr = map_expr(item.expr, fn)
+    return item if expr is item.expr and item.alias is None else SelectItem(expr)
+
+
+def _unaliased(ref: TableRef) -> TableRef:
+    return ref if ref.alias is None else TableRef(ref.name)
+
+
+def _map_join(join: Join, fn: Callable[[SqlExpr], SqlExpr | None]) -> Join:
+    on = _map_pred(join.on, fn)
+    if on is join.on and join.table.alias is None:
+        return join
+    return Join(_unaliased(join.table), on, join.kind)
+
+
+def _map_order(order: OrderItem, fn: Callable[[SqlExpr], SqlExpr | None]) -> OrderItem:
+    expr = map_expr(order.expr, fn)
+    return order if expr is order.expr else OrderItem(expr, order.direction)
 
 
 def _lenient_column(d: "DatabaseInput | None") -> ColumnResolver:
@@ -1062,13 +1138,21 @@ def _lenient_column(d: "DatabaseInput | None") -> ColumnResolver:
     return column
 
 
+def has_star(items: tuple[SelectItem, ...]) -> bool:
+    """Whether a select list has a bare `*` item."""
+    for item in items:
+        if isinstance(item.expr, Star):
+            return True
+    return False
+
+
 def expand_select_star(core: SelectCore, d: "DatabaseInput | None") -> SelectCore:
     """Expand a bare `SELECT *` item to the source tables' declared columns.
 
     Requires schema information; without it (or for unknown tables) the star
     is kept verbatim.
     """
-    if d is None or not any([isinstance(i.expr, Star) for i in core.items]):
+    if d is None or not has_star(core.items):
         return core
     tables = [t.name for t in core.tables] + [j.table.name for j in core.joins]
     if not tables or any(not d.has_table(t) for t in tables):

@@ -56,9 +56,9 @@ from .schema import DatabaseInput  # noqa: F401  (re-exported for validate calle
 from .sqlast import (ARITHMETIC_LEVELS, KEY, KEYWORDS, KIND, MAX_DEPTH, POS, TEXT,
                      BoundedParser, Token)
 
-_DF_REF_RE = re.compile(r"df\d+$|res$")
+_DF_REF_RE = re.compile(r"df\d+|res")
 _NUMBER_RE = re.compile(r"-?\d+(\.\d+)?([eE][+-]?\d+)?")
-_DATE_TOKEN_RE = re.compile(r"\d{4}-\d{2}-\d{2}$")
+_DATE_TOKEN_RE = re.compile(r"\d{4}-\d{2}-\d{2}")
 _WORD_RE = re.compile(r"\w+")
 _CALLS = (*AGGREGATE_KINDS, "cast", "substr")  # actions that are also expressions
 
@@ -159,12 +159,12 @@ class _LineParser(BoundedParser):
 
     def parse_step(self) -> TrajectoryStep:
         binding = self.expect("IDENT")
-        if not BINDING_RE.match(binding[TEXT]) or binding[TEXT] == "df":
+        if not BINDING_RE.fullmatch(binding[TEXT]) or binding[TEXT] == "df":
             raise TrajectorySyntaxError(f"invalid binding {binding[TEXT]!r}", self.lineno,
                                         binding[POS], expected="df<N> or res")
         self.expect("SYM", "=")
         receiver = self.expect("IDENT")
-        if not BINDING_RE.match(receiver[TEXT]) or receiver[TEXT] == "res":
+        if not BINDING_RE.fullmatch(receiver[TEXT]) or receiver[TEXT] == "res":
             raise TrajectorySyntaxError(f"invalid receiver {receiver[TEXT]!r}", self.lineno,
                                         receiver[POS], expected="df or df<N>")
         chain: list[Action] = []
@@ -204,7 +204,7 @@ class _LineParser(BoundedParser):
             return Distinct(self.parse_expr())
         if name in ("union", "intersect", "except"):
             tok = self.expect("IDENT")
-            if not _DF_REF_RE.match(tok[TEXT]):
+            if not _DF_REF_RE.fullmatch(tok[TEXT]):
                 raise TrajectorySyntaxError(f"set operand must be a binding, got {tok[TEXT]!r}",
                                             self.lineno, tok[POS])
             return Combine(name, BindingRef(tok[TEXT]))
@@ -266,7 +266,7 @@ class _LineParser(BoundedParser):
         tok = self.next()
         if tok[KIND] == "NUMBER":
             return FilterCondition("=", (Scalar.number(tok[TEXT]),))
-        if tok[KIND] == "IDENT" and _DF_REF_RE.match(tok[TEXT]):
+        if tok[KIND] == "IDENT" and _DF_REF_RE.fullmatch(tok[TEXT]):
             return FilterCondition("=", (BindingRef(tok[TEXT]),))
         if tok[KIND] == "STRING":
             return parse_filter_text(tok[TEXT], self.lineno, tok[POS])
@@ -413,9 +413,9 @@ def _structured_filter(comparator: str, rest: str, lineno: int, col: int) -> Fil
 def _filter_operand(token: str, lineno: int, col: int) -> Scalar | BindingRef:
     if token.startswith("'"):
         return Scalar(_unquote(token, lineno, col), "string")
-    if _DF_REF_RE.match(token):
+    if _DF_REF_RE.fullmatch(token):
         return BindingRef(token)
-    if _DATE_TOKEN_RE.match(token):
+    if _DATE_TOKEN_RE.fullmatch(token):
         return Scalar(token, "date")
     if _NUMBER_RE.fullmatch(token):
         return Scalar.number(token)
@@ -588,8 +588,8 @@ def _equality_text_ambiguous(text: str) -> bool:
     stripped = text.strip()
     if stripped != text or not text or text.startswith("("):
         return True
-    return bool(_FILTER_PREFIX_RE.match(stripped.lower()) or _DATE_TOKEN_RE.match(text)
-                or _NUMBER_RE.fullmatch(text) or _DF_REF_RE.match(text))
+    return bool(_FILTER_PREFIX_RE.match(stripped.lower()) or _DATE_TOKEN_RE.fullmatch(text)
+                or _NUMBER_RE.fullmatch(text) or _DF_REF_RE.fullmatch(text))
 
 
 def _filter_text(cond: FilterCondition) -> str:

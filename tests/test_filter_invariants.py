@@ -3,22 +3,29 @@
 `round_trip` reverts the trajectory its own `decompose` built without
 checking it against the schema again: every trajectory `decompose` accepts
 has no schema error. Rewrites are copy-on-write, so normalizing a normal
-core returns that very core. The identifier tests use `str.isidentifier`
-where a regex was used before, and must answer as the regex did.
+core returns that very core. `normalize_core` returns an alias-free core
+after a read-only check instead of a rebuild, and must answer as the rebuild
+does: the same core, the same identity, the same error. The identifier tests
+use `str.isidentifier` where a regex was used before, and must answer as the
+regex did.
 """
 
+import json
 import re
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sqlsteps.actions import valid_identifier
-from sqlsteps.bridge import decompose, revert
+from sqlsteps.actions import expr_children, valid_identifier
+from sqlsteps.bridge import _strict_column, decompose, revert
 from sqlsteps.errors import SchemaMismatchError, SqlStepsError
 from sqlsteps.querygen import random_queries
-from sqlsteps.sqlast import KEYWORDS, SetOp, _lenient_column, _q, normalize_core, parse_sql
+from sqlsteps.sqlast import (KEYWORDS, SetOp, SqlQuery, Subquery, _clause_exprs, _lenient_column,
+                             _q, _rebuild_core, normalize_core, parse_sql)
 from sqlsteps.trajectory import parse_trajectory, validate_trajectory
+
+from conftest import FIXTURES
 
 # --- every trajectory decompose accepts passes the schema check ---------------
 
@@ -133,6 +140,65 @@ def test_normalize_core_keeps_a_qualified_core(store):
                      "ORDER BY orders.id").ast
     assert normalize_core(core, store, _lenient_column(store)) is core
     assert normalize_core(core) is core
+
+
+# --- the read-only check answers as the rebuild does ------------------------------
+
+RANDOM = [q for seed in (1, 7, 101) for q in random_queries(100, seed)]
+
+
+def _all_cores(node):
+    """Every core of a tree: set-operation operands and subquery cores too."""
+    for core in _cores(node):
+        yield core
+        stack = list(_clause_exprs(core))
+        while stack:
+            expr = stack.pop()
+            if isinstance(expr, Subquery):
+                yield from _all_cores(expr.core)
+            stack.extend(expr_children(expr))
+
+
+def _outcome(normalize, core, d, column, raise_at_count):
+    try:
+        out = normalize(core, d, column, raise_at_count)
+    except SqlStepsError as exc:
+        return "error", type(exc), exc.args, vars(exc)
+    return "core", out, out is core
+
+
+def _check_against_rebuild(sql, d):
+    query = SqlQuery.raw(sql)
+    if query.ast is None:
+        return
+    resolvers = (None, _lenient_column(d), _lenient_column(None),
+                 _strict_column(d, frozenset()), _strict_column(d, frozenset(COLUMNS)))
+    for core in _all_cores(query.ast):
+        for column in resolvers:
+            for raise_at_count in (False, True):
+                args = (core, d, column, raise_at_count)
+                assert _outcome(normalize_core, *args) == _outcome(_rebuild_core, *args), sql
+
+
+@settings(max_examples=400, deadline=None)
+@given(sql=st.one_of(_queries, st.sampled_from(RANDOM)))
+@example(sql="SELECT COUNT(*) FROM customers JOIN orders ON orders.customer_id = customers.id")
+@example(sql="SELECT name FROM customers WHERE age > (SELECT COUNT(*) FROM orders GROUP BY nope)")
+@example(sql="SELECT customers.name FROM customers WHERE customers.nope > 1 ORDER BY age")
+@example(sql="SELECT customers.name FROM customers GROUP BY customers.nope ORDER BY nope")
+@example(sql="SELECT customers.name FROM customers GROUP BY customers.nope HAVING MAX(nope) > 1")
+@example(sql="SELECT customers.name FROM customers JOIN orders ON orders.nope = customers.id "
+             "WHERE nope > 1")
+def test_normalize_core_answers_as_the_rebuild(sql, store):
+    _check_against_rebuild(sql, store)
+
+
+def test_normalize_core_answers_as_the_rebuild_on_the_pinned_inputs(schemas):
+    records = [json.loads(line) for line in
+               (FIXTURES / "golden" / "normalize_pin.jsonl").read_text("utf-8").splitlines()]
+    assert len(records) > 200
+    for record in records:
+        _check_against_rebuild(record["sql"], schemas[record["db"]])
 
 
 # --- identifier tests agree with the regexes they replaced ----------------------

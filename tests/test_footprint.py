@@ -76,7 +76,7 @@ def _values(store):
     seed = SeedExample("g0", "store", "cities by order count", SQL, SQL.lower())
     (record,) = build_bam_corpus([seed], {"store": store}).records
     return {"query": query, "trajectory": trajectory, "report": round_trip(query, store),
-            "record": record, "masked": mask_schema(trajectory)}
+            "record": record, "masked": mask_schema(trajectory), "database": store}
 
 
 def _no_instance_dicts(value) -> None:
@@ -89,7 +89,8 @@ def _no_instance_dicts(value) -> None:
             _no_instance_dicts(item)
 
 
-@pytest.mark.parametrize("name", ["query", "trajectory", "report", "record", "masked"])
+@pytest.mark.parametrize("name", ["query", "trajectory", "report", "record", "masked",
+                                  "database"])
 def test_value_round_trips_through_pickle_and_deepcopy(store, name):
     value = _values(store)[name]
     _no_instance_dicts(value)
@@ -101,3 +102,7 @@ def test_value_round_trips_through_pickle_and_deepcopy(store, name):
         # fields left out of `==` survive as well
         assert all(getattr(other, f.name) == getattr(value, f.name)
                    for f in dataclasses.fields(value))
+    if name == "database":  # and so do its lookups
+        for other in copies + [copy.deepcopy(value)]:
+            assert other.has_column("orders", "total") and not other.has_table("nope")
+            assert other.fk_edges() == value.fk_edges()

@@ -1,8 +1,16 @@
+import dataclasses
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqlsteps.errors import FormatError
 from sqlsteps.schema import (
     SENTINEL_TABLE,
+    ColumnDef,
+    DatabaseInput,
+    ForeignKey,
+    TableDef,
     extract_schema,
     parse_database_text,
     render_database_input,
@@ -113,3 +121,84 @@ def test_extraction_idempotent_across_round_trip(store):
         b = extract_schema(reverted)
         assert set(a.tables) == set(b.tables)
         assert set(a.columns) == set(b.columns)
+
+
+# --- lookups built once agree with a scan over the tables ----------------------
+
+def _scan_table(d, name):
+    return next((t for t in d.tables if t.name == name), None)
+
+
+def _scan_render(d):
+    """The schema text as rendered before it was built once per database."""
+    def word(name):
+        return f"`{name}`" if " " in name else name
+    lines = [f"database {word(d.name)}"]
+    for tbl in d.tables:
+        lines.append(f"table {word(tbl.name)}")
+        for col in tbl.columns:
+            lines.append(f"  column {word(col.name)} {col.type}{' pk' if col.is_primary_key else ''}")
+        for fk in tbl.foreign_keys:
+            lines.append(f"  fk {word(fk.column)} -> {fk.ref_table}.{fk.ref_column}")
+        for column, values in tbl.samples:
+            lines.append(f"  sample {word(column)} {'|'.join(values)}")
+    return "\n".join(lines) + "\n"
+
+
+def _check_lookups(d):
+    names = {t.name for t in d.tables} | {"nope", ""}
+    columns = {c.name for t in d.tables for c in t.columns} | {"nope"}
+    for name in names:
+        tbl = _scan_table(d, name)
+        assert d.table(name) is tbl
+        assert d.has_table(name) == (tbl is not None)
+        pk = None if tbl is None else next(
+            (c.name for c in tbl.columns if c.is_primary_key), None)
+        assert d.primary_key(name) == pk
+        for column in columns:
+            assert d.has_column(name, column) == (
+                tbl is not None and any(c.name == column for c in tbl.columns))
+    scan = [(t.name, fk.column, fk.ref_table, fk.ref_column)
+            for t in d.tables for fk in t.foreign_keys]
+    assert d.fk_edges() == scan
+    assert d.fk_edges() is not d.fk_edges()  # a fresh list each call
+    assert d.edges == tuple(scan) and d.edge_set == set(scan)
+    assert render_database_input(d) == _scan_render(d)
+
+
+def test_lookups_agree_with_a_scan_on_every_fixture_schema(schemas):
+    assert len(schemas) == 5
+    for d in schemas.values():
+        _check_lookups(d)
+
+
+_names = st.sampled_from(["a", "b", "c", "my table"])
+_tables = st.builds(
+    TableDef,
+    name=_names,
+    columns=st.lists(st.builds(ColumnDef, _names, st.sampled_from(["int", "text"]),
+                               st.booleans()), max_size=4).map(tuple),
+    foreign_keys=st.lists(st.builds(ForeignKey, _names, _names, _names), max_size=2).map(tuple),
+    samples=st.lists(st.tuples(_names, st.lists(st.sampled_from(["x", "y"]), max_size=3)
+                               .map(tuple)), max_size=2).map(tuple))
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=_names, tables=st.lists(_tables, max_size=4).map(tuple))
+def test_lookups_agree_with_a_scan_on_generated_schemas(name, tables):
+    # duplicate tables, several primary keys and dangling foreign keys
+    # included: the first table of a name is the one looked up
+    _check_lookups(DatabaseInput(name, tables))
+
+
+def test_built_lookups_take_no_part_in_eq_hash_or_repr(store):
+    twin = DatabaseInput(store.name, store.tables)
+    assert twin == store and twin is not store
+    assert hash(twin) == hash(store) == hash((store.name, store.tables))
+    assert repr(store) == f"DatabaseInput(name={store.name!r}, tables={store.tables!r})"
+    assert DatabaseInput(store.name, store.tables[:1]) != store
+    # replace() builds the lookups of the new tables
+    (customers,) = [t for t in store.tables if t.name == "customers"]
+    narrowed = dataclasses.replace(store, tables=(customers,))
+    assert narrowed.has_table("customers") and not narrowed.has_table("orders")
+    assert narrowed.fk_edges() == []

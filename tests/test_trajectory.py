@@ -209,6 +209,21 @@ def test_binding_ref_is_never_df():
     assert parse_filter_text("> df") == FilterCondition(">", (Scalar("df", "string"),))
 
 
+def test_binding_ref_rejects_a_trailing_newline():
+    assert BindingRef("res").name == "res"
+    with pytest.raises(ValueError, match="invalid binding name"):
+        BindingRef("res\n")
+
+
+def test_step_names_reject_a_trailing_newline():
+    select = (Select((QualifiedColumn("t", "a"),)),)
+    assert TrajectoryStep("df1", "df", select).binding == "df1"
+    with pytest.raises(ValueError, match="invalid step binding"):
+        TrajectoryStep("df1\n", "df", select)
+    with pytest.raises(ValueError, match="invalid receiver"):
+        TrajectoryStep("df1", "df\n", select)
+
+
 def test_step_accepts_star_in_select_and_count():
     count_star = Aggregate("count", Star())
     TrajectoryStep("res", "df", (Select((Star(), count_star)),))
@@ -400,3 +415,9 @@ def test_date_scalars_detected():
     assert Scalar.of("1980-01-01").kind == "date"
     assert DATE_RE.match("1980-01-01")
     assert Scalar.of("not a date").kind == "string"
+
+
+def test_a_date_with_a_trailing_newline_is_a_string():
+    # a date scalar renders bare, so this one would span two lines
+    assert Scalar.of("2020-01-01\n") == Scalar("2020-01-01\n", "string")
+    assert Scalar.of("2020-01-01x").kind == "string"

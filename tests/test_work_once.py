@@ -9,7 +9,9 @@ stage text and no stage reads the schema list. The fallbacks that recompute,
 when a run cannot vouch for its own work, stay live. A corpus build from
 in-memory bam records parses no trajectory text and each seed's gold SQL once.
 `round_trip` checks the schema once, in `decompose`; `revert` checks every
-trajectory it is given.
+trajectory it is given. An alias-free core whose columns resolve to
+themselves is normalized by a read-only check, without a rebuild, and each
+conversion between SQL and trajectory walks each expression once.
 """
 
 from collections import Counter
@@ -17,11 +19,11 @@ from dataclasses import replace
 
 import pytest
 
-from sqlsteps import bridge, corpus, evaluate, masking, pipeline, sqlast
+from sqlsteps import bridge, corpus, evaluate, masking, pipeline, schema, sqlast
 from sqlsteps.errors import SqlStepsError
 from sqlsteps.masking import MaskedTrajectory, mask_schema
 from sqlsteps.perturb import PerturbationConfig
-from sqlsteps.sqlast import SqlQuery
+from sqlsteps.sqlast import SelectCore, SqlQuery
 from sqlsteps.trajectory import render_trajectory
 
 from conftest import generated_seeds
@@ -176,3 +178,72 @@ def test_round_trip_checks_the_schema_in_decompose_only(calls, store):
     assert calls["bridge.validate_trajectory"] == 0
     assert bridge.revert(report.trajectory, store).text == report.reverted.text
     assert calls["bridge.validate_trajectory"] == 1
+
+
+NORMAL = ("SELECT customers.city, COUNT(orders.id) FROM customers JOIN orders "
+          "ON orders.customer_id = customers.id WHERE customers.age > "
+          "(SELECT AVG(customers.age) FROM customers) GROUP BY customers.city "
+          "ORDER BY customers.city DESC LIMIT 3")
+
+
+@pytest.fixture
+def rebuilds(monkeypatch):
+    """Counts of `SelectCore` constructions, and of the `map_expr` calls that
+    only the rebuild in `normalize_core` makes in `sqlast`."""
+    counts: Counter = Counter()
+    init, map_expr = SelectCore.__init__, sqlast.map_expr
+
+    def counted_init(self, *args, **kwargs):
+        counts["SelectCore"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_map_expr(*args):
+        counts["map_expr"] += 1
+        return map_expr(*args)
+
+    monkeypatch.setattr(SelectCore, "__init__", counted_init)
+    monkeypatch.setattr(sqlast, "map_expr", counted_map_expr)
+    return counts
+
+
+def test_canonical_form_of_a_reverted_query_rebuilds_no_core(rebuilds, store):
+    original = SqlQuery.raw(NORMAL)
+    reverted = bridge.revert(bridge.decompose(original, store), store)
+    rebuilds.clear()
+    assert sqlast.canonicalize(reverted, store) == sqlast.canonicalize(original, store)
+    assert rebuilds["SelectCore"] == rebuilds["map_expr"] == 0
+
+
+def test_schema_list_of_an_alias_free_query_rebuilds_no_core(rebuilds):
+    query = SqlQuery.raw("SELECT city, COUNT(*) FROM customers WHERE age > 3 GROUP BY city "
+                         "HAVING COUNT(*) > 1 ORDER BY city")
+    rebuilds.clear()
+    assert schema.extract_schema(query).columns == (("customers", "city"), ("customers", "age"))
+    assert rebuilds["SelectCore"] == rebuilds["map_expr"] == 0
+
+
+def test_a_core_with_an_alias_is_rebuilt(rebuilds, store):
+    query = SqlQuery.raw("SELECT c.city FROM customers AS c")
+    rebuilds.clear()
+    assert sqlast.canonicalize(query, store) == "SELECT customers.city FROM customers"
+    assert rebuilds["SelectCore"] == 1
+
+
+def test_round_trip_of_a_normal_query_walks_no_converted_expression_again(monkeypatch, store):
+    walks: Counter = Counter()
+    sql_columns = bridge._sql_columns
+
+    def counted(expr):
+        walks["_sql_columns"] += 1
+        return sql_columns(expr)
+
+    monkeypatch.setattr(bridge, "_sql_columns", counted)
+    report = bridge.round_trip(SqlQuery.raw(NORMAL), store)
+    assert report.verdict == bridge.PASS
+    assert "JOIN orders" in report.reverted.text
+    assert walks["_sql_columns"] == 0
+    # a compound filter is still walked for its columns, once per side
+    compound = SqlQuery.raw("SELECT customers.city FROM customers "
+                            "WHERE customers.age > 3 OR customers.city = 'x'")
+    assert bridge.round_trip(compound, store).verdict == bridge.PASS
+    assert walks["_sql_columns"] > 0
