@@ -310,22 +310,7 @@ class AggStep:
         return self.agg.kind
 
 
-@dataclass(frozen=True, slots=True)
-class CastStep:
-    cast: Cast
-
-    name = "cast"
-
-
-@dataclass(frozen=True, slots=True)
-class SubstrStep:
-    substr: Substr
-
-    name = "substr"
-
-
-Action = Union[Select, Where, GroupBy, Having, OrderBy, Limit, Distinct,
-               Combine, AggStep, CastStep, SubstrStep]
+Action = Union[Select, Where, GroupBy, Having, OrderBy, Limit, Distinct, Combine, AggStep]
 
 
 @dataclass(frozen=True, slots=True)
@@ -397,53 +382,138 @@ def action_exprs(action: Action) -> list[Expr]:
     """Expressions carried by an action, in rendered order."""
     if isinstance(action, (Select, GroupBy)):
         return list(action.elements)
-    if isinstance(action, (Where, Having)):
+    if isinstance(action, (Where, Having, Distinct)):
         return [action.element]
     if isinstance(action, OrderBy):
         return [action.by]
-    if isinstance(action, Distinct):
-        return [action.element]
     if isinstance(action, AggStep):
         return [action.agg]
-    if isinstance(action, CastStep):
-        return [action.cast]
-    if isinstance(action, SubstrStep):
-        return [action.substr]
     return []
 
 
+# A frame's flags: the actions it may hold once, and the mark of a set operation.
+_SELECTED, _GROUPED, _SETOP = 1, 2, 16
+_ONCE = {Select: _SELECTED, GroupBy: _GROUPED, Limit: 4, Distinct: 8}
+
+
 def check_bindings(steps: tuple[TrajectoryStep, ...]) -> None:
-    """Enforce single assignment, no forward references (receivers, set and
-    filter operands), a final `res`, and at most MAX_DEPTH levels of query a
-    binding nests: a set operation one level above its deeper side, a filter
-    operand one level below the frame it filters, as `revert` builds them."""
+    """Every rule on how steps form one SQL query that needs no schema, in one
+    pass: `revert` can build every trajectory, and checks only its tables,
+    columns and join path. Bindings are assigned once, read only after, and
+    `res` last. A step chains actions onto its receiver's frame (a SELECT
+    core), which holds at most one select, groupby, limit and distinct, and
+    a having or an aggregate step only after its groupby; or it is a set
+    operation alone, of a frame or a set operation (not `df`) with a frame,
+    and nothing chains onto it. A frame that is combined, filtered against
+    or bound to `res` is select()ed, and a filter operand selects one
+    element. No query is higher than MAX_DEPTH levels, counted as
+    `sqlast.BoundedParser` counts the SQL that `revert` renders."""
     if not steps:
         raise BindingError("trajectory has no steps")
-    bound: dict[str, int] = {"df": 0}  # binding -> levels of query it nests
+    frames: dict[str, tuple[int, ...]] = {"df": (0,) * 8}
     for step in steps:
-        if step.binding in bound:
+        if step.binding in frames:
             raise BindingError(f"binding {step.binding!r} assigned twice")
-        if step.receiver not in bound:
+        frame = frames.get(step.receiver)
+        if frame is None:
             raise BindingError(f"receiver {step.receiver!r} used before assignment")
-        depth = bound[step.receiver]
-        for action in step.chain:
-            if isinstance(action, Combine):
-                if action.other.name not in bound:
-                    raise BindingError(f"set operand {action.other.name!r} used before assignment")
-                depth = max(depth, bound[action.other.name]) + 1
-            for op in action.condition.operands if isinstance(action, (Where, Having)) else ():
-                if isinstance(op, BindingRef):
-                    if op.name not in bound:
-                        raise BindingError(f"filter operand {op.name!r} used before assignment")
-                    depth = max(depth, bound[op.name] + 1)
-        if depth > MAX_DEPTH:
-            raise BindingError(f"binding {step.binding!r} nests {depth} levels of query, "
+        action = step.chain[0]
+        if len(step.chain) == 1 and type(action) is Combine:
+            right = frames.get(action.other.name)
+            if right is None:
+                raise BindingError(f"set operand {action.other.name!r} used before assignment")
+            if step.receiver == "df":
+                raise BindingError("a set operation cannot run on the bare `df`")
+            if right[0] & _SETOP:
+                raise BindingError("set operation operand must be a plain select")
+            _check_selected(frame)
+            _check_selected(right)
+            frame = (_SETOP, 0, max(frame[2], right[2]) + 1, 0, 0, 0, 0, 0)
+        else:
+            frame = _chain(frame, step.chain, frames)
+        if frame[2] > MAX_DEPTH:
+            raise BindingError(f"binding {step.binding!r} nests {frame[2]} levels of query, "
                                f"more than {MAX_DEPTH}")
-        bound[step.binding] = depth
-    if "res" not in bound:
-        raise BindingError("no step binds `res`")
+        frames[step.binding] = frame
     if steps[-1].binding != "res":
-        raise BindingError("`res` must be bound by the final step")
+        raise BindingError("`res` must be bound by the final step" if "res" in frames
+                           else "no step binds `res`")
+    _check_selected(frames["res"])
+
+
+def _check_selected(frame: tuple[int, ...]) -> None:
+    if not frame[0] & (_SETOP | _SELECTED):
+        raise BindingError("frame is never select()ed")
+
+
+def _chain(frame: tuple[int, ...], chain: tuple[Action, ...],
+           frames: dict[str, tuple[int, ...]]) -> tuple[int, ...]:
+    """`frame` with `chain` applied. A frame is (flags, select elements, SQL
+    height, and what the height is the highest of: the select, groupby and
+    orderby elements, and the count and highest item of the WHERE and of the
+    HAVING conditions, each an AND list one level above its items)."""
+    flags, width, _, elements, wheres, where_h, havings, having_h = frame
+    if flags & _SETOP:
+        raise BindingError("cannot chain actions after a set operation")
+    for action in chain:
+        kind = type(action)
+        once = _ONCE.get(kind, 0)
+        if flags & once:
+            raise BindingError(f"more than one {action.name} on the same frame")
+        flags |= once
+        if kind is Select or kind is GroupBy:
+            elements = max([elements, *map(_height, action.elements)])
+            width = len(action.elements) if kind is Select else width
+        elif kind is OrderBy:
+            elements = max(elements, _height(action.by))
+        elif kind is Where:
+            wheres, where_h = wheres + 1, max(where_h, _filter_height(action, frames))
+        elif kind is Having or kind is AggStep:
+            if not flags & _GROUPED:
+                raise BindingError("having without a groupby" if kind is Having
+                                   else "aggregate chained without a groupby")
+            if kind is Having:
+                havings, having_h = havings + 1, max(having_h, _filter_height(action, frames))
+        elif kind is Combine:
+            raise BindingError("a set operation must be the only action in its step")
+    height = max(elements, where_h + (wheres > 1), having_h + (havings > 1))
+    return (flags, width, height, elements, wheres, where_h, havings, having_h)
+
+
+def _filter_height(action: Where | Having, frames: dict[str, tuple[int, ...]]) -> int:
+    """The SQL height of a filter; a compound's text is not counted."""
+    cond = action.condition
+    if cond.comparator == COMPOUND:
+        return 0
+    height = 0
+    for op in cond.operands:
+        if type(op) is not BindingRef:
+            height = max(height, _height(op))
+            continue
+        sub = frames.get(op.name)
+        if sub is None:
+            raise BindingError(f"filter operand {op.name!r} used before assignment")
+        if sub[0] & _SETOP:
+            raise BindingError("a subquery operand cannot be a set operation")
+        _check_selected(sub)
+        if sub[1] != 1:
+            raise BindingError("a subquery operand must select exactly one element")
+        height = max(height, sub[2] + 1)  # a subquery's core is one level below it
+    # an IN list's items are one level below the list
+    return max(_height(action.element), height + (cond.comparator in ("in", "not in")))
+
+
+def _height(expr: Expr) -> int:
+    """The SQL height of an expression: a call or an operator is one level
+    above its highest operand (a substr's start and length among them), and
+    a negative number's unary minus one."""
+    spec = _OPERANDS.get(type(expr))
+    if spec is None:
+        return 1 if type(expr) is Scalar and expr.kind in ("int", "real") \
+            and repr(expr.value)[0] == "-" else 0
+    if type(expr) is Substr and min(expr.start, expr.length or 0) < 0:
+        return 1 + max(_height(expr.arg), 1)
+    return 1 + max(map(_height, spec[0](expr)))
 
 
 # --- action space ----------------------------------------------------------

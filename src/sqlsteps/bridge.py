@@ -6,12 +6,18 @@ the natural join of every table a step references; reversion resynthesizes
 the FROM clause along foreign-key edges of the database input. Anything the
 action vocabulary cannot express raises UnsupportedSqlError rather than
 converting approximately.
+
+Which action chains form a SQL query is a rule of the trajectory types
+(`actions.check_bindings`), so every `Trajectory` has a reversion; `revert`
+raises only for what needs the schema: an unknown table or column
+(SchemaMismatchError) and a join with no foreign-key path
+(JoinPathNotFoundError).
 """
 
 from __future__ import annotations
 
 import difflib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import sqlast
 from .actions import (
@@ -41,7 +47,7 @@ from .actions import (
 )
 from .errors import (
     BRIDGE_ERRORS,
-    InvalidChainError,
+    BindingError,
     JoinPathNotFoundError,
     SchemaMismatchError,
     UnsupportedSqlError,
@@ -107,11 +113,11 @@ def decompose(s: SqlQuery, d: DatabaseInput) -> Trajectory:
     ast = sqlast._require_ast(s)
     namer = _Namer()
     steps: list[TrajectoryStep] = []
-    try:
+    try:  # a value or a chain the types reject, e.g. a subquery of two elements
         _decompose_node(ast, d, namer, steps, bind="res")
-    except ValueError as exc:  # a value the action types reject, e.g. a nested aggregate
+        return Trajectory(tuple(steps))
+    except (ValueError, BindingError) as exc:
         raise UnsupportedSqlError(str(exc)) from exc
-    return Trajectory(tuple(steps))
 
 
 def _decompose_node(node: SelectNode, d: DatabaseInput, namer: _Namer,
@@ -418,29 +424,6 @@ def _collect_aggregates(core: SelectCore) -> list[Func]:
 
 # --- reversion ----------------------------------------------------------------
 
-@dataclass(slots=True)
-class _CoreState:
-    wheres: list[tuple[Expr, FilterCondition]] = field(default_factory=list)
-    group_by: tuple[Expr, ...] | None = None
-    havings: list[tuple[Expr, FilterCondition]] = field(default_factory=list)
-    order_by: list[tuple[Expr, str]] = field(default_factory=list)
-    limit: tuple[int, int] | None = None  # (count, offset)
-    distinct_element: Expr | None = None
-    select: tuple[Expr, ...] | None = None
-
-    def copy(self) -> "_CoreState":
-        return _CoreState(list(self.wheres), self.group_by, list(self.havings),
-                          list(self.order_by), self.limit, self.distinct_element,
-                          self.select)
-
-
-@dataclass(slots=True)
-class _CombineState:
-    op: str
-    left: str
-    right: str
-
-
 def revert(t: Trajectory, d: DatabaseInput, dialect: str = "sqlite") -> SqlQuery:
     """Convert a trajectory back into a single SELECT statement."""
     errors = validate_trajectory(t, d).errors()
@@ -451,129 +434,77 @@ def revert(t: Trajectory, d: DatabaseInput, dialect: str = "sqlite") -> SqlQuery
 
 def _revert(t: Trajectory, d: DatabaseInput, dialect: str) -> SqlQuery:
     """`revert` of a trajectory whose tables and columns are known to be in `d`."""
-    states: dict[str, _CoreState | _CombineState] = {}
+    # binding -> the actions of its frame in order, or a set operation's step,
+    # which the types let stand only alone
+    frames: dict[str, tuple[Action, ...] | TrajectoryStep] = {"df": ()}
     for step in t.steps:
-        if isinstance(step.chain[0], Combine) or len(step.chain) > 1 and any(
-                [isinstance(a, Combine) for a in step.chain]):
-            if len(step.chain) != 1:
-                raise InvalidChainError("a set operation must be the only action in its step")
-            combine = step.chain[0]
-            assert isinstance(combine, Combine)
-            states[step.binding] = _CombineState(combine.op, step.receiver, combine.other.name)
-            continue
-        base = states.get(step.receiver)
-        if isinstance(base, _CombineState):
-            raise InvalidChainError("cannot chain actions after a set operation")
-        state = base.copy() if base is not None else _CoreState()
-        for action in step.chain:
-            _apply_action(state, action)
-        states[step.binding] = state
-    ast = _materialize(states, "res", d)
+        frames[step.binding] = step if isinstance(step.chain[0], Combine) \
+            else frames[step.receiver] + step.chain
+    ast = _materialize(frames, "res", d)
     return SqlQuery(text=sqlast.render_sql(ast, dialect), ast=ast, dialect=dialect)
 
 
-def _apply_action(state: _CoreState, action: Action) -> None:
-    if isinstance(action, Where):
-        state.wheres.append((action.element, action.condition))
-    elif isinstance(action, GroupBy):
-        if state.group_by is not None:
-            raise InvalidChainError("more than one groupby on the same frame")
-        state.group_by = action.elements
-    elif isinstance(action, AggStep):
-        if state.group_by is None:
-            raise InvalidChainError("aggregate chained without a groupby")
-    elif isinstance(action, Having):
-        if state.group_by is None:
-            raise InvalidChainError("having without a groupby")
-        state.havings.append((action.element, action.condition))
-    elif isinstance(action, OrderBy):
-        state.order_by.append((action.by, action.order))
-    elif isinstance(action, Limit):
-        if state.limit is not None:
-            raise InvalidChainError("more than one limit on the same frame")
-        state.limit = (action.count, action.offset)
-    elif isinstance(action, Distinct):
-        if state.distinct_element is not None:
-            raise InvalidChainError("more than one distinct on the same frame")
-        state.distinct_element = action.element
-    elif isinstance(action, Select):
-        if state.select is not None:
-            raise InvalidChainError("more than one select on the same frame")
-        state.select = action.elements
-    else:  # CastStep / SubstrStep have no standalone SQL clause
-        raise InvalidChainError(f"{action.name}(...) cannot stand alone in a step")
+def _materialize(frames: dict, binding: str, d: DatabaseInput) -> SelectNode:
+    frame = frames[binding]
+    if isinstance(frame, TrajectoryStep):
+        combine = frame.chain[0]
+        return SetOp(combine.op, _materialize(frames, frame.receiver, d),
+                     _materialize_core(frames, frames[combine.other.name], d))
+    return _materialize_core(frames, frame, d)
 
 
-def _materialize(states: dict[str, _CoreState | _CombineState], binding: str,
-                 d: DatabaseInput) -> SelectNode:
-    state = states.get(binding)
-    if state is None:
-        raise InvalidChainError(f"binding {binding!r} is undefined")
-    if isinstance(state, _CombineState):
-        left = _materialize(states, state.left, d)
-        right = _materialize(states, state.right, d)
-        if isinstance(right, SetOp):
-            raise InvalidChainError("set operation operand must be a plain select")
-        return SetOp(state.op, left, right)
-    return _materialize_core(states, state, d)
-
-
-def _materialize_core(states: dict[str, _CoreState | _CombineState],
-                      state: _CoreState, d: DatabaseInput) -> SelectCore:
-    if state.select is None:
-        raise InvalidChainError("frame is never select()ed")
+def _materialize_core(frames: dict, actions: tuple[Action, ...], d: DatabaseInput) -> SelectCore:
+    """The core of a frame, which by the types holds one select and at most one
+    groupby, limit and distinct; an aggregate step adds nothing, as its
+    aggregate stands where the core uses it."""
+    once = {type(action): action for action in actions}
     # collects the tables the core's own expressions reference (subqueries excluded)
     conv = _ToSql()
-    select = [conv(e) for e in state.select]
-    where = _conditions_to_pred(states, state.wheres, d, conv)
-    having = _conditions_to_pred(states, state.havings, d, conv)
-    group_by = tuple([conv(e) for e in (state.group_by or ())])
-    order_by = tuple([OrderItem(conv(e), direction) for e, direction in state.order_by])
-    limit, offset = (state.limit if state.limit is not None else (None, 0))
+    select = tuple([SelectItem(conv(e)) for e in once[Select].elements])
+    where = _conditions_to_pred(frames, [a for a in actions if type(a) is Where], d, conv)
+    having = _conditions_to_pred(frames, [a for a in actions if type(a) is Having], d, conv)
+    group_by = tuple([conv(e) for e in once[GroupBy].elements]) if GroupBy in once else ()
+    order_by = tuple([OrderItem(conv(a.by), a.order) for a in actions if type(a) is OrderBy])
+    limit = once.get(Limit)
     from_tables, joins = _synthesize_from(conv.tables, d)
-    return SelectCore(tuple([SelectItem(e) for e in select]), state.distinct_element is not None,
-                      from_tables, joins, where, group_by, having, order_by, limit, offset)
+    return SelectCore(select, Distinct in once, from_tables, joins, where, group_by, having,
+                      order_by, limit.count if limit else None, limit.offset if limit else 0)
 
 
-def _conditions_to_pred(states: dict, pairs: list[tuple[Expr, FilterCondition]],
-                        d: DatabaseInput, conv: _ToSql) -> Predicate | None:
-    preds = [_condition_to_pred(states, element, cond, d, conv) for element, cond in pairs]
+def _conditions_to_pred(frames: dict, filters: list[Where | Having], d: DatabaseInput,
+                        conv: _ToSql) -> Predicate | None:
+    preds = [_condition_to_pred(frames, f, d, conv) for f in filters]
     if not preds:
         return None
     return preds[0] if len(preds) == 1 else And(tuple(preds))
 
 
-def _condition_to_pred(states: dict, element: Expr, cond: FilterCondition,
-                       d: DatabaseInput, conv: _ToSql) -> Predicate:
+def _condition_to_pred(frames: dict, action: Where | Having, d: DatabaseInput,
+                       conv: _ToSql) -> Predicate:
+    cond = action.condition
     if cond.comparator == "compound":
         assert cond.compound_text is not None
         pred = sqlast.parse_predicate(cond.compound_text)
         conv.tables.update([col.table for expr in sqlast.pred_exprs(pred)
                             for col in _sql_columns(expr) if col.table is not None])
         return pred
-    left = conv(element)
+    left = conv(action.element)
     if cond.comparator in ("is null", "is not null"):
         return IsNull(left, negated=(cond.comparator == "is not null"))
     if cond.comparator == "between":
-        lo, hi = (_operand_to_sql(states, op, d) for op in cond.operands)
+        lo, hi = (_operand_to_sql(frames, op, d) for op in cond.operands)
         return Between(left, lo, hi)
     if cond.comparator == "like":
-        return LikePred(left, _operand_to_sql(states, cond.operands[0], d))
+        return LikePred(left, _operand_to_sql(frames, cond.operands[0], d))
     if cond.comparator in ("in", "not in"):
-        items = tuple([_operand_to_sql(states, op, d) for op in cond.operands])
+        items = tuple([_operand_to_sql(frames, op, d) for op in cond.operands])
         return InList(left, items, negated=(cond.comparator == "not in"))
-    return Comparison(cond.comparator, left, _operand_to_sql(states, cond.operands[0], d))
+    return Comparison(cond.comparator, left, _operand_to_sql(frames, cond.operands[0], d))
 
 
-def _operand_to_sql(states: dict, operand, d: DatabaseInput) -> SqlExpr:
-    if isinstance(operand, BindingRef):
-        node = _materialize(states, operand.name, d)
-        if isinstance(node, SetOp):
-            raise InvalidChainError("a subquery operand cannot be a set operation")
-        if len(node.items) != 1:
-            raise InvalidChainError("a subquery operand must select exactly one element")
-        return Subquery(node)
-    assert isinstance(operand, Scalar)
+def _operand_to_sql(frames: dict, operand, d: DatabaseInput) -> SqlExpr:
+    if isinstance(operand, BindingRef):  # by the types, a frame selecting one element
+        return Subquery(_materialize_core(frames, frames[operand.name], d))
     return operand
 
 

@@ -57,10 +57,6 @@ class JoinPathNotFoundError(SqlStepsError):
     """No unique foreign-key path connects the referenced tables."""
 
 
-class InvalidChainError(SqlStepsError):
-    """Step chain cannot be reverted to SQL (e.g. having without groupby)."""
-
-
 class FormatError(SqlStepsError):
     """A schema, seed, or corpus file is malformed."""
 
@@ -124,4 +120,4 @@ class UsageError(SqlStepsError):
 # What converting one seed between SQL and a trajectory can raise: a verdict on
 # that seed, never a fault of the run.
 BRIDGE_ERRORS = (UnsupportedSqlError, SchemaMismatchError, JoinPathNotFoundError,
-                 InvalidChainError, SqlSyntaxError)
+                 SqlSyntaxError)

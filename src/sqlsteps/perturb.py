@@ -3,10 +3,13 @@
 Three edit families over a verified trajectory: ADD inserts an action, DELETE
 removes one, SUBSTITUTE rewrites one action's kind or parameters. Edits are
 made on the typed values, whose constructors hold every rule of the grammar
-(a misplaced `*`, a nested aggregate, a binding used before assignment); an
-edit they reject is drawn again. So every output is a valid trajectory whose
-text parses back to it, and the injected errors are semantic by
-construction. All randomness flows through per-call
+(a misplaced `*`, a nested aggregate, a binding used before assignment) and
+every rule on how actions chain into one SQL query (`actions.check_bindings`:
+one groupby per frame, a select()ed operand, ...); an edit they reject is
+drawn again. So every output is a valid trajectory whose text parses back to
+it and that reverts to SQL unless the schema has no join path for its
+columns, and the injected errors are semantic by construction. All
+randomness flows through per-call
 `random.Random` streams keyed by (seed, trajectory index, draw index), so
 parallel and serial runs produce identical corpora.
 """
@@ -349,20 +352,26 @@ def perturb_once(t: Trajectory, kind: str, rng: random.Random, d: DatabaseInput,
         raise ValueError(f"unknown perturbation kind {kind!r}")
     if kind == DELETE and t.action_count() < 2:
         raise NoViablePerturbationError("cannot delete from a single-action trajectory")
-    # the add and delete candidates are the same on every attempt; a
-    # substitution's are drawn anew, as its rewrites consume `rng`
+    # the add and delete candidates are the same on every attempt, so one
+    # rejected is not built again; a substitution's are drawn anew, as its
+    # rewrites consume `rng`
     fixed = (_AddCandidates(t, d) if kind == ADD
              else _delete_candidates(t) if kind == DELETE else None)
+    rejected: set[_Edit] = set()
     for _ in range(max_attempts):
         candidates = fixed if fixed is not None else _substitute_candidates(t, d, rng)
-        if not candidates:
+        if not candidates or len(rejected) == len(candidates):
             break
         edit = rng.choice(candidates)
-        try:  # the step and trajectory types reject a structurally invalid edit
+        if edit in rejected:
+            continue
+        try:  # the step and trajectory types reject an edit no SQL query holds
             mutated = _apply_edit(list(t.steps), edit)
         except (BindingError, ValueError):
-            continue
-        if mutated == t:
+            mutated = None
+        if mutated is None or mutated == t:
+            if fixed is not None:
+                rejected.add(edit)
             continue
         record = PerturbationRecord(
             kind=kind,

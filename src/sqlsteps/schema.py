@@ -244,9 +244,9 @@ def _render(d: DatabaseInput) -> str:
             flag = " pk" if col.is_primary_key else ""
             lines.append(f"  column {_word(col.name)} {col.type}{flag}")
         for fk in tbl.foreign_keys:
-            lines.append(f"  fk {_word(fk.column)} -> {fk.ref_table}.{fk.ref_column}")
+            lines.append(f"  fk {_word(fk.column)} -> {_word(f'{fk.ref_table}.{fk.ref_column}')}")
         for column, values in tbl.samples:
-            lines.append(f"  sample {_word(column)} {'|'.join(values)}")
+            lines.append(f"  sample {_word(column)} {_word('|'.join(values))}")
     return "\n".join(lines) + "\n"
 
 

@@ -31,7 +31,6 @@ from .actions import (
     Arithmetic,
     BindingRef,
     Cast,
-    CastStep,
     Combine,
     Distinct,
     Expr,
@@ -45,11 +44,9 @@ from .actions import (
     Select,
     Star,
     Substr,
-    SubstrStep,
     Trajectory,
     TrajectoryStep,
     Where,
-    action_exprs,
 )
 from .errors import TrajectorySyntaxError, UnknownActionError
 from .schema import DatabaseInput  # noqa: F401  (re-exported for validate callers)
@@ -185,6 +182,9 @@ class _LineParser(BoundedParser):
         name = ACTION_SPACE.resolve(name_tok[TEXT])
         if name is None:
             raise UnknownActionError(name_tok[TEXT], self.lineno)
+        if name in ("cast", "substr"):  # an expression, with no SQL clause of its own
+            raise TrajectorySyntaxError(f"{name}(...) cannot stand alone in a step",
+                                        self.lineno, name_tok[POS])
         self.expect("SYM", "(")
         action = self._dispatch(name)
         self.expect("SYM", ")")
@@ -208,11 +208,8 @@ class _LineParser(BoundedParser):
                 raise TrajectorySyntaxError(f"set operand must be a binding, got {tok[TEXT]!r}",
                                             self.lineno, tok[POS])
             return Combine(name, BindingRef(tok[TEXT]))
-        if name in _CALLS:
-            self._skip_key({"element"})
-            call = self.nested(self._call_body, name)
-            return {"cast": CastStep, "substr": SubstrStep}.get(name, AggStep)(call)
-        raise UnknownActionError(name, self.lineno)  # unreachable
+        self._skip_key({"element"})  # an aggregate step
+        return AggStep(self.nested(self._call_body, name))
 
     def _skip_key(self, allowed: set[str]) -> None:
         """Consume an optional `key =` prefix (named-argument form)."""
@@ -531,8 +528,8 @@ def _emit_action(action: Action, emit: Emit) -> None:
              else f"limit({action.count})")
     elif isinstance(action, Combine):
         emit(f"{action.op}({action.other.name})")
-    elif isinstance(action, (AggStep, CastStep, SubstrStep)):  # the step is its expression
-        _emit_expr(action_exprs(action)[0], emit)
+    elif isinstance(action, AggStep):  # the step is its aggregate
+        _emit_expr(action.agg, emit)
     else:
         raise TypeError(f"not an action: {action!r}")
 
@@ -675,13 +672,11 @@ def validate_trajectory(t: Trajectory, d: "DatabaseInput") -> ValidationReport:
 
 
 def _check_chains(t: Trajectory, report: ValidationReport) -> None:
-    groupby_seen = False
     for idx, step in enumerate(t.steps):
         chain_has_groupby = False
         for pos, action in enumerate(step.chain):
             if isinstance(action, GroupBy):
                 chain_has_groupby = True
-                groupby_seen = True
             elif isinstance(action, AggStep) and not chain_has_groupby:
                 report.findings.append(Finding("warning", idx, "chain-order",
                                                f"{action.agg.kind}(...) chained without a groupby"))
@@ -689,6 +684,3 @@ def _check_chains(t: Trajectory, report: ValidationReport) -> None:
                     isinstance(a, OrderBy) for a in step.chain[pos + 1:]):
                 report.findings.append(Finding("warning", idx, "chain-order",
                                                "limit appears before orderby in the same chain"))
-            elif isinstance(action, Having) and not groupby_seen:
-                report.findings.append(Finding("warning", idx, "chain-order",
-                                               "having without a preceding groupby"))

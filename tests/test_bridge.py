@@ -11,7 +11,6 @@ from sqlsteps.bridge import (
 )
 from sqlsteps.errors import (
     BindingError,
-    InvalidChainError,
     JoinPathNotFoundError,
     SchemaMismatchError,
     UnsupportedSqlError,
@@ -88,11 +87,56 @@ def test_unknown_column_is_schema_mismatch(store):
         decompose(parse_sql("SELECT customers.bogus FROM customers"), store)
 
 
-def test_having_without_groupby_reverts_invalid(store):
-    text = ("df1 = df.having(element = count(customers.id), filter = '> 2')\n"
-            "res = df1.select(customers.name)")
-    with pytest.raises(InvalidChainError):
-        revert(parse_trajectory(text), store)
+_SELECTS = "df1 = df.select(orders.total)\ndf2 = df.select(orders.id)\n"
+_UNION = _SELECTS + "df3 = df1.union(df2)\n"
+_OVER_DF1 = "res = df.where(element = orders.total, filter = '> df1').select(orders.total)"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("df1 = df.groupby(orders.status)\nres = df1.groupby(orders.id).select(orders.id)",
+     "more than one groupby on the same frame"),
+    ("res = df.limit(1).limit(2).select(orders.id)", "more than one limit on the same frame"),
+    ("res = df.distinct(orders.id).distinct(orders.total).select(orders.id)",
+     "more than one distinct on the same frame"),
+    ("df1 = df.select(orders.id)\nres = df1.select(orders.total)",
+     "more than one select on the same frame"),
+    ("res = df.count(orders.id).select(orders.id)", "aggregate chained without a groupby"),
+    ("df1 = df.having(element = count(orders.id), filter = '> 2')\nres = df1.select(orders.id)",
+     "having without a groupby"),
+    (_SELECTS + "res = df1.union(df2).limit(1)",
+     "a set operation must be the only action in its step"),
+    (_UNION + "res = df3.limit(1)", "cannot chain actions after a set operation"),
+    ("df1 = df.select(orders.id)\nres = df.union(df1)",
+     "a set operation cannot run on the bare `df`"),
+    (_UNION + "res = df1.union(df3)", "set operation operand must be a plain select"),
+    ("res = df.where(element = orders.id, filter = 1)", "frame is never select()ed"),
+    ("df1 = df.where(element = orders.id, filter = 1)\ndf2 = df.select(orders.id)\n"
+     "res = df2.union(df1)", "frame is never select()ed"),
+    ("df1 = df.where(element = orders.total, filter = '> 1')\n" + _OVER_DF1,
+     "frame is never select()ed"),
+    (_UNION + _OVER_DF1.replace("df1", "df3"), "a subquery operand cannot be a set operation"),
+    ("df1 = df.select(orders.total, orders.id)\n" + _OVER_DF1,
+     "a subquery operand must select exactly one element"),
+], ids=["two-groupbys", "two-limits", "two-distincts", "two-selects", "aggregate-without-groupby",
+        "having-without-groupby", "set-operation-not-alone", "action-after-set-operation",
+        "set-operation-on-df", "set-operation-on-the-right", "res-never-selected",
+        "combined-never-selected", "operand-never-selected", "set-operation-operand",
+        "operand-of-two-elements"])
+def test_a_chain_no_sql_query_forms_is_a_binding_error(text, message):
+    # each rule on how actions chain into one SQL query holds in the types,
+    # so no such chain gets as far as `revert`
+    with pytest.raises(BindingError) as err:
+        parse_trajectory(text)
+    assert str(err.value) == message
+
+
+def test_subquery_of_two_elements_is_unsupported(store):
+    # the step types reject the filter operand decompose would build
+    q = parse_sql("SELECT orders.id FROM orders WHERE orders.total = "
+                  "(SELECT orders.total, orders.id FROM orders)")
+    report = round_trip(q, store)
+    assert report.verdict == UNSUPPORTED
+    assert report.reason == "a subquery operand must select exactly one element"
 
 
 def test_ambiguous_join_path(store):
@@ -264,12 +308,13 @@ def test_collect_aggregates_does_not_enter_an_aggregate():
     assert _collect_aggregates(core) == [core.items[0].expr]
 
 
-def _subquery_chain(levels: int) -> str:
-    """A trajectory whose `res` filters through `levels` nested subquery operands."""
-    lines = ["df1 = df.where(element = orders.total, filter = '> 1')",
+def _subquery_chain(levels: int, second: str = "") -> str:
+    """A trajectory whose `res` filters through `levels` nested subquery
+    operands; `second` is chained after the where of each operand's frame."""
+    lines = [f"df1 = df.where(element = orders.total, filter = '> 1'){second}",
              "df2 = df1.select(max(orders.total))"]
     for k in range(2, 2 * levels, 2):
-        lines += [f"df{k + 1} = df.where(element = orders.total, filter = '> df{k}')",
+        lines += [f"df{k + 1} = df.where(element = orders.total, filter = '> df{k}'){second}",
                   f"df{k + 2} = df{k + 1}.select(max(orders.total))"]
     lines.append(f"res = df.where(element = orders.total, filter = '> df{2 * levels}')"
                  ".select(orders.total)")
@@ -296,12 +341,21 @@ def test_binding_chain_past_the_limit_is_a_binding_error(text):
 
 
 def test_binding_chain_at_the_limit_reverts(store):
-    assert revert(parse_trajectory(_subquery_chain(MAX_DEPTH)), store).text.count(
-        "SELECT") == MAX_DEPTH + 1
-    with pytest.raises(BindingError):
-        parse_trajectory(_subquery_chain(MAX_DEPTH + 1))
-    assert revert(parse_trajectory(_union_chain(MAX_DEPTH + 1)), store).text.count(
-        "UNION") == MAX_DEPTH
+    # a link takes the subquery level and, in the innermost core, its MAX(...)
+    # call; with two conditions on each operand's frame, their AND list too
+    for second, links in [("", MAX_DEPTH - 1),
+                          (".where(element = orders.id, filter = '< 9')", MAX_DEPTH // 2)]:
+        sql = revert(parse_trajectory(_subquery_chain(links, second)), store).text
+        assert sql.count("SELECT") == links + 1
+        assert parse_sql(sql).ast is not None
+        with pytest.raises(BindingError, match=f"more than {MAX_DEPTH}"):
+            parse_trajectory(_subquery_chain(links + 1, second))
+
+
+def test_union_chain_at_the_limit_reverts(store):
+    sql = revert(parse_trajectory(_union_chain(MAX_DEPTH + 1)), store).text
+    assert sql.count("UNION") == MAX_DEPTH
+    assert parse_sql(sql).ast is not None
     with pytest.raises(BindingError):
         parse_trajectory(_union_chain(MAX_DEPTH + 2))
 

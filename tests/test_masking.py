@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqlsteps.bridge import decompose
@@ -192,27 +192,31 @@ _literals = st.lists(st.sampled_from(LITERAL_PIECES), max_size=5).map(
     lambda pieces: Scalar("".join(pieces), "string"))
 _leaves = st.one_of(st.sampled_from(COLUMNS), _literals,
                     st.integers(0, 99).map(lambda n: Scalar(n, "int")))
-_exprs = st.recursive(_leaves, lambda inner: st.one_of(
+_plain = st.recursive(_leaves, lambda inner: st.one_of(
     st.builds(Arithmetic, st.sampled_from(ARITHMETIC_OPS), inner, inner),
-    st.builds(Cast, inner, st.sampled_from(["int", "real", "text"])),
-    st.builds(Aggregate, st.sampled_from(AGGREGATE_KINDS), inner)), max_leaves=6)
-_actions = st.one_of(
-    st.builds(Select, st.lists(_exprs, min_size=1, max_size=3).map(tuple)),
+    st.builds(Cast, inner, st.sampled_from(["int", "real", "text"]))), max_leaves=4)
+# no aggregate inside an aggregate
+_exprs = st.recursive(st.one_of(_leaves, st.builds(Aggregate, st.sampled_from(AGGREGATE_KINDS),
+                                                   _plain)), lambda inner: st.one_of(
+    st.builds(Arithmetic, st.sampled_from(ARITHMETIC_OPS), inner, inner),
+    st.builds(Cast, inner, st.sampled_from(["int", "real", "text"]))), max_leaves=6)
+_filters = st.one_of(
     st.builds(Where, _exprs, _literals.map(lambda lit: FilterCondition("=", (lit,)))),
     st.builds(OrderBy, _exprs, st.sampled_from(["asc", "desc"])))
 
 
 @st.composite
 def _trajectories(draw) -> Trajectory:
-    chains = draw(st.lists(st.lists(_actions, min_size=1, max_size=3).map(tuple),
-                           min_size=1, max_size=3))
+    """Steps chained onto one frame: wheres and orderbys, and one select."""
+    actions = draw(st.lists(_filters, max_size=8))
+    actions.insert(draw(st.integers(0, len(actions))),
+                   Select(tuple(draw(st.lists(_exprs, min_size=1, max_size=3)))))
+    cuts = sorted(draw(st.sets(st.integers(1, len(actions) - 1), max_size=2))) \
+        if len(actions) > 1 else []
+    chains = [tuple(actions[a:b]) for a, b in zip([0, *cuts], [*cuts, len(actions)])]
     bindings = [f"df{i}" for i in range(1, len(chains))] + ["res"]
-    try:  # the step types reject an aggregate inside an aggregate
-        steps = tuple(TrajectoryStep(binding, receiver, chain) for binding, receiver, chain
-                      in zip(bindings, ["df", *bindings], chains))
-    except ValueError:
-        reject()
-    return Trajectory(steps)
+    return Trajectory(tuple(TrajectoryStep(binding, receiver, chain) for binding, receiver, chain
+                            in zip(bindings, ["df", *bindings], chains)))
 
 
 @settings(max_examples=300, deadline=None)

@@ -16,8 +16,8 @@ from sqlsteps.actions import (
     Star,
     Where,
 )
-from sqlsteps.bridge import decompose
-from sqlsteps.errors import NoViablePerturbationError, SqlStepsError
+from sqlsteps.bridge import decompose, revert
+from sqlsteps.errors import JoinPathNotFoundError, NoViablePerturbationError, SqlStepsError
 from sqlsteps.perturb import (
     ADD,
     DELETE,
@@ -198,6 +198,29 @@ def test_every_augment_output_parses_back_to_itself(store, weights):
     for pair in report.pairs:
         assert parse_trajectory(render_trajectory(pair.erroneous)) == pair.erroneous
         assert pair.erroneous != pair.verified
+
+
+@pytest.mark.parametrize("weights", [(1 / 3, 1 / 3, 1 / 3), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                                     (0.0, 0.0, 1.0)])
+def test_every_augment_output_reverts_or_has_no_join_path(fixture_seeds, schemas, weights):
+    # as the decomposition of a SQL query, which a logic correction gets at
+    # inference, every perturbation reverts; only a join path the schema lacks
+    # (a groupby on a table no foreign key reaches) is left to `revert`
+    reverted = 0
+    for seed in generated_seeds() + list(fixture_seeds):
+        d = schemas[seed.db]
+        try:
+            verified = decompose(parse_sql(seed.gold_sql), d)
+        except SqlStepsError:
+            continue
+        for pair in augment([verified], PerturbationConfig(k=3, weights=weights, seed=7), d).pairs:
+            try:
+                sql = revert(pair.erroneous, d).text
+            except JoinPathNotFoundError:
+                continue
+            assert parse_sql(sql).ast is not None
+            reverted += 1
+    assert reverted > 200
 
 
 def test_count_star_is_substituted_only_by_valid_steps():

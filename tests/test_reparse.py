@@ -11,7 +11,6 @@ from sqlsteps.actions import (
     Arithmetic,
     BindingRef,
     Cast,
-    CastStep,
     Combine,
     Distinct,
     FilterCondition,
@@ -25,7 +24,6 @@ from sqlsteps.actions import (
     Select,
     Star,
     Substr,
-    SubstrStep,
     Trajectory,
     TrajectoryStep,
     Where,
@@ -214,40 +212,67 @@ def _conditions(bound: list[str]) -> st.SearchStrategy:
     )
 
 
-def _actions(bound: list[str]) -> st.SearchStrategy:
-    """Every action, with filter and set operands from `bound`."""
-    exprs = _traj_exprs(aggregate=True)
-    options = [
-        st.builds(Select, st.lists(exprs | st.just(Star()), min_size=1, max_size=3).map(tuple)),
-        st.builds(GroupBy, st.lists(exprs, min_size=1, max_size=2).map(tuple)),
-        st.builds(Where, exprs, _conditions(bound)),
-        st.builds(Having, exprs, _conditions(bound)),
-        st.builds(OrderBy, exprs, st.sampled_from(["asc", "desc"])),
-        st.builds(Limit, st.integers(1, 10**6), st.integers(0, 100)),
-        st.builds(Distinct, exprs),
-        st.builds(AggStep, st.builds(Aggregate, _AGGREGATES, _traj_exprs(aggregate=False))),
-        st.builds(CastStep, st.builds(Cast, exprs, _TYPES)),
-        st.builds(SubstrStep, st.builds(Substr, exprs, st.integers(1, 9),
-                                        st.none() | st.integers(1, 9))),
-    ]
-    if bound:
-        options.append(st.builds(Combine, st.sampled_from(["union", "intersect", "except"]),
-                                 st.sampled_from([BindingRef(b) for b in bound])))
+_EXPRS = _traj_exprs(aggregate=True)
+_SELECTS = st.builds(Select, st.lists(_EXPRS | st.just(Star()), min_size=1, max_size=3).map(tuple))
+_ONCE = {
+    Select: _SELECTS,
+    GroupBy: st.builds(GroupBy, st.lists(_EXPRS, min_size=1, max_size=2).map(tuple)),
+    Limit: st.builds(Limit, st.integers(1, 10**6), st.integers(0, 100)),
+    Distinct: st.builds(Distinct, _EXPRS),
+}
+_AGG_STEPS = st.builds(AggStep, st.builds(Aggregate, _AGGREGATES, _traj_exprs(aggregate=False)))
+_ORDER_BYS = st.builds(OrderBy, _EXPRS, st.sampled_from(["asc", "desc"]))
+
+
+def _actions(held: set, operands: list[str]) -> st.SearchStrategy:
+    """The actions a frame holding the once-only actions `held` can take,
+    with filter operands from `operands`."""
+    options = [strategy for kind, strategy in _ONCE.items() if kind not in held]
+    options += [st.builds(Where, _EXPRS, _conditions(operands)), _ORDER_BYS]
+    if GroupBy in held:
+        options += [st.builds(Having, _EXPRS, _conditions(operands)), _AGG_STEPS]
+    if operands:  # a comparison with a subquery, as `decompose` builds one
+        refs = st.sampled_from(operands).map(lambda b: (BindingRef(b),))
+        options += [st.builds(Where, _EXPRS, st.builds(FilterCondition, _COMPARATORS, refs)),
+                    st.builds(Where, _EXPRS, _conditions(operands))]
     return st.one_of(options)
-
-
-# the actions of the step after `df1` ... `df<k>`, for k = 0, 1, 2
-_STEP_ACTIONS = [_actions([f"df{i}" for i in range(1, k + 1)]) for k in range(3)]
 
 
 @st.composite
 def _trajectories(draw) -> Trajectory:
-    count = draw(st.integers(1, 3))
+    """Every action, on chains that form one SQL query: a step is either a set
+    operation alone, over a select()ed frame or another set operation on its
+    left and a select()ed frame on its right, or actions chained onto its
+    receiver's frame, each once-only action at most once. A filter operand
+    is a frame selecting one element, and `res` is select()ed."""
+    count = draw(st.integers(1, 4))
+    # binding -> the once-only actions of its frame, None for a set operation
+    held: dict[str, set | None] = {"df": set()}
+    width: dict[str, int] = {"df": 0}  # binding -> select elements of its frame
     steps = []
     for index in range(count):
         binding = "res" if index == count - 1 else f"df{index + 1}"
-        receiver = draw(st.sampled_from(["df", *(f"df{i}" for i in range(1, index + 1))]))
-        chain = draw(st.lists(_STEP_ACTIONS[index], min_size=1, max_size=3))
+        cores = [b for b in width if width[b] and held[b] is not None]
+        lefts = cores + [b for b in held if held[b] is None]
+        if cores and draw(st.booleans()):
+            op = draw(st.sampled_from(["union", "intersect", "except"]))
+            steps.append(TrajectoryStep(binding, draw(st.sampled_from(lefts)),
+                                        (Combine(op, BindingRef(draw(st.sampled_from(cores)))),)))
+            held[binding], width[binding] = None, 0
+            continue
+        receiver = draw(st.sampled_from([b for b in held if held[b] is not None]))
+        operands = [b for b in cores if width[b] == 1]
+        frame, chain, selected = set(held[receiver]), [], width[receiver]
+        for _ in range(draw(st.integers(1, 3))):
+            chain.append(draw(_actions(frame, operands)))
+            frame.add(type(chain[-1]))
+            if isinstance(chain[-1], Select):
+                selected = len(chain[-1].elements)
+        if not selected and (binding == "res" or draw(st.booleans())):  # or a filter operand
+            chain.append(draw(_SELECTS if binding == "res" else _EXPRS.map(lambda e: Select((e,)))))
+            frame.add(Select)
+            selected = len(chain[-1].elements)
+        held[binding], width[binding] = frame, selected
         steps.append(TrajectoryStep(binding, receiver, tuple(chain)))
     return Trajectory(tuple(steps))
 

@@ -67,6 +67,14 @@ def test_backticked_names():
     assert d.tables[0].name == "my table"
     assert d.tables[0].columns[0].name == "a col"
     assert "`my table`" in render_database_input(d)
+    # a backticked word of sample values or a foreign-key target renders
+    # backticked too, so the rendered text parses back to the same value
+    for text in ["table a\n  column x text\n  sample x `a b|c`",
+                 "table `my t`\n  column id int pk\ntable b\n  column tid int\n"
+                 "  fk tid -> `my t.id`"]:
+        d = parse_database_text(text)
+        assert parse_database_text(render_database_input(d)) == d
+    assert d.tables[1].foreign_keys[0].ref_table == "my t"
 
 
 def test_extract_schema_case_study():
@@ -139,9 +147,9 @@ def _scan_render(d):
         for col in tbl.columns:
             lines.append(f"  column {word(col.name)} {col.type}{' pk' if col.is_primary_key else ''}")
         for fk in tbl.foreign_keys:
-            lines.append(f"  fk {word(fk.column)} -> {fk.ref_table}.{fk.ref_column}")
+            lines.append(f"  fk {word(fk.column)} -> {word(fk.ref_table + '.' + fk.ref_column)}")
         for column, values in tbl.samples:
-            lines.append(f"  sample {word(column)} {'|'.join(values)}")
+            lines.append(f"  sample {word(column)} {word('|'.join(values))}")
     return "\n".join(lines) + "\n"
 
 

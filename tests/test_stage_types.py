@@ -11,7 +11,6 @@ import pytest
 from sqlsteps.bridge import PASS, decompose, round_trip
 from sqlsteps.corpus import SeedExample
 from sqlsteps.errors import (
-    InvalidChainError,
     JoinPathNotFoundError,
     SchemaMismatchError,
     SqlSyntaxError,
@@ -27,7 +26,7 @@ from sqlsteps.trajectory import parse_trajectory, render_trajectory
 from conftest import FIXTURES, generated_seeds
 
 BRIDGE_ERRORS = (UnsupportedSqlError, SchemaMismatchError, JoinPathNotFoundError,
-                 InvalidChainError, SqlSyntaxError)
+                 SqlSyntaxError)
 MANGLED = "res = df.select(customers.city)\n"
 
 

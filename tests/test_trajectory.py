@@ -125,6 +125,14 @@ def test_cast_type_sql_cannot_read_is_rejected(target):
         parse_trajectory(f"res = df.select(cast(t.a, {target}))")
 
 
+@pytest.mark.parametrize("call", ["cast(t.a, INT)", "substr(t.a, 1, 2)"])
+def test_cast_and_substr_are_no_step_actions(call):
+    # an expression only: no SQL clause stands for either as a step
+    with pytest.raises(TrajectorySyntaxError, match=r"cannot stand alone in a step") as err:
+        parse_trajectory(f"res = df.select(t.a).{call}")
+    assert (err.value.line, err.value.column) == (1, 22)
+
+
 def test_duplicate_binding_rejected():
     text = "df1 = df.where(element = t.a, filter = 1)\ndf1 = df.where(element = t.b, filter = 2)\nres = df1.select(t.a)"
     with pytest.raises(BindingError):
