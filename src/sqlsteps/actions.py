@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import re
@@ -30,7 +31,48 @@ def valid_identifier(name: str) -> bool:  # [A-Za-z_][A-Za-z0-9_ ]*, no space at
     return name.isascii() and name.replace(" ", "_").isidentifier() and name == name.strip()
 
 
-@dataclass(frozen=True, slots=True)
+def frozen(cls: type) -> type:
+    """`@dataclass(frozen=True, slots=True)` with a cheaper `__init__`: each
+    field is set through its slot's member descriptor (`__set__`), not through
+    `object.__setattr__` as a frozen dataclass sets it. The signature, the
+    defaults and default factories and the `__post_init__` call are the
+    dataclass's own; assigning to a field still raises `FrozenInstanceError`.
+    Every node type of the trajectory and the SQL tree is built this way."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    init = cls.__init__
+    code = init.__code__
+    params = code.co_varnames[1:code.co_argcount]
+    fields = dataclasses.fields(cls)
+    if code.co_kwonlyargcount or params != tuple(f.name for f in fields):
+        raise TypeError(f"{cls.__name__}: only positional init fields are supported")
+    closure: dict[str, object] = {}
+    body = []
+    for i, f in enumerate(fields):
+        if f.default_factory is not dataclasses.MISSING:
+            # the dataclass marks a field's factory default with its own sentinel
+            closure["__factory"] = init.__defaults__[i - len(params)]
+            closure[f"__make_{f.name}"] = f.default_factory
+            body.append(f"if {f.name} is __factory: {f.name} = __make_{f.name}()")
+        closure[f"__set_{f.name}"] = cls.__dict__[f.name].__set__
+        body.append(f"__set_{f.name}(self, {f.name})")
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    source = (f"def make({', '.join(closure)}):\n"
+              f" def __init__({', '.join(('self', *params))}):\n"
+              + "".join(f"  {line}\n" for line in body or ["pass"])
+              + " return __init__\n")
+    namespace: dict[str, Callable] = {}
+    exec(source, {}, namespace)
+    fn = namespace["make"](**closure)
+    fn.__defaults__ = init.__defaults__
+    fn.__annotations__ = init.__annotations__
+    fn.__qualname__ = init.__qualname__
+    fn.__module__ = init.__module__
+    cls.__init__ = fn
+    return cls
+
+
+@frozen
 class QualifiedColumn:
     """A `table.column` reference; both parts are nonempty identifiers."""
 
@@ -49,7 +91,7 @@ def _part(name: str) -> str:
     return f"`{name}`" if " " in name else name
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Scalar:
     """A typed literal: int, real, string, or date-string."""
 
@@ -85,13 +127,13 @@ class Scalar:
         raise ValueError("number out of range")
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Star:
     """`*`; legal only as a COUNT argument or a SELECT element (checked by
     `TrajectoryStep`)."""
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class BindingRef:
     """Reference to a step binding (`df1`, ..., `res`); never the implicit
     `df`, which no step binds."""
@@ -103,33 +145,33 @@ class BindingRef:
             raise ValueError(f"invalid binding name {self.name!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Aggregate:
     kind: str  # one of AGGREGATE_KINDS
     arg: "Expr"
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Cast:
     arg: "Expr"
     target_type: str
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Arithmetic:
     op: str  # one of ARITHMETIC_OPS
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Substr:
     arg: "Expr"
     start: int  # 1-based
     length: int | None = None
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Func:
     """A SQL function call; SQL trees only (a trajectory spells the calls it
     supports as `Aggregate` and `Substr`)."""
@@ -195,7 +237,7 @@ def _walk_columns(expr: Expr, out: list[QualifiedColumn]) -> None:
 FilterOperand = Union[Scalar, BindingRef]
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class FilterCondition:
     """A single comparison against the filtered element.
 
@@ -226,14 +268,14 @@ class FilterCondition:
 
 # --- actions ---------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Select:
     elements: tuple[Expr, ...]
 
     name = "select"
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Where:
     element: Expr
     condition: FilterCondition
@@ -241,14 +283,14 @@ class Where:
     name = "where"
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class GroupBy:
     elements: tuple[Expr, ...]
 
     name = "groupby"
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Having:
     element: Expr
     condition: FilterCondition
@@ -256,7 +298,7 @@ class Having:
     name = "having"
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class OrderBy:
     by: Expr
     order: str  # "asc" | "desc"
@@ -268,7 +310,7 @@ class OrderBy:
             raise ValueError(f"order must be asc or desc, got {self.order!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Limit:
     count: int
     offset: int = 0
@@ -280,14 +322,14 @@ class Limit:
             raise ValueError("limit requires count >= 1 and offset >= 0")
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Distinct:
     element: Expr
 
     name = "distinct"
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Combine:
     """A dataframe set operation against another binding."""
 
@@ -299,7 +341,7 @@ class Combine:
         return self.op
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class AggStep:
     """An aggregation chained after groupby, e.g. `.count(t.c)`."""
 
@@ -313,7 +355,7 @@ class AggStep:
 Action = Union[Select, Where, GroupBy, Having, OrderBy, Limit, Distinct, Combine, AggStep]
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class TrajectoryStep:
     """One `binding = receiver.action(...)...` line. Its expressions hold only
     trajectory nodes (no binding reference, and none of a SQL tree's own),
@@ -354,7 +396,7 @@ def _check_expr(expr: Expr, star_ok: bool, in_aggregate: bool) -> None:
         _check_expr(child, star_ok, in_aggregate)
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Trajectory:
     steps: tuple[TrajectoryStep, ...]
 
@@ -518,7 +560,7 @@ def _height(expr: Expr) -> int:
 
 # --- action space ----------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class ActionSpec:
     name: str
     category: str  # "clause" | "dataframe" | "aggregation" | "operator"
@@ -526,7 +568,7 @@ class ActionSpec:
     doc: str
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class ActionSpace:
     """The closed vocabulary of actions; parse rejects anything outside it."""
 

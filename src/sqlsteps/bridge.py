@@ -569,7 +569,12 @@ def _edges_between(cand: str, joined: set[str],
 # --- round trip ------------------------------------------------------------------
 
 def round_trip(s: SqlQuery, d: DatabaseInput) -> RoundTripReport:
-    """Decompose, revert, and compare canonical forms; failures are verdicts."""
+    """Decompose, revert, and compare canonical forms; failures are verdicts.
+
+    A reverted tree equal (`==`) to the parsed one passes without either
+    canonical form rendered: the reversion holds the query's own literals, so
+    equal trees have equal forms (see `canonical_mismatch`).
+    """
     if s.ast is None:
         return RoundTripReport(s, None, None, UNSUPPORTED,
                                reason=s.parse_error or "query does not parse")
@@ -579,11 +584,33 @@ def round_trip(s: SqlQuery, d: DatabaseInput) -> RoundTripReport:
         reverted = _revert(t, d, s.dialect)
     except BRIDGE_ERRORS as exc:
         return RoundTripReport(s, None, None, UNSUPPORTED, reason=str(exc))
-    original_canon = canonicalize(s, d)
-    reverted_canon = canonicalize(reverted, d)
-    if original_canon == reverted_canon:
+    forms = canonical_mismatch(s, reverted, d, same_literals=True)
+    if forms is None:
         return RoundTripReport(s, t, reverted, PASS)
     diff = "\n".join(difflib.unified_diff(
-        [original_canon], [reverted_canon], fromfile="original", tofile="reverted",
-        lineterm=""))
+        [forms[0]], [forms[1]], fromfile="original", tofile="reverted", lineterm=""))
     return RoundTripReport(s, t, reverted, CANONICAL_MISMATCH, diff=diff)
+
+
+def canonical_mismatch(s: SqlQuery, reverted: SqlQuery, d: DatabaseInput, *,
+                       same_literals: bool) -> tuple[str, str] | None:
+    """The canonical forms of `s` and of its reversion when they differ; None
+    when they are equal.
+
+    `same_literals` says that every literal of `reverted` has the value of the
+    literal of `s` it stems from, sign included, as when `reverted` reverts
+    `s`'s own decomposition: decompose and revert carry `s`'s `Scalar`
+    objects over, and a compound filter parses back the exact `repr` of its
+    numbers. Then a reverted tree equal to the parsed one (`==`) has the same
+    canonical form, and neither is rendered: `canonicalize` is a pure
+    function of the tree and `d`, equal strings, ints, bools and node types
+    render alike, and the only equal leaves that render differently are real
+    zeros of opposite sign (`Scalar(-0.0, "real") == Scalar(0.0, "real")`,
+    rendered `-0.0` and `0.0`), which a literal of the same value and sign
+    rules out. Nor is an error lost: `canonicalize` raises only for a query
+    without a tree. Otherwise both forms are rendered and compared.
+    """
+    if same_literals and s.ast is not None and reverted.ast == s.ast:
+        return None
+    original, back = canonicalize(s, d), canonicalize(reverted, d)
+    return None if original == back else (original, back)

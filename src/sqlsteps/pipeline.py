@@ -27,7 +27,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, ClassVar, Protocol, TypeVar
 
-from .bridge import decompose, revert
+from .bridge import canonical_mismatch, decompose, revert
 from .errors import (
     BRIDGE_ERRORS,
     ArityMismatchError,
@@ -248,6 +248,8 @@ class RemoteBackend:
                     raise StageOutputInvalidError(self.stage, "response lacks a `text` field")
                 return str(reply["text"])
             except (urllib.error.URLError, OSError, json.JSONDecodeError) as exc:
+                if isinstance(exc, urllib.error.HTTPError):
+                    exc.close()  # an error status still holds its response open
                 last_error = exc
         raise BackendUnavailableError(
             f"{self.endpoint} unreachable after {self.retries + 1} attempts: {last_error}")
@@ -545,9 +547,9 @@ def correct_batch(seeds: list[SeedExample], backends: dict[str, StageBackend],
                     "reverted_sql": trace.feedback.reverted_sql or "",
                     "id": seed.id,
                 })
-            forms = _canonical_forms(trace, d)
-            trace.round_trip_pass = _round_trip_verdict(trace, backends["bam"], dialect, forms)
-            flag = _overcorrection_flag(seed, d, forms)
+            same, initial_form = _compare_forms(trace, backends["bam"], d)
+            trace.round_trip_pass = _round_trip_verdict(trace, backends["bam"], dialect, same)
+            flag = _overcorrection_flag(seed, d, initial_form)
             return CorrectionResult(seed.id, seed.initial_sql, trace.feedback,
                                     regenerated, flag, trace, error=trace.error)
         except SqlStepsError as exc:
@@ -565,22 +567,33 @@ def correct_batch(seeds: list[SeedExample], backends: dict[str, StageBackend],
     return sorted(results, key=lambda r: r.seed_id)
 
 
-def _canonical_forms(trace: PipelineTrace, d: DatabaseInput) -> tuple[str, str] | None:
-    """The canonical forms of the initial and the reverted SQL, computed once
-    per seed for the overcorrection flag and the round-trip verdict; None when
-    there is no reverted SQL, the initial SQL does not parse, or a form raises
-    a bridge error."""
+def _compare_forms(trace: PipelineTrace, bam: StageBackend,
+                   d: DatabaseInput) -> tuple[bool, str | None]:
+    """Whether the initial and the reverted SQL have equal canonical forms,
+    and the initial's form when they differ; compared once per seed for the
+    round-trip verdict and the overcorrection flag. (False, None) when there
+    is no reverted SQL, the initial SQL does not parse, or a form raises a
+    bridge error.
+
+    When the rule bam's own trajectory was reverted, the reverted SQL holds
+    the initial SQL's literals, and a reverted tree equal to the initial one
+    renders neither form (`bridge.canonical_mismatch`); any other stage may
+    have written its literals anew.
+    """
     reverted = trace.feedback.reverted_query if trace.feedback is not None else None
     if reverted is None or trace.query.ast is None:
-        return None
+        return False, None
+    own = (type(bam) is RuleBackend and bam.stage == "bam"
+           and trace.final_trajectory() is trace.trajectory_initial)
     try:
-        return canonicalize(trace.query, d), canonicalize(reverted, d)
+        forms = canonical_mismatch(trace.query, reverted, d, same_literals=own)
     except BRIDGE_ERRORS:
-        return None
+        return False, None
+    return (True, None) if forms is None else (False, forms[0])
 
 
 def _round_trip_verdict(trace: PipelineTrace, bam: StageBackend, dialect: str,
-                        forms: tuple[str, str] | None) -> bool | None:
+                        same: bool) -> bool | None:
     """`round_trip(trace.query, d).verdict == PASS` from this run's own work,
     or None when the run cannot vouch for it.
 
@@ -599,16 +612,16 @@ def _round_trip_verdict(trace: PipelineTrace, bam: StageBackend, dialect: str,
         return False if error_type is not None and issubclass(error_type, BRIDGE_ERRORS) else None
     if trace.final_trajectory() is not trace.trajectory_initial:
         return None
-    return forms is not None and forms[0] == forms[1]
+    return same
 
 
-def _overcorrection_flag(seed: SeedExample, d: DatabaseInput,
-                         forms: tuple[str, str] | None) -> bool:
-    """True when an initially gold-equal SQL would be rewritten to differ."""
-    if forms is None or forms[0] == forms[1]:
+def _overcorrection_flag(seed: SeedExample, d: DatabaseInput, initial_form: str | None) -> bool:
+    """True when an initially gold-equal SQL would be rewritten to differ;
+    `initial_form` is the initial SQL's canonical form when the rewrite differs."""
+    if initial_form is None:
         return False  # not rewritten, so the gold need not be read
     gold = SqlQuery.raw(seed.gold_sql)
     try:
-        return gold.ast is not None and canonicalize(gold, d) == forms[0]
+        return gold.ast is not None and canonicalize(gold, d) == initial_form
     except BRIDGE_ERRORS:
         return False

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 from operator import is_
 from typing import TYPE_CHECKING, Any, Callable, Iterator, TypeVar, Union
 
-from .actions import (MAX_DEPTH, Arithmetic, Cast, Func, Scalar, Star, expr_children,
+from .actions import (MAX_DEPTH, Arithmetic, Cast, Func, Scalar, Star, expr_children, frozen,
                       map_expr, map_tuple)
 from .errors import SqlStepsError, SqlSyntaxError, SqlTooDeepError
 
@@ -34,7 +34,7 @@ _Node = TypeVar("_Node")
 
 # --- expression nodes --------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Column:
     table: str | None
     column: str
@@ -45,7 +45,7 @@ class Column:
         return f"{_ident(self.table)}.{_ident(self.column)}"
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Subquery:
     core: "SelectCore"
 
@@ -58,14 +58,14 @@ SqlExpr = Union[Column, Scalar, Star, Func, Cast, Arithmetic, Subquery]
 
 # --- predicate nodes ----------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Comparison:
     op: str  # = != < <= > >=
     left: SqlExpr
     right: SqlExpr
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Between:
     expr: SqlExpr
     lo: SqlExpr
@@ -73,37 +73,37 @@ class Between:
     negated: bool = False
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class InList:
     expr: SqlExpr
     items: tuple[SqlExpr, ...]
     negated: bool = False
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class LikePred:
     expr: SqlExpr
     pattern: SqlExpr
     negated: bool = False
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class IsNull:
     expr: SqlExpr
     negated: bool = False
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class And:
     items: tuple["Predicate", ...]
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Or:
     items: tuple["Predicate", ...]
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Not:
     item: "Predicate"
 
@@ -131,32 +131,32 @@ def pred_exprs(pred: Predicate) -> list[SqlExpr]:
 
 # --- statement nodes ----------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class SelectItem:
     expr: SqlExpr
     alias: str | None = None
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class TableRef:
     name: str
     alias: str | None = None
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Join:
     table: TableRef
     on: Predicate
     kind: str = "inner"  # inner | left | right | full | cross
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class OrderItem:
     expr: SqlExpr
     direction: str = "asc"
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class SelectCore:
     items: tuple[SelectItem, ...]
     distinct: bool = False
@@ -170,7 +170,7 @@ class SelectCore:
     offset: int = 0
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class SetOp:
     op: str  # union | union all | intersect | except
     left: "SelectNode"

@@ -1,5 +1,7 @@
+import gc
 import json
 import threading
+import warnings
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -466,6 +468,8 @@ def stub_server():
     _StubHandler.raw_replies = {}
     yield f"http://127.0.0.1:{server.server_port}/"
     server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
 
 
 def test_remote_sam_fill_in_pipeline_sees_text_without_trajectory(stub_server, store):
@@ -494,6 +498,16 @@ def test_remote_backend_retries_then_succeeds(stub_server):
     out = backend.invoke({"trajectory": "res = df.select(t.a)\n"})
     assert out == "res = df.select(t.a)\n"
     assert len(_StubHandler.seen) == 3
+
+
+def test_remote_backend_closes_the_error_replies_it_retries(stub_server):
+    _StubHandler.fail_times = 2
+    backend = RemoteBackend("lom", stub_server, timeout=5.0, retries=2, backoff=0.01)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert backend.invoke({"trajectory": "res = df.select(t.a)\n"}) == "res = df.select(t.a)\n"
+        gc.collect()  # an error reply left open warns when it is collected
+    assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
 
 
 def test_remote_backend_unavailable():

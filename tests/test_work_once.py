@@ -9,9 +9,11 @@ stage text and no stage reads the schema list. The fallbacks that recompute,
 when a run cannot vouch for its own work, stay live. A corpus build from
 in-memory bam records parses no trajectory text and each seed's gold SQL once.
 `round_trip` checks the schema once, in `decompose`; `revert` checks every
-trajectory it is given. An alias-free core whose columns resolve to
-themselves is normalized by a read-only check, without a rebuild, and each
-conversion between SQL and trajectory walks each expression once.
+trajectory it is given. A round trip, and a rule run, render no canonical
+form when the reverted tree equals the parsed one, and both forms otherwise.
+An alias-free core whose columns resolve to themselves is normalized by a
+read-only check, without a rebuild, and each conversion between SQL and
+trajectory walks each expression once.
 """
 
 from collections import Counter
@@ -184,6 +186,33 @@ NORMAL = ("SELECT customers.city, COUNT(orders.id) FROM customers JOIN orders "
           "ON orders.customer_id = customers.id WHERE customers.age > "
           "(SELECT AVG(customers.age) FROM customers) GROUP BY customers.city "
           "ORDER BY customers.city DESC LIMIT 3")
+
+
+@pytest.mark.parametrize("sql,same,renders", [
+    # already normal: the reverted tree is the parsed one, so no form is rendered
+    ("SELECT customers.name FROM customers WHERE customers.age > 30", True, 0),
+    (NORMAL, True, 0),
+    # unqualified and aliased: the reverted tree differs, both forms are rendered
+    ("SELECT name FROM customers WHERE age > 30", False, 2),
+    ("SELECT c.city, COUNT(*) FROM customers AS c GROUP BY c.city", False, 2),
+])
+def test_round_trip_renders_canonical_forms_only_for_a_tree_that_differs(calls, store, sql,
+                                                                         same, renders):
+    query = SqlQuery.raw(sql)
+    report = bridge.round_trip(query, store)
+    assert report.verdict == bridge.PASS
+    assert (report.reverted.ast == query.ast) is same
+    assert calls["bridge.canonicalize"] == renders
+
+
+def test_rule_run_renders_no_canonical_form_for_an_equal_tree(calls, schemas):
+    sql = "SELECT customers.name FROM customers WHERE customers.age > 30"
+    seeds = [corpus.SeedExample("e1", "store", "q", sql, sql),
+             corpus.SeedExample("e2", "store", "q", sql, sql.replace("customers.", ""))]
+    results = pipeline.correct_batch(seeds, pipeline.build_backends({}), schemas, jobs=1)
+    assert [r.trace.round_trip_pass for r in results] == [True, True]
+    assert calls["bridge.canonicalize"] == 2  # both forms of e2, none of e1
+    assert calls["pipeline.canonicalize"] == 0  # neither seed is rewritten to differ
 
 
 @pytest.fixture
