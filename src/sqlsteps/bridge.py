@@ -52,7 +52,7 @@ from .errors import (
     SchemaMismatchError,
     UnsupportedSqlError,
 )
-from .schema import DatabaseInput, FkEdge
+from .schema import DatabaseInput, FkEdge, FromClause
 from .trajectory import validate_trajectory
 from .sqlast import (
     And,
@@ -146,7 +146,7 @@ def _decompose_core(core: SelectCore, d: DatabaseInput, namer: _Namer,
     # BY: the order in which such errors have always been reported.
     counted = any([isinstance(e, Column) for e in core.group_by]) or (
         len(declared) == 1 and d.primary_key(next(iter(declared))) is not None)
-    conv = _ToTrajectory()
+    conv = _ToTrajectory(d)
     receiver = "df"
     if core.where is not None:
         scope = outer_tables | declared
@@ -262,7 +262,7 @@ def _strict_column(d: DatabaseInput, outer_tables: frozenset[str]) -> sqlast.Col
             raise SchemaMismatchError(f"column {col.column!r} not in any FROM table")
         if len(owners) > 1:
             raise SchemaMismatchError(f"column {col.column!r} is ambiguous across {owners}")
-        return Column(owners[0], col.column)
+        return d.sql_column(owners[0], col.column)
     return column
 
 
@@ -276,11 +276,13 @@ def _check_literal(scalar: Scalar) -> Scalar:
 
 class _Converter:
     """Converts one core's expressions between SQL and trajectory form, each
-    in one walk, and keeps the table of every column it converts."""
+    in one walk, and keeps the table of every column it converts. A column
+    becomes the node `d` keeps for it."""
 
-    __slots__ = ("tables",)
+    __slots__ = ("d", "tables")
 
-    def __init__(self) -> None:
+    def __init__(self, d: DatabaseInput) -> None:
+        self.d = d
         self.tables: set[str] = set()
 
     def __call__(self, expr: SqlExpr | Expr) -> SqlExpr | Expr:
@@ -297,7 +299,7 @@ class _ToTrajectory(_Converter):
             if expr.table is None:
                 raise SchemaMismatchError(f"column {expr.column!r} could not be qualified")
             self.tables.add(expr.table)
-            return QualifiedColumn(expr.table, expr.column)
+            return self.d.qualified_column(expr.table, expr.column)
         if isinstance(expr, Scalar):
             return _check_literal(expr)
         if isinstance(expr, Func):
@@ -459,7 +461,7 @@ def _materialize_core(frames: dict, actions: tuple[Action, ...], d: DatabaseInpu
     aggregate stands where the core uses it."""
     once = {type(action): action for action in actions}
     # collects the tables the core's own expressions reference (subqueries excluded)
-    conv = _ToSql()
+    conv = _ToSql(d)
     select = tuple([SelectItem(conv(e)) for e in once[Select].elements])
     where = _conditions_to_pred(frames, [a for a in actions if type(a) is Where], d, conv)
     having = _conditions_to_pred(frames, [a for a in actions if type(a) is Having], d, conv)
@@ -516,7 +518,7 @@ class _ToSql(_Converter):
         shared node, whose operands are converted."""
         if isinstance(expr, QualifiedColumn):
             self.tables.add(expr.table)
-            return Column(expr.table, expr.column)
+            return self.d.sql_column(expr.table, expr.column)
         if isinstance(expr, Aggregate):
             return Func(_KIND_TO_AGG_NAME[expr.kind], (self(expr.arg),))
         if isinstance(expr, Substr):
@@ -527,10 +529,15 @@ class _ToSql(_Converter):
         return None
 
 
-def _synthesize_from(tables: set[str], d: DatabaseInput) -> tuple[tuple[TableRef, ...],
-                                                                  tuple[Join, ...]]:
+def _synthesize_from(tables: set[str], d: DatabaseInput) -> FromClause:
+    """The FROM and JOIN clauses that join `tables` along foreign keys, built
+    once per table set of `d`."""
     if not tables:
         return (), ()
+    return d.from_clause(frozenset(tables), _join_path)
+
+
+def _join_path(tables: frozenset[str], d: DatabaseInput) -> FromClause:
     ordered = sorted(tables)
     base, remaining = ordered[0], ordered[1:]
     joined = {base}
@@ -544,9 +551,8 @@ def _synthesize_from(tables: set[str], d: DatabaseInput) -> tuple[tuple[TableRef
                     f"multiple foreign-key edges connect {cand!r}; join is ambiguous")
             if linking:
                 child, ccol, parent, pcol = linking[0]
-                joins.append(Join(TableRef(cand),
-                                  Comparison("=", Column(child, ccol), Column(parent, pcol)),
-                                  "inner"))
+                joins.append(Join(TableRef(cand), Comparison(
+                    "=", d.sql_column(child, ccol), d.sql_column(parent, pcol)), "inner"))
                 attached = cand
                 break
         if attached is None:
@@ -573,7 +579,8 @@ def round_trip(s: SqlQuery, d: DatabaseInput) -> RoundTripReport:
 
     A reverted tree equal (`==`) to the parsed one passes without either
     canonical form rendered: the reversion holds the query's own literals, so
-    equal trees have equal forms (see `canonical_mismatch`).
+    equal trees have equal forms (see `canonical_mismatch`). Its report then
+    keeps one tree: the reverted query holds its own text and the parsed tree.
     """
     if s.ast is None:
         return RoundTripReport(s, None, None, UNSUPPORTED,
@@ -584,7 +591,9 @@ def round_trip(s: SqlQuery, d: DatabaseInput) -> RoundTripReport:
         reverted = _revert(t, d, s.dialect)
     except BRIDGE_ERRORS as exc:
         return RoundTripReport(s, None, None, UNSUPPORTED, reason=str(exc))
-    forms = canonical_mismatch(s, reverted, d, same_literals=True)
+    if same_tree(s, reverted, same_literals=True):
+        return RoundTripReport(s, t, SqlQuery(reverted.text, s.ast, s.dialect), PASS)
+    forms = canonical_mismatch(s, reverted, d, same_literals=False)  # the trees differ
     if forms is None:
         return RoundTripReport(s, t, reverted, PASS)
     diff = "\n".join(difflib.unified_diff(
@@ -592,25 +601,33 @@ def round_trip(s: SqlQuery, d: DatabaseInput) -> RoundTripReport:
     return RoundTripReport(s, t, reverted, CANONICAL_MISMATCH, diff=diff)
 
 
-def canonical_mismatch(s: SqlQuery, reverted: SqlQuery, d: DatabaseInput, *,
-                       same_literals: bool) -> tuple[str, str] | None:
-    """The canonical forms of `s` and of its reversion when they differ; None
-    when they are equal.
+def same_tree(s: SqlQuery, reverted: SqlQuery, *, same_literals: bool) -> bool:
+    """Whether `reverted` has the canonical form of `s` because its tree is
+    `==` to the parsed one, which holds only when `same_literals` does.
 
     `same_literals` says that every literal of `reverted` has the value of the
     literal of `s` it stems from, sign included, as when `reverted` reverts
     `s`'s own decomposition: decompose and revert carry `s`'s `Scalar`
     objects over, and a compound filter parses back the exact `repr` of its
-    numbers. Then a reverted tree equal to the parsed one (`==`) has the same
-    canonical form, and neither is rendered: `canonicalize` is a pure
-    function of the tree and `d`, equal strings, ints, bools and node types
-    render alike, and the only equal leaves that render differently are real
-    zeros of opposite sign (`Scalar(-0.0, "real") == Scalar(0.0, "real")`,
-    rendered `-0.0` and `0.0`), which a literal of the same value and sign
-    rules out. Nor is an error lost: `canonicalize` raises only for a query
-    without a tree. Otherwise both forms are rendered and compared.
+    numbers. `canonicalize` is a pure function of the tree and the schema,
+    equal strings, ints, bools and node types render alike, and the only
+    equal leaves that render differently are real zeros of opposite sign
+    (`Scalar(-0.0, "real") == Scalar(0.0, "real")`, rendered `-0.0` and
+    `0.0`), which a literal of the same value and sign rules out. So where
+    this holds, `reverted` may hold `s`'s tree in place of its own.
     """
-    if same_literals and s.ast is not None and reverted.ast == s.ast:
+    return same_literals and s.ast is not None and reverted.ast == s.ast
+
+
+def canonical_mismatch(s: SqlQuery, reverted: SqlQuery, d: DatabaseInput, *,
+                       same_literals: bool) -> tuple[str, str] | None:
+    """The canonical forms of `s` and of its reversion when they differ; None
+    when they are equal. Neither is rendered where `same_tree` holds (given
+    `same_literals`), and no error is lost by that: `canonicalize` raises only
+    for a query without a tree. Otherwise both forms are rendered and
+    compared.
+    """
+    if same_tree(s, reverted, same_literals=same_literals):
         return None
     original, back = canonicalize(s, d), canonicalize(reverted, d)
     return None if original == back else (original, back)

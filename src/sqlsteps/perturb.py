@@ -186,19 +186,53 @@ class _Edit:
     before: Action | None
     after: Action | None
     build: tuple  # ("insert_step", idx, chain) | ("append", ...) | ("drop", ...) | ("swap", ...)
+    # the trajectory types are sure to reject the edit, so it is never built
+    doomed: bool = field(default=False, compare=False)
+
+
+def _downstream(t: Trajectory, kinds: tuple[type, ...]) -> list[bool]:
+    """Per step, whether an action of `kinds` is in its chain or in a step
+    chained onto its frame, at any distance; a set operation's step holds
+    none and passes on none."""
+    found: dict[str, bool] = {}
+    below: list[bool] = []
+    for step in reversed(t.steps):
+        if isinstance(step.chain[0], Combine):
+            below.append(False)
+            continue
+        here = found.get(step.binding, False) or any(isinstance(a, kinds) for a in step.chain)
+        found[step.receiver] = found.get(step.receiver, False) or here
+        below.append(here)
+    return below[::-1]
+
+
+def _grouped_receivers(t: Trajectory) -> list[bool]:
+    """Per step, whether its receiver's frame already holds a groupby."""
+    grouped = {"df": False}
+    out = []
+    for step in t.steps:
+        out.append(grouped[step.receiver])
+        grouped[step.binding] = not isinstance(step.chain[0], Combine) and (
+            grouped[step.receiver] or any(isinstance(a, GroupBy) for a in step.chain))
+    return out
 
 
 class _AddCandidates:
     """A trajectory's add edits, each built when `rng.choice` draws it: per step, a step
     before it that groups by a schema column, takes distinct of or sorts by a referenced
-    column; then a copy of each where, and a limit(1) after each unlimited orderby."""
+    column; then a copy of each where, and a limit(1) after each unlimited orderby.
+
+    A groupby inserted before a step joins the frame of the step's receiver,
+    of the step and of every step chained onto it; where one of them already
+    groups, the types reject it for a second groupby on one frame."""
 
     def __init__(self, t: Trajectory, d: DatabaseInput):
-        self.columns = sorted((QualifiedColumn(tbl.name, col.name) for tbl in d.tables
-                               for col in tbl.columns), key=lambda c: (c.table, c.column))
+        self.columns = d.qualified_columns()
         self.referenced = sorted(set(t.columns()), key=lambda c: (c.table, c.column))
         self.per_step = len(self.columns) + 2 * len(self.referenced)
         self.inserts = len(t.steps) * self.per_step
+        self.grouped = [receiver or below for receiver, below
+                        in zip(_grouped_receivers(t), _downstream(t, (GroupBy,)))]
         self.tail: list[_Edit] = []
         for idx, step in enumerate(t.steps):
             for pos, action in enumerate(step.chain):
@@ -220,21 +254,28 @@ class _AddCandidates:
         idx, k = divmod(index, self.per_step)
         if k < len(self.columns):
             action: Action = GroupBy((self.columns[k],))
-        else:
-            col = self.referenced[(k - len(self.columns)) // 2]
-            action = OrderBy(col, "asc") if (k - len(self.columns)) % 2 else Distinct(col)
+            return _Edit((idx, 0), None, action, ("insert_step", idx, (action,)),
+                         doomed=self.grouped[idx])
+        col = self.referenced[(k - len(self.columns)) // 2]
+        action = OrderBy(col, "asc") if (k - len(self.columns)) % 2 else Distinct(col)
         return _Edit((idx, 0), None, action, ("insert_step", idx, (action,)))
 
 
 def _delete_candidates(t: Trajectory) -> list[_Edit]:
+    """Every action but the final select and a set operation, each dropped.
+    Dropping a groupby takes it from the frame of its step and of every step
+    chained onto it; where one of them aggregates or has a having, the types
+    reject the drop."""
     edits: list[_Edit] = []
+    needs_groupby = _downstream(t, (AggStep, Having))
     for idx, step in enumerate(t.steps):
         for pos, action in enumerate(step.chain):
             if isinstance(action, Select) and step.binding == "res":
                 continue  # never delete the final projection
             if isinstance(action, Combine):
                 continue  # dropping the set operation would orphan a branch
-            edits.append(_Edit((idx, pos), action, None, ("drop", idx, pos)))
+            edits.append(_Edit((idx, pos), action, None, ("drop", idx, pos),
+                               doomed=isinstance(action, GroupBy) and needs_groupby[idx]))
     return edits
 
 
@@ -312,7 +353,7 @@ def _swap_column(expr: Expr, d: DatabaseInput) -> Expr | None:
         if not siblings:
             return node
         swapped = True
-        return QualifiedColumn(node.table, siblings[0])
+        return d.qualified_column(node.table, siblings[0])
 
     out = map_expr(expr, swap)
     return out if swapped else None
@@ -366,7 +407,7 @@ def perturb_once(t: Trajectory, kind: str, rng: random.Random, d: DatabaseInput,
         if edit in rejected:
             continue
         try:  # the step and trajectory types reject an edit no SQL query holds
-            mutated = _apply_edit(list(t.steps), edit)
+            mutated = None if edit.doomed else _apply_edit(list(t.steps), edit)
         except (BindingError, ValueError):
             mutated = None
         if mutated is None or mutated == t:

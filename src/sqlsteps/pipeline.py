@@ -27,7 +27,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, ClassVar, Protocol, TypeVar
 
-from .bridge import canonical_mismatch, decompose, revert
+from .bridge import canonical_mismatch, decompose, revert, same_tree
 from .errors import (
     BRIDGE_ERRORS,
     ArityMismatchError,
@@ -577,16 +577,20 @@ def _compare_forms(trace: PipelineTrace, bam: StageBackend,
 
     When the rule bam's own trajectory was reverted, the reverted SQL holds
     the initial SQL's literals, and a reverted tree equal to the initial one
-    renders neither form (`bridge.canonical_mismatch`); any other stage may
-    have written its literals anew.
+    renders neither form (`bridge.same_tree`); the feedback's reverted query
+    then keeps the initial tree in place of its own. Any other stage may have
+    written its literals anew.
     """
-    reverted = trace.feedback.reverted_query if trace.feedback is not None else None
+    feedback = trace.feedback
+    reverted = feedback.reverted_query if feedback is not None else None
     if reverted is None or trace.query.ast is None:
         return False, None
-    own = (type(bam) is RuleBackend and bam.stage == "bam"
-           and trace.final_trajectory() is trace.trajectory_initial)
-    try:
-        forms = canonical_mismatch(trace.query, reverted, d, same_literals=own)
+    own = _is_rule_bam(bam) and trace.final_trajectory() is trace.trajectory_initial
+    if same_tree(trace.query, reverted, same_literals=own):
+        feedback.reverted_query = SqlQuery(reverted.text, trace.query.ast, reverted.dialect)
+        return True, None
+    try:  # the trees differ
+        forms = canonical_mismatch(trace.query, reverted, d, same_literals=False)
     except BRIDGE_ERRORS:
         return False, None
     return (True, None) if forms is None else (False, forms[0])
@@ -603,8 +607,7 @@ def _round_trip_verdict(trace: PipelineTrace, bam: StageBackend, dialect: str,
     as in `round_trip`. A bridge error in bam, no reverted SQL, or a bridge
     error in a canonical form give False, as `round_trip` fails there.
     """
-    vouches = (type(bam) is RuleBackend and bam.stage == "bam"
-               and dialect == "sqlite" and trace.query.ast is not None)
+    vouches = _is_rule_bam(bam) and dialect == "sqlite" and trace.query.ast is not None
     if not vouches:
         return None
     if trace.trajectory_initial is None:  # decompose raised; the bam record holds its class
@@ -613,6 +616,14 @@ def _round_trip_verdict(trace: PipelineTrace, bam: StageBackend, dialect: str,
     if trace.final_trajectory() is not trace.trajectory_initial:
         return None
     return same
+
+
+def _is_rule_bam(bam: StageBackend) -> bool:
+    """Whether `bam` decomposes as the rule stage does: a bam `RuleBackend`
+    that runs the class's own `invoke`, not one a caller or a tracer set on
+    the instance."""
+    return (type(bam) is RuleBackend and bam.stage == "bam"
+            and getattr(bam.invoke, "__func__", None) is RuleBackend.invoke)
 
 
 def _overcorrection_flag(seed: SeedExample, d: DatabaseInput, initial_form: str | None) -> bool:

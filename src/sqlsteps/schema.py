@@ -18,11 +18,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
-from .actions import expr_children
+from .actions import QualifiedColumn, expr_children
 from .errors import FormatError
 from .sqlast import (
     Column,
+    Join,
     Predicate,
     SelectCore,
     SelectNode,
@@ -30,6 +32,7 @@ from .sqlast import (
     SqlExpr,
     SqlQuery,
     Subquery,
+    TableRef,
     normalize_core,
     pred_exprs,
 )
@@ -67,12 +70,27 @@ class TableDef:
 
 # (child table, child column, parent table, parent column)
 FkEdge = tuple[str, str, str, str]
+FromClause = tuple[tuple[TableRef, ...], tuple[Join, ...]]
+
+
+@dataclass(slots=True)
+class SchemaNodes:
+    """The tree nodes of a database's columns and joins, each built on first
+    use and then shared by every tree that holds it: nodes are frozen, so a
+    shared one is as good as a copy. Threads that fill one entry at once may
+    each build its node; the nodes are equal, and the last one is kept."""
+
+    qualified: dict[tuple[str, str], QualifiedColumn] = field(default_factory=dict)
+    columns: dict[tuple[str, str], Column] = field(default_factory=dict)
+    ordered: tuple[QualifiedColumn, ...] | None = None
+    froms: dict[frozenset[str], FromClause] = field(default_factory=dict)
 
 
 @dataclass(frozen=True, slots=True)
 class DatabaseInput:
     """A database's tables. Its lookups, foreign-key edges and schema text
-    are built once, when it is constructed; they take no part in `==`, `hash`
+    are built once, when it is constructed, and the tree nodes of its columns
+    and joins (`SchemaNodes`) on first use; none takes part in `==`, `hash`
     or `repr`. Where a table name repeats, the first table of that name is
     the one looked up."""
 
@@ -84,6 +102,7 @@ class DatabaseInput:
     _columns: frozenset[tuple[str, str]] = field(init=False, repr=False, compare=False)
     _primary_keys: dict[str, str | None] = field(init=False, repr=False, compare=False)
     _text: str = field(init=False, repr=False, compare=False)
+    _nodes: SchemaNodes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         by_name: dict[str, TableDef] = {}
@@ -100,6 +119,7 @@ class DatabaseInput:
             "_primary_keys": {name: next((c.name for c in tbl.columns if c.is_primary_key), None)
                               for name, tbl in by_name.items()},
             "_text": _render(self),
+            "_nodes": SchemaNodes(),
         }
         for key, value in built.items():
             object.__setattr__(self, key, value)
@@ -120,6 +140,48 @@ class DatabaseInput:
         """(child table, child column, parent table, parent column) tuples, in
         declaration order; a new list on each call."""
         return list(self.edges)
+
+    def qualified_column(self, table: str, column: str) -> QualifiedColumn:
+        """`QualifiedColumn(table, column)`, one per column of this database.
+        A pair that is no column here is built anew on each call, and a name
+        `QualifiedColumn` rejects raises its `ValueError` and is never kept."""
+        key = (table, column)
+        node = self._nodes.qualified.get(key)
+        if node is None:
+            node = QualifiedColumn(table, column)
+            if key in self._columns:
+                self._nodes.qualified[key] = node
+        return node
+
+    def sql_column(self, table: str, column: str) -> Column:
+        """The SQL `Column(table, column)`, one per column of this database;
+        a pair that is no column here is built anew on each call."""
+        key = (table, column)
+        node = self._nodes.columns.get(key)
+        if node is None:
+            node = Column(table, column)
+            if key in self._columns:
+                self._nodes.columns[key] = node
+        return node
+
+    def qualified_columns(self) -> tuple[QualifiedColumn, ...]:
+        """Every column of every table as a `QualifiedColumn`, in (table,
+        column) order."""
+        nodes = self._nodes
+        if nodes.ordered is None:
+            nodes.ordered = tuple(sorted(
+                [self.qualified_column(tbl.name, col.name) for tbl in self.tables
+                 for col in tbl.columns], key=lambda c: (c.table, c.column)))
+        return nodes.ordered
+
+    def from_clause(self, tables: frozenset[str],
+                    build: Callable[[frozenset[str], DatabaseInput], FromClause]) -> FromClause:
+        """`build(tables, self)`, the FROM and JOIN clauses that join `tables`,
+        kept per table set; an error of `build` is raised and nothing kept."""
+        clause = self._nodes.froms.get(tables)
+        if clause is None:
+            clause = self._nodes.froms[tables] = build(tables, self)
+        return clause
 
 
 def validate_database(d: DatabaseInput) -> None:

@@ -10,13 +10,20 @@ compare equal (`Scalar(-0.0, "real") == Scalar(0.0, "real")`) but render
 differently. A revert carries the original's `Scalar` objects over, so such
 a pair never meets in one round trip; where a stage writes the literals
 anew, the pipeline renders both forms.
+
+Where the rule holds, one tree is kept: the reverted query holds the parsed
+tree. Column nodes are built once per column of a `DatabaseInput`.
 """
 
 from __future__ import annotations
 
 import difflib
+import gc
 import json
+import random
 import re
+import sys
+import threading
 from dataclasses import replace
 
 import pytest
@@ -24,13 +31,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqlsteps import bridge, pipeline
-from sqlsteps.actions import Scalar
+from sqlsteps.actions import QualifiedColumn, Scalar
 from sqlsteps.bridge import (CANONICAL_MISMATCH, PASS, UNSUPPORTED, RoundTripReport, decompose,
                              round_trip)
 from sqlsteps.corpus import SeedExample
-from sqlsteps.errors import BRIDGE_ERRORS, SqlSyntaxError
+from sqlsteps.errors import BRIDGE_ERRORS, SqlSyntaxError, UnsupportedSqlError
+from sqlsteps.perturb import ADD, perturb_once
 from sqlsteps.querygen import random_queries
-from sqlsteps.sqlast import SqlQuery, canonicalize
+from sqlsteps.schema import parse_database_input, parse_database_text
+from sqlsteps.sqlast import SqlQuery, canonicalize, parse_sql
 
 from conftest import FIXTURES
 
@@ -223,3 +232,119 @@ def test_a_stage_that_writes_a_zero_anew_still_gets_both_forms_rendered(schemas)
     # the rule bam carries the 0.0 over: nothing is rewritten
     [rule] = pipeline.correct_batch([seed], pipeline.build_backends({}), schemas, jobs=1)
     assert rule.overcorrection_flag is False and rule.trace.round_trip_pass is True
+    # equal trees: only the rule bam's reverted query holds the initial tree
+    assert result.trace.feedback.reverted_query.ast is not result.trace.query.ast
+    assert rule.trace.feedback.reverted_query.ast is rule.trace.query.ast
+    assert rule.trace.feedback.reverted_query.text == rule.trace.feedback.reverted_sql
+
+
+def test_an_equal_reversion_keeps_the_parsed_tree(store):
+    for sql in random_queries(100, 101):
+        query = parse_sql(sql)
+        report = round_trip(query, store)
+        if report.verdict != PASS:
+            continue
+        own = bridge._revert(report.trajectory, store, query.dialect)
+        assert report.reverted.text == own.text
+        assert report.reverted.dialect == own.dialect
+        if own.ast == query.ast:
+            assert report.reverted.ast is query.ast
+        else:  # an unequal reversion keeps its own tree
+            assert report.reverted.ast is not query.ast
+
+
+def test_an_unequal_reversion_keeps_its_own_tree(store):
+    query = parse_sql("SELECT o.id FROM orders AS o WHERE o.total > 3")
+    report = round_trip(query, store)
+    assert report.verdict == PASS
+    assert report.reverted.ast != query.ast
+    assert report.reverted.text == "SELECT orders.id FROM orders WHERE orders.total > 3"
+
+
+def test_two_decompositions_share_one_column_node(store):
+    first = decompose(parse_sql("SELECT orders.id FROM orders WHERE orders.total > 3"), store)
+    second = decompose(parse_sql("SELECT total, id FROM orders"), store)
+    [a] = [c for c in first.columns() if c.column == "total"]
+    [b] = [c for c in second.columns() if c.column == "total"]
+    assert a is b and a == QualifiedColumn("orders", "total")
+    assert store.qualified_column("orders", "total") is a
+    # the columns of the database, sorted, are the same nodes
+    assert a in store.qualified_columns()
+    assert store.qualified_columns() is store.qualified_columns()
+    # a pair that is no column of the database is built anew each time
+    assert store.qualified_column("orders", "nope") is not store.qualified_column("orders", "nope")
+
+
+def test_a_column_name_the_types_reject_raises_at_every_use():
+    """A non-ASCII column parses into the schema, and each decomposition that
+    reads it, and each add perturbation, raises what the node's constructor
+    raises, as before the nodes were kept: a rejected name is never kept."""
+    d = parse_database_text("table t\n  column id int pk\n  column café text\n")
+    message = "invalid qualified column 't'.'café'"
+    for sql in ("SELECT t.café FROM t", "SELECT café FROM t",
+                "SELECT t.id FROM t WHERE t.café = 'x'"):
+        for _ in range(2):
+            with pytest.raises(UnsupportedSqlError) as err:
+                decompose(parse_sql(sql), d)
+            assert str(err.value) == message
+        assert round_trip(parse_sql(sql), d).reason == message
+    t = decompose(parse_sql("SELECT t.id FROM t"), d)
+    for _ in range(2):
+        with pytest.raises(ValueError) as err:
+            perturb_once(t, ADD, random.Random(0), d)
+        assert type(err.value) is ValueError and str(err.value) == message
+    assert d.qualified_column("t", "id") is d.qualified_column("t", "id")
+
+
+def test_threads_that_fill_the_nodes_at_once_get_equal_trees():
+    """Threads that decompose and revert on one fresh `DatabaseInput` get what
+    one thread gets: a node built twice in a race is equal to the one kept."""
+    queries = random_queries(150, 101)
+    serial_store = parse_database_input(FIXTURES / "schemas" / "store.schema")
+    expected = [repr(round_trip(parse_sql(sql), serial_store)) for sql in queries]
+    shared = parse_database_input(FIXTURES / "schemas" / "store.schema")
+    results: dict[int, list[str]] = {}
+
+    def work(n: int) -> None:
+        results[n] = [repr(round_trip(parse_sql(sql), shared)) for sql in queries]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(n,)) for n in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == {n: expected for n in range(6)}
+    assert shared.qualified_columns() == serial_store.qualified_columns()
+
+
+# The distinct tree nodes and tuples that the reports of 200 round trips hold,
+# counted by walking references from the reports. 11505 before a node was
+# built once per schema column and one tree kept per equal reversion.
+KEPT_OBJECTS = 7725
+
+
+def _reached(roots: list) -> int:
+    """The distinct tuples and `sqlsteps` instances reachable from `roots`
+    through tuples, lists, dicts and `sqlsteps` instances."""
+    seen, count, stack = set(), 0, list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, (tuple, list, dict)) or type(obj).__module__.startswith("sqlsteps."):
+            count += not isinstance(obj, (list, dict))
+            stack.extend([r for r in gc.get_referents(obj) if not isinstance(r, type)])
+    return count
+
+
+def test_round_trip_reports_keep_no_more_objects_than_pinned():
+    store = parse_database_input(FIXTURES / "schemas" / "store.schema")
+    reports = [round_trip(parse_sql(sql), store) for sql in random_queries(200, 101)]
+    assert _reached(reports) <= KEPT_OBJECTS

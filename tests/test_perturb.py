@@ -17,7 +17,9 @@ from sqlsteps.actions import (
     Where,
 )
 from sqlsteps.bridge import decompose, revert
-from sqlsteps.errors import JoinPathNotFoundError, NoViablePerturbationError, SqlStepsError
+from sqlsteps import perturb
+from sqlsteps.errors import (BindingError, JoinPathNotFoundError, NoViablePerturbationError,
+                             SqlStepsError)
 from sqlsteps.perturb import (
     ADD,
     DELETE,
@@ -27,6 +29,7 @@ from sqlsteps.perturb import (
     PerturbationRecord,
     _AddCandidates,
     _Edit,
+    _delete_candidates,
     _swap_column,
     augment,
     inject_negatives,
@@ -270,3 +273,58 @@ def test_add_candidates_are_built_as_drawn(schemas, store):
                 continue
             lazy = _AddCandidates(t, d)
             assert [lazy[i] for i in range(len(lazy))] == _eager_add_candidates(t, d)
+
+
+def _all_candidates(t, d):
+    adds = _AddCandidates(t, d)
+    return [adds[i] for i in range(len(adds))] + _delete_candidates(t)
+
+
+def test_an_edit_marked_doomed_is_one_the_types_reject(store, schemas):
+    """A groupby insert into a frame that groups, and the drop of a groupby
+    that an aggregate or a having needs, are marked and never built; every
+    groupby edit the types reject is marked."""
+    marked = 0
+    for d in (store, schemas["schools"]):
+        for sql in [seed.gold_sql for seed in generated_seeds(200)] + [golden("table9_gold.sql")]:
+            try:
+                t = decompose(parse_sql(sql), d)
+            except SqlStepsError:
+                continue
+            for edit in _all_candidates(t, d):
+                try:
+                    built = perturb._apply_edit(list(t.steps), edit)
+                except (BindingError, ValueError):
+                    built = None
+                marked += edit.doomed
+                if edit.doomed:
+                    assert built is None, (sql, edit)
+                elif isinstance(edit.before or edit.after, GroupBy):
+                    assert built is not None, (sql, edit)
+    assert marked > 0
+
+
+def test_augment_builds_no_doomed_edit_and_draws_as_before(store, monkeypatch):
+    verified = [decompose(parse_sql(seed.gold_sql), store) for seed in generated_seeds()]
+    cfg = PerturbationConfig(k=2, seed=3)
+    built = []
+    apply_edit = perturb._apply_edit
+
+    def counted(steps, edit):
+        built.append(edit)
+        return apply_edit(steps, edit)
+
+    def outputs(report):
+        return ([(render_trajectory(p.erroneous), p.record) for p in report.pairs],
+                report.skipped)
+
+    monkeypatch.setattr(perturb, "_apply_edit", counted)
+    marked = outputs(augment(verified, cfg, store))
+    builds = len(built)
+    assert not any(edit.doomed for edit in built)
+    # with nothing marked, every drawn edit is built, and the outputs are the same
+    built.clear()
+    monkeypatch.setattr(perturb, "_downstream", lambda t, kinds: [False] * len(t.steps))
+    monkeypatch.setattr(perturb, "_grouped_receivers", lambda t: [False] * len(t.steps))
+    assert outputs(augment(verified, cfg, store)) == marked
+    assert (builds, len(built)) == (186, 213)

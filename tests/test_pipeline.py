@@ -573,3 +573,30 @@ def test_backend_config_kinds():
     assert backends["sam_mask"].describe() == "identity:sam_mask"
     assert isinstance(backends["sam_fill"], ScriptedBackend)
     assert isinstance(backends["lom"], RemoteBackend)
+
+
+def test_a_bam_whose_invoke_is_set_on_the_instance_gets_the_round_trip_verdict(schemas, dbs,
+                                                                                 store):
+    """The run vouches for the round trip only when its bam runs the rule
+    decomposition; a function set as `invoke` on the instance may return any
+    trajectory, so `evaluate_correction` runs the round trip itself."""
+    from sqlsteps.bridge import PASS, round_trip
+    from sqlsteps.corpus import SeedExample
+    from sqlsteps.evaluate import evaluate_correction
+
+    sql = "SELECT customers.name FROM customers WHERE customers.age > 30"
+    seed = SeedExample("r1", "store", "older", sql, sql)
+    backends = rule_backends()
+    backends["bam"].invoke = lambda payload: "res = df.select(customers.name)"
+    [result] = correct_batch([seed], backends, schemas, jobs=1)
+    assert result.trace.round_trip_pass is None
+    [verdict] = evaluate_correction([result], [seed], dbs, schemas).per_instance
+    assert round_trip(parse_sql(sql), store).verdict == PASS
+    assert verdict.round_trip_pass is True
+    # a wrapper that calls the rule stage is vouched for no more than any other
+    backends = rule_backends()
+    backends["bam"].invoke = lambda payload, invoke=backends["bam"].invoke: invoke(payload)
+    [wrapped] = correct_batch([seed], backends, schemas, jobs=1)
+    assert wrapped.trace.round_trip_pass is None
+    [rule] = correct_batch([seed], rule_backends(), schemas, jobs=1)
+    assert rule.trace.round_trip_pass is True
