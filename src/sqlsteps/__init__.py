@@ -28,7 +28,6 @@ from .schema import (
 )
 from .sqlast import SqlQuery, canonicalize, parse_sql, render_sql
 from .trajectory import (
-    ValidationReport,
     parse_trajectory,
     render_trajectory,
     validate_trajectory,
@@ -56,7 +55,6 @@ __all__ = [
     "Substr",
     "Trajectory",
     "TrajectoryStep",
-    "ValidationReport",
     "canonicalize",
     "decompose",
     "extract_schema",

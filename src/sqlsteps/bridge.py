@@ -53,7 +53,7 @@ from .errors import (
     UnsupportedSqlError,
 )
 from .schema import DatabaseInput, FkEdge, FromClause
-from .trajectory import validate_trajectory
+from .trajectory import schema_errors, validate_trajectory
 from .sqlast import (
     And,
     Between,
@@ -428,9 +428,9 @@ def _collect_aggregates(core: SelectCore) -> list[Func]:
 
 def revert(t: Trajectory, d: DatabaseInput, dialect: str = "sqlite") -> SqlQuery:
     """Convert a trajectory back into a single SELECT statement."""
-    errors = validate_trajectory(t, d).errors()
+    errors = validate_trajectory(t, d)
     if errors:
-        raise SchemaMismatchError("; ".join(f.message for f in errors))
+        raise SchemaMismatchError("; ".join(errors))
     return _revert(t, d, dialect)
 
 
@@ -487,8 +487,12 @@ def _condition_to_pred(frames: dict, action: Where | Having, d: DatabaseInput,
     if cond.comparator == "compound":
         assert cond.compound_text is not None
         pred = sqlast.parse_predicate(cond.compound_text)
-        conv.tables.update([col.table for expr in sqlast.pred_exprs(pred)
-                            for col in _sql_columns(expr) if col.table is not None])
+        columns = [(col.table, col.column) for expr in sqlast.pred_exprs(pred)
+                   for col in _sql_columns(expr) if col.table is not None]
+        missing = [pair for pair in columns if not d.has_column(*pair)]
+        if missing:  # text the types could not check
+            raise SchemaMismatchError("; ".join(schema_errors(missing, d)))
+        conv.tables.update([table for table, _ in columns])
         return pred
     left = conv(action.element)
     if cond.comparator in ("is null", "is not null"):
@@ -579,7 +583,7 @@ def round_trip(s: SqlQuery, d: DatabaseInput) -> RoundTripReport:
 
     A reverted tree equal (`==`) to the parsed one passes without either
     canonical form rendered: the reversion holds the query's own literals, so
-    equal trees have equal forms (see `canonical_mismatch`). Its report then
+    equal trees have equal forms (see `same_tree`). Its report then
     keeps one tree: the reverted query holds its own text and the parsed tree.
     """
     if s.ast is None:
@@ -593,7 +597,7 @@ def round_trip(s: SqlQuery, d: DatabaseInput) -> RoundTripReport:
         return RoundTripReport(s, None, None, UNSUPPORTED, reason=str(exc))
     if same_tree(s, reverted, same_literals=True):
         return RoundTripReport(s, t, SqlQuery(reverted.text, s.ast, s.dialect), PASS)
-    forms = canonical_mismatch(s, reverted, d, same_literals=False)  # the trees differ
+    forms = canonical_mismatch(s, reverted, d)
     if forms is None:
         return RoundTripReport(s, t, reverted, PASS)
     diff = "\n".join(difflib.unified_diff(
@@ -619,15 +623,10 @@ def same_tree(s: SqlQuery, reverted: SqlQuery, *, same_literals: bool) -> bool:
     return same_literals and s.ast is not None and reverted.ast == s.ast
 
 
-def canonical_mismatch(s: SqlQuery, reverted: SqlQuery, d: DatabaseInput, *,
-                       same_literals: bool) -> tuple[str, str] | None:
+def canonical_mismatch(s: SqlQuery, reverted: SqlQuery,
+                       d: DatabaseInput) -> tuple[str, str] | None:
     """The canonical forms of `s` and of its reversion when they differ; None
-    when they are equal. Neither is rendered where `same_tree` holds (given
-    `same_literals`), and no error is lost by that: `canonicalize` raises only
-    for a query without a tree. Otherwise both forms are rendered and
-    compared.
-    """
-    if same_tree(s, reverted, same_literals=same_literals):
-        return None
+    when they are equal. Callers test `same_tree` first, which spares both
+    renders where it holds."""
     original, back = canonicalize(s, d), canonicalize(reverted, d)
     return None if original == back else (original, back)

@@ -120,12 +120,9 @@ def fill_mask(m: MaskedTrajectory, values: list[str] | list[QualifiedColumn],
     """Reinsert schema elements into a masked template and validate the result."""
     text, rendered = _fill_text(m, values)
     trajectory = parse_trajectory(text)
-    report = validate_trajectory(trajectory, d)
-    errors = report.errors()
+    errors = validate_trajectory(trajectory, d)
     if errors:
-        first = errors[0]
-        slot_hint = _blame_slot(first.message, rendered)
-        raise SchemaMismatchError(f"{first.message}{slot_hint}")
+        raise SchemaMismatchError(errors[0] + _blame_slot(errors[0], rendered))
     return trajectory
 
 

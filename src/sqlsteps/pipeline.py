@@ -176,7 +176,7 @@ class RuleBackend:
             if not masked.slots:  # nothing to fill: the template is the output
                 same = masked.template == payload["trajectory"]
                 return t if same else masked.template
-            if _fills_back(masked, payload["trajectory"]) and not validate_trajectory(t, d).errors():
+            if _fills_back(masked, payload["trajectory"]) and not validate_trajectory(t, d):
                 return t  # what `fill_mask` would parse back from the same text
             return fill_mask(masked, masked.slot_values(), d)
         if self.stage == "lom":
@@ -590,7 +590,7 @@ def _compare_forms(trace: PipelineTrace, bam: StageBackend,
         feedback.reverted_query = SqlQuery(reverted.text, trace.query.ast, reverted.dialect)
         return True, None
     try:  # the trees differ
-        forms = canonical_mismatch(trace.query, reverted, d, same_literals=False)
+        forms = canonical_mismatch(trace.query, reverted, d)
     except BRIDGE_ERRORS:
         return False, None
     return (True, None) if forms is None else (False, forms[0])

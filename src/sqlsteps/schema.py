@@ -136,11 +136,6 @@ class DatabaseInput:
     def primary_key(self, table: str) -> str | None:
         return self._primary_keys.get(table)
 
-    def fk_edges(self) -> list[FkEdge]:
-        """(child table, child column, parent table, parent column) tuples, in
-        declaration order; a new list on each call."""
-        return list(self.edges)
-
     def qualified_column(self, table: str, column: str) -> QualifiedColumn:
         """`QualifiedColumn(table, column)`, one per column of this database.
         A pair that is no column here is built anew on each call, and a name
@@ -342,10 +337,6 @@ class SchemaList:
         tables = ", ".join(self.tables) if self.tables else "-"
         columns = ", ".join(f"{t}.{c}" for t, c in self.columns) if self.columns else "-"
         return f"tables: {tables}; columns: {columns}"
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.tables and not self.columns
 
 
 def extract_schema(s: SqlQuery) -> SchemaList:

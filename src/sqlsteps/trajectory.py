@@ -17,7 +17,6 @@ endings.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Callable, Union
 
 from .actions import (
@@ -47,6 +46,7 @@ from .actions import (
     Trajectory,
     TrajectoryStep,
     Where,
+    _part,
 )
 from .errors import TrajectorySyntaxError, UnknownActionError
 from .schema import DatabaseInput  # noqa: F401  (re-exported for validate callers)
@@ -621,66 +621,18 @@ def _quote(text: str) -> str:
 
 # --- validation ---------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class Finding:
-    level: str  # "error" | "warning"
-    step_index: int  # 0-based; -1 for trajectory-wide findings
-    code: str
-    message: str
+def validate_trajectory(t: Trajectory, d: "DatabaseInput") -> list[str]:
+    """The schema errors of `t` against `d` (see `schema_errors`); empty when
+    every column `t` references is a column of `d`."""
+    missing = [(c.table, c.column) for c in t.columns() if not d.has_column(c.table, c.column)]
+    return schema_errors(missing, d) if missing else []
 
 
-@dataclass(slots=True)
-class ValidationReport:
-    findings: list[Finding] = field(default_factory=list)
-
-    @property
-    def is_valid(self) -> bool:
-        return not self.findings
-
-    def errors(self) -> list[Finding]:
-        return [f for f in self.findings if f.level == "error"]
-
-    def __str__(self) -> str:
-        if not self.findings:
-            return "ok"
-        return "\n".join(f"{f.level}: step {f.step_index + 1}: {f.message}"
-                         if f.step_index >= 0 else f"{f.level}: {f.message}"
-                         for f in self.findings)
-
-
-def validate_trajectory(t: Trajectory, d: "DatabaseInput") -> ValidationReport:
-    """Check schema references and chain shape against a database input."""
-    report = ValidationReport()
-    known_tables = {tbl.name for tbl in d.tables}
-    for table in sorted(t.source_tables):
-        if table not in known_tables:
-            report.findings.append(Finding("error", -1, "unknown-table",
-                                           f"table {table!r} not in database {d.name!r}"))
-    seen_columns: set[tuple[str, str]] = set()
-    for col in t.columns():
-        if col.table not in known_tables:
-            continue
-        key = (col.table, col.column)
-        if key in seen_columns:
-            continue
-        seen_columns.add(key)
-        if not d.has_column(col.table, col.column):
-            report.findings.append(Finding("error", -1, "unknown-column",
-                                           f"column {col.render()} not in database {d.name!r}"))
-    _check_chains(t, report)
-    return report
-
-
-def _check_chains(t: Trajectory, report: ValidationReport) -> None:
-    for idx, step in enumerate(t.steps):
-        chain_has_groupby = False
-        for pos, action in enumerate(step.chain):
-            if isinstance(action, GroupBy):
-                chain_has_groupby = True
-            elif isinstance(action, AggStep) and not chain_has_groupby:
-                report.findings.append(Finding("warning", idx, "chain-order",
-                                               f"{action.agg.kind}(...) chained without a groupby"))
-            elif isinstance(action, Limit) and any(
-                    isinstance(a, OrderBy) for a in step.chain[pos + 1:]):
-                report.findings.append(Finding("warning", idx, "chain-order",
-                                               "limit appears before orderby in the same chain"))
+def schema_errors(missing: list[tuple[str, str]], d: "DatabaseInput") -> list[str]:
+    """The messages for (table, column) references that are no column of `d`:
+    each unknown table once, sorted, then each unknown column of a known table
+    once, in first-occurrence order."""
+    tables = sorted({table for table, _ in missing if not d.has_table(table)})
+    return [f"table {table!r} not in database {d.name!r}" for table in tables] + [
+        f"column {_part(table)}.{_part(column)} not in database {d.name!r}"
+        for table, column in dict.fromkeys(missing) if d.has_table(table)]

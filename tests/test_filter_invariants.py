@@ -105,7 +105,7 @@ def test_every_trajectory_decompose_accepts_has_no_schema_error(sql, store):
         t = decompose(parse_sql(sql), store)
     except SqlStepsError:
         return
-    assert validate_trajectory(t, store).errors() == []
+    assert validate_trajectory(t, store) == []
 
 
 def test_revert_still_checks_the_schema(store):

@@ -105,4 +105,4 @@ def test_value_round_trips_through_pickle_and_deepcopy(store, name):
     if name == "database":  # and so do its lookups
         for other in copies + [copy.deepcopy(value)]:
             assert other.has_column("orders", "total") and not other.has_table("nope")
-            assert other.fk_edges() == value.fk_edges()
+            assert other.edges == value.edges

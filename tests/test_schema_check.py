@@ -1,0 +1,62 @@
+"""The one schema check of a trajectory against a database input.
+
+`validate_trajectory` returns its error messages: each unknown table once,
+sorted, then each unknown column of a known table once, in first-occurrence
+order; a column of an unknown table adds nothing. `revert` raises them
+joined, `fill_mask` the first with the slot it blames, and the columns of a
+compound condition's text are checked, in the same words, when it is
+reverted.
+"""
+
+import pytest
+
+from sqlsteps.bridge import revert
+from sqlsteps.errors import SchemaMismatchError
+from sqlsteps.masking import fill_mask, mask_schema
+from sqlsteps.trajectory import parse_trajectory, validate_trajectory
+
+
+@pytest.mark.parametrize("columns, errors, slot", [
+    ("orders.id, customers.city", [], None),
+    ("zeta.a, alpha.b, zeta.c, orders.id",
+     ["table 'alpha' not in database 'store'", "table 'zeta' not in database 'store'"], 1),
+    ("orders.nope, customers.zip, orders.nope, orders.id",
+     ["column orders.nope not in database 'store'",
+      "column customers.zip not in database 'store'"], 0),
+    ("orders.id, nope.id, nope.x, customers.zip",
+     ["table 'nope' not in database 'store'",
+      "column customers.zip not in database 'store'"], 1),
+])
+def test_schema_errors_of_revert_and_fill_mask(store, columns, errors, slot):
+    t = parse_trajectory(f"res = df.select({columns})\n")
+    assert validate_trajectory(t, store) == errors
+    masked = mask_schema(t)
+    if not errors:
+        assert revert(t, store).text == "SELECT orders.id, customers.city FROM customers " \
+            "INNER JOIN orders ON orders.customer_id = customers.id"
+        assert fill_mask(masked, masked.slot_values(), store) == t
+        return
+    with pytest.raises(SchemaMismatchError) as reverted:
+        revert(t, store)
+    assert str(reverted.value) == "; ".join(errors)
+    with pytest.raises(SchemaMismatchError) as filled:
+        fill_mask(masked, masked.slot_values(), store)
+    assert str(filled.value) == f"{errors[0]} (filled at slot {slot})"
+
+
+@pytest.mark.parametrize("condition, message", [
+    # once a join with no foreign-key path to `nope`
+    ("(orders.id = 1 or nope.x = 2)", "table 'nope' not in database 'store'"),
+    # once reverted to SQL that no database with this schema runs
+    ("(orders.id = 1 or orders.nope = 2)", "column orders.nope not in database 'store'"),
+    ("(orders.nope = 1 or nope.x = 2 or orders.nope = 3 or customers.zip = 4)",
+     "table 'nope' not in database 'store'; column orders.nope not in database 'store'; "
+     "column customers.zip not in database 'store'"),
+])
+def test_revert_checks_a_compound_condition_against_the_schema(store, condition, message):
+    t = parse_trajectory(f"df1 = df.where(element = orders.id, filter = '{condition}')\n"
+                         "res = df1.select(orders.id)\n")
+    assert validate_trajectory(t, store) == []  # the types see no column in the text
+    with pytest.raises(SchemaMismatchError) as exc:
+        revert(t, store)
+    assert str(exc.value) == message

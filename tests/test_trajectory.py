@@ -334,9 +334,7 @@ def test_unparseable_filter_is_a_syntax_error():
 
 def test_validate_clean_trajectory(schools):
     t = parse_trajectory(golden("table9_sam.traj"))
-    report = validate_trajectory(t, schools)
-    assert report.is_valid
-    assert str(report) == "ok"
+    assert validate_trajectory(t, schools) == []
 
 
 def test_validate_flags_unknown_column(schools):
@@ -348,25 +346,15 @@ def test_validate_flags_unknown_column(schools):
                       tbl.foreign_keys, tbl.samples)
             for tbl in schools.tables),
     )
-    report = validate_trajectory(t, trimmed)
-    findings = [f for f in report.findings if f.code == "unknown-column"]
-    assert len(findings) == 1  # repeated occurrences of schools.Year collapse
+    # repeated occurrences of schools.Year collapse
+    assert validate_trajectory(t, trimmed) == ["column schools.Year not in database 'schools'"]
 
 
 def test_validate_empty_schema_one_finding_per_table():
     text = ("df1 = df.where(element = t.a, filter = 1)\n"
             "res = df1.select(t.a, u.b)")
-    report = validate_trajectory(parse_trajectory(text), DatabaseInput("empty", ()))
-    unknown = [f for f in report.findings if f.code == "unknown-table"]
-    assert len(unknown) == 2
-
-
-def test_validate_warns_limit_before_orderby(schools):
-    t = parse_trajectory(
-        "df1 = df.limit(1).orderby(by = schools.SOC, asc)\nres = df1.select(schools.SOC)")
-    report = validate_trajectory(t, schools)
-    assert any(f.code == "chain-order" for f in report.findings)
-    assert not report.errors()
+    assert validate_trajectory(parse_trajectory(text), DatabaseInput("empty", ())) == [
+        "table 't' not in database 'empty'", "table 'u' not in database 'empty'"]
 
 
 # --- property tests -----------------------------------------------------------------
