@@ -3,16 +3,18 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 import math
 import re
-from dataclasses import dataclass, field
+import reprlib
+from dataclasses import _HAS_DEFAULT_FACTORY, MISSING, FrozenInstanceError, dataclass, field
 from operator import is_
 from typing import Callable, Union, get_args
 
 from .errors import BindingError
 
-DATE_RE = re.compile(r"\d{4}-\d{2}-\d{2}")
+DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 BINDING_RE = re.compile(r"df\d+|res|df")
 
 AGGREGATE_KINDS = ("count", "sum", "average", "min", "max")
@@ -32,44 +34,145 @@ def valid_identifier(name: str) -> bool:  # [A-Za-z_][A-Za-z0-9_ ]*, no space at
 
 
 def frozen(cls: type) -> type:
-    """`@dataclass(frozen=True, slots=True)` with a cheaper `__init__`: each
-    field is set through its slot's member descriptor (`__set__`), not through
-    `object.__setattr__` as a frozen dataclass sets it. The signature, the
-    defaults and default factories and the `__post_init__` call are the
-    dataclass's own; assigning to a field still raises `FrozenInstanceError`.
-    Every node type of the trajectory and the SQL tree is built this way."""
-    cls = dataclass(frozen=True, slots=True)(cls)
-    init = cls.__init__
-    code = init.__code__
-    params = code.co_varnames[1:code.co_argcount]
+    """`@dataclass(frozen=True, slots=True)` that compiles only its hot
+    methods. The dataclass supplies the fields, the slots and
+    `__match_args__`; one generated source per class holds `__init__`, which
+    sets each field through its slot's member descriptor (`__set__`), not
+    through `object.__setattr__` as a frozen dataclass sets it, and `__eq__`
+    and `__hash__`, which compare and hash the fields as the dataclass's do.
+    The cold methods are closures over code compiled once, in this module:
+    `__repr__`, the `FrozenInstanceError` guards of `__setattr__` and
+    `__delattr__`, and `__getstate__`/`__setstate__` for copy and pickle.
+    The signature, defaults, default factories, `__post_init__` call,
+    `__doc__`, repr, `==`, hash and error messages are the frozen
+    dataclass's. A keyword-only, non-init, class or init-only field is a
+    `TypeError` at decoration. Every node type of the trajectory and the SQL
+    tree is built this way."""
+    return _dataclass(cls, _node_methods, slots=True, init=False, eq=False)
+
+
+def record(frozen: bool = False, slots: bool = True) -> Callable[[type], type]:
+    """`@dataclass(frozen=..., slots=...)` with the `__repr__` that `frozen`
+    shares in place of a compiled one (a `field(repr=False)` is left out as
+    before), and its `__doc__` rendered without `inspect`. The records of
+    every module are declared this way."""
+    return lambda cls: _dataclass(cls, None, frozen=frozen, slots=slots)
+
+
+def _dataclass(cls: type, methods: Callable | None, **params: bool) -> type:
+    """`dataclass(repr=False, **params)` of `cls`, given the shared `__repr__`
+    and `methods(cls, fields)`, and for want of a docstring the one the
+    dataclass would render."""
+    doc = cls.__doc__
+    cls.__doc__ = doc or "-"  # else the dataclass renders one through `inspect`
+    cls = dataclass(repr=False, **params)(cls)
     fields = dataclasses.fields(cls)
-    if code.co_kwonlyargcount or params != tuple(f.name for f in fields):
+    for name, fn in {"__repr__": _repr_method(fields),
+                     **(methods(cls, fields) if methods else {})}.items():
+        fn.__qualname__ = f"{cls.__qualname__}.{name}"
+        fn.__module__ = cls.__module__
+        setattr(cls, name, fn)
+    cls.__doc__ = doc or _signature_doc(cls, fields)
+    return cls
+
+
+def _node_methods(cls: type, fields: tuple[dataclasses.Field, ...]) -> dict[str, Callable]:
+    """A frozen node type's methods: `__init__`, `__eq__` and `__hash__`
+    compiled from one source, and the shared frozen ones."""
+    if len(fields) != len(cls.__dataclass_fields__) or \
+            any(f.kw_only or not f.init for f in fields):
         raise TypeError(f"{cls.__name__}: only positional init fields are supported")
+    names = tuple(f.name for f in fields)
     closure: dict[str, object] = {}
+    defaults: list[object] = []
     body = []
-    for i, f in enumerate(fields):
-        if f.default_factory is not dataclasses.MISSING:
-            # the dataclass marks a field's factory default with its own sentinel
-            closure["__factory"] = init.__defaults__[i - len(params)]
+    for f in fields:
+        if f.default_factory is not MISSING:
+            closure["__factory"] = _HAS_DEFAULT_FACTORY
             closure[f"__make_{f.name}"] = f.default_factory
             body.append(f"if {f.name} is __factory: {f.name} = __make_{f.name}()")
+            defaults.append(_HAS_DEFAULT_FACTORY)
+        elif f.default is not MISSING:
+            defaults.append(f.default)
+        elif defaults:
+            raise TypeError(f"non-default argument {f.name!r} follows default argument")
         closure[f"__set_{f.name}"] = cls.__dict__[f.name].__set__
         body.append(f"__set_{f.name}(self, {f.name})")
     if hasattr(cls, "__post_init__"):
         body.append("self.__post_init__()")
+    compared = [f.name for f in fields if f.compare]
+    hashed = [f.name for f in fields if (f.compare if f.hash is None else f.hash)]
     source = (f"def make({', '.join(closure)}):\n"
-              f" def __init__({', '.join(('self', *params))}):\n"
+              f" def __init__({', '.join(('self', *names))}):\n"
               + "".join(f"  {line}\n" for line in body or ["pass"])
-              + " return __init__\n")
+              + " def __eq__(self, other):\n"
+              "  if other.__class__ is self.__class__:\n"
+              f"   return {_tuple('self', compared)} == {_tuple('other', compared)}\n"
+              "  return NotImplemented\n"
+              " def __hash__(self):\n"
+              f"  return hash({_tuple('self', hashed)})\n"
+              " return __init__, __eq__, __hash__\n")
     namespace: dict[str, Callable] = {}
     exec(source, {}, namespace)
-    fn = namespace["make"](**closure)
-    fn.__defaults__ = init.__defaults__
-    fn.__annotations__ = init.__annotations__
-    fn.__qualname__ = init.__qualname__
-    fn.__module__ = init.__module__
-    cls.__init__ = fn
-    return cls
+    init, eq, hash_ = namespace["make"](**closure)
+    init.__defaults__ = tuple(defaults) or None
+    init.__annotations__ = {**{f.name: f.type for f in fields}, "return": None}
+    return {"__init__": init, "__eq__": eq, "__hash__": hash_, **_frozen_methods(cls, names)}
+
+
+def _tuple(obj: str, names: list[str]) -> str:
+    return f"({''.join(f'{obj}.{name},' for name in names)})"
+
+
+def _repr_method(fields: tuple[dataclasses.Field, ...]) -> Callable[[object], str]:
+    """The dataclass `__repr__` of `fields`, without compiling one."""
+    names = tuple(f.name for f in fields if f.repr)
+
+    @reprlib.recursive_repr()
+    def __repr__(self: object) -> str:
+        values = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
+        return f"{self.__class__.__qualname__}({values})"
+    return __repr__
+
+
+def _frozen_methods(cls: type, names: tuple[str, ...]) -> dict[str, Callable]:
+    """The frozen dataclass's assignment guards and pickle state, without
+    compiling them."""
+    def __setattr__(self: object, name: str, value: object) -> None:
+        if type(self) is cls or name in names:
+            raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        super(cls, self).__setattr__(name, value)
+
+    def __delattr__(self: object, name: str) -> None:
+        if type(self) is cls or name in names:
+            raise FrozenInstanceError(f"cannot delete field {name!r}")
+        super(cls, self).__delattr__(name)
+
+    def __getstate__(self: object) -> list:
+        return [getattr(self, name) for name in names]
+
+    def __setstate__(self: object, state: list) -> None:
+        for name, value in zip(names, state):
+            object.__setattr__(self, name, value)
+
+    return {"__setattr__": __setattr__, "__delattr__": __delattr__,
+            "__getstate__": __getstate__, "__setstate__": __setstate__}
+
+
+def _signature_doc(cls: type, fields: tuple[dataclasses.Field, ...]) -> str:
+    """The `__doc__` a dataclass gives a class that has none: its name and
+    the text of its `__init__` signature."""
+    params = [f for f in fields if f.init and not f.kw_only]
+    keywords = [f for f in fields if f.init and f.kw_only]
+    parts = [*map(_param_text, params), *(["*"] if keywords else []), *map(_param_text, keywords)]
+    return f"{cls.__name__}({', '.join(parts)})"
+
+
+def _param_text(f: dataclasses.Field) -> str:
+    text = f"{f.name}: {inspect.formatannotation(f.type)}"
+    if f.default_factory is not MISSING:
+        return f"{text} = {_HAS_DEFAULT_FACTORY!r}"
+    return text if f.default is MISSING else f"{text} = {f.default!r}"
 
 
 @frozen

@@ -17,7 +17,6 @@ raises only for what needs the schema: an unknown table or column
 from __future__ import annotations
 
 import difflib
-from dataclasses import dataclass
 
 from . import sqlast
 from .actions import (
@@ -44,6 +43,7 @@ from .actions import (
     Where,
     expr_children,
     map_expr,
+    record,
 )
 from .errors import (
     BRIDGE_ERRORS,
@@ -87,7 +87,7 @@ _AGG_NAME_TO_KIND = {"count": "count", "sum": "sum", "avg": "average",
 _KIND_TO_AGG_NAME = {v: k for k, v in _AGG_NAME_TO_KIND.items()}
 
 
-@dataclass(slots=True)
+@record()
 class RoundTripReport:
     original: SqlQuery
     trajectory: Trajectory | None
@@ -488,7 +488,10 @@ def _condition_to_pred(frames: dict, action: Where | Having, d: DatabaseInput,
         assert cond.compound_text is not None
         pred = sqlast.parse_predicate(cond.compound_text)
         columns = [(col.table, col.column) for expr in sqlast.pred_exprs(pred)
-                   for col in _sql_columns(expr) if col.table is not None]
+                   for col in _sql_columns(expr)]
+        bare = [column for table, column in columns if table is None]
+        if bare:  # worded as by `decompose`, which never emits one
+            raise SchemaMismatchError(f"column {bare[0]!r} could not be qualified")
         missing = [pair for pair in columns if not d.has_column(*pair)]
         if missing:  # text the types could not check
             raise SchemaMismatchError("; ".join(schema_errors(missing, d)))
@@ -584,7 +587,8 @@ def round_trip(s: SqlQuery, d: DatabaseInput) -> RoundTripReport:
     A reverted tree equal (`==`) to the parsed one passes without either
     canonical form rendered: the reversion holds the query's own literals, so
     equal trees have equal forms (see `same_tree`). Its report then
-    keeps one tree: the reverted query holds its own text and the parsed tree.
+    keeps one tree: the reverted query holds its own text and the parsed tree,
+    and where that text is the query's own, it is the query itself.
     """
     if s.ast is None:
         return RoundTripReport(s, None, None, UNSUPPORTED,
@@ -596,7 +600,8 @@ def round_trip(s: SqlQuery, d: DatabaseInput) -> RoundTripReport:
     except BRIDGE_ERRORS as exc:
         return RoundTripReport(s, None, None, UNSUPPORTED, reason=str(exc))
     if same_tree(s, reverted, same_literals=True):
-        return RoundTripReport(s, t, SqlQuery(reverted.text, s.ast, s.dialect), PASS)
+        kept = s if reverted.text == s.text else SqlQuery(reverted.text, s.ast, s.dialect)
+        return RoundTripReport(s, t, kept, PASS)
     forms = canonical_mismatch(s, reverted, d)
     if forms is None:
         return RoundTripReport(s, t, reverted, PASS)

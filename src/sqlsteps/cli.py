@@ -7,11 +7,11 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 from . import bridge, corpus, evaluate, pipeline
-from .actions import ACTION_SPACE
+from .actions import ACTION_SPACE, record
 from .errors import FormatError, MissingSchemaError, SqlStepsError, UnsupportedSqlError, UsageError
 from .masking import fill_mask, mask_schema, parse_masked_template
 from .perturb import PerturbationConfig, augment
@@ -28,7 +28,7 @@ EXIT_UNSUPPORTED = 2
 _ENV_PREFIX = "SQLSTEPS_"
 
 
-@dataclass(slots=True)
+@record()
 class GlobalConfig:
     schemas_dir: str | None
     dialect: str

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import field
 from pathlib import Path
 from typing import Iterator
 
-from .actions import Trajectory
+from .actions import Trajectory, record
 from .bridge import PASS, decompose, round_trip
 from .errors import BRIDGE_ERRORS, FormatError, MissingSchemaError, SqlStepsError
 from .masking import mask_schema
@@ -34,7 +34,7 @@ TARGET_LOM = "lom"
 TARGETS = (TARGET_BAM, TARGET_SAM1, TARGET_SAM2, TARGET_LOM)
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True)
 class SeedExample:
     id: str
     db: str
@@ -105,7 +105,7 @@ def read_seed_file(path: str | Path) -> list[SeedExample]:
     return seeds
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True)
 class CorpusRecord:
     target: str
     input: dict[str, str]
@@ -134,7 +134,7 @@ class CorpusRecord:
         return " ".join(str(self.input[k]) for k in sorted(self.input))
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True)
 class CorpusStats:
     counts: dict[str, int]
     mean_input_tokens: float
@@ -148,7 +148,7 @@ class CorpusStats:
                 "round_trip_pass_rate": self.round_trip_pass_rate}
 
 
-@dataclass(slots=True)
+@record()
 class BuildResult:
     records: list[CorpusRecord]
     stats: CorpusStats

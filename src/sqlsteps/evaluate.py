@@ -11,7 +11,7 @@ import logging
 import sqlite3
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import field
 from itertools import chain
 from pathlib import Path
 
@@ -23,6 +23,7 @@ from .actions import (
     Trajectory,
     action_exprs,
     expr_children,
+    record,
 )
 from .bridge import PASS, decompose, round_trip
 from .corpus import SeedExample
@@ -49,7 +50,7 @@ MATHEMATICAL_DELUSION = "MathematicalDelusion"
 OTHER = "Other"
 
 
-@dataclass(slots=True)
+@record()
 class ExecutionResult:
     rows: list[tuple] | None
     error: str | None
@@ -148,7 +149,7 @@ def _rows_match(pred: ExecutionResult, gold_rows: list[tuple], ordered: bool) ->
 
 # --- error tagging ---------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True)
 class ErrorTag:
     coarse: str  # SCHEMA_ERROR | LOGIC_ERROR
     subtype: str
@@ -221,7 +222,7 @@ def _math_signature(t: Trajectory) -> Counter:
 
 # --- correction evaluation ----------------------------------------------------------
 
-@dataclass(slots=True)
+@record()
 class InstanceVerdict:
     seed_id: str
     baseline_correct: bool
@@ -232,7 +233,7 @@ class InstanceVerdict:
     difficulty: str | None = None
 
 
-@dataclass(slots=True)
+@record()
 class EvalReport:
     per_instance: list[InstanceVerdict] = field(default_factory=list)
     aggregates: dict = field(default_factory=dict)

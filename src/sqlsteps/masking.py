@@ -12,9 +12,8 @@ well defined; `bare_template` strips the indices for prompt assets.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
-from .actions import QualifiedColumn, Trajectory
+from .actions import QualifiedColumn, Trajectory, record
 from .errors import ArityMismatchError, FormatError, KindMismatchError, SchemaMismatchError
 from .schema import DatabaseInput
 from .trajectory import parse_trajectory, trajectory_fragments, validate_trajectory
@@ -24,7 +23,7 @@ from .trajectory import parse_trajectory, trajectory_fragments, validate_traject
 MASK_TOKEN_RE = re.compile(r"\[MASK:(\d{1,9})\]")
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True)
 class MaskSlot:
     index: int
     kind: str  # "column" | "table"
@@ -32,7 +31,7 @@ class MaskSlot:
     position: int  # character offset of the occurrence in the source text
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True)
 class MaskedTrajectory:
     template: str
     slots: tuple[MaskSlot, ...]

@@ -17,7 +17,7 @@ parallel and serial runs produce identical corpora.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Callable
 
 from .actions import (
@@ -41,6 +41,7 @@ from .actions import (
     Where,
     AGGREGATE_KINDS,
     map_expr,
+    record,
 )
 from .errors import BindingError, NoViablePerturbationError
 from .schema import DatabaseInput
@@ -56,7 +57,7 @@ _FLIP_COMPARATOR = {"=": "!=", "!=": "=", "<": ">", ">": "<", "<=": ">=", ">=": 
                     "is null": "is not null", "is not null": "is null"}
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True)
 class PerturbationRecord:
     kind: str  # one of KINDS
     site: tuple[int, int]  # (step index, action index) in the source trajectory
@@ -78,7 +79,7 @@ class PerturbationRecord:
                 "after": self.after, "seed": self.seed}
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True)
 class PerturbationConfig:
     k: int = 1
     weights: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)  # add, delete, substitute
@@ -94,14 +95,14 @@ class PerturbationConfig:
             raise ValueError("kind weights must sum to 1")
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True)
 class PerturbationPair:
     erroneous: Trajectory
     verified: Trajectory
     record: PerturbationRecord
 
 
-@dataclass(slots=True)
+@record()
 class AugmentReport:
     pairs: list[PerturbationPair] = field(default_factory=list)
     skipped: list[tuple[int, str]] = field(default_factory=list)  # (trajectory index, reason)
@@ -180,7 +181,7 @@ def _swap_action(steps: list[TrajectoryStep], step_idx: int, action_idx: int,
 
 # --- candidate edits ----------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True)
 class _Edit:
     site: tuple[int, int]
     before: Action | None

@@ -22,11 +22,12 @@ import json
 import string
 import time
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import field, replace
 from importlib import resources
 from pathlib import Path
 from typing import Callable, ClassVar, Protocol, TypeVar
 
+from .actions import record
 from .bridge import canonical_mismatch, decompose, revert, same_tree
 from .errors import (
     BRIDGE_ERRORS,
@@ -147,7 +148,7 @@ class StageBackend(Protocol):
     def describe(self) -> str: ...
 
 
-@dataclass
+@record(slots=False)
 class RuleBackend:
     """Deterministic baseline: decompose for bam, mask/fill loop for sam,
     pass-through for lom (no learned logic corrections exist offline).
@@ -193,7 +194,7 @@ def _fills_back(masked: MaskedTrajectory, source: str) -> bool:
         return False
 
 
-@dataclass
+@record(slots=False)
 class ScriptedBackend:
     """Replays canned outputs keyed by instance id (`*` is the wildcard)."""
 
@@ -213,7 +214,7 @@ class ScriptedBackend:
         raise StageOutputInvalidError(self.stage, f"no scripted output for id {key!r}")
 
 
-@dataclass
+@record(slots=False)
 class RemoteBackend:
     """HTTP JSON backend: POST {stage, ...payload}, expect {"text": ...}."""
 
@@ -324,7 +325,7 @@ def _packaged_prompt_text(template_id: str) -> str:
     return ref.read_text(encoding="utf-8")
 
 
-@dataclass(slots=True)
+@record()
 class Feedback:
     trajectory_text: str
     prompt: str
@@ -354,7 +355,7 @@ def make_feedback(t: Trajectory, d: DatabaseInput, template_id: str = "regenerat
 
 # --- pipeline ---------------------------------------------------------------------
 
-@dataclass(slots=True)
+@record()
 class StageRecord:
     stage: str
     backend: str
@@ -365,7 +366,7 @@ class StageRecord:
     error_type: type[SqlStepsError] | None = None  # the class of the error behind `error`
 
 
-@dataclass(slots=True)
+@record()
 class PipelineTrace:
     initial_sql: str
     question: str
@@ -506,7 +507,7 @@ def _mark_invalid(trace: PipelineTrace, stage: str, exc: Exception) -> None:
 Generator = Callable[[dict[str, str]], str]
 
 
-@dataclass(slots=True)
+@record()
 class CorrectionResult:
     seed_id: str
     initial_sql: str

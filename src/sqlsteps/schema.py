@@ -16,11 +16,11 @@ Identifiers containing spaces are backtick-quoted.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import field
 from pathlib import Path
 from typing import Callable
 
-from .actions import QualifiedColumn, expr_children
+from .actions import QualifiedColumn, expr_children, record
 from .errors import FormatError
 from .sqlast import (
     Column,
@@ -40,21 +40,21 @@ from .sqlast import (
 SENTINEL_TABLE = "?"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True)
 class ColumnDef:
     name: str
     type: str
     is_primary_key: bool = False
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True)
 class ForeignKey:
     column: str
     ref_table: str
     ref_column: str
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True)
 class TableDef:
     name: str
     columns: tuple[ColumnDef, ...]
@@ -73,7 +73,7 @@ FkEdge = tuple[str, str, str, str]
 FromClause = tuple[tuple[TableRef, ...], tuple[Join, ...]]
 
 
-@dataclass(slots=True)
+@record()
 class SchemaNodes:
     """The tree nodes of a database's columns and joins, each built on first
     use and then shared by every tree that holds it: nodes are frozen, so a
@@ -86,7 +86,7 @@ class SchemaNodes:
     froms: dict[frozenset[str], FromClause] = field(default_factory=dict)
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True)
 class DatabaseInput:
     """A database's tables. Its lookups, foreign-key edges and schema text
     are built once, when it is constructed, and the tree nodes of its columns
@@ -322,7 +322,7 @@ def load_schema_dir(path: str | Path) -> dict[str, DatabaseInput]:
 
 # --- schema lists ------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True)
 class SchemaList:
     """Tables and columns referenced by a query, in first-appearance order.
 

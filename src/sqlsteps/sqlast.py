@@ -9,12 +9,12 @@ errors or are rejected later by the converter, never silently mangled.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import field, replace
 from operator import is_
 from typing import TYPE_CHECKING, Any, Callable, Iterator, TypeVar, Union
 
 from .actions import (MAX_DEPTH, Arithmetic, Cast, Func, Scalar, Star, expr_children, frozen,
-                      map_expr, map_tuple)
+                      map_expr, map_tuple, record)
 from .errors import SqlStepsError, SqlSyntaxError, SqlTooDeepError
 
 if TYPE_CHECKING:
@@ -180,7 +180,7 @@ class SetOp:
 SelectNode = Union[SelectCore, SetOp]
 
 
-@dataclass(slots=True)
+@record()
 class SqlQuery:
     """Raw SQL text plus, when the text parses in the subset, its AST."""
 
@@ -219,14 +219,16 @@ KIND, TEXT, POS, KEY = range(4)
 
 
 # Whitespace, then one alternative per token class, tried in order. A word
-# starts with no decimal digit, so that no number is read as one. A string or
+# starts with no decimal digit, so that no number is read as one; a number is
+# of ASCII digits, as SQLite reads one, so any other decimal digit (`١`)
+# starts no token and is an unexpected character. A string or
 # a quoted identifier closes at a quote that is not doubled, so an
 # unterminated one falls through to BAD at its opening quote. BAD and END
 # always match, so whitespace is never scanned twice.
 _SQL_TOKEN_RE = re.compile(r"""
     \s*
     (?: (?P<WORD>[^\W\d]\w*)
-      | (?P<NUMBER>\d*\.?\d+(?:[eE][+-]?\d+)?)
+      | (?P<NUMBER>[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?)
       | (?P<COMMENT>--[^\n]*)
       | (?P<PUNCT>[(),.*+\-/;])
       | (?P<OP><>|<=|>=|!=|=|<|>|\|\|)

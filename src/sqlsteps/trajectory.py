@@ -54,8 +54,8 @@ from .sqlast import (ARITHMETIC_LEVELS, KEY, KEYWORDS, KIND, MAX_DEPTH, POS, TEX
                      BoundedParser, Token)
 
 _DF_REF_RE = re.compile(r"df\d+|res")
-_NUMBER_RE = re.compile(r"-?\d+(\.\d+)?([eE][+-]?\d+)?")
-_DATE_TOKEN_RE = re.compile(r"\d{4}-\d{2}-\d{2}")
+_NUMBER_RE = re.compile(r"-?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?")
+_DATE_TOKEN_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 _WORD_RE = re.compile(r"\w+")
 _CALLS = (*AGGREGATE_KINDS, "cast", "substr")  # actions that are also expressions
 
@@ -63,7 +63,9 @@ _CALLS = (*AGGREGATE_KINDS, "cast", "substr")  # actions that are also expressio
 # --- tokenizer ---------------------------------------------------------------
 
 # Whitespace, then one alternative per token class, tried in order. A word
-# starts with no decimal digit, so that no number is read as one. A string
+# starts with no decimal digit, so that no number is read as one; a number is
+# of ASCII digits, as SQLite reads one, so any other decimal digit (`١`)
+# starts no token and is an unexpected character. A string
 # closes at a quote that is not doubled, so an unterminated one falls through
 # to BAD at its opening quote. BAD and END always match, so whitespace is
 # never scanned twice. A number's sign is a `-` SYM that `_tokenize_line`
@@ -72,7 +74,7 @@ _TOKEN_RE = re.compile(r"""
     \s*
     (?: (?P<SYM>[=.,()*+\-/])
       | (?P<WORD>[^\W\d]\w*)
-      | (?P<NUMBER>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
+      | (?P<NUMBER>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)
       | (?P<STRING>'[^']*(?:''[^']*)*'(?!'))
       | (?P<BACKTICK>`[^`]*`)
       | (?P<BAD>.)

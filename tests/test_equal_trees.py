@@ -250,6 +250,8 @@ def test_an_equal_reversion_keeps_the_parsed_tree(store):
         assert report.reverted.dialect == own.dialect
         if own.ast == query.ast:
             assert report.reverted.ast is query.ast
+            # and no second query where the reverted text is the query's own
+            assert (report.reverted is query) == (own.text == query.text)
         else:  # an unequal reversion keeps its own tree
             assert report.reverted.ast is not query.ast
 

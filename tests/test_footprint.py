@@ -47,6 +47,38 @@ def test_import_loads_no_network_or_crypto_stack():
     assert done.stdout.split() == []
 
 
+# Generated sources that the module code of `sqlsteps` compiles on import:
+# one per node type (`actions.frozen`: `__init__`, `__eq__` and `__hash__`),
+# and per record whatever `dataclass` compiles besides its repr: `__init__`
+# and `__eq__`, and for a frozen record its two guards and `__hash__` (one
+# source per class from Python 3.13). The standard library's named tuples
+# add 13 on Python 3.11, for 157 in all. The count is exact on 3.11.
+IMPORT_COMPILES = 144
+
+
+def test_import_compiles_no_more_generated_source_than_counted():
+    # a compile counts when the innermost module being run is one of sqlsteps
+    code = ("import sys\n"
+            "count = 0\n"
+            "def hook(event, args):\n"
+            "    global count\n"
+            "    if event != 'compile' or args[1] != '<string>':\n"
+            "        return\n"
+            "    frame = sys._getframe(1)\n"
+            "    while frame.f_code.co_name != '<module>':\n"
+            "        frame = frame.f_back\n"
+            "    count += frame.f_globals['__name__'].startswith('sqlsteps')\n"
+            "sys.addaudithook(hook)\n"
+            "import sqlsteps\n"
+            "from sqlsteps import (sqlast, bridge, trajectory, schema, masking, perturb,\n"
+            "                      corpus, pipeline, evaluate, querygen)\n"
+            "print(count)\n")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert int(done.stdout) <= IMPORT_COMPILES
+
+
 def _dataclasses() -> list[type]:
     names = [f"sqlsteps.{m.name}" for m in pkgutil.iter_modules(sqlsteps.__path__)]
     found = []

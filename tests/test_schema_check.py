@@ -52,6 +52,9 @@ def test_schema_errors_of_revert_and_fill_mask(store, columns, errors, slot):
     ("(orders.nope = 1 or nope.x = 2 or orders.nope = 3 or customers.zip = 4)",
      "table 'nope' not in database 'store'; column orders.nope not in database 'store'; "
      "column customers.zip not in database 'store'"),
+    # once reverted to SQL that SQLite cannot run: "no such column: nope"
+    ("(nope = 1 or orders.id = 2)", "column 'nope' could not be qualified"),
+    ("(orders.id = 1 or nope.x = 2 or id + nope > 3)", "column 'id' could not be qualified"),
 ])
 def test_revert_checks_a_compound_condition_against_the_schema(store, condition, message):
     t = parse_trajectory(f"df1 = df.where(element = orders.id, filter = '{condition}')\n"

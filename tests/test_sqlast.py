@@ -105,9 +105,14 @@ def test_rejects_non_subset(bad):
 @pytest.mark.parametrize("sql, position", [
     ("select \u00b2 from t", 7),
     ("select .\u00b2 from t", 8),
+    # Arabic-Indic twelve: `int` reads it, SQLite reads no number in it
+    ("SELECT customers.name FROM customers WHERE customers.age = \u0661\u0662", 59),
+    ("select 1\u0662 from t", 8),
+    ("select 1.\u0662 from t", 9),
 ])
 def test_digit_outside_the_number_grammar_is_a_syntax_error(sql, position):
-    # `str.isdigit` accepts a superscript two, the number pattern does not
+    # `str.isdigit` accepts a superscript two, and `\d` any decimal digit; the
+    # number pattern takes ASCII digits only
     with pytest.raises(SqlSyntaxError) as err:
         parse_sql(sql)
     assert err.value.position == position

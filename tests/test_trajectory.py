@@ -253,6 +253,9 @@ def test_syntax_error_carries_position():
     # `str.isdigit` accepts a superscript two, the number pattern does not
     ("res = df.select(\u00b2)", 17),
     ("res = df.select(-\u00b2)", 18),
+    # nor an Arabic-Indic digit, which `int` and `\d` accept
+    ("res = df.select(customers.name).limit(\u0661\u0662)", 39),
+    ("res = df.select(substr(t.a, 1\u0662))", 30),
     # numbers no value holds
     ("res = df.select(1e999)", 17),
     ("res = df.select(-1e999)", 17),
@@ -323,6 +326,15 @@ def test_filter_equality_text_that_looks_structured_roundtrips():
     cond = FilterCondition("=", (Scalar("between a and b", "string"),))
     rendered = render_filter(cond)
     assert parse_filter_text(rendered[1:-1].replace("''", "'")) == cond
+
+
+@pytest.mark.parametrize("operand", ["\u0661\u0662", "1\u0662", "\u00b2",
+                                     "\u0662\u0660\u0662\u0660-\u0660\u0661-\u0660\u0661"])
+def test_filter_operand_of_non_ascii_digits_is_a_string(operand):
+    # as SQLite reads it: `= '١٢'`, never the number twelve or a date
+    cond = parse_filter_text(f"= {operand}")
+    assert cond.operands == (Scalar(operand, "string"),)
+    assert parse_filter_text(render_filter(cond)[1:-1].replace("''", "'")) == cond
 
 
 def test_unparseable_filter_is_a_syntax_error():
