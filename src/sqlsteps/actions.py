@@ -16,6 +16,9 @@ from .errors import BindingError
 
 DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 BINDING_RE = re.compile(r"df\d+|res|df")
+# `df0` .. `df63`: the numbered binding names, one string each, shared by
+# every trajectory that `binding_name` numbers
+_BINDING_NAMES = tuple(f"df{n}" for n in range(64))
 
 AGGREGATE_KINDS = ("count", "sum", "average", "min", "max")
 ARITHMETIC_OPS = ("+", "-", "*", "/")
@@ -31,6 +34,11 @@ MAX_DEPTH = 32
 
 def valid_identifier(name: str) -> bool:  # [A-Za-z_][A-Za-z0-9_ ]*, no space at either end
     return name.isascii() and name.replace(" ", "_").isidentifier() and name == name.strip()
+
+
+def binding_name(n: int) -> str:
+    """The binding name `df{n}`, for n below 64 one shared string."""
+    return _BINDING_NAMES[n] if n < len(_BINDING_NAMES) else f"df{n}"
 
 
 def frozen(cls: type) -> type:

@@ -41,6 +41,7 @@ from .actions import (
     Trajectory,
     TrajectoryStep,
     Where,
+    binding_name,
     expr_children,
     map_expr,
     record,
@@ -103,7 +104,7 @@ class _Namer:
 
     def next(self) -> str:
         self.n += 1
-        return f"df{self.n}"
+        return binding_name(self.n)
 
 
 # --- decomposition ---------------------------------------------------------

@@ -18,7 +18,8 @@ from typing import Iterator
 
 from .actions import Trajectory, record
 from .bridge import PASS, decompose, round_trip
-from .errors import BRIDGE_ERRORS, FormatError, MissingSchemaError, SqlStepsError
+from .errors import (BRIDGE_ERRORS, FormatError, GoldExecutionFailedError, MissingSchemaError,
+                     SqlStepsError)
 from .masking import mask_schema
 from .perturb import PerturbationConfig, augment, inject_negatives
 from .schema import DatabaseInput, SchemaList, extract_schema, render_database_input
@@ -302,6 +303,8 @@ def build_lom_corpus(bam_records: list[CorpusRecord], seeds: list[SeedExample],
 
     Positives map an erroneous trajectory to the verified one; identity
     negatives are injected at `negative_ratio` positives per negative.
+    A seed whose gold fails to execute on its fixture database is a
+    `gold-unexecutable` failure that carries the engine's message.
     """
     by_id = {seed.id: seed for seed in seeds}
     failures: list[tuple[str, str, str]] = []
@@ -319,7 +322,12 @@ def build_lom_corpus(bam_records: list[CorpusRecord], seeds: list[SeedExample],
             continue
         initial = _parsed(bam.initial, seed.initial_sql)
         gold = _parsed(bam.gold, seed.gold_sql)
-        if _initial_is_correct(seed, initial, gold, d, dbs):
+        try:
+            correct = _initial_is_correct(seed, initial, gold, d, dbs)
+        except GoldExecutionFailedError as exc:  # a gold the round trip passes may not run
+            failures.append((seed.id, "gold-unexecutable", str(exc)))
+            continue
+        if correct:
             report = augment([verified], cfg, d)
             for index, reason in report.skipped:
                 failures.append((seed.id, "no-viable-perturbation", reason))

@@ -18,9 +18,10 @@ from .errors import ArityMismatchError, FormatError, KindMismatchError, SchemaMi
 from .schema import DatabaseInput
 from .trajectory import parse_trajectory, trajectory_fragments, validate_trajectory
 
-# A slot index has at most nine digits; a longer one is no token, so every
-# index converts to an int.
-MASK_TOKEN_RE = re.compile(r"\[MASK:(\d{1,9})\]")
+# A slot index has at most nine ASCII digits, as every number of the
+# grammars; a longer one, or one in other decimal digits (`٠`), is no token,
+# so every index converts to an int.
+MASK_TOKEN_RE = re.compile(r"\[MASK:([0-9]{1,9})\]")
 
 
 @record(frozen=True)

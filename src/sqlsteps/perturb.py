@@ -40,6 +40,7 @@ from .actions import (
     TrajectoryStep,
     Where,
     AGGREGATE_KINDS,
+    binding_name,
     map_expr,
     record,
 )
@@ -119,7 +120,7 @@ def _renumber(steps: list[TrajectoryStep]) -> Trajectory:
             mapping[step.binding] = "res"
         else:
             counter += 1
-            mapping[step.binding] = f"df{counter}"
+            mapping[step.binding] = binding_name(counter)
     return Trajectory(tuple(_rename_bindings(steps, lambda name: mapping.get(name, name))))
 
 
@@ -146,9 +147,9 @@ def _rename_bindings(steps: list[TrajectoryStep],
 def _fresh(steps: list[TrajectoryStep]) -> str:
     taken = {s.binding for s in steps}
     n = 9000
-    while f"df{n}" in taken:
+    while binding_name(n) in taken:
         n += 1
-    return f"df{n}"
+    return binding_name(n)
 
 
 def _insert_step(steps: list[TrajectoryStep], index: int, chain: tuple[Action, ...]) -> list[TrajectoryStep]:

@@ -579,8 +579,9 @@ def _compare_forms(trace: PipelineTrace, bam: StageBackend,
     When the rule bam's own trajectory was reverted, the reverted SQL holds
     the initial SQL's literals, and a reverted tree equal to the initial one
     renders neither form (`bridge.same_tree`); the feedback's reverted query
-    then keeps the initial tree in place of its own. Any other stage may have
-    written its literals anew.
+    then keeps the initial tree in place of its own, and where its text is
+    the initial SQL's own, it is the initial query itself. Any other stage
+    may have written its literals anew.
     """
     feedback = trace.feedback
     reverted = feedback.reverted_query if feedback is not None else None
@@ -588,7 +589,10 @@ def _compare_forms(trace: PipelineTrace, bam: StageBackend,
         return False, None
     own = _is_rule_bam(bam) and trace.final_trajectory() is trace.trajectory_initial
     if same_tree(trace.query, reverted, same_literals=own):
-        feedback.reverted_query = SqlQuery(reverted.text, trace.query.ast, reverted.dialect)
+        query = trace.query
+        if reverted.text != query.text or reverted.dialect != query.dialect:
+            query = SqlQuery(reverted.text, query.ast, reverted.dialect)
+        feedback.reverted_query = query
         return True, None
     try:  # the trees differ
         forms = canonical_mismatch(trace.query, reverted, d)

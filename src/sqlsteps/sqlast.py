@@ -413,6 +413,30 @@ class BoundedParser:
         return node
 
 
+# The parser's leaves whose fields are all strings or None: one node per
+# exact field values, shared by every parse, so that a name written many
+# times is kept once, and its strings with it. A literal is never shared:
+# `Scalar(-0.0)` and `Scalar(0.0)` are equal but render differently. A table
+# that outgrows LEAF_BOUND entries is emptied, so once no parse is running,
+# each holds at most that many.
+LEAF_BOUND = 2048
+_COLUMNS: dict[tuple[str | None, str], Column] = {}
+_TABLE_REFS: dict[tuple[str, str | None], TableRef] = {}
+_Leaf = TypeVar("_Leaf", Column, TableRef)
+
+
+def _leaf(leaves: dict[tuple[Any, Any], _Leaf], build: Callable[[Any, Any], _Leaf],
+          first: str | None, second: str | None) -> _Leaf:
+    """The shared node `build(first, second)`."""
+    key = (first, second)
+    node = leaves.get(key)
+    if node is None:
+        node = leaves.setdefault(key, build(first, second))
+        if len(leaves) > LEAF_BOUND:
+            leaves.clear()
+    return node
+
+
 class _SqlParser(BoundedParser):
     def too_deep(self) -> SqlTooDeepError:
         return SqlTooDeepError(f"nesting deeper than {MAX_DEPTH} levels",
@@ -496,7 +520,7 @@ class _SqlParser(BoundedParser):
         return SelectItem(expr, self.alias())
 
     def table_ref(self) -> TableRef:
-        return TableRef(self.ident(), self.alias())
+        return _leaf(_TABLE_REFS, TableRef, self.ident(), self.alias())
 
     def alias(self) -> str | None:
         if self.eat("as") or self.toks[self.pos][KIND] in _NAMES:
@@ -604,8 +628,8 @@ class _SqlParser(BoundedParser):
                 return self.nested(self.func_call, tok[TEXT], tok[POS])
             if key == ".":
                 self.pos += 1
-                return Column(tok[TEXT], self.ident())
-            return Column(None, tok[TEXT])
+                return _leaf(_COLUMNS, Column, tok[TEXT], self.ident())
+            return _leaf(_COLUMNS, Column, None, tok[TEXT])
         if tok[KIND] == "NUMBER":
             self.next()
             return self.number(tok)

@@ -289,6 +289,24 @@ def test_lom_initial_error_the_step_types_reject_fails_its_seed(bam, fixture_see
     sources = {r.provenance["source"] for r in lom.records if r.provenance["seed_id"] == "s01"}
     assert "initial-error" not in sources
 
+
+def test_lom_gold_that_the_engine_rejects_fails_only_its_seed(schemas, dbs):
+    # the round trip passes a gold that SQLite cannot run: an aggregate in WHERE
+    unrunnable = SeedExample("u1", "store", "q", "SELECT customers.name FROM customers "
+                             "WHERE COUNT(customers.id) > 1", "SELECT customers.name FROM customers")
+    runnable = SeedExample("u2", "store", "q", "SELECT customers.name FROM customers "
+                           "WHERE customers.age > 30", "select name from customers where age > 30")
+    seeds = [unrunnable, runnable]
+    bam = build_bam_corpus(seeds, schemas)
+    assert bam.failures == [] and len(bam.records) == 2
+    cfg = PerturbationConfig(k=1, seed=3)
+    lom = build_lom_corpus(bam.records, seeds, cfg, schemas, dbs=dbs)
+    assert lom.failures == [("u1", "gold-unexecutable", "misuse of aggregate function COUNT()")]
+    assert {r.provenance["seed_id"] for r in lom.records} == {"u2"}
+    alone = build_lom_corpus(bam.records[1:], seeds[1:], cfg, schemas, dbs=dbs)
+    assert [r.to_dict() for r in lom.records] == [r.to_dict() for r in alone.records]
+
+
 def test_sam_fails_the_seed_whose_literal_reads_as_a_mask_token(schemas):
     masked_looking = SeedExample("m", "store", "q",
                                  "SELECT city FROM customers WHERE name = '[MASK:0]'",

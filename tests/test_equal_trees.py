@@ -41,7 +41,7 @@ from sqlsteps.querygen import random_queries
 from sqlsteps.schema import parse_database_input, parse_database_text
 from sqlsteps.sqlast import SqlQuery, canonicalize, parse_sql
 
-from conftest import FIXTURES
+from conftest import FIXTURES, generated_seeds
 
 _TABLE = re.compile(r"\b(customers|orders|items)\.")
 _FROM = re.compile(r"\b(FROM|JOIN) (customers|orders|items)\b")
@@ -256,6 +256,23 @@ def test_an_equal_reversion_keeps_the_parsed_tree(store):
             assert report.reverted.ast is not query.ast
 
 
+def test_a_pipeline_equal_reversion_of_the_initial_text_is_the_initial_query(schemas):
+    """Where the rule run reverts the initial SQL to an equal tree and to the
+    initial SQL's own text, the feedback keeps the trace's query itself."""
+    results = pipeline.correct_batch(generated_seeds(90), pipeline.build_backends({}), schemas,
+                                     jobs=1)
+    same_text = 0
+    for result in results:
+        query, reverted = result.trace.query, result.trace.feedback.reverted_query
+        assert reverted.text == result.trace.feedback.reverted_sql
+        if reverted.ast is query.ast:
+            same_text += reverted.text == query.text
+            assert (reverted is query) == (reverted.text == query.text)
+        else:
+            assert reverted is not query
+    assert same_text == 39
+
+
 def test_an_unequal_reversion_keeps_its_own_tree(store):
     query = parse_sql("SELECT o.id FROM orders AS o WHERE o.total > 3")
     report = round_trip(query, store)
@@ -328,8 +345,9 @@ def test_threads_that_fill_the_nodes_at_once_get_equal_trees():
 
 # The distinct tree nodes and tuples that the reports of 200 round trips hold,
 # counted by walking references from the reports. 11505 before a node was
-# built once per schema column and one tree kept per equal reversion.
-KEPT_OBJECTS = 7725
+# built once per schema column and one tree kept per equal reversion; 7725
+# before the parser shared its column and table nodes.
+KEPT_OBJECTS = 6500
 
 
 def _reached(roots: list) -> int:

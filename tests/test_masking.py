@@ -154,6 +154,19 @@ def test_overlong_slot_index_is_no_token(store):
         fill_mask(masked, [], store)
 
 
+@pytest.mark.parametrize("digit", ["٠", "０", "०"])
+def test_a_slot_index_in_other_decimal_digits_is_no_token(digit, store):
+    """A slot index is of ASCII digits, as every number of the grammars."""
+    text = f"res = df.select([MASK:{digit}])\n"
+    masked = parse_masked_template(text)
+    assert masked.slots == ()
+    assert masked.bare_template() == text
+    with pytest.raises(FormatError):
+        recover_slot_values(text, "res = df.select(customers.id)\n")
+    with pytest.raises(TrajectorySyntaxError):
+        fill_mask(masked, [], store)
+
+
 def test_recover_slot_values_roundtrip():
     t = parse_trajectory(golden("table9_bam_asprinted.traj"))
     masked = mask_schema(t)
