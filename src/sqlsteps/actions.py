@@ -15,7 +15,7 @@ from typing import Callable, Union, get_args
 from .errors import BindingError
 
 DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
-BINDING_RE = re.compile(r"df\d+|res|df")
+BINDING_RE = re.compile(r"df[0-9]+|res|df")
 # `df0` .. `df63`: the numbered binding names, one string each, shared by
 # every trajectory that `binding_name` numbers
 _BINDING_NAMES = tuple(f"df{n}" for n in range(64))
@@ -45,26 +45,30 @@ def frozen(cls: type) -> type:
     """`@dataclass(frozen=True, slots=True)` that compiles only its hot
     methods. The dataclass supplies the fields, the slots and
     `__match_args__`; one generated source per class holds `__init__`, which
-    sets each field through its slot's member descriptor (`__set__`), not
-    through `object.__setattr__` as a frozen dataclass sets it, and `__eq__`
-    and `__hash__`, which compare and hash the fields as the dataclass's do.
-    The cold methods are closures over code compiled once, in this module:
-    `__repr__`, the `FrozenInstanceError` guards of `__setattr__` and
-    `__delattr__`, and `__getstate__`/`__setstate__` for copy and pickle.
-    The signature, defaults, default factories, `__post_init__` call,
-    `__doc__`, repr, `==`, hash and error messages are the frozen
-    dataclass's. A keyword-only, non-init, class or init-only field is a
-    `TypeError` at decoration. Every node type of the trajectory and the SQL
-    tree is built this way."""
+    sets each init field through its slot's member descriptor (`__set__`),
+    not through `object.__setattr__` as a frozen dataclass sets it, and
+    `__eq__` and `__hash__`, which compare and hash the fields as the
+    dataclass's do. The cold methods are closures over code compiled once, in
+    this module: `__repr__`, the `FrozenInstanceError` guards of
+    `__setattr__` and `__delattr__`, and `__getstate__`/`__setstate__` for
+    copy and pickle. The signature, defaults, default factories,
+    `__post_init__` call, `__doc__`, repr, `==`, hash and error messages are
+    the frozen dataclass's. Two things differ: setting an attribute that is
+    no field raises `FrozenInstanceError`, where the slotted frozen
+    dataclass of Python 3.11 raises a `TypeError` from its `super()` call,
+    and `__dataclass_params__.frozen` reads False. Every
+    immutable value type is built this way: the node types of the
+    trajectory and the SQL tree, and the frozen records of every module."""
     return _dataclass(cls, _node_methods, slots=True, init=False, eq=False)
 
 
-def record(frozen: bool = False, slots: bool = True) -> Callable[[type], type]:
-    """`@dataclass(frozen=..., slots=...)` with the `__repr__` that `frozen`
-    shares in place of a compiled one (a `field(repr=False)` is left out as
-    before), and its `__doc__` rendered without `inspect`. The records of
-    every module are declared this way."""
-    return lambda cls: _dataclass(cls, None, frozen=frozen, slots=slots)
+def record(slots: bool = True) -> Callable[[type], type]:
+    """`@dataclass(slots=...)`, a mutable record, with the `__repr__` that
+    `frozen` shares in place of a compiled one (a `field(repr=False)` is left
+    out as before), and its `__doc__` rendered without `inspect`. The mutable
+    records of every module are slotted; the stage backends, whose `invoke`
+    a caller may replace on an instance, are not."""
+    return lambda cls: _dataclass(cls, None, slots=slots)
 
 
 def _dataclass(cls: type, methods: Callable | None, **params: bool) -> type:
@@ -85,16 +89,20 @@ def _dataclass(cls: type, methods: Callable | None, **params: bool) -> type:
 
 
 def _node_methods(cls: type, fields: tuple[dataclasses.Field, ...]) -> dict[str, Callable]:
-    """A frozen node type's methods: `__init__`, `__eq__` and `__hash__`
-    compiled from one source, and the shared frozen ones."""
-    if len(fields) != len(cls.__dataclass_fields__) or \
-            any(f.kw_only or not f.init for f in fields):
-        raise TypeError(f"{cls.__name__}: only positional init fields are supported")
-    names = tuple(f.name for f in fields)
+    """A frozen type's methods: `__init__`, `__eq__` and `__hash__` compiled
+    from one source, and the shared frozen ones. `__init__` takes the init
+    fields; a `field(init=False)`, which takes no default, is left for
+    `__post_init__` to set, and is kept in the pickle state like any other."""
+    if len(fields) != len(cls.__dataclass_fields__) or any(f.kw_only for f in fields):
+        raise TypeError(f"{cls.__name__}: only positional fields are supported")
+    params = [f for f in fields if f.init]
+    if any(f.default is not MISSING or f.default_factory is not MISSING
+           for f in fields if not f.init):
+        raise TypeError(f"{cls.__name__}: a non-init field takes no default")
     closure: dict[str, object] = {}
     defaults: list[object] = []
     body = []
-    for f in fields:
+    for f in params:
         if f.default_factory is not MISSING:
             closure["__factory"] = _HAS_DEFAULT_FACTORY
             closure[f"__make_{f.name}"] = f.default_factory
@@ -111,7 +119,7 @@ def _node_methods(cls: type, fields: tuple[dataclasses.Field, ...]) -> dict[str,
     compared = [f.name for f in fields if f.compare]
     hashed = [f.name for f in fields if (f.compare if f.hash is None else f.hash)]
     source = (f"def make({', '.join(closure)}):\n"
-              f" def __init__({', '.join(('self', *names))}):\n"
+              f" def __init__({', '.join(['self', *(f.name for f in params)])}):\n"
               + "".join(f"  {line}\n" for line in body or ["pass"])
               + " def __eq__(self, other):\n"
               "  if other.__class__ is self.__class__:\n"
@@ -124,8 +132,9 @@ def _node_methods(cls: type, fields: tuple[dataclasses.Field, ...]) -> dict[str,
     exec(source, {}, namespace)
     init, eq, hash_ = namespace["make"](**closure)
     init.__defaults__ = tuple(defaults) or None
-    init.__annotations__ = {**{f.name: f.type for f in fields}, "return": None}
-    return {"__init__": init, "__eq__": eq, "__hash__": hash_, **_frozen_methods(cls, names)}
+    init.__annotations__ = {**{f.name: f.type for f in params}, "return": None}
+    return {"__init__": init, "__eq__": eq, "__hash__": hash_,
+            **_frozen_methods(cls, tuple(f.name for f in fields))}
 
 
 def _tuple(obj: str, names: list[str]) -> str:
@@ -513,10 +522,6 @@ class Trajectory:
 
     def __post_init__(self) -> None:
         check_bindings(self.steps)
-
-    @property
-    def source_tables(self) -> frozenset[str]:
-        return frozenset(c.table for c in self.columns())
 
     def columns(self) -> list[QualifiedColumn]:
         """Every qualified-column occurrence, in step/render order."""

@@ -263,7 +263,7 @@ def _strict_column(d: DatabaseInput, outer_tables: frozenset[str]) -> sqlast.Col
             raise SchemaMismatchError(f"column {col.column!r} not in any FROM table")
         if len(owners) > 1:
             raise SchemaMismatchError(f"column {col.column!r} is ambiguous across {owners}")
-        return d.sql_column(owners[0], col.column)
+        return sqlast.column(owners[0], col.column)
     return column
 
 
@@ -526,7 +526,7 @@ class _ToSql(_Converter):
         shared node, whose operands are converted."""
         if isinstance(expr, QualifiedColumn):
             self.tables.add(expr.table)
-            return self.d.sql_column(expr.table, expr.column)
+            return sqlast.column(expr.table, expr.column)
         if isinstance(expr, Aggregate):
             return Func(_KIND_TO_AGG_NAME[expr.kind], (self(expr.arg),))
         if isinstance(expr, Substr):
@@ -560,7 +560,7 @@ def _join_path(tables: frozenset[str], d: DatabaseInput) -> FromClause:
             if linking:
                 child, ccol, parent, pcol = linking[0]
                 joins.append(Join(TableRef(cand), Comparison(
-                    "=", d.sql_column(child, ccol), d.sql_column(parent, pcol)), "inner"))
+                    "=", sqlast.column(child, ccol), sqlast.column(parent, pcol)), "inner"))
                 attached = cand
                 break
         if attached is None:

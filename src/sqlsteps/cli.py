@@ -11,7 +11,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import bridge, corpus, evaluate, pipeline
-from .actions import ACTION_SPACE, record
+from .actions import ACTION_SPACE
 from .errors import FormatError, MissingSchemaError, SqlStepsError, UnsupportedSqlError, UsageError
 from .masking import fill_mask, mask_schema, parse_masked_template
 from .perturb import PerturbationConfig, augment
@@ -26,16 +26,6 @@ EXIT_ERROR = 1
 EXIT_UNSUPPORTED = 2
 
 _ENV_PREFIX = "SQLSTEPS_"
-
-
-@record()
-class GlobalConfig:
-    schemas_dir: str | None
-    dialect: str
-    seed: int | None
-    log_level: str
-    output_format: str  # "text" | "structured"
-    jobs: int
 
 
 class _Parser(argparse.ArgumentParser):
@@ -164,29 +154,29 @@ def _read_input(args) -> str:
     return sys.stdin.read()
 
 
-def _database(args, cfg: GlobalConfig) -> DatabaseInput:
+def _database(args) -> DatabaseInput:
     if getattr(args, "schema", None):
         return parse_database_input(args.schema)
     if getattr(args, "db", None):
-        if not cfg.schemas_dir:
+        if not args.schemas:
             raise UsageError("--db requires --schemas")
-        schemas = load_schema_dir(cfg.schemas_dir)
+        schemas = load_schema_dir(args.schemas)
         if args.db not in schemas:
-            raise UsageError(f"no schema named {args.db!r} in {cfg.schemas_dir}")
+            raise UsageError(f"no schema named {args.db!r} in {args.schemas}")
         return schemas[args.db]
     raise UsageError("provide --schema FILE or --db NAME")
 
 
-def _schemas(cfg: GlobalConfig) -> dict[str, DatabaseInput]:
-    if not cfg.schemas_dir:
+def _schemas(args) -> dict[str, DatabaseInput]:
+    if not args.schemas:
         raise UsageError("this verb requires --schemas")
-    return load_schema_dir(cfg.schemas_dir)
+    return load_schema_dir(args.schemas)
 
 
-def _require_seed(cfg: GlobalConfig, verb: str) -> int:
-    if cfg.seed is None:
+def _require_seed(args, verb: str) -> int:
+    if args.seed is None:
         raise UsageError(f"{verb} is stochastic and requires --seed")
-    return cfg.seed
+    return args.seed
 
 
 def _perturbation_config(args, seed: int) -> PerturbationConfig:
@@ -202,8 +192,8 @@ def _perturbation_config(args, seed: int) -> PerturbationConfig:
         raise UsageError(str(exc)) from None
 
 
-def _emit(cfg: GlobalConfig, payload: dict, text: str) -> None:
-    if cfg.output_format == "structured":
+def _emit(args, payload: dict, text: str) -> None:
+    if args.output_format == "structured":
         print(json.dumps(payload, sort_keys=True, ensure_ascii=False))
     else:
         print(text)
@@ -211,26 +201,26 @@ def _emit(cfg: GlobalConfig, payload: dict, text: str) -> None:
 
 # --- verb implementations ----------------------------------------------------------
 
-def _cmd_decompose(args, cfg: GlobalConfig) -> int:
-    d = _database(args, cfg)
-    query = parse_sql(_read_input(args), cfg.dialect)
+def _cmd_decompose(args) -> int:
+    d = _database(args)
+    query = parse_sql(_read_input(args), args.dialect)
     trajectory = bridge.decompose(query, d)
     text = render_trajectory(trajectory)
-    _emit(cfg, {"trajectory": text}, text.rstrip("\n"))
+    _emit(args, {"trajectory": text}, text.rstrip("\n"))
     return EXIT_OK
 
 
-def _cmd_revert(args, cfg: GlobalConfig) -> int:
-    d = _database(args, cfg)
+def _cmd_revert(args) -> int:
+    d = _database(args)
     trajectory = parse_trajectory(_read_input(args))
-    query = bridge.revert(trajectory, d, cfg.dialect)
-    _emit(cfg, {"sql": query.text}, query.text)
+    query = bridge.revert(trajectory, d, args.dialect)
+    _emit(args, {"sql": query.text}, query.text)
     return EXIT_OK
 
 
-def _cmd_roundtrip(args, cfg: GlobalConfig) -> int:
-    d = _database(args, cfg)
-    query = parse_sql(_read_input(args), cfg.dialect)
+def _cmd_roundtrip(args) -> int:
+    d = _database(args)
+    query = parse_sql(_read_input(args), args.dialect)
     report = bridge.round_trip(query, d)
     payload = {"verdict": report.verdict, "reason": report.reason, "diff": report.diff}
     lines = [report.verdict.replace("_", " ").title() if report.verdict != "pass" else "Pass"]
@@ -238,7 +228,7 @@ def _cmd_roundtrip(args, cfg: GlobalConfig) -> int:
         lines.append(report.reason)
     if report.diff:
         lines.append(report.diff)
-    _emit(cfg, payload, "\n".join(lines))
+    _emit(args, payload, "\n".join(lines))
     if report.verdict == bridge.PASS:
         return EXIT_OK
     if report.verdict == bridge.UNSUPPORTED:
@@ -246,38 +236,38 @@ def _cmd_roundtrip(args, cfg: GlobalConfig) -> int:
     return EXIT_ERROR
 
 
-def _cmd_extract_schema(args, cfg: GlobalConfig) -> int:
-    query = parse_sql(_read_input(args), cfg.dialect)
+def _cmd_extract_schema(args) -> int:
+    query = parse_sql(_read_input(args), args.dialect)
     schema_list = extract_schema(query)
-    _emit(cfg, {"tables": list(schema_list.tables),
-                "columns": [f"{t}.{c}" for t, c in schema_list.columns]},
+    _emit(args, {"tables": list(schema_list.tables),
+                 "columns": [f"{t}.{c}" for t, c in schema_list.columns]},
           schema_list.render())
     return EXIT_OK
 
 
-def _cmd_mask(args, cfg: GlobalConfig) -> int:
+def _cmd_mask(args) -> int:
     masked = mask_schema(parse_trajectory(_read_input(args)))
     template = masked.bare_template() if args.bare else masked.template
-    _emit(cfg, {"template": template,
-                "slots": [{"index": s.index, "kind": s.kind, "value": s.value,
-                           "position": s.position} for s in masked.slots]},
+    _emit(args, {"template": template,
+                 "slots": [{"index": s.index, "kind": s.kind, "value": s.value,
+                            "position": s.position} for s in masked.slots]},
           template.rstrip("\n"))
     return EXIT_OK
 
 
-def _cmd_fill(args, cfg: GlobalConfig) -> int:
-    d = _database(args, cfg)
+def _cmd_fill(args) -> int:
+    d = _database(args)
     masked = parse_masked_template(_read_input(args))
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     trajectory = fill_mask(masked, values, d)
     text = render_trajectory(trajectory)
-    _emit(cfg, {"trajectory": text}, text.rstrip("\n"))
+    _emit(args, {"trajectory": text}, text.rstrip("\n"))
     return EXIT_OK
 
 
-def _cmd_perturb(args, cfg: GlobalConfig) -> int:
-    seed = _require_seed(cfg, "perturb")
-    d = _database(args, cfg)
+def _cmd_perturb(args) -> int:
+    seed = _require_seed(args, "perturb")
+    d = _database(args)
     trajectories = []
     for lineno, record in corpus.json_records(_read_input(args)):
         text = corpus.text_field(record, "trajectory", lineno)
@@ -298,8 +288,8 @@ def _cmd_perturb(args, cfg: GlobalConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_build_corpus(args, cfg: GlobalConfig) -> int:
-    schemas = _schemas(cfg)
+def _cmd_build_corpus(args) -> int:
+    schemas = _schemas(args)
     seeds = corpus.read_seed_file(args.seeds)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -317,32 +307,32 @@ def _cmd_build_corpus(args, cfg: GlobalConfig) -> int:
         summary["sam"] = {"records": len(sam.records), "failures": len(sam.failures),
                           "stats": sam.stats.to_dict()}
     if "lom" in targets:
-        seed = _require_seed(cfg, "build-corpus --target lom")
+        seed = _require_seed(args, "build-corpus --target lom")
         config = _perturbation_config(args, seed)
         lom = corpus.build_lom_corpus(bam.records, seeds, config, schemas, dbs=dbs)
         corpus.write_corpus(lom.records, out_dir / "lom.corpus", "lom", lom.stats)
         summary["lom"] = {"records": len(lom.records), "failures": len(lom.failures),
                           "stats": lom.stats.to_dict()}
     for target, info in sorted(summary.items()):
-        _emit(cfg, {target: info},
+        _emit(args, {target: info},
               f"{target}: {info['records']} records, {info['failures']} failures")
     return EXIT_OK
 
 
-def _cmd_corpus_stats(args, cfg: GlobalConfig) -> int:
+def _cmd_corpus_stats(args) -> int:
     records, stored, target = corpus.read_corpus(args.infile)
     recomputed = corpus.compute_stats(records)
     payload = {"target": target, "stored": stored.to_dict(),
                "recomputed": recomputed.to_dict(),
                "consistent": stored.to_dict() == recomputed.to_dict()}
-    _emit(cfg, payload,
+    _emit(args, payload,
           f"{target}: {len(records)} records; stored == recomputed: {payload['consistent']}\n"
           + json.dumps(recomputed.to_dict(), indent=2, sort_keys=True))
     return EXIT_OK if payload["consistent"] else EXIT_ERROR
 
 
-def _cmd_orchestrate(args, cfg: GlobalConfig) -> int:
-    schemas = _schemas(cfg)
+def _cmd_orchestrate(args) -> int:
+    schemas = _schemas(args)
     seeds = corpus.read_seed_file(args.seeds)
     config = {}
     if args.backends:
@@ -357,7 +347,7 @@ def _cmd_orchestrate(args, cfg: GlobalConfig) -> int:
         remote = pipeline.RemoteBackend("generate", args.generator)
         generator = remote.invoke
     results = pipeline.correct_batch(seeds, backends, schemas, generator=generator,
-                                     jobs=cfg.jobs, dialect=cfg.dialect,
+                                     jobs=args.jobs, dialect=args.dialect,
                                      template_dir=args.templates)
     lines = []
     for result in results:
@@ -386,8 +376,8 @@ def _read_predictions(path: str) -> dict[str, str]:
     return preds
 
 
-def _cmd_eval(args, cfg: GlobalConfig) -> int:
-    schemas = _schemas(cfg)
+def _cmd_eval(args) -> int:
+    schemas = _schemas(args)
     seeds = corpus.read_seed_file(args.seeds)
     preds = _read_predictions(args.pred)
     dbs = evaluate.load_fixture_dbs(args.dbs)
@@ -408,21 +398,21 @@ def _cmd_eval(args, cfg: GlobalConfig) -> int:
     if args.out:
         Path(args.out).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
                                   encoding="utf-8")
-    _emit(cfg, payload,
+    _emit(args, payload,
           "\n".join(rows) + "\n" + json.dumps(report.aggregates, indent=2, sort_keys=True))
     return EXIT_OK
 
 
-def _cmd_tag_errors(args, cfg: GlobalConfig) -> int:
-    schemas = _schemas(cfg)
+def _cmd_tag_errors(args) -> int:
+    schemas = _schemas(args)
     seeds = corpus.read_seed_file(args.seeds)
     preds = _read_predictions(args.pred)
     lines = []
     for seed in seeds:
         if seed.id not in preds:
             continue
-        pred = SqlQuery.raw(preds[seed.id], cfg.dialect)
-        gold = SqlQuery.raw(seed.gold_sql, cfg.dialect)
+        pred = SqlQuery.raw(preds[seed.id], args.dialect)
+        gold = SqlQuery.raw(seed.gold_sql, args.dialect)
         try:
             if seed.db not in schemas:
                 raise MissingSchemaError(f"no schema for database {seed.db!r}")
@@ -434,13 +424,13 @@ def _cmd_tag_errors(args, cfg: GlobalConfig) -> int:
                          (seed.id, {"coarse": tag.coarse, "subtype": tag.subtype},
                           f"{seed.id}: {tag.coarse}/{tag.subtype}"))
     for seed_id, payload, text in lines:
-        _emit(cfg, {"id": seed_id, **payload}, text)
+        _emit(args, {"id": seed_id, **payload}, text)
     return EXIT_OK
 
 
-def _cmd_catalog(args, cfg: GlobalConfig) -> int:
+def _cmd_catalog(args) -> int:
     catalog = ACTION_SPACE.catalog()
-    if cfg.output_format == "structured":
+    if args.output_format == "structured":
         print(json.dumps({"actions": catalog, "hash": ACTION_SPACE.catalog_hash()},
                          sort_keys=True))
     else:
@@ -471,21 +461,13 @@ _COMMANDS = {
 def dispatch(argv: list[str]) -> int:
     try:
         args = build_parser().parse_args(argv)
-        cfg = GlobalConfig(
-            schemas_dir=args.schemas,
-            dialect=args.dialect,
-            seed=args.seed,
-            log_level=args.log_level,
-            output_format=args.output_format,
-            jobs=args.jobs,
-        )
-        logging.basicConfig(level=cfg.log_level.upper(),
+        logging.basicConfig(level=args.log_level.upper(),
                             format="%(levelname)s %(name)s: %(message)s")
         if args.verb is None:
             raise UsageError("no verb given (see --help)")
         if args.verb not in _COMMANDS:
             raise UsageError(f"unknown verb {args.verb!r}")
-        return _COMMANDS[args.verb](args, cfg)
+        return _COMMANDS[args.verb](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_ERROR

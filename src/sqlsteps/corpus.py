@@ -16,7 +16,7 @@ from dataclasses import field
 from pathlib import Path
 from typing import Iterator
 
-from .actions import Trajectory, record
+from .actions import Trajectory, frozen, record
 from .bridge import PASS, decompose, round_trip
 from .errors import (BRIDGE_ERRORS, FormatError, GoldExecutionFailedError, MissingSchemaError,
                      SqlStepsError)
@@ -35,7 +35,7 @@ TARGET_LOM = "lom"
 TARGETS = (TARGET_BAM, TARGET_SAM1, TARGET_SAM2, TARGET_LOM)
 
 
-@record(frozen=True)
+@frozen
 class SeedExample:
     id: str
     db: str
@@ -106,7 +106,7 @@ def read_seed_file(path: str | Path) -> list[SeedExample]:
     return seeds
 
 
-@record(frozen=True)
+@frozen
 class CorpusRecord:
     target: str
     input: dict[str, str]
@@ -135,7 +135,7 @@ class CorpusRecord:
         return " ".join(str(self.input[k]) for k in sorted(self.input))
 
 
-@record(frozen=True)
+@frozen
 class CorpusStats:
     counts: dict[str, int]
     mean_input_tokens: float

@@ -23,6 +23,7 @@ from .actions import (
     Trajectory,
     action_exprs,
     expr_children,
+    frozen,
     record,
 )
 from .bridge import PASS, decompose, round_trip
@@ -149,7 +150,7 @@ def _rows_match(pred: ExecutionResult, gold_rows: list[tuple], ordered: bool) ->
 
 # --- error tagging ---------------------------------------------------------------
 
-@record(frozen=True)
+@frozen
 class ErrorTag:
     coarse: str  # SCHEMA_ERROR | LOGIC_ERROR
     subtype: str

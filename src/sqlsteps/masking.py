@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 
-from .actions import QualifiedColumn, Trajectory, record
+from .actions import QualifiedColumn, Trajectory, frozen
 from .errors import ArityMismatchError, FormatError, KindMismatchError, SchemaMismatchError
 from .schema import DatabaseInput
 from .trajectory import parse_trajectory, trajectory_fragments, validate_trajectory
@@ -24,7 +24,7 @@ from .trajectory import parse_trajectory, trajectory_fragments, validate_traject
 MASK_TOKEN_RE = re.compile(r"\[MASK:([0-9]{1,9})\]")
 
 
-@record(frozen=True)
+@frozen
 class MaskSlot:
     index: int
     kind: str  # "column" | "table"
@@ -32,7 +32,7 @@ class MaskSlot:
     position: int  # character offset of the occurrence in the source text
 
 
-@record(frozen=True)
+@frozen
 class MaskedTrajectory:
     template: str
     slots: tuple[MaskSlot, ...]

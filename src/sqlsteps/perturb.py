@@ -41,6 +41,7 @@ from .actions import (
     Where,
     AGGREGATE_KINDS,
     binding_name,
+    frozen,
     map_expr,
     record,
 )
@@ -58,7 +59,7 @@ _FLIP_COMPARATOR = {"=": "!=", "!=": "=", "<": ">", ">": "<", "<=": ">=", ">=": 
                     "is null": "is not null", "is not null": "is null"}
 
 
-@record(frozen=True)
+@frozen
 class PerturbationRecord:
     kind: str  # one of KINDS
     site: tuple[int, int]  # (step index, action index) in the source trajectory
@@ -80,7 +81,7 @@ class PerturbationRecord:
                 "after": self.after, "seed": self.seed}
 
 
-@record(frozen=True)
+@frozen
 class PerturbationConfig:
     k: int = 1
     weights: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)  # add, delete, substitute
@@ -96,7 +97,7 @@ class PerturbationConfig:
             raise ValueError("kind weights must sum to 1")
 
 
-@record(frozen=True)
+@frozen
 class PerturbationPair:
     erroneous: Trajectory
     verified: Trajectory
@@ -182,7 +183,7 @@ def _swap_action(steps: list[TrajectoryStep], step_idx: int, action_idx: int,
 
 # --- candidate edits ----------------------------------------------------------
 
-@record(frozen=True)
+@frozen
 class _Edit:
     site: tuple[int, int]
     before: Action | None

@@ -20,12 +20,11 @@ from dataclasses import field
 from pathlib import Path
 from typing import Callable
 
-from .actions import QualifiedColumn, expr_children, record
+from .actions import QualifiedColumn, expr_children, frozen, record
 from .errors import FormatError
 from .sqlast import (
     Column,
     Join,
-    Predicate,
     SelectCore,
     SelectNode,
     SetOp,
@@ -33,28 +32,28 @@ from .sqlast import (
     SqlQuery,
     Subquery,
     TableRef,
+    _clause_exprs,
     normalize_core,
-    pred_exprs,
 )
 
 SENTINEL_TABLE = "?"
 
 
-@record(frozen=True)
+@frozen
 class ColumnDef:
     name: str
     type: str
     is_primary_key: bool = False
 
 
-@record(frozen=True)
+@frozen
 class ForeignKey:
     column: str
     ref_table: str
     ref_column: str
 
 
-@record(frozen=True)
+@frozen
 class TableDef:
     name: str
     columns: tuple[ColumnDef, ...]
@@ -75,24 +74,24 @@ FromClause = tuple[tuple[TableRef, ...], tuple[Join, ...]]
 
 @record()
 class SchemaNodes:
-    """The tree nodes of a database's columns and joins, each built on first
-    use and then shared by every tree that holds it: nodes are frozen, so a
-    shared one is as good as a copy. Threads that fill one entry at once may
-    each build its node; the nodes are equal, and the last one is kept."""
+    """The trajectory nodes of a database's columns and the SQL clauses of its
+    joins, each built on first use and then shared by every tree that holds
+    it: nodes are frozen, so a shared one is as good as a copy. Threads that
+    fill one entry at once may each build its node; the nodes are equal, and
+    the last one is kept. (SQL `Column`s are shared by `sqlast.column`.)"""
 
     qualified: dict[tuple[str, str], QualifiedColumn] = field(default_factory=dict)
-    columns: dict[tuple[str, str], Column] = field(default_factory=dict)
     ordered: tuple[QualifiedColumn, ...] | None = None
     froms: dict[frozenset[str], FromClause] = field(default_factory=dict)
 
 
-@record(frozen=True)
+@frozen
 class DatabaseInput:
     """A database's tables. Its lookups, foreign-key edges and schema text
-    are built once, when it is constructed, and the tree nodes of its columns
-    and joins (`SchemaNodes`) on first use; none takes part in `==`, `hash`
-    or `repr`. Where a table name repeats, the first table of that name is
-    the one looked up."""
+    are built once, when it is constructed, and the trajectory nodes of its
+    columns and the clauses of its joins (`SchemaNodes`) on first use; none
+    takes part in `==`, `hash` or `repr`. Where a table name repeats, the
+    first table of that name is the one looked up."""
 
     name: str
     tables: tuple[TableDef, ...]
@@ -146,17 +145,6 @@ class DatabaseInput:
             node = QualifiedColumn(table, column)
             if key in self._columns:
                 self._nodes.qualified[key] = node
-        return node
-
-    def sql_column(self, table: str, column: str) -> Column:
-        """The SQL `Column(table, column)`, one per column of this database;
-        a pair that is no column here is built anew on each call."""
-        key = (table, column)
-        node = self._nodes.columns.get(key)
-        if node is None:
-            node = Column(table, column)
-            if key in self._columns:
-                self._nodes.columns[key] = node
         return node
 
     def qualified_columns(self) -> tuple[QualifiedColumn, ...]:
@@ -322,7 +310,7 @@ def load_schema_dir(path: str | Path) -> dict[str, DatabaseInput]:
 
 # --- schema lists ------------------------------------------------------------
 
-@record(frozen=True)
+@frozen
 class SchemaList:
     """Tables and columns referenced by a query, in first-appearance order.
 
@@ -378,18 +366,8 @@ def _collect_core(core: SelectCore, acc: _SchemaAccumulator) -> None:
         acc.add_table(ref.name)
     for join in core.joins:
         acc.add_table(join.table.name)
-    for item in core.items:
-        _collect_expr(item.expr, scope, acc)
-    for join in core.joins:
-        _collect_pred(join.on, scope, acc)
-    if core.where is not None:
-        _collect_pred(core.where, scope, acc)
-    for expr in core.group_by:
+    for expr in _clause_exprs(core):
         _collect_expr(expr, scope, acc)
-    if core.having is not None:
-        _collect_pred(core.having, scope, acc)
-    for item_ in core.order_by:
-        _collect_expr(item_.expr, scope, acc)
 
 
 def _collect_expr(expr: SqlExpr, scope: list[str], acc: _SchemaAccumulator) -> None:
@@ -406,7 +384,3 @@ def _collect_expr(expr: SqlExpr, scope: list[str], acc: _SchemaAccumulator) -> N
         for child in expr_children(expr):
             _collect_expr(child, scope, acc)
 
-
-def _collect_pred(pred: Predicate, scope: list[str], acc: _SchemaAccumulator) -> None:
-    for expr in pred_exprs(pred):
-        _collect_expr(expr, scope, acc)

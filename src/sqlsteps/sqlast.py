@@ -437,6 +437,11 @@ def _leaf(leaves: dict[tuple[Any, Any], _Leaf], build: Callable[[Any, Any], _Lea
     return node
 
 
+def column(table: str | None, name: str) -> Column:
+    """The shared `Column(table, name)`, the node the parser builds for it."""
+    return _leaf(_COLUMNS, Column, table, name)
+
+
 class _SqlParser(BoundedParser):
     def too_deep(self) -> SqlTooDeepError:
         return SqlTooDeepError(f"nesting deeper than {MAX_DEPTH} levels",
@@ -628,8 +633,8 @@ class _SqlParser(BoundedParser):
                 return self.nested(self.func_call, tok[TEXT], tok[POS])
             if key == ".":
                 self.pos += 1
-                return _leaf(_COLUMNS, Column, tok[TEXT], self.ident())
-            return _leaf(_COLUMNS, Column, None, tok[TEXT])
+                return column(tok[TEXT], self.ident())
+            return column(None, tok[TEXT])
         if tok[KIND] == "NUMBER":
             self.next()
             return self.number(tok)

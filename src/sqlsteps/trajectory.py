@@ -53,7 +53,7 @@ from .schema import DatabaseInput  # noqa: F401  (re-exported for validate calle
 from .sqlast import (ARITHMETIC_LEVELS, KEY, KEYWORDS, KIND, MAX_DEPTH, POS, TEXT,
                      BoundedParser, Token)
 
-_DF_REF_RE = re.compile(r"df\d+|res")
+_DF_REF_RE = re.compile(r"df[0-9]+|res")
 _NUMBER_RE = re.compile(r"-?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?")
 _DATE_TOKEN_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 _WORD_RE = re.compile(r"\w+")

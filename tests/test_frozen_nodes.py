@@ -1,29 +1,32 @@
 """Every value type is built by `actions.frozen` (the node types of the
-trajectory and the SQL tree) or `actions.record` (the records of every
-module), which compile fewer methods than a dataclass and share the rest.
+trajectory and the SQL tree, and the frozen records of every module) or
+`actions.record` (the mutable records), which compile fewer methods than a
+dataclass and share the rest.
 
 Each class is checked against a plain dataclass twin with the same fields,
-`__post_init__` and flags (`@dataclass(frozen=True, slots=True)` for a node
-type): the two agree on positional, keyword and default arguments, on
+`__post_init__` and flags (`@dataclass(frozen=True, slots=True)` for a
+frozen type): the two agree on positional, keyword and default arguments, on
 `inspect.signature`, on the errors a call raises, on `__doc__`, `repr`,
 `==`, `hash` and `dataclasses.asdict`, and on the `FrozenInstanceError` that
 setting or deleting a field raises. `replace`, `copy` and `pickle` give equal
-objects. The instances are collected from parsed and decomposed queries,
-built corpora and corrected seeds, so each class is tried on the values it
-really holds.
+objects, with every field kept, those outside `__init__` too. The instances
+are collected from parsed and decomposed queries, built corpora and
+corrected seeds, so each class is tried on the values it really holds.
 """
 
 from __future__ import annotations
 
 import copy
 import dataclasses
+import importlib
 import inspect
 import pickle
+import pkgutil
 
 import pytest
 
-from sqlsteps import (actions, bridge, cli, corpus, evaluate, masking, perturb, pipeline, schema,
-                      sqlast)
+import sqlsteps
+from sqlsteps import actions, bridge, corpus, evaluate, perturb, pipeline, schema, sqlast
 from sqlsteps.actions import (ACTION_SPACE, BindingRef, FilterCondition, Limit, OrderBy,
                               QualifiedColumn, Scalar, Select, Trajectory, TrajectoryStep, frozen)
 from sqlsteps.bridge import decompose
@@ -34,18 +37,21 @@ from sqlsteps.sqlast import SqlQuery
 from conftest import generated_seeds
 
 
-def _dataclasses_of(*modules) -> list[type]:
+def _dataclasses_of_the_package() -> list[type]:
+    modules = [importlib.import_module(f"sqlsteps.{m.name}")
+               for m in pkgutil.iter_modules(sqlsteps.__path__)]
     return [cls for module in modules for cls in vars(module).values()
             if isinstance(cls, type) and dataclasses.is_dataclass(cls)
             and cls.__module__ == module.__name__]
 
 
-# a node type is frozen: it guards its fields against assignment
-NODE_TYPES = [cls for cls in _dataclasses_of(actions, sqlast)
-              if cls.__setattr__ is not object.__setattr__]
-RECORD_TYPES = [cls for cls in _dataclasses_of(bridge, cli, corpus, evaluate, masking, perturb,
-                                                 pipeline, schema, sqlast)
-                if cls not in NODE_TYPES]
+VALUE_TYPES = _dataclasses_of_the_package()
+# a frozen type, node or record, guards its fields against assignment
+FROZEN_TYPES = [cls for cls in VALUE_TYPES if cls.__setattr__ is not object.__setattr__]
+# the node types of the trajectory and the SQL tree, tried on parsed and
+# decomposed queries; every other value type is a record, frozen or not
+NODE_TYPES = [cls for cls in FROZEN_TYPES if cls.__module__ in (actions.__name__, sqlast.__name__)]
+RECORD_TYPES = [cls for cls in VALUE_TYPES if cls not in NODE_TYPES]
 
 EXTRA_QUERIES = [
     "SELECT c.name AS n, COUNT(DISTINCT o.id) FROM customers AS c "
@@ -109,7 +115,7 @@ def record_instances(schemas, dbs):
     backends = pipeline.build_backends({})
     results = pipeline.correct_batch(seeds, backends, schemas, jobs=1)
     query = sqlast.parse_sql(seeds[0].gold_sql)
-    store.sql_column("orders", "id")  # fills the schema's shared nodes
+    store.qualified_columns()  # fills the schema's shared nodes
     values = [
         seeds, bam, corpus.build_sam_corpus(bam.records, seeds, schemas),
         corpus.build_lom_corpus(bam.records, seeds, cfg, schemas, dbs),
@@ -117,13 +123,18 @@ def record_instances(schemas, dbs):
         perturb._delete_candidates(trajectories[0]), results,
         evaluate.evaluate_correction(results, seeds, dbs, schemas),
         evaluate.execute_sql(query, dbs["store"]), bridge.round_trip(query, store),
-        SqlQuery.raw("SELECT nope nope"), schemas, schema.extract_schema(query),
-        cli.GlobalConfig(None, "sqlite", 7, "info", "text", 1), backends,
+        SqlQuery.raw("SELECT nope nope"), schemas, schema.extract_schema(query), backends,
         pipeline.ScriptedBackend("bam", {"a": "b"}), pipeline.RemoteBackend("bam", "http://x"),
     ]
     found: dict[type, dict] = {}
     _collect(values, found, RECORD_TYPES)
     return {cls: list(by_repr.values())[:6] for cls, by_repr in found.items()}
+
+
+@pytest.fixture(scope="module")
+def frozen_instances(instances, record_instances):
+    """The instances of every frozen type: nodes and frozen records."""
+    return {cls: instances.get(cls) or record_instances[cls] for cls in FROZEN_TYPES}
 
 
 def _twin(cls: type, frozen: bool = True, slots: bool = True, eq: bool = True) -> type:
@@ -138,12 +149,12 @@ def _twin(cls: type, frozen: bool = True, slots: bool = True, eq: bool = True) -
 
 
 def _record_twin(cls: type) -> type:
-    params = cls.__dataclass_params__
-    return _twin(cls, params.frozen, "__slots__" in vars(cls), params.eq)
+    return _twin(cls, False, "__slots__" in vars(cls), cls.__dataclass_params__.eq)
 
 
 def _values(obj) -> tuple:
-    return tuple(getattr(obj, f.name) for f in dataclasses.fields(obj))
+    """The values of `obj`'s `__init__` arguments."""
+    return tuple(getattr(obj, f.name) for f in dataclasses.fields(obj) if f.init)
 
 
 def _result(fn, *args):
@@ -158,12 +169,24 @@ def _outcome(make, *args, **kwargs):
 
 
 def test_every_frozen_node_type_carries_the_decorator():
-    assert len(NODE_TYPES) >= 39
-    for cls in NODE_TYPES:
+    assert len(FROZEN_TYPES) >= 54
+    for cls in FROZEN_TYPES:
         assert "__slots__" in cls.__dict__, cls
         # a frozen dataclass's own `__init__` assigns through `object.__setattr__`
         assert "__setattr__" not in cls.__init__.__code__.co_names, cls
         assert cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
+
+
+def test_one_way_to_build_a_frozen_type():
+    @frozen
+    class Probe:
+        a: int
+
+    for cls in VALUE_TYPES:
+        assert not cls.__dataclass_params__.frozen, cls
+    for cls in FROZEN_TYPES:  # the guards `actions.frozen` shares
+        assert cls.__setattr__.__code__ is Probe.__setattr__.__code__, cls
+    assert list(inspect.signature(actions.record).parameters) == ["slots"]
 
 
 def test_every_node_type_has_instances_to_check(instances):
@@ -175,21 +198,22 @@ def test_every_record_type_has_instances_to_check(record_instances):
     assert set(record_instances) == set(RECORD_TYPES)
 
 
-@pytest.mark.parametrize("cls", NODE_TYPES + RECORD_TYPES, ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("cls", VALUE_TYPES, ids=lambda cls: cls.__name__)
 def test_doc_is_the_written_one_or_the_dataclass_one(cls):
-    twin = _twin(cls) if cls in NODE_TYPES else _record_twin(cls)
+    twin = _twin(cls) if cls in FROZEN_TYPES else _record_twin(cls)
     assert cls.__doc__ == twin.__doc__ or not cls.__doc__.startswith(f"{cls.__name__}(")
 
 
-@pytest.mark.parametrize("cls", NODE_TYPES, ids=lambda cls: cls.__name__)
-def test_init_agrees_with_the_plain_dataclass(cls, instances):
+@pytest.mark.parametrize("cls", FROZEN_TYPES, ids=lambda cls: cls.__name__)
+def test_init_agrees_with_the_plain_dataclass(cls, frozen_instances):
     twin = _twin(cls)
     assert inspect.signature(cls) == inspect.signature(twin)
     assert cls.__match_args__ == twin.__match_args__
-    names = [f.name for f in dataclasses.fields(cls)]
-    required = [f.name for f in dataclasses.fields(cls)
+    params = [f for f in dataclasses.fields(cls) if f.init]
+    names = [f.name for f in params]
+    required = [f.name for f in params
                 if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
-    for obj in instances[cls]:
+    for obj in frozen_instances[cls]:
         args = _values(obj)
         kwargs = dict(zip(names, args))
         assert _outcome(cls, *args) == _outcome(twin, *args) == ("ok", args)
@@ -229,6 +253,10 @@ SELECT = Select((COLUMN,))
     (TrajectoryStep, ("res", "df", (Select((BindingRef("df1"),)),))),
     (Trajectory, ((),)),
     (Trajectory, ((TrajectoryStep("df1", "df", (SELECT,)),),)),
+    (perturb.PerturbationRecord, ("add", (0, 0), "x", None, 1)),
+    (perturb.PerturbationRecord, ("substitute", (0, 0), "x", "x", 1)),
+    (perturb.PerturbationConfig, (-1,)),
+    (perturb.PerturbationConfig, (1, (0.5, 0.5, 0.5))),
 ], ids=lambda value: value.__name__ if isinstance(value, type) else "")
 def test_post_init_errors_agree_with_the_plain_dataclass(cls, args):
     outcome = _outcome(cls, *args)
@@ -236,29 +264,33 @@ def test_post_init_errors_agree_with_the_plain_dataclass(cls, args):
     assert outcome == _outcome(_twin(cls), *args)
 
 
-@pytest.mark.parametrize("cls", NODE_TYPES, ids=lambda cls: cls.__name__)
-def test_nodes_stay_frozen_and_copy_replace_and_pickle(cls, instances):
-    for obj in instances[cls]:
-        names = [f.name for f in dataclasses.fields(obj)]
-        for name in names:
+@pytest.mark.parametrize("cls", FROZEN_TYPES, ids=lambda cls: cls.__name__)
+def test_nodes_stay_frozen_and_copy_replace_and_pickle(cls, frozen_instances):
+    for obj in frozen_instances[cls]:
+        fields = dataclasses.fields(obj)
+        for f in fields:
             with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(obj, name, None)
+                setattr(obj, f.name, None)
             with pytest.raises(dataclasses.FrozenInstanceError):
-                delattr(obj, name)
+                delattr(obj, f.name)
         assert not hasattr(obj, "__dict__")
-        copies = [dataclasses.replace(obj), copy.copy(obj), copy.deepcopy(obj),
-                  pickle.loads(pickle.dumps(obj))]
+        copies = [copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))]
+        # a field outside `__init__` (a `DatabaseInput`'s lookups) is copied
+        # and pickled with the rest
+        for other in copies:
+            assert all(getattr(other, f.name) == getattr(obj, f.name) for f in fields)
+        names = [f.name for f in fields if f.init]
+        copies.append(dataclasses.replace(obj))
         if names:
             copies.append(dataclasses.replace(obj, **{names[0]: getattr(obj, names[0])}))
         for other in copies:
             assert type(other) is cls and other == obj and repr(other) == repr(obj)
-            if cls is not actions.ActionSpace:  # its alias dict is unhashable
-                assert hash(other) == hash(obj)
+            assert _result(hash, other) == _result(hash, obj)
 
 
-@pytest.mark.parametrize("cls", NODE_TYPES, ids=lambda cls: cls.__name__)
-def test_value_methods_agree_with_the_plain_dataclass(cls, instances):
-    objs = instances[cls]
+@pytest.mark.parametrize("cls", FROZEN_TYPES, ids=lambda cls: cls.__name__)
+def test_value_methods_agree_with_the_plain_dataclass(cls, frozen_instances):
+    objs = frozen_instances[cls]
     twins = [_twin(cls)(*_values(obj)) for obj in objs]
     for obj, twin in zip(objs, twins):
         _agree(obj, twin)
@@ -268,14 +300,15 @@ def test_value_methods_agree_with_the_plain_dataclass(cls, instances):
 
 @pytest.mark.parametrize("cls", RECORD_TYPES, ids=lambda cls: cls.__name__)
 def test_records_agree_with_the_plain_dataclass(cls, record_instances):
-    twin_cls = _record_twin(cls)
+    twin_cls = _twin(cls) if cls in FROZEN_TYPES else _record_twin(cls)
     for obj in record_instances[cls]:
-        twin = twin_cls(**{f.name: getattr(obj, f.name)
-                           for f in dataclasses.fields(cls) if f.init})
-        _agree(obj, twin)
+        _agree(obj, twin_cls(*_values(obj)))
         for other in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
-            assert type(other) is cls and repr(other) == repr(obj)
-            assert other == obj or not cls.__dataclass_params__.eq
+            assert type(other) is cls
+            # a set rebuilt by a copy may list its items in another order
+            # (the table sets that key `SchemaNodes.froms`), so where a record
+            # has `==`, that is the check
+            assert other == obj if cls.__dataclass_params__.eq else repr(other) == repr(obj)
 
 
 def _agree(obj, twin) -> None:
@@ -312,12 +345,34 @@ def test_a_field_left_out_of_eq_is_left_out_of_hash():
 
 
 def test_unsupported_fields_fail_at_decoration():
-    with pytest.raises(TypeError, match="only positional init fields"):
+    with pytest.raises(TypeError, match="only positional fields"):
         @frozen
         class KeywordOnly:
             a: int
             b: int = dataclasses.field(default=0, kw_only=True)
 
+
+def test_a_non_init_field_is_set_by_post_init_and_kept_by_copy():
+    @frozen
+    class Sized:
+        items: tuple
+        size: int = dataclasses.field(init=False, repr=False, compare=False)
+
+        def __post_init__(self):
+            object.__setattr__(self, "size", len(self.items))
+
+    assert inspect.signature(Sized) == inspect.signature(_twin(Sized))
+    with pytest.raises(TypeError, match="takes 2 positional arguments but 3 were given"):
+        Sized((1, 2), 2)
+    sized = Sized((1, 2))
+    assert sized.size == 2 and repr(sized).endswith("Sized(items=(1, 2))")
+    assert sized.__getstate__() == [(1, 2), 2]
+    assert copy.copy(sized).size == copy.deepcopy(sized).size == 2
+    with pytest.raises(TypeError, match="a non-init field takes no default"):
+        @frozen
+        class Defaulted:
+            a: int
+            b: int = dataclasses.field(default=0, init=False)
 
 
 def test_a_record_renders_the_dataclass_doc_and_repr():

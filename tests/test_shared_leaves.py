@@ -1,7 +1,8 @@
 """The parser shares its name leaves: one `Column` and one `TableRef` per
 exact field values, from tables that hold at most `LEAF_BOUND` nodes each.
 Literals are never shared, as `Scalar(-0.0)` and `Scalar(0.0)` are equal but
-render differently. Numbered binding names are one string each."""
+render differently. `decompose` and `revert` take their SQL columns from the
+parser's table (`sqlast.column`). Numbered binding names are one string each."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from sqlsteps import sqlast
 from sqlsteps.actions import Scalar, binding_name
 from sqlsteps.bridge import PASS, decompose, round_trip
 from sqlsteps.perturb import ADD, perturb_once
+from sqlsteps.schema import DatabaseInput
 from sqlsteps.sqlast import Column, TableRef, parse_predicate, parse_sql, render_sql
 
 
@@ -89,6 +91,24 @@ def test_the_name_tables_hold_no_more_than_their_bound():
     # and a name parsed after a table was emptied is shared anew
     again = parse_sql("SELECT n0.c0 FROM n0").ast
     assert again.items[0].expr is parse_sql("SELECT n0.c0 FROM n0").ast.items[0].expr
+
+
+def test_reverted_and_parsed_trees_share_their_column_nodes(store):
+    # `revert` builds its columns, those of the joins it adds included, and
+    # `decompose` resolves a bare column, through the parser's own table; a
+    # fresh database, as one keeps the join clauses it built before
+    sql = ("SELECT customers.city, COUNT(orders.id) FROM customers JOIN orders "
+           "ON orders.customer_id = customers.id WHERE age > 30 GROUP BY customers.city")
+    query = parse_sql(sql)
+    report = round_trip(query, DatabaseInput(store.name, store.tables))
+    assert report.verdict == PASS
+    reverted = nodes(report.reverted.ast, Column)
+    assert {c.table for c in reverted} == {"customers", "orders"}
+    for col in reverted:
+        assert col is sqlast.column(col.table, col.column)
+    assert sqlast.column("orders", "id") is one(
+        [c for c in nodes(query.ast, Column) if c == Column("orders", "id")])
+    assert sqlast.column("nope", "x") is sqlast.column("nope", "x")
 
 
 def test_numbered_binding_names_are_one_string_each(store):

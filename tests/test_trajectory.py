@@ -337,6 +337,21 @@ def test_filter_operand_of_non_ascii_digits_is_a_string(operand):
     assert parse_filter_text(render_filter(cond)[1:-1].replace("''", "'")) == cond
 
 
+@pytest.mark.parametrize("digit", ["٠", "０", "०"])
+def test_a_binding_number_in_other_decimal_digits_is_no_binding(digit):
+    """A binding number is of ASCII digits, as every number of the grammars."""
+    name = f"df{digit}"
+    with pytest.raises(TrajectorySyntaxError, match="invalid binding"):
+        parse_trajectory(f"{name} = df.where(element = orders.id, filter = '> 1')\n"
+                         f"res = {name}.select(orders.id)")
+    with pytest.raises(ValueError, match="invalid binding name"):
+        BindingRef(name)
+    # as a filter operand it is a string, not a reference
+    cond = parse_filter_text(f"= {name}")
+    assert cond.operands == (Scalar(name, "string"),)
+    assert parse_filter_text(render_filter(cond)[1:-1].replace("''", "'")) == cond
+
+
 def test_unparseable_filter_is_a_syntax_error():
     with pytest.raises(TrajectorySyntaxError):
         parse_trajectory("df1 = df.where(element = t.a, filter = 'between 1')\nres = df1.select(t.a)")
