@@ -690,6 +690,10 @@ class ActionSpace:
 
     entries: tuple[ActionSpec, ...]
     aliases: dict[str, str] = field(default_factory=dict)
+    _names: frozenset[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_names", frozenset([e.name for e in self.entries]))
 
     def resolve(self, name: str) -> str | None:
         """Canonical action name for `name`, or None if outside the space."""
@@ -697,10 +701,7 @@ class ActionSpace:
         lowered = self.aliases.get(lowered, lowered)
         if lowered == "calculation":  # expression-level, never a chained call
             return None
-        return lowered if lowered in self._names() else None
-
-    def _names(self) -> frozenset[str]:
-        return frozenset(e.name for e in self.entries)
+        return lowered if lowered in self._names else None
 
     def catalog(self) -> list[dict[str, str]]:
         return [{"name": e.name, "category": e.category, "params": e.params, "doc": e.doc}

@@ -9,9 +9,16 @@ converting approximately.
 
 Which action chains form a SQL query is a rule of the trajectory types
 (`actions.check_bindings`), so every `Trajectory` has a reversion; `revert`
-raises only for what needs the schema: an unknown table or column
+raises for what needs the schema: an unknown table or column
 (SchemaMismatchError) and a join with no foreign-key path
-(JoinPathNotFoundError).
+(JoinPathNotFoundError). A compound filter's text is opaque to the types and
+parsed only by `revert`, which raises SqlSyntaxError for text that does not
+parse, UnsupportedSqlError for a subquery in it, and SchemaMismatchError for
+a column that is bare or not in the database.
+
+`decompose` raises each core's first error in clause order, subquery cores
+included. In both directions a subquery stands only as the whole operand of
+a WHERE comparison, never inside a compound condition.
 """
 
 from __future__ import annotations
@@ -136,24 +143,17 @@ def _decompose_node(node: SelectNode, d: DatabaseInput, namer: _Namer,
 
 def _decompose_core(core: SelectCore, d: DatabaseInput, namer: _Namer,
                     steps: list[TrajectoryStep], bind: str | None,
-                    outer_tables: frozenset[str] = frozenset(),
-                    raise_at_count: bool = False) -> str:
+                    outer_tables: frozenset[str] = frozenset()) -> str:
     _check_core_shape(core, d)
-    core = sqlast.normalize_core(core, d, _strict_column(d, outer_tables), raise_at_count)
+    core = sqlast.normalize_core(core, d, _strict_column(d, outer_tables))
     core = sqlast.expand_select_star(core, d)
     declared = {t.name for t in core.tables} | {j.table.name for j in core.joins}
-    # A subquery's COUNT(*) whose target does not qualify raises where it
-    # stands if this core has a COUNT(*) target of its own, else in its GROUP
-    # BY: the order in which such errors have always been reported.
-    counted = any([isinstance(e, Column) for e in core.group_by]) or (
-        len(declared) == 1 and d.primary_key(next(iter(declared))) is not None)
     conv = _ToTrajectory(d)
     receiver = "df"
     if core.where is not None:
         scope = outer_tables | declared
         for conjunct in flatten_and(core.where):
-            element, cond = _conjunct_to_filter(conjunct, d, namer, steps, conv, scope,
-                                                counted)
+            element, cond = _conjunct_to_filter(conjunct, d, namer, steps, conv, scope)
             binding = namer.next()
             steps.append(TrajectoryStep(binding, receiver, (Where(element, cond),)))
             receiver = binding
@@ -331,14 +331,12 @@ class _ToTrajectory(_Converter):
 
 def _conjunct_to_filter(pred: Predicate, d: DatabaseInput, namer: _Namer,
                         steps: list[TrajectoryStep], conv,
-                        scope: frozenset[str] | set[str],
-                        counted: bool) -> tuple[Expr, FilterCondition]:
+                        scope: frozenset[str] | set[str]) -> tuple[Expr, FilterCondition]:
     pred = sqlast._normalize_comparison(pred)
     if isinstance(pred, Comparison) and isinstance(pred.right, Subquery):
         if isinstance(pred.left, Subquery):
             raise UnsupportedSqlError("subquery-to-subquery comparisons are unsupported")
-        sub_binding = _decompose_core(pred.right.core, d, namer, steps, None,
-                                      frozenset(scope), counted)
+        sub_binding = _decompose_core(pred.right.core, d, namer, steps, None, frozenset(scope))
         return conv(pred.left), FilterCondition(pred.op, (BindingRef(sub_binding),))
     return _simple_filter(pred, d, conv)
 
@@ -368,38 +366,32 @@ def _simple_filter(pred: Predicate, d: DatabaseInput, conv) -> tuple[Expr, Filte
         raise UnsupportedSqlError("negated predicate forms are unsupported")
     if isinstance(pred, InList):
         raise UnsupportedSqlError("IN with a subquery is unsupported")
-    # disjunctions and column-to-column comparisons become opaque compounds
-    _reject_subqueries(pred)
-    element = _first_column_expr(pred, conv)
-    _witness_predicate(pred, conv)
+    # disjunctions and column-to-column comparisons become opaque compounds;
+    # the first column is the element, and converting each records its table
+    columns = [conv(col) for col in _sql_columns(pred)]
+    if not columns:
+        raise UnsupportedSqlError("predicate references no column")
     text = sqlast.canonical_predicate(pred, d)
-    return element, FilterCondition("compound", (), compound_text=text)
+    return columns[0], FilterCondition("compound", (), compound_text=text)
 
 
-def _first_column_expr(pred: Predicate, conv) -> Expr:
-    for expr in sqlast.pred_exprs(pred):
-        cols = _sql_columns(expr)
-        if cols:
-            return conv(cols[0])
-    raise UnsupportedSqlError("predicate references no column")
+def _sql_columns(pred: Predicate) -> list[Column]:
+    """The columns of a compound predicate, left to right; a subquery at any
+    depth raises, as a compound condition holds none."""
+    columns: list[Column] = []
 
-
-def _witness_predicate(pred: Predicate, conv) -> None:
-    for expr in sqlast.pred_exprs(pred):
-        for col in _sql_columns(expr):
-            conv(col)
-
-
-def _reject_subqueries(pred: Predicate) -> None:
-    for expr in sqlast.pred_exprs(pred):
-        if isinstance(expr, Subquery):
+    def visit(expr: SqlExpr) -> None:
+        if isinstance(expr, Column):
+            columns.append(expr)
+        elif isinstance(expr, Subquery):
             raise UnsupportedSqlError("subqueries inside compound predicates")
+        else:
+            for child in expr_children(expr):
+                visit(child)
 
-
-def _sql_columns(expr: SqlExpr) -> list[Column]:
-    if isinstance(expr, Column):
-        return [expr]
-    return [col for child in expr_children(expr) for col in _sql_columns(child)]
+    for expr in sqlast.pred_exprs(pred):
+        visit(expr)
+    return columns
 
 
 def _collect_aggregates(core: SelectCore) -> list[Func]:
@@ -488,8 +480,7 @@ def _condition_to_pred(frames: dict, action: Where | Having, d: DatabaseInput,
     if cond.comparator == "compound":
         assert cond.compound_text is not None
         pred = sqlast.parse_predicate(cond.compound_text)
-        columns = [(col.table, col.column) for expr in sqlast.pred_exprs(pred)
-                   for col in _sql_columns(expr)]
+        columns = [(col.table, col.column) for col in _sql_columns(pred)]
         bare = [column for table, column in columns if table is None]
         if bare:  # worded as by `decompose`, which never emits one
             raise SchemaMismatchError(f"column {bare[0]!r} could not be qualified")
@@ -600,7 +591,7 @@ def round_trip(s: SqlQuery, d: DatabaseInput) -> RoundTripReport:
         reverted = _revert(t, d, s.dialect)
     except BRIDGE_ERRORS as exc:
         return RoundTripReport(s, None, None, UNSUPPORTED, reason=str(exc))
-    if same_tree(s, reverted, same_literals=True):
+    if same_tree(s, reverted):
         kept = s if reverted.text == s.text else SqlQuery(reverted.text, s.ast, s.dialect)
         return RoundTripReport(s, t, kept, PASS)
     forms = canonical_mismatch(s, reverted, d)
@@ -611,12 +602,11 @@ def round_trip(s: SqlQuery, d: DatabaseInput) -> RoundTripReport:
     return RoundTripReport(s, t, reverted, CANONICAL_MISMATCH, diff=diff)
 
 
-def same_tree(s: SqlQuery, reverted: SqlQuery, *, same_literals: bool) -> bool:
-    """Whether `reverted` has the canonical form of `s` because its tree is
-    `==` to the parsed one, which holds only when `same_literals` does.
-
-    `same_literals` says that every literal of `reverted` has the value of the
-    literal of `s` it stems from, sign included, as when `reverted` reverts
+def same_tree(s: SqlQuery, reverted: SqlQuery) -> bool:
+    """Whether the tree of `reverted` is `==` to the parsed tree of `s`, which
+    gives both the same canonical form only when every literal of `reverted`
+    has the value of the literal of `s` it stems from, sign included. The
+    caller vouches for that, as `round_trip` does where `reverted` reverts
     `s`'s own decomposition: decompose and revert carry `s`'s `Scalar`
     objects over, and a compound filter parses back the exact `repr` of its
     numbers. `canonicalize` is a pure function of the tree and the schema,
@@ -626,7 +616,7 @@ def same_tree(s: SqlQuery, reverted: SqlQuery, *, same_literals: bool) -> bool:
     `0.0`), which a literal of the same value and sign rules out. So where
     this holds, `reverted` may hold `s`'s tree in place of its own.
     """
-    return same_literals and s.ast is not None and reverted.ast == s.ast
+    return s.ast is not None and reverted.ast == s.ast
 
 
 def canonical_mismatch(s: SqlQuery, reverted: SqlQuery,

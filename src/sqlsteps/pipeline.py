@@ -588,7 +588,7 @@ def _compare_forms(trace: PipelineTrace, bam: StageBackend,
     if reverted is None or trace.query.ast is None:
         return False, None
     own = _is_rule_bam(bam) and trace.final_trajectory() is trace.trajectory_initial
-    if same_tree(trace.query, reverted, same_literals=own):
+    if own and same_tree(trace.query, reverted):
         query = trace.query
         if reverted.text != query.text or reverted.dialect != query.dialect:
             query = SqlQuery(reverted.text, query.ast, reverted.dialect)

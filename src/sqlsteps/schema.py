@@ -331,56 +331,40 @@ def extract_schema(s: SqlQuery) -> SchemaList:
     """Syntactic extraction of referenced tables and columns from parsed SQL."""
     if s.ast is None:
         raise FormatError(s.parse_error or "query has no AST")
-    acc = _SchemaAccumulator()
-    _collect_node(s.ast, acc)
-    return SchemaList(tuple(acc.tables), tuple(acc.columns))
+    tables: dict[str, None] = {}  # insertion-ordered sets
+    columns: dict[tuple[str, str], None] = {}
+    _collect_node(s.ast, tables, columns)
+    return SchemaList(tuple(tables), tuple(columns))
 
 
-class _SchemaAccumulator:
-    def __init__(self) -> None:
-        self.tables: list[str] = []
-        self.columns: list[tuple[str, str]] = []
-
-    def add_table(self, name: str) -> None:
-        if name not in self.tables:
-            self.tables.append(name)
-
-    def add_column(self, table: str, column: str) -> None:
-        key = (table, column)
-        if key not in self.columns:
-            self.columns.append(key)
-
-
-def _collect_node(node: SelectNode, acc: _SchemaAccumulator) -> None:
+def _collect_node(node: SelectNode, tables: dict, columns: dict) -> None:
     if isinstance(node, SetOp):
-        _collect_node(node.left, acc)
-        _collect_core(node.right, acc)
+        _collect_node(node.left, tables, columns)
+        _collect_core(node.right, tables, columns)
     else:
-        _collect_core(node, acc)
+        _collect_core(node, tables, columns)
 
 
-def _collect_core(core: SelectCore, acc: _SchemaAccumulator) -> None:
+def _collect_core(core: SelectCore, tables: dict, columns: dict) -> None:
     core = normalize_core(core)  # aliases only: no column is qualified
     scope = [t.name for t in core.tables] + [j.table.name for j in core.joins]
-    for ref in core.tables:
-        acc.add_table(ref.name)
-    for join in core.joins:
-        acc.add_table(join.table.name)
+    for name in scope:
+        tables[name] = None
     for expr in _clause_exprs(core):
-        _collect_expr(expr, scope, acc)
+        _collect_expr(expr, scope, tables, columns)
 
 
-def _collect_expr(expr: SqlExpr, scope: list[str], acc: _SchemaAccumulator) -> None:
+def _collect_expr(expr: SqlExpr, scope: list[str], tables: dict, columns: dict) -> None:
     if isinstance(expr, Column):
         if expr.table is not None:
-            acc.add_column(expr.table, expr.column)
+            columns[expr.table, expr.column] = None
         elif len(scope) == 1:
-            acc.add_column(scope[0], expr.column)
+            columns[scope[0], expr.column] = None
         else:
-            acc.add_column(SENTINEL_TABLE, expr.column)
+            columns[SENTINEL_TABLE, expr.column] = None
     elif isinstance(expr, Subquery):
-        _collect_core(expr.core, acc)
+        _collect_core(expr.core, tables, columns)
     else:
         for child in expr_children(expr):
-            _collect_expr(child, scope, acc)
+            _collect_expr(child, scope, tables, columns)
 

@@ -986,8 +986,7 @@ ColumnResolver = Callable[[Column, list[str]], Column]
 
 
 def normalize_core(core: SelectCore, d: "DatabaseInput | None" = None,
-                   column: ColumnResolver | None = None,
-                   raise_at_count: bool = False) -> SelectCore:
+                   column: ColumnResolver | None = None) -> SelectCore:
     """The core with its aliases resolved, copy-on-write: what nothing
     changes is returned itself.
 
@@ -999,8 +998,7 @@ def normalize_core(core: SelectCore, d: "DatabaseInput | None" = None,
     neither exists. Clauses are visited in order (items, joins, where, group
     by, having, order by), so a resolver's error is raised at the first
     column it rejects. A rejected target leaves COUNT(*) as it is and GROUP BY
-    raises the error in its turn, or with `raise_at_count` the first COUNT(*)
-    raises it. A subquery's core is never entered.
+    raises the error in its turn. A subquery's core is never entered.
 
     A core with no alias is first checked without a rebuild: with no
     resolver, or when the resolver returns each of its columns itself and it
@@ -1008,7 +1006,7 @@ def normalize_core(core: SelectCore, d: "DatabaseInput | None" = None,
     """
     if not _has_alias(core) and (column is None or _resolves_to_itself(core, column)):
         return core
-    return _rebuild_core(core, d, column, raise_at_count)
+    return _rebuild_core(core, d, column)
 
 
 def _has_alias(core: SelectCore) -> bool:
@@ -1069,8 +1067,8 @@ def _kept(expr: SqlExpr, column: ColumnResolver, tables: list[str]) -> bool:
     return True
 
 
-def _rebuild_core(core: SelectCore, d: "DatabaseInput | None", column: ColumnResolver | None,
-                  raise_at_count: bool) -> SelectCore:
+def _rebuild_core(core: SelectCore, d: "DatabaseInput | None",
+                  column: ColumnResolver | None) -> SelectCore:
     """`normalize_core` by one rebuild of each clause, copy-on-write."""
     refs = [*core.tables, *[j.table for j in core.joins]]
     tables = [t.name for t in refs]
@@ -1091,8 +1089,6 @@ def _rebuild_core(core: SelectCore, d: "DatabaseInput | None", column: ColumnRes
                 try:
                     return qualify(expr)
                 except SqlStepsError:
-                    if raise_at_count:
-                        raise
                     return None
         if d is not None and len(set(tables)) == 1:
             pk = d.primary_key(tables[0])

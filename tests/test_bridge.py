@@ -253,6 +253,18 @@ def test_or_predicate_is_compound_and_round_trips(store):
     assert where.condition.comparator == "compound"
 
 
+@pytest.mark.parametrize("element, compound", [
+    ("customers.age",
+     "(customers.age > 1 or customers.age = (select max(nope.total) from orders) + 1)"),
+    ("orders.id", "(orders.id = 1 or orders.id in (select nope.x from items))"),
+], ids=["under-arithmetic", "in-list"])
+def test_revert_rejects_a_subquery_in_a_compound_filter(store, element, compound):
+    t = parse_trajectory(f"df1 = df.where(element = {element}, filter = '{compound}')\n"
+                         f"res = df1.select({element})")
+    with pytest.raises(UnsupportedSqlError, match="^subqueries inside compound predicates$"):
+        revert(t, store)
+
+
 def test_decompose_determinism(store):
     q = parse_sql("SELECT customers.name FROM customers WHERE customers.age > 30 "
                   "ORDER BY customers.name ASC LIMIT 2")

@@ -159,9 +159,9 @@ def _all_cores(node):
             stack.extend(expr_children(expr))
 
 
-def _outcome(normalize, core, d, column, raise_at_count):
+def _outcome(normalize, core, d, column):
     try:
-        out = normalize(core, d, column, raise_at_count)
+        out = normalize(core, d, column)
     except SqlStepsError as exc:
         return "error", type(exc), exc.args, vars(exc)
     return "core", out, out is core
@@ -175,9 +175,8 @@ def _check_against_rebuild(sql, d):
                  _strict_column(d, frozenset()), _strict_column(d, frozenset(COLUMNS)))
     for core in _all_cores(query.ast):
         for column in resolvers:
-            for raise_at_count in (False, True):
-                args = (core, d, column, raise_at_count)
-                assert _outcome(normalize_core, *args) == _outcome(_rebuild_core, *args), sql
+            args = (core, d, column)
+            assert _outcome(normalize_core, *args) == _outcome(_rebuild_core, *args), sql
 
 
 @settings(max_examples=400, deadline=None)

@@ -90,6 +90,10 @@ HAND_WRITTEN = [("store", sql) for sql in (
     "SELECT name FROM customers WHERE age = (SELECT COUNT(*) FROM orders)",
     "SELECT name FROM customers WHERE (SELECT MAX(age) FROM customers) < age",
     "SELECT name FROM customers WHERE age > 3 OR age < (SELECT AVG(age) FROM customers)",
+    "SELECT customers.name FROM customers WHERE customers.age > 1 OR customers.age = "
+    "(SELECT MAX(nope.total) FROM orders) + 1",
+    "SELECT customers.name FROM customers WHERE customers.id = 1 OR customers.id IN "
+    "(SELECT orders.customer_id FROM orders)",
     # set operations
     "SELECT name FROM customers UNION SELECT status FROM orders",
     "SELECT c.name FROM customers c INTERSECT SELECT o.status AS s FROM orders o ORDER BY s",
