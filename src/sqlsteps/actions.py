@@ -689,7 +689,8 @@ class ActionSpace:
     """The closed vocabulary of actions; parse rejects anything outside it."""
 
     entries: tuple[ActionSpec, ...]
-    aliases: dict[str, str] = field(default_factory=dict)
+    # left out of the hash, as a dict has none; equal spaces still hash equal
+    aliases: dict[str, str] = field(default_factory=dict, hash=False)
     _names: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import os
@@ -154,6 +155,13 @@ def _read_input(args) -> str:
     return sys.stdin.read()
 
 
+def _input_file(args):
+    """`--in` opened for reading bytes, else standard input's bytes, for a `with`."""
+    if args.infile:
+        return open(args.infile, "rb")
+    return contextlib.nullcontext(sys.stdin.buffer)
+
+
 def _database(args) -> DatabaseInput:
     if getattr(args, "schema", None):
         return parse_database_input(args.schema)
@@ -269,12 +277,13 @@ def _cmd_perturb(args) -> int:
     seed = _require_seed(args, "perturb")
     d = _database(args)
     trajectories = []
-    for lineno, record in corpus.json_records(_read_input(args)):
-        text = corpus.text_field(record, "trajectory", lineno)
-        try:
-            trajectories.append(parse_trajectory(text))
-        except SqlStepsError as exc:
-            raise FormatError(f"trajectory does not parse: {exc}", lineno) from None
+    with _input_file(args) as file:
+        for lineno, record in corpus.json_records(file):
+            text = corpus.text_field(record, "trajectory", lineno)
+            try:
+                trajectories.append(parse_trajectory(text))
+            except SqlStepsError as exc:
+                raise FormatError(f"trajectory does not parse: {exc}", lineno) from None
     config = _perturbation_config(args, seed)
     report = augment(trajectories, config, d)
     for pair in report.pairs:
@@ -369,10 +378,11 @@ def _cmd_orchestrate(args) -> int:
 
 def _read_predictions(path: str) -> dict[str, str]:
     preds: dict[str, str] = {}
-    for lineno, record in corpus.json_records(Path(path).read_text(encoding="utf-8")):
-        if "id" not in record:
-            raise FormatError("prediction has no 'id'", lineno)
-        preds[str(record["id"])] = corpus.text_field(record, "sql", lineno)
+    with open(path, "rb") as file:
+        for lineno, record in corpus.json_records(file):
+            if "id" not in record:
+                raise FormatError("prediction has no 'id'", lineno)
+            preds[str(record["id"])] = corpus.text_field(record, "sql", lineno)
     return preds
 
 

@@ -14,7 +14,7 @@ import json
 import logging
 from dataclasses import field
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 from .actions import Trajectory, frozen, record
 from .bridge import PASS, decompose, round_trip
@@ -72,15 +72,49 @@ class SeedExample:
         return out
 
 
-def json_records(text: str) -> Iterator[tuple[int, dict]]:
-    """(line number, object) for each line of JSON-lines text that is neither
-    blank nor a `#` comment; a line that is no JSON object is a FormatError
-    naming it."""
-    for lineno, line in enumerate(text.splitlines(), 1):
+def _text_lines(file: Iterable[bytes]) -> Iterator[tuple[int, str]]:
+    """(line number, text) of each line of a binary file. A line ends at `\n`
+    only, so U+2028, U+2029 and U+0085, which the writers leave raw, stay
+    inside their record; bytes that are no UTF-8 are a FormatError naming
+    the line."""
+    for lineno, raw in enumerate(file, 1):
+        try:
+            yield lineno, raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(str(exc), lineno) from None  # position is within the line
+
+
+def _shared_loads() -> Callable[[str], object]:
+    """`json.loads` whose results share one string object per distinct key
+    or string value, at any depth, across every call of the returned function.
+    The table lives as long as that function, so one read holds each repeated
+    string once and no cache outlives the read."""
+    table: dict[str, str] = {}
+    share = table.setdefault
+
+    def value(item):
+        if type(item) is str:
+            return share(item, item)
+        if type(item) is list:
+            return [value(v) for v in item]
+        return item  # a number, a bool, None or an object already shared
+
+    decode = json.JSONDecoder(
+        object_pairs_hook=lambda pairs: {share(k, k): value(v) for k, v in pairs}).decode
+    return lambda line: value(decode(line))
+
+
+def json_records(file: Iterable[bytes]) -> Iterator[tuple[int, dict]]:
+    """(line number, object) for each line of a binary JSON-lines file that is
+    neither blank nor a `#` comment, read one line at a time; a line that is
+    no JSON object is a FormatError naming it. The objects share their
+    repeated strings."""
+    loads = _shared_loads()
+    for lineno, line in _text_lines(file):
         if not line.strip() or line.startswith("#"):
             continue
         try:
-            record = json.loads(line)
+            record = loads(line)
         except json.JSONDecodeError as exc:
             raise FormatError(f"bad JSON: {exc.msg}", lineno) from None
         if not isinstance(record, dict):
@@ -98,11 +132,12 @@ def text_field(record: dict, key: str, lineno: int) -> str:
 
 def read_seed_file(path: str | Path) -> list[SeedExample]:
     seeds = []
-    for lineno, record in json_records(Path(path).read_text(encoding="utf-8")):
-        try:
-            seeds.append(SeedExample.from_dict(record))
-        except FormatError as exc:
-            raise FormatError(str(exc), lineno) from None
+    with open(path, "rb") as file:
+        for lineno, record in json_records(file):
+            try:
+                seeds.append(SeedExample.from_dict(record))
+            except FormatError as exc:
+                raise FormatError(str(exc), lineno) from None
     return seeds
 
 
@@ -401,49 +436,56 @@ def _initial_is_correct(seed: SeedExample, initial: SqlQuery, gold: SqlQuery,
 
 _HEADER_PREFIX = "#corpus v1 "
 _STATS_PREFIX = "#stats "
+_RECORD_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
 
 
 def write_corpus(records: list[CorpusRecord], path: str | Path, target: str,
                  stats: CorpusStats | None = None) -> None:
+    """The header, one line per record and the stats footer, each written as
+    it is rendered."""
     if target not in ("bam", "sam", "lom") and target not in TARGETS:
         raise ValueError(f"unknown corpus target {target!r}")
     stats = stats if stats is not None else compute_stats(records)
-    lines = [_HEADER_PREFIX + target]
-    lines.extend(json.dumps(r.to_dict(), sort_keys=True, ensure_ascii=False)
-                 for r in records)
-    lines.append(_STATS_PREFIX + json.dumps(stats.to_dict(), sort_keys=True))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as file:
+        file.write(_HEADER_PREFIX + target + "\n")
+        for r in records:
+            file.write(_RECORD_ENCODER.encode(r.to_dict()) + "\n")
+        file.write(_STATS_PREFIX + json.dumps(stats.to_dict(), sort_keys=True) + "\n")
 
 
 def read_corpus(path: str | Path) -> tuple[list[CorpusRecord], CorpusStats, str]:
-    """Returns (records, stored stats, target); verifies the header line."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or not lines[0].startswith(_HEADER_PREFIX):
-        raise FormatError("missing corpus header line", 1)
-    target = lines[0][len(_HEADER_PREFIX):].strip()
+    """Returns (records, stored stats, target); verifies the header line.
+    Reads one line at a time, and the records share their repeated strings."""
+    loads = _shared_loads()
     records: list[CorpusRecord] = []
     stats: CorpusStats | None = None
     last_complete = 1
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        if line.startswith(_STATS_PREFIX):
+    with open(path, "rb") as file:
+        lines = _text_lines(file)
+        _, header = next(lines, (1, ""))
+        if not header.startswith(_HEADER_PREFIX):
+            raise FormatError("missing corpus header line", 1)
+        target = header[len(_HEADER_PREFIX):].strip()
+        for lineno, line in lines:
+            if not line.strip():
+                continue
+            if line.startswith(_STATS_PREFIX):
+                try:
+                    data = json.loads(line[len(_STATS_PREFIX):])
+                    stats = CorpusStats(counts=dict(data["counts"]),
+                                        mean_input_tokens=data["mean_input_tokens"],
+                                        mean_output_tokens=data["mean_output_tokens"],
+                                        round_trip_pass_rate=data["round_trip_pass_rate"])
+                except (KeyError, TypeError, ValueError):  # ValueError: bad JSON included
+                    raise FormatError("bad stats footer", lineno) from None
+                last_complete = lineno
+                continue
             try:
-                data = json.loads(line[len(_STATS_PREFIX):])
-                stats = CorpusStats(counts=dict(data["counts"]),
-                                    mean_input_tokens=data["mean_input_tokens"],
-                                    mean_output_tokens=data["mean_output_tokens"],
-                                    round_trip_pass_rate=data["round_trip_pass_rate"])
-            except (KeyError, TypeError, ValueError):  # ValueError: bad JSON included
-                raise FormatError("bad stats footer", lineno) from None
+                records.append(CorpusRecord.from_dict(loads(line)))
+            except (json.JSONDecodeError, FormatError):
+                raise FormatError(
+                    f"corrupt record (last complete line is {last_complete})", lineno)
             last_complete = lineno
-            continue
-        try:
-            records.append(CorpusRecord.from_dict(json.loads(line)))
-        except (json.JSONDecodeError, FormatError):
-            raise FormatError(
-                f"corrupt record (last complete line is {last_complete})", lineno)
-        last_complete = lineno
     if stats is None:
         raise FormatError(f"missing stats footer (last complete line is {last_complete})")
     return records, stats, target

@@ -283,6 +283,50 @@ def test_input_file_that_is_no_utf8_text_is_an_error(capsys, tmp_path):
     assert err.startswith("error: ") and "utf-8" in err
 
 
+# U+2028 is a line break to `str.splitlines` that JSON leaves raw under
+# `ensure_ascii=False`; every JSON-lines reader ends a line at `\n` only.
+def _seed_with_a_line_separator(tmp_path, initial_sql: str) -> str:
+    seed = {"id": "u1", "db": "store", "question": "older\u2028customers",
+            "gold_sql": "SELECT customers.name FROM customers WHERE customers.age > 30",
+            "initial_sql": initial_sql}
+    path = tmp_path / "seeds.jsonl"
+    path.write_text(json.dumps(seed, ensure_ascii=False) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def test_eval_reads_predictions_from_orchestrate_holding_a_line_separator(capsys, tmp_path):
+    seeds = _seed_with_a_line_separator(
+        tmp_path, "SELECT customers.name FROM customers WHERE customers.city = 'a\u2028b'")
+    results = tmp_path / "results.jsonl"
+    code, _, err = run(capsys, ["--schemas", SCHEMAS, "orchestrate", "--seeds", seeds,
+                                "--out", str(results)])
+    assert code == EXIT_OK, err
+    (result,) = [json.loads(line) for line in results.read_bytes().split(b"\n") if line]
+    assert "\u2028" in result["initial_sql"]
+    pred = tmp_path / "pred.jsonl"
+    pred.write_text(json.dumps({"id": result["id"], "sql": result["initial_sql"]},
+                               ensure_ascii=False) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, ["--schemas", SCHEMAS, "eval", "--pred", str(pred),
+                                  "--seeds", seeds, "--dbs", DBS])
+    assert code == EXIT_OK, err
+    assert out.startswith("u1: ex=N baseline=N")
+
+
+def test_corpus_files_of_a_question_holding_a_line_separator_read_back(capsys, tmp_path):
+    out_dir = tmp_path / "out"
+    seeds = _seed_with_a_line_separator(tmp_path, "SELECT customers.name FROM customers")
+    code, out, err = run(capsys, ["--schemas", SCHEMAS, "--seed", "3", "build-corpus",
+                                  "--target", "all", "--seeds", seeds, "--out", str(out_dir),
+                                  "--dbs", DBS])
+    assert code == EXIT_OK, err
+    assert out.splitlines() == ["bam: 1 records, 0 failures", "lom: 1 records, 0 failures",
+                                "sam: 2 records, 0 failures"]
+    for target in ("bam", "sam", "lom"):
+        code, out, err = run(capsys, ["corpus-stats", "--in", str(out_dir / f"{target}.corpus")])
+        assert code == EXIT_OK, err
+        assert "stored == recomputed: True" in out
+
+
 # Each environment override goes through its flag's type and choices.
 @pytest.mark.parametrize("variable, value, message", [
     ("SQLSTEPS_SEED", "abc", "SQLSTEPS_SEED: invalid int value 'abc'"),

@@ -386,3 +386,95 @@ def test_bad_stats_footer_names_its_line(tmp_path, bam, footer):
     path.write_text("\n".join(lines[:-1] + [footer]) + "\n")
     with pytest.raises(FormatError, match=f"line {len(lines)}: bad stats footer"):
         read_corpus(path)
+
+
+# U+2028, U+2029 and U+0085 are line breaks to `str.splitlines`, but JSON
+# leaves them raw under `ensure_ascii=False`; a record ends at `\n` only
+LINE_BREAKS = "a\u2028b\u2029c\x85d"
+
+
+def test_a_record_holding_unicode_line_breaks_reads_back(tmp_path, schemas):
+    sql = "SELECT customers.name FROM customers WHERE customers.age > 30"
+    seeds = [SeedExample("u", "store", LINE_BREAKS, sql, "SELECT customers.name FROM customers")]
+    bam = build_bam_corpus(seeds, schemas)
+    lom = build_lom_corpus(bam.records, seeds, PerturbationConfig(k=1, seed=3), schemas)
+    path = tmp_path / "lom.corpus"
+    write_corpus(lom.records, path, "lom", lom.stats)
+    assert LINE_BREAKS.encode() in path.read_bytes()
+    records, stats, _ = read_corpus(path)
+    assert records == lom.records and records[0].input["question"] == LINE_BREAKS
+    assert stats.to_dict() == compute_stats(records).to_dict()
+
+
+def test_a_seed_holding_unicode_line_breaks_reads(tmp_path, fixture_seeds):
+    seed = replace(fixture_seeds[0], question=LINE_BREAKS)
+    path = tmp_path / "seeds.jsonl"
+    path.write_text(json.dumps(seed.to_dict(), ensure_ascii=False) + "\n", encoding="utf-8")
+    assert read_seed_file(path) == [seed]
+
+
+def test_undecodable_bytes_are_a_format_error_naming_the_line(tmp_path, bam, fixture_seeds):
+    path = tmp_path / "bam.corpus"
+    write_corpus(bam.records, path, "bam", bam.stats)
+    lines = path.read_bytes().split(b"\n")
+    lines[2] = lines[2][:10] + b"\xff" + lines[2][10:]
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(FormatError, match="^line 3: 'utf-8' codec can't decode byte 0xff "
+                                          "in position 10: invalid start byte$"):
+        read_corpus(path)
+    seeds = tmp_path / "seeds.jsonl"
+    seeds.write_bytes(json.dumps(fixture_seeds[0].to_dict()).encode() + b"\n\xff{}\n")
+    with pytest.raises(FormatError, match="^line 2: 'utf-8' codec"):
+        read_seed_file(seeds)
+
+
+@pytest.fixture(scope="module")
+def generated_corpora(schemas, dbs):
+    seeds = generated_seeds()
+    bam = build_bam_corpus(seeds, schemas)
+    sam = build_sam_corpus(bam.records, seeds, schemas)
+    lom = build_lom_corpus(bam.records, seeds, PerturbationConfig(k=2, seed=5), schemas, dbs=dbs)
+    return {"bam": bam, "sam": sam, "lom": lom}
+
+
+@pytest.mark.parametrize("target", ["bam", "sam", "lom"])
+def test_written_file_is_the_joined_lines(tmp_path, generated_corpora, target):
+    # the writer streams one line at a time; the bytes are those of the
+    # whole file joined at once
+    built = generated_corpora[target]
+    path = tmp_path / f"{target}.corpus"
+    write_corpus(built.records, path, target, built.stats)
+    lines = [f"#corpus v1 {target}"]
+    lines.extend(json.dumps(r.to_dict(), sort_keys=True, ensure_ascii=False)
+                 for r in built.records)
+    lines.append("#stats " + json.dumps(built.stats.to_dict(), sort_keys=True))
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _strings(value, found: dict[int, str]) -> None:
+    if isinstance(value, str):
+        found[id(value)] = value
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            _strings(key, found)
+            _strings(item, found)
+    elif isinstance(value, list):
+        for item in value:
+            _strings(item, found)
+
+
+def test_a_read_back_holds_each_distinct_string_once(tmp_path, generated_corpora):
+    sam = generated_corpora["sam"]
+    path = tmp_path / "sam.corpus"
+    write_corpus(sam.records, path, "sam", sam.stats)
+    records, _, _ = read_corpus(path)
+    assert records == sam.records
+    dbs = [r.input["db"] for r in records if r.target == TARGET_SAM2]
+    assert len(dbs) == 90 and all(db is dbs[0] for db in dbs)
+    found: dict[int, str] = {}
+    for r in records:
+        _strings(r.to_dict(), found)
+    assert len(found) == len(set(found.values()))
+    # a second read shares nothing with the first: the table lives for one call
+    again, _, _ = read_corpus(path)
+    assert again == records and again[1].input["db"] is not dbs[0]

@@ -333,6 +333,15 @@ def test_a_default_factory_makes_a_fresh_value_per_instance():
     assert actions.ActionSpace((), given).aliases is given
 
 
+def test_equal_action_spaces_hash_equal():
+    # the aliases are a dict, which has no hash; they are left out of it
+    twin = actions.ActionSpace(ACTION_SPACE.entries, dict(ACTION_SPACE.aliases))
+    assert twin == ACTION_SPACE and twin.aliases is not ACTION_SPACE.aliases
+    assert hash(twin) == hash(ACTION_SPACE)
+    assert len({twin, ACTION_SPACE}) == 1
+    assert actions.ActionSpace(ACTION_SPACE.entries, {}) != ACTION_SPACE
+
+
 def test_a_field_left_out_of_eq_is_left_out_of_hash():
     @frozen
     class Noted:
