@@ -10,9 +10,12 @@ import re
 import reprlib
 from dataclasses import _HAS_DEFAULT_FACTORY, MISSING, FrozenInstanceError, dataclass, field
 from operator import is_
-from typing import Callable, Union, get_args
+from typing import TYPE_CHECKING, Callable, Union, get_args
 
 from .errors import BindingError
+
+if TYPE_CHECKING:
+    from .sqlast import SelectCore
 
 DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 BINDING_RE = re.compile(r"df[0-9]+|res|df")
@@ -21,6 +24,7 @@ BINDING_RE = re.compile(r"df[0-9]+|res|df")
 _BINDING_NAMES = tuple(f"df{n}" for n in range(64))
 
 AGGREGATE_KINDS = ("count", "sum", "average", "min", "max")
+SQL_AGGREGATES = {"count": "count", "sum": "sum", "average": "avg", "min": "min", "max": "max"}
 ARITHMETIC_OPS = ("+", "-", "*", "/")
 COMPARATORS = ("=", "!=", "<", "<=", ">", ">=", "like", "in", "not in",
                "between", "is null", "is not null")
@@ -301,13 +305,81 @@ class Func:
     distinct: bool = False
 
 
+@frozen
+class Subquery:
+    """A scalar subquery; SQL trees only, where it holds a `sqlast.SelectCore`."""
+
+    core: "SelectCore"
+
+
 # A trajectory expression. A SQL expression (`sqlast.SqlExpr`) shares Scalar,
 # Star, Cast and Arithmetic with it, and has Column, Func and Subquery of its own.
 Expr = Union[QualifiedColumn, Scalar, Star, Aggregate, Cast, Arithmetic, Substr]
 _TRAJECTORY_NODES = get_args(Expr)
 
+
+# --- predicates ----------------------------------------------------------------
+
+# The boolean conditions of a SQL tree, and of a compound filter condition. A
+# SQL tree's operands are SQL expressions (`sqlast.SqlExpr`), a compound's are
+# trajectory expressions. `expr_children` and `map_expr` walk them too.
+
+@frozen
+class Comparison:
+    op: str  # = != < <= > >=
+    left: Expr
+    right: Expr
+
+
+@frozen
+class Between:
+    expr: Expr
+    lo: Expr
+    hi: Expr
+    negated: bool = False
+
+
+@frozen
+class InList:
+    expr: Expr
+    items: tuple[Expr, ...]
+    negated: bool = False
+
+
+@frozen
+class LikePred:
+    expr: Expr
+    pattern: Expr
+    negated: bool = False
+
+
+@frozen
+class IsNull:
+    expr: Expr
+    negated: bool = False
+
+
+@frozen
+class And:
+    items: tuple["Predicate", ...]
+
+
+@frozen
+class Or:
+    items: tuple["Predicate", ...]
+
+
+@frozen
+class Not:
+    item: "Predicate"
+
+
+Predicate = Union[Comparison, Between, InList, LikePred, IsNull, And, Or, Not]
+_PREDICATES = get_args(Predicate)
+
+
 # node type -> (its operands left to right, the node rebuilt over new operands);
-# a type not listed is a leaf, a `sqlast.Subquery` included (its core is a scope
+# a type not listed is a leaf, a `Subquery` included (its core is a scope
 # of its own)
 _OPERANDS: dict[type, tuple[Callable, Callable]] = {
     Aggregate: (lambda e: (e.arg,), lambda e, ops: Aggregate(e.kind, *ops)),
@@ -315,11 +387,20 @@ _OPERANDS: dict[type, tuple[Callable, Callable]] = {
     Substr: (lambda e: (e.arg,), lambda e, ops: Substr(*ops, e.start, e.length)),
     Arithmetic: (lambda e: (e.left, e.right), lambda e, ops: Arithmetic(e.op, *ops)),
     Func: (lambda e: e.args, lambda e, ops: Func(e.name, ops, e.distinct)),
+    Comparison: (lambda p: (p.left, p.right), lambda p, ops: Comparison(p.op, *ops)),
+    Between: (lambda p: (p.expr, p.lo, p.hi), lambda p, ops: Between(*ops, p.negated)),
+    InList: (lambda p: (p.expr, *p.items), lambda p, ops: InList(ops[0], ops[1:], p.negated)),
+    LikePred: (lambda p: (p.expr, p.pattern), lambda p, ops: LikePred(*ops, p.negated)),
+    IsNull: (lambda p: (p.expr,), lambda p, ops: IsNull(*ops, p.negated)),
+    And: (lambda p: p.items, lambda p, ops: And(ops)),
+    Or: (lambda p: p.items, lambda p, ops: Or(ops)),
+    Not: (lambda p: (p.item,), lambda p, ops: Not(*ops)),
 }
 
 
 def expr_children(expr: Expr) -> tuple[Expr, ...]:
-    """A node's operands, left to right, in a trajectory or a SQL tree."""
+    """A node's operands, left to right, in a trajectory or a SQL tree, a
+    predicate's among them."""
     spec = _OPERANDS.get(type(expr))
     return spec[0](expr) if spec is not None else ()
 
@@ -347,11 +428,23 @@ def map_tuple(items: tuple, fn: Callable, *args: object) -> tuple:
     return items if all(map(is_, new, items)) else tuple(new)
 
 
-def _walk_columns(expr: Expr, out: list[QualifiedColumn]) -> None:
+def walk_columns(expr: Expr | Predicate, out: list[QualifiedColumn]) -> None:
+    """Appends each qualified-column occurrence of `expr` to `out`, in order."""
     if isinstance(expr, QualifiedColumn):
         out.append(expr)
     for child in expr_children(expr):
-        _walk_columns(child, out)
+        walk_columns(child, out)
+
+
+def pred_exprs(pred: Predicate) -> list[Expr]:
+    """The operands of a predicate's comparisons, left to right."""
+    if isinstance(pred, Comparison):  # the most common predicate, with no walk
+        return [pred.left, pred.right]
+    if isinstance(pred, (And, Or, Not)):
+        return [expr for item in expr_children(pred) for expr in pred_exprs(item)]
+    if not isinstance(pred, _PREDICATES):
+        raise TypeError(f"not a predicate: {pred!r}")
+    return list(expr_children(pred))
 
 
 FilterOperand = Union[Scalar, BindingRef]
@@ -359,21 +452,21 @@ FilterOperand = Union[Scalar, BindingRef]
 
 @frozen
 class FilterCondition:
-    """A single comparison against the filtered element.
-
-    `compound` conditions carry an opaque canonical predicate text (used for
-    OR-disjunctions and column-to-column comparisons); they revert to SQL but
-    are skipped by parameter-level perturbation.
-    """
+    """A single comparison against the filtered element. A `compound`
+    condition (an OR, or a comparison of one column with another) holds its
+    predicate in canonical form (`sqlast.canonical_predicate`), over
+    trajectory expressions and no subquery; it reverts to SQL but is skipped
+    by parameter-level perturbation."""
 
     comparator: str  # member of COMPARATORS or COMPOUND
     operands: tuple[FilterOperand, ...] = ()
-    compound_text: str | None = None
+    predicate: Predicate | None = None
 
     def __post_init__(self) -> None:
         if self.comparator == COMPOUND:
-            if not self.compound_text:
-                raise ValueError("compound filter requires text")
+            if not isinstance(self.predicate, _PREDICATES):
+                raise ValueError("compound filter requires a predicate")
+            _reject_subqueries(self.predicate)
             return
         if self.comparator not in COMPARATORS:
             raise ValueError(f"unknown comparator {self.comparator!r}")
@@ -384,6 +477,13 @@ class FilterCondition:
             a, b = self.operands
             if isinstance(a, Scalar) and isinstance(b, Scalar) and a.kind != b.kind:
                 raise ValueError("between bounds must share a scalar kind")
+
+
+def _reject_subqueries(node: Predicate | Expr) -> None:
+    if isinstance(node, Subquery):
+        raise ValueError("subqueries inside compound predicates")
+    for child in expr_children(node):
+        _reject_subqueries(child)
 
 
 # --- actions ---------------------------------------------------------------
@@ -529,7 +629,7 @@ class Trajectory:
         for step in self.steps:
             for action in step.chain:
                 for expr in action_exprs(action):
-                    _walk_columns(expr, out)
+                    walk_columns(expr, out)
         return out
 
     def action_count(self) -> int:
@@ -537,10 +637,14 @@ class Trajectory:
 
 
 def action_exprs(action: Action) -> list[Expr]:
-    """Expressions carried by an action, in rendered order."""
+    """Expressions carried by an action, in rendered order: a compound
+    filter's own after its element."""
     if isinstance(action, (Select, GroupBy)):
         return list(action.elements)
-    if isinstance(action, (Where, Having, Distinct)):
+    if isinstance(action, (Where, Having)):
+        predicate = action.condition.predicate
+        return [action.element] if predicate is None else [action.element, *pred_exprs(predicate)]
+    if isinstance(action, Distinct):
         return [action.element]
     if isinstance(action, OrderBy):
         return [action.by]
@@ -639,10 +743,10 @@ def _chain(frame: tuple[int, ...], chain: tuple[Action, ...],
 
 
 def _filter_height(action: Where | Having, frames: dict[str, tuple[int, ...]]) -> int:
-    """The SQL height of a filter; a compound's text is not counted."""
+    """The SQL height of a filter; a compound's is its predicate's."""
     cond = action.condition
     if cond.comparator == COMPOUND:
-        return 0
+        return _pred_height(cond.predicate)
     height = 0
     for op in cond.operands:
         if type(op) is not BindingRef:
@@ -659,6 +763,21 @@ def _filter_height(action: Where | Having, frames: dict[str, tuple[int, ...]]) -
         height = max(height, sub[2] + 1)  # a subquery's core is one level below it
     # an IN list's items are one level below the list
     return max(_height(action.element), height + (cond.comparator in ("in", "not in")))
+
+
+def _pred_height(pred: Predicate) -> int:
+    """The SQL height of a compound predicate as `sqlast.render_predicate`
+    writes it, counted by its parentheses and calls, which `parse_sql` bounds
+    as it bounds the tree's height and which are never fewer: an AND/OR list
+    is one level above its items, `NOT (...)` two, an IN list's items one below."""
+    kind = type(pred)
+    if kind is And or kind is Or:
+        return 1 + max(map(_pred_height, pred.items))
+    if kind is Not:
+        return 2 + _pred_height(pred.item)
+    if kind is InList:
+        return max(_height(pred.expr), 1 + max(map(_height, pred.items)))
+    return max(map(_height, expr_children(pred)))
 
 
 def _height(expr: Expr) -> int:

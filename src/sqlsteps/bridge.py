@@ -11,10 +11,10 @@ Which action chains form a SQL query is a rule of the trajectory types
 (`actions.check_bindings`), so every `Trajectory` has a reversion; `revert`
 raises for what needs the schema: an unknown table or column
 (SchemaMismatchError) and a join with no foreign-key path
-(JoinPathNotFoundError). A compound filter's text is opaque to the types and
-parsed only by `revert`, which raises SqlSyntaxError for text that does not
-parse, UnsupportedSqlError for a subquery in it, and SchemaMismatchError for
-a column that is bare or not in the database.
+(JoinPathNotFoundError). A compound filter condition (an OR, or a
+comparison of one column with another) holds its predicate tree, whose
+columns, levels and subqueries the types check like any other expression's,
+so the same holds for it.
 
 `decompose` raises each core's first error in clause order, subquery cores
 included. In both directions a subquery stands only as the whole operand of
@@ -27,31 +27,41 @@ import difflib
 
 from . import sqlast
 from .actions import (
+    SQL_AGGREGATES,
     Action,
     AggStep,
     Aggregate,
+    And,
+    Between,
     BindingRef,
     Combine,
+    Comparison,
     Distinct,
     Expr,
     FilterCondition,
     Func,
     GroupBy,
     Having,
+    InList,
+    IsNull,
+    LikePred,
     Limit,
+    Not,
     OrderBy,
+    Predicate,
     QualifiedColumn,
     Scalar,
     Select,
     Star,
+    Subquery,
     Substr,
     Trajectory,
     TrajectoryStep,
     Where,
     binding_name,
     expr_children,
-    map_expr,
     record,
+    walk_columns,
 )
 from .errors import (
     BRIDGE_ERRORS,
@@ -61,26 +71,18 @@ from .errors import (
     UnsupportedSqlError,
 )
 from .schema import DatabaseInput, FkEdge, FromClause
-from .trajectory import schema_errors, validate_trajectory
+from .trajectory import (_AGG_NAME_TO_KIND, _check_literal, _Converter, _ToTrajectory,
+                         validate_trajectory)
 from .sqlast import (
-    And,
-    Between,
     Column,
-    Comparison,
-    InList,
-    IsNull,
     Join,
-    LikePred,
-    Not,
     OrderItem,
-    Predicate,
     SelectCore,
     SelectItem,
     SelectNode,
     SetOp,
     SqlExpr,
     SqlQuery,
-    Subquery,
     TableRef,
     canonicalize,
     flatten_and,
@@ -89,11 +91,6 @@ from .sqlast import (
 PASS = "pass"
 CANONICAL_MISMATCH = "canonical_mismatch"
 UNSUPPORTED = "unsupported"
-
-_AGG_NAME_TO_KIND = {"count": "count", "sum": "sum", "avg": "average",
-                     "min": "min", "max": "max"}
-_KIND_TO_AGG_NAME = {v: k for k, v in _AGG_NAME_TO_KIND.items()}
-
 
 @record()
 class RoundTripReport:
@@ -267,68 +264,6 @@ def _strict_column(d: DatabaseInput, outer_tables: frozenset[str]) -> sqlast.Col
     return column
 
 
-def _check_literal(scalar: Scalar) -> Scalar:
-    # trajectory text is one step per line, and a line ends at every break
-    # `str.splitlines` knows, `\x0b`, `\x85` and `\u2028` among them
-    if isinstance(scalar.value, str) and len(f".{scalar.value}.".splitlines()) > 1:
-        raise UnsupportedSqlError("string literals with line breaks cannot be rendered")
-    return scalar
-
-
-class _Converter:
-    """Converts one core's expressions between SQL and trajectory form, each
-    in one walk, and keeps the table of every column it converts. A column
-    becomes the node `d` keeps for it."""
-
-    __slots__ = ("d", "tables")
-
-    def __init__(self, d: DatabaseInput) -> None:
-        self.d = d
-        self.tables: set[str] = set()
-
-    def __call__(self, expr: SqlExpr | Expr) -> SqlExpr | Expr:
-        return map_expr(expr, self.node)
-
-
-class _ToTrajectory(_Converter):
-    __slots__ = ()
-
-    def node(self, expr: SqlExpr) -> Expr | None:
-        """The trajectory form of a SQL node with none of its own; None for a
-        shared node (Star, Cast, Arithmetic), whose operands are converted."""
-        if isinstance(expr, Column):
-            if expr.table is None:
-                raise SchemaMismatchError(f"column {expr.column!r} could not be qualified")
-            self.tables.add(expr.table)
-            return self.d.qualified_column(expr.table, expr.column)
-        if isinstance(expr, Scalar):
-            return _check_literal(expr)
-        if isinstance(expr, Func):
-            if expr.name in _AGG_NAME_TO_KIND:
-                if expr.distinct:
-                    raise UnsupportedSqlError("DISTINCT aggregates are unsupported")
-                if len(expr.args) != 1:
-                    raise UnsupportedSqlError(f"{expr.name} takes one argument")
-                return Aggregate(_AGG_NAME_TO_KIND[expr.name], self(expr.args[0]))
-            if expr.name in ("substr", "substring"):
-                if len(expr.args) not in (2, 3):
-                    raise UnsupportedSqlError("substr takes 2 or 3 arguments")
-                start = expr.args[1]
-                if not isinstance(start, Scalar) or start.kind != "int":
-                    raise UnsupportedSqlError("substr start must be an integer literal")
-                length: int | None = None
-                if len(expr.args) == 3:
-                    third = expr.args[2]
-                    if not isinstance(third, Scalar) or third.kind != "int":
-                        raise UnsupportedSqlError("substr length must be an integer literal")
-                    length = int(third.value)
-                return Substr(self(expr.args[0]), int(start.value), length)
-            raise UnsupportedSqlError(f"function {expr.name!r} is outside the action space")
-        if isinstance(expr, Subquery):
-            raise UnsupportedSqlError("subqueries are only supported in WHERE comparisons")
-        return None
-
-
 def _conjunct_to_filter(pred: Predicate, d: DatabaseInput, namer: _Namer,
                         steps: list[TrajectoryStep], conv,
                         scope: frozenset[str] | set[str]) -> tuple[Expr, FilterCondition]:
@@ -366,32 +301,15 @@ def _simple_filter(pred: Predicate, d: DatabaseInput, conv) -> tuple[Expr, Filte
         raise UnsupportedSqlError("negated predicate forms are unsupported")
     if isinstance(pred, InList):
         raise UnsupportedSqlError("IN with a subquery is unsupported")
-    # disjunctions and column-to-column comparisons become opaque compounds;
-    # the first column is the element, and converting each records its table
-    columns = [conv(col) for col in _sql_columns(pred)]
+    # disjunctions and column-to-column comparisons become compound
+    # conditions, whose element is their first column
+    converted = conv.predicate(pred)
+    cond = FilterCondition("compound", (), sqlast.canonical_predicate(converted))
+    columns: list[QualifiedColumn] = []
+    walk_columns(converted, columns)
     if not columns:
         raise UnsupportedSqlError("predicate references no column")
-    text = sqlast.canonical_predicate(pred, d)
-    return columns[0], FilterCondition("compound", (), compound_text=text)
-
-
-def _sql_columns(pred: Predicate) -> list[Column]:
-    """The columns of a compound predicate, left to right; a subquery at any
-    depth raises, as a compound condition holds none."""
-    columns: list[Column] = []
-
-    def visit(expr: SqlExpr) -> None:
-        if isinstance(expr, Column):
-            columns.append(expr)
-        elif isinstance(expr, Subquery):
-            raise UnsupportedSqlError("subqueries inside compound predicates")
-        else:
-            for child in expr_children(expr):
-                visit(child)
-
-    for expr in sqlast.pred_exprs(pred):
-        visit(expr)
-    return columns
+    return columns[0], cond
 
 
 def _collect_aggregates(core: SelectCore) -> list[Func]:
@@ -409,9 +327,7 @@ def _collect_aggregates(core: SelectCore) -> list[Func]:
     for item in core.items:
         visit(item.expr)
     if core.having is not None:
-        for conjunct in flatten_and(core.having):
-            for expr in sqlast.pred_exprs(conjunct):
-                visit(expr)
+        visit(core.having)
     for order in core.order_by:
         visit(order.expr)
     return seen
@@ -478,17 +394,7 @@ def _condition_to_pred(frames: dict, action: Where | Having, d: DatabaseInput,
                        conv: _ToSql) -> Predicate:
     cond = action.condition
     if cond.comparator == "compound":
-        assert cond.compound_text is not None
-        pred = sqlast.parse_predicate(cond.compound_text)
-        columns = [(col.table, col.column) for col in _sql_columns(pred)]
-        bare = [column for table, column in columns if table is None]
-        if bare:  # worded as by `decompose`, which never emits one
-            raise SchemaMismatchError(f"column {bare[0]!r} could not be qualified")
-        missing = [pair for pair in columns if not d.has_column(*pair)]
-        if missing:  # text the types could not check
-            raise SchemaMismatchError("; ".join(schema_errors(missing, d)))
-        conv.tables.update([table for table, _ in columns])
-        return pred
+        return conv(cond.predicate)
     left = conv(action.element)
     if cond.comparator in ("is null", "is not null"):
         return IsNull(left, negated=(cond.comparator == "is not null"))
@@ -519,7 +425,7 @@ class _ToSql(_Converter):
             self.tables.add(expr.table)
             return sqlast.column(expr.table, expr.column)
         if isinstance(expr, Aggregate):
-            return Func(_KIND_TO_AGG_NAME[expr.kind], (self(expr.arg),))
+            return Func(SQL_AGGREGATES[expr.kind], (self(expr.arg),))
         if isinstance(expr, Substr):
             args: tuple[SqlExpr, ...] = (self(expr.arg), Scalar(expr.start, "int"))
             if expr.length is not None:
@@ -608,8 +514,8 @@ def same_tree(s: SqlQuery, reverted: SqlQuery) -> bool:
     has the value of the literal of `s` it stems from, sign included. The
     caller vouches for that, as `round_trip` does where `reverted` reverts
     `s`'s own decomposition: decompose and revert carry `s`'s `Scalar`
-    objects over, and a compound filter parses back the exact `repr` of its
-    numbers. `canonicalize` is a pure function of the tree and the schema,
+    objects over, those of a compound filter's predicate tree among them.
+    `canonicalize` is a pure function of the tree and the schema,
     equal strings, ints, bools and node types render alike, and the only
     equal leaves that render differently are real zeros of opposite sign
     (`Scalar(-0.0, "real") == Scalar(0.0, "real")`, rendered `-0.0` and

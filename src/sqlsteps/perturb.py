@@ -136,9 +136,8 @@ def _rename_bindings(steps: list[TrajectoryStep],
             cond = a.condition
             operands = tuple(BindingRef(rename(op.name)) if isinstance(op, BindingRef) else op
                              for op in cond.operands)
-            if operands != cond.operands:
-                return type(a)(a.element, FilterCondition(cond.comparator, operands,
-                                                          cond.compound_text))
+            if operands != cond.operands:  # never a compound's, which has none
+                return type(a)(a.element, FilterCondition(cond.comparator, operands))
         return a
 
     return [TrajectoryStep(rename(s.binding), rename(s.receiver), tuple(action(a) for a in s.chain))
@@ -383,7 +382,7 @@ def _jitter_condition(cond: FilterCondition, rng: random.Random) -> FilterCondit
             jittered.append(op)
     if not changed:
         return None
-    return FilterCondition(cond.comparator, tuple(jittered), cond.compound_text)
+    return FilterCondition(cond.comparator, tuple(jittered))
 
 
 # --- public operations -----------------------------------------------------------

@@ -13,8 +13,10 @@ from dataclasses import field, replace
 from operator import is_
 from typing import TYPE_CHECKING, Any, Callable, Iterator, TypeVar, Union
 
-from .actions import (MAX_DEPTH, Arithmetic, Cast, Func, Scalar, Star, expr_children, frozen,
-                      map_expr, map_tuple, record)
+from .actions import (MAX_DEPTH, SQL_AGGREGATES, Aggregate, And, Arithmetic, Between, Cast,
+                      Comparison, Expr, Func, InList, IsNull, LikePred, Not, Or, Predicate,
+                      QualifiedColumn, Scalar, Star, Subquery, Substr, expr_children, frozen,
+                      map_expr, map_tuple, pred_exprs, record)
 from .errors import SqlStepsError, SqlSyntaxError, SqlTooDeepError
 
 if TYPE_CHECKING:
@@ -40,93 +42,14 @@ class Column:
     column: str
 
     def render(self) -> str:
-        if self.table is None:
-            return _ident(self.column)
-        return f"{_ident(self.table)}.{_ident(self.column)}"
+        return _column_text(self)
 
 
-@frozen
-class Subquery:
-    core: "SelectCore"
-
-
-# Scalar, Star, Cast and Arithmetic are the trajectory's own nodes; Func is
-# defined next to them, so that `actions.expr_children` / `map_expr` walk both
-# trees.
+# Scalar, Star, Cast, Arithmetic, Func and Subquery are defined next to the
+# trajectory's nodes, so that `actions.expr_children` / `map_expr` walk both
+# trees, and so are the predicate nodes, which a compound filter condition
+# holds too.
 SqlExpr = Union[Column, Scalar, Star, Func, Cast, Arithmetic, Subquery]
-
-
-# --- predicate nodes ----------------------------------------------------------
-
-@frozen
-class Comparison:
-    op: str  # = != < <= > >=
-    left: SqlExpr
-    right: SqlExpr
-
-
-@frozen
-class Between:
-    expr: SqlExpr
-    lo: SqlExpr
-    hi: SqlExpr
-    negated: bool = False
-
-
-@frozen
-class InList:
-    expr: SqlExpr
-    items: tuple[SqlExpr, ...]
-    negated: bool = False
-
-
-@frozen
-class LikePred:
-    expr: SqlExpr
-    pattern: SqlExpr
-    negated: bool = False
-
-
-@frozen
-class IsNull:
-    expr: SqlExpr
-    negated: bool = False
-
-
-@frozen
-class And:
-    items: tuple["Predicate", ...]
-
-
-@frozen
-class Or:
-    items: tuple["Predicate", ...]
-
-
-@frozen
-class Not:
-    item: "Predicate"
-
-
-Predicate = Union[Comparison, Between, InList, LikePred, IsNull, And, Or, Not]
-
-
-def pred_exprs(pred: Predicate) -> list[SqlExpr]:
-    if isinstance(pred, Comparison):
-        return [pred.left, pred.right]
-    if isinstance(pred, Between):
-        return [pred.expr, pred.lo, pred.hi]
-    if isinstance(pred, InList):
-        return [pred.expr, *pred.items]
-    if isinstance(pred, LikePred):
-        return [pred.expr, pred.pattern]
-    if isinstance(pred, IsNull):
-        return [pred.expr]
-    if isinstance(pred, (And, Or)):
-        return [expr for item in pred.items for expr in pred_exprs(item)]
-    if isinstance(pred, Not):
-        return pred_exprs(pred.item)
-    raise TypeError(f"not a predicate: {pred!r}")
 
 
 # --- statement nodes ----------------------------------------------------------
@@ -713,8 +636,11 @@ def parse_sql(text: str, dialect: str = "sqlite") -> SqlQuery:
 
 
 def parse_predicate(text: str) -> Predicate:
-    """Parse a standalone boolean predicate (used for compound filter texts)."""
+    """Parse the text of a compound filter condition, one predicate. The
+    parenthesis it opens with, which marks it as a compound and which
+    `trajectory.render_filter` adds where the SQL has none, is no level."""
     parser = _SqlParser(_sql_tokens(text))
+    parser.nesting = -1
     pred = parser.predicate()
     tok = parser.peek()
     if tok[KIND] != "END":
@@ -722,14 +648,14 @@ def parse_predicate(text: str) -> Predicate:
     return pred
 
 
-def canonical_predicate(pred: Predicate, d: "DatabaseInput | None" = None) -> str:
-    """Canonical text of one predicate (parenthesized if not already atomic)."""
-    text = _canon_pred(pred, d)
-    return text if text.startswith("(") else f"({text})"
-
-
 def _ident(name: str) -> str:
     return f'"{name}"' if " " in name else name
+
+
+def _column_text(col: Column | QualifiedColumn) -> str:
+    if col.table is None:
+        return _ident(col.column)
+    return f"{_ident(col.table)}.{_ident(col.column)}"
 
 
 # --- rendering --------------------------------------------------------------------
@@ -757,7 +683,7 @@ def _render_core(core: SelectCore, quote: str) -> str:
         parts.append("FROM " + ", ".join(refs))
         for join in core.joins:
             parts.append(f"{join.kind.upper()} JOIN {_render_table(join.table, quote)} ON "
-                         f"{render_predicate(join.on, quote)}")
+                         f"{_wrap(join.on, quote)}")
     if core.where is not None:
         parts.append("WHERE " + render_predicate(core.where, quote))
     if core.group_by:
@@ -796,10 +722,10 @@ def _q(name: str, quote: str) -> str:
     return quote + name.replace(quote, quote + quote) + quote
 
 
-def render_expr(expr: SqlExpr, quote: str = '"',
-                core: Callable[[SelectCore], str] | None = None) -> str:
-    """SQL text of an expression; `core` renders a subquery's core, by default as SQL."""
-    if isinstance(expr, Column):
+def render_expr(expr: SqlExpr | Expr, quote: str = '"') -> str:
+    """SQL text of an expression of a SQL tree or of a compound condition,
+    whose columns, aggregates and substrs are trajectory nodes."""
+    if isinstance(expr, (Column, QualifiedColumn)):
         if expr.table is None:
             return _q(expr.column, quote)
         return f"{_q(expr.table, quote)}.{_q(expr.column, quote)}"
@@ -810,17 +736,21 @@ def render_expr(expr: SqlExpr, quote: str = '"',
     if isinstance(expr, Star):
         return "*"
     if isinstance(expr, Func):
-        inner = ", ".join([render_expr(a, quote, core) for a in expr.args])
+        inner = ", ".join([render_expr(a, quote) for a in expr.args])
         if expr.distinct:
             inner = "DISTINCT " + inner
         return f"{expr.name.upper()}({inner})"
     if isinstance(expr, Cast):
-        return f"CAST({render_expr(expr.arg, quote, core)} AS {expr.target_type.upper()})"
+        return f"CAST({render_expr(expr.arg, quote)} AS {expr.target_type.upper()})"
     if isinstance(expr, Arithmetic):
-        return (f"({render_expr(expr.left, quote, core)} {expr.op} "
-                f"{render_expr(expr.right, quote, core)})")
+        return f"({render_expr(expr.left, quote)} {expr.op} {render_expr(expr.right, quote)})"
     if isinstance(expr, Subquery):
-        return f"({_render_core(expr.core, quote) if core is None else core(expr.core)})"
+        return f"({_render_core(expr.core, quote)})"
+    if isinstance(expr, Aggregate):
+        return f"{SQL_AGGREGATES[expr.kind].upper()}({render_expr(expr.arg, quote)})"
+    if isinstance(expr, Substr):
+        bounds = (expr.start,) if expr.length is None else (expr.start, expr.length)
+        return f"SUBSTR({', '.join([render_expr(expr.arg, quote), *map(repr, bounds)])})"
     raise TypeError(f"not a SQL expression: {expr!r}")
 
 
@@ -848,11 +778,11 @@ def render_predicate(pred: Predicate, quote: str = '"') -> str:
     if isinstance(pred, Or):
         return "(" + " OR ".join([_wrap(p, quote) for p in pred.items]) + ")"
     if isinstance(pred, Not):
-        return f"NOT {_wrap(pred.item, quote)}"
+        return f"NOT ({_wrap(pred.item, quote)})"
     raise TypeError(f"not a predicate: {pred!r}")
 
 
-def _wrap(pred: Predicate, quote: str) -> str:
+def _wrap(pred: Predicate, quote: str = '"') -> str:
     text = render_predicate(pred, quote)
     if isinstance(pred, (And,)):
         return f"({text})"
@@ -862,14 +792,13 @@ def _wrap(pred: Predicate, quote: str) -> str:
 # --- canonical form ------------------------------------------------------------
 
 def canonicalize(query: SqlQuery, d: "DatabaseInput | None" = None) -> str:
-    """Dialect-independent canonical text used as the round-trip equivalence.
-
-    Uppercased keywords, aliases resolved away, columns qualified where
-    resolvable, AND/OR operands sorted, inner-join ON conditions folded into
-    the WHERE conjunct set, COUNT(*) rewritten to its deterministic column
-    form when schema information permits.
-    """
-    return _canon_node(_require_ast(query), d)
+    """Dialect-independent canonical text used as the round-trip equivalence:
+    the canonical tree of the query, rendered as SQL. Each core, subquery
+    cores included, is normalized (`normalize_core`, then `SELECT *`
+    expanded), its inner joins folded into the WHERE conjuncts, its tables
+    sorted and kept once, and its conjuncts made canonical
+    (`canonical_predicate`) and sorted by their text."""
+    return _render_node(_canonical_node(_require_ast(query), d), '"')
 
 
 def _require_ast(query: SqlQuery) -> SelectNode:
@@ -880,86 +809,77 @@ def _require_ast(query: SqlQuery) -> SelectNode:
     return query.ast
 
 
-def _canon_node(node: SelectNode, d: "DatabaseInput | None") -> str:
+def _canonical_node(node: SelectNode, d: "DatabaseInput | None") -> SelectNode:
     if isinstance(node, SetOp):
-        return f"{_canon_node(node.left, d)} {node.op.upper()} {_canon_core(node.right, d)}"
-    return _canon_core(node, d)
+        return SetOp(node.op, _canonical_node(node.left, d), _canonical_core(node.right, d))
+    return _canonical_core(node, d)
 
 
-def _canon_core(core: SelectCore, d: "DatabaseInput | None") -> str:
+def _canonical_core(core: SelectCore, d: "DatabaseInput | None") -> SelectCore:
     core = expand_select_star(normalize_core(core, d, _lenient_column(d)), d)
+    tables = {t.name: t for t in core.tables}
     conjuncts = flatten_and(core.where) if core.where is not None else []
-    tables = [t.name for t in core.tables]
     outer_joins = []
     for join in core.joins:
         if join.kind == "inner":
+            tables.setdefault(join.table.name, join.table)
             conjuncts.extend(flatten_and(join.on))
-            tables.append(join.table.name)
         else:
-            outer_joins.append(join)
-    parts = ["SELECT"]
-    if core.distinct:
-        parts.append("DISTINCT")
-    parts.append(", ".join([_canon_expr(i.expr, d) for i in core.items]))
-    if tables or outer_joins:
-        parts.append("FROM " + ", ".join(sorted(set(tables))))
-        for join in outer_joins:
-            parts.append(f"{join.kind.upper()} JOIN {join.table.name} ON "
-                         f"{_canon_pred(join.on, d)}")
-    if conjuncts:
-        rendered = sorted([_canon_pred(p, d) for p in conjuncts])
-        parts.append("WHERE " + " AND ".join(rendered))
-    if core.group_by:
-        parts.append("GROUP BY " + ", ".join([_canon_expr(e, d) for e in core.group_by]))
-    if core.having is not None:
-        havings = sorted([_canon_pred(p, d) for p in flatten_and(core.having)])
-        parts.append("HAVING " + " AND ".join(havings))
-    if core.order_by:
-        rendered = [f"{_canon_expr(o.expr, d)} {o.direction.upper()}" for o in core.order_by]
-        parts.append("ORDER BY " + ", ".join(rendered))
-    if core.limit is not None:
-        parts.append(f"LIMIT {core.limit}")
-        if core.offset:
-            parts.append(f"OFFSET {core.offset}")
-    return " ".join(parts)
+            outer_joins.append(Join(join.table, canonical_predicate(join.on, d), join.kind))
+    operand = _canonical_operand(d)
+    return SelectCore(map_tuple(core.items, _map_item, operand), core.distinct,
+                      tuple([tables[name] for name in sorted(tables)]), tuple(outer_joins),
+                      _conjunction(conjuncts, d), map_tuple(core.group_by, map_expr, operand),
+                      core.having and _conjunction(flatten_and(core.having), d),
+                      map_tuple(core.order_by, _map_order, operand), core.limit, core.offset)
 
 
-def _canon_expr(expr: SqlExpr, d: "DatabaseInput | None") -> str:
-    return render_expr(expr, '"', lambda core: _canon_core(core, d))
+def _canonical_operand(d: "DatabaseInput | None") -> Callable[[SqlExpr], SqlExpr | None]:
+    """The `map_expr` function of canonical operands: each subquery's core is
+    canonical, and each cast's type upper-cased, as the renderer writes it."""
+    def operand(expr: SqlExpr) -> SqlExpr | None:
+        kind = type(expr)
+        if kind is Column or kind is Scalar:  # a leaf, kept
+            return expr
+        if kind is Subquery:
+            return Subquery(_canonical_core(expr.core, d))
+        if kind is Cast and not expr.target_type.isupper():
+            return Cast(map_expr(expr.arg, operand), expr.target_type.upper())
+        return None
+    return operand
 
 
-def _canon_pred(pred: Predicate, d: "DatabaseInput | None") -> str:
-    pred = _normalize_comparison(pred)
-    if isinstance(pred, Comparison):
-        left, right = pred.left, pred.right
-        if pred.op in ("=", "!=") and isinstance(left, Column) and isinstance(right, Column) \
-                and left.render() > right.render():
-            left, right = right, left
-        return f"{_canon_expr(left, d)} {pred.op} {_canon_expr(right, d)}"
-    if isinstance(pred, Between):
-        kw = "NOT BETWEEN" if pred.negated else "BETWEEN"
-        return (f"{_canon_expr(pred.expr, d)} {kw} {_canon_expr(pred.lo, d)} AND "
-                f"{_canon_expr(pred.hi, d)}")
-    if isinstance(pred, InList):
-        kw = "NOT IN" if pred.negated else "IN"
-        subquery = len(pred.items) == 1 and isinstance(pred.items[0], Subquery)
-        items = (_canon_expr(pred.items[0], d) if subquery
-                 else ", ".join(sorted([_canon_expr(i, d) for i in pred.items])))
-        wrapped = items if subquery else f"({items})"
-        return f"{_canon_expr(pred.expr, d)} {kw} {wrapped}"
-    if isinstance(pred, LikePred):
-        kw = "NOT LIKE" if pred.negated else "LIKE"
-        return f"{_canon_expr(pred.expr, d)} {kw} {_canon_expr(pred.pattern, d)}"
-    if isinstance(pred, IsNull):
-        kw = "IS NOT NULL" if pred.negated else "IS NULL"
-        return f"{_canon_expr(pred.expr, d)} {kw}"
-    if isinstance(pred, And):
-        return "(" + " AND ".join(sorted([_canon_pred(p, d) for p in pred.items])) + ")"
-    if isinstance(pred, Or):
-        return "(" + " OR ".join(sorted([_canon_pred(p, d) for p in pred.items])) + ")"
-    if isinstance(pred, Not):
-        return f"NOT ({_canon_pred(pred.item, d)})"
-    raise TypeError(f"not a predicate: {pred!r}")
+def _conjunction(preds: list[Predicate], d: "DatabaseInput | None") -> Predicate | None:
+    """The canonical AND of `preds`."""
+    if len(preds) < 2:
+        return canonical_predicate(preds[0], d) if preds else None
+    return canonical_predicate(And(tuple(preds)), d)
+
+
+def canonical_predicate(pred: Predicate, d: "DatabaseInput | None" = None) -> Predicate:
+    """The canonical tree of one predicate: AND/OR operands and IN items
+    sorted by their text, a comparison with a literal on the left mirrored,
+    the two columns of an equality or inequality in the order of their text,
+    and its operands canonical (`_canonical_operand`). A compound filter
+    condition holds the canonical tree of its predicate."""
+    operand = _canonical_operand(d)
+
+    def canonical(pred: Predicate) -> Predicate:
+        if isinstance(pred, (And, Or)):
+            return type(pred)(tuple(sorted(map(canonical, pred.items), key=_wrap)))
+        if isinstance(pred, Not):
+            return Not(canonical(pred.item))
+        pred = _normalize_comparison(map_expr(pred, operand))
+        if isinstance(pred, Comparison):
+            left, right = pred.left, pred.right
+            if pred.op in ("=", "!=") and isinstance(left, (Column, QualifiedColumn)) \
+                    and isinstance(right, (Column, QualifiedColumn)) \
+                    and _column_text(left) > _column_text(right):
+                return Comparison(pred.op, right, left)
+        elif isinstance(pred, InList):
+            return InList(pred.expr, tuple(sorted(pred.items, key=render_expr)), pred.negated)
+        return pred
+    return canonical(pred)
 
 
 _MIRROR = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
@@ -1117,9 +1037,9 @@ def _rebuild_core(core: SelectCore, d: "DatabaseInput | None",
     new = (map_tuple(core.items, _map_item, plain),
            core.tables and map_tuple(core.tables, _unaliased),
            core.joins and map_tuple(core.joins, _map_join, plain),
-           core.where and _map_pred(core.where, plain),
+           core.where and map_expr(core.where, plain),
            core.group_by and map_tuple(core.group_by, map_expr, aliased),
-           core.having and _map_pred(core.having, aliased),
+           core.having and map_expr(core.having, aliased),
            core.order_by and map_tuple(core.order_by, _map_order, aliased))
     if all(map(is_, new, old)):
         return core
@@ -1138,7 +1058,7 @@ def _unaliased(ref: TableRef) -> TableRef:
 
 
 def _map_join(join: Join, fn: Callable[[SqlExpr], SqlExpr | None]) -> Join:
-    on = _map_pred(join.on, fn)
+    on = map_expr(join.on, fn)
     if on is join.on and join.table.alias is None:
         return join
     return Join(_unaliased(join.table), on, join.kind)
@@ -1194,26 +1114,3 @@ def expand_select_star(core: SelectCore, d: "DatabaseInput | None") -> SelectCor
         else:
             items.append(item)
     return replace(core, items=tuple(items))
-
-
-def _map_pred(pred: Predicate, fn: Callable[[SqlExpr], SqlExpr | None]) -> Predicate:
-    """`pred` with each operand rebuilt by `map_expr(operand, fn)`,
-    copy-on-write: a predicate none of whose operands changed is returned
-    itself."""
-    if isinstance(pred, (And, Or)):
-        items = map_tuple(pred.items, _map_pred, fn)
-        return pred if items is pred.items else type(pred)(items)
-    if isinstance(pred, Not):
-        item = _map_pred(pred.item, fn)
-        return pred if item is pred.item else Not(item)
-    if isinstance(pred, Comparison):  # the most common predicate, mapped without a list
-        left, right = map_expr(pred.left, fn), map_expr(pred.right, fn)
-        same = left is pred.left and right is pred.right
-        return pred if same else Comparison(pred.op, left, right)
-    old = pred_exprs(pred)
-    new = [map_expr(e, fn) for e in old]
-    if all(map(is_, new, old)):
-        return pred
-    if isinstance(pred, InList):
-        return InList(new[0], tuple(new[1:]), pred.negated)
-    return type(pred)(*new, pred.negated)  # Between, LikePred, IsNull

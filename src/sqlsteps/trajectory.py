@@ -24,6 +24,7 @@ from .actions import (
     AGGREGATE_KINDS,
     BINDING_RE,
     COMPOUND,
+    SQL_AGGREGATES,
     Action,
     AggStep,
     Aggregate,
@@ -34,24 +35,30 @@ from .actions import (
     Distinct,
     Expr,
     FilterCondition,
+    Func,
     GroupBy,
     Having,
     Limit,
     OrderBy,
+    Predicate,
     QualifiedColumn,
     Scalar,
     Select,
     Star,
+    Subquery,
     Substr,
     Trajectory,
     TrajectoryStep,
     Where,
     _part,
+    map_expr,
 )
-from .errors import TrajectorySyntaxError, UnknownActionError
-from .schema import DatabaseInput  # noqa: F401  (re-exported for validate callers)
+from .errors import (SchemaMismatchError, SqlStepsError, TrajectorySyntaxError,
+                     UnknownActionError, UnsupportedSqlError)
+from .schema import DatabaseInput
 from .sqlast import (ARITHMETIC_LEVELS, KEY, KEYWORDS, KIND, MAX_DEPTH, POS, TEXT,
-                     BoundedParser, Token)
+                     BoundedParser, Column, SqlExpr, Token, canonical_predicate,
+                     parse_predicate, render_predicate)
 
 _DF_REF_RE = re.compile(r"df[0-9]+|res")
 _NUMBER_RE = re.compile(r"-?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?")
@@ -363,11 +370,16 @@ def parse_filter_text(text: str, lineno: int = 0, col: int = 0) -> FilterConditi
     """Parse the content of a quoted filter argument.
 
     Text that starts with no comparator keyword is an equality literal taken
-    verbatim; text starting with `(` is an opaque compound predicate.
+    verbatim; text starting with `(` is a compound predicate in SQL, whose
+    columns are qualified, and which the condition holds in canonical form.
     """
     stripped = text.strip()
     if stripped.startswith("("):
-        return FilterCondition(COMPOUND, (), compound_text=stripped)
+        try:
+            predicate = _ToTrajectory(None).predicate(parse_predicate(stripped))
+            return FilterCondition(COMPOUND, (), canonical_predicate(predicate))
+        except (SqlStepsError, ValueError) as exc:  # e.g. a bare column, a subquery
+            raise TrajectorySyntaxError(f"compound filter: {exc}", lineno, col) from exc
     m = _FILTER_PREFIX_RE.match(stripped.lower())
     if m is None:
         return FilterCondition("=", (Scalar.of(text),))
@@ -445,6 +457,76 @@ def _split_commas(text: str) -> list[str]:
             start = m.end()
     items.append(text[start:])
     return [item for item in (s.strip() for s in items) if item]
+
+
+# --- SQL expressions in trajectory form ----------------------------------------
+
+_AGG_NAME_TO_KIND = {name: kind for kind, name in SQL_AGGREGATES.items()}
+
+
+def _check_literal(scalar: Scalar) -> Scalar:
+    # trajectory text is one step per line, and a line ends at every break
+    # `str.splitlines` knows, `\x0b`, `\x85` and `\u2028` among them
+    if isinstance(scalar.value, str) and len(f".{scalar.value}.".splitlines()) > 1:
+        raise UnsupportedSqlError("string literals with line breaks cannot be rendered")
+    return scalar
+
+
+class _Converter:
+    """Converts one core's expressions between SQL and trajectory form, each
+    in one walk, and keeps the table of every column it converts. A column
+    becomes the node `d` keeps for it, if `d` is given."""
+
+    __slots__ = ("d", "tables")
+
+    def __init__(self, d: DatabaseInput | None) -> None:
+        self.d = d
+        self.tables: set[str] = set()
+
+    def __call__(self, expr: SqlExpr | Expr) -> SqlExpr | Expr:
+        return map_expr(expr, self.node)
+
+
+class _ToTrajectory(_Converter):
+    """SQL to trajectory form, for `bridge.decompose` and for the text of a
+    compound filter condition."""
+
+    __slots__ = ()
+
+    def node(self, expr: SqlExpr) -> Expr | None:
+        """The trajectory form of a SQL node with none of its own; None for a
+        shared node (Star, Cast, Arithmetic), whose operands are converted."""
+        if isinstance(expr, Column):
+            if expr.table is None:
+                raise SchemaMismatchError(f"column {expr.column!r} could not be qualified")
+            self.tables.add(expr.table)
+            build = QualifiedColumn if self.d is None else self.d.qualified_column
+            return build(expr.table, expr.column)
+        if isinstance(expr, Scalar):
+            return _check_literal(expr)
+        if isinstance(expr, Func):
+            if expr.name in _AGG_NAME_TO_KIND:
+                if expr.distinct:
+                    raise UnsupportedSqlError("DISTINCT aggregates are unsupported")
+                if len(expr.args) != 1:
+                    raise UnsupportedSqlError(f"{expr.name} takes one argument")
+                return Aggregate(_AGG_NAME_TO_KIND[expr.name], self(expr.args[0]))
+            if expr.name in ("substr", "substring"):
+                if len(expr.args) not in (2, 3):
+                    raise UnsupportedSqlError("substr takes 2 or 3 arguments")
+                for bound, name in zip(expr.args[1:], ("start", "length")):
+                    if not isinstance(bound, Scalar) or bound.kind != "int":
+                        raise UnsupportedSqlError(f"substr {name} must be an integer literal")
+                return Substr(self(expr.args[0]), *[int(b.value) for b in expr.args[1:]])
+            raise UnsupportedSqlError(f"function {expr.name!r} is outside the action space")
+        if isinstance(expr, Subquery):
+            raise UnsupportedSqlError("subqueries are only supported in WHERE comparisons")
+        return None
+
+    def predicate(self, pred: Predicate) -> Predicate:
+        """A compound condition's predicate with its operands converted, left
+        to right; a subquery is kept, for the condition's type to reject."""
+        return map_expr(pred, lambda expr: expr if isinstance(expr, Subquery) else self.node(expr))
 
 
 # --- public parse/render ------------------------------------------------------
@@ -566,9 +648,9 @@ def _emit_expr(expr: Expr, emit: Emit) -> None:
 
 
 def render_filter(cond: FilterCondition) -> str:
-    if cond.comparator == COMPOUND:
-        assert cond.compound_text is not None
-        return _quote(cond.compound_text)
+    if cond.comparator == COMPOUND:  # its SQL, in parentheses
+        text = render_predicate(cond.predicate)
+        return _quote(text if text.startswith("(") else f"({text})")
     if cond.comparator == "=" and len(cond.operands) == 1:
         op = cond.operands[0]
         if isinstance(op, BindingRef):
@@ -624,16 +706,12 @@ def _quote(text: str) -> str:
 # --- validation ---------------------------------------------------------------
 
 def validate_trajectory(t: Trajectory, d: "DatabaseInput") -> list[str]:
-    """The schema errors of `t` against `d` (see `schema_errors`); empty when
-    every column `t` references is a column of `d`."""
+    """The schema errors of `t` against `d`, empty when every column `t`
+    references is a column of `d`: each unknown table once, sorted, then each
+    unknown column of a known table once, in first-occurrence order."""
     missing = [(c.table, c.column) for c in t.columns() if not d.has_column(c.table, c.column)]
-    return schema_errors(missing, d) if missing else []
-
-
-def schema_errors(missing: list[tuple[str, str]], d: "DatabaseInput") -> list[str]:
-    """The messages for (table, column) references that are no column of `d`:
-    each unknown table once, sorted, then each unknown column of a known table
-    once, in first-occurrence order."""
+    if not missing:
+        return []
     tables = sorted({table for table, _ in missing if not d.has_table(table)})
     return [f"table {table!r} not in database {d.name!r}" for table in tables] + [
         f"column {_part(table)}.{_part(column)} not in database {d.name!r}"

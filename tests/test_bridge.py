@@ -1,5 +1,6 @@
 import pytest
 
+from sqlsteps.actions import FilterCondition, Trajectory
 from sqlsteps.bridge import (
     CANONICAL_MISMATCH,
     PASS,
@@ -13,11 +14,12 @@ from sqlsteps.errors import (
     BindingError,
     JoinPathNotFoundError,
     SchemaMismatchError,
+    TrajectorySyntaxError,
     UnsupportedSqlError,
 )
 from sqlsteps.querygen import enumerate_queries, store_database
 from sqlsteps.schema import parse_database_text
-from sqlsteps.sqlast import MAX_DEPTH, Column, Func, canonicalize, parse_sql
+from sqlsteps.sqlast import MAX_DEPTH, Column, Func, canonicalize, parse_predicate, parse_sql
 from sqlsteps.trajectory import parse_trajectory, render_trajectory
 
 from conftest import golden
@@ -259,10 +261,69 @@ def test_or_predicate_is_compound_and_round_trips(store):
     ("orders.id", "(orders.id = 1 or orders.id in (select nope.x from items))"),
 ], ids=["under-arithmetic", "in-list"])
 def test_revert_rejects_a_subquery_in_a_compound_filter(store, element, compound):
-    t = parse_trajectory(f"df1 = df.where(element = {element}, filter = '{compound}')\n"
-                         f"res = df1.select({element})")
-    with pytest.raises(UnsupportedSqlError, match="^subqueries inside compound predicates$"):
-        revert(t, store)
+    # the condition's type rejects it, so `revert` is never handed one
+    with pytest.raises(ValueError, match="^subqueries inside compound predicates$"):
+        FilterCondition("compound", (), parse_predicate(compound))
+    head = f"df1 = df.where(element = {element}, filter = "
+    with pytest.raises(TrajectorySyntaxError, match=f"^line 1, column {len(head) + 1}: "
+                       "compound filter: subqueries inside compound predicates$"):
+        parse_trajectory(f"{head}'{compound}')\nres = df1.select({element})")
+
+
+def _compound_step(condition: str) -> str:
+    return f"df1 = df.where(element = orders.id, filter = '{condition}')\n"
+
+
+def _nest(levels: int) -> str:
+    """`orders.id` inside `levels` levels of `(... + 1)`."""
+    text = "orders.id"
+    for _ in range(levels):
+        text = f"({text} + 1)"
+    return text
+
+
+def test_a_compound_past_the_depth_limit_is_rejected_when_parsed():
+    # the OR is one level, and its operand 32 more
+    with pytest.raises(TrajectorySyntaxError, match="nesting deeper than 32 levels"):
+        parse_trajectory(_compound_step(f"(orders.id = 1 or orders.total = {_nest(MAX_DEPTH)})")
+                         + "res = df1.select(orders.id)\n")
+    # as is a NOT past it: `NOT (...)` is two levels of parentheses
+    nots = "orders.total > 2"
+    for _ in range(16):
+        nots = f"not ({nots})"
+    with pytest.raises(BindingError, match="nests 33 levels of query, more than 32"):
+        parse_trajectory(_compound_step(f"(orders.id = 1 or {nots})")
+                         + "res = df1.select(orders.id)\n")
+
+
+def test_a_compound_in_the_frame_of_a_subquery_operand_is_held_to_the_limit():
+    def operand_frame(levels: int) -> str:
+        return (_compound_step(f"(orders.id = 1 or orders.total = {_nest(levels)})")
+                + "df2 = df1.select(orders.id)\n"
+                "df3 = df.where(element = customers.id, filter = '= df2')\n"
+                "res = df3.select(customers.name)\n")
+
+    with pytest.raises(BindingError, match="binding 'df3' nests 33 levels of query"):
+        parse_trajectory(operand_frame(MAX_DEPTH - 1))
+    # the types reject it, whatever built it
+    shallower = parse_trajectory(operand_frame(MAX_DEPTH - 2)).steps
+    deeper = parse_trajectory(_compound_step(
+        f"(orders.id = 1 or orders.total = {_nest(MAX_DEPTH - 1)})")
+        + "res = df1.select(orders.id)\n").steps[0]
+    with pytest.raises(BindingError, match="binding 'df3' nests 33 levels of query"):
+        Trajectory((deeper, *shallower[1:]))
+
+
+@pytest.mark.parametrize("condition", [
+    f"(orders.id = 1 or orders.total = {_nest(MAX_DEPTH - 1)})",
+    "(orders.id = 1 or " + "not (" * 15 + "orders.total > 2" + ")" * 15 + ")",
+    "(orders.total = " + _nest(MAX_DEPTH) + ")",
+], ids=["operand", "not", "comparison"])
+def test_a_compound_at_the_deepest_accepted_level_reverts_to_sql_that_parses(store, condition):
+    t = parse_trajectory(_compound_step(condition) + "res = df1.select(orders.id)\n")
+    reverted = revert(t, store)
+    assert parse_sql(reverted.text).ast == reverted.ast
+    assert parse_trajectory(render_trajectory(t)) == t
 
 
 def test_decompose_determinism(store):

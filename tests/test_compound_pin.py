@@ -118,7 +118,8 @@ def _query(rng: random.Random, shape: str) -> str:
         sub = f"SELECT {rng.choice(('AVG', 'MAX'))}({inner}.id) FROM {inner}"
         cond = rng.choice((f"{_atom(rng, table)} OR {table}.id > ({sub})",
                            f"{_atom(rng, table)} OR {table}.id = ({sub}) + 1",
-                           f"{_atom(rng, table)} OR {table}.id IN (SELECT {inner}.id FROM {inner})"))
+                           f"{_atom(rng, table)} OR {table}.id IN "
+                           f"(SELECT {inner}.id FROM {inner})"))
     else:  # an unknown column beside a subquery
         cond = (f"{table}.nope = {rng.randint(0, 9)} OR "
                 f"{table}.id IN (SELECT {table}.id FROM {table})")
@@ -196,7 +197,8 @@ HAND_WRITTEN_TRAJECTORIES = (
     _filtered(f"(orders.id = 1 or orders.total = {_nest(31)})"),
     _filtered(f"(orders.id = 1 or orders.total = {_nest(32)})"),
     # the 31-level compound in the frame of a subquery operand
-    f"df1 = df.where(element = orders.id, filter = '(orders.id = 1 or orders.total = {_nest(31)})')\n"
+    "df1 = df.where(element = orders.id, "
+    f"filter = '(orders.id = 1 or orders.total = {_nest(31)})')\n"
     "df2 = df1.select(orders.id)\n"
     "df3 = df.where(element = customers.id, filter = '= df2')\n"
     "res = df3.select(customers.name)\n",

@@ -27,8 +27,9 @@ import pytest
 
 import sqlsteps
 from sqlsteps import actions, bridge, corpus, evaluate, perturb, pipeline, schema, sqlast
-from sqlsteps.actions import (ACTION_SPACE, BindingRef, FilterCondition, Limit, OrderBy,
-                              QualifiedColumn, Scalar, Select, Trajectory, TrajectoryStep, frozen)
+from sqlsteps.actions import (ACTION_SPACE, Arithmetic, BindingRef, Comparison, FilterCondition,
+                              IsNull, Limit, Or, OrderBy, QualifiedColumn, Scalar, Select,
+                              Subquery, Trajectory, TrajectoryStep, frozen)
 from sqlsteps.bridge import decompose
 from sqlsteps.errors import SqlStepsError
 from sqlsteps.querygen import random_queries
@@ -242,6 +243,10 @@ SELECT = Select((COLUMN,))
     (BindingRef, ("df",)),
     (FilterCondition, ("??",)),
     (FilterCondition, ("compound",)),
+    (FilterCondition, ("compound", (), "(orders.id = 1)")),
+    (FilterCondition, ("compound", (), Comparison("=", COLUMN, Subquery(None)))),
+    (FilterCondition, ("compound", (), Or((Comparison("=", COLUMN, Scalar(1, "int")),
+                                           IsNull(Arithmetic("+", COLUMN, Subquery(None))))))),
     (FilterCondition, ("between", (Scalar(1, "int"),))),
     (FilterCondition, ("between", (Scalar(1, "int"), Scalar("a", "string")))),
     (OrderBy, (COLUMN, "up")),

@@ -1,7 +1,10 @@
 """Parse after render: every SQL core and every trajectory the node types can
-build renders to text that parses back to it."""
+build renders to text that parses back to it, and every trajectory they
+accept reverts to SQL that parses, unless its schema has no join path for it.
+"""
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sqlsteps.actions import (
@@ -28,6 +31,10 @@ from sqlsteps.actions import (
     TrajectoryStep,
     Where,
 )
+from sqlsteps.bridge import revert
+from sqlsteps.errors import (JoinPathNotFoundError, SchemaMismatchError, SqlSyntaxError,
+                             TrajectorySyntaxError)
+from sqlsteps.schema import ColumnDef, DatabaseInput, ForeignKey, TableDef
 from sqlsteps.sqlast import (
     DIALECTS,
     Between,
@@ -44,6 +51,8 @@ from sqlsteps.sqlast import (
     SetOp,
     Subquery,
     TableRef,
+    canonical_predicate,
+    parse_predicate,
     parse_sql,
     render_sql,
 )
@@ -208,8 +217,29 @@ def _conditions(bound: list[str]) -> st.SearchStrategy:
                   _LINE_FREE.map(lambda s: (Scalar(s, "string"),))),
         st.builds(FilterCondition, st.sampled_from(["is null", "is not null"])),
         st.builds(FilterCondition, st.just("compound"), st.just(()),
-                  _LINE_FREE.map(lambda s: f"({s})")),
+                  _COMPOUND_PREDICATES.map(canonical_predicate)),
     )
+
+
+def _traj_predicates(exprs: st.SearchStrategy) -> st.SearchStrategy:
+    """Predicate trees over trajectory expressions, as a compound condition
+    holds them."""
+    atoms = st.one_of(
+        st.builds(Comparison, _COMPARATORS, exprs, exprs),
+        st.builds(Between, exprs, exprs, exprs, st.booleans()),
+        st.builds(InList, exprs, st.lists(exprs, min_size=1, max_size=3).map(tuple),
+                  st.booleans()),
+        st.builds(LikePred, exprs, exprs, st.booleans()),
+        st.builds(IsNull, exprs, st.booleans()),
+    )
+    return st.recursive(atoms, lambda inner: st.one_of(
+        st.lists(inner, min_size=2, max_size=3).map(lambda items: SqlAnd(tuple(items))),
+        st.lists(inner, min_size=2, max_size=3).map(lambda items: SqlOr(tuple(items))),
+        st.builds(Not, inner),
+    ), max_leaves=4)
+
+
+_COMPOUND_PREDICATES = _traj_predicates(_traj_exprs(aggregate=True))
 
 
 _EXPRS = _traj_exprs(aggregate=True)
@@ -281,3 +311,56 @@ def _trajectories(draw) -> Trajectory:
 @given(t=_trajectories())
 def test_trajectory_parses_back_to_what_rendered_it(t):
     assert parse_trajectory(render_trajectory(t)) == t
+
+
+_ELEMENT = QualifiedColumn("t", "a")
+
+
+@settings(max_examples=200, deadline=None)
+@given(cond=_conditions(["df1"]))
+def test_condition_parses_back_to_what_rendered_it(cond):
+    t = Trajectory((TrajectoryStep("df1", "df", (Select((_ELEMENT,)),)),
+                    TrajectoryStep("res", "df", (Where(_ELEMENT, cond), Select((_ELEMENT,))))))
+    assert parse_trajectory(render_trajectory(t)).steps[1].chain[0].condition == cond
+
+
+def _schema_of(t: Trajectory) -> DatabaseInput:
+    """A database holding every column of `t`, whose first table (by name)
+    every other table refers to."""
+    columns: dict[str, dict[str, None]] = {}
+    for col in t.columns():
+        columns.setdefault(col.table, {})[col.column] = None
+    names = sorted(columns)
+    return DatabaseInput("d", tuple(
+        TableDef(name, tuple(ColumnDef(c, "int") for c in [*columns[name], "ref"]),
+                 (ForeignKey("ref", names[0], "id"),) if name != names[0] else ())
+        for name in names))
+
+
+@settings(max_examples=200, deadline=None)
+@given(t=_trajectories())
+def test_accepted_trajectory_reverts_to_sql_that_parses(t):
+    try:
+        reverted = revert(t, _schema_of(t))
+    except (SchemaMismatchError, JoinPathNotFoundError):
+        return
+    assert parse_sql(reverted.text).ast is not None
+
+
+_PREDICATE_TEXT = st.text(alphabet="ab.=<>() ,'-+*1nOtRaNDsel", max_size=14)
+
+
+@settings(max_examples=300, deadline=None)
+@given(inner=_PREDICATE_TEXT)
+def test_text_in_parentheses_that_is_no_predicate_is_a_syntax_error(inner):
+    text = f"({inner})"
+    try:
+        parse_predicate(text)
+        assume(False)
+    except SqlSyntaxError:
+        pass
+    head = "res = df.where(element = t.a, filter = "
+    quoted = "'" + text.replace("'", "''") + "'"
+    with pytest.raises(TrajectorySyntaxError) as exc:
+        parse_trajectory(f"{head}{quoted}).select(t.a)")
+    assert (exc.value.line, exc.value.column) == (1, len(head) + 1)

@@ -25,8 +25,8 @@ from sqlsteps import bridge, corpus, evaluate, masking, pipeline, schema, sqlast
 from sqlsteps.errors import SqlStepsError
 from sqlsteps.masking import MaskedTrajectory, mask_schema
 from sqlsteps.perturb import PerturbationConfig
-from sqlsteps.sqlast import SelectCore, SqlQuery
-from sqlsteps.trajectory import render_trajectory
+from sqlsteps.sqlast import SqlQuery
+from sqlsteps.trajectory import _ToTrajectory, render_trajectory
 
 from conftest import generated_seeds
 
@@ -217,21 +217,17 @@ def test_rule_run_renders_no_canonical_form_for_an_equal_tree(calls, schemas):
 
 @pytest.fixture
 def rebuilds(monkeypatch):
-    """Counts of `SelectCore` constructions, and of the `map_expr` calls that
-    only the rebuild in `normalize_core` makes in `sqlast`."""
+    """Counts of the cores that `normalize_core` rebuilds (`_rebuild_core`,
+    where it builds a `SelectCore` and maps expressions), apart from the
+    canonical tree that `canonicalize` builds of every core."""
     counts: Counter = Counter()
-    init, map_expr = SelectCore.__init__, sqlast.map_expr
+    rebuild = sqlast._rebuild_core
 
-    def counted_init(self, *args, **kwargs):
-        counts["SelectCore"] += 1
-        init(self, *args, **kwargs)
+    def counted(*args):
+        counts["rebuild"] += 1
+        return rebuild(*args)
 
-    def counted_map_expr(*args):
-        counts["map_expr"] += 1
-        return map_expr(*args)
-
-    monkeypatch.setattr(SelectCore, "__init__", counted_init)
-    monkeypatch.setattr(sqlast, "map_expr", counted_map_expr)
+    monkeypatch.setattr(sqlast, "_rebuild_core", counted)
     return counts
 
 
@@ -240,7 +236,7 @@ def test_canonical_form_of_a_reverted_query_rebuilds_no_core(rebuilds, store):
     reverted = bridge.revert(bridge.decompose(original, store), store)
     rebuilds.clear()
     assert sqlast.canonicalize(reverted, store) == sqlast.canonicalize(original, store)
-    assert rebuilds["SelectCore"] == rebuilds["map_expr"] == 0
+    assert rebuilds["rebuild"] == 0
 
 
 def test_schema_list_of_an_alias_free_query_rebuilds_no_core(rebuilds):
@@ -248,31 +244,31 @@ def test_schema_list_of_an_alias_free_query_rebuilds_no_core(rebuilds):
                          "HAVING COUNT(*) > 1 ORDER BY city")
     rebuilds.clear()
     assert schema.extract_schema(query).columns == (("customers", "city"), ("customers", "age"))
-    assert rebuilds["SelectCore"] == rebuilds["map_expr"] == 0
+    assert rebuilds["rebuild"] == 0
 
 
 def test_a_core_with_an_alias_is_rebuilt(rebuilds, store):
     query = SqlQuery.raw("SELECT c.city FROM customers AS c")
     rebuilds.clear()
     assert sqlast.canonicalize(query, store) == "SELECT customers.city FROM customers"
-    assert rebuilds["SelectCore"] == 1
+    assert rebuilds["rebuild"] == 1
 
 
 def test_round_trip_of_a_normal_query_walks_no_converted_expression_again(monkeypatch, store):
     walks: Counter = Counter()
-    sql_columns = bridge._sql_columns
+    predicate = _ToTrajectory.predicate
 
-    def counted(expr):
-        walks["_sql_columns"] += 1
-        return sql_columns(expr)
+    def counted(self, pred):
+        walks["predicate"] += 1
+        return predicate(self, pred)
 
-    monkeypatch.setattr(bridge, "_sql_columns", counted)
+    monkeypatch.setattr(_ToTrajectory, "predicate", counted)
     report = bridge.round_trip(SqlQuery.raw(NORMAL), store)
     assert report.verdict == bridge.PASS
     assert "JOIN orders" in report.reverted.text
-    assert walks["_sql_columns"] == 0
-    # a compound filter is still walked for its columns, once per side
+    assert walks["predicate"] == 0
+    # a compound filter's predicate is converted once, by `decompose`
     compound = SqlQuery.raw("SELECT customers.city FROM customers "
                             "WHERE customers.age > 3 OR customers.city = 'x'")
     assert bridge.round_trip(compound, store).verdict == bridge.PASS
-    assert walks["_sql_columns"] > 0
+    assert walks["predicate"] == 1
