@@ -377,13 +377,32 @@ def _cmd_orchestrate(args) -> int:
 
 
 def _read_predictions(path: str) -> dict[str, str]:
+    """The SQL of each prediction by id: its `sql`, else, for a record of
+    `orchestrate --out`, the SQL that `eval` scores for a correction result
+    (`evaluate._corrected_sql`): its regenerated SQL, else its reverted SQL,
+    else its initial SQL."""
     preds: dict[str, str] = {}
     with open(path, "rb") as file:
         for lineno, record in corpus.json_records(file):
             if "id" not in record:
                 raise FormatError("prediction has no 'id'", lineno)
-            preds[str(record["id"])] = corpus.text_field(record, "sql", lineno)
+            preds[str(record["id"])] = _prediction_sql(record, lineno)
     return preds
+
+
+def _prediction_sql(record: dict, lineno: int) -> str:
+    sql = record.get("sql")
+    if isinstance(sql, str):
+        return sql
+    for key in ("regenerated_sql", "reverted_sql"):
+        sql = record.get(key)
+        if isinstance(sql, str) and sql:
+            return sql
+    sql = record.get("initial_sql")
+    if isinstance(sql, str):
+        return sql
+    raise FormatError("record has no string field 'sql', 'regenerated_sql', 'reverted_sql' "
+                      "or 'initial_sql'", lineno)
 
 
 def _cmd_eval(args) -> int:

@@ -16,6 +16,7 @@ import re
 from .actions import QualifiedColumn, Trajectory, frozen
 from .errors import ArityMismatchError, FormatError, KindMismatchError, SchemaMismatchError
 from .schema import DatabaseInput
+from .sqlast import LEAF_BOUND
 from .trajectory import parse_trajectory, trajectory_fragments, validate_trajectory
 
 # A slot index has at most nine ASCII digits, as every number of the
@@ -58,7 +59,7 @@ def mask_schema(t: Trajectory) -> MaskedTrajectory:
             text = fragment
             template.append(text)
         else:
-            text = fragment.render()
+            text = _slot_value(fragment)
             template.append(f"[MASK:{len(slots)}]")
             slots.append(MaskSlot(index=len(slots), kind="column", value=text, position=position))
         source.append(text)
@@ -66,6 +67,22 @@ def mask_schema(t: Trajectory) -> MaskedTrajectory:
     if MASK_TOKEN_RE.search("".join(source)):
         raise FormatError("trajectory text already holds a mask token")
     return MaskedTrajectory(template="".join(template), slots=tuple(slots))
+
+
+# The rendered text of each column a slot holds, one string per column,
+# shared by every mask. A table that outgrows LEAF_BOUND entries is emptied,
+# as the parser's leaf tables are.
+_SLOT_VALUES: dict[QualifiedColumn, str] = {}
+
+
+def _slot_value(column: QualifiedColumn) -> str:
+    """The shared `column.render()`."""
+    value = _SLOT_VALUES.get(column)
+    if value is None:
+        value = _SLOT_VALUES.setdefault(column, column.render())
+        if len(_SLOT_VALUES) > LEAF_BOUND:
+            _SLOT_VALUES.clear()
+    return value
 
 
 def parse_masked_template(text: str) -> MaskedTrajectory:

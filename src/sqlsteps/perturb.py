@@ -306,7 +306,9 @@ def _rewrites(action: Action, d: DatabaseInput, rng: random.Random) -> list[Acti
         jittered = _jitter_condition(action.condition, rng)
         if jittered is not None:
             out.append(type(action)(action.element, jittered))
-        swapped = _swap_column(action.element, d)
+        # a compound's element is not part of its SQL: swapping it would change nothing
+        swapped = _swap_column(action.element, d) \
+            if action.condition.comparator != "compound" else None
         if swapped is not None:
             out.append(type(action)(swapped, action.condition))
     if isinstance(action, OrderBy):

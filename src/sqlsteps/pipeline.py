@@ -139,6 +139,13 @@ class StagePayload(Mapping[str, str]):
         return value
 
 
+@functools.lru_cache(maxsize=256)
+def _description(kind: str, stage: str, endpoint: str | None = None) -> str:
+    """A backend's description, `kind:stage` or `kind:stage@endpoint`: one
+    string for each, shared by every stage record that names it."""
+    return f"{kind}:{stage}" if endpoint is None else f"{kind}:{stage}@{endpoint}"
+
+
 class StageBackend(Protocol):
     stage: str
     identity: bool
@@ -163,7 +170,7 @@ class RuleBackend:
     identity: bool = False
 
     def describe(self) -> str:
-        return f"{'identity' if self.identity else 'rule'}:{self.stage}"
+        return _description("identity" if self.identity else "rule", self.stage)
 
     def invoke(self, payload: StagePayload) -> StageOutput:
         if self.stage == "bam":
@@ -203,7 +210,7 @@ class ScriptedBackend:
     identity: ClassVar[bool] = False
 
     def describe(self) -> str:
-        return f"scripted:{self.stage}"
+        return _description("scripted", self.stage)
 
     def invoke(self, payload: Mapping[str, str]) -> str:
         key = payload.get("id", "*")
@@ -226,7 +233,7 @@ class RemoteBackend:
     identity: ClassVar[bool] = False
 
     def describe(self) -> str:
-        return f"remote:{self.stage}@{self.endpoint}"
+        return _description("remote", self.stage, self.endpoint)
 
     def invoke(self, payload: Mapping[str, str]) -> str:
         import urllib.error  # local import: only remote runs need the network stack
@@ -327,6 +334,9 @@ def _packaged_prompt_text(template_id: str) -> str:
 
 @record()
 class Feedback:
+    """The correction feedback handed to a generator model. The prompt is
+    built from its parts each time it is read (`_Prompt`)."""
+
     trajectory_text: str
     prompt: str
     reverted_sql: str | None
@@ -334,23 +344,54 @@ class Feedback:
     reverted_query: SqlQuery | None = field(default=None, compare=False, repr=False)
 
 
+class _Prompt:
+    """`Feedback.prompt`: its slot holds the prompt text, or the pair (template
+    text, database text) from which, with the feedback's trajectory text and
+    reverted SQL, the text is built each time it is read. `make_feedback`
+    stores the pair, so a feedback that no generator reads holds no prompt
+    text. `==`, the repr, `asdict`, `replace`, copy and pickle read the
+    field, so they see the text."""
+
+    def __init__(self, slot) -> None:
+        self._slot = slot
+
+    def __get__(self, feedback: Feedback | None, owner: type | None = None):
+        if feedback is None:
+            return self
+        value = self._slot.__get__(feedback, owner)
+        if isinstance(value, str):
+            return value
+        template, database = value
+        return string.Template(template).safe_substitute(
+            database=database, trajectory=feedback.trajectory_text,
+            sql=feedback.reverted_sql or "")
+
+    def __set__(self, feedback: Feedback, value: str | tuple[str, str]) -> None:
+        self._slot.__set__(feedback, value)
+
+
+Feedback.prompt = _Prompt(Feedback.prompt)
+
+
 def make_feedback(t: Trajectory, d: DatabaseInput, template_id: str = "regenerate_sql",
-                  template_dir: str | Path | None = None) -> Feedback:
-    """Render the correction feedback handed to a generator model."""
-    template = load_prompt(template_id, template_dir)
-    trajectory_text = render_trajectory(t)
+                  template_dir: str | Path | None = None,
+                  trajectory_text: str | None = None) -> Feedback:
+    """Render the correction feedback handed to a generator model.
+
+    The template is read here, so a missing one raises TemplateNotFoundError
+    here; the prompt is built when it is read. `trajectory_text` is the text
+    of `t` when the caller has rendered it already.
+    """
+    template = load_prompt(template_id, template_dir).template
+    if trajectory_text is None:
+        trajectory_text = render_trajectory(t)
     reverted: SqlQuery | None
     try:
         reverted = revert(t, d)
     except BRIDGE_ERRORS:
         reverted = None
-    prompt = template.safe_substitute(
-        database=render_database_input(d),
-        trajectory=trajectory_text,
-        sql=reverted.text if reverted else "",
-    )
-    return Feedback(trajectory_text=trajectory_text, prompt=prompt,
-                    reverted_sql=reverted.text if reverted else None, reverted_query=reverted)
+    return Feedback(trajectory_text, (template, render_database_input(d)),
+                    reverted.text if reverted else None, reverted)
 
 
 # --- pipeline ---------------------------------------------------------------------
@@ -434,7 +475,7 @@ def run_pipeline(d: DatabaseInput, question: str, initial_sql: str,
 
     final = trace.final_trajectory()
     if final is not None:
-        trace.feedback = make_feedback(final, d, template_id, template_dir)
+        trace.feedback = make_feedback(final, d, template_id, template_dir, texts(final))
     return trace
 
 

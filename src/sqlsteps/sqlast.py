@@ -836,13 +836,16 @@ def _canonical_core(core: SelectCore, d: "DatabaseInput | None") -> SelectCore:
 
 def _canonical_operand(d: "DatabaseInput | None") -> Callable[[SqlExpr], SqlExpr | None]:
     """The `map_expr` function of canonical operands: each subquery's core is
-    canonical, and each cast's type upper-cased, as the renderer writes it."""
+    canonical, each cast's type upper-cased, as the renderer writes it, and
+    `SUBSTRING` named `substr`, as `decompose` and `revert` name it."""
     def operand(expr: SqlExpr) -> SqlExpr | None:
         kind = type(expr)
         if kind is Column or kind is Scalar:  # a leaf, kept
             return expr
         if kind is Subquery:
             return Subquery(_canonical_core(expr.core, d))
+        if kind is Func and expr.name == "substring":
+            return Func("substr", map_tuple(expr.args, map_expr, operand), expr.distinct)
         if kind is Cast and not expr.target_type.isupper():
             return Cast(map_expr(expr.arg, operand), expr.target_type.upper())
         return None

@@ -451,3 +451,19 @@ def test_union_of_filtered_frames_at_the_limit_reverts_to_sql_that_parses(store)
 def test_longest_union_the_parser_accepts_decomposes_and_round_trips(store):
     sql = " UNION ".join(["SELECT orders.total FROM orders"] * (MAX_DEPTH + 1))
     assert round_trip(parse_sql(sql), store).verdict == PASS
+
+
+@pytest.mark.parametrize("sql", [
+    "SELECT SUBSTRING(customers.city, 1, 2) FROM customers",
+    "SELECT customers.name FROM customers WHERE substring(customers.city, 2) = 'e'",
+    "SELECT customers.name FROM customers WHERE SUBSTRING(customers.city, 1, 2) = 're' "
+    "OR customers.id = 1",
+])
+def test_substring_is_canonical_as_substr(store, sql):
+    """`decompose` and `revert` name SUBSTRING `substr`, and so does the
+    canonical form: the round trip passes."""
+    query = parse_sql(sql)
+    assert round_trip(query, store).verdict == PASS
+    assert canonicalize(query, store) == canonicalize(
+        parse_sql(sql.replace("SUBSTRING", "SUBSTR").replace("substring", "substr")), store)
+    assert "SUBSTRING" not in canonicalize(query)

@@ -172,6 +172,43 @@ def test_tag_errors_reports_a_parse_error_at_its_own_position(capsys, tmp_path):
     assert out.strip() == "s02: error: position 16: expected identifier, got ''"
 
 
+def test_eval_reads_the_results_of_orchestrate(capsys, tmp_path):
+    """A result record holds no `sql`: eval scores its regenerated SQL, else
+    its reverted SQL, else its initial SQL, as it scores a correction result."""
+    results = tmp_path / "results.jsonl"
+    code, _, _ = run(capsys, ["--schemas", SCHEMAS, "orchestrate", "--seeds", SEEDS,
+                              "--out", str(results)])
+    assert code == EXIT_OK
+    records = [json.loads(line) for line in results.read_text("utf-8").splitlines()]
+    # one seed with regenerated SQL, one whose reverted SQL is gone
+    records[0]["regenerated_sql"] = "SELECT customers.name FROM customers"
+    records[1]["reverted_sql"] = None
+    results.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    pred = _jsonl(tmp_path / "pred.jsonl", *[json.dumps({
+        "id": r["id"], "sql": r["regenerated_sql"] or r["reverted_sql"] or r["initial_sql"]})
+        for r in records])
+    outputs = []
+    for path in (str(results), pred):
+        code, out, _ = run(capsys, ["--format", "structured", "--schemas", SCHEMAS, "eval",
+                                    "--pred", path, "--seeds", SEEDS, "--dbs", DBS])
+        assert code == EXIT_OK
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["aggregates"]["n"] == len(records) == 10
+
+
+@pytest.mark.parametrize("verb", [["eval", "--dbs", DBS], ["tag-errors"]])
+def test_a_result_record_with_no_sql_is_an_error_naming_its_line(capsys, tmp_path, verb):
+    pred = _jsonl(tmp_path / "pred.jsonl", json.dumps({"id": "s02", "reverted_sql": "SELECT 1"}),
+                  json.dumps({"id": "s01", "regenerated_sql": None, "reverted_sql": "",
+                              "initial_sql": None}))
+    code, _, err = run(capsys, ["--schemas", SCHEMAS, verb[0], "--pred", pred, "--seeds", SEEDS,
+                                *verb[1:]])
+    assert code == EXIT_ERROR
+    assert err.startswith("error: line 2: record has no string field 'sql', 'regenerated_sql', "
+                          "'reverted_sql' or 'initial_sql'")
+
+
 def test_eval_tags_as_tag_errors_does(capsys, tmp_path):
     pred = tmp_path / "pred.jsonl"
     pred.write_text(json.dumps(

@@ -328,3 +328,54 @@ def test_augment_builds_no_doomed_edit_and_draws_as_before(store, monkeypatch):
     monkeypatch.setattr(perturb, "_grouped_receivers", lambda t: [False] * len(t.steps))
     assert outputs(augment(verified, cfg, store)) == marked
     assert (builds, len(built)) == (186, 213)
+
+
+def test_no_pair_of_a_compound_trajectory_reverts_to_its_verified_sql(store):
+    """A compound's element is not part of its SQL, so no substitution swaps
+    it: a pair's erroneous side reverts to other SQL than its verified side."""
+    verified = parse_trajectory(
+        "df1 = df.where(element = customers.age, "
+        "filter = '(customers.age > 3 OR customers.city = ''x'')')\n"
+        "res = df1.select(customers.name)\n")
+    target = revert(verified, store).text
+    pairs = [pair for seed in range(40)
+             for pair in augment([verified], PerturbationConfig(k=2, seed=seed), store).pairs]
+    assert len(pairs) == 80
+    reverted = 0
+    for pair in pairs:
+        try:
+            erroneous = revert(pair.erroneous, store).text
+        except JoinPathNotFoundError:  # a groupby on a table the filter's table cannot reach
+            continue
+        assert erroneous != target, render_trajectory(pair.erroneous)
+        reverted += 1
+    assert reverted > 40
+
+
+def test_only_an_aggregation_step_edit_of_a_compound_trajectory_keeps_its_sql(store):
+    """Over decomposed compound queries, a pair that reverts to its verified
+    SQL edits an aggregation step that the SQL does not read (the step's
+    aggregate is written again where it is used), never a filter."""
+    from test_compound_pin import compound_queries
+
+    verified = []
+    for sql in compound_queries(96):
+        try:
+            verified.append(decompose(parse_sql(sql), store))
+        except SqlStepsError:
+            continue
+    assert len(verified) > 60
+    pairs = same = 0
+    for seed in range(10):
+        for pair in augment(verified, PerturbationConfig(k=2, seed=seed), store).pairs:
+            try:
+                erroneous = revert(pair.erroneous, store).text
+            except SqlStepsError:
+                continue
+            pairs += 1
+            if erroneous == revert(pair.verified, store).text:
+                idx, pos = pair.record.site
+                assert isinstance(pair.verified.steps[idx].chain[pos], AggStep), \
+                    render_trajectory(pair.erroneous)
+                same += 1
+    assert pairs > 1000 and same < pairs / 10
