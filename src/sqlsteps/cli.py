@@ -422,8 +422,12 @@ def _cmd_eval(args) -> int:
             f" overcorrection={'Y' if v.overcorrection else 'N'}"
             + (f" tag={v.tag.coarse}/{v.tag.subtype}" if v.tag else "")
             for v in report.per_instance]
+    rows += [f"{seed_id}: {verdict}: {reason}" for seed_id, verdict, reason in report.failures]
     payload = {"aggregates": report.aggregates,
                "per_instance": [asdict(v) for v in report.per_instance]}
+    if report.failures:
+        payload["failures"] = [{"seed_id": seed_id, "verdict": verdict, "reason": reason}
+                               for seed_id, verdict, reason in report.failures]
     if args.out:
         Path(args.out).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
                                   encoding="utf-8")

@@ -192,14 +192,26 @@ class BuildResult:
 
 
 def compute_stats(records: list[CorpusRecord]) -> CorpusStats:
-    """Whitespace-token means and verdict rates, recomputable from a file."""
+    """Whitespace-token means and verdict rates, recomputable from a file.
+
+    A record's input tokens are those of `input_text`, counted one value at
+    a time: the values are joined by a space, so no token spans two. Each
+    distinct text is split once per call."""
     counts: dict[str, int] = {}
+    tokens: dict[str, int] = {}
+
+    def count(text: str) -> int:
+        n = tokens.get(text)
+        if n is None:
+            n = tokens[text] = len(text.split())
+        return n
+
     in_tokens = out_tokens = 0
     rt_total = rt_pass = 0
     for record in records:
         counts[record.target] = counts.get(record.target, 0) + 1
-        in_tokens += len(record.input_text().split())
-        out_tokens += len(record.output.split())
+        in_tokens += sum(count(str(value)) for value in record.input.values())
+        out_tokens += count(record.output)
         verdict = record.provenance.get("round_trip")
         if verdict is not None:
             rt_total += 1
@@ -343,9 +355,9 @@ def build_lom_corpus(bam_records: list[CorpusRecord], seeds: list[SeedExample],
     """
     by_id = {seed.id: seed for seed in seeds}
     failures: list[tuple[str, str, str]] = []
-    # (seed, erroneous, verified, provenance); the k pairs of one seed share its
-    # verified trajectory object
-    positives: list[tuple[SeedExample, Trajectory, Trajectory, dict]] = []
+    # (seed, erroneous, verified, verified text, provenance); the k pairs of one
+    # seed share its verified trajectory object
+    positives: list[tuple[SeedExample, Trajectory, Trajectory, str | None, dict]] = []
     for bam in bam_records:
         seed = by_id.get(bam.provenance.get("seed_id"))
         if seed is None:
@@ -355,6 +367,9 @@ def build_lom_corpus(bam_records: list[CorpusRecord], seeds: list[SeedExample],
         verified = _bam_trajectory(bam, seed.id, failures)
         if verified is None:
             continue
+        # the bam text of a trajectory built in this process; None for one
+        # parsed from a read-back record, which is rendered when assembled
+        verified_text = bam.output if verified is bam.trajectory else None
         initial = _parsed(bam.initial, seed.initial_sql)
         gold = _parsed(bam.gold, seed.gold_sql)
         try:
@@ -367,7 +382,7 @@ def build_lom_corpus(bam_records: list[CorpusRecord], seeds: list[SeedExample],
             for index, reason in report.skipped:
                 failures.append((seed.id, "no-viable-perturbation", reason))
             for pair in report.pairs:
-                positives.append((seed, pair.erroneous, verified,
+                positives.append((seed, pair.erroneous, verified, verified_text,
                                   {"seed_id": seed.id, "source": "perturbation",
                                    "perturbation": pair.record.to_dict()}))
         else:
@@ -379,33 +394,34 @@ def build_lom_corpus(bam_records: list[CorpusRecord], seeds: list[SeedExample],
             except BRIDGE_ERRORS as exc:
                 failures.append((seed.id, "initial-unconvertible", str(exc)))
                 continue
-            positives.append((seed, erroneous, verified,
+            positives.append((seed, erroneous, verified, verified_text,
                               {"seed_id": seed.id, "source": "initial-error"}))
     records = _assemble_lom_records(positives, cfg, negative_ratio)
     return BuildResult(records, compute_stats(records), failures)
 
 
-def _assemble_lom_records(positives: list[tuple[SeedExample, Trajectory, Trajectory, dict]],
-                          cfg: PerturbationConfig,
-                          negative_ratio: float) -> list[CorpusRecord]:
-    pairs = [(err, ver) for _, err, ver, _ in positives]
+def _assemble_lom_records(
+        positives: list[tuple[SeedExample, Trajectory, Trajectory, str | None, dict]],
+        cfg: PerturbationConfig, negative_ratio: float) -> list[CorpusRecord]:
+    pairs = [(err, ver) for _, err, ver, _, _ in positives]
     combined = inject_negatives(pairs, ratio=negative_ratio, seed=cfg.seed)
     # inject_negatives keeps the trajectory objects it is given. Every positive
     # has an erroneous object of its own, which keys its record; an identity
     # negative repeats a verified object, which names its seed. The k pairs of
     # one seed share that verified object, so it cannot key a positive. Each
-    # object is rendered once.
+    # erroneous object is rendered once; a verified one takes the text its
+    # positive carries, and is rendered once when it carries none.
     origin: dict[int, int] = {}
     texts: dict[int, str] = {}
-    for index, (err, ver) in enumerate(pairs):
+    for index, (_, err, ver, ver_text, _) in enumerate(positives):
         origin[id(err)] = index
         texts[id(err)] = render_trajectory(err)
         if id(ver) not in texts:
             origin[id(ver)] = index
-            texts[id(ver)] = render_trajectory(ver)
+            texts[id(ver)] = render_trajectory(ver) if ver_text is None else ver_text
     records = []
     for err, ver in combined:
-        seed, _, _, provenance = positives[origin[id(err)]]
+        seed, *_, provenance = positives[origin[id(err)]]
         if err is ver:
             provenance = {"seed_id": seed.id, "source": "identity-negative"}
         records.append(CorpusRecord(

@@ -14,6 +14,7 @@ from collections import Counter
 from dataclasses import field
 from itertools import chain
 from pathlib import Path
+from typing import Callable
 
 from .actions import (
     Aggregate,
@@ -125,27 +126,43 @@ def _normalize_rows(rows: list[tuple]) -> list[tuple]:
 
 def ex_match(pred: SqlQuery, gold: SqlQuery, db: FixtureDb) -> bool:
     """Execution accuracy for one pair: result multisets match (ordered when
-    the gold query has ORDER BY); prediction errors count as mismatches."""
-    gold_rows = _gold_rows(execute_sql(gold, db))
-    return _rows_match(execute_sql(pred, db), gold_rows, gold.has_order_by)
+    the gold query has ORDER BY); prediction errors count as mismatches. A
+    prediction with the gold's own text is not run again."""
+    gold_result = execute_sql(gold, db)
+    matches = _gold_matcher(gold_result, gold.has_order_by)
+    return matches(gold_result if pred.text == gold.text else execute_sql(pred, db))
 
 
-def _gold_rows(result: ExecutionResult) -> list[tuple]:
-    """The gold query's normalized rows; raises when it failed."""
-    if not result.ok:
-        raise GoldExecutionFailedError(result.error or "gold query failed")
-    assert result.rows is not None
-    return _normalize_rows(result.rows)
+def _gold_matcher(gold: ExecutionResult, ordered: bool) -> Callable[[ExecutionResult], bool]:
+    """Whether a prediction's result matches the gold's; raises when the gold
+    failed. Raw rows are compared first: equal lists match, since equal values
+    stay equal once rounded, and lists of unequal length cannot. Only two
+    lists of equal length that differ are rounded and compared again, and the
+    gold's rows are rounded once, when that first happens."""
+    if not gold.ok:
+        raise GoldExecutionFailedError(gold.error or "gold query failed")
+    gold_rows = gold.rows
+    assert gold_rows is not None
+    gold_rounded: list[tuple] | None = None
 
+    def matches(pred: ExecutionResult) -> bool:
+        nonlocal gold_rounded
+        if not pred.ok:
+            return False
+        rows = pred.rows
+        assert rows is not None
+        if rows == gold_rows:
+            return True
+        if len(rows) != len(gold_rows):
+            return False
+        if gold_rounded is None:
+            gold_rounded = _normalize_rows(gold_rows)
+        rows = _normalize_rows(rows)
+        if ordered:
+            return gold_rounded == rows
+        return Counter(gold_rounded) == Counter(rows)
 
-def _rows_match(pred: ExecutionResult, gold_rows: list[tuple], ordered: bool) -> bool:
-    if not pred.ok:
-        return False
-    assert pred.rows is not None
-    pred_rows = _normalize_rows(pred.rows)
-    if ordered:
-        return gold_rows == pred_rows
-    return Counter(gold_rows) == Counter(pred_rows)
+    return matches
 
 
 # --- error tagging ---------------------------------------------------------------
@@ -234,10 +251,16 @@ class InstanceVerdict:
     difficulty: str | None = None
 
 
+GOLD_UNEXECUTABLE = "gold-unexecutable"
+
+
 @record()
 class EvalReport:
     per_instance: list[InstanceVerdict] = field(default_factory=list)
     aggregates: dict = field(default_factory=dict)
+    # (seed id, verdict, reason) of each seed left unscored: its gold did not
+    # run (GOLD_UNEXECUTABLE, with the engine's message)
+    failures: list[tuple[str, str, str]] = field(default_factory=list)
 
     def recompute(self) -> dict:
         rows = self.per_instance
@@ -264,7 +287,9 @@ def evaluate_correction(results: list[CorrectionResult], seeds: list[SeedExample
                         dbs: dict[str, FixtureDb], schemas: dict[str, DatabaseInput],
                         ) -> EvalReport:
     """Execution accuracy of corrected SQL, overcorrection rate, round-trip
-    rate, schema precision/recall, and error tags, aligned by seed id."""
+    rate, schema precision/recall, and error tags, aligned by seed id. A seed
+    whose gold fails to execute is left out of the verdicts and aggregates
+    and listed in `failures`."""
     by_id = {seed.id: seed for seed in seeds}
     if sorted(by_id) != sorted(r.seed_id for r in results):
         raise AlignmentError("correction results and seeds carry different ids")
@@ -282,12 +307,16 @@ def evaluate_correction(results: list[CorrectionResult], seeds: list[SeedExample
         corrected = _corrected_query(result, initial)
         # each distinct text runs once; the results live for this seed only
         runs = {gold.text: execute_sql(gold, db)}
-        gold_rows = _gold_rows(runs[gold.text])
+        try:
+            matches = _gold_matcher(runs[gold.text], gold.has_order_by)
+        except GoldExecutionFailedError as exc:
+            report.failures.append((result.seed_id, GOLD_UNEXECUTABLE, str(exc)))
+            continue
         for query in (initial, corrected):
             if query.text not in runs:
                 runs[query.text] = execute_sql(query, db)
-        baseline = _rows_match(runs[initial.text], gold_rows, gold.has_order_by)
-        correct = _rows_match(runs[corrected.text], gold_rows, gold.has_order_by)
+        baseline = matches(runs[initial.text])
+        correct = matches(runs[corrected.text])
         verdict = InstanceVerdict(
             seed_id=result.seed_id,
             baseline_correct=baseline,

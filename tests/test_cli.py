@@ -243,6 +243,48 @@ def _jsonl(path, *lines: str) -> str:
     return str(path)
 
 
+ONE_BAD_GOLD = (
+    '{"id": "a1", "db": "store", "question": "q", "gold_sql": "SELECT customers.name FROM '
+    'customers WHERE customers.age > 30", "initial_sql": "select name from customers where '
+    'age > 30"}',
+    '{"id": "a2", "db": "store", "question": "q", "gold_sql": "SELECT customers.nope FROM '
+    'customers", "initial_sql": "SELECT customers.name FROM customers"}',
+)
+
+
+def test_eval_scores_the_other_seeds_when_one_gold_does_not_run(capsys, tmp_path):
+    seeds = _jsonl(tmp_path / "seeds.jsonl", *ONE_BAD_GOLD)
+    results = tmp_path / "results.jsonl"
+    code, _, _ = run(capsys, ["--schemas", SCHEMAS, "orchestrate", "--seeds", seeds,
+                              "--out", str(results)])
+    assert code == EXIT_OK
+    eval_argv = ["eval", "--pred", str(results), "--seeds", seeds, "--dbs", DBS]
+    code, out, err = run(capsys, ["--schemas", SCHEMAS, *eval_argv])
+    assert code == EXIT_OK and err == ""
+    assert out.splitlines()[:2] == [
+        "a1: ex=Y baseline=Y overcorrection=N",
+        "a2: gold-unexecutable: no such column: customers.nope"]
+    out_file = tmp_path / "eval.json"
+    code, out, _ = run(capsys, ["--format", "structured", "--schemas", SCHEMAS, *eval_argv,
+                                "--out", str(out_file)])
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload == json.loads(out_file.read_text("utf-8"))
+    assert [v["seed_id"] for v in payload["per_instance"]] == ["a1"]
+    assert payload["aggregates"]["n"] == 1
+    assert payload["failures"] == [{"seed_id": "a2", "verdict": "gold-unexecutable",
+                                    "reason": "no such column: customers.nope"}]
+
+
+def test_eval_output_of_golds_that_all_run_has_no_failures(capsys, tmp_path):
+    seeds = _jsonl(tmp_path / "seeds.jsonl", ONE_BAD_GOLD[0])
+    pred = _jsonl(tmp_path / "pred.jsonl", json.dumps({"id": "a1", "sql": "SELECT 1"}))
+    code, out, _ = run(capsys, ["--format", "structured", "--schemas", SCHEMAS, "eval",
+                                "--pred", pred, "--seeds", seeds, "--dbs", DBS])
+    assert code == EXIT_OK
+    assert sorted(json.loads(out)) == ["aggregates", "per_instance"]
+
+
 @pytest.mark.parametrize("verb", [["eval", "--dbs", DBS], ["tag-errors"]])
 @pytest.mark.parametrize("line", ['{"id": "s01"}', '{"sql": "SELECT 1"}', '{"id": "s01", "sql": 5}',
                                   '["s01"]', "{"])

@@ -1,10 +1,17 @@
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqlsteps.bridge import decompose
+from sqlsteps.corpus import SeedExample
 from sqlsteps.errors import EngineUnavailableError, GoldExecutionFailedError
 from sqlsteps.evaluate import (
     ATTRIBUTE_OVERANALYSIS,
     CLAUSE_ABUSE,
+    GOLD_UNEXECUTABLE,
+    ExecutionResult,
     FixtureDb,
     MATHEMATICAL_DELUSION,
     OTHER,
@@ -14,7 +21,8 @@ from sqlsteps.evaluate import (
     execute_sql,
     tag_error,
 )
-from sqlsteps.pipeline import build_backends, correct_batch
+from sqlsteps.evaluate import _gold_matcher, _normalize_rows
+from sqlsteps.pipeline import CorrectionResult, build_backends, correct_batch
 from sqlsteps.sqlast import SqlQuery, parse_sql
 from sqlsteps.trajectory import parse_trajectory
 
@@ -112,6 +120,80 @@ def test_ex_match_pred_error_is_false(dbs):
 def test_gold_execution_failure_raises(dbs):
     with pytest.raises(GoldExecutionFailedError):
         ex_match(q("SELECT 1"), q("SELECT bogus FROM customers"), dbs["store"])
+
+
+# --- result comparison ------------------------------------------------------------
+
+# Values as SQLite returns them (never a NaN: SQLite stores NaN as NULL): ints,
+# floats on either side of a 1e-6 rounding boundary, signed zeros, ints equal to
+# floats, NULL and text.
+_VALUES = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([0.0, -0.0, 1.0, 2.0, 0.1 + 0.2, 0.3, 5e-7, 4.999999e-7, 1.5e-6,
+                     2.5e-6, 1.0000005, 1.0000004999, 1.0000005001, 0.1234565]),
+    st.floats(allow_nan=False, width=64),
+    st.none(),
+    st.sampled_from(["", "a", "b"]),
+)
+_ROWS = st.lists(st.tuples(_VALUES, _VALUES), max_size=6)
+
+
+def _nudged(value):
+    """A float moved by less than the rounding step, an int as its float."""
+    if isinstance(value, float):
+        return value + 4e-7
+    if isinstance(value, int):
+        return float(value)
+    return value
+
+
+@st.composite
+def _prediction(draw, gold):
+    """Rows that are the gold's own list, a copy, a permutation, the gold
+    with its numbers nudged or a row repeated, or any other list."""
+    kind = draw(st.sampled_from(["same", "copy", "permuted", "nudged", "repeated", "other"]))
+    if kind == "same":
+        return gold
+    if kind == "copy":
+        return list(gold)
+    if kind == "permuted":
+        return draw(st.permutations(gold))
+    if kind == "nudged":
+        return [tuple(_nudged(v) for v in row) for row in gold]
+    if kind == "repeated" and gold:
+        return gold + [draw(st.sampled_from(gold))]
+    return draw(_ROWS)
+
+
+def _reference_match(pred_rows, gold_rows, ordered):
+    """Round both sides, then compare in order or as multisets."""
+    pred_rows, gold_rows = _normalize_rows(pred_rows), _normalize_rows(gold_rows)
+    return pred_rows == gold_rows if ordered else Counter(pred_rows) == Counter(gold_rows)
+
+
+def _result(rows):
+    return ExecutionResult(rows=rows, error=None, elapsed=0.0)
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data(), gold=_ROWS, ordered=st.booleans())
+def test_raw_rows_first_decides_as_rounding_then_comparing(data, gold, ordered):
+    matches = _gold_matcher(_result(gold), ordered)
+    # two predictions against one matcher: the gold's rounded rows are reused
+    for _ in range(2):
+        pred = data.draw(_prediction(gold))
+        assert matches(_result(pred)) == _reference_match(pred, gold, ordered)
+
+
+def test_a_failed_prediction_matches_nothing():
+    failed = ExecutionResult(rows=None, error="no such column: x", elapsed=0.0)
+    assert _gold_matcher(_result([]), ordered=False)(failed) is False
+
+
+def test_a_failed_gold_raises_before_any_comparison():
+    failed = ExecutionResult(rows=None, error="no such column: x", elapsed=0.0)
+    with pytest.raises(GoldExecutionFailedError, match="no such column: x"):
+        _gold_matcher(failed, ordered=True)
 
 
 def test_engine_unavailable_for_other_dialects():
@@ -261,3 +343,27 @@ def test_aggregates_recomputable(fixture_seeds, schemas, dbs):
     recompute = report.recompute()
     for key, value in recompute.items():
         assert report.aggregates[key] == value
+
+
+def test_a_seed_whose_gold_does_not_run_is_a_failure_not_an_abort(schemas, dbs):
+    good = SeedExample("a1", "store", "q", "SELECT customers.name FROM customers "
+                       "WHERE customers.age > 30", "select name from customers where age > 30")
+    bad = SeedExample("a2", "store", "q", "SELECT customers.nope FROM customers",
+                      "SELECT customers.name FROM customers")
+    results = correct_batch([good, bad], build_backends({}), schemas, jobs=1)
+    report = evaluate_correction(results, [good, bad], dbs, schemas)
+    assert [v.seed_id for v in report.per_instance] == ["a1"]
+    assert report.per_instance[0].ex_match is True
+    assert report.failures == [("a2", GOLD_UNEXECUTABLE, "no such column: customers.nope")]
+    alone = evaluate_correction(results[:1], [good], dbs, schemas)
+    assert report.aggregates == alone.aggregates
+    assert report.per_instance == alone.per_instance and alone.failures == []
+
+
+def test_a_trace_less_result_with_a_gold_that_does_not_run_is_a_failure(schemas, dbs):
+    seed = SeedExample("a2", "store", "q", "SELECT customers.nope FROM customers",
+                       "SELECT customers.name FROM customers")
+    result = CorrectionResult(seed.id, seed.initial_sql, None, seed.initial_sql, False, None)
+    report = evaluate_correction([result], [seed], dbs, schemas)
+    assert report.per_instance == [] and report.aggregates["n"] == 0
+    assert report.failures == [("a2", GOLD_UNEXECUTABLE, "no such column: customers.nope")]

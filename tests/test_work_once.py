@@ -7,7 +7,10 @@ run hands its round-trip verdict and its canonical forms to evaluation, the
 rule `sam_fill` keeps the trajectory it was given, an identity run parses no
 stage text and no stage reads the schema list. The fallbacks that recompute,
 when a run cannot vouch for its own work, stay live. A corpus build from
-in-memory bam records parses no trajectory text and each seed's gold SQL once.
+in-memory bam records parses no trajectory text and each seed's gold SQL once,
+and renders only erroneous trajectories: the verified side of each lom record
+is its bam record's text. `ex_match` of one text runs it once, and the corpus
+statistics split each value of an input on its own.
 `round_trip` checks the schema once, in `decompose`; `revert` checks every
 trajectory it is given. A round trip, and a rule run, render no canonical
 form when the reverted tree equals the parsed one, and both forms otherwise.
@@ -272,3 +275,66 @@ def test_round_trip_of_a_normal_query_walks_no_converted_expression_again(monkey
                             "WHERE customers.age > 3 OR customers.city = 'x'")
     assert bridge.round_trip(compound, store).verdict == bridge.PASS
     assert walks["predicate"] == 1
+
+
+def _lom(bam_records, seeds, schemas, dbs):
+    return corpus.build_lom_corpus(bam_records, seeds, PerturbationConfig(k=2, seed=5),
+                                   schemas, dbs=dbs)
+
+
+def test_lom_build_renders_only_erroneous_trajectories(monkeypatch, fixture_seeds, schemas,
+                                                       dbs):
+    seeds = generated_seeds() + list(fixture_seeds)
+    bam = corpus.build_bam_corpus(seeds, schemas)
+    rendered = []
+    render = corpus.render_trajectory
+    monkeypatch.setattr(corpus, "render_trajectory", lambda t: rendered.append(t) or render(t))
+    lom = _lom(bam.records, seeds, schemas, dbs)
+    positives = [r for r in lom.records if r.provenance["source"] != "identity-negative"]
+    assert len(rendered) == len(positives)
+    verified = {id(b.trajectory) for b in bam.records}
+    assert not any(id(t) in verified for t in rendered)
+    # the verified side is the bam record's own text, on both sides of a negative
+    by_seed = {b.provenance["seed_id"]: b for b in bam.records}
+    negatives = [r for r in lom.records if r.provenance["source"] == "identity-negative"]
+    assert negatives
+    assert all(r.output is by_seed[r.provenance["seed_id"]].output for r in lom.records)
+    assert all(r.input["trajectory"] is r.output for r in negatives)
+
+
+def test_read_back_bam_records_give_the_same_lom_bytes(tmp_path, fixture_seeds, schemas, dbs):
+    seeds = generated_seeds() + list(fixture_seeds)
+    bam = corpus.build_bam_corpus(seeds, schemas)
+    corpus.write_corpus(bam.records, tmp_path / "bam.corpus", "bam", bam.stats)
+    read_back = corpus.read_corpus(tmp_path / "bam.corpus")[0]
+    assert read_back and all(r.trajectory is None for r in read_back)
+    files = []
+    for name, records in (("built", bam.records), ("read", read_back)):
+        lom = _lom(records, seeds, schemas, dbs)
+        files.append(tmp_path / f"lom-{name}.corpus")
+        corpus.write_corpus(lom.records, files[-1], "lom", lom.stats)
+    assert files[0].read_bytes() == files[1].read_bytes()
+
+
+def test_ex_match_of_one_text_runs_it_once(calls, dbs):
+    query = SqlQuery.raw("SELECT customers.name FROM customers WHERE customers.age > 30")
+    assert evaluate.ex_match(query, query, dbs["store"]) is True
+    assert calls["evaluate.execute_sql"] == 1
+    assert evaluate.ex_match(SqlQuery.raw(query.text), query, dbs["store"]) is True
+    assert calls["evaluate.execute_sql"] == 2
+    other = SqlQuery.raw("SELECT customers.name FROM customers")
+    assert evaluate.ex_match(other, query, dbs["store"]) is False
+    assert calls["evaluate.execute_sql"] == 4
+
+
+def test_stats_count_the_tokens_of_the_joined_input_text():
+    inputs = [{}, {"a": ""}, {"a": "  ", "b": "x y"}, {"a": "\t", "b": " x y ", "c": "\xa0"},
+              {"a": 5, "b": None, "c": ["p q"], "d": {"k": "v w"}, "e": 2.5},
+              {"db": "t c\nt d", "q": "x y"}, {"db": "t c\nt d", "q": "x y"}]
+    records = [corpus.CorpusRecord("lom", dict(value), output, {"seed_id": str(i)})
+               for i, value in enumerate(inputs) for output in ("", " a  b ", "a b")]
+    stats = corpus.compute_stats(records)
+    joined = sum(len(r.input_text().split()) for r in records)
+    assert stats.mean_input_tokens == round(joined / len(records), 4)
+    assert stats.mean_output_tokens == round(
+        sum(len(r.output.split()) for r in records) / len(records), 4)
