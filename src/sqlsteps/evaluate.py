@@ -251,15 +251,12 @@ class InstanceVerdict:
     difficulty: str | None = None
 
 
-GOLD_UNEXECUTABLE = "gold-unexecutable"
-
-
 @record()
 class EvalReport:
     per_instance: list[InstanceVerdict] = field(default_factory=list)
     aggregates: dict = field(default_factory=dict)
     # (seed id, verdict, reason) of each seed left unscored: its gold did not
-    # run (GOLD_UNEXECUTABLE, with the engine's message)
+    # run ("gold-unexecutable", with the engine's message)
     failures: list[tuple[str, str, str]] = field(default_factory=list)
 
     def recompute(self) -> dict:
@@ -310,7 +307,7 @@ def evaluate_correction(results: list[CorrectionResult], seeds: list[SeedExample
         try:
             matches = _gold_matcher(runs[gold.text], gold.has_order_by)
         except GoldExecutionFailedError as exc:
-            report.failures.append((result.seed_id, GOLD_UNEXECUTABLE, str(exc)))
+            report.failures.append((result.seed_id, "gold-unexecutable", str(exc)))
             continue
         for query in (initial, corrected):
             if query.text not in runs:

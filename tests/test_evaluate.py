@@ -10,7 +10,6 @@ from sqlsteps.errors import EngineUnavailableError, GoldExecutionFailedError
 from sqlsteps.evaluate import (
     ATTRIBUTE_OVERANALYSIS,
     CLAUSE_ABUSE,
-    GOLD_UNEXECUTABLE,
     ExecutionResult,
     FixtureDb,
     MATHEMATICAL_DELUSION,
@@ -354,7 +353,7 @@ def test_a_seed_whose_gold_does_not_run_is_a_failure_not_an_abort(schemas, dbs):
     report = evaluate_correction(results, [good, bad], dbs, schemas)
     assert [v.seed_id for v in report.per_instance] == ["a1"]
     assert report.per_instance[0].ex_match is True
-    assert report.failures == [("a2", GOLD_UNEXECUTABLE, "no such column: customers.nope")]
+    assert report.failures == [("a2", "gold-unexecutable", "no such column: customers.nope")]
     alone = evaluate_correction(results[:1], [good], dbs, schemas)
     assert report.aggregates == alone.aggregates
     assert report.per_instance == alone.per_instance and alone.failures == []
@@ -366,4 +365,4 @@ def test_a_trace_less_result_with_a_gold_that_does_not_run_is_a_failure(schemas,
     result = CorrectionResult(seed.id, seed.initial_sql, None, seed.initial_sql, False, None)
     report = evaluate_correction([result], [seed], dbs, schemas)
     assert report.per_instance == [] and report.aggregates["n"] == 0
-    assert report.failures == [("a2", GOLD_UNEXECUTABLE, "no such column: customers.nope")]
+    assert report.failures == [("a2", "gold-unexecutable", "no such column: customers.nope")]

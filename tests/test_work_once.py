@@ -9,8 +9,9 @@ stage text and no stage reads the schema list. The fallbacks that recompute,
 when a run cannot vouch for its own work, stay live. A corpus build from
 in-memory bam records parses no trajectory text and each seed's gold SQL once,
 and renders only erroneous trajectories: the verified side of each lom record
-is its bam record's text. `ex_match` of one text runs it once, and the corpus
-statistics split each value of an input on its own.
+is its bam record's text. `ex_match` of one text runs it once, a gold's rows
+are rounded at most once and only for a result of equal length that differs,
+and the corpus statistics split each value of an input on its own.
 `round_trip` checks the schema once, in `decompose`; `revert` checks every
 trajectory it is given. A round trip, and a rule run, render no canonical
 form when the reverted tree equals the parsed one, and both forms otherwise.
@@ -325,6 +326,24 @@ def test_ex_match_of_one_text_runs_it_once(calls, dbs):
     other = SqlQuery.raw("SELECT customers.name FROM customers")
     assert evaluate.ex_match(other, query, dbs["store"]) is False
     assert calls["evaluate.execute_sql"] == 4
+
+
+def test_gold_rows_are_rounded_once_and_only_for_equal_lengths_that_differ(monkeypatch):
+    rounded = []
+    normalize = evaluate._normalize_rows
+    monkeypatch.setattr(evaluate, "_normalize_rows",
+                        lambda rows: rounded.append(rows) or normalize(rows))
+    gold = [(0.1 + 0.2,), (1,)]
+
+    def result(rows):
+        return evaluate.ExecutionResult(rows, None, 0.0)
+
+    matches = evaluate._gold_matcher(result(gold), ordered=False)
+    assert matches(result(gold)) and matches(result(list(gold)))
+    assert not matches(result([(0.3,)]))
+    assert rounded == []
+    assert matches(result([(1,), (0.3,)])) and not matches(result([(2,), (0.3,)]))
+    assert sum(rows is gold for rows in rounded) == 1 and len(rounded) == 3
 
 
 def test_stats_count_the_tokens_of_the_joined_input_text():
