@@ -335,15 +335,15 @@ def _collect_aggregates(core: SelectCore) -> list[Func]:
 
 # --- reversion ----------------------------------------------------------------
 
-def revert(t: Trajectory, d: DatabaseInput, dialect: str = "sqlite") -> SqlQuery:
+def revert(t: Trajectory, d: DatabaseInput) -> SqlQuery:
     """Convert a trajectory back into a single SELECT statement."""
     errors = validate_trajectory(t, d)
     if errors:
         raise SchemaMismatchError("; ".join(errors))
-    return _revert(t, d, dialect)
+    return _revert(t, d)
 
 
-def _revert(t: Trajectory, d: DatabaseInput, dialect: str) -> SqlQuery:
+def _revert(t: Trajectory, d: DatabaseInput) -> SqlQuery:
     """`revert` of a trajectory whose tables and columns are known to be in `d`."""
     # binding -> the actions of its frame in order, or a set operation's step,
     # which the types let stand only alone
@@ -352,7 +352,7 @@ def _revert(t: Trajectory, d: DatabaseInput, dialect: str) -> SqlQuery:
         frames[step.binding] = step if isinstance(step.chain[0], Combine) \
             else frames[step.receiver] + step.chain
     ast = _materialize(frames, "res", d)
-    return SqlQuery(text=sqlast.render_sql(ast, dialect), ast=ast, dialect=dialect)
+    return SqlQuery(text=sqlast.render_sql(ast), ast=ast)
 
 
 def _materialize(frames: dict, binding: str, d: DatabaseInput) -> SelectNode:
@@ -494,11 +494,11 @@ def round_trip(s: SqlQuery, d: DatabaseInput) -> RoundTripReport:
     try:
         t = decompose(s, d)
         # decompose's strict resolver checked `t` against `d`: revert's check finds nothing
-        reverted = _revert(t, d, s.dialect)
+        reverted = _revert(t, d)
     except BRIDGE_ERRORS as exc:
         return RoundTripReport(s, None, None, UNSUPPORTED, reason=str(exc))
     if same_tree(s, reverted):
-        kept = s if reverted.text == s.text else SqlQuery(reverted.text, s.ast, s.dialect)
+        kept = s if reverted.text == s.text else SqlQuery(reverted.text, s.ast)
         return RoundTripReport(s, t, kept, PASS)
     forms = canonical_mismatch(s, reverted, d)
     if forms is None:

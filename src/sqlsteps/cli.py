@@ -17,7 +17,7 @@ from .errors import FormatError, MissingSchemaError, SqlStepsError, UnsupportedS
 from .masking import fill_mask, mask_schema, parse_masked_template
 from .perturb import PerturbationConfig, augment
 from .schema import DatabaseInput, extract_schema, load_schema_dir, parse_database_input
-from .sqlast import DIALECTS, SqlQuery, parse_sql
+from .sqlast import SqlQuery, parse_sql
 from .trajectory import parse_trajectory, render_trajectory
 
 log = logging.getLogger("sqlsteps")
@@ -64,7 +64,6 @@ def build_parser() -> _Parser:
                         help="show program's version number and exit")
     for action in (
         parser.add_argument("--schemas", help="directory of *.schema files"),
-        parser.add_argument("--dialect", default="sqlite", choices=DIALECTS),
         parser.add_argument("--seed", type=int,
                             help="seed for stochastic verbs (required by them)"),
         parser.add_argument("--log-level", default="warning", type=str.lower,
@@ -211,7 +210,7 @@ def _emit(args, payload: dict, text: str) -> None:
 
 def _cmd_decompose(args) -> int:
     d = _database(args)
-    query = parse_sql(_read_input(args), args.dialect)
+    query = parse_sql(_read_input(args))
     trajectory = bridge.decompose(query, d)
     text = render_trajectory(trajectory)
     _emit(args, {"trajectory": text}, text.rstrip("\n"))
@@ -221,14 +220,14 @@ def _cmd_decompose(args) -> int:
 def _cmd_revert(args) -> int:
     d = _database(args)
     trajectory = parse_trajectory(_read_input(args))
-    query = bridge.revert(trajectory, d, args.dialect)
+    query = bridge.revert(trajectory, d)
     _emit(args, {"sql": query.text}, query.text)
     return EXIT_OK
 
 
 def _cmd_roundtrip(args) -> int:
     d = _database(args)
-    query = parse_sql(_read_input(args), args.dialect)
+    query = parse_sql(_read_input(args))
     report = bridge.round_trip(query, d)
     payload = {"verdict": report.verdict, "reason": report.reason, "diff": report.diff}
     lines = [report.verdict.replace("_", " ").title() if report.verdict != "pass" else "Pass"]
@@ -245,7 +244,7 @@ def _cmd_roundtrip(args) -> int:
 
 
 def _cmd_extract_schema(args) -> int:
-    query = parse_sql(_read_input(args), args.dialect)
+    query = parse_sql(_read_input(args))
     schema_list = extract_schema(query)
     _emit(args, {"tables": list(schema_list.tables),
                  "columns": [f"{t}.{c}" for t, c in schema_list.columns]},
@@ -356,8 +355,7 @@ def _cmd_orchestrate(args) -> int:
         remote = pipeline.RemoteBackend("generate", args.generator)
         generator = remote.invoke
     results = pipeline.correct_batch(seeds, backends, schemas, generator=generator,
-                                     jobs=args.jobs, dialect=args.dialect,
-                                     template_dir=args.templates)
+                                     jobs=args.jobs, template_dir=args.templates)
     lines = []
     for result in results:
         lines.append(json.dumps({
@@ -444,8 +442,8 @@ def _cmd_tag_errors(args) -> int:
     for seed in seeds:
         if seed.id not in preds:
             continue
-        pred = SqlQuery.raw(preds[seed.id], args.dialect)
-        gold = SqlQuery.raw(seed.gold_sql, args.dialect)
+        pred = SqlQuery.raw(preds[seed.id])
+        gold = SqlQuery.raw(seed.gold_sql)
         try:
             if seed.db not in schemas:
                 raise MissingSchemaError(f"no schema for database {seed.db!r}")

@@ -161,10 +161,15 @@ class CorpusRecord:
     @staticmethod
     def from_dict(data: dict) -> "CorpusRecord":
         try:
-            return CorpusRecord(target=data["target"], input=dict(data["input"]),
-                                output=data["output"], provenance=dict(data["provenance"]))
+            target, inputs, output, provenance = (
+                data["target"], data["input"], data["output"], data["provenance"])
         except (KeyError, TypeError) as exc:
             raise FormatError(f"bad corpus record: {exc}")
+        if not (isinstance(target, str) and isinstance(output, str)
+                and isinstance(inputs, dict) and isinstance(provenance, dict)):
+            raise FormatError("bad corpus record: 'target' and 'output' must be strings, "
+                              "'input' and 'provenance' objects")
+        return CorpusRecord(target, inputs, output, provenance)
 
     def input_text(self) -> str:
         return " ".join(str(self.input[k]) for k in sorted(self.input))

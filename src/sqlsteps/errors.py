@@ -34,7 +34,7 @@ class BindingError(SqlStepsError):
 
 
 class SqlSyntaxError(SqlStepsError):
-    """SQL text does not parse under the declared dialect."""
+    """SQL text does not parse."""
 
     def __init__(self, message: str, position: int = 0):
         super().__init__(f"position {position}: {message}")
@@ -99,10 +99,6 @@ class BackendFailedError(SqlStepsError):
 
 class TemplateNotFoundError(SqlStepsError):
     """No prompt template is registered under the requested id."""
-
-
-class EngineUnavailableError(SqlStepsError):
-    """No embedded engine is available for the requested dialect."""
 
 
 class GoldExecutionFailedError(SqlStepsError):

@@ -29,13 +29,7 @@ from .actions import (
 )
 from .bridge import PASS, decompose, round_trip
 from .corpus import SeedExample
-from .errors import (
-    BRIDGE_ERRORS,
-    AlignmentError,
-    EngineUnavailableError,
-    GoldExecutionFailedError,
-    MissingSchemaError,
-)
+from .errors import BRIDGE_ERRORS, AlignmentError, GoldExecutionFailedError
 from .pipeline import CorrectionResult
 from .schema import DatabaseInput, extract_schema
 from .sqlast import SqlQuery
@@ -78,12 +72,8 @@ class FixtureDb:
     """An in-memory SQLite database loaded from a DDL+INSERT script, read-only
     once loaded."""
 
-    def __init__(self, name: str, script: str, dialect: str = "sqlite"):
-        if dialect != "sqlite":
-            raise EngineUnavailableError(
-                f"no embedded engine for dialect {dialect!r}; only sqlite fixtures run locally")
+    def __init__(self, name: str, script: str):
         self.name = name
-        self.dialect = dialect
         self._conn = sqlite3.connect(":memory:")
         self._conn.executescript(script)
         self._conn.set_authorizer(_read_only)
@@ -102,12 +92,12 @@ class FixtureDb:
         self._conn.close()
 
 
-def load_fixture_dbs(path: str | Path, dialect: str = "sqlite") -> dict[str, FixtureDb]:
-    """Load every `<name>.<dialect>.sql` script in a directory."""
+def load_fixture_dbs(path: str | Path) -> dict[str, FixtureDb]:
+    """Load every `<name>.sqlite.sql` script in a directory."""
     out: dict[str, FixtureDb] = {}
-    for file in sorted(Path(path).glob(f"*.{dialect}.sql")):
-        name = file.name[: -len(f".{dialect}.sql")]
-        out[name] = FixtureDb(name, file.read_text(encoding="utf-8"), dialect)
+    for file in sorted(Path(path).glob("*.sqlite.sql")):
+        name = file.name[: -len(".sqlite.sql")]
+        out[name] = FixtureDb(name, file.read_text(encoding="utf-8"))
     return out
 
 
@@ -255,8 +245,9 @@ class InstanceVerdict:
 class EvalReport:
     per_instance: list[InstanceVerdict] = field(default_factory=list)
     aggregates: dict = field(default_factory=dict)
-    # (seed id, verdict, reason) of each seed left unscored: its gold did not
-    # run ("gold-unexecutable", with the engine's message)
+    # (seed id, verdict, reason) of each seed left unscored: its database has
+    # no fixture ("no-fixture-database") or its gold did not run
+    # ("gold-unexecutable", with the engine's message)
     failures: list[tuple[str, str, str]] = field(default_factory=list)
 
     def recompute(self) -> dict:
@@ -285,8 +276,8 @@ def evaluate_correction(results: list[CorrectionResult], seeds: list[SeedExample
                         ) -> EvalReport:
     """Execution accuracy of corrected SQL, overcorrection rate, round-trip
     rate, schema precision/recall, and error tags, aligned by seed id. A seed
-    whose gold fails to execute is left out of the verdicts and aggregates
-    and listed in `failures`."""
+    with no fixture database, or whose gold fails to execute, is left out of
+    the verdicts and aggregates and listed in `failures`."""
     by_id = {seed.id: seed for seed in seeds}
     if sorted(by_id) != sorted(r.seed_id for r in results):
         raise AlignmentError("correction results and seeds carry different ids")
@@ -296,7 +287,9 @@ def evaluate_correction(results: list[CorrectionResult], seeds: list[SeedExample
     for result in sorted(results, key=lambda r: r.seed_id):
         seed = by_id[result.seed_id]
         if seed.db not in dbs:
-            raise MissingSchemaError(f"no fixture database {seed.db!r}")
+            report.failures.append((result.seed_id, "no-fixture-database",
+                                    f"no fixture database {seed.db!r}"))
+            continue
         db = dbs[seed.db]
         d = schemas.get(seed.db)
         gold = SqlQuery.raw(seed.gold_sql)

@@ -431,7 +431,7 @@ class PipelineTrace:
 
 def run_pipeline(d: DatabaseInput, question: str, initial_sql: str,
                  backends: dict[str, StageBackend], seed_id: str | None = None,
-                 dialect: str = "sqlite", template_id: str = "regenerate_sql",
+                 template_id: str = "regenerate_sql",
                  template_dir: str | Path | None = None) -> PipelineTrace:
     """Run bam -> sam_mask -> sam_fill -> lom and build feedback.
 
@@ -443,10 +443,10 @@ def run_pipeline(d: DatabaseInput, question: str, initial_sql: str,
     missing = [s for s in STAGES if s not in backends]
     if missing:
         raise ValueError(f"backends missing for stages {missing}")
-    query = SqlQuery.raw(initial_sql, dialect)
+    query = SqlQuery.raw(initial_sql)
     trace = PipelineTrace(initial_sql=initial_sql, question=question, query=query, db=d)
     texts = _Texts()
-    base: dict[str, object] = {"db": d, "question": question, "dialect": dialect}
+    base: dict[str, object] = {"db": d, "question": question}
     if seed_id is not None:
         base["id"] = seed_id
 
@@ -561,7 +561,7 @@ class CorrectionResult:
 
 def correct_batch(seeds: list[SeedExample], backends: dict[str, StageBackend],
                   schemas: dict[str, DatabaseInput], generator: Generator | None = None,
-                  jobs: int = 4, dialect: str = "sqlite",
+                  jobs: int = 4,
                   template_dir: str | Path | None = None) -> list[CorrectionResult]:
     """One single-round correction per seed; per-seed failures never abort the batch.
 
@@ -576,8 +576,7 @@ def correct_batch(seeds: list[SeedExample], backends: dict[str, StageBackend],
                 raise MissingSchemaError(f"no schema for database {seed.db!r}")
             d = schemas[seed.db]
             trace = run_pipeline(d, seed.question, seed.initial_sql, backends,
-                                 seed_id=seed.id, dialect=dialect,
-                                 template_dir=template_dir)
+                                 seed_id=seed.id, template_dir=template_dir)
             regenerated = None
             if generator is not None and trace.feedback is not None:
                 regenerated = _contained("generator", generator, {
@@ -590,7 +589,7 @@ def correct_batch(seeds: list[SeedExample], backends: dict[str, StageBackend],
                     "id": seed.id,
                 })
             same, initial_form = _compare_forms(trace, backends["bam"], d)
-            trace.round_trip_pass = _round_trip_verdict(trace, backends["bam"], dialect, same)
+            trace.round_trip_pass = _round_trip_verdict(trace, backends["bam"], same)
             flag = _overcorrection_flag(seed, d, initial_form)
             return CorrectionResult(seed.id, seed.initial_sql, trace.feedback,
                                     regenerated, flag, trace, error=trace.error)
@@ -631,8 +630,8 @@ def _compare_forms(trace: PipelineTrace, bam: StageBackend,
     own = _is_rule_bam(bam) and trace.final_trajectory() is trace.trajectory_initial
     if own and same_tree(trace.query, reverted):
         query = trace.query
-        if reverted.text != query.text or reverted.dialect != query.dialect:
-            query = SqlQuery(reverted.text, query.ast, reverted.dialect)
+        if reverted.text != query.text:
+            query = SqlQuery(reverted.text, query.ast)
         feedback.reverted_query = query
         return True, None
     try:  # the trees differ
@@ -642,18 +641,17 @@ def _compare_forms(trace: PipelineTrace, bam: StageBackend,
     return (True, None) if forms is None else (False, forms[0])
 
 
-def _round_trip_verdict(trace: PipelineTrace, bam: StageBackend, dialect: str,
-                        same: bool) -> bool | None:
+def _round_trip_verdict(trace: PipelineTrace, bam: StageBackend, same: bool) -> bool | None:
     """`round_trip(trace.query, d).verdict == PASS` from this run's own work,
     or None when the run cannot vouch for it.
 
-    The run vouches when its bam is the rule decomposition, its final
-    trajectory is the bam trajectory object and `make_feedback` reverted in
-    the run's dialect: then the reverted query is `revert(decompose(query))`,
-    as in `round_trip`. A bridge error in bam, no reverted SQL, or a bridge
-    error in a canonical form give False, as `round_trip` fails there.
+    The run vouches when its bam is the rule decomposition and its final
+    trajectory is the bam trajectory object: then the reverted query is
+    `revert(decompose(query))`, as in `round_trip`. A bridge error in bam,
+    no reverted SQL, or a bridge error in a canonical form give False, as
+    `round_trip` fails there.
     """
-    vouches = _is_rule_bam(bam) and dialect == "sqlite" and trace.query.ast is not None
+    vouches = _is_rule_bam(bam) and trace.query.ast is not None
     if not vouches:
         return None
     if trace.trajectory_initial is None:  # decompose raised; the bam record holds its class

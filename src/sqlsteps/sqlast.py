@@ -22,8 +22,6 @@ from .errors import SqlStepsError, SqlSyntaxError, SqlTooDeepError
 if TYPE_CHECKING:
     from .schema import DatabaseInput
 
-DIALECTS = ("sqlite", "mysql", "postgresql")
-
 KEYWORDS = {
     "select", "distinct", "from", "where", "group", "by", "having", "order",
     "limit", "offset", "as", "on", "join", "inner", "left", "right", "full",
@@ -109,18 +107,16 @@ class SqlQuery:
 
     text: str
     ast: SelectNode | None
-    dialect: str = "sqlite"
     parse_error: str | None = None
     _syntax_error: SqlSyntaxError | None = field(default=None, repr=False, compare=False)
 
     @staticmethod
-    def raw(text: str, dialect: str = "sqlite") -> "SqlQuery":
+    def raw(text: str) -> "SqlQuery":
         """Wrap text without requiring it to parse (for execution-only paths)."""
         try:
-            return parse_sql(text, dialect)
+            return parse_sql(text)
         except SqlSyntaxError as exc:
-            return SqlQuery(text=text, ast=None, dialect=dialect, parse_error=str(exc),
-                            _syntax_error=exc)
+            return SqlQuery(text=text, ast=None, parse_error=str(exc), _syntax_error=exc)
 
     @property
     def has_order_by(self) -> bool:
@@ -618,10 +614,8 @@ class _SqlParser(BoundedParser):
         return Func(lowered, tuple(args), distinct)
 
 
-def parse_sql(text: str, dialect: str = "sqlite") -> SqlQuery:
+def parse_sql(text: str) -> SqlQuery:
     """Parse one SELECT statement; raises SqlSyntaxError otherwise."""
-    if dialect not in DIALECTS:
-        raise SqlStepsError(f"unknown dialect {dialect!r}")
     if not text.strip():
         raise SqlSyntaxError("empty SQL text")
     parser = _SqlParser(_sql_tokens(text))
@@ -632,7 +626,7 @@ def parse_sql(text: str, dialect: str = "sqlite") -> SqlQuery:
     tok = parser.peek()
     if tok[KIND] != "END":
         raise SqlSyntaxError(f"trailing input {tok[TEXT]!r}", tok[POS])
-    return SqlQuery(text=text, ast=ast, dialect=dialect)
+    return SqlQuery(text=text, ast=ast)
 
 
 def parse_predicate(text: str) -> Predicate:
@@ -660,38 +654,36 @@ def _column_text(col: Column | QualifiedColumn) -> str:
 
 # --- rendering --------------------------------------------------------------------
 
-def render_sql(node: SelectNode, dialect: str = "sqlite") -> str:
-    """Render an AST back to SQL under a dialect (identifier quoting differs)."""
-    quote = "`" if dialect == "mysql" else '"'
-    return _render_node(node, quote)
+def render_sql(node: SelectNode) -> str:
+    """Render an AST back to SQL; an identifier that needs quoting gets `"`."""
+    return _render_node(node)
 
 
-def _render_node(node: SelectNode, quote: str) -> str:
+def _render_node(node: SelectNode) -> str:
     if isinstance(node, SetOp):
-        return (f"{_render_node(node.left, quote)} {node.op.upper()} "
-                f"{_render_core(node.right, quote)}")
-    return _render_core(node, quote)
+        return f"{_render_node(node.left)} {node.op.upper()} {_render_core(node.right)}"
+    return _render_core(node)
 
 
-def _render_core(core: SelectCore, quote: str) -> str:
+def _render_core(core: SelectCore) -> str:
     parts = ["SELECT"]
     if core.distinct:
         parts.append("DISTINCT")
-    parts.append(", ".join([_render_item(i, quote) for i in core.items]))
+    parts.append(", ".join([_render_item(i) for i in core.items]))
     if core.tables:
-        refs = [_render_table(t, quote) for t in core.tables]
+        refs = [_render_table(t) for t in core.tables]
         parts.append("FROM " + ", ".join(refs))
         for join in core.joins:
-            parts.append(f"{join.kind.upper()} JOIN {_render_table(join.table, quote)} ON "
-                         f"{_wrap(join.on, quote)}")
+            parts.append(f"{join.kind.upper()} JOIN {_render_table(join.table)} "
+                         f"ON {_wrap(join.on)}")
     if core.where is not None:
-        parts.append("WHERE " + render_predicate(core.where, quote))
+        parts.append("WHERE " + render_predicate(core.where))
     if core.group_by:
-        parts.append("GROUP BY " + ", ".join([render_expr(e, quote) for e in core.group_by]))
+        parts.append("GROUP BY " + ", ".join([render_expr(e) for e in core.group_by]))
     if core.having is not None:
-        parts.append("HAVING " + render_predicate(core.having, quote))
+        parts.append("HAVING " + render_predicate(core.having))
     if core.order_by:
-        rendered = [f"{render_expr(o.expr, quote)} {o.direction.upper()}"
+        rendered = [f"{render_expr(o.expr)} {o.direction.upper()}"
                     for o in core.order_by]
         parts.append("ORDER BY " + ", ".join(rendered))
     if core.limit is not None:
@@ -701,34 +693,34 @@ def _render_core(core: SelectCore, quote: str) -> str:
     return " ".join(parts)
 
 
-def _render_item(item: SelectItem, quote: str) -> str:
-    text = render_expr(item.expr, quote)
+def _render_item(item: SelectItem) -> str:
+    text = render_expr(item.expr)
     if item.alias:
-        return f"{text} AS {_q(item.alias, quote)}"
+        return f"{text} AS {_q(item.alias)}"
     return text
 
 
-def _render_table(ref: TableRef, quote: str) -> str:
-    text = _q(ref.name, quote)
+def _render_table(ref: TableRef) -> str:
+    text = _q(ref.name)
     if ref.alias:
-        text += f" AS {_q(ref.alias, quote)}"
+        text += f" AS {_q(ref.alias)}"
     return text
 
 
-def _q(name: str, quote: str) -> str:
+def _q(name: str) -> str:
     # for ASCII text, `isidentifier` accepts exactly `[A-Za-z_][A-Za-z0-9_]*`
     if name.isascii() and name.isidentifier() and name.lower() not in KEYWORDS:
         return name
-    return quote + name.replace(quote, quote + quote) + quote
+    return '"' + name.replace('"', '""') + '"'
 
 
-def render_expr(expr: SqlExpr | Expr, quote: str = '"') -> str:
+def render_expr(expr: SqlExpr | Expr) -> str:
     """SQL text of an expression of a SQL tree or of a compound condition,
     whose columns, aggregates and substrs are trajectory nodes."""
     if isinstance(expr, (Column, QualifiedColumn)):
         if expr.table is None:
-            return _q(expr.column, quote)
-        return f"{_q(expr.table, quote)}.{_q(expr.column, quote)}"
+            return _q(expr.column)
+        return f"{_q(expr.table)}.{_q(expr.column)}"
     if isinstance(expr, Scalar):
         if expr.kind in ("int", "real"):
             return repr(expr.value)
@@ -736,54 +728,54 @@ def render_expr(expr: SqlExpr | Expr, quote: str = '"') -> str:
     if isinstance(expr, Star):
         return "*"
     if isinstance(expr, Func):
-        inner = ", ".join([render_expr(a, quote) for a in expr.args])
+        inner = ", ".join([render_expr(a) for a in expr.args])
         if expr.distinct:
             inner = "DISTINCT " + inner
         return f"{expr.name.upper()}({inner})"
     if isinstance(expr, Cast):
-        return f"CAST({render_expr(expr.arg, quote)} AS {expr.target_type.upper()})"
+        return f"CAST({render_expr(expr.arg)} AS {expr.target_type.upper()})"
     if isinstance(expr, Arithmetic):
-        return f"({render_expr(expr.left, quote)} {expr.op} {render_expr(expr.right, quote)})"
+        return f"({render_expr(expr.left)} {expr.op} {render_expr(expr.right)})"
     if isinstance(expr, Subquery):
-        return f"({_render_core(expr.core, quote)})"
+        return f"({_render_core(expr.core)})"
     if isinstance(expr, Aggregate):
-        return f"{SQL_AGGREGATES[expr.kind].upper()}({render_expr(expr.arg, quote)})"
+        return f"{SQL_AGGREGATES[expr.kind].upper()}({render_expr(expr.arg)})"
     if isinstance(expr, Substr):
         bounds = (expr.start,) if expr.length is None else (expr.start, expr.length)
-        return f"SUBSTR({', '.join([render_expr(expr.arg, quote), *map(repr, bounds)])})"
+        return f"SUBSTR({', '.join([render_expr(expr.arg), *map(repr, bounds)])})"
     raise TypeError(f"not a SQL expression: {expr!r}")
 
 
-def render_predicate(pred: Predicate, quote: str = '"') -> str:
+def render_predicate(pred: Predicate) -> str:
     if isinstance(pred, Comparison):
-        return f"{render_expr(pred.left, quote)} {pred.op} {render_expr(pred.right, quote)}"
+        return f"{render_expr(pred.left)} {pred.op} {render_expr(pred.right)}"
     if isinstance(pred, Between):
         kw = "NOT BETWEEN" if pred.negated else "BETWEEN"
-        return (f"{render_expr(pred.expr, quote)} {kw} {render_expr(pred.lo, quote)} "
-                f"AND {render_expr(pred.hi, quote)}")
+        return (f"{render_expr(pred.expr)} {kw} {render_expr(pred.lo)} "
+                f"AND {render_expr(pred.hi)}")
     if isinstance(pred, InList):
         kw = "NOT IN" if pred.negated else "IN"
-        items = ", ".join([render_expr(i, quote) for i in pred.items])
+        items = ", ".join([render_expr(i) for i in pred.items])
         if len(pred.items) != 1 or not isinstance(pred.items[0], Subquery):
             items = f"({items})"  # a lone subquery renders its own parentheses
-        return f"{render_expr(pred.expr, quote)} {kw} {items}"
+        return f"{render_expr(pred.expr)} {kw} {items}"
     if isinstance(pred, LikePred):
         kw = "NOT LIKE" if pred.negated else "LIKE"
-        return f"{render_expr(pred.expr, quote)} {kw} {render_expr(pred.pattern, quote)}"
+        return f"{render_expr(pred.expr)} {kw} {render_expr(pred.pattern)}"
     if isinstance(pred, IsNull):
         kw = "IS NOT NULL" if pred.negated else "IS NULL"
-        return f"{render_expr(pred.expr, quote)} {kw}"
+        return f"{render_expr(pred.expr)} {kw}"
     if isinstance(pred, And):
-        return " AND ".join([_wrap(p, quote) for p in pred.items])
+        return " AND ".join([_wrap(p) for p in pred.items])
     if isinstance(pred, Or):
-        return "(" + " OR ".join([_wrap(p, quote) for p in pred.items]) + ")"
+        return "(" + " OR ".join([_wrap(p) for p in pred.items]) + ")"
     if isinstance(pred, Not):
-        return f"NOT ({_wrap(pred.item, quote)})"
+        return f"NOT ({_wrap(pred.item)})"
     raise TypeError(f"not a predicate: {pred!r}")
 
 
-def _wrap(pred: Predicate, quote: str = '"') -> str:
-    text = render_predicate(pred, quote)
+def _wrap(pred: Predicate) -> str:
+    text = render_predicate(pred)
     if isinstance(pred, (And,)):
         return f"({text})"
     return text
@@ -792,13 +784,13 @@ def _wrap(pred: Predicate, quote: str = '"') -> str:
 # --- canonical form ------------------------------------------------------------
 
 def canonicalize(query: SqlQuery, d: "DatabaseInput | None" = None) -> str:
-    """Dialect-independent canonical text used as the round-trip equivalence:
+    """Canonical text used as the round-trip equivalence:
     the canonical tree of the query, rendered as SQL. Each core, subquery
     cores included, is normalized (`normalize_core`, then `SELECT *`
     expanded), its inner joins folded into the WHERE conjuncts, its tables
     sorted and kept once, and its conjuncts made canonical
     (`canonical_predicate`) and sorted by their text."""
-    return _render_node(_canonical_node(_require_ast(query), d), '"')
+    return _render_node(_canonical_node(_require_ast(query), d))
 
 
 def _require_ast(query: SqlQuery) -> SelectNode:

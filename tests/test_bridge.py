@@ -343,13 +343,20 @@ def test_enumerated_grammar_round_trips(store):
         assert report.verdict == PASS, (sql, report.reason, report.diff)
 
 
-def test_reverted_text_parses_under_all_dialects(store):
-    t = decompose(parse_sql("SELECT customers.name FROM customers WHERE customers.age > 30"),
-                  store)
-    for dialect in ("sqlite", "mysql", "postgresql"):
-        q = revert(t, store, dialect)
-        assert q.dialect == dialect
-        assert parse_sql(q.text, dialect).ast == q.ast
+def test_reverted_text_parses_under_all_dialects():
+    # one query, its identifiers quoted as SQLite, MySQL and SQL Server write them
+    d = parse_database_text("""
+database spaced
+table `my table`
+  column `my col` text
+  column age int
+""")
+    for text in ('SELECT "my table"."my col" FROM "my table" WHERE "my table"."age" > 30',
+                 "SELECT `my table`.`my col` FROM `my table` WHERE `my table`.`age` > 30",
+                 "SELECT [my table].[my col] FROM [my table] WHERE [my table].[age] > 30"):
+        q = revert(decompose(parse_sql(text), d), d)
+        assert q.text == 'SELECT "my table"."my col" FROM "my table" WHERE "my table".age > 30'
+        assert parse_sql(q.text).ast == q.ast == parse_sql(text).ast
 
 
 def test_canonical_mismatch_verdict_reports_diff(store):

@@ -8,8 +8,6 @@ import pytest
 
 from sqlsteps.actions import ACTION_SPACE
 from sqlsteps.cli import EXIT_ERROR, EXIT_OK, EXIT_UNSUPPORTED, build_parser, dispatch
-from sqlsteps.errors import SqlStepsError
-from sqlsteps.sqlast import parse_sql
 
 from conftest import FIXTURES, golden
 
@@ -276,6 +274,18 @@ def test_eval_scores_the_other_seeds_when_one_gold_does_not_run(capsys, tmp_path
                                     "reason": "no such column: customers.nope"}]
 
 
+def test_eval_scores_the_other_seeds_when_one_has_no_fixture_database(capsys, tmp_path):
+    lost = json.dumps({"id": "a0", "db": "nowhere", "question": "q", "gold_sql": "SELECT 1",
+                       "initial_sql": "SELECT 1"})
+    seeds = _jsonl(tmp_path / "seeds.jsonl", lost, ONE_BAD_GOLD[0])
+    pred = _jsonl(tmp_path / "pred.jsonl", json.dumps({"id": "a0", "sql": "SELECT 1"}))
+    code, out, err = run(capsys, ["--schemas", SCHEMAS, "eval", "--pred", pred,
+                                  "--seeds", seeds, "--dbs", DBS])
+    assert code == EXIT_OK and err == ""
+    assert out.splitlines()[:2] == ["a1: ex=Y baseline=Y overcorrection=N",
+                                    "a0: no-fixture-database: no fixture database 'nowhere'"]
+
+
 def test_eval_output_of_golds_that_all_run_has_no_failures(capsys, tmp_path):
     seeds = _jsonl(tmp_path / "seeds.jsonl", ONE_BAD_GOLD[0])
     pred = _jsonl(tmp_path / "pred.jsonl", json.dumps({"id": "a1", "sql": "SELECT 1"}))
@@ -331,6 +341,20 @@ def test_bad_perturbation_flag_is_a_usage_error(capsys, tmp_path, flags, verb):
     code, out, err = run(capsys, ["--schemas", SCHEMAS, "--seed", "1", *argv, *flags])
     assert code == EXIT_ERROR
     assert err.startswith("usage error: ") and out == ""
+
+
+@pytest.mark.parametrize("field", [{"output": 5}, {"input": [["question", "q"]]},
+                                   {"provenance": "seed s1"}, {"target": 1}])
+def test_corpus_record_of_a_wrong_type_is_a_corrupt_record(capsys, tmp_path, field):
+    record = {"target": "bam", "input": {"question": "q"}, "output": "res = df.select(t.a)\n",
+              "provenance": {}, **field}
+    stats = {"counts": {"bam": 1}, "mean_input_tokens": 1.0, "mean_output_tokens": 3.0,
+             "round_trip_pass_rate": None}
+    path = _jsonl(tmp_path / "bam.corpus", "#corpus v1 bam", json.dumps(record),
+                  "#stats " + json.dumps(stats))
+    code, out, err = run(capsys, ["corpus-stats", "--in", path])
+    assert code == EXIT_ERROR and out == ""
+    assert err == "error: line 2: corrupt record (last complete line is 1)\n"
 
 
 @pytest.mark.parametrize("argv", [["mask", "--in", "{missing}"],
@@ -410,7 +434,6 @@ def test_corpus_files_of_a_question_holding_a_line_separator_read_back(capsys, t
 @pytest.mark.parametrize("variable, value, message", [
     ("SQLSTEPS_SEED", "abc", "SQLSTEPS_SEED: invalid int value 'abc'"),
     ("SQLSTEPS_JOBS", "x", "SQLSTEPS_JOBS: invalid int value 'x'"),
-    ("SQLSTEPS_DIALECT", "oracle", "SQLSTEPS_DIALECT: invalid choice 'oracle'"),
     ("SQLSTEPS_FORMAT", "yaml", "SQLSTEPS_FORMAT: invalid choice 'yaml'"),
     ("SQLSTEPS_LOG_LEVEL", "loud", "SQLSTEPS_LOG_LEVEL: invalid choice 'loud'"),
 ])
@@ -426,7 +449,6 @@ def test_bad_environment_override_is_a_usage_error(capsys, monkeypatch, variable
     ("SQLSTEPS_SCHEMAS", SCHEMAS, "schemas", SCHEMAS),
     ("SQLSTEPS_SEED", "7", "seed", 7),
     ("SQLSTEPS_JOBS", "3", "jobs", 3),
-    ("SQLSTEPS_DIALECT", "mysql", "dialect", "mysql"),
     ("SQLSTEPS_FORMAT", "structured", "output_format", "structured"),
     ("SQLSTEPS_LOG_LEVEL", "INFO", "log_level", "info"),
 ])
@@ -439,11 +461,6 @@ def test_environment_override_sets_the_flag_default(monkeypatch, variable, value
 def test_flag_beats_its_environment_override(monkeypatch):
     monkeypatch.setenv("SQLSTEPS_SEED", "7")
     assert build_parser().parse_args(["--seed", "8"]).seed == 8
-
-
-def test_unknown_dialect_is_a_sqlsteps_error():
-    with pytest.raises(SqlStepsError, match="unknown dialect 'oracle'"):
-        parse_sql("SELECT 1", "oracle")
 
 
 def test_version_hashes_the_catalog_only_when_asked(capsys):

@@ -54,7 +54,7 @@ def reference_round_trip(s: SqlQuery, d) -> RoundTripReport:
                                reason=s.parse_error or "query does not parse")
     try:
         t = decompose(s, d)
-        reverted = bridge._revert(t, d, s.dialect)
+        reverted = bridge._revert(t, d)
     except BRIDGE_ERRORS as exc:
         return RoundTripReport(s, None, None, UNSUPPORTED, reason=str(exc))
     original_canon = canonicalize(s, d)
@@ -137,18 +137,17 @@ def _mangled(change):
     """`bridge._revert`, with `change` applied to the reverted query."""
     revert = bridge._revert
 
-    def mangled(t, d, dialect):
-        return change(revert(t, d, dialect))
+    def mangled(t, d):
+        return change(revert(t, d))
     return mangled
 
 
 @pytest.mark.parametrize("change,outcome", [
-    (lambda q: SqlQuery(q.text, replace(q.ast, distinct=not q.ast.distinct), q.dialect),
+    (lambda q: SqlQuery(q.text, replace(q.ast, distinct=not q.ast.distinct)),
      CANONICAL_MISMATCH),
-    (lambda q: SqlQuery(q.text, replace(q.ast, limit=7), q.dialect), CANONICAL_MISMATCH),
-    (lambda q: SqlQuery(q.text, replace(q.ast, items=q.ast.items[:1]), q.dialect),
-     CANONICAL_MISMATCH),
-    (lambda q: SqlQuery(q.text, None, q.dialect, parse_error="no tree"), SqlSyntaxError),
+    (lambda q: SqlQuery(q.text, replace(q.ast, limit=7)), CANONICAL_MISMATCH),
+    (lambda q: SqlQuery(q.text, replace(q.ast, items=q.ast.items[:1])), CANONICAL_MISMATCH),
+    (lambda q: SqlQuery(q.text, None, parse_error="no tree"), SqlSyntaxError),
 ], ids=["distinct", "limit", "one-item", "no-tree"])
 def test_a_reverted_tree_that_differs_answers_as_the_reference(change, outcome, monkeypatch,
                                                                store):
@@ -246,9 +245,8 @@ def test_an_equal_reversion_keeps_the_parsed_tree(store):
         report = round_trip(query, store)
         if report.verdict != PASS:
             continue
-        own = bridge._revert(report.trajectory, store, query.dialect)
+        own = bridge._revert(report.trajectory, store)
         assert report.reverted.text == own.text
-        assert report.reverted.dialect == own.dialect
         if own.ast == query.ast:
             assert report.reverted.ast is query.ast
             # and no second query where the reverted text is the query's own

@@ -6,12 +6,11 @@ from hypothesis import strategies as st
 
 from sqlsteps.bridge import decompose
 from sqlsteps.corpus import SeedExample
-from sqlsteps.errors import EngineUnavailableError, GoldExecutionFailedError
+from sqlsteps.errors import GoldExecutionFailedError
 from sqlsteps.evaluate import (
     ATTRIBUTE_OVERANALYSIS,
     CLAUSE_ABUSE,
     ExecutionResult,
-    FixtureDb,
     MATHEMATICAL_DELUSION,
     OTHER,
     SCHEMA_CONTRADICTION,
@@ -195,11 +194,6 @@ def test_a_failed_gold_raises_before_any_comparison():
         _gold_matcher(failed, ordered=True)
 
 
-def test_engine_unavailable_for_other_dialects():
-    with pytest.raises(EngineUnavailableError):
-        FixtureDb("x", "CREATE TABLE t (a INT);", dialect="postgresql")
-
-
 # --- error tagging ---------------------------------------------------------------
 
 def test_tag_schema_contradiction(schools):
@@ -357,6 +351,19 @@ def test_a_seed_whose_gold_does_not_run_is_a_failure_not_an_abort(schemas, dbs):
     alone = evaluate_correction(results[:1], [good], dbs, schemas)
     assert report.aggregates == alone.aggregates
     assert report.per_instance == alone.per_instance and alone.failures == []
+
+
+def test_a_seed_with_no_fixture_database_is_a_failure_not_an_abort(schemas, dbs):
+    good = SeedExample("a1", "store", "q", "SELECT customers.name FROM customers "
+                       "WHERE customers.age > 30", "select name from customers where age > 30")
+    lost = SeedExample("a0", "nowhere", "q", "SELECT 1", "SELECT 1")
+    results = correct_batch([good], build_backends({}), schemas, jobs=1)
+    results.append(CorrectionResult(lost.id, lost.initial_sql, None, None, False, None))
+    report = evaluate_correction(results, [good, lost], dbs, schemas)
+    assert [v.seed_id for v in report.per_instance] == ["a1"]
+    assert report.per_instance[0].ex_match is True
+    assert report.failures == [("a0", "no-fixture-database", "no fixture database 'nowhere'")]
+    assert report.aggregates == evaluate_correction(results[:1], [good], dbs, schemas).aggregates
 
 
 def test_a_trace_less_result_with_a_gold_that_does_not_run_is_a_failure(schemas, dbs):

@@ -210,11 +210,11 @@ def _regex_valid_identifier(name: str) -> bool:
     return bool(IDENT_RE.match(name.strip())) and name == name.strip()
 
 
-def _regex_q(name: str, quote: str) -> str:
+def _regex_q(name: str) -> str:
     if name and " " not in name and BARE_IDENT_RE.fullmatch(name) \
             and name.lower() not in KEYWORDS:
         return name
-    return quote + name.replace(quote, quote + quote) + quote
+    return '"' + name.replace('"', '""') + '"'
 
 
 _names = st.one_of(
@@ -236,5 +236,4 @@ _names = st.one_of(
 @example("\u212a")  # the Kelvin sign, which lower-cases to an ASCII k
 def test_identifier_checks_agree_with_the_regexes(name):
     assert valid_identifier(name) == _regex_valid_identifier(name)
-    for quote in ('"', "`"):
-        assert _q(name, quote) == _regex_q(name, quote)
+    assert _q(name) == _regex_q(name)

@@ -377,8 +377,7 @@ def test_stage_payloads_read_as_text(store):
     trace = run_pipeline(store, "older", sql, {s: Recording(s) for s in STAGES},
                          seed_id="x1")
     t = decompose(parse_sql(sql), store)
-    base = [("db", render_database_input(store)), ("question", "older"),
-            ("dialect", "sqlite"), ("id", "x1")]
+    base = [("db", render_database_input(store)), ("question", "older"), ("id", "x1")]
     assert seen["bam"] == [*base, ("sql", sql)]
     assert seen["sam_mask"] == [*base, ("trajectory", render_trajectory(t))]
     assert seen["sam_fill"] == [*base,
@@ -480,7 +479,7 @@ def test_remote_sam_fill_in_pipeline_sees_text_without_trajectory(stub_server, s
     t = decompose(parse_sql(sql), store)
     assert _StubHandler.seen == [{
         "stage": "sam_fill", "db": render_database_input(store), "question": "older",
-        "dialect": "sqlite", "id": "x1",
+        "id": "x1",
         "schema_list": extract_schema(parse_sql(sql)).render(),
         "masked": mask_schema(t).template}]
 

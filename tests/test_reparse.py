@@ -36,7 +36,6 @@ from sqlsteps.errors import (JoinPathNotFoundError, SchemaMismatchError, SqlSynt
                              TrajectorySyntaxError)
 from sqlsteps.schema import ColumnDef, DatabaseInput, ForeignKey, TableDef
 from sqlsteps.sqlast import (
-    DIALECTS,
     Between,
     Column,
     Comparison,
@@ -165,9 +164,9 @@ _SQL_NODES = st.one_of(
 
 
 @settings(max_examples=100, deadline=None)
-@given(node=_SQL_NODES, dialect=st.sampled_from(DIALECTS))
-def test_sql_parses_back_to_what_rendered_it(node, dialect):
-    assert parse_sql(render_sql(node, dialect), dialect).ast == node
+@given(node=_SQL_NODES)
+def test_sql_parses_back_to_what_rendered_it(node):
+    assert parse_sql(render_sql(node)).ast == node
 
 
 # --- trajectories -------------------------------------------------------------------
