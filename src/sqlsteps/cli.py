@@ -117,7 +117,6 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--weights", default="0.333333,0.333333,0.333334")
-    p.add_argument("--input-source", choices=("gold", "initial"), default="gold")
     p.add_argument("--dbs", help="fixture database directory (initial-SQL classification)")
 
     p = add("corpus-stats")
@@ -303,7 +302,7 @@ def _cmd_build_corpus(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     dbs = evaluate.load_fixture_dbs(args.dbs) if args.dbs else None
     targets = ("bam", "sam", "lom") if args.target == "all" else (args.target,)
-    bam = corpus.build_bam_corpus(seeds, schemas, input_source=args.input_source)
+    bam = corpus.build_bam_corpus(seeds, schemas)
     summary: dict[str, dict] = {}
     if "bam" in targets:
         corpus.write_corpus(bam.records, out_dir / "bam.corpus", "bam", bam.stats)

@@ -49,6 +49,9 @@ class SeedExample:
     def from_dict(data: dict) -> "SeedExample":
         if not isinstance(data, dict):
             raise FormatError("seed record is not a JSON object")
+        for name in ("evidence", "difficulty"):
+            if not isinstance(data.get(name), (str, type(None))):
+                raise FormatError(f"seed field {name!r} is not a string or null")
         try:
             return SeedExample(
                 id=str(data["id"]),
@@ -238,11 +241,9 @@ def _require_schema(seed: SeedExample, schemas: dict[str, DatabaseInput]) -> Dat
 
 # --- conversion corpus -------------------------------------------------------
 
-def build_bam_corpus(seeds: list[SeedExample], schemas: dict[str, DatabaseInput],
-                     input_source: str = "gold") -> BuildResult:
-    """One (SQL -> trajectory) record per seed whose gold SQL round-trips."""
-    if input_source not in ("gold", "initial"):
-        raise ValueError("input_source must be 'gold' or 'initial'")
+def build_bam_corpus(seeds: list[SeedExample], schemas: dict[str, DatabaseInput]) -> BuildResult:
+    """One (SQL -> trajectory) record per seed whose gold SQL round-trips:
+    the gold SQL paired with the trajectory the round trip verified."""
     records: list[CorpusRecord] = []
     failures: list[tuple[str, str, str]] = []
     for seed in sorted(seeds, key=lambda s: s.id):
@@ -258,10 +259,9 @@ def build_bam_corpus(seeds: list[SeedExample], schemas: dict[str, DatabaseInput]
             log.warning("seed %s: round trip %s", seed.id, report.verdict)
             continue
         assert report.trajectory is not None
-        input_sql = seed.gold_sql if input_source == "gold" else seed.initial_sql
         records.append(CorpusRecord(
             target=TARGET_BAM,
-            input={"sql": input_sql},
+            input={"sql": seed.gold_sql},
             output=render_trajectory(report.trajectory),
             provenance={"seed_id": seed.id, "round_trip": report.verdict},
             trajectory=report.trajectory,
@@ -349,12 +349,11 @@ def _initial_schema_list(query: SqlQuery) -> tuple[SchemaList, bool]:
 
 def build_lom_corpus(bam_records: list[CorpusRecord], seeds: list[SeedExample],
                      cfg: PerturbationConfig, schemas: dict[str, DatabaseInput],
-                     dbs: dict | None = None,
-                     negative_ratio: float = 4.0) -> BuildResult:
+                     dbs: dict | None = None) -> BuildResult:
     """Correction pairs from wrong initial SQLs plus perturbation augmentation.
 
     Positives map an erroneous trajectory to the verified one; identity
-    negatives are injected at `negative_ratio` positives per negative.
+    negatives are injected at `perturb.NEGATIVE_RATIO` positives per negative.
     A seed whose gold fails to execute on its fixture database is a
     `gold-unexecutable` failure that carries the engine's message.
     """
@@ -401,15 +400,15 @@ def build_lom_corpus(bam_records: list[CorpusRecord], seeds: list[SeedExample],
                 continue
             positives.append((seed, erroneous, verified, verified_text,
                               {"seed_id": seed.id, "source": "initial-error"}))
-    records = _assemble_lom_records(positives, cfg, negative_ratio)
+    records = _assemble_lom_records(positives, cfg)
     return BuildResult(records, compute_stats(records), failures)
 
 
 def _assemble_lom_records(
         positives: list[tuple[SeedExample, Trajectory, Trajectory, str | None, dict]],
-        cfg: PerturbationConfig, negative_ratio: float) -> list[CorpusRecord]:
+        cfg: PerturbationConfig) -> list[CorpusRecord]:
     pairs = [(err, ver) for _, err, ver, _, _ in positives]
-    combined = inject_negatives(pairs, ratio=negative_ratio, seed=cfg.seed)
+    combined = inject_negatives(pairs, seed=cfg.seed)
     # inject_negatives keeps the trajectory objects it is given. Every positive
     # has an erroneous object of its own, which keys its record; an identity
     # negative repeats a verified object, which names its seed. The k pairs of

@@ -163,7 +163,7 @@ class ErrorTag:
     subtype: str
 
 
-def tag_error(pred: Trajectory, gold: Trajectory, d: DatabaseInput) -> ErrorTag:
+def tag_error(pred: Trajectory, gold: Trajectory) -> ErrorTag:
     """Rule-based category for a wrong (pred, gold) trajectory pair."""
     pred_schema = {c.render() for c in pred.columns()}
     gold_schema = {c.render() for c in gold.columns()}
@@ -187,7 +187,7 @@ def tag_prediction(pred: SqlQuery | Trajectory, gold: SqlQuery,
     decomposed under `d`, the prediction first; its error propagates."""
     pred_trajectory = pred if isinstance(pred, Trajectory) else decompose(pred, d)
     gold_trajectory = decompose(gold, d)
-    tag = tag_error(pred_trajectory, gold_trajectory, d)
+    tag = tag_error(pred_trajectory, gold_trajectory)
     same = tag.subtype == OTHER and (render_trajectory(pred_trajectory)
                                      == render_trajectory(gold_trajectory))
     return tag, same

@@ -11,6 +11,7 @@ well defined; `bare_template` strips the indices for prompt assets.
 
 from __future__ import annotations
 
+import functools
 import re
 
 from .actions import QualifiedColumn, Trajectory, frozen
@@ -70,19 +71,12 @@ def mask_schema(t: Trajectory) -> MaskedTrajectory:
 
 
 # The rendered text of each column a slot holds, one string per column,
-# shared by every mask. A table that outgrows LEAF_BOUND entries is emptied,
-# as the parser's leaf tables are.
-_SLOT_VALUES: dict[QualifiedColumn, str] = {}
-
-
+# shared by every mask; the cache keeps the LEAF_BOUND columns used last, as
+# the parser's leaf caches do.
+@functools.lru_cache(maxsize=LEAF_BOUND)
 def _slot_value(column: QualifiedColumn) -> str:
     """The shared `column.render()`."""
-    value = _SLOT_VALUES.get(column)
-    if value is None:
-        value = _SLOT_VALUES.setdefault(column, column.render())
-        if len(_SLOT_VALUES) > LEAF_BOUND:
-            _SLOT_VALUES.clear()
-    return value
+    return column.render()
 
 
 def parse_masked_template(text: str) -> MaskedTrajectory:

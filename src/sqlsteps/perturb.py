@@ -53,6 +53,8 @@ ADD = "add"
 DELETE = "delete"
 SUBSTITUTE = "substitute"
 KINDS = (ADD, DELETE, SUBSTITUTE)
+MAX_ATTEMPTS = 30  # draws per perturbation before it is given up
+NEGATIVE_RATIO = 4.0  # positives per identity negative in a correction corpus
 
 _FLIP_COMPARATOR = {"=": "!=", "!=": "=", "<": ">", ">": "<", "<=": ">=", ">=": "<=",
                     "in": "not in", "not in": "in",
@@ -86,7 +88,6 @@ class PerturbationConfig:
     k: int = 1
     weights: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)  # add, delete, substitute
     seed: int = 0
-    max_attempts: int = 30
 
     def __post_init__(self) -> None:
         if self.k < 0:
@@ -390,7 +391,7 @@ def _jitter_condition(cond: FilterCondition, rng: random.Random) -> FilterCondit
 # --- public operations -----------------------------------------------------------
 
 def perturb_once(t: Trajectory, kind: str, rng: random.Random, d: DatabaseInput,
-                 max_attempts: int = 30, seed: int = 0) -> tuple[Trajectory, PerturbationRecord]:
+                 seed: int = 0) -> tuple[Trajectory, PerturbationRecord]:
     """Apply one perturbation of the given kind; the result is a valid
     trajectory that differs from `t`."""
     if kind not in KINDS:
@@ -403,7 +404,7 @@ def perturb_once(t: Trajectory, kind: str, rng: random.Random, d: DatabaseInput,
     fixed = (_AddCandidates(t, d) if kind == ADD
              else _delete_candidates(t) if kind == DELETE else None)
     rejected: set[_Edit] = set()
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         candidates = fixed if fixed is not None else _substitute_candidates(t, d, rng)
         if not candidates or len(rejected) == len(candidates):
             break
@@ -426,7 +427,7 @@ def perturb_once(t: Trajectory, kind: str, rng: random.Random, d: DatabaseInput,
             seed=seed,
         )
         return mutated, record
-    raise NoViablePerturbationError(f"no viable {kind} perturbation after {max_attempts} attempts")
+    raise NoViablePerturbationError(f"no viable {kind} perturbation after {MAX_ATTEMPTS} attempts")
 
 
 def _apply_edit(steps: list[TrajectoryStep], edit: _Edit) -> Trajectory:
@@ -473,9 +474,7 @@ def augment(verified: list[Trajectory], cfg: PerturbationConfig,
             rng = stream_rng(cfg.seed, index, draw)
             kind = _draw_kind(cfg.weights, rng)
             try:
-                erroneous, record = perturb_once(trajectory, kind, rng, d,
-                                                 max_attempts=cfg.max_attempts,
-                                                 seed=cfg.seed)
+                erroneous, record = perturb_once(trajectory, kind, rng, d, seed=cfg.seed)
             except NoViablePerturbationError as exc:
                 report.skipped.append((index, str(exc)))
                 continue
@@ -483,19 +482,17 @@ def augment(verified: list[Trajectory], cfg: PerturbationConfig,
     return report
 
 
-def inject_negatives(pairs: list[tuple[Trajectory, Trajectory]], ratio: float = 4.0,
+def inject_negatives(pairs: list[tuple[Trajectory, Trajectory]],
                      seed: int = 0) -> list[tuple[Trajectory, Trajectory]]:
-    """Append one identity (verified, verified) pair per `ratio` positives.
+    """Append one identity (verified, verified) pair per `NEGATIVE_RATIO` positives.
 
-    Exactly floor(len(pairs) / ratio) identity pairs are appended, then the
-    combined records are shuffled deterministically by `seed`.
+    Exactly floor(len(pairs) / NEGATIVE_RATIO) identity pairs are appended, then
+    the combined records are shuffled deterministically by `seed`.
     """
-    if ratio <= 0:
-        raise ValueError("ratio must be positive")
     records: list[tuple[Trajectory, Trajectory]] = [(err, ver) for err, ver in pairs]
-    n_negatives = int(len(pairs) / ratio)
+    n_negatives = int(len(pairs) / NEGATIVE_RATIO)
     for j in range(n_negatives):
-        source = pairs[min(len(pairs) - 1, int((j + 1) * ratio) - 1)]
+        source = pairs[min(len(pairs) - 1, int((j + 1) * NEGATIVE_RATIO) - 1)]
         records.append((source[1], source[1]))
     random.Random(f"negatives:{seed}").shuffle(records)
     return records

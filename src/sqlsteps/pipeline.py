@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import string
 import time
 from collections.abc import Iterator, Mapping
@@ -301,11 +302,18 @@ def build_backends(config: dict, base_dir: str | Path = ".") -> dict[str, StageB
             if "endpoint" not in entry:
                 raise FormatError(f"remote backend for stage {stage} has no `endpoint`")
             try:
-                backends[stage] = RemoteBackend(stage, entry["endpoint"],
-                                                timeout=float(entry.get("timeout", 30.0)),
-                                                retries=int(entry.get("retries", 2)))
+                timeout = float(entry.get("timeout", 30.0))
+                retries = int(entry.get("retries", 2))
             except (TypeError, ValueError) as exc:
                 raise FormatError(f"remote backend for stage {stage}: {exc}") from exc
+            if not 0 < timeout < math.inf:  # NaN fails too
+                raise FormatError(f"remote backend for stage {stage}: timeout must be a "
+                                  f"finite positive number, got {entry['timeout']!r}")
+            if retries < 0:
+                raise FormatError(f"remote backend for stage {stage}: retries must be >= 0, "
+                                  f"got {entry['retries']!r}")
+            backends[stage] = RemoteBackend(stage, entry["endpoint"], timeout=timeout,
+                                            retries=retries)
         else:
             raise FormatError(f"unknown backend kind {kind!r} for stage {stage}")
     return backends
@@ -373,16 +381,16 @@ class _Prompt:
 Feedback.prompt = _Prompt(Feedback.prompt)
 
 
-def make_feedback(t: Trajectory, d: DatabaseInput, template_id: str = "regenerate_sql",
-                  template_dir: str | Path | None = None,
+def make_feedback(t: Trajectory, d: DatabaseInput, template_dir: str | Path | None = None,
                   trajectory_text: str | None = None) -> Feedback:
     """Render the correction feedback handed to a generator model.
 
-    The template is read here, so a missing one raises TemplateNotFoundError
-    here; the prompt is built when it is read. `trajectory_text` is the text
-    of `t` when the caller has rendered it already.
+    The template, `regenerate_sql`, is read here, so a missing one raises
+    TemplateNotFoundError here; the prompt is built when it is read.
+    `trajectory_text` is the text of `t` when the caller has rendered it
+    already.
     """
-    template = load_prompt(template_id, template_dir).template
+    template = load_prompt("regenerate_sql", template_dir).template
     if trajectory_text is None:
         trajectory_text = render_trajectory(t)
     reverted: SqlQuery | None
@@ -431,7 +439,6 @@ class PipelineTrace:
 
 def run_pipeline(d: DatabaseInput, question: str, initial_sql: str,
                  backends: dict[str, StageBackend], seed_id: str | None = None,
-                 template_id: str = "regenerate_sql",
                  template_dir: str | Path | None = None) -> PipelineTrace:
     """Run bam -> sam_mask -> sam_fill -> lom and build feedback.
 
@@ -475,7 +482,7 @@ def run_pipeline(d: DatabaseInput, question: str, initial_sql: str,
 
     final = trace.final_trajectory()
     if final is not None:
-        trace.feedback = make_feedback(final, d, template_id, template_dir, texts(final))
+        trace.feedback = make_feedback(final, d, template_dir, texts(final))
     return trace
 
 

@@ -8,6 +8,7 @@ errors or are rejected later by the converter, never silently mangled.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import field, replace
 from operator import is_
@@ -335,30 +336,21 @@ class BoundedParser:
 # The parser's leaves whose fields are all strings or None: one node per
 # exact field values, shared by every parse, so that a name written many
 # times is kept once, and its strings with it. A literal is never shared:
-# `Scalar(-0.0)` and `Scalar(0.0)` are equal but render differently. A table
-# that outgrows LEAF_BOUND entries is emptied, so once no parse is running,
-# each holds at most that many.
+# `Scalar(-0.0)` and `Scalar(0.0)` are equal but render differently. Each
+# cache keeps the LEAF_BOUND nodes used last.
 LEAF_BOUND = 2048
-_COLUMNS: dict[tuple[str | None, str], Column] = {}
-_TABLE_REFS: dict[tuple[str, str | None], TableRef] = {}
-_Leaf = TypeVar("_Leaf", Column, TableRef)
 
 
-def _leaf(leaves: dict[tuple[Any, Any], _Leaf], build: Callable[[Any, Any], _Leaf],
-          first: str | None, second: str | None) -> _Leaf:
-    """The shared node `build(first, second)`."""
-    key = (first, second)
-    node = leaves.get(key)
-    if node is None:
-        node = leaves.setdefault(key, build(first, second))
-        if len(leaves) > LEAF_BOUND:
-            leaves.clear()
-    return node
-
-
+@functools.lru_cache(maxsize=LEAF_BOUND)
 def column(table: str | None, name: str) -> Column:
     """The shared `Column(table, name)`, the node the parser builds for it."""
-    return _leaf(_COLUMNS, Column, table, name)
+    return Column(table, name)
+
+
+@functools.lru_cache(maxsize=LEAF_BOUND)
+def _table_ref(name: str, alias: str | None) -> TableRef:
+    """The shared `TableRef(name, alias)`."""
+    return TableRef(name, alias)
 
 
 class _SqlParser(BoundedParser):
@@ -444,7 +436,7 @@ class _SqlParser(BoundedParser):
         return SelectItem(expr, self.alias())
 
     def table_ref(self) -> TableRef:
-        return _leaf(_TABLE_REFS, TableRef, self.ident(), self.alias())
+        return _table_ref(self.ident(), self.alias())
 
     def alias(self) -> str | None:
         if self.eat("as") or self.toks[self.pos][KIND] in _NAMES:

@@ -148,7 +148,7 @@ def test_criterion_5_negative_ratio():
     erroneous = parse_trajectory("res = df.select(t.b)")
     wrong = []
     for n in range(1, 101):
-        out = inject_negatives([(erroneous, verified)] * n, ratio=4.0, seed=n)
+        out = inject_negatives([(erroneous, verified)] * n, seed=n)
         identities = sum(1 for a, b in out
                          if render_trajectory(a) == render_trajectory(b))
         if identities != n // 4 or len(out) != n + n // 4:

@@ -286,6 +286,21 @@ def test_eval_scores_the_other_seeds_when_one_has_no_fixture_database(capsys, tm
                                     "a0: no-fixture-database: no fixture database 'nowhere'"]
 
 
+@pytest.mark.parametrize("difficulty", [3, ["x"]])
+def test_eval_of_a_seed_whose_difficulty_is_no_string_is_an_error_naming_its_line(
+        capsys, tmp_path, difficulty):
+    # a difficulty of another type would reach the report's per-difficulty
+    # aggregates, which compare and hash it
+    first = json.loads(ONE_BAD_GOLD[0])
+    seeds = _jsonl(tmp_path / "seeds.jsonl", json.dumps({**first, "difficulty": "easy"}),
+                   json.dumps({**first, "id": "a3", "difficulty": difficulty}))
+    pred = _jsonl(tmp_path / "pred.jsonl", json.dumps({"id": "a1", "sql": "SELECT 1"}))
+    code, out, err = run(capsys, ["--schemas", SCHEMAS, "eval", "--pred", pred,
+                                  "--seeds", seeds, "--dbs", DBS])
+    assert code == EXIT_ERROR and out == ""
+    assert err == "error: line 2: seed field 'difficulty' is not a string or null\n"
+
+
 def test_eval_output_of_golds_that_all_run_has_no_failures(capsys, tmp_path):
     seeds = _jsonl(tmp_path / "seeds.jsonl", ONE_BAD_GOLD[0])
     pred = _jsonl(tmp_path / "pred.jsonl", json.dumps({"id": "a1", "sql": "SELECT 1"}))

@@ -199,14 +199,14 @@ def test_a_failed_gold_raises_before_any_comparison():
 def test_tag_schema_contradiction(schools):
     pred = parse_trajectory(golden("table9_bam_asprinted.traj"))
     gold = parse_trajectory(golden("table9_lom.traj"))
-    tag = tag_error(pred, gold, schools)
+    tag = tag_error(pred, gold)
     assert (tag.coarse, tag.subtype) == ("schema", SCHEMA_CONTRADICTION)
 
 
 def test_tag_attribute_overanalysis(schools):
     pred = parse_trajectory(golden("table9_sam.traj"))  # extra count in select
     gold = parse_trajectory(golden("table9_lom.traj"))
-    tag = tag_error(pred, gold, schools)
+    tag = tag_error(pred, gold)
     assert (tag.coarse, tag.subtype) == ("schema", ATTRIBUTE_OVERANALYSIS)
 
 
@@ -217,18 +217,18 @@ def test_tag_clause_abuse_from_added_distinct(store):
         "df1 = df.where(element = customers.age, filter = '> 30')\n"
         "df2 = df1.distinct(customers.name)\n"
         "res = df2.select(customers.name)")
-    tag = tag_error(pred, gold, store)
+    tag = tag_error(pred, gold)
     assert (tag.coarse, tag.subtype) == ("logic", CLAUSE_ABUSE)
 
 
 def test_tag_mathematical_delusion(store):
     gold = parse_trajectory("res = df.select(sum(orders.total))")
     pred = parse_trajectory("res = df.select(average(orders.total))")
-    tag = tag_error(pred, gold, store)
+    tag = tag_error(pred, gold)
     assert (tag.coarse, tag.subtype) == ("logic", MATHEMATICAL_DELUSION)
     gold2 = parse_trajectory("res = df.select((orders.total * 2))")
     pred2 = parse_trajectory("res = df.select((orders.total + 2))")
-    assert tag_error(pred2, gold2, store).subtype == MATHEMATICAL_DELUSION
+    assert tag_error(pred2, gold2).subtype == MATHEMATICAL_DELUSION
 
 
 def test_tag_mathematical_delusion_inside_cast_and_substr_in_an_aggregate(store):
@@ -237,7 +237,7 @@ def test_tag_mathematical_delusion_inside_cast_and_substr_in_an_aggregate(store)
              "res = df.select(sum(cast((orders.total + 2), real)))"),
             ("res = df.select(min(substr((customers.city - customers.name), 1, 2)))",
              "res = df.select(min(substr((customers.city + customers.name), 1, 2)))")):
-        tag = tag_error(parse_trajectory(pred_text), parse_trajectory(gold_text), store)
+        tag = tag_error(parse_trajectory(pred_text), parse_trajectory(gold_text))
         assert (tag.coarse, tag.subtype) == ("logic", MATHEMATICAL_DELUSION)
 
 
@@ -246,7 +246,7 @@ def test_tag_other_for_parameter_only_changes(store):
         "df1 = df.where(element = customers.age, filter = '> 30')\nres = df1.select(customers.name)")
     pred = parse_trajectory(
         "df1 = df.where(element = customers.age, filter = '> 31')\nres = df1.select(customers.name)")
-    tag = tag_error(pred, gold, store)
+    tag = tag_error(pred, gold)
     assert (tag.coarse, tag.subtype) == ("logic", OTHER)
 
 
@@ -259,7 +259,7 @@ def test_tagger_total_over_perturbations(schools):
     for i in range(45):
         kind = KINDS[i % 3]
         pred, _ = perturb_once(gold, kind, random.Random(f"tags:{i}"), schools, seed=i)
-        tag = tag_error(pred, gold, schools)
+        tag = tag_error(pred, gold)
         assert tag.coarse in ("schema", "logic")
         assert tag.subtype
 

@@ -148,7 +148,7 @@ def test_inject_negatives_exact_ratio(store):
     erroneous = parse_trajectory("res = df.select(customers.city)")
     for n, expected in [(8, 2), (4, 1), (0, 0), (3, 0), (100, 25)]:
         pairs = [(erroneous, verified)] * n
-        out = inject_negatives(pairs, ratio=4.0, seed=3)
+        out = inject_negatives(pairs, seed=3)
         identities = [p for p in out if render_trajectory(p[0]) == render_trajectory(p[1])]
         assert len(out) == n + expected
         assert len(identities) == expected

@@ -136,10 +136,12 @@ def test_make_feedback_degrades_without_join_path(schemas):
     assert feedback.trajectory_text
 
 
-def test_make_feedback_unknown_template(store):
+def test_make_feedback_unknown_template(tmp_path, store):
+    # a template directory without `regenerate_sql.txt`
+    (tmp_path / "other.txt").write_text("$trajectory")
     t = decompose(parse_sql("SELECT customers.name FROM customers"), store)
     with pytest.raises(TemplateNotFoundError):
-        make_feedback(t, store, template_id="no_such_template")
+        make_feedback(t, store, template_dir=tmp_path)
 
 
 def test_template_dir_override(tmp_path, store):
@@ -553,10 +555,18 @@ def test_malformed_backend_config_is_a_format_error(config, stage):
 @pytest.mark.parametrize("config,match", [
     ({"lom": {"kind": "remote", "endpoint": "http://x/", "timeout": "soon"}}, "stage lom"),
     ({"lom": {"kind": "remote", "endpoint": "http://x/", "retries": "many"}}, "stage lom"),
+    # a negative retries would send no request, and a timeout urllib rejects
+    # would fail every seed at its first call
+    ({"lom": {"kind": "remote", "endpoint": "http://x/", "retries": -1}},
+     "stage lom: retries must be >= 0"),
+    *(({"sam_mask": {"kind": "remote", "endpoint": "http://x/", "timeout": timeout}},
+       "stage sam_mask: timeout must be a finite positive number")
+      for timeout in (-1, 0, "nan", "inf")),
     ({"sam_fill": {"kind": "scripted", "outputs": "x"}}, "stage sam_fill"),
     ({"bam": {"kind": "scripted", "script_file": "missing.json"}}, "missing.json for stage bam"),
     (["bam"], "must be an object"),
-], ids=["timeout", "retries", "outputs", "script-file", "list"])
+], ids=["timeout", "retries", "negative-retries", "negative-timeout", "zero-timeout",
+        "nan-timeout", "inf-timeout", "outputs", "script-file", "list"])
 def test_bad_backend_config_values_are_format_errors(config, match, tmp_path):
     with pytest.raises(FormatError, match=match):
         build_backends(config, tmp_path)
@@ -566,12 +576,14 @@ def test_backend_config_kinds():
     backends = build_backends({"bam": {"kind": "rule"},
                                "sam_mask": {"kind": "identity"},
                                "sam_fill": {"kind": "scripted", "outputs": {"*": "x"}},
-                               "lom": {"kind": "remote", "endpoint": "http://x/"}})
+                               "lom": {"kind": "remote", "endpoint": "http://x/",
+                                       "retries": 0, "timeout": 0.5}})
     assert isinstance(backends["bam"], RuleBackend)
     assert isinstance(backends["sam_mask"], RuleBackend) and backends["sam_mask"].identity
     assert backends["sam_mask"].describe() == "identity:sam_mask"
     assert isinstance(backends["sam_fill"], ScriptedBackend)
     assert isinstance(backends["lom"], RemoteBackend)
+    assert (backends["lom"].retries, backends["lom"].timeout) == (0, 0.5)
 
 
 def test_a_bam_whose_invoke_is_set_on_the_instance_gets_the_round_trip_verdict(schemas, dbs,

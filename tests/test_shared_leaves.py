@@ -1,8 +1,8 @@
 """The parser shares its name leaves: one `Column` and one `TableRef` per
-exact field values, from tables that hold at most `LEAF_BOUND` nodes each.
+exact field values, from caches that hold at most `LEAF_BOUND` nodes each.
 Literals are never shared, as `Scalar(-0.0)` and `Scalar(0.0)` are equal but
 render differently. `decompose` and `revert` take their SQL columns from the
-parser's table (`sqlast.column`). Numbered binding names are one string each."""
+parser's cache (`sqlast.column`). Numbered binding names are one string each."""
 
 from __future__ import annotations
 
@@ -83,19 +83,19 @@ def test_the_name_tables_hold_no_more_than_their_bound():
     sql = (f"SELECT {', '.join(f'n{i}.c{i}' for i in range(names))} "
            f"FROM {', '.join(f'n{i}' for i in range(names))}")
     core = parse_sql(sql).ast
-    assert len(sqlast._COLUMNS) <= sqlast.LEAF_BOUND
-    assert len(sqlast._TABLE_REFS) <= sqlast.LEAF_BOUND
-    # nodes evicted with their table stay in the trees that hold them
+    assert sqlast.column.cache_info().currsize <= sqlast.LEAF_BOUND
+    assert sqlast._table_ref.cache_info().currsize <= sqlast.LEAF_BOUND
+    # nodes evicted from their cache stay in the trees that hold them
     assert [i.expr for i in core.items] == [Column(f"n{i}", f"c{i}") for i in range(names)]
     assert list(core.tables) == [TableRef(f"n{i}") for i in range(names)]
-    # and a name parsed after a table was emptied is shared anew
+    # and a name parsed after it was evicted is shared anew
     again = parse_sql("SELECT n0.c0 FROM n0").ast
     assert again.items[0].expr is parse_sql("SELECT n0.c0 FROM n0").ast.items[0].expr
 
 
 def test_reverted_and_parsed_trees_share_their_column_nodes(store):
     # `revert` builds its columns, those of the joins it adds included, and
-    # `decompose` resolves a bare column, through the parser's own table; a
+    # `decompose` resolves a bare column, through the parser's own cache; a
     # fresh database, as one keeps the join clauses it built before
     sql = ("SELECT customers.city, COUNT(orders.id) FROM customers JOIN orders "
            "ON orders.customer_id = customers.id WHERE age > 30 GROUP BY customers.city")

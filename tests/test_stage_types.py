@@ -88,7 +88,7 @@ def reference_report(results, seeds, dbs, schemas) -> EvalReport:
         final = result.trace.final_trajectory() if result.trace else None
         if not correct and final is not None and gold.ast is not None:
             try:
-                tag = tag_error(final, decompose(gold, d), d)
+                tag = tag_error(final, decompose(gold, d))
             except BRIDGE_ERRORS:
                 pass
         report.per_instance.append(InstanceVerdict(
